@@ -1,14 +1,14 @@
 //! Regenerates the paper's **Figure 9**: compilation time per query,
 //! split into DBLAB program optimization / code generation vs backend
 //! build time ("the compilation time is divided almost equally between
-//! DBLAB/LB and CLang") — with a per-backend axis (gcc, rustc, interp)
+//! DBLAB/LB and CLang") — with a per-backend axis (gcc, jit, interp)
 //! and, since the memoized pipeline landed, a **cold vs warm** axis:
 //!
 //! * independent per-query builds fan out across `--build-jobs` workers
 //!   (`Backend::build` is `&self` and every cache is `Sync`);
 //! * after the cold sweep, the whole suite is recompiled at the same
 //!   configuration — the per-pass IR cache short-circuits the DSL stack
-//!   and the source-level build cache skips gcc/rustc entirely;
+//!   and the source-level build cache skips gcc entirely;
 //! * with `--threads N` (N > 1) an **execution phase** follows: each
 //!   query is built twice — serial and with the morsel-driven
 //!   `parallelize-scans` pass on — and timed over `--iterations`
@@ -145,16 +145,19 @@ struct ExecRow {
     agree: bool,
 }
 
-/// Backend for the execution phase: an explicit `--backend` wins;
-/// the `interp`/`auto` default picks the first available native
-/// toolchain (a timing comparison on the interpreter would measure the
-/// interpreter, not the generated loops).
+/// Backend for the execution phase: an explicit `--backend` wins; the
+/// `interp`/`auto` default picks gcc when present (a timing comparison on
+/// the interpreter would measure the interpreter, not the generated
+/// loops).
 fn exec_backend(args: &Args) -> &str {
     match args.backend.as_str() {
-        "auto" | "interp" => ["gcc", "rustc"]
-            .into_iter()
-            .find(|n| dblab_codegen::backend(n).is_some_and(|b| b.available()))
-            .unwrap_or("interp"),
+        "auto" | "interp" => {
+            if dblab_codegen::backend("gcc").is_some_and(|b| b.available()) {
+                "gcc"
+            } else {
+                "interp"
+            }
+        }
         other => other,
     }
 }

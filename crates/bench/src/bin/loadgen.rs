@@ -228,8 +228,6 @@ fn run_param_mix(args: &Args) -> ! {
                 workers: args.build_jobs,
                 native,
                 persist_cache: args.persist_cache,
-                schedule_candidates: args.orderings,
-                seed: args.seed,
                 ..EngineOptions::default()
             },
             prepared_cap: 64,
@@ -388,8 +386,6 @@ fn main() {
                         workers: args.build_jobs,
                         native,
                         persist_cache: args.persist_cache,
-                        schedule_candidates: args.orderings,
-                        seed: args.seed,
                         ..EngineOptions::default()
                     },
                     prepared_cap: 64,

@@ -4,7 +4,7 @@
 //! Phase one (**serve**) stands up a [`QueryEngine`], prepares every
 //! selected TPC-H query and measures the two latencies the tiered design
 //! trades between: the **first result** (served by tier 0, the zero-build
-//! interpreter, while gcc/rustc still runs) and the **steady state**
+//! interpreter, while gcc still runs) and the **steady state**
 //! (after the background tier-up hot-swaps the native executable in).
 //! Every run's result text — before *and* after the swap — is checked
 //! against the Volcano oracle; any divergence exits non-zero.
@@ -23,10 +23,8 @@
 //! `--threads N` is the intra-query execution-thread knob (the engine
 //! serves morsel-parallel plans); `--build-jobs` sizes the engine's
 //! background tier-up pool; `--iterations` is the steady-state repeat
-//! count. `--backend NAME` pins the native tier (`auto`/`interp` =
-//! first available of gcc, rustc); `--orderings K` sizes the
-//! cost-scored schedule candidate pool; `--seed` makes the pool
-//! reproducible.
+//! count. `--backend NAME` pins the native tier (`auto`/`interp` = gcc
+//! when present).
 
 use std::time::Duration;
 
@@ -58,11 +56,10 @@ struct Row {
     swaps: u64,
     /// Prepare→tier-ready swap latency per rung (`None` = never landed).
     swap_ms: [Option<f64>; 3],
-    /// Tier-up provenance, when the native tier landed.
-    tier_up: Option<(f64, f64, bool, bool, f64)>, // gen, build, cached, non_baseline, elapsed
-    /// The full serving snapshot, embedded verbatim in the JSON — the
-    /// same [`ServeStats::to_json`] shape the network server's `stats`
-    /// frame returns per query.
+    /// The full serving snapshot (tier-up provenance included, when the
+    /// native tier landed), embedded verbatim in the JSON — the same
+    /// [`ServeStats::to_json`] shape the network server's `stats` frame
+    /// returns per query.
     stats: ServeStats,
     agree: bool,
 }
@@ -96,8 +93,6 @@ fn serve_phase(
             workers: args.build_jobs,
             native: native_choice(args),
             persist_cache: args.persist_cache,
-            schedule_candidates: args.orderings,
-            seed: args.seed,
             ..EngineOptions::default()
         },
     )
@@ -163,15 +158,6 @@ fn serve_phase(
             steady_by_tier,
             swaps: stats.swaps,
             swap_ms: std::array::from_fn(|rank| stats.ladder[rank].swap_ms),
-            tier_up: stats.tier_up.as_ref().map(|u| {
-                (
-                    u.gen_ms,
-                    u.build_ms,
-                    u.build_cached,
-                    u.non_baseline,
-                    u.elapsed_ms,
-                )
-            }),
             stats,
             agree,
         });
@@ -205,14 +191,9 @@ fn print_rows(rows: &[Row]) {
         None => "-".to_string(),
     };
     for r in rows {
-        let build = match r.tier_up {
-            Some((_, build_ms, cached, _, _)) => {
-                if cached {
-                    "cached".to_string()
-                } else {
-                    format!("{build_ms:.0}ms")
-                }
-            }
+        let build = match &r.stats.tier_up {
+            Some(up) if up.build_cached => "cached".to_string(),
+            Some(up) => format!("{:.0}ms", up.build_ms),
             None => "-".to_string(),
         };
         println!(
@@ -304,17 +285,8 @@ fn rows_json(rows: &[Row]) -> String {
             // tier-up provenance) — one renderer for benches and the
             // network server's `stats` frame.
             .raw("stats", &r.stats.to_json());
-        if let Some((gen_ms, build_ms, cached, non_baseline, elapsed)) = r.tier_up {
-            o = o.raw(
-                "tier_up",
-                &json::Obj::new()
-                    .num("gen_ms", gen_ms)
-                    .num("build_ms", build_ms)
-                    .bool("build_cached", cached)
-                    .bool("non_baseline_order", non_baseline)
-                    .num("elapsed_ms", elapsed)
-                    .build(),
-            );
+        if let Some(up) = &r.stats.tier_up {
+            o = o.raw("tier_up", &up.to_json());
         }
         o.build()
     }))
@@ -363,7 +335,10 @@ fn main() {
         let (rows2, _, _) = serve_phase("restart", &args, &schema, &gen_dir, &data, &oracles);
         let disk_restart = build_cache::disk_stats().since(&disk1);
         print_rows(&rows2);
-        let lookups: u64 = rows2.iter().map(|r| u64::from(r.tier_up.is_some())).sum();
+        let lookups: u64 = rows2
+            .iter()
+            .map(|r| u64::from(r.stats.tier_up.is_some()))
+            .sum();
         println!(
             "# disk-cache: {} loaded, {} hit(s) over {} native build(s) ({:.0}%)",
             disk_restart.loaded,
@@ -383,10 +358,6 @@ fn main() {
         .collect();
     let all_agree = all.iter().all(|r| r.agree);
     let swaps_total: u64 = all.iter().map(|r| r.swaps).sum();
-    let non_baseline_orders = all
-        .iter()
-        .filter(|r| matches!(r.tier_up, Some((_, _, _, true, _))))
-        .count();
 
     // Jit-tier verdicts the CI smoke greps for: the in-process swap is
     // effectively instant (every landing under 50ms prepare→ready), it
@@ -433,7 +404,6 @@ fn main() {
         .str("native_backend", native.unwrap_or("none"))
         .bool("degraded", native.is_none())
         .int("swaps_total", swaps_total)
-        .int("non_baseline_orders", non_baseline_orders as u64)
         .bool("all_agree", all_agree)
         .raw("swap_latency", &swap_latency_json(&all))
         .num("swap_ratio_native_over_jit", swap_ratio)
@@ -457,7 +427,11 @@ fn main() {
                 .num(
                     "disk_hit_rate",
                     disk_restart.hits as f64
-                        / rows2.iter().filter(|r| r.tier_up.is_some()).count().max(1) as f64,
+                        / rows2
+                            .iter()
+                            .filter(|r| r.stats.tier_up.is_some())
+                            .count()
+                            .max(1) as f64,
                 )
                 .raw("queries", &rows_json(rows2))
                 .build(),

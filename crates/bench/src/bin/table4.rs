@@ -22,10 +22,6 @@ const ROWS: &[(&str, &[&str])] = &[
         "Scala Constructs to C Transformer",
         &["../../codegen/src/emit.rs"],
     ),
-    (
-        "Scala Constructs to Rust Transformer",
-        &["../../codegen/src/rust_emit.rs"],
-    ),
 ];
 
 fn main() {

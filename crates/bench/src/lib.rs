@@ -74,9 +74,10 @@ pub struct Args {
     /// How many schedules the `schedules` binary sweeps (baseline + K-1
     /// sampled permutations).
     pub orderings: usize,
-    /// Seed for the deterministic schedule sample.
+    /// Seed for the deterministic schedule sample (`schedules`) and the
+    /// client request mix (`loadgen`).
     pub seed: u64,
-    /// Backend for query-time measurements (`gcc`/`rustc`/`interp`).
+    /// Backend for query-time measurements (`gcc`/`jit`/`interp`).
     pub backend: String,
     /// Attach the on-disk build-cache index next to the gen dir
     /// ([`dblab_codegen::build_cache::enable_persistence`]) so artifacts

@@ -1,5 +1,5 @@
-//! The backend seam: one compile/execute API over gcc, rustc and the
-//! interpreter.
+//! The backend seam: one compile/execute API over gcc, the closure JIT
+//! and the interpreter.
 //!
 //! The paper's argument is that a query compiler should be a stack of
 //! small, swappable stages — this module extends that principle below the
@@ -9,9 +9,8 @@
 //! backends ship in the [`backends`] registry:
 //!
 //! * [`CBackend`] — the paper's path: unparse to C, build with `gcc -O3`;
-//! * [`RustBackend`] — a second native path: unparse the *same* C.Scala
-//!   dialect to Rust, build with `rustc -O` (skipped gracefully when the
-//!   toolchain is absent);
+//! * [`crate::jit::JitBackend`] — the same C.Scala dialect compiled to a
+//!   tree of pre-resolved closures, in-process, in microseconds;
 //! * [`InterpBackend`] — `dblab-interp` wrapped as a zero-build in-process
 //!   executable ("each DSL is executable", §4).
 //!
@@ -89,7 +88,7 @@ pub trait Executable: Send + Sync {
             ))
         }
     }
-    /// Wall time the toolchain spent building (the gcc/rustc half of
+    /// Wall time the toolchain spent building (the gcc half of
     /// Figure 9; zero for in-process backends).
     fn build_time(&self) -> Duration;
     /// The produced binary on disk, if any.
@@ -122,7 +121,7 @@ pub struct BuildInput<'a> {
 /// `Send + Sync` so one backend instance can serve concurrent builds
 /// (`build` is `&self`; the shipped backends are stateless).
 pub trait Backend: Send + Sync {
-    /// Registry name (`"gcc"`, `"rustc"`, `"interp"`).
+    /// Registry name (`"gcc"`, `"jit"`, `"interp"`).
     fn name(&self) -> &'static str;
     /// Pure unparse: C.Scala program → source text. Never touches the
     /// filesystem or a toolchain.
@@ -145,19 +144,8 @@ pub trait Backend: Send + Sync {
     }
 }
 
-fn toolchain_present(cache: &'static OnceLock<bool>, cmd: &str) -> bool {
-    *cache.get_or_init(|| {
-        Command::new(cmd)
-            .arg("--version")
-            .output()
-            .map(|o| o.status.success())
-            .unwrap_or(false)
-    })
-}
-
 /// Spawn a generated binary on `data_dir` and parse the instrumentation
-/// lines (`QUERY_TIME_MS`, `PEAK_RSS_KB`) from stderr. Shared by the gcc
-/// and rustc backends — the generated programs speak the same protocol.
+/// lines (`QUERY_TIME_MS`, `PEAK_RSS_KB`) from stderr.
 pub fn run_binary(binary: &Path, data_dir: &Path) -> io::Result<RunOutput> {
     run_binary_args(binary, data_dir, &[])
 }
@@ -399,9 +387,11 @@ mod normalize_tests {
 /// The paper's backend: C source, `gcc -O3`.
 pub struct CBackend;
 
-struct NativeExecutable {
-    binary: PathBuf,
-    build_time: Duration,
+/// A toolchain-built binary on disk (fresh from gcc, or revived by the
+/// build cache with a zero `build_time`).
+pub(crate) struct NativeExecutable {
+    pub(crate) binary: PathBuf,
+    pub(crate) build_time: Duration,
 }
 
 impl Executable for NativeExecutable {
@@ -450,62 +440,16 @@ impl Backend for CBackend {
     }
     fn available(&self) -> bool {
         static PRESENT: OnceLock<bool> = OnceLock::new();
-        toolchain_present(&PRESENT, "gcc")
+        *PRESENT.get_or_init(|| {
+            Command::new("gcc")
+                .arg("--version")
+                .output()
+                .map(|o| o.status.success())
+                .unwrap_or(false)
+        })
     }
     fn requirement(&self) -> &'static str {
         "gcc on PATH"
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rust / rustc
-// ---------------------------------------------------------------------
-
-/// The second native backend: Rust source from the same C.Scala dialect,
-/// built with `rustc -O`.
-pub struct RustBackend;
-
-impl Backend for RustBackend {
-    fn name(&self) -> &'static str {
-        "rustc"
-    }
-    fn emit(&self, p: &Program, schema: &Schema) -> String {
-        crate::rust_emit::emit_rust(p, schema)
-    }
-    fn build(&self, input: BuildInput<'_>) -> io::Result<Box<dyn Executable>> {
-        std::fs::create_dir_all(input.dir)?;
-        let rs_path = input.dir.join(format!("{}.rs", input.name));
-        std::fs::write(&rs_path, input.source)?;
-        let binary = input.dir.join(format!("{}_rs", input.name));
-        let t0 = Instant::now();
-        let out = Command::new("rustc")
-            .arg("--edition")
-            .arg("2021")
-            .arg("-O")
-            .arg("-C")
-            .arg("debug-assertions=no")
-            .arg("--crate-name")
-            .arg("dblab_query")
-            .arg("-o")
-            .arg(&binary)
-            .arg(&rs_path)
-            .output()?;
-        let build_time = t0.elapsed();
-        if !out.status.success() {
-            return Err(io::Error::other(format!(
-                "rustc failed on {}:\n{}",
-                rs_path.display(),
-                String::from_utf8_lossy(&out.stderr)
-            )));
-        }
-        Ok(Box::new(NativeExecutable { binary, build_time }))
-    }
-    fn available(&self) -> bool {
-        static PRESENT: OnceLock<bool> = OnceLock::new();
-        toolchain_present(&PRESENT, "rustc")
-    }
-    fn requirement(&self) -> &'static str {
-        "rustc on PATH"
     }
 }
 
@@ -606,7 +550,6 @@ impl Backend for InterpBackend {
 pub fn backends() -> Vec<Box<dyn Backend>> {
     vec![
         Box::new(CBackend),
-        Box::new(RustBackend),
         Box::new(crate::jit::JitBackend),
         Box::new(InterpBackend),
     ]
@@ -617,13 +560,12 @@ pub fn available_backends() -> Vec<Box<dyn Backend>> {
     backends().into_iter().filter(|b| b.available()).collect()
 }
 
-/// Look a backend up by registry name (aliases: `c`/`gcc`, `rust`/`rustc`,
+/// Look a backend up by registry name (aliases: `c`/`gcc`,
 /// `interpreter`/`interp`). Derived from [`backends`], so a backend added
 /// to the registry is automatically resolvable here.
 pub fn backend(name: &str) -> Option<Box<dyn Backend>> {
     let canonical = match name {
         "c" => "gcc",
-        "rust" => "rustc",
         "interpreter" => "interp",
         other => other,
     };
@@ -641,7 +583,7 @@ pub struct CompiledArtifact {
     pub backend: &'static str,
     /// The DSL-stack output: final program + per-pass stage trace.
     pub stack: CompiledQuery,
-    /// The emitted source text (C, Rust, or pretty-printed IR).
+    /// The emitted source text (C, or pretty-printed IR).
     pub source: String,
     /// The runnable artifact.
     pub exe: Box<dyn Executable>,
@@ -661,13 +603,13 @@ impl CompiledArtifact {
 /// compile queries.
 ///
 /// ```no_run
-/// # use dblab_codegen::{Compiler, RustBackend};
+/// # use dblab_codegen::{Compiler, JitBackend};
 /// # let schema = dblab_catalog::Schema::default();
 /// # let prog = dblab_frontend::qplan::QueryProgram::new(
 /// #     dblab_frontend::qplan::QPlan::scan("nation"));
 /// let artifact = Compiler::new(&schema)
 ///     .config(&dblab_transform::StackConfig::level5())
-///     .backend(Box::new(RustBackend))
+///     .backend(Box::new(JitBackend))
 ///     .compile(&prog)
 ///     .expect("build");
 /// let out = artifact.run(std::path::Path::new("/data")).expect("run");
@@ -697,7 +639,7 @@ impl<'s> Compiler<'s> {
         self
     }
 
-    /// Select the backend (gcc / rustc / interp / yours).
+    /// Select the backend (gcc / jit / interp / yours).
     pub fn backend(mut self, b: Box<dyn Backend>) -> Self {
         self.backend = b;
         self
@@ -792,13 +734,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_lists_four_backends_with_unique_names() {
+    fn registry_lists_three_backends_with_unique_names() {
         let names: Vec<&str> = backends().iter().map(|b| b.name()).collect();
-        assert_eq!(names, vec!["gcc", "rustc", "jit", "interp"]);
+        assert_eq!(names, vec!["gcc", "jit", "interp"]);
         for n in &names {
             assert!(backend(n).is_some(), "{n} resolves");
         }
-        assert!(backend("cranelift").is_none());
+        for gone in ["cranelift", "rustc", "rust"] {
+            assert!(backend(gone).is_none(), "{gone} must not resolve");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! a complete key for the toolchain invocation that follows: identical
 //! source through the same backend yields an identical binary. This
 //! module memoizes `Backend::build` on `(backend name, source hash)` and
-//! hands back the previously built artifact on a hit — the gcc/rustc
+//! hands back the previously built artifact on a hit — the gcc
 //! fork+exec is the dominant cost of Figure 9, and benches rebuild
 //! byte-identical programs constantly (repetitions, overlapping
 //! configurations that lower to the same C.Scala program).
@@ -29,7 +29,7 @@
 //! entries whose artifact still exists on disk are restored into the
 //! in-memory table at attach time, and every subsequent toolchain build
 //! appends its line. A warm start after a restart therefore skips
-//! gcc/rustc exactly like a warm compile within one process; hits served
+//! gcc exactly like a warm compile within one process; hits served
 //! from restored entries are additionally counted in [`disk_stats`] so
 //! benches can report honest *disk*-hit rates, separate from same-process
 //! reuse.
@@ -44,10 +44,7 @@ use std::time::Duration;
 
 use dblab_ir::hash::str_hash;
 
-use crate::backend::{
-    format_param, run_binary, run_binary_args, run_binary_args_deadline, run_binary_deadline,
-    Backend, BuildInput, Executable, RunOutput,
-};
+use crate::backend::{Backend, BuildInput, Executable, NativeExecutable};
 
 /// One previously built artifact.
 #[derive(Debug, Clone)]
@@ -300,43 +297,6 @@ fn persist_entry(backend: &'static str, hash: u64, binary: &Path) {
     }
 }
 
-/// A build-cache hit: the artifact already exists on disk, so no
-/// toolchain time was spent *this* compile — `build_time` is zero, which
-/// is exactly what warm-compile measurements should see.
-struct CachedExecutable {
-    binary: PathBuf,
-}
-
-impl Executable for CachedExecutable {
-    fn run(&self, data_dir: &Path) -> io::Result<RunOutput> {
-        run_binary(&self.binary, data_dir)
-    }
-    fn run_deadline(&self, data_dir: &Path, deadline: Option<Duration>) -> io::Result<RunOutput> {
-        match deadline {
-            Some(budget) => run_binary_deadline(&self.binary, data_dir, budget),
-            None => self.run(data_dir),
-        }
-    }
-    fn run_bound(
-        &self,
-        data_dir: &Path,
-        params: &[dblab_runtime::Value],
-        deadline: Option<Duration>,
-    ) -> io::Result<RunOutput> {
-        let args: Vec<String> = params.iter().map(format_param).collect();
-        match deadline {
-            Some(budget) => run_binary_args_deadline(&self.binary, data_dir, &args, budget),
-            None => run_binary_args(&self.binary, data_dir, &args),
-        }
-    }
-    fn build_time(&self) -> Duration {
-        Duration::ZERO
-    }
-    fn artifact(&self) -> Option<&Path> {
-        Some(&self.binary)
-    }
-}
-
 /// Build through the cache: skip the toolchain when this backend has
 /// already built byte-identical source, otherwise build and remember the
 /// artifact. Returns the executable and whether it was a cache hit.
@@ -360,9 +320,12 @@ pub fn build_with_cache(
             if entry.from_disk {
                 DISK_HITS.fetch_add(1, Ordering::Relaxed);
             }
+            // No toolchain time was spent *this* compile: `build_time` is
+            // zero, which is what warm-compile measurements should see.
             return Ok((
-                Box::new(CachedExecutable {
+                Box::new(NativeExecutable {
                     binary: entry.binary,
+                    build_time: Duration::ZERO,
                 }),
                 true,
             ));
@@ -412,7 +375,7 @@ mod tests {
                 "v1\tgcc\tnot-hex\tidx_unit_artifact".to_string(),
                 "v1\tgcc".to_string(),
                 // Valid, absolute path.
-                format!("v1\trustc\t00000000deadbee3\t{}", art.display()),
+                format!("v1\tgcc\t00000000deadbee3\t{}", art.display()),
             ]
             .join("\n"),
         )

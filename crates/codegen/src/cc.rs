@@ -1,7 +1,6 @@
 //! The C-compiler driver: writes the generated translation unit next to
 //! `dblab_runtime.h` and invokes `gcc -O3` (our CLang 2.9 stand-in, §7).
-//! Execution and instrumentation parsing live in [`crate::backend`], which
-//! is shared with the rustc backend.
+//! Execution and instrumentation parsing live in [`crate::backend`].
 
 use std::path::{Path, PathBuf};
 use std::process::Command;

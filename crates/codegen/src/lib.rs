@@ -12,7 +12,7 @@
 //! use dblab_codegen::{backend, Compiler};
 //! let art = Compiler::new(&schema)
 //!     .config(&dblab_transform::StackConfig::level5())
-//!     .backend(backend("rustc").unwrap())
+//!     .backend(backend("jit").unwrap())
 //!     .compile(&prog)
 //!     .expect("build");
 //! println!("{}", art.stack.stage_report()); // per-pass trace
@@ -20,8 +20,8 @@
 //! ```
 //!
 //! Three backends ship in the registry: [`CBackend`] (unparse to C, build
-//! with `gcc -O3` — [`emit`] + [`cc`]), [`RustBackend`] (unparse the same
-//! dialect to Rust, build with `rustc -O` — [`rust_emit`]), and
+//! with `gcc -O3` — [`emit`] + [`cc`]), [`JitBackend`] (the same dialect
+//! compiled to pre-resolved closures in-process — [`jit`]), and
 //! [`InterpBackend`] (`dblab-interp` as a zero-build in-process
 //! executable). Builds are memoized at two seams: [`build_cache`] skips
 //! the toolchain for byte-identical emitted source, and the DSL stack
@@ -35,18 +35,14 @@ pub mod emit;
 pub mod jit;
 pub mod jit_rt;
 pub mod runtime;
-pub mod rust_emit;
-pub mod rust_rt;
 mod tables;
 
 pub use backend::{
     available_backends, backend, backends, format_param, run_binary, run_binary_args,
     run_binary_args_deadline, run_binary_deadline, same_normalized, timeout_error, Backend,
     BuildInput, CBackend, CompiledArtifact, Compiler, Executable, InterpBackend, RunOutput,
-    RustBackend,
 };
 pub use build_cache::{build_with_cache, BuildCacheStats, DiskCacheStats};
 pub use cc::{compile_c, Compiled};
 pub use emit::emit;
 pub use jit::JitBackend;
-pub use rust_emit::emit_rust;

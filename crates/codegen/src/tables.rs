@@ -1,11 +1,9 @@
-//! Shared base-table analysis for the native emitters.
+//! Base-table analysis for the C emitter.
 //!
-//! Both unparsers (C and Rust) need the same facts before emitting a
-//! translation unit: which relations the program loads, each relation's
-//! layout / dictionary / kept-column annotations, and which columns need
-//! standalone key arrays for the index builders (Figure 7
-//! pre-computation). Collected once here so the two backends can never
-//! disagree about what a program loads.
+//! Before emitting a translation unit the unparser needs to know which
+//! relations the program loads, each relation's layout / dictionary /
+//! kept-column annotations, and which columns need standalone key arrays
+//! for the index builders (Figure 7 pre-computation).
 
 use std::collections::HashMap;
 use std::sync::Arc;

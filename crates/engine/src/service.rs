@@ -12,15 +12,13 @@
 //! query through the memoized DSL stack and returns a [`PreparedQuery`]
 //! backed by the zero-build interpreter — executable immediately
 //! (**tier 0**). In the background, a worker pool compiles the same query
-//! through a native backend, picking the cheapest recorded pass schedule
-//! ([`dblab_transform::stack::compile_cost_scored`]) and reusing every
-//! cache layer — the per-pass IR memo, the source-level build cache and
-//! its on-disk index ([`dblab_codegen::build_cache`]) — then **atomically
-//! hot-swaps** the executable under the handle (**tier 1**). Executions
-//! racing the swap see either tier, never a torn state: the active
-//! executable lives behind an `RwLock` and every run clones an
-//! `Arc<dyn Executable>` out under the read lock, so a swap never
-//! invalidates an in-flight run.
+//! through a native backend, reusing every cache layer — the per-pass IR
+//! memo, the source-level build cache and its on-disk index
+//! ([`dblab_codegen::build_cache`]) — then **atomically hot-swaps** the
+//! executable under the handle (**tier 1**). Executions racing the swap
+//! see either tier, never a torn state: the active executable lives
+//! behind an `RwLock` and every run clones an `Arc<dyn Executable>` out
+//! under the read lock, so a swap never invalidates an in-flight run.
 //!
 //! When no native toolchain is present the engine degrades gracefully:
 //! queries stay at tier 0 permanently, one warning is emitted per engine
@@ -29,6 +27,7 @@
 
 use std::collections::VecDeque;
 use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
@@ -40,7 +39,7 @@ use dblab_codegen::{backend, Compiler, Executable, InterpBackend, RunOutput};
 use dblab_frontend::expr::Lit;
 use dblab_frontend::qplan::{ParamDecl, QueryProgram};
 use dblab_runtime::{json, Value};
-use dblab_transform::{stack, Scheduler, StackConfig};
+use dblab_transform::StackConfig;
 
 /// Which executable currently backs a prepared query. The ladder is
 /// rank-ordered: a swap only ever moves a handle *up* (or re-lands the
@@ -88,7 +87,7 @@ impl std::fmt::Display for Tier {
 /// How the engine picks the tier-1 backend.
 #[derive(Debug, Clone, Default)]
 pub enum NativeChoice {
-    /// First available of `gcc`, `rustc` (in that order).
+    /// `gcc` when it is on PATH; degraded (in-process tiers only) otherwise.
     #[default]
     Auto,
     /// A specific registry backend by name.
@@ -100,7 +99,7 @@ pub enum NativeChoice {
 
 /// Engine construction knobs. `Default` is a sensible serving setup:
 /// five-level stack, auto-detected native backend, two tier-up workers,
-/// cost-scored schedules over four candidates, no disk persistence.
+/// no disk persistence.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// The DSL-stack configuration every prepared query compiles under.
@@ -114,25 +113,12 @@ pub struct EngineOptions {
     /// Load/extend the on-disk build-cache index under
     /// [`EngineOptions::gen_dir`], so warm starts survive restarts.
     pub persist_cache: bool,
-    /// Candidate pool size for cost-scored schedule selection; `<= 1`
-    /// pins the baseline (registry) order.
-    pub schedule_candidates: usize,
-    /// Seed for the candidate sample (fixed per engine so the cost model
-    /// keeps scoring one pool and converges).
-    pub seed: u64,
     /// Relative row-count drift (per table, vs the schema statistics the
     /// current native tier compiled under) beyond which
     /// [`QueryEngine::refresh_stats`] re-enqueues tier-up builds for every
     /// live prepared query. `0.5` = re-tier once any table grew or shrank
     /// by half; non-finite or negative disables automatic re-tiering.
     pub retier_threshold: f64,
-    /// Serve the in-process closure-JIT middle tier (tier 0.5): a
-    /// prioritized worker job compiles the already-lowered program into
-    /// pre-resolved closures in microseconds and hot-swaps it in long
-    /// before any native build lands. No toolchain involved, so it works
-    /// on degraded engines too. [`NativeChoice::Disabled`] keeps its
-    /// documented "serve tier 0 only" meaning and disables this as well.
-    pub jit_tier: bool,
 }
 
 impl Default for EngineOptions {
@@ -143,10 +129,7 @@ impl Default for EngineOptions {
             workers: 2,
             native: NativeChoice::Auto,
             persist_cache: false,
-            schedule_candidates: 4,
-            seed: 0xdb1a_b5e2_7e00,
             retier_threshold: 0.5,
-            jit_tier: true,
         }
     }
 }
@@ -210,13 +193,6 @@ pub struct TierUpReport {
     pub build_ms: f64,
     /// Whether the artifact came from the source-level build cache.
     pub build_cached: bool,
-    /// The pass schedule the cost model picked.
-    pub order: Vec<&'static str>,
-    /// Whether that schedule differs from the baseline (registry) order.
-    pub non_baseline: bool,
-    /// `true` when the schedule pick was still exploring unmeasured
-    /// candidates rather than exploiting the cheapest recorded one.
-    pub explored: bool,
     /// Wall time from `prepare` returning to the swap landing (ms) — how
     /// long tier 0 actually served.
     pub elapsed_ms: f64,
@@ -300,8 +276,6 @@ impl TierUpReport {
             .num("gen_ms", self.gen_ms)
             .num("build_ms", self.build_ms)
             .bool("build_cached", self.build_cached)
-            .bool("non_baseline_order", self.non_baseline)
-            .bool("explored", self.explored)
             .num("elapsed_ms", self.elapsed_ms)
             .build()
     }
@@ -706,16 +680,10 @@ impl PreparedQuery {
         match (&stats.tier_up, &stats.pinned) {
             (Some(up), _) => out.push_str(&format!(
                 "serving: tier native via {} (swap #{} after {:.1}ms; \
-                 schedule {}{}; build {:.1}ms{})\n",
+                 build {:.1}ms{})\n",
                 up.backend,
                 stats.swaps,
                 up.elapsed_ms,
-                if up.non_baseline {
-                    "non-baseline"
-                } else {
-                    "baseline"
-                },
-                if up.explored { ", exploring" } else { "" },
                 up.build_ms,
                 if up.build_cached { ", cached" } else { "" },
             )),
@@ -818,12 +786,10 @@ struct EngineShared {
     native: Option<&'static str>,
     /// Why `native` is `None`, when it is.
     degraded: Option<String>,
-    /// Whether the in-process jit middle tier is on.
+    /// Whether the in-process jit middle tier is on (always, unless
+    /// [`NativeChoice::Disabled`] asked for tier 0 only).
     jit: bool,
     warned: AtomicBool,
-    sched: Scheduler,
-    seed: u64,
-    candidates: usize,
     /// Per-engine artifact sequence: keeps concurrent tier-up builds of
     /// the *same* prepared program on distinct output paths.
     build_seq: AtomicU64,
@@ -896,13 +862,7 @@ impl QueryEngine {
         // the whole background ladder off, jit included. A *degraded*
         // engine (no toolchain) keeps the jit tier: that is exactly the
         // deployment where an in-process tier-up earns its keep.
-        let jit = opts.jit_tier && !matches!(opts.native, NativeChoice::Disabled);
-        let sched = Scheduler::from_registry(&opts.config).unwrap_or_else(|e| {
-            panic!(
-                "config `{}` has no valid schedule DAG: {e}",
-                opts.config.name
-            )
-        });
+        let jit = !matches!(opts.native, NativeChoice::Disabled);
         let shared = Arc::new(EngineShared {
             schema: RwLock::new(schema.clone()),
             cfg: opts.config,
@@ -911,9 +871,6 @@ impl QueryEngine {
             degraded,
             jit,
             warned: AtomicBool::new(false),
-            sched,
-            seed: opts.seed,
-            candidates: opts.schedule_candidates.max(1),
             build_seq: AtomicU64::new(0),
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -1128,9 +1085,9 @@ impl QueryEngine {
     /// immediately; and when any table's row count drifted beyond
     /// [`EngineOptions::retier_threshold`] relative to the statistics the
     /// engine was serving under, every live prepared query is re-enqueued
-    /// for a native rebuild — data that doubled deserves the pass
-    /// schedule and specializations its new shape earns. Returns how many
-    /// re-tier jobs were enqueued (0 when the drift stayed under the
+    /// for a native rebuild — data that doubled deserves the
+    /// specializations its new shape earns. Returns how many re-tier jobs
+    /// were enqueued (0 when the drift stayed under the
     /// threshold or the native tier is absent). Swap counters keep
     /// counting: a handle that re-tiers reports `swaps >= 2`.
     pub fn refresh_stats(&self, fresh: &Schema) -> usize {
@@ -1218,36 +1175,27 @@ impl Drop for QueryEngine {
     }
 }
 
-/// Resolve the tier-1 backend: the chosen (or first available) native
-/// toolchain, or `None` with a reason.
+/// Resolve the tier-1 backend: the chosen native toolchain (`gcc` for
+/// `Auto`), or `None` with a reason.
 fn resolve_native(choice: &NativeChoice) -> (Option<&'static str>, Option<String>) {
-    match choice {
-        NativeChoice::Disabled => (None, Some("native tier disabled by configuration".into())),
-        NativeChoice::Auto => {
-            for name in ["gcc", "rustc"] {
-                if let Some(b) = backend(name) {
-                    if b.available() {
-                        return (Some(b.name()), None);
-                    }
-                }
-            }
-            (
-                None,
-                Some("no native toolchain present (tried gcc, rustc)".into()),
-            )
+    let name = match choice {
+        NativeChoice::Disabled => {
+            return (None, Some("native tier disabled by configuration".into()))
         }
-        NativeChoice::Backend(name) => match backend(name) {
-            Some(b) if b.available() => (Some(b.name()), None),
-            Some(b) => (
-                None,
-                Some(format!(
-                    "backend `{}` unavailable (requires {})",
-                    b.name(),
-                    b.requirement()
-                )),
-            ),
-            None => (None, Some(format!("unknown backend `{name}`"))),
-        },
+        NativeChoice::Auto => "gcc",
+        NativeChoice::Backend(name) => name,
+    };
+    match backend(name) {
+        Some(b) if b.available() => (Some(b.name()), None),
+        Some(b) => (
+            None,
+            Some(format!(
+                "backend `{}` unavailable (requires {})",
+                b.name(),
+                b.requirement()
+            )),
+        ),
+        None => (None, Some(format!("unknown backend `{name}`"))),
     }
 }
 
@@ -1270,30 +1218,42 @@ fn worker_loop(shared: &Arc<EngineShared>) {
         let Some(inner) = job.prepared.upgrade() else {
             continue;
         };
-        match job.kind {
-            JobKind::Jit => {
-                if let Err(e) = jit_up(shared, &job.prog, &inner) {
-                    // A failed jit build costs nothing but this query's
-                    // middle rung — the native tier-up is still queued,
-                    // so the ladder just skips straight to tier 1.
-                    let msg = format!("jit tier-up for `{}` failed: {e}", inner.name);
-                    shared.warn_once(&msg);
-                    let mut meta = inner.meta.lock().unwrap();
-                    meta.jit_off = Some(msg);
-                    inner.cvar.notify_all();
-                }
+        // A panicking pass or emitter is one query's failed build, not a
+        // lost worker: the handle is marked exactly as for an `Err`, so
+        // `wait_for_tier` returns instead of waiting on a dead thread.
+        let built = catch_unwind(AssertUnwindSafe(|| match job.kind {
+            JobKind::Jit => jit_up(shared, &job.prog, &inner),
+            JobKind::Native => tier_up(shared, &job.prog, &inner),
+        }))
+        .unwrap_or_else(|p| Err(format!("panicked: {}", panic_message(p.as_ref()))));
+        if let Err(e) = built {
+            let rung = match job.kind {
+                JobKind::Jit => "jit",
+                JobKind::Native => "native",
+            };
+            let msg = format!("{rung} tier-up for `{}` failed: {e}", inner.name);
+            shared.warn_once(&msg);
+            let mut meta = inner.meta.lock().unwrap();
+            // A failed jit build costs only this query's middle rung (the
+            // native tier-up is still queued); a failed native build pins
+            // the handle to its best in-process tier.
+            match job.kind {
+                JobKind::Jit => meta.jit_off = Some(msg),
+                JobKind::Native => meta.pinned = Some(msg),
             }
-            JobKind::Native => {
-                if let Err(e) = tier_up(shared, &job.prog, &inner) {
-                    let msg = format!("native tier-up for `{}` failed: {e}", inner.name);
-                    shared.warn_once(&msg);
-                    let mut meta = inner.meta.lock().unwrap();
-                    meta.pinned = Some(msg);
-                    inner.cvar.notify_all();
-                }
-            }
+            inner.cvar.notify_all();
         }
     }
+}
+
+/// The text of a caught panic payload (`panic!` carries a `&str` or a
+/// `String`; anything else is opaque).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("opaque panic payload")
 }
 
 /// Install a freshly built tier: hot-swap it in as the active executable
@@ -1348,9 +1308,7 @@ fn install_tier(
 
 /// One in-process jit build: lower through the same memoized stack the
 /// interpreter used (all memo hits), compile the fully-lowered program to
-/// pre-resolved closures, and hot-swap. No scheduler exploration — the
-/// jit rung exists to leave tier 0 in microseconds, not to shop for pass
-/// orders; the native tier-up does that.
+/// pre-resolved closures, and hot-swap.
 fn jit_up(
     shared: &EngineShared,
     prog: &QueryProgram,
@@ -1374,9 +1332,9 @@ fn jit_up(
     Ok(())
 }
 
-/// One background compile: cost-scored schedule through the memoized
-/// stack, native build through the (possibly disk-backed) build cache,
-/// then the atomic swap.
+/// One background compile: the memoized stack again (all memo hits —
+/// tier 0 already lowered the query), native build through the (possibly
+/// disk-backed) build cache, then the atomic swap.
 fn tier_up(
     shared: &EngineShared,
     prog: &QueryProgram,
@@ -1386,9 +1344,8 @@ fn tier_up(
         .native
         .expect("tier-up only enqueued with a native backend");
     let schema = shared.schema.read().unwrap().clone();
-    let cs =
-        stack::compile_cost_scored(&shared.sched, prog, &schema, shared.seed, shared.candidates)?;
-    let gen_ms = cs.cq.gen_time.as_secs_f64() * 1e3;
+    let cq = dblab_transform::compile(prog, &schema, &shared.cfg);
+    let gen_ms = cq.gen_time.as_secs_f64() * 1e3;
     // The artifact name carries a per-engine sequence number: two
     // handles prepared for the same program share a deterministic stem,
     // and two workers building them concurrently must never hand the
@@ -1400,16 +1357,13 @@ fn tier_up(
         .config(&shared.cfg)
         .backend(backend(bname).expect("resolved at construction"))
         .out_dir(&shared.gen_dir)
-        .build_staged(cs.cq, &format!("{}_{seq}_{bname}", inner.artifact_stem))
+        .build_staged(cq, &format!("{}_{seq}_{bname}", inner.artifact_stem))
         .map_err(|e| e.to_string())?;
     let report = TierUpReport {
         backend: art.backend,
         gen_ms,
         build_ms: art.exe.build_time().as_secs_f64() * 1e3,
         build_cached: art.build_cached,
-        order: cs.order,
-        non_baseline: cs.non_baseline,
-        explored: cs.explored,
         elapsed_ms: inner.prepared_at.elapsed().as_secs_f64() * 1e3,
     };
     // The swap: writers are rare (one per tier-up), readers clone the Arc

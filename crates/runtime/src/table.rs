@@ -5,8 +5,9 @@
 //! both the Rust loaders and the generated C loaders read it, so the system
 //! can also be pointed at official `dbgen` output.
 
-use std::io::{BufRead, BufWriter, Write};
+use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dblab_catalog::{ColType, Schema, TableDef};
@@ -108,8 +109,29 @@ impl Table {
         (0..self.cols.len()).map(|c| self.get(i, c)).collect()
     }
 
-    /// Serialize in `dbgen` `.tbl` format.
-    pub fn write_tbl(&self, path: &Path) -> std::io::Result<()> {
+    /// Serialize in `dbgen` `.tbl` format. The rows go to a sibling temp
+    /// file that is renamed over `path`, so a concurrent reader (a server
+    /// re-reading the directory on every `EXECUTE`) sees the old complete
+    /// file or the new complete file, never a truncated one.
+    pub fn write_tbl(&self, path: &Path) -> io::Result<()> {
+        // Unique per writer: two threads rewriting the same table must not
+        // share a temp file either.
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(
+            ".tmp.{}.{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let tmp = std::path::PathBuf::from(tmp);
+        self.write_rows(&tmp)
+            .and_then(|()| std::fs::rename(&tmp, path))
+            .inspect_err(|_| {
+                let _ = std::fs::remove_file(&tmp);
+            })
+    }
+
+    fn write_rows(&self, path: &Path) -> io::Result<()> {
         let mut out = BufWriter::new(std::fs::File::create(path)?);
         let n = self.len();
         let mut field = String::new();
@@ -125,16 +147,20 @@ impl Table {
         out.flush()
     }
 
-    /// Parse a `.tbl` file for the given table definition.
-    pub fn read_tbl(def: &TableDef, path: &Path) -> std::io::Result<Table> {
+    /// Parse a `.tbl` file for the given table definition. The file is
+    /// outside input: a short row or an unparsable field is an
+    /// [`io::ErrorKind::InvalidData`] error naming table, line and column.
+    pub fn read_tbl(def: &TableDef, path: &Path) -> io::Result<Table> {
         let mut table = Table::empty(def);
         let file = std::fs::File::open(path)?;
-        let mut reader = std::io::BufReader::new(file);
+        let mut reader = io::BufReader::new(file);
         let mut line = String::new();
+        let mut lineno = 0;
         while reader.read_line(&mut line)? != 0 {
+            lineno += 1;
             let trimmed = line.trim_end_matches('\n');
             if !trimmed.is_empty() {
-                push_tbl_line(&mut table, trimmed);
+                push_tbl_line(&mut table, trimmed, lineno)?;
             }
             line.clear();
         }
@@ -163,36 +189,42 @@ fn format_field(out: &mut String, col: &ColData, ty: ColType, row: usize) {
     }
 }
 
-fn push_tbl_line(table: &mut Table, line: &str) {
+fn push_tbl_line(table: &mut Table, line: &str, lineno: usize) -> io::Result<()> {
     let mut fields = line.split('|');
-    let n = table.cols.len();
-    for i in 0..n {
-        let raw = fields
-            .next()
-            .unwrap_or_else(|| panic!("too few fields for {}: {line}", table.def.name));
-        let ty = table.def.columns[i].ty;
-        let v = parse_field(raw, ty);
-        table.cols[i].push(v);
+    for (col, data) in table.def.columns.iter().zip(&mut table.cols) {
+        let bad = |what: String| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{}.tbl line {lineno}, column `{}`: {what}",
+                    table.def.name, col.name
+                ),
+            )
+        };
+        let raw = fields.next().ok_or_else(|| bad("field missing".into()))?;
+        let v = parse_field(raw, col.ty)
+            .ok_or_else(|| bad(format!("`{raw}` is not a valid {:?}", col.ty)))?;
+        data.push(v);
     }
+    Ok(())
 }
 
-/// Parse a single `.tbl` field of the given type.
-pub fn parse_field(raw: &str, ty: ColType) -> Value {
-    match ty {
-        ColType::Int => Value::Int(raw.parse().expect("int field")),
+/// Parse a single `.tbl` field of the given type; `None` when the text is
+/// not a value of that type.
+pub fn parse_field(raw: &str, ty: ColType) -> Option<Value> {
+    Some(match ty {
+        ColType::Int => Value::Int(raw.parse().ok()?),
         ColType::Bool => Value::Int(if raw == "1" || raw == "true" { 1 } else { 0 }),
-        ColType::Long => Value::Long(raw.parse().expect("long field")),
-        ColType::Double => Value::Double(raw.parse().expect("double field")),
+        ColType::Long => Value::Long(raw.parse().ok()?),
+        ColType::Double => Value::Double(raw.parse().ok()?),
         ColType::String => Value::str(raw),
         ColType::Char => Value::Int(raw.as_bytes().first().copied().unwrap_or(b' ') as i32),
         ColType::Date => {
-            let mut it = raw.split('-');
-            let y: i32 = it.next().and_then(|s| s.parse().ok()).expect("year");
-            let m: i32 = it.next().and_then(|s| s.parse().ok()).expect("month");
-            let d: i32 = it.next().and_then(|s| s.parse().ok()).expect("day");
+            let mut it = raw.split('-').map(|s| s.parse::<i32>().ok());
+            let (y, m, d) = (it.next()??, it.next()??, it.next()??);
             Value::Int(y * 10000 + m * 100 + d)
         }
-    }
+    })
 }
 
 /// An in-memory database: all tables of a schema, plus the directory the
@@ -277,10 +309,14 @@ mod tests {
     #[test]
     fn tbl_roundtrip() {
         let dir = std::env::temp_dir().join("dblab_tbl_test");
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.tbl");
         let t = sample();
         t.write_tbl(&path).unwrap();
+        // Written via a renamed temp file, which must not linger.
+        t.write_tbl(&path).unwrap();
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         let txt = std::fs::read_to_string(&path).unwrap();
         assert!(txt.starts_with("1|2.50|hello|1998-09-02|R|"));
         let back = Table::read_tbl(&def(), &path).unwrap();
@@ -296,10 +332,37 @@ mod tests {
     fn date_field_roundtrip() {
         assert_eq!(
             parse_field("1998-09-02", ColType::Date),
-            Value::Int(19980902)
+            Some(Value::Int(19980902))
         );
-        assert_eq!(parse_field("R", ColType::Char), Value::Int(82));
-        assert_eq!(parse_field("3.25", ColType::Double), Value::Double(3.25));
+        assert_eq!(parse_field("R", ColType::Char), Some(Value::Int(82)));
+        assert_eq!(
+            parse_field("3.25", ColType::Double),
+            Some(Value::Double(3.25))
+        );
+    }
+
+    /// A row cut mid-line (a writer caught half way, a damaged file) is an
+    /// `InvalidData` error that says where, not a panic.
+    #[test]
+    fn malformed_rows_are_typed_errors_naming_the_place() {
+        let dir = std::env::temp_dir().join("dblab_tbl_malformed_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.tbl");
+        for (text, line, col) in [
+            ("1|2.50|hello|1998-09-02|R|\n2|", 2, "b"),
+            ("1|2.50|hello|1998-09-02|R|\n2|-1.00|world", 2, "d"),
+            ("x|2.50|hello|1998-09-02|R|\n", 1, "a"),
+            ("1|2.50|hello|1998-09|R|\n", 1, "d"),
+        ] {
+            std::fs::write(&path, text).unwrap();
+            let err = Table::read_tbl(&def(), &path).expect_err(text);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("t.tbl line {line}, column `{col}`")),
+                "{text:?}: {msg}"
+            );
+        }
     }
 
     #[test]

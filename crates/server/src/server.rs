@@ -48,6 +48,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -55,7 +56,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dblab_catalog::{ColType, Schema};
-use dblab_engine::service::{EngineOptions, ExecError, PreparedQuery, QueryEngine, Tier};
+use dblab_engine::service::{
+    panic_message, EngineOptions, ExecError, PreparedQuery, QueryEngine, Tier,
+};
 use dblab_frontend::qplan::{ParamDecl, QueryProgram};
 use dblab_runtime::{json, Value};
 
@@ -837,7 +840,9 @@ fn answer_prepare(
 /// no cache lock held, install `Ready` (or remove the failed latch so
 /// the next preparer retries), then answer every parked waiter.
 fn finish_prepare(shared: &Shared, key: &str) {
-    let result = (|| {
+    // A panicking resolver or compile is this spec's `internal` error:
+    // the latch below is still released and every waiter still answered.
+    let result = catch_unwind(AssertUnwindSafe(|| {
         let prog = (shared.resolver)(key).ok_or(PrepareError::UnknownSpec)?;
         let name: String = key
             .chars()
@@ -847,7 +852,13 @@ fn finish_prepare(shared: &Shared, key: &str) {
             .engine
             .prepare_named(&prog, &format!("srv_{name}"))
             .map_err(|e| PrepareError::Engine(e.to_string()))
-    })();
+    }))
+    .unwrap_or_else(|p| {
+        Err(PrepareError::Engine(format!(
+            "prepare panicked: {}",
+            panic_message(p.as_ref())
+        )))
+    });
 
     let waiters = {
         let mut cache = shared.prepared.lock().unwrap();
@@ -941,16 +952,37 @@ fn worker_loop(shared: &Arc<Shared>) {
                 q = shared.cvar.wait(q).unwrap();
             }
         };
+        let _active = ActiveGuard(shared);
         match job {
-            Job::Exec(j) => serve_one(shared, &j),
+            Job::Exec(j) => {
+                // A panic below `execute_bound` (a backend bug, damaged
+                // input) is this request's `internal` error: the worker
+                // survives and the client still hears back exactly once.
+                if let Err(p) = catch_unwind(AssertUnwindSafe(|| serve_one(shared, &j))) {
+                    shared.counters.exec_errors.fetch_add(1, Ordering::AcqRel);
+                    let msg = format!("execution panicked: {}", panic_message(p.as_ref()));
+                    worker_error(&j, ErrorCode::Internal, &msg);
+                }
+            }
             Job::Prep(j) => finish_prepare(shared, &j.key),
         }
-        let mut q = shared.q.lock().unwrap();
+    }
+}
+
+/// Marks a popped job answered when dropped — on the normal path and on
+/// unwind alike, so the shutdown drain's `active == 0` wait cannot be
+/// left hanging by a worker that died mid-job.
+struct ActiveGuard<'a>(&'a Shared);
+
+impl Drop for ActiveGuard<'_> {
+    fn drop(&mut self) {
+        // Poison-tolerant: this runs during unwinding too.
+        let mut q = self.0.q.lock().unwrap_or_else(|e| e.into_inner());
         q.active -= 1;
         drop(q);
         // Wake both kinds of waiters: workers (more jobs) and the
         // shutdown drain (active count).
-        shared.cvar.notify_all();
+        self.0.cvar.notify_all();
     }
 }
 

@@ -1,7 +1,7 @@
 //! A miniature Table 3 with a backend axis: pick a few TPC-H queries and
 //! race every stack configuration (plus the LegoBase baseline) through
 //! gcc, then race the full five-level stack across every available
-//! backend (gcc vs rustc vs interp) — verifying each run's *full result
+//! backend (gcc vs jit vs interp) — verifying each run's *full result
 //! text* against the Volcano oracle along the way (normalized field-wise
 //! comparison, same as `tests/differential.rs`).
 //!
@@ -9,7 +9,7 @@
 //! from *timing*: every (configuration, backend, query) artifact is built
 //! first, fanned out across worker threads — overlapping configurations
 //! share memoized pipeline prefixes and byte-identical emitted source
-//! skips gcc/rustc via the build cache — and only then are the queries
+//! skips gcc via the build cache — and only then are the queries
 //! run serially, so the timings stay noise-free. Cache hit rates land in
 //! a final `JSON:` line.
 //!
@@ -19,8 +19,8 @@
 //! cargo run --release --example tpch_showdown -- --threads 4 1 6
 //! ```
 //!
-//! `--threads N` adds a morsel-parallel five-level row (first available
-//! native backend, `parallelize-scans` on); `--iterations N` sets the
+//! `--threads N` adds a morsel-parallel five-level row (gcc,
+//! `parallelize-scans` on); `--iterations N` sets the
 //! timed repetitions per cell (default 3; the table shows the median,
 //! the JSON carries median + min); `--build-jobs N` sizes the build
 //! fan-out.
@@ -51,7 +51,7 @@ fn take_flag(argv: &mut Vec<String>, flag: &str, default: usize) -> usize {
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     // `--persist-cache`: attach the on-disk artifact index so a rerun of
-    // the same showdown skips gcc/rustc entirely (the JSON reports how
+    // the same showdown skips gcc entirely (the JSON reports how
     // much of the build phase a previous process paid for).
     let persist_cache = argv.iter().any(|a| a == "--persist-cache");
     argv.retain(|a| a != "--persist-cache");
@@ -84,7 +84,8 @@ fn main() {
     // The two axes: Table 3's configurations (through gcc), then the
     // five-level stack through every registered backend.
     let mut rows: Vec<(String, StackConfig, &'static str)> = Vec::new();
-    if backend("gcc").expect("registered").available() {
+    let have_gcc = backend("gcc").expect("registered").available();
+    if have_gcc {
         let mut configs = vec![StackConfig::legobase()];
         configs.extend(StackConfig::table3());
         for cfg in &configs {
@@ -93,26 +94,17 @@ fn main() {
     } else {
         eprintln!("(skipping the Table 3 axis: gcc not present)");
     }
-    for b in ["rustc", "interp"] {
-        if backend(b).expect("registered").available() {
-            rows.push((format!("DBLAB/LB 5 x {b}"), StackConfig::level5(), b));
-        } else {
-            eprintln!("(skipping backend `{b}`: toolchain not present)");
-        }
+    for b in ["jit", "interp"] {
+        rows.push((format!("DBLAB/LB 5 x {b}"), StackConfig::level5(), b));
     }
-    // `--threads N`: one more five-level row with the morsel pass on,
-    // through the first available native backend.
+    // `--threads N`: one more five-level row with the morsel pass on.
     if exec_threads > 1 {
-        match ["gcc", "rustc"]
-            .into_iter()
-            .find(|b| backend(b).expect("registered").available())
-        {
-            Some(b) => {
-                let mut cfg = StackConfig::level5();
-                cfg.threads = exec_threads;
-                rows.push((format!("DBLAB/LB 5 x {b} T{exec_threads}"), cfg, b));
-            }
-            None => eprintln!("(skipping the --threads row: no native toolchain present)"),
+        if have_gcc {
+            let mut cfg = StackConfig::level5();
+            cfg.threads = exec_threads;
+            rows.push((format!("DBLAB/LB 5 x gcc T{exec_threads}"), cfg, "gcc"));
+        } else {
+            eprintln!("(skipping the --threads row: gcc not present)");
         }
     }
 

@@ -18,27 +18,40 @@
 //!   `RESULT_CHUNK`/`RESULT_END` sequences byte-identical to the
 //!   single-frame encoding, and a client cancelling mid-stream costs
 //!   the server nothing;
-//! * everything above also holds on the portable `poll(2)` backend.
+//! * everything above also holds on the portable `poll(2)` backend;
+//! * faults below the serving path — a `.tbl` file cut mid-line, a
+//!   panicking resolver, a panicking execution — answer a typed
+//!   `internal` frame, cost no worker, and never wedge the drain.
 //!
 //! Interp-only engine (no toolchain dependency), tiny scale factor:
 //! what's under test is the serving path, not the queries.
 
+mod common;
+
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dblab::codegen::same_normalized;
 use dblab::engine::service::{EngineOptions, NativeChoice};
 use dblab::engine::{self};
+use dblab::frontend::expr::col;
+use dblab::frontend::qplan::{AggFunc, QPlan, QueryProgram};
 use dblab::tpch;
 use dblab_server::protocol::{
     self, OP_EXECUTE, OP_PREPARE, OP_PREPARED, OP_RESULT, OP_RESULT_CHUNK, OP_RESULT_END,
 };
-use dblab_server::{tpch_resolver, Client, Server, ServerOptions};
+use dblab_server::{tpch_resolver, Client, ErrorCode, QueryResolver, Server, ServerOptions};
 
 fn setup() -> (dblab::runtime::Database, PathBuf) {
-    let dir = std::env::temp_dir().join("dblab_server_adv_data");
+    setup_at("dblab_server_adv_data")
+}
+
+/// A private data directory, for the test that damages its tables.
+fn setup_at(dir: &str) -> (dblab::runtime::Database, PathBuf) {
+    let dir = std::env::temp_dir().join(dir);
     let db = tpch::generate(0.002, &dir);
     db.write_all().expect("write .tbl");
     (db, dir)
@@ -51,6 +64,15 @@ fn start_server(
     data: &std::path::Path,
     patch: impl FnOnce(&mut ServerOptions),
 ) -> Server {
+    start_server_with(db, data, tpch_resolver(), patch)
+}
+
+fn start_server_with(
+    db: &dblab::runtime::Database,
+    data: &std::path::Path,
+    resolver: QueryResolver,
+    patch: impl FnOnce(&mut ServerOptions),
+) -> Server {
     let mut opts = ServerOptions {
         engine: EngineOptions {
             gen_dir: std::env::temp_dir().join("dblab_server_adv_gen"),
@@ -61,7 +83,7 @@ fn start_server(
         ..ServerOptions::default()
     };
     patch(&mut opts);
-    Server::start(&db.schema, data, tpch_resolver(), opts).expect("start server")
+    Server::start(&db.schema, data, resolver, opts).expect("start server")
 }
 
 fn oracle(db: &dblab::runtime::Database, q: usize) -> String {
@@ -98,6 +120,7 @@ fn frame_bytes(opcode: u8, seq: u32, payload: &[u8]) -> Vec<u8> {
 /// frame finally completes.
 #[test]
 fn slow_loris_drips_do_not_starve_fast_clients() {
+    let _watchdog = common::watchdog(common::LIMIT);
     let (db, data) = setup();
     let server = start_server(&db, &data, |o| o.io_threads = 1);
     let expect = oracle(&db, 6);
@@ -162,6 +185,7 @@ fn slow_loris_drips_do_not_starve_fast_clients() {
 /// open-connection gauge drains to zero.
 #[test]
 fn mid_frame_disconnects_leave_the_server_healthy() {
+    let _watchdog = common::watchdog(common::LIMIT);
     let (db, data) = setup();
     let server = start_server(&db, &data, |_| {});
     let expect = oracle(&db, 6);
@@ -215,6 +239,7 @@ fn mid_frame_disconnects_leave_the_server_healthy() {
 /// immediately after.
 #[test]
 fn a_stalled_reader_is_shed_not_wedged() {
+    let _watchdog = common::watchdog(common::LIMIT);
     let (db, data) = setup();
     let server = start_server(&db, &data, |o| {
         o.queue_cap = 4096;
@@ -276,6 +301,9 @@ fn a_stalled_reader_is_shed_not_wedged() {
 /// instead of scaling with the socket count.
 #[test]
 fn pipelined_requests_across_256_sockets_match_the_oracle() {
+    // 1024 interpreted executes, each re-reading the tables: ~85 s in a
+    // debug build on two cores, so this one test gets a longer leash.
+    let _watchdog = common::watchdog(3 * common::LIMIT);
     let (db, data) = setup();
     let (t_pre, fd_pre) = (proc_threads(), proc_fds());
     let server = start_server(&db, &data, |o| {
@@ -358,6 +386,7 @@ fn pipelined_requests_across_256_sockets_match_the_oracle() {
 /// on the raw wire (≥2 chunks, `RESULT_END` length claim exact).
 #[test]
 fn chunked_results_are_byte_identical_to_single_frame() {
+    let _watchdog = common::watchdog(common::LIMIT);
     let (db, data) = setup();
     let plain = start_server(&db, &data, |_| {});
     let chunky = start_server(&db, &data, |o| {
@@ -410,6 +439,7 @@ fn chunked_results_are_byte_identical_to_single_frame() {
 /// floor, and the next client gets a complete stream.
 #[test]
 fn a_mid_stream_cancel_leaves_the_server_clean() {
+    let _watchdog = common::watchdog(common::LIMIT);
     let (db, data) = setup();
     let server = start_server(&db, &data, |o| {
         o.stream_threshold = 64;
@@ -448,6 +478,7 @@ fn a_mid_stream_cancel_leaves_the_server_clean() {
 /// the code path non-Linux hosts would take.
 #[test]
 fn the_poll_backend_serves_the_happy_path() {
+    let _watchdog = common::watchdog(common::LIMIT);
     let (db, data) = setup();
     let server = start_server(&db, &data, |o| o.force_poll = true);
     let expect = oracle(&db, 6);
@@ -458,4 +489,84 @@ fn the_poll_backend_serves_the_happy_path() {
     c.close().expect("close");
     let report = server.shutdown();
     assert_eq!(report.executed, 1);
+}
+
+/// A `.tbl` file cut mid-line under a live server (a writer caught half
+/// way, a damaged disk): the `EXECUTE` that reads it answers a typed
+/// `internal` error naming the place, the worker lives, and once the
+/// file is whole again the same statement serves correct rows.
+#[test]
+fn a_table_truncated_mid_line_answers_internal_then_recovers() {
+    let _watchdog = common::watchdog(common::LIMIT);
+    let (db, data) = setup_at("dblab_server_adv_trunc_data");
+    let server = start_server(&db, &data, |o| o.workers = 1);
+    let expect = oracle(&db, 6);
+    let mut c = Client::connect_timeout(server.addr(), Some(Duration::from_secs(60))).expect("c");
+    let stmt = c.prepare("tpch:6").expect("prepare");
+    let reply = c.execute(stmt).expect("execute on whole data");
+    assert!(same_normalized(&expect, &reply.rows), "rows diverge");
+
+    let path = data.join("lineitem.tbl");
+    let whole = std::fs::read(&path).expect("read lineitem.tbl");
+    let line_start = whole[..whole.len() / 2]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .expect("a newline in the first half");
+    std::fs::write(&path, &whole[..line_start + 10]).expect("truncate mid-line");
+    let err = c.execute(stmt).expect_err("a truncated table cannot serve");
+    assert_eq!(err.code(), Some(ErrorCode::Internal), "{err}");
+    assert!(err.to_string().contains("lineitem.tbl line"), "{err}");
+
+    std::fs::write(&path, &whole).expect("restore");
+    let reply = c.execute(stmt).expect("execute after the restore");
+    assert!(same_normalized(&expect, &reply.rows), "rows diverge");
+    c.close().expect("close");
+    let report = server.shutdown();
+    assert_eq!((report.executed, report.exec_errors), (2, 1), "{report:?}");
+}
+
+/// Panics below the serving path — in the resolver during `PREPARE`, in
+/// the interpreter during `EXECUTE` (integer division by a column that
+/// is 0 for some rows) — each answer one `internal` frame. The server
+/// runs a *single* worker, so every later success proves that worker
+/// survived; the drain at shutdown completes.
+#[test]
+fn panics_below_the_server_answer_internal_and_cost_no_worker() {
+    let _watchdog = common::watchdog(common::LIMIT);
+    let (db, data) = setup();
+    let tpch = tpch_resolver();
+    let resolver: QueryResolver = Arc::new(move |spec| match spec {
+        "boom" => panic!("resolver exploded on `{spec}`"),
+        "divzero" => Some(QueryProgram::new(QPlan::scan("nation").agg(
+            vec![],
+            vec![(
+                "s",
+                AggFunc::Sum(col("n_nationkey").div(col("n_regionkey"))),
+            )],
+        ))),
+        other => tpch(other),
+    });
+    let server = start_server_with(&db, &data, resolver, |o| o.workers = 1);
+    let expect = oracle(&db, 6);
+    let mut c = Client::connect_timeout(server.addr(), Some(Duration::from_secs(60))).expect("c");
+
+    let err = c.prepare("boom").expect_err("the resolver panics");
+    assert_eq!(err.code(), Some(ErrorCode::Internal), "{err}");
+    assert!(err.to_string().contains("resolver exploded"), "{err}");
+    // The failed latch is gone: a retry reaches the resolver again.
+    let err = c.prepare("boom").expect_err("still panics");
+    assert_eq!(err.code(), Some(ErrorCode::Internal), "{err}");
+
+    let stmt = c.prepare("divzero").expect("preparing is fine");
+    let err = c.execute(stmt).expect_err("executing divides by zero");
+    assert_eq!(err.code(), Some(ErrorCode::Internal), "{err}");
+    assert!(err.to_string().contains("panicked"), "{err}");
+
+    let stmt = c.prepare("tpch:6").expect("prepare after the panics");
+    let reply = c.execute(stmt).expect("execute after the panics");
+    assert!(same_normalized(&expect, &reply.rows), "rows diverge");
+    c.close().expect("close");
+    let report = server.shutdown();
+    assert_eq!(report.executed, 1, "{report:?}");
+    assert_eq!(report.exec_errors, 3, "{report:?}");
 }

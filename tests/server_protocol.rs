@@ -18,6 +18,8 @@
 //! exercises pure protocol/admission behavior. The loadgen CI smoke
 //! covers the tier-up path end to end.
 
+mod common;
+
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -60,6 +62,7 @@ fn oracle(db: &dblab::runtime::Database, q: usize) -> String {
 
 #[test]
 fn happy_path_prepare_execute_stats_close() {
+    let _watchdog = common::watchdog(common::LIMIT);
     let (db, data) = setup();
     let server = start_server(&db, &data, |_| {});
     let expect = oracle(&db, 6);
@@ -98,6 +101,7 @@ fn happy_path_prepare_execute_stats_close() {
 
 #[test]
 fn the_same_spec_is_prepared_once_across_sessions() {
+    let _watchdog = common::watchdog(common::LIMIT);
     let (db, data) = setup();
     let server = start_server(&db, &data, |_| {});
     let mut a = Client::connect(server.addr()).expect("connect a");
@@ -123,6 +127,7 @@ fn the_same_spec_is_prepared_once_across_sessions() {
 
 #[test]
 fn garbage_length_prefix_gets_an_error_frame_then_the_socket_closes() {
+    let _watchdog = common::watchdog(common::LIMIT);
     let (db, data) = setup();
     let server = start_server(&db, &data, |_| {});
     let mut c = Client::connect(server.addr()).expect("connect");
@@ -142,6 +147,7 @@ fn garbage_length_prefix_gets_an_error_frame_then_the_socket_closes() {
 
 #[test]
 fn recoverable_malformed_requests_keep_the_connection() {
+    let _watchdog = common::watchdog(common::LIMIT);
     let (db, data) = setup();
     let server = start_server(&db, &data, |_| {});
     let expect = oracle(&db, 6);
@@ -188,6 +194,7 @@ fn recoverable_malformed_requests_keep_the_connection() {
 
 #[test]
 fn concurrent_clients_all_get_oracle_correct_results() {
+    let _watchdog = common::watchdog(common::LIMIT);
     let (db, data) = setup();
     let server = start_server(&db, &data, |o| o.workers = 4);
     let queries = [1usize, 6];
@@ -224,6 +231,7 @@ fn concurrent_clients_all_get_oracle_correct_results() {
 
 #[test]
 fn a_full_admission_queue_sheds_with_busy_frames() {
+    let _watchdog = common::watchdog(common::LIMIT);
     let (db, data) = setup();
     // One slow worker, a one-deep queue: a burst must shed.
     let server = start_server(&db, &data, |o| {
@@ -277,6 +285,7 @@ fn a_full_admission_queue_sheds_with_busy_frames() {
 
 #[test]
 fn an_exhausted_deadline_is_a_typed_timeout_frame() {
+    let _watchdog = common::watchdog(common::LIMIT);
     let (db, data) = setup();
     // The fault-injection delay exceeds the whole deadline, so the
     // request deterministically ages out while queued.

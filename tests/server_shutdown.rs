@@ -9,11 +9,14 @@
 //!   process to its exact pre-start thread count — nothing is detached,
 //!   nothing leaks.
 //!
-//! Run with `--test-threads=1` (CI does): the thread-parity check counts
-//! every thread in the process, so concurrently running tests would
-//! add noise.
+//! The thread-parity check counts every thread in the process, so the
+//! tests of this binary take [`SERIAL`] and run one at a time even under
+//! the default parallel harness.
+
+mod common;
 
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dblab::codegen::same_normalized;
@@ -22,6 +25,10 @@ use dblab::engine::{self};
 use dblab::tpch;
 use dblab_server::protocol::{self, OP_ERROR, OP_EXECUTE, OP_RESULT};
 use dblab_server::{tpch_resolver, Client, ErrorCode, Server, ServerOptions};
+
+/// One test at a time: a sibling's server threads would show up in
+/// [`thread_count`].
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn setup() -> (dblab::runtime::Database, PathBuf) {
     let dir = std::env::temp_dir().join("dblab_server_sd_data");
@@ -61,6 +68,8 @@ fn thread_count() -> usize {
 
 #[test]
 fn in_flight_requests_drain_to_correct_results_and_new_work_is_refused() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _watchdog = common::watchdog(common::LIMIT);
     let (db, data) = setup();
     // One slow worker so a pipelined burst is still queued when shutdown
     // begins — those are the in-flight requests that must drain.
@@ -142,6 +151,8 @@ fn in_flight_requests_drain_to_correct_results_and_new_work_is_refused() {
 
 #[test]
 fn repeated_start_shutdown_cycles_leak_no_threads() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _watchdog = common::watchdog(common::LIMIT);
     let (db, data) = setup();
     // Warm-up cycle: lazy one-time initialization (locale data, the
     // backend registry, procfs handles) must not count as a leak.
