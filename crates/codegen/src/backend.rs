@@ -28,8 +28,9 @@ use std::time::{Duration, Instant};
 use dblab_catalog::Schema;
 use dblab_frontend::qmonad::QMonad;
 use dblab_frontend::qplan::QueryProgram;
+use dblab_ir::expr::{Block, Expr, Stmt};
 use dblab_ir::Program;
-use dblab_runtime::Database;
+use dblab_runtime::{snapshot, Snapshot};
 use dblab_transform::stack::CompiledQuery;
 use dblab_transform::StackConfig;
 
@@ -48,7 +49,11 @@ pub struct RunOutput {
     pub wall: Duration,
 }
 
-/// A built query, ready to run against a `.tbl` data directory.
+/// A built query, ready to run against a `.tbl` data directory. The
+/// native backends hand the directory to the query process, which parses
+/// it; the in-process backends resolve it through the resident snapshot
+/// store ([`dblab_runtime::snapshot::resident`]) — parsed once per
+/// directory, re-validated by file fingerprint on every run.
 ///
 /// `Send + Sync` is part of the contract: the bench harness builds
 /// executables on worker threads and runs them wherever timing is least
@@ -463,7 +468,59 @@ pub struct InterpBackend;
 
 struct InterpExecutable {
     program: Program,
+    data: ResidentData,
+}
+
+/// What an in-process executable knows about the data it runs over: the
+/// schema the directory is parsed under, and the indexes its program
+/// loads.
+pub(crate) struct ResidentData {
     schema: Schema,
+    /// `(table, column, unique)` per `LoadIndex*` statement.
+    indexes: Vec<(std::sync::Arc<str>, usize, bool)>,
+}
+
+/// Apply `f` to every statement of `b`, nested blocks included.
+pub(crate) fn for_each_stmt<'a>(b: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
+    for st in &b.stmts {
+        f(st);
+        for nested in st.expr.blocks() {
+            for_each_stmt(nested, f);
+        }
+    }
+}
+
+impl ResidentData {
+    pub(crate) fn new(p: &Program, schema: &Schema) -> ResidentData {
+        let mut indexes = Vec::new();
+        for_each_stmt(&p.body, &mut |st| match &st.expr {
+            Expr::LoadIndexUnique { table, field } => indexes.push((table.clone(), *field, true)),
+            Expr::LoadIndexStarts { table, field } | Expr::LoadIndexItems { table, field } => {
+                indexes.push((table.clone(), *field, false))
+            }
+            _ => {}
+        });
+        ResidentData {
+            schema: schema.clone(),
+            indexes,
+        }
+    }
+
+    /// The resident snapshot of `data_dir`, with every index the program
+    /// loads already built — so key data the builders refuse (it is
+    /// outside input) is this call's typed error, not a panic mid-query.
+    pub(crate) fn resolve(&self, data_dir: &Path) -> io::Result<std::sync::Arc<Snapshot>> {
+        let db = snapshot::resident(&self.schema, data_dir)?;
+        for (table, col, unique) in &self.indexes {
+            let t = db.table(table);
+            if *unique {
+                t.index_unique(*col)?;
+            } else {
+                t.csr(*col)?;
+            }
+        }
+        Ok(db)
+    }
 }
 
 impl Executable for InterpExecutable {
@@ -480,12 +537,12 @@ impl Executable for InterpExecutable {
         deadline: Option<Duration>,
     ) -> io::Result<RunOutput> {
         let t0 = Instant::now();
-        let db = Database::read_all(&self.schema, data_dir)?;
+        let db = self.data.resolve(data_dir)?;
         let tq = Instant::now();
         // The interpreter interrupts itself at loop back-edges once the
         // absolute deadline passes — the budget covers query evaluation,
-        // not the data load above (native binaries exclude loading from
-        // their in-query timer the same way).
+        // not resolving the snapshot above (native binaries exclude
+        // loading from their in-query timer the same way).
         let stdout = dblab_interp::run_bound(&self.program, &db, params, deadline.map(|d| tq + d))
             .map_err(|dblab_interp::Interrupted| {
                 timeout_error(deadline.expect("interrupt implies a deadline"))
@@ -530,7 +587,7 @@ impl Backend for InterpBackend {
     fn build(&self, input: BuildInput<'_>) -> io::Result<Box<dyn Executable>> {
         Ok(Box::new(InterpExecutable {
             program: input.program.clone(),
-            schema: input.schema.clone(),
+            data: ResidentData::new(input.program, input.schema),
         }))
     }
     fn requirement(&self) -> &'static str {
@@ -756,7 +813,7 @@ mod tests {
     fn facade_compiles_and_runs_through_the_interp_backend() {
         use dblab_catalog::{ColType, TableDef};
         use dblab_frontend::qplan::{AggFunc, QPlan, QueryProgram};
-        use dblab_runtime::{Table, Value};
+        use dblab_runtime::{Database, Table, Value};
 
         let mut schema = dblab_catalog::Schema::new(vec![TableDef::new(
             "t",

@@ -24,6 +24,13 @@
 //! Eq/Ne, dictionary encoding, serial `ParallelFor` as one logical
 //! worker); `tests/backend_conformance.rs` runs the 22-query differential
 //! suite over this backend like any other.
+//!
+//! Base data is read in place. `LoadTable` opens a view over the resident
+//! snapshot's columns, `ArrayGet` on it yields a copyable `(view, row)`
+//! handle, `FieldGet` on that reads the column; indexes and dictionaries
+//! are the snapshot's shared side structures. Base records are therefore
+//! read-only, which every program the stack generates respects: a
+//! `FieldSet` on a base record type is refused at compile time.
 
 use std::io;
 use std::path::Path;
@@ -36,10 +43,10 @@ use dblab_interp::Interrupted;
 use dblab_ir::expr::{Atom, BinOp, Block, DictOp, Expr, PrimOp, Stmt, UnOp};
 use dblab_ir::types::StructDef;
 use dblab_ir::{Program, Type};
-use dblab_runtime::{Database, Value};
+use dblab_runtime::{Snapshot, Value};
 
 use crate::backend::{self, Backend, BuildInput, Executable, RunOutput};
-use crate::jit_rt::{compile_printf, format_segs, key_back, key_of, zero_of, Key, PfSeg, Rt, JV};
+use crate::jit_rt::{compile_printf, format_segs, key_back, zero_of, Key, PfSeg, Rt, JV};
 
 /// One compiled operation: evaluates against the runtime frame and writes
 /// its statement's result slot. `Send + Sync` is load-bearing — closures
@@ -251,16 +258,6 @@ fn cslot(a: &Atom) -> usize {
     match a {
         Atom::Sym(s) => slot(*s),
         other => panic!("jit: container operand from {other:?}"),
-    }
-}
-
-/// Borrow the cells behind a slot without cloning the value or bumping the
-/// `Rc` — the hot-path accessor for field/array reads.
-#[inline]
-fn cells_at<'a>(rt: &'a Rt<'_>, s: usize) -> &'a Rc<std::cell::RefCell<Vec<JV>>> {
-    match &rt.frame[s] {
-        JV::Cells(c) => c,
-        other => panic!("expected record/array/list, got {other:?}"),
     }
 }
 
@@ -776,15 +773,9 @@ impl Jc<'_> {
             } => {
                 let (o, f) = (slot(*o), *field);
                 match cls(&st.ty) {
-                    Cls::I => Some(Frag::I(Arc::new(move |rt| {
-                        cells_at(rt, o).borrow()[f].as_i()
-                    }))),
-                    Cls::D => Some(Frag::D(Arc::new(move |rt| {
-                        cells_at(rt, o).borrow()[f].as_d()
-                    }))),
-                    Cls::B => Some(Frag::B(Arc::new(move |rt| {
-                        cells_at(rt, o).borrow()[f].as_b()
-                    }))),
+                    Cls::I => Some(Frag::I(Arc::new(move |rt| rt.field_with(o, f, JV::as_i)))),
+                    Cls::D => Some(Frag::D(Arc::new(move |rt| rt.field_with(o, f, JV::as_d)))),
+                    Cls::B => Some(Frag::B(Arc::new(move |rt| rt.field_with(o, f, JV::as_b)))),
                     Cls::Other => None,
                 }
             }
@@ -795,13 +786,13 @@ impl Jc<'_> {
                 let (a, ix) = (slot(*ar), self.ci(idx));
                 match cls(&st.ty) {
                     Cls::I => Some(Frag::I(Arc::new(move |rt| {
-                        cells_at(rt, a).borrow()[ix.get(rt) as usize].as_i()
+                        rt.elem_with(a, ix.get(rt) as usize, JV::as_i)
                     }))),
                     Cls::D => Some(Frag::D(Arc::new(move |rt| {
-                        cells_at(rt, a).borrow()[ix.get(rt) as usize].as_d()
+                        rt.elem_with(a, ix.get(rt) as usize, JV::as_d)
                     }))),
                     Cls::B => Some(Frag::B(Arc::new(move |rt| {
-                        cells_at(rt, a).borrow()[ix.get(rt) as usize].as_b()
+                        rt.elem_with(a, ix.get(rt) as usize, JV::as_b)
                     }))),
                     Cls::Other => None,
                 }
@@ -1014,7 +1005,7 @@ impl Jc<'_> {
                             let oth = y.get(rt);
                             let (cur, new);
                             {
-                                let mut cells = cells_at(rt, o).borrow_mut();
+                                let mut cells = rt.cells_at(o, "FieldSet").borrow_mut();
                                 cur = cells[f].as_i();
                                 new = if swap {
                                     arith(oth, cur)
@@ -1037,7 +1028,7 @@ impl Jc<'_> {
                             let oth = y.get(rt);
                             let (cur, new);
                             {
-                                let mut cells = cells_at(rt, o).borrow_mut();
+                                let mut cells = rt.cells_at(o, "FieldSet").borrow_mut();
                                 cur = cells[f].as_d();
                                 new = if swap {
                                     arith(oth, cur)
@@ -1114,7 +1105,8 @@ impl Jc<'_> {
     /// A run of `FieldGet`s off one record — optionally headed by the
     /// `ArrayGet` that produced it (the table-scan row load: one `ArrayGet`
     /// plus one `FieldGet` per referenced column, every row) — becomes one
-    /// op with a single borrow of the record's cells.
+    /// op with a single lookup of the record: one borrow of a heap
+    /// record's cells, one view resolution for a base row.
     fn fuse_field_reads(&self, w: &[Stmt]) -> Option<(Op, usize)> {
         let (head, rec_sym, start) = match &w[0].expr {
             Expr::ArrayGet { arr, idx } => (Some((cslot(arr), gi(idx))), w[0].sym, 1),
@@ -1146,30 +1138,23 @@ impl Jc<'_> {
         let op = match head {
             Some((arr, idx)) => {
                 let rec_out = slot(rec_sym);
+                // The record itself is stored only if something beyond
+                // these field reads uses it.
+                let store_rec = self.uses[rec_out] as usize > fields.len();
                 op_box(move |rt| {
-                    let i = idx.get(rt) as usize;
-                    let rec = cells_at(rt, arr).borrow()[i].clone();
-                    {
-                        let JV::Cells(c) = &rec else {
-                            panic!("expected record, got {rec:?}")
-                        };
-                        let cells = c.borrow();
-                        for &(f, out) in &fields {
-                            rt.frame[out] = cells[f].clone();
-                        }
+                    let rec = rt.elem(arr, idx.get(rt) as usize);
+                    rt.fields_into(&rec, &fields);
+                    if store_rec {
+                        rt.frame[rec_out] = rec;
                     }
-                    rt.frame[rec_out] = rec;
                 })
             }
             None => {
                 let o = slot(rec_sym);
                 op_box(move |rt| {
-                    // Owned handle: the field stores below reborrow `rt`.
-                    let rec = cells_at(rt, o).clone();
-                    let cells = rec.borrow();
-                    for &(f, out) in &fields {
-                        rt.frame[out] = cells[f].clone();
-                    }
+                    // Owned handle: the field stores reborrow `rt`.
+                    let rec = rt.frame[o].clone();
+                    rt.fields_into(&rec, &fields);
                 })
             }
         };
@@ -1208,7 +1193,7 @@ impl Jc<'_> {
         }
         let (o, n) = (slot(o), stores.len());
         let op = op_box(move |rt| {
-            let mut cells = cells_at(rt, o).borrow_mut();
+            let mut cells = rt.cells_at(o, "FieldSet").borrow_mut();
             for (f, x) in &stores {
                 cells[*f] = x.get(rt);
             }
@@ -1467,7 +1452,7 @@ impl Jc<'_> {
                         let x = self.ci(arg);
                         Box::new(move |rt| {
                             let code = x.get(rt);
-                            let d = rt.dict(&name);
+                            let d = &rt.db.dict(&name).dict;
                             rt.frame[out] = JV::S(d.decode(code as i32).into());
                         })
                     }
@@ -1475,7 +1460,7 @@ impl Jc<'_> {
                         let x = gs(arg);
                         Box::new(move |rt| {
                             let s = x.get(rt);
-                            let d = rt.dict(&name);
+                            let d = &rt.db.dict(&name).dict;
                             rt.frame[out] = JV::I(match op {
                                 DictOp::Lookup => d.code(&s) as i64,
                                 DictOp::RangeStart => d.prefix_range(&s).0 as i64,
@@ -1565,10 +1550,7 @@ impl Jc<'_> {
             }
             Expr::FieldGet { obj, field, .. } => {
                 let (obj, field) = (cslot(obj), *field);
-                Box::new(move |rt| {
-                    let v = cells_at(rt, obj).borrow()[field].clone();
-                    rt.frame[out] = v;
-                })
+                Box::new(move |rt| rt.frame[out] = rt.field(obj, field))
             }
             Expr::FieldSet {
                 obj, field, value, ..
@@ -1576,7 +1558,7 @@ impl Jc<'_> {
                 let (obj, field, x) = (cslot(obj), *field, self.cv(value));
                 Box::new(move |rt| {
                     let v = x.get(rt);
-                    cells_at(rt, obj).borrow_mut()[field] = v;
+                    rt.cells_at(obj, "FieldSet").borrow_mut()[field] = v;
                 })
             }
             Expr::ArrayNew { elem, len } => {
@@ -1590,9 +1572,7 @@ impl Jc<'_> {
             Expr::ArrayGet { arr, idx } => {
                 let (arr, idx) = (cslot(arr), self.ci(idx));
                 Box::new(move |rt| {
-                    let i = idx.get(rt) as usize;
-                    let v = cells_at(rt, arr).borrow()[i].clone();
-                    rt.frame[out] = v;
+                    rt.frame[out] = rt.elem(arr, idx.get(rt) as usize);
                 })
             }
             Expr::ArraySet { arr, idx, value } => {
@@ -1600,15 +1580,12 @@ impl Jc<'_> {
                 Box::new(move |rt| {
                     let i = idx.get(rt) as usize;
                     let v = x.get(rt);
-                    cells_at(rt, arr).borrow_mut()[i] = v;
+                    rt.cells_at(arr, "ArraySet").borrow_mut()[i] = v;
                 })
             }
             Expr::ArrayLen(a) => {
                 let a = cslot(a);
-                Box::new(move |rt| {
-                    let n = cells_at(rt, a).borrow().len();
-                    rt.frame[out] = JV::I(n as i64);
-                })
+                Box::new(move |rt| rt.frame[out] = JV::I(rt.len_of(a) as i64))
             }
             Expr::SortArray {
                 arr,
@@ -1623,7 +1600,7 @@ impl Jc<'_> {
                 Box::new(move |rt| {
                     // Owned handle: the comparator mutates rt.frame, so the
                     // borrow of the array slot cannot live across it.
-                    let cells = cells_at(rt, arr).clone();
+                    let cells = rt.cells_at(arr, "SortArray").clone();
                     let n = len.get(rt) as usize;
                     let mut items: Vec<JV> = cells.borrow()[..n].to_vec();
                     // Comparators are tiny and not interruptible (the outer
@@ -1645,21 +1622,18 @@ impl Jc<'_> {
                 let (list, x) = (cslot(list), self.cv(value));
                 Box::new(move |rt| {
                     let v = x.get(rt);
-                    cells_at(rt, list).borrow_mut().push(v);
+                    rt.cells_at(list, "ListAppend").borrow_mut().push(v);
                 })
             }
             Expr::ListSize(l) => {
                 let l = cslot(l);
-                Box::new(move |rt| {
-                    let n = cells_at(rt, l).borrow().len();
-                    rt.frame[out] = JV::I(n as i64);
-                })
+                Box::new(move |rt| rt.frame[out] = JV::I(rt.len_of(l) as i64))
             }
             Expr::ListForeach { list, var, body } => {
                 let (list, var) = (cslot(list), slot(*var));
                 let body = self.seq(body);
                 Box::new(move |rt| {
-                    let items: Vec<JV> = cells_at(rt, list).borrow().clone();
+                    let items: Vec<JV> = rt.cells_at(list, "ListForeach").borrow().clone();
                     for v in items {
                         if rt.expired() {
                             break;
@@ -1676,8 +1650,7 @@ impl Jc<'_> {
                 let (map, key) = (cslot(map), self.cv(key));
                 let init = self.seq(init);
                 Box::new(move |rt| {
-                    let kv = key.get(rt);
-                    let k = key_of(&kv);
+                    let k = rt.key_of(&key.get(rt));
                     let existing = map_at(rt, map).borrow().get(&k).cloned();
                     let v = match existing {
                         Some(v) => v,
@@ -1731,7 +1704,7 @@ impl Jc<'_> {
             Expr::MultiMapAdd { map, key, value } => {
                 let (map, key, x) = (cslot(map), self.cv(key), self.cv(value));
                 Box::new(move |rt| {
-                    let k = key_of(&key.get(rt));
+                    let k = rt.key_of(&key.get(rt));
                     let v = x.get(rt);
                     mmap_at(rt, map).borrow_mut().entry(k).or_default().push(v);
                 })
@@ -1745,7 +1718,7 @@ impl Jc<'_> {
                 let (map, key, var) = (cslot(map), self.cv(key), slot(*var));
                 let body = self.seq(body);
                 Box::new(move |rt| {
-                    let k = key_of(&key.get(rt));
+                    let k = rt.key_of(&key.get(rt));
                     let items: Vec<JV> = mmap_at(rt, map)
                         .borrow()
                         .get(&k)
@@ -1792,20 +1765,23 @@ impl Jc<'_> {
             }
             Expr::LoadIndexUnique { table, field } => {
                 let (table, field) = (table.clone(), *field);
-                Box::new(move |rt| rt.frame[out] = rt.index_unique(&table, field))
+                Box::new(move |rt| {
+                    let idx = rt.db.table(&table).index_unique(field);
+                    rt.frame[out] = ints(idx.map(Arc::clone));
+                })
             }
             Expr::LoadIndexStarts { table, field } => {
                 let (table, field) = (table.clone(), *field);
                 Box::new(move |rt| {
-                    let (starts, _) = rt.csr(&table, field);
-                    rt.frame[out] = JV::Cells(Rc::new(std::cell::RefCell::new(starts)));
+                    let csr = rt.db.table(&table).csr(field);
+                    rt.frame[out] = ints(csr.map(|c| Arc::clone(&c.starts)));
                 })
             }
             Expr::LoadIndexItems { table, field } => {
                 let (table, field) = (table.clone(), *field);
                 Box::new(move |rt| {
-                    let (_, items) = rt.csr(&table, field);
-                    rt.frame[out] = JV::Cells(Rc::new(std::cell::RefCell::new(items)));
+                    let csr = rt.db.table(&table).csr(field);
+                    rt.frame[out] = ints(csr.map(|c| Arc::clone(&c.items)));
                 })
             }
             Expr::Printf { fmt, args } => {
@@ -1868,6 +1844,14 @@ impl Jc<'_> {
     }
 }
 
+/// An index load is a view of one of the snapshot's shared arrays.
+/// [`backend::ResidentData::resolve`] built every index the program loads
+/// before it ran, so a refusal here means a caller ran the program over a
+/// snapshot it did not resolve that way; say why and unwind.
+fn ints(built: io::Result<Arc<[i64]>>) -> JV {
+    JV::Ints(built.unwrap_or_else(|e| panic!("{e}")))
+}
+
 fn gv_zero(t: &Type) -> GV {
     match zero_of(t) {
         JV::D(v) => GV::D(v),
@@ -1896,18 +1880,45 @@ pub struct JitOutput {
     pub query_ms: Option<f64>,
 }
 
+/// Base records are views of the shared, immutable snapshot. No program
+/// the stack generates writes one (joins and aggregates copy the fields
+/// they keep into records of their own), so a `FieldSet` on a record type
+/// some `LoadTable` yields is refused here, naming the statement, rather
+/// than discovered by a panic mid-query.
+fn check_base_records_read_only(p: &Program) -> io::Result<()> {
+    let (mut base, mut writes) = (Vec::new(), Vec::new());
+    backend::for_each_stmt(&p.body, &mut |st| match &st.expr {
+        Expr::LoadTable { sid, .. } => base.push(*sid),
+        Expr::FieldSet { sid, .. } => writes.push((st, *sid)),
+        _ => {}
+    });
+    match writes.into_iter().find(|(_, sid)| base.contains(sid)) {
+        None => Ok(()),
+        Some((st, sid)) => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "jit: `{}` writes a `{}` record, but base-table records are \
+                 read-only views of the resident snapshot",
+                dblab_ir::printer::print_block(&Block::unit(vec![st.clone()])).trim(),
+                p.structs.get(sid).name
+            ),
+        )),
+    }
+}
+
 /// Compile a fully-lowered program to threaded code. This is the whole
 /// tier-up: single-digit milliseconds, no toolchain, no subprocess.
-pub fn compile(p: &Program) -> JitProgram {
+pub fn compile(p: &Program) -> io::Result<JitProgram> {
+    check_base_records_read_only(p)?;
     let jc = Jc {
         p,
         uses: count_uses(p),
         chain: std::cell::RefCell::new(None),
     };
-    JitProgram {
+    Ok(JitProgram {
         body: jc.seq(&p.body),
         frame_size: p.sym_types.len(),
-    }
+    })
 }
 
 impl JitProgram {
@@ -1915,7 +1926,7 @@ impl JitProgram {
     /// deadline; on interruption the partial output is discarded.
     pub fn run_bound(
         &self,
-        db: &Database,
+        db: &Snapshot,
         params: &[Value],
         deadline: Option<Instant>,
     ) -> Result<JitOutput, Interrupted> {
@@ -1939,7 +1950,7 @@ pub struct JitBackend;
 
 struct JitExecutable {
     program: JitProgram,
-    schema: Schema,
+    data: backend::ResidentData,
     build: Duration,
 }
 
@@ -1957,10 +1968,11 @@ impl Executable for JitExecutable {
         deadline: Option<Duration>,
     ) -> io::Result<RunOutput> {
         let t0 = Instant::now();
-        let db = Database::read_all(&self.schema, data_dir)?;
+        let db = self.data.resolve(data_dir)?;
         let tq = Instant::now();
-        // The budget covers query evaluation, not the data load above —
-        // same accounting as the interpreter and the native binaries.
+        // The budget covers query evaluation, not resolving the snapshot
+        // above — same accounting as the interpreter and the native
+        // binaries.
         let out = self
             .program
             .run_bound(&db, params, deadline.map(|d| tq + d))
@@ -1992,10 +2004,10 @@ impl Backend for JitBackend {
     }
     fn build(&self, input: BuildInput<'_>) -> io::Result<Box<dyn Executable>> {
         let t = Instant::now();
-        let program = compile(input.program);
+        let program = compile(input.program)?;
         Ok(Box::new(JitExecutable {
             program,
-            schema: input.schema.clone(),
+            data: backend::ResidentData::new(input.program, input.schema),
             build: t.elapsed(),
         }))
     }
@@ -2010,15 +2022,79 @@ impl Backend for JitBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dblab_catalog::{ColType, TableDef};
     use dblab_ir::expr::Atom;
+    use dblab_ir::types::{FieldDef, StructDef, StructId};
     use dblab_ir::{IrBuilder, Level};
+    use dblab_runtime::{Database, Table};
 
-    fn empty_db() -> Database {
-        Database {
+    fn empty_db() -> Snapshot {
+        Snapshot::from(Database {
             schema: dblab_catalog::Schema::default(),
             tables: vec![],
             dir: std::env::temp_dir(),
+        })
+    }
+
+    /// `t(k, name, v, tag)` — four rows, built in memory, never written.
+    fn small_db() -> Snapshot {
+        let def = TableDef::new(
+            "t",
+            vec![
+                ("k", ColType::Int),
+                ("name", ColType::String),
+                ("v", ColType::Double),
+                ("tag", ColType::String),
+            ],
+        );
+        let mut t = Table::empty(&def);
+        for (k, name, v, tag) in [
+            (3, "carol", 2.5, "red"),
+            (1, "alice", 9.0, "blue"),
+            (2, "bob", 4.25, "red"),
+            (0, "dave", 7.5, "green"),
+        ] {
+            t.push_row(vec![
+                Value::Int(k),
+                Value::str(name),
+                Value::Double(v),
+                Value::str(tag),
+            ]);
         }
+        Snapshot::from(Database {
+            schema: dblab_catalog::Schema::new(vec![def]),
+            tables: vec![t],
+            dir: std::env::temp_dir(),
+        })
+    }
+
+    /// A builder holding `t`'s record type — `tag` typed `Int`, i.e.
+    /// dictionary-encoded — and the loaded table.
+    fn with_table() -> (IrBuilder, StructId, Atom) {
+        let mut b = IrBuilder::new();
+        let field = |name: &str, ty| FieldDef {
+            name: name.into(),
+            ty,
+        };
+        let sid = b.structs.register(StructDef {
+            name: "t".into(),
+            fields: vec![
+                field("k", Type::Int),
+                field("name", Type::String),
+                field("v", Type::Double),
+                field("tag", Type::Int),
+            ],
+        });
+        let table = b.load_table("t", sid);
+        (b, sid, table)
+    }
+
+    /// Both in-process executors over the same in-memory snapshot.
+    fn jit_and_interp(b: IrBuilder, level: Level) -> (String, String) {
+        let p = b.finish(Atom::Unit, level);
+        let db = small_db();
+        let got = compile(&p).expect("compile").run_bound(&db, &[], None);
+        (got.expect("no deadline").stdout, dblab_interp::run(&p, &db))
     }
 
     #[test]
@@ -2034,7 +2110,7 @@ mod tests {
         b.printf("%d\n", vec![out]);
         let p = b.finish(Atom::Unit, Level::ScaLite);
         let db = empty_db();
-        let jp = compile(&p);
+        let jp = compile(&p).unwrap();
         let got = jp.run_bound(&db, &[], None).unwrap();
         assert_eq!(got.stdout, dblab_interp::run(&p, &db));
         assert_eq!(got.stdout, "10\n");
@@ -2054,7 +2130,7 @@ mod tests {
         });
         let p = b.finish(Atom::Unit, Level::ScaLite);
         let db = empty_db();
-        let got = compile(&p).run_bound(&db, &[], None).unwrap();
+        let got = compile(&p).unwrap().run_bound(&db, &[], None).unwrap();
         assert_eq!(got.stdout, "1 2 3 ");
         assert_eq!(got.stdout, dblab_interp::run(&p, &db));
     }
@@ -2072,7 +2148,7 @@ mod tests {
         b.printf("%d\n", vec![out]);
         let p = b.finish(Atom::Unit, Level::ScaLite);
         let db = empty_db();
-        let jp = compile(&p);
+        let jp = compile(&p).unwrap();
         let past = Instant::now() - Duration::from_millis(1);
         assert!(jp.run_bound(&db, &[], Some(past)).is_err());
         // A real mid-loop deadline (not already expired at entry) also
@@ -2090,10 +2166,183 @@ mod tests {
         b.printf("%d\n", vec![s]);
         let p = b.finish(Atom::Unit, Level::ScaLite);
         let db = empty_db();
-        let jp = compile(&p);
+        let jp = compile(&p).unwrap();
         let got = jp
             .run_bound(&db, &[Value::Int(40), Value::Int(2)], None)
             .unwrap();
         assert_eq!(got.stdout, "42\n");
+    }
+
+    /// The scan shape over an in-memory database that never touched disk:
+    /// every column kind read in place, the encoded one through the shared
+    /// code column and back through the dictionary, strings with `%s`.
+    #[test]
+    fn base_rows_read_columns_in_place_and_print() {
+        let (mut b, sid, table) = with_table();
+        let n = b.array_len(table.clone());
+        b.for_range(Atom::Int(0), n, |bb, i| {
+            let row = bb.array_get(table.clone(), i);
+            let k = bb.field_get(row.clone(), sid, 0);
+            let name = bb.field_get(row.clone(), sid, 1);
+            let v = bb.field_get(row.clone(), sid, 2);
+            let code = bb.field_get(row, sid, 3);
+            let tag = bb.dict("t__3".into(), DictOp::Decode, code.clone());
+            bb.printf("%d|%s|%.4f|%d|%s\n", vec![k, name, v, code, tag]);
+        });
+        let (jit, interp) = jit_and_interp(b, Level::ScaLite);
+        assert_eq!(jit, interp);
+        // Ordered dictionary: blue < green < red.
+        assert!(jit.starts_with("3|carol|2.5000|2|red\n1|alice|9.0000|0|blue\n"));
+    }
+
+    #[test]
+    fn a_base_row_is_a_hash_key_by_value() {
+        let (mut b, sid, table) = with_table();
+        let map = b.hashmap_new(Type::Record(sid), Type::Int);
+        let n = b.array_len(table.clone());
+        // Twice over the table: the second pass must find every key.
+        for _ in 0..2 {
+            b.for_range(Atom::Int(0), n.clone(), |bb, i| {
+                let row = bb.array_get(table.clone(), i);
+                bb.hashmap_get_or_init(map.clone(), row, |_| Atom::Int(1));
+            });
+        }
+        let size = b.hashmap_size(map.clone());
+        b.printf("%d\n", vec![size]);
+        b.hashmap_foreach(map, |bb, key, one| {
+            let k = bb.field_get(key.clone(), sid, 0);
+            let name = bb.field_get(key, sid, 1);
+            bb.printf("%d|%s|%d\n", vec![k, name, one]);
+        });
+        let (jit, interp) = jit_and_interp(b, Level::MapList);
+        assert_eq!(jit, interp);
+        assert!(jit.starts_with("4\n"), "{jit}");
+    }
+
+    #[test]
+    fn base_rows_live_in_lists_arrays_and_multimaps() {
+        let (mut b, sid, table) = with_table();
+        let list = b.list_new(Type::Record(sid));
+        let arr = b.array_new(Type::Record(sid), Atom::Int(4));
+        let mm = b.multimap_new(Type::Int, Type::Record(sid));
+        b.for_range(Atom::Int(0), Atom::Int(4), |bb, i| {
+            let row = bb.array_get(table.clone(), i.clone());
+            bb.list_append(list.clone(), row.clone());
+            let back = bb.sub(Atom::Int(3), i);
+            bb.array_set(arr.clone(), back, row.clone());
+            let tag = bb.field_get(row.clone(), sid, 3);
+            bb.multimap_add(mm.clone(), tag, row);
+        });
+        b.list_foreach(list, |bb, row| {
+            let name = bb.field_get(row, sid, 1);
+            bb.printf("list %s\n", vec![name]);
+        });
+        b.for_range(Atom::Int(0), Atom::Int(4), |bb, i| {
+            let row = bb.array_get(arr.clone(), i);
+            let v = bb.field_get(row, sid, 2);
+            bb.printf("arr %.4f\n", vec![v]);
+        });
+        let red = b.dict("t__3".into(), DictOp::Lookup, Atom::Str("red".into()));
+        b.multimap_foreach_at(mm, red, |bb, row| {
+            let k = bb.field_get(row, sid, 0);
+            bb.printf("red %d\n", vec![k]);
+        });
+        let (jit, interp) = jit_and_interp(b, Level::MapList);
+        assert_eq!(jit, interp);
+        assert!(jit.ends_with("red 3\nred 2\n"), "{jit}");
+    }
+
+    #[test]
+    fn base_rows_compare_against_null() {
+        let (mut b, sid, table) = with_table();
+        let null = || Atom::Null(Box::new(Type::Record(sid)));
+        let arr = b.array_new(Type::Record(sid), Atom::Int(2));
+        let row = b.array_get(table, Atom::Int(1));
+        b.array_set(arr.clone(), Atom::Int(0), row.clone());
+        let is_null = b.eq(row.clone(), null());
+        let not_null = b.ne(null(), row);
+        b.printf("%d %d\n", vec![is_null, not_null]);
+        b.for_range(Atom::Int(0), Atom::Int(2), |bb, i| {
+            let slot = bb.array_get(arr.clone(), i);
+            let empty = bb.eq(slot, null());
+            bb.printf("%d\n", vec![empty]);
+        });
+        let (jit, interp) = jit_and_interp(b, Level::ScaLite);
+        assert_eq!(jit, interp);
+        assert_eq!(jit, "0 1\n0\n1\n");
+    }
+
+    #[test]
+    fn base_rows_sort_by_a_field() {
+        let (mut b, sid, table) = with_table();
+        let arr = b.array_new(Type::Record(sid), Atom::Int(4));
+        b.for_range(Atom::Int(0), Atom::Int(4), |bb, i| {
+            let row = bb.array_get(table.clone(), i.clone());
+            bb.array_set(arr.clone(), i, row);
+        });
+        b.sort_array(arr.clone(), Atom::Int(4), |bb, x, y| {
+            let (kx, ky) = (bb.field_get(x, sid, 0), bb.field_get(y, sid, 0));
+            bb.sub(kx, ky)
+        });
+        b.for_range(Atom::Int(0), Atom::Int(4), |bb, i| {
+            let row = bb.array_get(arr.clone(), i);
+            let name = bb.field_get(row, sid, 1);
+            bb.printf("%s ", vec![name]);
+        });
+        let (jit, interp) = jit_and_interp(b, Level::ScaLite);
+        assert_eq!(jit, interp);
+        assert_eq!(jit, "dave alice bob carol ");
+    }
+
+    #[test]
+    fn indexes_are_views_of_the_shared_side_structures() {
+        let (mut b, sid, table) = with_table();
+        let unique = b.load_index_unique("t", 0);
+        let starts = b.load_index_starts("t", 0);
+        let items = b.load_index_items("t", 0);
+        let n = b.array_len(unique.clone());
+        b.printf("%d\n", vec![n]);
+        b.for_range(Atom::Int(0), Atom::Int(4), |bb, k| {
+            let pos = bb.array_get(unique.clone(), k.clone());
+            let row = bb.array_get(table.clone(), pos.clone());
+            let name = bb.field_get(row, sid, 1);
+            let at = bb.array_get(starts.clone(), k);
+            let item = bb.array_get(items.clone(), at);
+            bb.printf("%d %s %d\n", vec![pos, name, item]);
+        });
+        let (jit, interp) = jit_and_interp(b, Level::ScaLite);
+        assert_eq!(jit, interp);
+        assert_eq!(jit, "5\n3 dave 3\n1 alice 1\n2 bob 2\n0 carol 0\n");
+    }
+
+    #[test]
+    fn writing_a_base_record_is_refused_at_compile_time() {
+        let (mut b, sid, table) = with_table();
+        let row = b.array_get(table, Atom::Int(0));
+        b.field_set(row, sid, 0, Atom::Int(7));
+        let p = b.finish(Atom::Unit, Level::ScaLite);
+        let err = compile(&p)
+            .err()
+            .expect("a base-record write must not compile");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let msg = err.to_string();
+        assert!(msg.contains(".f0 = 7"), "names the statement: {msg}");
+        assert!(msg.contains("`t` record"), "names the record type: {msg}");
+
+        // Records the query allocates itself stay writable.
+        let (mut b, _, _) = with_table();
+        let own = b.structs.register(StructDef {
+            name: "own".into(),
+            fields: vec![FieldDef {
+                name: "x".into(),
+                ty: Type::Int,
+            }],
+        });
+        let rec = b.struct_new(own, vec![Atom::Int(1)]);
+        b.field_set(rec.clone(), own, 0, Atom::Int(7));
+        let x = b.field_get(rec, own, 0);
+        b.printf("%d", vec![x]);
+        let (jit, interp) = jit_and_interp(b, Level::ScaLite);
+        assert_eq!((jit.as_str(), interp.as_str()), ("7", "7"));
     }
 }

@@ -1,11 +1,12 @@
 //! # jit_rt — runtime state for the in-process closure JIT
 //!
 //! The execution half of [`crate::jit`]: the dynamic value representation,
-//! the numbered-slot frame, cooperative-deadline bookkeeping, and the data
-//! loading helpers (`.tbl` columns → records, CSR indexes, string
-//! dictionaries). Semantics mirror `dblab-interp` exactly — the JIT's
-//! conformance story is "same observable behaviour as the interpreter,
-//! reached without an environment hash lookup per variable access".
+//! the numbered-slot frame, cooperative-deadline bookkeeping, and the
+//! read-only views of base data (table rows, indexes, dictionaries) that
+//! borrow the resident [`Snapshot`] in place. Semantics mirror
+//! `dblab-interp` exactly — the JIT's conformance story is "same
+//! observable behaviour as the interpreter, reached without an environment
+//! hash lookup per variable access and without copying a single base row".
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -15,10 +16,15 @@ use std::time::Instant;
 
 use dblab_ir::types::StructDef;
 use dblab_ir::Type;
-use dblab_runtime::{ColData, Database, StringDict, Value};
+use dblab_runtime::snapshot::ColumnRef;
+use dblab_runtime::{Snapshot, Value};
 
-/// A dynamic runtime value. Same shape as the interpreter's `V`: records,
-/// arrays and lists share reference semantics through `Cells`.
+/// A dynamic runtime value. Records, arrays and lists the *query*
+/// allocates share reference semantics through `Cells`, like the
+/// interpreter's `V`; base data is never copied into that form. A loaded
+/// table is a `Table` view, one of its records a copyable `Row` handle,
+/// and a unique/CSR index an `Ints` view — all read-only, all reading the
+/// snapshot's columns in place.
 #[derive(Debug, Clone)]
 pub enum JV {
     Unit,
@@ -30,6 +36,12 @@ pub enum JV {
     Cells(Rc<RefCell<Vec<JV>>>),
     Map(Rc<RefCell<HashMap<Key, JV>>>),
     MMap(Rc<RefCell<HashMap<Key, Vec<JV>>>>),
+    /// A base table: index into [`Rt::views`].
+    Table(u32),
+    /// A base-table record: `(view, row)`.
+    Row(u32, u32),
+    /// A shared unique-index / CSR array.
+    Ints(Arc<[i64]>),
 }
 
 impl JV {
@@ -99,17 +111,6 @@ pub enum Key {
     Tuple(Vec<Key>),
 }
 
-pub fn key_of(v: &JV) -> Key {
-    match v {
-        JV::B(b) => Key::B(*b),
-        JV::I(i) => Key::I(*i),
-        JV::D(d) => Key::D(d.to_bits()),
-        JV::S(s) => Key::S(s.clone()),
-        JV::Cells(c) => Key::Tuple(c.borrow().iter().map(key_of).collect()),
-        other => panic!("unhashable key {other:?}"),
-    }
-}
-
 pub fn key_back(k: &Key) -> JV {
     match k {
         Key::B(b) => JV::B(*b),
@@ -145,16 +146,37 @@ pub fn jv_of_value(v: &Value) -> JV {
 /// amortization constant as the interpreter).
 const FUEL: u32 = 256;
 
+/// A loaded base table as the query's record type sees it: one borrowed
+/// column per struct field (after field pruning and dictionary encoding).
+pub struct TableView<'d> {
+    cols: Vec<ColumnRef<'d>>,
+    rows: u32,
+}
+
+impl TableView<'_> {
+    #[inline]
+    fn get(&self, field: usize, row: u32) -> JV {
+        let row = row as usize;
+        match self.cols[field] {
+            ColumnRef::I32(c) => JV::I(c[row] as i64),
+            ColumnRef::I64(c) => JV::I(c[row]),
+            ColumnRef::F64(c) => JV::D(c[row]),
+            ColumnRef::Str(c) => JV::S(c[row].clone()),
+        }
+    }
+}
+
 /// Per-execution state threaded through every compiled closure: the slot
-/// frame, parameter bindings, lazily built string dictionaries, captured
-/// output, and the cooperative-deadline counters.
+/// frame, parameter bindings, the views this run opened over the resident
+/// snapshot, captured output, and the cooperative-deadline counters.
 pub struct Rt<'d> {
     /// Numbered variable slots — `Sym(n)` lives at `frame[n]`, assigned at
     /// compile time. No per-access environment lookups.
     pub frame: Vec<JV>,
     pub params: Vec<JV>,
-    pub db: &'d Database,
-    pub dicts: HashMap<Arc<str>, StringDict>,
+    pub db: &'d Snapshot,
+    /// One per executed `LoadTable`; `JV::Table`/`JV::Row` index into it.
+    pub views: Vec<TableView<'d>>,
     pub output: String,
     pub deadline: Option<Instant>,
     pub fuel: u32,
@@ -165,13 +187,20 @@ pub struct Rt<'d> {
     pub query_ms: Option<f64>,
 }
 
+/// The one message for every attempt to write through a base-data view.
+/// [`crate::jit::compile`] rejects the statically evident case; this is
+/// for a handle that reached a store through a container.
+fn read_only(what: &str, v: &JV) -> ! {
+    panic!("{what} on read-only base data {v:?}: the snapshot is shared and immutable")
+}
+
 impl<'d> Rt<'d> {
-    pub fn new(frame_size: usize, db: &'d Database, params: &[Value]) -> Rt<'d> {
+    pub fn new(frame_size: usize, db: &'d Snapshot, params: &[Value]) -> Rt<'d> {
         Rt {
             frame: vec![JV::Unit; frame_size],
             params: params.iter().map(jv_of_value).collect(),
             db,
-            dicts: HashMap::new(),
+            views: Vec::new(),
             output: String::new(),
             deadline: None,
             // The first back-edge reads the clock, so a deadline already in
@@ -205,105 +234,126 @@ impl<'d> Rt<'d> {
         self.interrupted
     }
 
-    pub fn dict(&mut self, name: &Arc<str>) -> &StringDict {
-        if !self.dicts.contains_key(name) {
-            // name is "<table>__<column>".
-            let (t, c) = name.rsplit_once("__").expect("dict name");
-            let col: usize = c.parse().expect("dict column index");
-            let table = self.db.table(t);
-            let values: Vec<&str> = match &table.cols[col] {
-                ColData::Str(v) => v.iter().map(|s| &**s).collect(),
-                other => panic!("dictionary over non-string column {other:?}"),
-            };
-            self.dicts
-                .insert(name.clone(), StringDict::build(values, true));
-        }
-        &self.dicts[name]
+    // ---- base data ------------------------------------------------------
+
+    /// `LoadTable`: open a view whose fields follow the (possibly pruned)
+    /// struct, matched to the table's columns by name; a string attribute
+    /// typed `Int` reads the shared dictionary-code column. Nothing is
+    /// copied.
+    pub fn load_table(&mut self, table: &str, def: &StructDef) -> JV {
+        let t = self.db.table(table);
+        let cols = (def.fields.iter())
+            .map(|f| t.field_column(&f.name, f.ty == Type::Int))
+            .collect();
+        let rows = u32::try_from(t.len()).expect("row handles index rows with 32 bits");
+        self.views.push(TableView { cols, rows });
+        JV::Table(self.views.len() as u32 - 1)
     }
 
-    // ---- loading --------------------------------------------------------
+    /// Read field `f` of the record in slot `s` — a record the query
+    /// allocated, or a base-row handle — without cloning the record.
+    #[inline]
+    pub fn field_with<R>(&self, s: usize, f: usize, k: impl FnOnce(&JV) -> R) -> R {
+        match &self.frame[s] {
+            JV::Cells(c) => k(&c.borrow()[f]),
+            JV::Row(v, r) => k(&self.views[*v as usize].get(f, *r)),
+            other => panic!("expected record, got {other:?}"),
+        }
+    }
 
-    pub fn load_table(&mut self, table: &Arc<str>, def: &StructDef) -> JV {
-        let t = self.db.table(table);
-        let col_idx: Vec<usize> = def
-            .fields
-            .iter()
-            .map(|f| t.def.col_index(&f.name))
-            .collect();
-        // Build dictionaries for the encoded fields up front so the row loop
-        // below can borrow them immutably.
-        for (&c, f) in col_idx.iter().zip(&def.fields) {
-            if matches!((&t.cols[c], &f.ty), (ColData::Str(_), Type::Int)) {
-                let name: Arc<str> = format!("{table}__{c}").into();
-                self.dict(&name);
+    #[inline]
+    pub fn field(&self, s: usize, f: usize) -> JV {
+        match &self.frame[s] {
+            JV::Row(v, r) => self.views[*v as usize].get(f, *r),
+            _ => self.field_with(s, f, JV::clone),
+        }
+    }
+
+    /// Fan `(field, slot)` pairs of one record out into the frame under a
+    /// single lookup of the record.
+    #[inline]
+    pub fn fields_into(&mut self, rec: &JV, fields: &[(usize, usize)]) {
+        match rec {
+            JV::Cells(c) => {
+                let cells = c.borrow();
+                for &(f, out) in fields {
+                    self.frame[out] = cells[f].clone();
+                }
             }
-        }
-        let t = self.db.table(table);
-        let rows: Vec<JV> = (0..t.len())
-            .map(|r| {
-                let fields: Vec<JV> = col_idx
-                    .iter()
-                    .zip(&def.fields)
-                    .map(|(&c, f)| match (&t.cols[c], &f.ty) {
-                        (ColData::Str(col), Type::Int) => {
-                            // dictionary-encoded
-                            let name: Arc<str> = format!("{table}__{c}").into();
-                            JV::I(self.dicts[&name].code(&col[r]) as i64)
-                        }
-                        (ColData::Str(col), _) => JV::S(col[r].clone()),
-                        (ColData::Int(col), _) => JV::I(col[r] as i64),
-                        (ColData::Long(col), _) => JV::I(col[r]),
-                        (ColData::Double(col), _) => JV::D(col[r]),
-                    })
-                    .collect();
-                JV::Cells(Rc::new(RefCell::new(fields)))
-            })
-            .collect();
-        JV::Cells(Rc::new(RefCell::new(rows)))
-    }
-
-    pub fn int_column(&self, table: &str, field: usize) -> Vec<i64> {
-        match &self.db.table(table).cols[field] {
-            ColData::Int(v) => v.iter().map(|x| *x as i64).collect(),
-            ColData::Long(v) => v.clone(),
-            other => panic!("index key over non-int column {other:?}"),
+            JV::Row(v, r) => {
+                let view = &self.views[*v as usize];
+                for &(f, out) in fields {
+                    self.frame[out] = view.get(f, *r);
+                }
+            }
+            other => panic!("expected record, got {other:?}"),
         }
     }
 
-    pub fn index_unique(&self, table: &str, field: usize) -> JV {
-        let keys = self.int_column(table, field);
-        let max = keys.iter().copied().max().unwrap_or(0).max(0) as usize;
-        let mut idx = vec![JV::I(-1); max + 2];
-        for (row, k) in keys.iter().enumerate() {
-            idx[*k as usize] = JV::I(row as i64);
+    /// Read element `i` of the array in slot `s`: an array the query
+    /// allocated, a base table (yielding a row handle) or an index view.
+    #[inline]
+    pub fn elem_with<R>(&self, s: usize, i: usize, k: impl FnOnce(&JV) -> R) -> R {
+        match &self.frame[s] {
+            JV::Cells(c) => k(&c.borrow()[i]),
+            JV::Ints(a) => k(&JV::I(a[i])),
+            JV::Table(v) => {
+                assert!(
+                    i < self.views[*v as usize].rows as usize,
+                    "row {i} out of bounds"
+                );
+                k(&JV::Row(*v, i as u32))
+            }
+            other => panic!("expected array/list, got {other:?}"),
         }
-        JV::Cells(Rc::new(RefCell::new(idx)))
     }
 
-    pub fn csr(&self, table: &str, field: usize) -> (Vec<JV>, Vec<JV>) {
-        let keys = self.int_column(table, field);
-        let max = keys.iter().copied().max().unwrap_or(0).max(0) as usize;
-        let mut counts = vec![0i64; max + 2];
-        for k in &keys {
-            counts[*k as usize] += 1;
+    #[inline]
+    pub fn elem(&self, s: usize, i: usize) -> JV {
+        self.elem_with(s, i, JV::clone)
+    }
+
+    /// Length of the array or list in slot `s`.
+    pub fn len_of(&self, s: usize) -> usize {
+        match &self.frame[s] {
+            JV::Cells(c) => c.borrow().len(),
+            JV::Ints(a) => a.len(),
+            JV::Table(v) => self.views[*v as usize].rows as usize,
+            other => panic!("expected array/list, got {other:?}"),
         }
-        let mut starts = Vec::with_capacity(max + 2);
-        let mut acc = 0;
-        for c in &counts {
-            starts.push(acc);
-            acc += c;
+    }
+
+    /// The heap cells behind slot `s`, for in-place mutation and for the
+    /// container operations only query-allocated values support. Borrowed
+    /// in place: no value clone, no `Rc` bump.
+    #[inline]
+    pub fn cells_at(&self, s: usize, what: &str) -> &Rc<RefCell<Vec<JV>>> {
+        match &self.frame[s] {
+            JV::Cells(c) => c,
+            base @ (JV::Table(_) | JV::Row(..) | JV::Ints(_)) => read_only(what, base),
+            other => panic!("expected record/array/list, got {other:?}"),
         }
-        let mut cur = vec![0usize; max + 2];
-        let mut items = vec![0i64; keys.len()];
-        for (row, k) in keys.iter().enumerate() {
-            let k = *k as usize;
-            items[(starts[k] as usize) + cur[k]] = row as i64;
-            cur[k] += 1;
+    }
+
+    /// Hashable form of a value; records — base rows included — flatten
+    /// by value.
+    pub fn key_of(&self, v: &JV) -> Key {
+        match v {
+            JV::B(b) => Key::B(*b),
+            JV::I(i) => Key::I(*i),
+            JV::D(d) => Key::D(d.to_bits()),
+            JV::S(s) => Key::S(s.clone()),
+            JV::Cells(c) => Key::Tuple(c.borrow().iter().map(|x| self.key_of(x)).collect()),
+            JV::Row(v, r) => {
+                let view = &self.views[*v as usize];
+                Key::Tuple(
+                    (0..view.cols.len())
+                        .map(|f| self.key_of(&view.get(f, *r)))
+                        .collect(),
+                )
+            }
+            other => panic!("unhashable key {other:?}"),
         }
-        (
-            starts.into_iter().map(JV::I).collect(),
-            items.into_iter().map(JV::I).collect(),
-        )
     }
 }
 

@@ -38,6 +38,7 @@ use dblab_catalog::Schema;
 use dblab_codegen::{backend, Compiler, Executable, InterpBackend, RunOutput};
 use dblab_frontend::expr::Lit;
 use dblab_frontend::qplan::{ParamDecl, QueryProgram};
+use dblab_runtime::snapshot::{self, SnapshotStats};
 use dblab_runtime::{json, Value};
 use dblab_transform::StackConfig;
 
@@ -328,6 +329,18 @@ pub struct EngineStats {
     pub ladder: [TierStats; 3],
     /// `(name, stats)` for every live prepared query, in prepare order.
     pub queries: Vec<(String, ServeStats)>,
+    /// The resident-snapshot store's account of every data directory this
+    /// engine's in-process tiers executed against: whole-directory loads
+    /// (1 per directory in steady state), executes answered by the
+    /// resident snapshot after validation alone, tables parsed again
+    /// because their file changed, time spent parsing, and the bytes
+    /// held. All zero until an in-process tier first executes — the
+    /// native tier never loads a snapshot.
+    pub snapshot_loads: u64,
+    pub snapshot_hits: u64,
+    pub snapshot_tables_reloaded: u64,
+    pub snapshot_load_ms_total: f64,
+    pub snapshot_resident_bytes: u64,
 }
 
 impl EngineStats {
@@ -352,6 +365,11 @@ impl EngineStats {
                         .build()
                 })),
             )
+            .int("snapshot_loads", self.snapshot_loads)
+            .int("snapshot_hits", self.snapshot_hits)
+            .int("snapshot_tables_reloaded", self.snapshot_tables_reloaded)
+            .num("snapshot_load_ms_total", self.snapshot_load_ms_total)
+            .int("snapshot_resident_bytes", self.snapshot_resident_bytes)
             .build()
     }
 }
@@ -444,6 +462,8 @@ struct PreparedInner {
     /// execute a specific tier ([`PreparedQuery::execute_pinned`]) while
     /// normal traffic serves from the active (highest) one.
     tier_exes: Mutex<[Option<Arc<dyn Executable>>; 3]>,
+    /// The engine's [`EngineShared::data_dirs`].
+    data_dirs: Arc<RwLock<Vec<PathBuf>>>,
 }
 
 /// A handle to one prepared query. Cheap to clone; every clone shares the
@@ -558,6 +578,18 @@ impl PreparedQuery {
         bound: &[Value],
         deadline: Option<Duration>,
     ) -> Result<ServedRun, ExecError> {
+        // The in-process tiers read `data_dir` through the resident
+        // snapshot store; remember it so the engine's stats can say what
+        // the store did for it. The native tier takes neither lock.
+        if tier != Tier::Native {
+            let known = |dirs: &Vec<PathBuf>| dirs.iter().any(|d| d == data_dir);
+            if !known(&self.inner.data_dirs.read().unwrap()) {
+                let mut dirs = self.inner.data_dirs.write().unwrap();
+                if !known(&dirs) {
+                    dirs.push(data_dir.to_path_buf());
+                }
+            }
+        }
         let t0 = Instant::now();
         let output = exe.run_bound(data_dir, bound, deadline).map_err(|e| {
             if e.kind() == io::ErrorKind::TimedOut {
@@ -806,6 +838,9 @@ struct EngineShared {
     tierups_built: AtomicU64,
     /// In-process jit builds that swapped in.
     jit_builds: AtomicU64,
+    /// Every data directory an in-process tier of this engine executed
+    /// against (shared with each handle, which appends on first sight).
+    data_dirs: Arc<RwLock<Vec<PathBuf>>>,
 }
 
 impl EngineShared {
@@ -885,6 +920,7 @@ impl QueryEngine {
             tier0_compiles: AtomicU64::new(0),
             tierups_built: AtomicU64::new(0),
             jit_builds: AtomicU64::new(0),
+            data_dirs: Arc::default(),
         });
         let worker_count = if shared.native.is_some() || shared.jit {
             opts.workers.max(1)
@@ -960,6 +996,7 @@ impl QueryEngine {
             first_result_ms: Mutex::new(None),
             lats: Default::default(),
             tier_exes: Mutex::new([None, None, None]),
+            data_dirs: Arc::clone(&s.data_dirs),
         });
         inner.tier_exes.lock().unwrap()[Tier::Interp.rank()] =
             Some(Arc::clone(&inner.active.read().unwrap().exe));
@@ -1063,6 +1100,13 @@ impl QueryEngine {
             }
             agg
         });
+        let mut resident = SnapshotStats::default();
+        {
+            let schema = self.shared.schema.read().unwrap();
+            for dir in self.shared.data_dirs.read().unwrap().iter() {
+                resident += snapshot::stats(&schema, dir);
+            }
+        }
         EngineStats {
             native_backend: self.shared.native,
             degraded: self.shared.degraded.clone(),
@@ -1072,6 +1116,11 @@ impl QueryEngine {
             jit_builds: self.shared.jit_builds.load(Ordering::Relaxed),
             ladder,
             queries,
+            snapshot_loads: resident.loads,
+            snapshot_hits: resident.hits,
+            snapshot_tables_reloaded: resident.tables_reloaded,
+            snapshot_load_ms_total: resident.load_ms_total,
+            snapshot_resident_bytes: resident.resident_bytes,
         }
     }
 

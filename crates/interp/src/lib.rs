@@ -4,7 +4,7 @@
 //! executable … with low performance but improved debugging possibilities"
 //! (§4). This crate executes IR programs *at any level* — straight out of
 //! pipelining, after each specialization, or at C.Scala — against an
-//! in-memory [`Database`], capturing their printed output. The
+//! in-memory [`Snapshot`], capturing their printed output. The
 //! differential tests run every compilation stage through it and require
 //! identical results, which pins down exactly which transformation broke
 //! semantics when one does.
@@ -17,7 +17,8 @@ use std::time::Instant;
 
 use dblab_ir::expr::{Atom, BinOp, Block, DictOp, Expr, PrimOp, Sym, UnOp};
 use dblab_ir::{Program, Type};
-use dblab_runtime::{ColData, Database, StringDict, Value};
+use dblab_runtime::snapshot::ColumnRef;
+use dblab_runtime::{Snapshot, Value};
 
 /// A dynamic value.
 #[derive(Debug, Clone)]
@@ -105,11 +106,10 @@ fn key_of(v: &V) -> Key {
 /// Interpreter state.
 pub struct Interp<'d> {
     p: Program,
-    db: &'d Database,
+    db: &'d Snapshot,
     /// Positional query-parameter bindings, read by `Expr::LoadParam`.
     params: Vec<V>,
     env: HashMap<Sym, V>,
-    dicts: HashMap<Arc<str>, StringDict>,
     pub output: String,
     /// Cooperative-interrupt state: once the wall clock passes `deadline`,
     /// every loop breaks at its next back-edge and the partial output is
@@ -130,7 +130,7 @@ const FUEL: u32 = 256;
 
 /// Execute a program against the database; returns the captured stdout
 /// (result rows, same format as the compiled C).
-pub fn run(p: &Program, db: &Database) -> String {
+pub fn run(p: &Program, db: &Snapshot) -> String {
     run_with_deadline(p, db, None).expect("no deadline, no interruption")
 }
 
@@ -141,7 +141,7 @@ pub fn run(p: &Program, db: &Database) -> String {
 /// rides on this.
 pub fn run_with_deadline(
     p: &Program,
-    db: &Database,
+    db: &Snapshot,
     deadline: Option<Instant>,
 ) -> Result<String, Interrupted> {
     run_bound(p, db, &[], deadline)
@@ -152,7 +152,7 @@ pub fn run_with_deadline(
 /// `params[idx]`. Programs without parameters accept an empty slice.
 pub fn run_bound(
     p: &Program,
-    db: &Database,
+    db: &Snapshot,
     params: &[Value],
     deadline: Option<Instant>,
 ) -> Result<String, Interrupted> {
@@ -161,7 +161,6 @@ pub fn run_bound(
         db,
         params: params.iter().map(v_of_value).collect(),
         env: HashMap::new(),
-        dicts: HashMap::new(),
         output: String::new(),
         deadline,
         // The first back-edge reads the clock, so a deadline already in
@@ -227,22 +226,6 @@ impl Interp<'_> {
         self.atom(&b.result)
     }
 
-    fn dict(&mut self, name: &Arc<str>) -> &StringDict {
-        if !self.dicts.contains_key(name) {
-            // name is "<table>__<column>".
-            let (t, c) = name.rsplit_once("__").expect("dict name");
-            let col: usize = c.parse().expect("dict column index");
-            let table = self.db.table(t);
-            let values: Vec<&str> = match &table.cols[col] {
-                ColData::Str(v) => v.iter().map(|s| &**s).collect(),
-                other => panic!("dictionary over non-string column {other:?}"),
-            };
-            self.dicts
-                .insert(name.clone(), StringDict::build(values, true));
-        }
-        &self.dicts[name]
-    }
-
     fn expr(&mut self, e: &Expr, ty: &Type) -> V {
         match e {
             Expr::Atom(a) => self.atom(a),
@@ -266,7 +249,7 @@ impl Interp<'_> {
             Expr::Prim(op, args) => self.prim(*op, args),
             Expr::Dict { dict, op, arg } => {
                 let x = self.atom(arg);
-                let d = self.dict(dict);
+                let d = &self.db.dict(dict).dict;
                 match op {
                     DictOp::Lookup => V::I(d.code(&x.s()) as i64),
                     DictOp::RangeStart => V::I(d.prefix_range(&x.s()).0 as i64),
@@ -372,7 +355,6 @@ impl Interp<'_> {
                         db: self.db,
                         params: self.params.clone(),
                         env: self.env.clone(),
-                        dicts: self.dicts.clone(),
                         output: String::new(),
                         // Comparators are tiny; the outer loops carry the
                         // deadline.
@@ -509,21 +491,13 @@ impl Interp<'_> {
             }
             Expr::LoadTable { table, sid } => self.load_table(table, *sid),
             Expr::LoadIndexUnique { table, field } => {
-                let keys = self.int_column(table, *field);
-                let max = keys.iter().copied().max().unwrap_or(0).max(0) as usize;
-                let mut idx = vec![V::I(-1); max + 2];
-                for (row, k) in keys.iter().enumerate() {
-                    idx[*k as usize] = V::I(row as i64);
-                }
-                V::Cells(Rc::new(RefCell::new(idx)))
+                int_cells(&index(self.db.table(table).index_unique(*field))[..])
             }
             Expr::LoadIndexStarts { table, field } => {
-                let (starts, _) = self.csr(table, *field);
-                V::Cells(Rc::new(RefCell::new(starts)))
+                int_cells(&index(self.db.table(table).csr(*field)).starts)
             }
             Expr::LoadIndexItems { table, field } => {
-                let (_, items) = self.csr(table, *field);
-                V::Cells(Rc::new(RefCell::new(items)))
+                int_cells(&index(self.db.table(table).csr(*field)).items)
             }
             Expr::Printf { fmt, args } => {
                 let vals: Vec<V> = args.iter().map(|a| self.atom(a)).collect();
@@ -681,33 +655,22 @@ impl Interp<'_> {
     // ---- loading ---------------------------------------------------------
 
     fn load_table(&mut self, table: &Arc<str>, sid: dblab_ir::StructId) -> V {
-        // Columns actually stored follow the (possibly pruned) struct; the
-        // original positions come from the KeptColumns annotation captured
-        // on the LoadTable statement — recovered here via name matching.
+        // Columns actually stored follow the (possibly pruned) struct,
+        // matched to the table's by name; a string attribute typed `Int`
+        // is dictionary-encoded and reads the shared code column.
         let t = self.db.table(table);
-        let def = self.p.structs.get(sid).clone();
-        let col_idx: Vec<usize> = def
-            .fields
-            .iter()
-            .map(|f| t.def.col_index(&f.name))
+        let cols: Vec<ColumnRef<'_>> = (self.p.structs.get(sid).fields.iter())
+            .map(|f| t.field_column(&f.name, f.ty == Type::Int))
             .collect();
-        // Dictionary-encoded fields (by IR type Int over a string column).
         let rows: Vec<V> = (0..t.len())
             .map(|r| {
-                let fields: Vec<V> = col_idx
+                let fields: Vec<V> = cols
                     .iter()
-                    .zip(&def.fields)
-                    .map(|(&c, f)| match (&t.cols[c], &f.ty) {
-                        (ColData::Str(col), Type::Int) => {
-                            // dictionary-encoded
-                            let name: Arc<str> = format!("{table}__{c}").into();
-                            let d = self.dict(&name);
-                            V::I(d.code(&col[r]) as i64)
-                        }
-                        (ColData::Str(col), _) => V::S(col[r].clone()),
-                        (ColData::Int(col), _) => V::I(col[r] as i64),
-                        (ColData::Long(col), _) => V::I(col[r]),
-                        (ColData::Double(col), _) => V::D(col[r]),
+                    .map(|c| match c {
+                        ColumnRef::I32(col) => V::I(col[r] as i64),
+                        ColumnRef::I64(col) => V::I(col[r]),
+                        ColumnRef::F64(col) => V::D(col[r]),
+                        ColumnRef::Str(col) => V::S(col[r].clone()),
                     })
                     .collect();
                 V::Cells(Rc::new(RefCell::new(fields)))
@@ -715,40 +678,20 @@ impl Interp<'_> {
             .collect();
         V::Cells(Rc::new(RefCell::new(rows)))
     }
+}
 
-    fn int_column(&self, table: &str, field: usize) -> Vec<i64> {
-        match &self.db.table(table).cols[field] {
-            ColData::Int(v) => v.iter().map(|x| *x as i64).collect(),
-            ColData::Long(v) => v.clone(),
-            other => panic!("index key over non-int column {other:?}"),
-        }
-    }
+/// An index the snapshot refused to build means the key data is
+/// malformed. The interpreter has no error channel, so this unwinds; the
+/// serving executables build a program's indexes before running it and
+/// return the refusal as a typed error instead.
+fn index<T>(built: std::io::Result<T>) -> T {
+    built.unwrap_or_else(|e| panic!("{e}"))
+}
 
-    fn csr(&self, table: &str, field: usize) -> (Vec<V>, Vec<V>) {
-        let keys = self.int_column(table, field);
-        let max = keys.iter().copied().max().unwrap_or(0).max(0) as usize;
-        let mut counts = vec![0i64; max + 2];
-        for k in &keys {
-            counts[*k as usize] += 1;
-        }
-        let mut starts = Vec::with_capacity(max + 2);
-        let mut acc = 0;
-        for c in &counts {
-            starts.push(acc);
-            acc += c;
-        }
-        let mut cur = vec![0usize; max + 2];
-        let mut items = vec![0i64; keys.len()];
-        for (row, k) in keys.iter().enumerate() {
-            let k = *k as usize;
-            items[(starts[k] as usize) + cur[k]] = row as i64;
-            cur[k] += 1;
-        }
-        (
-            starts.into_iter().map(V::I).collect(),
-            items.into_iter().map(V::I).collect(),
-        )
-    }
+fn int_cells(ints: &[i64]) -> V {
+    V::Cells(Rc::new(RefCell::new(
+        ints.iter().map(|&i| V::I(i)).collect(),
+    )))
 }
 
 fn key_back(k: &Key) -> V {
@@ -819,12 +762,12 @@ mod tests {
     use dblab_ir::IrBuilder;
     use dblab_ir::Level;
 
-    fn empty_db() -> Database {
-        Database {
+    fn empty_db() -> Snapshot {
+        Snapshot::from(dblab_runtime::Database {
             schema: dblab_catalog::Schema::default(),
             tables: vec![],
             dir: std::env::temp_dir(),
-        }
+        })
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! [`table::Table`]s with `.tbl` IO (format-compatible with TPC-H `dbgen`
 //! output), the *generic* hash structures whose cost profile the generated
 //! unspecialized C mirrors ([`hash`]), order-preserving string dictionaries
-//! (paper §5.3), and memory pools (Appendix D.1).
+//! (paper §5.3), memory pools (Appendix D.1), and the resident
+//! [`snapshot`] the in-process executors read a data directory through.
 //!
 //! The Volcano reference engine, the IR interpreter and the TPC-H data
 //! generator are all built on this crate.
@@ -13,10 +14,12 @@ pub mod hash;
 pub mod json;
 pub mod like;
 pub mod pool;
+pub mod snapshot;
 pub mod string_dict;
 pub mod table;
 pub mod value;
 
+pub use snapshot::{Snapshot, TableSnapshot};
 pub use string_dict::StringDict;
 pub use table::{ColData, Database, Table};
 pub use value::Value;

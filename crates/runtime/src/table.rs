@@ -110,9 +110,11 @@ impl Table {
     }
 
     /// Serialize in `dbgen` `.tbl` format. The rows go to a sibling temp
-    /// file that is renamed over `path`, so a concurrent reader (a server
-    /// re-reading the directory on every `EXECUTE`) sees the old complete
-    /// file or the new complete file, never a truncated one.
+    /// file that is renamed over `path`, so a concurrent reader (the
+    /// resident-snapshot store re-validating the directory under a live
+    /// server) sees the old complete file or the new complete file, never
+    /// a truncated one — and the new file has a new inode, which is what
+    /// moves its [`crate::snapshot`] fingerprint.
     pub fn write_tbl(&self, path: &Path) -> io::Result<()> {
         // Unique per writer: two threads rewriting the same table must not
         // share a temp file either.
@@ -151,8 +153,13 @@ impl Table {
     /// outside input: a short row or an unparsable field is an
     /// [`io::ErrorKind::InvalidData`] error naming table, line and column.
     pub fn read_tbl(def: &TableDef, path: &Path) -> io::Result<Table> {
+        Table::read_tbl_file(def, std::fs::File::open(path)?)
+    }
+
+    /// [`Table::read_tbl`] over an already opened file, so a caller can
+    /// `fstat` the very handle whose bytes were parsed.
+    pub(crate) fn read_tbl_file(def: &TableDef, file: std::fs::File) -> io::Result<Table> {
         let mut table = Table::empty(def);
-        let file = std::fs::File::open(path)?;
         let mut reader = io::BufReader::new(file);
         let mut line = String::new();
         let mut lineno = 0;

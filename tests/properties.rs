@@ -103,7 +103,7 @@ fn scalar_lowering_preserves_semantics() {
             &schema,
             &dblab::transform::StackConfig::level2(),
         );
-        let out = dblab::interp::run(&p, &db);
+        let out = dblab::interp::run(&p, &db.into());
         let got: f64 = out.trim().parse().expect("one numeric cell");
         assert!(
             (got - want).abs() <= 1e-4_f64.max(want.abs() * 1e-9),
@@ -126,6 +126,7 @@ fn cse_and_folding_are_semantics_preserving() {
         let cfg = dblab::transform::StackConfig::level2();
         let p1 = dblab::transform::pipeline::lower_program(&prog, &schema, &cfg);
         let p2 = dblab::ir::opt::optimize(&p1, 8);
+        let db = dblab::runtime::Snapshot::from(db);
         assert_eq!(dblab::interp::run(&p1, &db), dblab::interp::run(&p2, &db));
         assert!(
             p2.body.size() <= p1.body.size(),

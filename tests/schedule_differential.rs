@@ -56,7 +56,7 @@ fn shrink(
     order: &[&'static str],
     sched: &Scheduler,
     schema: &dblab::catalog::Schema,
-    db: &dblab::runtime::Database,
+    db: &dblab::runtime::Snapshot,
     oracle: &str,
 ) -> String {
     let baseline = sched.baseline();
@@ -96,6 +96,7 @@ fn shrink(
 #[test]
 fn sampled_schedules_agree_with_the_oracle_on_all_queries() {
     let (db, _) = setup();
+    let snap = dblab::runtime::Snapshot::from(db.clone());
     let schema = db.schema.clone();
     let cfg = StackConfig::level5();
     let sched = Scheduler::from_registry(&cfg).expect("level-5 DAG builds");
@@ -132,11 +133,11 @@ fn sampled_schedules_agree_with_the_oracle_on_all_queries() {
             let trace: Vec<&str> = cq.stages[1..].iter().map(|s| s.name.as_str()).collect();
             assert_eq!(&trace, order, "Q{n}: trace order");
             let hash = dblab::ir::hash::program_hash(&cq.program);
-            let agree = *verified
-                .entry(hash)
-                .or_insert_with(|| same_normalized(&oracle, &dblab::interp::run(&cq.program, &db)));
+            let agree = *verified.entry(hash).or_insert_with(|| {
+                same_normalized(&oracle, &dblab::interp::run(&cq.program, &snap))
+            });
             if !agree {
-                failures.push(shrink(n, order, &sched, &schema, &db, &oracle));
+                failures.push(shrink(n, order, &sched, &schema, &snap, &oracle));
             }
         }
     }
@@ -149,6 +150,7 @@ fn sampled_schedules_agree_with_the_oracle_on_all_queries() {
 #[test]
 fn compliant_stack_schedules_agree_on_the_showdown_queries() {
     let (db, _) = setup();
+    let snap = dblab::runtime::Snapshot::from(db.clone());
     let schema = db.schema.clone();
     let cfg = StackConfig::compliant();
     let sched = Scheduler::from_registry(&cfg).expect("compliant DAG builds");
@@ -165,9 +167,9 @@ fn compliant_stack_schedules_agree_on_the_showdown_queries() {
             let (cq, _) = compile_scheduled(&sched, &prog, &schema, order, false)
                 .unwrap_or_else(|e| panic!("Q{n} @ {order:?}: {e}"));
             let hash = dblab::ir::hash::program_hash(&cq.program);
-            let agree = *verified
-                .entry(hash)
-                .or_insert_with(|| same_normalized(&oracle, &dblab::interp::run(&cq.program, &db)));
+            let agree = *verified.entry(hash).or_insert_with(|| {
+                same_normalized(&oracle, &dblab::interp::run(&cq.program, &snap))
+            });
             assert!(
                 agree,
                 "Q{n} @ {} diverges under schedule {order:?}",
@@ -185,6 +187,7 @@ fn compliant_stack_schedules_agree_on_the_showdown_queries() {
 #[test]
 fn threaded_schedules_pick_up_parallelize_scans_and_agree() {
     let (db, _) = setup();
+    let snap = dblab::runtime::Snapshot::from(db.clone());
     let schema = db.schema.clone();
     let mut cfg = StackConfig::level5();
     cfg.threads = 4;
@@ -211,9 +214,9 @@ fn threaded_schedules_pick_up_parallelize_scans_and_agree() {
             let (cq, _) = compile_scheduled(&sched, &prog, &schema, order, false)
                 .unwrap_or_else(|e| panic!("Q{n} @ {order:?}: {e}"));
             let hash = dblab::ir::hash::program_hash(&cq.program);
-            let agree = *verified
-                .entry(hash)
-                .or_insert_with(|| same_normalized(&oracle, &dblab::interp::run(&cq.program, &db)));
+            let agree = *verified.entry(hash).or_insert_with(|| {
+                same_normalized(&oracle, &dblab::interp::run(&cq.program, &snap))
+            });
             assert!(agree, "Q{n} diverges under threaded schedule {order:?}");
         }
     }

@@ -520,6 +520,16 @@ fn a_table_truncated_mid_line_answers_internal_then_recovers() {
     std::fs::write(&path, &whole).expect("restore");
     let reply = c.execute(stmt).expect("execute after the restore");
     assert!(same_normalized(&expect, &reply.rows), "rows diverge");
+    // The failed load poisoned nothing and was cached by nobody: the
+    // directory was loaded once, the overwritten file (same inode — its
+    // length and mtime moved) was parsed again once it was whole, and the
+    // other seven tables were never touched.
+    let stats = server.engine().stats();
+    assert_eq!(
+        (stats.snapshot_loads, stats.snapshot_tables_reloaded),
+        (1, 1),
+        "{stats:?}"
+    );
     c.close().expect("close");
     let report = server.shutdown();
     assert_eq!((report.executed, report.exec_errors), (2, 1), "{report:?}");

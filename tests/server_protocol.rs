@@ -87,6 +87,8 @@ fn happy_path_prepare_execute_stats_close() {
         "\"executed\"",
         "\"queue_cap\"",
         "\"queries\"",
+        "\"snapshot_loads\"",
+        "\"snapshot_resident_bytes\"",
     ] {
         assert!(stats.contains(key), "stats JSON missing {key}: {stats}");
     }

@@ -30,6 +30,7 @@ fn setup() -> (dblab::runtime::Database, PathBuf) {
 #[test]
 fn every_stage_snapshot_matches_the_oracle_for_all_queries() {
     let (db, _) = setup();
+    let snap = dblab::runtime::Snapshot::from(db.clone());
     let schema = db.schema.clone();
     let cfg = StackConfig::level5();
     let mut failures = Vec::new();
@@ -43,7 +44,7 @@ fn every_stage_snapshot_matches_the_oracle_for_all_queries() {
             "Q{n}: one retained program per recorded stage"
         );
         for (stage, p) in &programs {
-            let got = dblab::interp::run(p, &db);
+            let got = dblab::interp::run(p, &snap);
             if !same_normalized(&oracle, &got) {
                 failures.push(format!(
                     "Q{n} diverges at stage `{stage}` (level {}):\noracle:\n{}\ngot:\n{}",
@@ -62,6 +63,7 @@ fn every_stage_snapshot_matches_the_oracle_for_all_queries() {
 #[test]
 fn compliant_stack_snapshots_match_the_oracle_on_the_showdown_queries() {
     let (db, _) = setup();
+    let snap = dblab::runtime::Snapshot::from(db.clone());
     let schema = db.schema.clone();
     let cfg = StackConfig::compliant();
     for n in [1, 3, 6, 14] {
@@ -69,7 +71,7 @@ fn compliant_stack_snapshots_match_the_oracle_on_the_showdown_queries() {
         let oracle = engine::execute_program(&prog, &db).to_text();
         let (_, programs) = compile_with_snapshots(&prog, &schema, &cfg, true);
         for (stage, p) in &programs {
-            let got = dblab::interp::run(p, &db);
+            let got = dblab::interp::run(p, &snap);
             assert!(
                 same_normalized(&oracle, &got),
                 "Q{n} @ {} diverges at stage `{stage}`",
