@@ -1138,15 +1138,10 @@ impl Jc<'_> {
         let op = match head {
             Some((arr, idx)) => {
                 let rec_out = slot(rec_sym);
-                // The record itself is stored only if something beyond
-                // these field reads uses it.
-                let store_rec = self.uses[rec_out] as usize > fields.len();
                 op_box(move |rt| {
                     let rec = rt.elem(arr, idx.get(rt) as usize);
                     rt.fields_into(&rec, &fields);
-                    if store_rec {
-                        rt.frame[rec_out] = rec;
-                    }
+                    rt.frame[rec_out] = rec;
                 })
             }
             None => {

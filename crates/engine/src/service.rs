@@ -335,7 +335,9 @@ pub struct EngineStats {
     /// resident snapshot after validation alone, tables parsed again
     /// because their file changed, time spent parsing, and the bytes
     /// held. All zero until an in-process tier first executes — the
-    /// native tier never loads a snapshot.
+    /// native tier never loads a snapshot. The store is process-wide, so
+    /// these count per directory, not per engine: a second engine on a
+    /// directory an earlier one loaded starts from that one's numbers.
     pub snapshot_loads: u64,
     pub snapshot_hits: u64,
     pub snapshot_tables_reloaded: u64,
@@ -1102,8 +1104,20 @@ impl QueryEngine {
         });
         let mut resident = SnapshotStats::default();
         {
+            // `data_dirs` holds the spellings the callers used; the store
+            // keys on the canonical path, so count each directory once.
+            let mut dirs: Vec<PathBuf> = self
+                .shared
+                .data_dirs
+                .read()
+                .unwrap()
+                .iter()
+                .filter_map(|d| d.canonicalize().ok())
+                .collect();
+            dirs.sort();
+            dirs.dedup();
             let schema = self.shared.schema.read().unwrap();
-            for dir in self.shared.data_dirs.read().unwrap().iter() {
+            for dir in &dirs {
                 resident += snapshot::stats(&schema, dir);
             }
         }

@@ -365,10 +365,9 @@ struct Entry {
     load_ns: AtomicU64,
 }
 
-/// Most recently used first. A serving process reads one directory; the
-/// cap only keeps a process that wanders across many from holding them all.
+/// One entry per (directory, schema definitions) the process has touched,
+/// never evicted: a serving process reads one directory.
 static STORE: Mutex<Vec<Arc<Entry>>> = Mutex::new(Vec::new());
-const STORE_CAP: usize = 8;
 
 fn signature(schema: &Schema) -> String {
     use std::fmt::Write as _;
@@ -392,18 +391,15 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 fn entry(schema: &Schema, dir: &Path, create: bool) -> Option<Arc<Entry>> {
     let signature = signature(schema);
     let mut store = lock(&STORE);
-    if let Some(i) = store
+    if let Some(e) = store
         .iter()
-        .position(|e| e.dir == dir && e.signature == signature)
+        .find(|e| e.dir == dir && e.signature == signature)
     {
-        let e = store.remove(i);
-        store.insert(0, Arc::clone(&e));
-        return Some(e);
+        return Some(Arc::clone(e));
     }
     if !create {
         return None;
     }
-    store.truncate(STORE_CAP - 1);
     let e = Arc::new(Entry {
         dir: dir.to_path_buf(),
         signature,
@@ -419,7 +415,7 @@ fn entry(schema: &Schema, dir: &Path, create: bool) -> Option<Arc<Entry>> {
         tables_reloaded: AtomicU64::new(0),
         load_ns: AtomicU64::new(0),
     });
-    store.insert(0, Arc::clone(&e));
+    store.push(Arc::clone(&e));
     Some(e)
 }
 

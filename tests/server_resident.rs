@@ -24,7 +24,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use dblab::codegen::same_normalized;
-use dblab::engine::service::{EngineOptions, NativeChoice, Tier};
+use dblab::engine::service::{EngineOptions, NativeChoice, QueryEngine, Tier};
 use dblab::engine::{self};
 use dblab::frontend::expr::col;
 use dblab::frontend::qplan::{AggFunc, QPlan, QueryProgram};
@@ -231,6 +231,34 @@ fn the_native_tier_never_loads_a_snapshot() {
     assert_eq!(server.engine().stats().snapshot_resident_bytes, 0);
     c.close().expect("close");
     server.shutdown();
+}
+
+/// The store keys on the canonical directory, whatever spelling a caller
+/// passes: one directory executed against under two spellings is loaded
+/// once and counted once.
+#[test]
+fn two_spellings_of_one_directory_count_once() {
+    let _watchdog = common::watchdog(common::LIMIT);
+    let (db, data) = setup("spellings");
+    let detour = data.join("..").join(data.file_name().expect("named"));
+    let engine = QueryEngine::with_options(
+        &db.schema,
+        EngineOptions {
+            gen_dir: std::env::temp_dir().join("dblab_server_resident_gen_spellings"),
+            native: NativeChoice::Disabled,
+            workers: 1,
+            ..EngineOptions::default()
+        },
+    )
+    .expect("engine");
+    let handle = engine.prepare(&nations()).expect("prepare");
+    let expect = engine::execute_program(&nations(), &db).to_text();
+    for dir in [&data, &detour, &data] {
+        let run = handle.execute(dir).expect("execute");
+        assert!(same_normalized(&expect, &run.output.stdout), "rows diverge");
+    }
+    let stats = engine.stats();
+    assert_eq!((stats.snapshot_loads, stats.snapshot_hits), (1, 2));
 }
 
 /// `customer.tbl` with a negative primary key: Q3 probes the unique index
