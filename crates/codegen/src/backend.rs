@@ -476,6 +476,8 @@ struct InterpExecutable {
 /// loads.
 pub(crate) struct ResidentData {
     schema: Schema,
+    /// The table of every `LoadTable` statement.
+    tables: Vec<std::sync::Arc<str>>,
     /// `(table, column, unique)` per `LoadIndex*` statement.
     indexes: Vec<(std::sync::Arc<str>, usize, bool)>,
 }
@@ -492,8 +494,9 @@ pub(crate) fn for_each_stmt<'a>(b: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
 
 impl ResidentData {
     pub(crate) fn new(p: &Program, schema: &Schema) -> ResidentData {
-        let mut indexes = Vec::new();
+        let (mut tables, mut indexes) = (Vec::new(), Vec::new());
         for_each_stmt(&p.body, &mut |st| match &st.expr {
+            Expr::LoadTable { table, .. } => tables.push(table.clone()),
             Expr::LoadIndexUnique { table, field } => indexes.push((table.clone(), *field, true)),
             Expr::LoadIndexStarts { table, field } | Expr::LoadIndexItems { table, field } => {
                 indexes.push((table.clone(), *field, false))
@@ -502,15 +505,26 @@ impl ResidentData {
         });
         ResidentData {
             schema: schema.clone(),
+            tables,
             indexes,
         }
     }
 
     /// The resident snapshot of `data_dir`, with every index the program
-    /// loads already built — so key data the builders refuse (it is
-    /// outside input) is this call's typed error, not a panic mid-query.
+    /// loads already built and every table it loads within what a row
+    /// handle can address — so data the executors refuse (it is outside
+    /// input) is this call's typed error, not a panic mid-query.
     pub(crate) fn resolve(&self, data_dir: &Path) -> io::Result<std::sync::Arc<Snapshot>> {
         let db = snapshot::resident(&self.schema, data_dir)?;
+        for table in &self.tables {
+            let rows = db.table(table).len();
+            if u32::try_from(rows).is_err() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{table}.tbl has {rows} rows; row handles index rows with 32 bits"),
+                ));
+            }
+        }
         for (table, col, unique) in &self.indexes {
             let t = db.table(table);
             if *unique {

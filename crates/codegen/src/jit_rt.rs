@@ -1,100 +1,139 @@
 //! # jit_rt — runtime state for the in-process closure JIT
 //!
-//! The execution half of [`crate::jit`]: the dynamic value representation,
-//! the numbered-slot frame, cooperative-deadline bookkeeping, and the
-//! read-only views of base data (table rows, indexes, dictionaries) that
-//! borrow the resident [`Snapshot`] in place. Semantics mirror
-//! `dblab-interp` exactly — the JIT's conformance story is "same
-//! observable behaviour as the interpreter, reached without an environment
-//! hash lookup per variable access and without copying a single base row".
+//! The execution half of [`crate::jit`]. Every value a compiled program
+//! touches is one untyped 64-bit *word*; what a word means is fixed per
+//! frame slot, record field and array element by the IR's static types
+//! when [`crate::jit::compile`] runs, so nothing here carries or checks a
+//! tag per value:
+//!
+//! | static type | word |
+//! |---|---|
+//! | `Bool` | `0` / `1` |
+//! | `Int`, `Long` | the `i64`, two's complement |
+//! | `Double` | the `f64`'s bits |
+//! | `String` | index into [`Rt`]'s string table, or [`BASE`]` \| column << 32 \| row`: a string column of the snapshot read in place |
+//! | `Record`, `Pointer`, `Array` | `0` = null; [`ARENA`]` \| offset` of something the query allocated; [`BASE`]` \| view << 32 \| row` for a base-table record; [`BASE`]` \| view << 32` for a loaded table or index |
+//! | `List`, `HashMap`, `MultiMap` | index + 1 into the [`Objects`] table |
+//!
+//! Everything the query allocates at C.Scala level lives in one bump
+//! [`Arena`] of words (record = one word per field, array = length word +
+//! elements) and is freed by dropping it; base data is never copied — a
+//! row handle reads the resident [`Snapshot`]'s typed column slices, which
+//! `LoadTable` binds to column numbers [`crate::jit::compile`] assigned.
+//! Nothing is reference-counted per value, nothing is interior-mutable and
+//! nothing leaves safe Rust, so an [`Rt`] is `Send`.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dblab_ir::types::StructDef;
-use dblab_ir::Type;
 use dblab_runtime::snapshot::ColumnRef;
 use dblab_runtime::{Snapshot, Value};
 
-/// A dynamic runtime value. Records, arrays and lists the *query*
-/// allocates share reference semantics through `Cells`, like the
-/// interpreter's `V`; base data is never copied into that form. A loaded
-/// table is a `Table` view, one of its records a copyable `Row` handle,
-/// and a unique/CSR index an `Ints` view — all read-only, all reading the
-/// snapshot's columns in place.
-#[derive(Debug, Clone)]
-pub enum JV {
-    Unit,
-    Null,
-    B(bool),
-    I(i64),
-    D(f64),
-    S(Arc<str>),
-    Cells(Rc<RefCell<Vec<JV>>>),
-    Map(Rc<RefCell<HashMap<Key, JV>>>),
-    MMap(Rc<RefCell<HashMap<Key, Vec<JV>>>>),
-    /// A base table: index into [`Rt::views`].
-    Table(u32),
-    /// A base-table record: `(view, row)`.
-    Row(u32, u32),
-    /// A shared unique-index / CSR array.
-    Ints(Arc<[i64]>),
+/// Handle bit: base data — a `(view, row)` record, a view (table or index
+/// array), or a string read in place from a snapshot column.
+pub const BASE: u64 = 1 << 63;
+/// Handle bit: an [`Arena`] offset. Set on every arena handle so that
+/// dereferencing null (`0`) or a base handle through the arena lands out
+/// of bounds instead of on a neighbouring object.
+pub const ARENA: u64 = 1 << 62;
+
+/// Low 32 bits of a base handle: the row.
+#[inline]
+pub fn row_of(h: u64) -> usize {
+    h as u32 as usize
 }
 
-impl JV {
-    #[inline]
-    pub fn as_i(&self) -> i64 {
-        match self {
-            JV::I(v) => *v,
-            JV::B(b) => *b as i64,
-            other => panic!("expected int, got {other:?}"),
-        }
+/// The word of a string read in place: row `row` of string column `col`.
+#[inline]
+pub fn base_str(col: usize, row: usize) -> u64 {
+    BASE | (col as u64) << 32 | row as u64
+}
+
+/// Bits 32..63 of a base handle: the view or string column.
+#[inline]
+fn view_of(h: u64) -> usize {
+    ((h & !BASE) >> 32) as usize
+}
+
+/// The per-run bump allocator behind `PoolAlloc`, `StructNew`, `Malloc`
+/// and `ArrayNew`. Nothing is freed before the run ends.
+#[derive(Default)]
+pub struct Arena {
+    words: Vec<u64>,
+}
+
+#[cold]
+fn bad_handle(h: u64, what: &str) -> ! {
+    if h == 0 {
+        panic!("{what} through a null handle")
+    } else if h & BASE != 0 {
+        panic!("{what} on read-only base data: the snapshot is shared and immutable")
+    } else {
+        panic!("{what} through dangling handle {h:#x}")
     }
+}
+
+impl Arena {
+    /// A zeroed record of `n` fields. Zero is every type's initial value:
+    /// `false`, `0`, `0.0`, the empty string, null.
     #[inline]
-    pub fn as_d(&self) -> f64 {
-        match self {
-            JV::D(v) => *v,
-            JV::I(v) => *v as f64,
-            other => panic!("expected double, got {other:?}"),
-        }
+    pub fn alloc(&mut self, n: usize) -> u64 {
+        let at = self.words.len();
+        self.words.resize(at + n, 0);
+        ARENA | at as u64
     }
-    #[inline]
-    pub fn as_b(&self) -> bool {
-        match self {
-            JV::B(v) => *v,
-            other => panic!("expected bool, got {other:?}"),
-        }
+
+    /// A zeroed array of `n` elements behind its length word.
+    pub fn alloc_array(&mut self, n: usize) -> u64 {
+        let h = self.alloc(n + 1);
+        self.words[(h ^ ARENA) as usize] = n as u64;
+        h
     }
+
+    /// Word index of field `f` of the record at `h` (for an array: `0` is
+    /// its length, element `i` is field `i + 1`).
     #[inline]
-    pub fn as_s(&self) -> Arc<str> {
-        match self {
-            JV::S(v) => v.clone(),
-            other => panic!("expected string, got {other:?}"),
+    fn at(&self, h: u64, f: usize, what: &str) -> usize {
+        let i = ((h ^ ARENA) as usize).wrapping_add(f);
+        if i >= self.words.len() {
+            bad_handle(h, what)
         }
+        i
     }
+
     #[inline]
-    pub fn cells(&self) -> Rc<RefCell<Vec<JV>>> {
-        match self {
-            JV::Cells(c) => c.clone(),
-            other => panic!("expected record/array/list, got {other:?}"),
-        }
+    pub fn get(&self, h: u64, f: usize) -> u64 {
+        self.words[self.at(h, f, "read")]
     }
+
     #[inline]
-    pub fn map(&self) -> Rc<RefCell<HashMap<Key, JV>>> {
-        match self {
-            JV::Map(m) => m.clone(),
-            other => panic!("expected hashmap, got {other:?}"),
-        }
+    pub fn set(&mut self, h: u64, f: usize, v: u64) {
+        let i = self.at(h, f, "write");
+        self.words[i] = v;
     }
+
+    /// Read-modify-write of one field under a single address computation.
+    /// Returns `(old, new)`.
     #[inline]
-    pub fn mmap(&self) -> Rc<RefCell<HashMap<Key, Vec<JV>>>> {
-        match self {
-            JV::MMap(m) => m.clone(),
-            other => panic!("expected multimap, got {other:?}"),
-        }
+    pub fn update(&mut self, h: u64, f: usize, k: impl FnOnce(u64) -> u64) -> (u64, u64) {
+        let i = self.at(h, f, "write");
+        let (old, new) = (self.words[i], k(self.words[i]));
+        self.words[i] = new;
+        (old, new)
+    }
+
+    /// The elements of the array at `h`.
+    pub fn elems(&self, h: u64) -> &[u64] {
+        let at = self.at(h, 0, "read");
+        &self.words[at + 1..at + 1 + self.words[at] as usize]
+    }
+
+    pub fn elems_mut(&mut self, h: u64) -> &mut [u64] {
+        let at = self.at(h, 0, "write");
+        let n = self.words[at] as usize;
+        &mut self.words[at + 1..at + 1 + n]
     }
 }
 
@@ -111,72 +150,129 @@ pub enum Key {
     Tuple(Vec<Key>),
 }
 
-pub fn key_back(k: &Key) -> JV {
-    match k {
-        Key::B(b) => JV::B(*b),
-        Key::I(i) => JV::I(*i),
-        Key::D(bits) => JV::D(f64::from_bits(*bits)),
-        Key::S(s) => JV::S(s.clone()),
-        Key::Tuple(items) => JV::Cells(Rc::new(RefCell::new(items.iter().map(key_back).collect()))),
+/// How to flatten a word of some static type into a [`Key`]; built once
+/// per hash operation by [`crate::jit::compile`].
+#[derive(Debug, Clone)]
+pub enum KeyShape {
+    B,
+    I,
+    D,
+    S,
+    /// A record: per field, its shape and — for a base record type — the
+    /// column a row handle reads it from.
+    Rec(Vec<(KeyShape, Option<Col>)>),
+}
+
+/// One generic container of the levels above C.Scala. Only the
+/// conformance runs of partial stacks reach these; the full stack has
+/// lowered them all to arena records and arrays.
+pub enum Obj {
+    List(Vec<u64>),
+    /// key → (the key word first inserted, value).
+    Map(HashMap<Key, (u64, u64)>),
+    MMap(HashMap<Key, Vec<u64>>),
+}
+
+/// The side table of [`Obj`]s; a handle is index + 1.
+#[derive(Default)]
+pub struct Objects(Vec<Obj>);
+
+impl Objects {
+    pub fn new_obj(&mut self, o: Obj) -> u64 {
+        self.0.push(o);
+        self.0.len() as u64
+    }
+
+    fn at(&mut self, h: u64) -> &mut Obj {
+        let n = self.0.len();
+        (self.0.get_mut((h as usize).wrapping_sub(1)))
+            .unwrap_or_else(|| panic!("container handle {h} of {n}"))
+    }
+
+    pub fn list(&mut self, h: u64) -> &mut Vec<u64> {
+        match self.at(h) {
+            Obj::List(l) => l,
+            _ => panic!("container {h} is not a list"),
+        }
+    }
+
+    pub fn map(&mut self, h: u64) -> &mut HashMap<Key, (u64, u64)> {
+        match self.at(h) {
+            Obj::Map(m) => m,
+            _ => panic!("container {h} is not a hash map"),
+        }
+    }
+
+    pub fn mmap(&mut self, h: u64) -> &mut HashMap<Key, Vec<u64>> {
+        match self.at(h) {
+            Obj::MMap(m) => m,
+            _ => panic!("container {h} is not a multimap"),
+        }
     }
 }
 
-pub fn zero_of(t: &Type) -> JV {
-    match t {
-        Type::Double => JV::D(0.0),
-        Type::Bool => JV::B(false),
-        Type::Int | Type::Long => JV::I(0),
-        Type::String => JV::S("".into()),
-        _ => JV::Null,
-    }
+/// A compile-time column number: which of [`Cols`]' slice tables a base
+/// record field reads, and at what index.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Col {
+    I32(usize),
+    I64(usize),
+    F64(usize),
+    Str(usize),
 }
 
-pub fn jv_of_value(v: &Value) -> JV {
-    match v {
-        Value::Null => JV::Null,
-        Value::Bool(b) => JV::B(*b),
-        Value::Int(i) => JV::I(*i as i64),
-        Value::Long(l) => JV::I(*l),
-        Value::Double(d) => JV::D(*d),
-        Value::Str(s) => JV::S(s.clone()),
-    }
+/// What one `LoadTable` statement binds: the table, and per record field
+/// its name, whether it reads the dictionary-code column, and its number.
+#[derive(Debug, Clone)]
+pub struct TableBinding {
+    pub table: Arc<str>,
+    pub fields: Vec<(Arc<str>, bool, Col)>,
+}
+
+/// How many columns of each kind a program numbers.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ColCounts {
+    pub i32s: usize,
+    pub i64s: usize,
+    pub f64s: usize,
+    pub strs: usize,
+}
+
+/// The snapshot's typed column slices, by compile-time column number;
+/// empty until the `LoadTable` that binds them runs.
+pub struct Cols<'d> {
+    pub i32s: Vec<&'d [i32]>,
+    pub i64s: Vec<&'d [i64]>,
+    pub f64s: Vec<&'d [f64]>,
+    pub strs: Vec<&'d [Arc<str>]>,
+}
+
+/// An array handle with [`BASE`] set names one of these.
+enum View<'d> {
+    Table { rows: u32 },
+    Ints(&'d [i64]),
 }
 
 /// How many loop back-edges run between two wall-clock reads (same
 /// amortization constant as the interpreter).
 const FUEL: u32 = 256;
 
-/// A loaded base table as the query's record type sees it: one borrowed
-/// column per struct field (after field pruning and dictionary encoding).
-pub struct TableView<'d> {
-    cols: Vec<ColumnRef<'d>>,
-    rows: u32,
-}
-
-impl TableView<'_> {
-    #[inline]
-    fn get(&self, field: usize, row: u32) -> JV {
-        let row = row as usize;
-        match self.cols[field] {
-            ColumnRef::I32(c) => JV::I(c[row] as i64),
-            ColumnRef::I64(c) => JV::I(c[row]),
-            ColumnRef::F64(c) => JV::D(c[row]),
-            ColumnRef::Str(c) => JV::S(c[row].clone()),
-        }
-    }
-}
-
-/// Per-execution state threaded through every compiled closure: the slot
-/// frame, parameter bindings, the views this run opened over the resident
-/// snapshot, captured output, and the cooperative-deadline counters.
+/// Per-execution state threaded through every compiled closure: the word
+/// frame, the arena, strings and containers this run made, the views it
+/// opened over the resident snapshot, captured output, and the
+/// cooperative-deadline counters.
 pub struct Rt<'d> {
-    /// Numbered variable slots — `Sym(n)` lives at `frame[n]`, assigned at
-    /// compile time. No per-access environment lookups.
-    pub frame: Vec<JV>,
-    pub params: Vec<JV>,
+    /// `Sym(n)` lives at `frame[n]`, read according to `sym_types[n]`.
+    pub frame: Vec<u64>,
+    pub arena: Arena,
+    pub objs: Objects,
+    /// The program's string constants (the empty string first, so a zeroed
+    /// `String` word is `""`), then every string this run produced.
+    strs: Vec<Arc<str>>,
+    pub params: Vec<Value>,
     pub db: &'d Snapshot,
-    /// One per executed `LoadTable`; `JV::Table`/`JV::Row` index into it.
-    pub views: Vec<TableView<'d>>,
+    pub cols: Cols<'d>,
+    views: Vec<View<'d>>,
     pub output: String,
     pub deadline: Option<Instant>,
     pub fuel: u32,
@@ -187,19 +283,27 @@ pub struct Rt<'d> {
     pub query_ms: Option<f64>,
 }
 
-/// The one message for every attempt to write through a base-data view.
-/// [`crate::jit::compile`] rejects the statically evident case; this is
-/// for a handle that reached a store through a container.
-fn read_only(what: &str, v: &JV) -> ! {
-    panic!("{what} on read-only base data {v:?}: the snapshot is shared and immutable")
-}
-
 impl<'d> Rt<'d> {
-    pub fn new(frame_size: usize, db: &'d Snapshot, params: &[Value]) -> Rt<'d> {
+    pub fn new(
+        frame_size: usize,
+        consts: &[Arc<str>],
+        cols: ColCounts,
+        db: &'d Snapshot,
+        params: &[Value],
+    ) -> Rt<'d> {
         Rt {
-            frame: vec![JV::Unit; frame_size],
-            params: params.iter().map(jv_of_value).collect(),
+            frame: vec![0; frame_size],
+            arena: Arena::default(),
+            objs: Objects::default(),
+            strs: consts.to_vec(),
+            params: params.to_vec(),
             db,
+            cols: Cols {
+                i32s: vec![&[]; cols.i32s],
+                i64s: vec![&[]; cols.i64s],
+                f64s: vec![&[]; cols.f64s],
+                strs: vec![&[]; cols.strs],
+            },
             views: Vec::new(),
             output: String::new(),
             deadline: None,
@@ -234,132 +338,123 @@ impl<'d> Rt<'d> {
         self.interrupted
     }
 
+    // ---- strings --------------------------------------------------------
+
+    #[inline]
+    fn str_arc(&self, h: u64) -> &Arc<str> {
+        if h & BASE != 0 {
+            &self.cols.strs[view_of(h)][row_of(h)]
+        } else {
+            &self.strs[h as usize]
+        }
+    }
+
+    #[inline]
+    pub fn str_at(&self, h: u64) -> &str {
+        self.str_arc(h)
+    }
+
+    /// Handle of a string this run produced.
+    pub fn new_str(&mut self, s: Arc<str>) -> u64 {
+        self.strs.push(s);
+        self.strs.len() as u64 - 1
+    }
+
     // ---- base data ------------------------------------------------------
 
-    /// `LoadTable`: open a view whose fields follow the (possibly pruned)
-    /// struct, matched to the table's columns by name; a string attribute
-    /// typed `Int` reads the shared dictionary-code column. Nothing is
-    /// copied.
-    pub fn load_table(&mut self, table: &str, def: &StructDef) -> JV {
-        let t = self.db.table(table);
-        let cols = (def.fields.iter())
-            .map(|f| t.field_column(&f.name, f.ty == Type::Int))
-            .collect();
-        let rows = u32::try_from(t.len()).expect("row handles index rows with 32 bits");
-        self.views.push(TableView { cols, rows });
-        JV::Table(self.views.len() as u32 - 1)
+    fn open(&mut self, v: View<'d>) -> u64 {
+        self.views.push(v);
+        BASE | (self.views.len() as u64 - 1) << 32
     }
 
-    /// Read field `f` of the record in slot `s` — a record the query
-    /// allocated, or a base-row handle — without cloning the record.
-    #[inline]
-    pub fn field_with<R>(&self, s: usize, f: usize, k: impl FnOnce(&JV) -> R) -> R {
-        match &self.frame[s] {
-            JV::Cells(c) => k(&c.borrow()[f]),
-            JV::Row(v, r) => k(&self.views[*v as usize].get(f, *r)),
-            other => panic!("expected record, got {other:?}"),
-        }
-    }
-
-    #[inline]
-    pub fn field(&self, s: usize, f: usize) -> JV {
-        match &self.frame[s] {
-            JV::Row(v, r) => self.views[*v as usize].get(f, *r),
-            _ => self.field_with(s, f, JV::clone),
-        }
-    }
-
-    /// Fan `(field, slot)` pairs of one record out into the frame under a
-    /// single lookup of the record.
-    #[inline]
-    pub fn fields_into(&mut self, rec: &JV, fields: &[(usize, usize)]) {
-        match rec {
-            JV::Cells(c) => {
-                let cells = c.borrow();
-                for &(f, out) in fields {
-                    self.frame[out] = cells[f].clone();
-                }
+    /// `LoadTable`: bind the record type's columns — matched to the
+    /// table's by name; an encoded field reads the shared dictionary-code
+    /// column — and open a view of the rows. Nothing is copied.
+    pub fn load_table(&mut self, b: &TableBinding) -> u64 {
+        let db: &'d Snapshot = self.db;
+        let t = db.table(&b.table);
+        for (name, encoded, col) in &b.fields {
+            match (*col, t.field_column(name, *encoded)) {
+                (Col::I32(c), ColumnRef::I32(s)) => self.cols.i32s[c] = s,
+                (Col::I64(c), ColumnRef::I64(s)) => self.cols.i64s[c] = s,
+                (Col::F64(c), ColumnRef::F64(s)) => self.cols.f64s[c] = s,
+                (Col::Str(c), ColumnRef::Str(s)) => self.cols.strs[c] = s,
+                (want, _) => panic!(
+                    "{}.{name} is not stored the way the program's record type reads it ({want:?})",
+                    b.table
+                ),
             }
-            JV::Row(v, r) => {
-                let view = &self.views[*v as usize];
-                for &(f, out) in fields {
-                    self.frame[out] = view.get(f, *r);
-                }
+        }
+        let rows = u32::try_from(t.len()).expect("ResidentData::resolve bounds table rows");
+        self.open(View::Table { rows })
+    }
+
+    /// `LoadIndex*`: a view of one of the snapshot's shared index arrays.
+    pub fn load_ints(&mut self, ints: &'d [i64]) -> u64 {
+        self.open(View::Ints(ints))
+    }
+
+    /// Field `f` of record `h` by its column number — the generic path
+    /// (key flattening); compiled `FieldGet`s index their slice directly.
+    pub fn field(&self, h: u64, f: usize, col: Option<Col>) -> u64 {
+        if h & BASE == 0 {
+            return self.arena.get(h, f);
+        }
+        let r = row_of(h);
+        match col.expect("row handle of a record type no LoadTable yields") {
+            Col::I32(c) => self.cols.i32s[c][r] as i64 as u64,
+            Col::I64(c) => self.cols.i64s[c][r] as u64,
+            Col::F64(c) => self.cols.f64s[c][r].to_bits(),
+            Col::Str(c) => base_str(c, r),
+        }
+    }
+
+    /// Element `i` of array `h`: an arena array, a loaded table (yielding
+    /// a row handle) or an index view.
+    #[inline]
+    pub fn elem(&self, h: u64, i: usize) -> u64 {
+        if h & BASE == 0 {
+            return self.arena.elems(h)[i];
+        }
+        match self.views[view_of(h)] {
+            View::Table { rows } => {
+                assert!(i < rows as usize, "row {i} out of bounds");
+                h | i as u64
             }
-            other => panic!("expected record, got {other:?}"),
+            View::Ints(a) => a[i] as u64,
         }
     }
 
-    /// Read element `i` of the array in slot `s`: an array the query
-    /// allocated, a base table (yielding a row handle) or an index view.
-    #[inline]
-    pub fn elem_with<R>(&self, s: usize, i: usize, k: impl FnOnce(&JV) -> R) -> R {
-        match &self.frame[s] {
-            JV::Cells(c) => k(&c.borrow()[i]),
-            JV::Ints(a) => k(&JV::I(a[i])),
-            JV::Table(v) => {
-                assert!(
-                    i < self.views[*v as usize].rows as usize,
-                    "row {i} out of bounds"
-                );
-                k(&JV::Row(*v, i as u32))
-            }
-            other => panic!("expected array/list, got {other:?}"),
+    pub fn len_of(&self, h: u64) -> usize {
+        if h & BASE == 0 {
+            return self.arena.elems(h).len();
+        }
+        match self.views[view_of(h)] {
+            View::Table { rows } => rows as usize,
+            View::Ints(a) => a.len(),
         }
     }
 
-    #[inline]
-    pub fn elem(&self, s: usize, i: usize) -> JV {
-        self.elem_with(s, i, JV::clone)
-    }
-
-    /// Length of the array or list in slot `s`.
-    pub fn len_of(&self, s: usize) -> usize {
-        match &self.frame[s] {
-            JV::Cells(c) => c.borrow().len(),
-            JV::Ints(a) => a.len(),
-            JV::Table(v) => self.views[*v as usize].rows as usize,
-            other => panic!("expected array/list, got {other:?}"),
-        }
-    }
-
-    /// The heap cells behind slot `s`, for in-place mutation and for the
-    /// container operations only query-allocated values support. Borrowed
-    /// in place: no value clone, no `Rc` bump.
-    #[inline]
-    pub fn cells_at(&self, s: usize, what: &str) -> &Rc<RefCell<Vec<JV>>> {
-        match &self.frame[s] {
-            JV::Cells(c) => c,
-            base @ (JV::Table(_) | JV::Row(..) | JV::Ints(_)) => read_only(what, base),
-            other => panic!("expected record/array/list, got {other:?}"),
-        }
-    }
-
-    /// Hashable form of a value; records — base rows included — flatten
+    /// Hashable form of word `w`; records — base rows included — flatten
     /// by value.
-    pub fn key_of(&self, v: &JV) -> Key {
-        match v {
-            JV::B(b) => Key::B(*b),
-            JV::I(i) => Key::I(*i),
-            JV::D(d) => Key::D(d.to_bits()),
-            JV::S(s) => Key::S(s.clone()),
-            JV::Cells(c) => Key::Tuple(c.borrow().iter().map(|x| self.key_of(x)).collect()),
-            JV::Row(v, r) => {
-                let view = &self.views[*v as usize];
-                Key::Tuple(
-                    (0..view.cols.len())
-                        .map(|f| self.key_of(&view.get(f, *r)))
-                        .collect(),
-                )
-            }
-            other => panic!("unhashable key {other:?}"),
+    pub fn key_of(&self, w: u64, shape: &KeyShape) -> Key {
+        match shape {
+            KeyShape::B => Key::B(w != 0),
+            KeyShape::I => Key::I(w as i64),
+            KeyShape::D => Key::D(w),
+            KeyShape::S => Key::S(self.str_arc(w).clone()),
+            KeyShape::Rec(fields) => Key::Tuple(
+                (fields.iter().enumerate())
+                    .map(|(f, (shape, col))| self.key_of(self.field(w, f, *col), shape))
+                    .collect(),
+            ),
         }
     }
 }
 
 /// One precompiled segment of a printf format string: the parse happens
 /// once at JIT-compile time, not once per emitted row.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PfSeg {
     Lit(Arc<str>),
     /// `%d` / `%ld`
@@ -374,8 +469,8 @@ pub enum PfSeg {
 
 /// Split a printf format into literal and specifier segments. Supports the
 /// specifiers the pipeline emits (`%d %ld %c %s %.4f %%`), like the
-/// interpreter.
-pub fn compile_printf(fmt: &str) -> Vec<PfSeg> {
+/// interpreter; anything else is the `Err`.
+pub fn compile_printf(fmt: &str) -> Result<Vec<PfSeg>, String> {
     let mut segs = Vec::new();
     let mut lit = String::new();
     let mut chars = fmt.chars().peekable();
@@ -400,7 +495,7 @@ pub fn compile_printf(fmt: &str) -> Vec<PfSeg> {
             "c" => PfSeg::Char,
             "s" => PfSeg::Str,
             ".4f" => PfSeg::F4,
-            other => panic!("unsupported printf spec %{other}"),
+            other => return Err(format!("unsupported printf spec %{other}")),
         };
         if !lit.is_empty() {
             segs.push(PfSeg::Lit(std::mem::take(&mut lit).into()));
@@ -410,33 +505,30 @@ pub fn compile_printf(fmt: &str) -> Vec<PfSeg> {
     if !lit.is_empty() {
         segs.push(PfSeg::Lit(lit.into()));
     }
-    segs
+    Ok(segs)
 }
 
-use std::fmt::Write as _;
-
-/// Render precompiled segments against evaluated arguments into `out`.
-pub fn format_segs(segs: &[PfSeg], args: &[JV], out: &mut String) {
-    let mut ai = 0;
-    for seg in segs {
-        match seg {
-            PfSeg::Lit(s) => out.push_str(s),
-            PfSeg::Int => {
-                let _ = write!(out, "{}", args[ai].as_i());
-                ai += 1;
-            }
-            PfSeg::Char => {
-                out.push(args[ai].as_i() as u8 as char);
-                ai += 1;
-            }
-            PfSeg::Str => {
-                out.push_str(&args[ai].as_s());
-                ai += 1;
-            }
-            PfSeg::F4 => {
-                let _ = write!(out, "{:.4}", args[ai].as_d());
-                ai += 1;
+impl Rt<'_> {
+    /// Render precompiled segments against evaluated argument words (one
+    /// per non-literal segment, each in its specifier's representation)
+    /// onto the captured output.
+    pub fn printf(&mut self, segs: &[PfSeg], args: &[u64]) {
+        let mut out = std::mem::take(&mut self.output);
+        let mut args = args.iter();
+        for seg in segs {
+            let mut arg = || *args.next().expect("one argument per specifier");
+            match seg {
+                PfSeg::Lit(s) => out.push_str(s),
+                PfSeg::Int => {
+                    let _ = write!(out, "{}", arg() as i64);
+                }
+                PfSeg::Char => out.push(arg() as u8 as char),
+                PfSeg::Str => out.push_str(self.str_at(arg())),
+                PfSeg::F4 => {
+                    let _ = write!(out, "{:.4}", f64::from_bits(arg()));
+                }
             }
         }
+        self.output = out;
     }
 }

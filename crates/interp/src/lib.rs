@@ -234,7 +234,7 @@ impl Interp<'_> {
                 let x = self.atom(a);
                 match op {
                     UnOp::Neg => match x {
-                        V::I(v) => V::I(-v),
+                        V::I(v) => V::I(v.wrapping_neg()),
                         V::D(v) => V::D(-v),
                         other => panic!("neg {other:?}"),
                     },
@@ -424,7 +424,7 @@ impl Interp<'_> {
                     .iter()
                     .map(|(k, v)| (k.clone(), v.clone()))
                     .collect();
-                entries.sort_by_key(|(k, _)| format!("{k:?}"));
+                entries.sort_by_cached_key(|(k, _)| format!("{k:?}"));
                 for (k, v) in entries {
                     if self.expired() {
                         break;
