@@ -52,7 +52,7 @@ pub fn table3_configs() -> Vec<StackConfig> {
 /// flags shared by the binaries, plus the `schedules` sweep's
 /// `--orderings K`, `--seed N` and `--backend NAME`, and the
 /// `--persist-cache` switch that attaches the on-disk build-cache index
-/// (`fig9`, `tpch_showdown`, `serve`).
+/// (`fig9`).
 pub struct Args {
     pub sf: f64,
     pub runs: usize,
@@ -74,8 +74,7 @@ pub struct Args {
     /// How many schedules the `schedules` binary sweeps (baseline + K-1
     /// sampled permutations).
     pub orderings: usize,
-    /// Seed for the deterministic schedule sample (`schedules`) and the
-    /// client request mix (`loadgen`).
+    /// Seed for the deterministic schedule sample (`schedules`).
     pub seed: u64,
     /// Backend for query-time measurements (`gcc`/`jit`/`interp`).
     pub backend: String,
@@ -83,32 +82,6 @@ pub struct Args {
     /// ([`dblab_codegen::build_cache::enable_persistence`]) so artifacts
     /// survive process restarts; benches report disk-hit rates.
     pub persist_cache: bool,
-    /// Concurrent clients the `loadgen` harness spawns (`--clients`,
-    /// default 64 — the acceptance floor).
-    pub clients: usize,
-    /// Execute requests each client issues (`--requests`, default 50).
-    pub requests: usize,
-    /// Server admission-queue bound (`--queue-cap`, default 64).
-    pub queue_cap: usize,
-    /// Per-request deadline in milliseconds (`--deadline-ms`, default
-    /// 30000 — generous; shrink it to provoke timeout frames).
-    pub deadline_ms: u64,
-    /// Request worker threads for the in-process server
-    /// (`--server-workers`, default 4).
-    pub server_workers: usize,
-    /// Reactor I/O threads for the in-process server (`--io-threads`,
-    /// default 2). The whole point of the readiness reactor is that this
-    /// number — not the client count — bounds the server's thread
-    /// anatomy; `loadgen` asserts exactly that.
-    pub io_threads: usize,
-    /// Aim `loadgen` at an already-running server instead of starting an
-    /// in-process one (`--addr host:port`).
-    pub addr: Option<String>,
-    /// `loadgen --param-mix N`: replay the parameterized Q6 template
-    /// with `N` distinct literal bindings (default 0 = off) and assert
-    /// the engine compiled the template exactly once — the cache must
-    /// be transparent to binding churn.
-    pub param_mix: usize,
 }
 
 impl Args {
@@ -126,14 +99,6 @@ impl Args {
         let mut seed = 0xdb1a_b5ee_d001;
         let mut backend = String::from("interp");
         let mut persist_cache = false;
-        let mut clients = 64;
-        let mut requests = 50;
-        let mut queue_cap = 64;
-        let mut deadline_ms = 30_000;
-        let mut server_workers = 4;
-        let mut io_threads = 2;
-        let mut addr = None;
-        let mut param_mix = 0;
         let argv: Vec<String> = std::env::args().collect();
         let mut i = 1;
         while i < argv.len() {
@@ -185,38 +150,6 @@ impl Args {
                     persist_cache = true;
                     i += 1;
                 }
-                "--clients" => {
-                    clients = argv[i + 1].parse().expect("--clients <int>");
-                    i += 2;
-                }
-                "--requests" => {
-                    requests = argv[i + 1].parse().expect("--requests <int>");
-                    i += 2;
-                }
-                "--queue-cap" => {
-                    queue_cap = argv[i + 1].parse().expect("--queue-cap <int>");
-                    i += 2;
-                }
-                "--deadline-ms" => {
-                    deadline_ms = argv[i + 1].parse().expect("--deadline-ms <u64>");
-                    i += 2;
-                }
-                "--server-workers" => {
-                    server_workers = argv[i + 1].parse().expect("--server-workers <int>");
-                    i += 2;
-                }
-                "--io-threads" => {
-                    io_threads = argv[i + 1].parse().expect("--io-threads <int>");
-                    i += 2;
-                }
-                "--addr" => {
-                    addr = Some(argv[i + 1].clone());
-                    i += 2;
-                }
-                "--param-mix" => {
-                    param_mix = argv[i + 1].parse().expect("--param-mix <int>");
-                    i += 2;
-                }
                 other => panic!("unknown flag {other}"),
             }
         }
@@ -232,40 +165,8 @@ impl Args {
             seed,
             backend,
             persist_cache,
-            clients: clients.max(1),
-            requests: requests.max(1),
-            queue_cap: queue_cap.max(1),
-            deadline_ms: deadline_ms.max(1),
-            server_workers: server_workers.max(1),
-            io_threads: io_threads.max(1),
-            addr,
-            param_mix,
         }
     }
-}
-
-/// Sorted-latency percentiles for load reports. `p(q)` takes the
-/// nearest-rank sample, so `p999` over 64 samples is the max — honest
-/// about what little data can say.
-pub fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((q * sorted_ms.len() as f64).ceil() as usize).clamp(1, sorted_ms.len());
-    sorted_ms[rank - 1]
-}
-
-/// Render `{count, p50, p99, p999, max}` for one latency population
-/// (sorts in place).
-pub fn latency_obj(samples: &mut [f64]) -> String {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-    json::Obj::new()
-        .int("count", samples.len() as u64)
-        .num("p50_ms", percentile(samples, 0.50))
-        .num("p99_ms", percentile(samples, 0.99))
-        .num("p999_ms", percentile(samples, 0.999))
-        .num("max_ms", samples.last().copied().unwrap_or(f64::NAN))
-        .build()
 }
 
 /// The shared JSON string builder, re-exported from its home in
@@ -364,20 +265,6 @@ mod tests {
         let t = timings(&mut [4.0, 2.0, 8.0, 6.0]);
         assert_eq!(t.median_ms, 5.0);
         assert_eq!(t.min_ms, 2.0);
-    }
-
-    #[test]
-    fn nearest_rank_percentiles() {
-        let mut samples: Vec<f64> = (1..=100).map(|v| v as f64).collect();
-        let blob = latency_obj(&mut samples);
-        assert!(blob.contains("\"p50_ms\": 50"), "{blob}");
-        assert!(blob.contains("\"p99_ms\": 99"), "{blob}");
-        assert!(blob.contains("\"p999_ms\": 100"), "{blob}");
-        assert_eq!(
-            percentile(&[7.0], 0.999),
-            7.0,
-            "small populations take the max"
-        );
     }
 
     #[test]

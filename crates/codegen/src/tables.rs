@@ -5,7 +5,7 @@
 //! kept-column annotations, and which columns need standalone key arrays
 //! for the index builders (Figure 7 pre-computation).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use dblab_catalog::Schema;
@@ -21,7 +21,9 @@ pub(crate) struct TableInfo {
     /// Original column index per (pruned) struct field.
     pub kept: Vec<usize>,
     /// Original column index -> ordered? for dictionary-encoded fields.
-    pub dicts: HashMap<usize, bool>,
+    /// Ordered so the emitter walks it the same way every time: emitted
+    /// C is the build cache's key.
+    pub dicts: BTreeMap<usize, bool>,
     /// Original column indices needing standalone key arrays for indexes.
     pub index_keys: Vec<usize>,
 }

@@ -9,8 +9,8 @@
 
 //! Since the serving layer landed, this crate also hosts the other end of
 //! the spectrum: [`service::QueryEngine`], a long-lived tiered engine
-//! that serves prepared queries on the interpreter immediately while the
-//! native backends compile in the background.
+//! that serves prepared queries on the in-process jit immediately while
+//! the native backend compiles in the background.
 
 pub mod eval;
 pub mod exec;

@@ -6,14 +6,15 @@
 //! long until the first rows of a freshly prepared query) and
 //! **steady-state latency** (what every later execution pays). A native
 //! `gcc -O3` build wins the second and loses the first by two orders of
-//! magnitude; the in-process interpreter is the mirror image.
+//! magnitude; the in-process closure jit is the mirror image.
 //!
 //! [`QueryEngine`] refuses to choose. [`QueryEngine::prepare`] lowers the
-//! query through the memoized DSL stack and returns a [`PreparedQuery`]
-//! backed by the zero-build interpreter — executable immediately
-//! (**tier 0**). In the background, a worker pool compiles the same query
-//! through a native backend, reusing every cache layer — the per-pass IR
-//! memo, the source-level build cache and its on-disk index
+//! query through the memoized DSL stack, compiles the lowered program to
+//! jit closures on the spot (it costs what starting an interpreter would)
+//! and returns a [`PreparedQuery`] serving from the jit — executable
+//! immediately (**tier 0**). In the background, a worker pool compiles the
+//! same query through a native backend, reusing every cache layer — the
+//! per-pass IR memo, the source-level build cache and its on-disk index
 //! ([`dblab_codegen::build_cache`]) — then **atomically hot-swaps** the
 //! executable under the handle (**tier 1**). Executions racing the swap
 //! see either tier, never a torn state: the active executable lives
@@ -21,9 +22,10 @@
 //! under the read lock, so a swap never invalidates an in-flight run.
 //!
 //! When no native toolchain is present the engine degrades gracefully:
-//! queries stay at tier 0 permanently, one warning is emitted per engine
+//! queries stay on the jit permanently, one warning is emitted per engine
 //! (and surfaced on every handle's [`PreparedQuery::report`]), and
-//! nothing errors.
+//! nothing errors. The IR interpreter serves no traffic; it is the
+//! reference executor [`PreparedQuery::execute_pinned`] builds on demand.
 
 use std::collections::VecDeque;
 use std::io;
@@ -35,23 +37,23 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dblab_catalog::Schema;
-use dblab_codegen::{backend, Compiler, Executable, InterpBackend, RunOutput};
+use dblab_codegen::{backend, Backend, Compiler, Executable, InterpBackend, JitBackend, RunOutput};
 use dblab_frontend::expr::Lit;
 use dblab_frontend::qplan::{ParamDecl, QueryProgram};
 use dblab_runtime::snapshot::{self, SnapshotStats};
 use dblab_runtime::{json, Value};
-use dblab_transform::StackConfig;
+use dblab_transform::{CompiledQuery, StackConfig};
 
-/// Which executable currently backs a prepared query. The ladder is
-/// rank-ordered: a swap only ever moves a handle *up* (or re-lands the
-/// same rank, for re-tiering) — a slow low-tier build finishing late can
-/// never downgrade a handle that already serves a higher tier.
+/// Which executable backs a run. Traffic is served by the jit (built in
+/// `prepare`) until the native build hot-swaps in; the interpreter is
+/// only ever reached through [`PreparedQuery::execute_pinned`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// The zero-build in-process interpreter (serves immediately).
+    /// The IR interpreter: the reference executor, built on first pinned
+    /// use, never serving.
     Interp,
-    /// The in-process closure JIT (tier 0.5): compiled in microseconds by
-    /// a prioritized worker job, no toolchain, no fork+exec.
+    /// The in-process closure JIT: compiled inside `prepare`, no
+    /// toolchain, no fork+exec.
     Jit,
     /// A natively compiled binary (hot-swapped in by the worker pool).
     Native,
@@ -61,7 +63,7 @@ impl Tier {
     /// Every tier, lowest first — the shape of [`ServeStats::ladder`].
     pub const LADDER: [Tier; 3] = [Tier::Interp, Tier::Jit, Tier::Native];
 
-    /// Position in the ladder; swaps are guarded on this.
+    /// Position in the ladder.
     pub fn rank(self) -> usize {
         match self {
             Tier::Interp => 0,
@@ -88,13 +90,13 @@ impl std::fmt::Display for Tier {
 /// How the engine picks the tier-1 backend.
 #[derive(Debug, Clone, Default)]
 pub enum NativeChoice {
-    /// `gcc` when it is on PATH; degraded (in-process tiers only) otherwise.
+    /// `gcc` when it is on PATH; degraded (jit only) otherwise.
     #[default]
     Auto,
     /// A specific registry backend by name.
     Backend(String),
-    /// Serve tier 0 only (also what `Auto` degrades to when no toolchain
-    /// is present — this variant just asks for it explicitly).
+    /// No native tier: the jit is the ceiling, exactly as when `Auto`
+    /// finds no toolchain — this variant just asks for it explicitly.
     Disabled,
 }
 
@@ -107,7 +109,8 @@ pub struct EngineOptions {
     pub config: StackConfig,
     /// Where emitted sources, binaries and the on-disk cache index live.
     pub gen_dir: PathBuf,
-    /// Tier-up worker threads.
+    /// Native tier-up worker threads (none are started without a native
+    /// backend).
     pub workers: usize,
     /// Tier-1 backend selection.
     pub native: NativeChoice,
@@ -187,7 +190,7 @@ pub struct TierUpReport {
     /// Which backend built tier 1.
     pub backend: &'static str,
     /// DSL-stack generation time of the tier-1 compile (ms) — mostly memo
-    /// hits, since tier 0 already lowered the query.
+    /// hits, since `prepare` already lowered the query.
     pub gen_ms: f64,
     /// Toolchain time (ms); zero when the build cache (memory or disk)
     /// already had the artifact.
@@ -195,7 +198,7 @@ pub struct TierUpReport {
     /// Whether the artifact came from the source-level build cache.
     pub build_cached: bool,
     /// Wall time from `prepare` returning to the swap landing (ms) — how
-    /// long tier 0 actually served.
+    /// long the jit actually served.
     pub elapsed_ms: f64,
 }
 
@@ -205,13 +208,12 @@ pub struct TierUpReport {
 #[derive(Debug, Clone, Copy)]
 pub struct TierStats {
     pub tier: Tier,
-    /// Executable swaps that landed this tier (0 for interp — it is
-    /// installed synchronously at prepare; >1 after re-tiering).
+    /// Executable swaps that landed this tier: only native swaps (>1
+    /// after re-tiering); the jit is installed by `prepare` itself.
     pub swaps: u64,
     /// Wall time from `prepare` returning to this tier being ready to
-    /// serve (ms); `None` while the tier hasn't landed. Interp reports
-    /// `0.0` — it *is* the prepare. This is the per-tier swap latency the
-    /// `serve` bench aggregates into percentiles.
+    /// serve (ms); `None` while the tier hasn't landed. The jit reports
+    /// `0.0` — it *is* the prepare; interp never lands.
     pub swap_ms: Option<f64>,
     pub lat: LatencySummary,
 }
@@ -233,8 +235,7 @@ impl TierStats {
 
 /// A point-in-time view of a prepared query's serving state. A plain
 /// serializable struct: [`ServeStats::to_json`] renders it for the
-/// network server's `stats` frame and the `serve`/`loadgen` benches, all
-/// through the same builder.
+/// network server's `stats` frame.
 #[derive(Debug, Clone)]
 pub struct ServeStats {
     pub tier: Tier,
@@ -247,7 +248,7 @@ pub struct ServeStats {
     pub timeouts: u64,
     pub tier_up: Option<TierUpReport>,
     /// Set when the native tier can never arrive (no toolchain) or its
-    /// compile failed; the query stays on its best in-process tier.
+    /// compile failed; the query stays on the jit.
     pub pinned: Option<String>,
 }
 
@@ -283,8 +284,8 @@ impl TierUpReport {
 }
 
 impl ServeStats {
-    /// The one stats renderer: the server's `stats` frame and the bench
-    /// blobs embed exactly this object, so dashboards parse one shape.
+    /// The one stats renderer: the server's `stats` frame embeds exactly
+    /// this object, so dashboards parse one shape.
     /// Per-tier state lives in the `ladder` array — adding a tier adds a
     /// rung, not a field.
     pub fn to_json(&self) -> String {
@@ -316,14 +317,12 @@ pub struct EngineStats {
     pub degraded: Option<String>,
     /// Tier-up jobs not yet picked up by a worker.
     pub pending_tier_ups: usize,
-    /// Tier-0 (prepare-time) compiles this engine has run. With prepared
-    /// templates this stays flat while distinct parameter bindings grow —
-    /// the property the loadgen `--param-mix` run asserts.
+    /// Tier-0 (prepare-time: lowering + jit) compiles this engine has
+    /// run. With prepared templates this stays flat while distinct
+    /// parameter bindings grow (`tests/param_serving.rs` pins it).
     pub tier0_compiles: u64,
     /// Native tier-up builds that landed (initial swaps and re-tiers).
     pub tierups_built: u64,
-    /// In-process jit tier builds that landed.
-    pub jit_builds: u64,
     /// Engine-wide tier ladder: per tier, total swaps and the merged
     /// latency tally across every live prepared query.
     pub ladder: [TierStats; 3],
@@ -353,7 +352,6 @@ impl EngineStats {
             .int("pending_tier_ups", self.pending_tier_ups as u64)
             .int("tier0_compiles", self.tier0_compiles)
             .int("tierups_built", self.tierups_built)
-            .int("jit_builds", self.jit_builds)
             .raw(
                 "ladder",
                 &json::array(self.ladder.iter().map(|t| t.to_json())),
@@ -385,7 +383,7 @@ pub struct ServedRun {
 
 /// Why an execution did not produce rows. The variant matters to servers:
 /// a [`ExecError::Timeout`] is the request's fault (its budget ran out —
-/// the worker is fine and the native binary was killed / the interpreter
+/// the worker is fine and the native binary was killed / the jit
 /// interrupted), everything else is the execution's.
 #[derive(Debug)]
 pub enum ExecError {
@@ -419,22 +417,21 @@ impl std::error::Error for ExecError {}
 struct Active {
     exe: Arc<dyn Executable>,
     tier: Tier,
-    backend: &'static str,
 }
 
 #[derive(Default)]
 struct Meta {
-    /// Per-rank prepare→ready swap latency (ms); `Some` once the tier
-    /// landed. Interp lands at prepare with `0.0`.
-    landed: [Option<f64>; 3],
+    /// Prepare→ready latency of the first native swap (ms).
+    native_landed: Option<f64>,
     tier_up: Option<TierUpReport>,
     /// Why the native tier will never arrive, when it won't.
     pinned: Option<String>,
-    /// Why the jit tier will never arrive (disabled, or its build failed).
-    jit_off: Option<String>,
 }
 
 struct PreparedInner {
+    /// The engine's compile state: schema, configuration, gen dir (for
+    /// the on-demand reference interpreter) and the shared data-dir list.
+    shared: Arc<EngineShared>,
     name: String,
     /// Filesystem stem every artifact of this handle builds under:
     /// `{name}_{program_hash:08x}`. The hash disambiguates — two distinct
@@ -453,19 +450,17 @@ struct PreparedInner {
     active: RwLock<Active>,
     meta: Mutex<Meta>,
     cvar: Condvar,
+    /// Native swaps landed (re-tiers keep counting).
     swaps: AtomicU64,
-    /// Swaps per ladder rank (re-tiers keep counting).
-    tier_swaps: [AtomicU64; 3],
     timeouts: AtomicU64,
     first_result_ms: Mutex<Option<f64>>,
     /// Latency tally per ladder rank.
     lats: [Mutex<LatencySummary>; 3],
-    /// Every tier's executable is retained after it lands, so benches can
-    /// execute a specific tier ([`PreparedQuery::execute_pinned`]) while
-    /// normal traffic serves from the active (highest) one.
+    /// Every tier's executable, per ladder rank, once it exists — so
+    /// benches can execute a specific tier
+    /// ([`PreparedQuery::execute_pinned`]) while traffic serves from the
+    /// active one. The interp slot fills on first pinned use.
     tier_exes: Mutex<[Option<Arc<dyn Executable>>; 3]>,
-    /// The engine's [`EngineShared::data_dirs`].
-    data_dirs: Arc<RwLock<Vec<PathBuf>>>,
 }
 
 /// A handle to one prepared query. Cheap to clone; every clone shares the
@@ -491,8 +486,8 @@ impl PreparedQuery {
 
     /// [`PreparedQuery::execute`] under a per-request execution budget.
     /// When the budget elapses the run is *abandoned*, not awaited: the
-    /// native tier's query process is killed, the interpreter tier
-    /// interrupts at its next loop back-edge, and the caller gets
+    /// native tier's query process is killed, the jit interrupts at its
+    /// next loop back-edge, and the caller gets
     /// [`ExecError::Timeout`] — a typed error, never a hung worker. Timed
     /// out runs count in [`ServeStats::timeouts`] and leave the latency
     /// tallies untouched (a killed run has no honest latency).
@@ -525,11 +520,12 @@ impl PreparedQuery {
         self.run_on(&exe, tier, data_dir, &bound, deadline)
     }
 
-    /// Execute on one *specific* tier's retained executable, bypassing
-    /// the active-tier selection — how the `serve` bench measures every
-    /// rung of the ladder side by side. `None` when that tier never
-    /// landed on this handle. Runs are recorded in the same per-tier
-    /// latency tallies as served traffic.
+    /// Execute on one *specific* tier, bypassing the active-tier
+    /// selection — how a bench measures rungs side by side. `Tier::Interp`
+    /// is the reference interpreter, built on first use (the lowering is
+    /// all memo hits) and kept; `None` when any other tier never landed
+    /// on this handle. Runs are recorded in the same per-tier latency
+    /// tallies as served traffic.
     pub fn execute_pinned(
         &self,
         tier: Tier,
@@ -537,14 +533,32 @@ impl PreparedQuery {
         overrides: &[Value],
         deadline: Option<Duration>,
     ) -> Option<Result<ServedRun, ExecError>> {
-        let exe = self.inner.tier_exes.lock().unwrap()[tier.rank()]
-            .as_ref()
-            .map(Arc::clone)?;
+        let landed = self.inner.tier_exes.lock().unwrap()[tier.rank()].clone();
+        let exe = match (landed, tier) {
+            (Some(exe), _) => exe,
+            (None, Tier::Interp) => match self.reference_interp() {
+                Ok(exe) => exe,
+                Err(e) => return Some(Err(ExecError::Exec(e))),
+            },
+            (None, _) => return None,
+        };
         let bound = match self.bind(overrides) {
             Ok(b) => b,
             Err(e) => return Some(Err(e)),
         };
         Some(self.run_on(&exe, tier, data_dir, &bound, deadline))
+    }
+
+    /// Build the reference interpreter and keep it in the interp slot (a
+    /// racing builder's copy wins; both are the same program).
+    fn reference_interp(&self) -> io::Result<Arc<dyn Executable>> {
+        let s = &self.inner.shared;
+        let schema = s.schema.read().unwrap().clone();
+        let cq = dblab_transform::compile(&self.inner.prog, &schema, &s.cfg);
+        let name = format!("{}_interp", self.inner.artifact_stem);
+        let exe = build_in_process(s, &schema, cq, Box::new(InterpBackend), &name)?;
+        let mut exes = self.inner.tier_exes.lock().unwrap();
+        Ok(Arc::clone(exes[Tier::Interp.rank()].get_or_insert(exe)))
     }
 
     /// Full positional parameter vector: overrides by position, declared
@@ -584,9 +598,10 @@ impl PreparedQuery {
         // snapshot store; remember it so the engine's stats can say what
         // the store did for it. The native tier takes neither lock.
         if tier != Tier::Native {
+            let data_dirs = &self.inner.shared.data_dirs;
             let known = |dirs: &Vec<PathBuf>| dirs.iter().any(|d| d == data_dir);
-            if !known(&self.inner.data_dirs.read().unwrap()) {
-                let mut dirs = self.inner.data_dirs.write().unwrap();
+            if !known(&data_dirs.read().unwrap()) {
+                let mut dirs = data_dirs.write().unwrap();
                 if !known(&dirs) {
                     dirs.push(data_dir.to_path_buf());
                 }
@@ -637,7 +652,7 @@ impl PreparedQuery {
         self.inner.active.read().unwrap().tier
     }
 
-    /// How many executable swaps have landed (0 or 1 today; re-tiering
+    /// How many native swaps have landed (0 or 1 until re-tiering, which
     /// keeps counting).
     pub fn swap_count(&self) -> u64 {
         self.inner.swaps.load(Ordering::Acquire)
@@ -648,25 +663,18 @@ impl PreparedQuery {
         self.inner.prepare_ms
     }
 
-    /// Block until a tier at least this high is active, every higher tier
-    /// is known dead (pinned / jit disabled), or the timeout elapses.
-    /// Returns `true` iff a tier of that rank or above landed.
+    /// Block until a tier at least this high is active, the native tier
+    /// is known dead (pinned), or the timeout elapses. Returns `true` iff
+    /// a tier of that rank or above landed — immediately for the jit and
+    /// below, which `prepare` installs.
     pub fn wait_for_tier(&self, tier: Tier, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut meta = self.inner.meta.lock().unwrap();
         loop {
-            if meta.landed[tier.rank()..].iter().any(Option::is_some) {
+            if tier != Tier::Native || meta.native_landed.is_some() {
                 return true;
             }
-            // Everything at or above the requested rank is dead: native
-            // dies when pinned; jit dies when it's off AND native (which
-            // would satisfy the wait too) is pinned.
-            let dead = match tier {
-                Tier::Interp => false,
-                Tier::Jit => meta.jit_off.is_some() && meta.pinned.is_some(),
-                Tier::Native => meta.pinned.is_some(),
-            };
-            if dead {
+            if meta.pinned.is_some() {
                 return false;
             }
             let now = Instant::now();
@@ -678,9 +686,9 @@ impl PreparedQuery {
         }
     }
 
-    /// Block until the native tier is active, the query is pinned to an
-    /// in-process tier (no toolchain / failed build), or the timeout
-    /// elapses. Returns `true` iff the native tier is active.
+    /// Block until the native tier is active, the query is pinned to the
+    /// jit (no toolchain / failed build), or the timeout elapses. Returns
+    /// `true` iff the native tier is active.
     pub fn wait_for_native(&self, timeout: Duration) -> bool {
         self.wait_for_tier(Tier::Native, timeout)
     }
@@ -688,11 +696,19 @@ impl PreparedQuery {
     /// Current serving statistics.
     pub fn stats(&self) -> ServeStats {
         let meta = self.inner.meta.lock().unwrap();
-        let ladder = std::array::from_fn(|rank| TierStats {
-            tier: Tier::LADDER[rank],
-            swaps: self.inner.tier_swaps[rank].load(Ordering::Acquire),
-            swap_ms: meta.landed[rank],
-            lat: *self.inner.lats[rank].lock().unwrap(),
+        let ladder = std::array::from_fn(|rank| {
+            let tier = Tier::LADDER[rank];
+            let (swaps, swap_ms) = match tier {
+                Tier::Interp => (0, None),
+                Tier::Jit => (0, Some(0.0)),
+                Tier::Native => (self.swap_count(), meta.native_landed),
+            };
+            TierStats {
+                tier,
+                swaps,
+                swap_ms,
+                lat: *self.inner.lats[rank].lock().unwrap(),
+            }
         });
         ServeStats {
             tier: self.tier(),
@@ -763,19 +779,10 @@ fn coerce_param(decl: &ParamDecl, v: &Value) -> Result<Value, String> {
     }
 }
 
-/// What a queued background build produces.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum JobKind {
-    /// In-process closure compile — microseconds, jumps the queue.
-    Jit,
-    /// Toolchain build — the classic tier-up.
-    Native,
-}
-
+/// One queued native build.
 struct Job {
     prepared: Weak<PreparedInner>,
     prog: QueryProgram,
-    kind: JobKind,
 }
 
 struct QueueState {
@@ -820,9 +827,6 @@ struct EngineShared {
     native: Option<&'static str>,
     /// Why `native` is `None`, when it is.
     degraded: Option<String>,
-    /// Whether the in-process jit middle tier is on (always, unless
-    /// [`NativeChoice::Disabled`] asked for tier 0 only).
-    jit: bool,
     warned: AtomicBool,
     /// Per-engine artifact sequence: keeps concurrent tier-up builds of
     /// the *same* prepared program on distinct output paths.
@@ -838,11 +842,9 @@ struct EngineShared {
     tier0_compiles: AtomicU64,
     /// Native builds that swapped in (initial tier-ups and re-tiers).
     tierups_built: AtomicU64,
-    /// In-process jit builds that swapped in.
-    jit_builds: AtomicU64,
     /// Every data directory an in-process tier of this engine executed
-    /// against (shared with each handle, which appends on first sight).
-    data_dirs: Arc<RwLock<Vec<PathBuf>>>,
+    /// against (each handle appends on first sight).
+    data_dirs: RwLock<Vec<PathBuf>>,
 }
 
 impl EngineShared {
@@ -865,7 +867,7 @@ impl EngineShared {
 /// # let data = std::path::Path::new("/data");
 /// let engine = QueryEngine::new(&schema).expect("engine");
 /// let q = engine.prepare(&prog).expect("prepare");
-/// let first = q.execute(data).expect("tier 0 serves immediately");
+/// let first = q.execute(data).expect("the jit serves immediately");
 /// q.wait_for_native(std::time::Duration::from_secs(60));
 /// let fast = q.execute(data).expect("tier 1 after the hot swap");
 /// ```
@@ -895,18 +897,12 @@ impl QueryEngine {
             }
         }
         let (native, degraded) = resolve_native(&opts.native);
-        // `NativeChoice::Disabled` means "serve tier 0 only" — it turns
-        // the whole background ladder off, jit included. A *degraded*
-        // engine (no toolchain) keeps the jit tier: that is exactly the
-        // deployment where an in-process tier-up earns its keep.
-        let jit = !matches!(opts.native, NativeChoice::Disabled);
         let shared = Arc::new(EngineShared {
             schema: RwLock::new(schema.clone()),
             cfg: opts.config,
             gen_dir: opts.gen_dir,
             native,
             degraded,
-            jit,
             warned: AtomicBool::new(false),
             build_seq: AtomicU64::new(0),
             queue: Mutex::new(QueueState {
@@ -921,10 +917,9 @@ impl QueryEngine {
             retier_threshold: opts.retier_threshold,
             tier0_compiles: AtomicU64::new(0),
             tierups_built: AtomicU64::new(0),
-            jit_builds: AtomicU64::new(0),
-            data_dirs: Arc::default(),
+            data_dirs: RwLock::default(),
         });
-        let worker_count = if shared.native.is_some() || shared.jit {
+        let worker_count = if shared.native.is_some() {
             opts.workers.max(1)
         } else {
             0
@@ -941,10 +936,11 @@ impl QueryEngine {
         Ok(QueryEngine { shared, workers })
     }
 
-    /// Prepare a query for serving: compile tier 0 synchronously (interp,
-    /// zero build — the handle executes immediately) and enqueue the
-    /// native tier-up for the worker pool. Never errors on a missing
-    /// toolchain; the handle just stays at tier 0.
+    /// Prepare a query for serving: lower it and compile it to jit
+    /// closures synchronously (tier 0 — the handle executes immediately)
+    /// and enqueue the native tier-up for the worker pool. Never errors on
+    /// a missing toolchain; the handle just stays on the jit. A program
+    /// the jit refuses is this call's error.
     pub fn prepare(&self, prog: &QueryProgram) -> io::Result<PreparedQuery> {
         let name = self.auto_name(prog);
         self.prepare_named(prog, &name)
@@ -965,15 +961,24 @@ impl QueryEngine {
             "{name}_{:08x}",
             dblab_ir::hash::program_hash(&cq.program) as u32
         );
-        let art = Compiler::new(&schema)
-            .config(&s.cfg)
-            .backend(Box::new(InterpBackend))
-            .out_dir(&s.gen_dir)
-            .build_staged(cq, &artifact_stem)?;
+        let jit = build_in_process(
+            s,
+            &schema,
+            cq,
+            Box::new(JitBackend),
+            &format!("{artifact_stem}_jit"),
+        )?;
         let prepare_ms = t0.elapsed().as_secs_f64() * 1e3;
         s.tier0_compiles.fetch_add(1, Ordering::Relaxed);
 
+        // `degraded` says why there is no native backend, when there is
+        // none: every handle is then pinned to the jit.
+        let pinned = s.degraded.clone();
+        if let Some(reason) = &pinned {
+            s.warn_once(&format!("{reason} — the jit tier is the ceiling"));
+        }
         let inner = Arc::new(PreparedInner {
+            shared: Arc::clone(s),
             name: name.to_string(),
             artifact_stem,
             prog: prog.clone(),
@@ -981,75 +986,31 @@ impl QueryEngine {
             prepare_ms,
             stage_report,
             active: RwLock::new(Active {
-                exe: Arc::from(art.exe),
-                tier: Tier::Interp,
-                backend: "interp",
+                exe: Arc::clone(&jit),
+                tier: Tier::Jit,
             }),
             meta: Mutex::new(Meta {
-                // Interp *is* the prepare: rank 0 lands at 0ms by
-                // definition, so `wait_for_tier(Interp, …)` is a no-op.
-                landed: [Some(0.0), None, None],
+                pinned,
                 ..Meta::default()
             }),
             cvar: Condvar::new(),
             swaps: AtomicU64::new(0),
-            tier_swaps: Default::default(),
             timeouts: AtomicU64::new(0),
             first_result_ms: Mutex::new(None),
             lats: Default::default(),
-            tier_exes: Mutex::new([None, None, None]),
-            data_dirs: Arc::clone(&s.data_dirs),
+            tier_exes: Mutex::new([None, Some(jit), None]),
         });
-        inner.tier_exes.lock().unwrap()[Tier::Interp.rank()] =
-            Some(Arc::clone(&inner.active.read().unwrap().exe));
         s.prepared
             .lock()
             .unwrap()
             .push(name.to_string(), Arc::downgrade(&inner));
 
-        if !s.jit {
-            inner.meta.lock().unwrap().jit_off = Some("jit tier disabled".to_string());
-        }
-        let mut enqueued = false;
-        {
-            let mut q = s.queue.lock().unwrap();
-            if s.native.is_some() {
-                q.jobs.push_back(Job {
-                    prepared: Arc::downgrade(&inner),
-                    prog: prog.clone(),
-                    kind: JobKind::Native,
-                });
-                enqueued = true;
-            }
-            // Jit jobs jump the queue: a microsecond compile must never
-            // wait behind a multi-second toolchain build for another
-            // handle — the whole point of the middle tier is that every
-            // fresh prepare leaves tier 0 almost immediately.
-            if s.jit {
-                q.jobs.push_front(Job {
-                    prepared: Arc::downgrade(&inner),
-                    prog: prog.clone(),
-                    kind: JobKind::Jit,
-                });
-                enqueued = true;
-            }
-        }
-        if enqueued {
+        if s.native.is_some() {
+            s.queue.lock().unwrap().jobs.push_back(Job {
+                prepared: Arc::downgrade(&inner),
+                prog: prog.clone(),
+            });
             s.cvar.notify_all();
-        }
-        if s.native.is_none() {
-            let reason = s
-                .degraded
-                .clone()
-                .unwrap_or_else(|| "native tier disabled".to_string());
-            if s.jit {
-                s.warn_once(&format!("{reason} — the jit tier is the ceiling"));
-            } else {
-                s.warn_once(&format!(
-                    "{reason} — serving the interpreter tier permanently"
-                ));
-            }
-            inner.meta.lock().unwrap().pinned = Some(reason);
         }
         Ok(PreparedQuery { inner })
     }
@@ -1127,7 +1088,6 @@ impl QueryEngine {
             pending_tier_ups: self.shared.queue.lock().unwrap().jobs.len(),
             tier0_compiles: self.shared.tier0_compiles.load(Ordering::Relaxed),
             tierups_built: self.shared.tierups_built.load(Ordering::Relaxed),
-            jit_builds: self.shared.jit_builds.load(Ordering::Relaxed),
             ladder,
             queries,
             snapshot_loads: resident.loads,
@@ -1178,11 +1138,7 @@ impl QueryEngine {
         if n > 0 {
             let mut q = s.queue.lock().unwrap();
             for (prepared, prog) in live {
-                q.jobs.push_back(Job {
-                    prepared,
-                    prog,
-                    kind: JobKind::Native,
-                });
+                q.jobs.push_back(Job { prepared, prog });
             }
             drop(q);
             s.cvar.notify_all();
@@ -1282,28 +1238,15 @@ fn worker_loop(shared: &Arc<EngineShared>) {
             continue;
         };
         // A panicking pass or emitter is one query's failed build, not a
-        // lost worker: the handle is marked exactly as for an `Err`, so
-        // `wait_for_tier` returns instead of waiting on a dead thread.
-        let built = catch_unwind(AssertUnwindSafe(|| match job.kind {
-            JobKind::Jit => jit_up(shared, &job.prog, &inner),
-            JobKind::Native => tier_up(shared, &job.prog, &inner),
-        }))
-        .unwrap_or_else(|p| Err(format!("panicked: {}", panic_message(p.as_ref()))));
+        // lost worker: the handle is pinned to the jit exactly as for an
+        // `Err`, so `wait_for_native` returns instead of waiting on a dead
+        // thread.
+        let built = catch_unwind(AssertUnwindSafe(|| tier_up(shared, &job.prog, &inner)))
+            .unwrap_or_else(|p| Err(format!("panicked: {}", panic_message(p.as_ref()))));
         if let Err(e) = built {
-            let rung = match job.kind {
-                JobKind::Jit => "jit",
-                JobKind::Native => "native",
-            };
-            let msg = format!("{rung} tier-up for `{}` failed: {e}", inner.name);
+            let msg = format!("native tier-up for `{}` failed: {e}", inner.name);
             shared.warn_once(&msg);
-            let mut meta = inner.meta.lock().unwrap();
-            // A failed jit build costs only this query's middle rung (the
-            // native tier-up is still queued); a failed native build pins
-            // the handle to its best in-process tier.
-            match job.kind {
-                JobKind::Jit => meta.jit_off = Some(msg),
-                JobKind::Native => meta.pinned = Some(msg),
-            }
+            inner.meta.lock().unwrap().pinned = Some(msg);
             inner.cvar.notify_all();
         }
     }
@@ -1319,85 +1262,26 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-/// Install a freshly built tier: hot-swap it in as the active executable
-/// unless a higher tier already landed (the jit build racing a cached
-/// native build can lose — it must never *downgrade* the handle), retain
-/// it for pinned execution either way, and record the swap latency.
-/// Returns whether the executable became the active one.
-fn install_tier(
+/// Build an already-lowered program on an in-process backend (the jit in
+/// `prepare`, the reference interpreter on demand).
+fn build_in_process(
     shared: &EngineShared,
-    inner: &Arc<PreparedInner>,
-    exe: Arc<dyn Executable>,
-    tier: Tier,
-    backend: &'static str,
-) -> bool {
-    let swap_ms = inner.prepared_at.elapsed().as_secs_f64() * 1e3;
-    let swapped = {
-        let mut act = inner.active.write().unwrap();
-        // `>=`, not `>`: a native re-tier replaces the active native
-        // executable; only a strictly lower tier is refused.
-        if tier.rank() >= act.tier.rank() {
-            act.exe = Arc::clone(&exe);
-            act.tier = tier;
-            act.backend = backend;
-            true
-        } else {
-            false
-        }
-    };
-    inner.tier_exes.lock().unwrap()[tier.rank()] = Some(exe);
-    if swapped {
-        inner.swaps.fetch_add(1, Ordering::AcqRel);
-        inner.tier_swaps[tier.rank()].fetch_add(1, Ordering::AcqRel);
-    }
-    match tier {
-        Tier::Jit => {
-            shared.jit_builds.fetch_add(1, Ordering::Relaxed);
-        }
-        Tier::Native => {
-            shared.tierups_built.fetch_add(1, Ordering::Relaxed);
-        }
-        Tier::Interp => {}
-    }
-    {
-        let mut meta = inner.meta.lock().unwrap();
-        if meta.landed[tier.rank()].is_none() {
-            meta.landed[tier.rank()] = Some(swap_ms);
-        }
-    }
-    inner.cvar.notify_all();
-    swapped
-}
-
-/// One in-process jit build: lower through the same memoized stack the
-/// interpreter used (all memo hits), compile the fully-lowered program to
-/// pre-resolved closures, and hot-swap.
-fn jit_up(
-    shared: &EngineShared,
-    prog: &QueryProgram,
-    inner: &Arc<PreparedInner>,
-) -> Result<(), String> {
-    // A cached native build may have landed while this job queued;
-    // building a rung below the active one would be pure waste.
-    if inner.active.read().unwrap().tier.rank() >= Tier::Jit.rank() {
-        return Ok(());
-    }
-    let schema = shared.schema.read().unwrap().clone();
-    let cq = dblab_transform::compile(prog, &schema, &shared.cfg);
-    let seq = shared.build_seq.fetch_add(1, Ordering::Relaxed);
-    let art = Compiler::new(&schema)
+    schema: &Schema,
+    cq: CompiledQuery,
+    backend: Box<dyn Backend>,
+    name: &str,
+) -> io::Result<Arc<dyn Executable>> {
+    let art = Compiler::new(schema)
         .config(&shared.cfg)
-        .backend(Box::new(dblab_codegen::JitBackend))
+        .backend(backend)
         .out_dir(&shared.gen_dir)
-        .build_staged(cq, &format!("{}_{seq}_jit", inner.artifact_stem))
-        .map_err(|e| e.to_string())?;
-    install_tier(shared, inner, Arc::from(art.exe), Tier::Jit, art.backend);
-    Ok(())
+        .build_staged(cq, name)?;
+    Ok(Arc::from(art.exe))
 }
 
 /// One background compile: the memoized stack again (all memo hits —
-/// tier 0 already lowered the query), native build through the (possibly
-/// disk-backed) build cache, then the atomic swap.
+/// `prepare` already lowered the query), native build through the
+/// (possibly disk-backed) build cache, then the atomic swap.
 fn tier_up(
     shared: &EngineShared,
     prog: &QueryProgram,
@@ -1430,20 +1314,23 @@ fn tier_up(
         elapsed_ms: inner.prepared_at.elapsed().as_secs_f64() * 1e3,
     };
     // The swap: writers are rare (one per tier-up), readers clone the Arc
-    // out in O(1) — an in-flight lower-tier run keeps its executable
-    // alive through its own Arc and simply finishes on the old tier.
-    let backend_name = report.backend;
+    // out in O(1) — an in-flight jit run keeps its executable alive
+    // through its own Arc and simply finishes on the old tier. A re-tier
+    // replaces the active native executable the same way.
+    let exe: Arc<dyn Executable> = Arc::from(art.exe);
+    *inner.active.write().unwrap() = Active {
+        exe: Arc::clone(&exe),
+        tier: Tier::Native,
+    };
+    inner.tier_exes.lock().unwrap()[Tier::Native.rank()] = Some(exe);
+    inner.swaps.fetch_add(1, Ordering::AcqRel);
+    shared.tierups_built.fetch_add(1, Ordering::Relaxed);
     {
         let mut meta = inner.meta.lock().unwrap();
+        meta.native_landed.get_or_insert(report.elapsed_ms);
         meta.tier_up = Some(report);
     }
-    install_tier(
-        shared,
-        inner,
-        Arc::from(art.exe),
-        Tier::Native,
-        backend_name,
-    );
+    inner.cvar.notify_all();
     Ok(())
 }
 
@@ -1490,35 +1377,59 @@ mod tests {
         ))
     }
 
+    /// Both ways of having no native tier — asking for none, naming a
+    /// backend that does not exist — are the same engine: `prepare`
+    /// installs the jit, queues nothing, and pins the handle there.
     #[test]
-    fn disabled_native_serves_interp_permanently_without_errors() {
-        let schema = schema("svc_disabled");
-        let dir = data(&schema, "svc_disabled", "disabled");
-        let engine = QueryEngine::with_options(
-            &schema,
-            EngineOptions {
-                native: NativeChoice::Disabled,
-                ..EngineOptions::default()
-            },
-        )
-        .expect("engine");
-        assert_eq!(engine.native_backend(), None);
-        assert!(engine.degraded_reason().is_some());
+    fn jit_ceiling_engines_serve_the_jit_from_prepare() {
+        for (tag, native, why) in [
+            ("disabled", NativeChoice::Disabled, "disabled"),
+            (
+                "unknown",
+                NativeChoice::Backend("cranelift".into()),
+                "cranelift",
+            ),
+        ] {
+            let table = format!("svc_{tag}");
+            let schema = schema(&table);
+            let dir = data(&schema, &table, tag);
+            let engine = QueryEngine::with_options(
+                &schema,
+                EngineOptions {
+                    native,
+                    workers: 1,
+                    ..EngineOptions::default()
+                },
+            )
+            .expect("engine");
+            assert_eq!(engine.native_backend(), None);
+            let q = engine.prepare(&sum_query(&table)).expect("prepare");
+            assert_eq!(engine.pending_jobs(), 0, "nothing left to build");
+            assert_eq!(q.tier(), Tier::Jit);
+            let run = q.execute(&dir).expect("the jit serves");
+            assert_eq!(run.tier, Tier::Jit);
+            assert_eq!(run.output.stdout.trim(), "12|24");
+            // Waiting returns at once: the jit is there, native never comes.
+            assert!(q.wait_for_tier(Tier::Jit, Duration::ZERO));
+            assert!(!q.wait_for_native(Duration::from_secs(5)));
+            let stats = q.stats();
+            assert_eq!((q.swap_count(), stats.tier_stats(Tier::Jit).swaps), (0, 0));
+            assert_eq!(stats.tier_stats(Tier::Jit).swap_ms, Some(0.0));
+            assert!(stats.first_result_ms.is_some());
+            assert!(stats.pinned.expect("pinned").contains(why));
+            assert!(q.report().contains("tier jit permanently"));
 
-        let q = engine.prepare(&sum_query("svc_disabled")).expect("prepare");
-        assert_eq!(q.tier(), Tier::Interp);
-        // wait_for_native returns immediately: the handle is pinned.
-        assert!(!q.wait_for_native(Duration::from_secs(5)));
-        let run = q.execute(&dir).expect("tier 0 serves");
-        assert_eq!(run.tier, Tier::Interp);
-        assert_eq!(run.output.stdout.trim(), "12|24");
-        assert_eq!(q.swap_count(), 0);
-        let stats = q.stats();
-        assert!(stats.pinned.is_some());
-        assert!(stats.first_result_ms.is_some());
-        // Disabled means the whole ladder: no jit middle tier either.
-        assert!(!q.wait_for_tier(Tier::Jit, Duration::from_secs(5)));
-        assert!(q.report().contains("tier interp permanently"));
+            // The reference interpreter answers only when pinned; a tier
+            // that never landed does not answer at all.
+            let reference = q
+                .execute_pinned(Tier::Interp, &dir, &[], None)
+                .expect("built on demand")
+                .expect("interp runs");
+            assert_eq!(reference.tier, Tier::Interp);
+            assert_eq!(reference.output.stdout.trim(), "12|24");
+            assert!(q.execute_pinned(Tier::Native, &dir, &[], None).is_none());
+            assert_eq!(q.execute(&dir).expect("still the jit").tier, Tier::Jit);
+        }
     }
 
     #[test]
@@ -1535,25 +1446,25 @@ mod tests {
         .expect("engine");
         let q = engine.prepare(&sum_query("svc_deadline")).expect("prepare");
 
-        // A zero budget is already expired when evaluation starts: the
-        // interpreter interrupts at its first loop back-edge and the
-        // caller gets the typed error, not a hang and not rows.
+        // An already-expired budget: the jit's loop back-edge fuel check
+        // fires before any row lands — typed error, no partial output.
         match q.execute_with_deadline(&dir, Some(Duration::ZERO)) {
-            Err(ExecError::Timeout { tier, .. }) => assert_eq!(tier, Tier::Interp),
+            Err(ExecError::Timeout { tier, .. }) => assert_eq!(tier, Tier::Jit),
             other => panic!("expected timeout, got {other:?}"),
         }
         let stats = q.stats();
         assert_eq!(stats.timeouts, 1);
         assert_eq!(
-            stats.tier_stats(Tier::Interp).lat.runs,
+            stats.tier_stats(Tier::Jit).lat.runs,
             0,
             "abandoned runs record no latency"
         );
 
-        // The same handle still serves once given room.
+        // The same handle still serves full rows once given room.
         let run = q
             .execute_with_deadline(&dir, Some(Duration::from_secs(60)))
             .expect("generous budget");
+        assert_eq!(run.tier, Tier::Jit);
         assert_eq!(run.output.stdout.trim(), "12|24");
         assert_eq!(q.stats().timeouts, 1);
     }
@@ -1578,130 +1489,53 @@ mod tests {
         let snap = engine.stats();
         assert_eq!(snap.native_backend, None);
         assert!(snap.degraded.is_some());
+        assert_eq!((snap.tier0_compiles, snap.pending_tier_ups), (1, 0));
         assert_eq!(snap.queries.len(), 1);
         assert_eq!(snap.queries[0].0, "stats_probe");
-        assert_eq!(snap.queries[0].1.tier_stats(Tier::Interp).lat.runs, 1);
-        assert_eq!(snap.ladder[Tier::Interp.rank()].lat.runs, 1);
-        assert_eq!(snap.jit_builds, 0);
+        assert_eq!(snap.queries[0].1.tier_stats(Tier::Jit).lat.runs, 1);
+        assert_eq!(snap.ladder[Tier::Jit.rank()].lat.runs, 1);
 
         let blob = snap.to_json();
         assert!(blob.contains("\"native_backend\": \"none\""));
         assert!(blob.contains("\"name\": \"stats_probe\""));
-        assert!(blob.contains("\"tier\": \"interp\""));
+        assert!(blob.contains("\"tier\": \"jit\""));
         assert!(blob.contains("\"timeouts\": 0"));
         assert!(blob.contains("\"pinned\""));
         assert!(blob.contains("\"ladder\""));
-        assert!(blob.contains("\"jit_builds\": 0"));
 
         // Dropped handles fall out of the next snapshot.
         drop(q);
         assert!(engine.stats().queries.is_empty());
     }
 
+    /// With the pool stopped, the queue shows what `prepare` asked for:
+    /// one native build per handle and nothing else.
     #[test]
-    fn unknown_backend_degrades_instead_of_erroring() {
-        let schema = schema("svc_unknown");
-        let engine = QueryEngine::with_options(
-            &schema,
-            EngineOptions {
-                native: NativeChoice::Backend("cranelift".into()),
-                workers: 1,
-                ..EngineOptions::default()
-            },
-        )
-        .expect("engine");
-        assert_eq!(engine.native_backend(), None);
-        let q = engine.prepare(&sum_query("svc_unknown")).expect("prepare");
-        assert!(!q.wait_for_native(Duration::from_millis(10)));
-        assert!(q.stats().pinned.expect("pinned").contains("cranelift"));
-    }
-
-    #[test]
-    fn jit_tier_lands_and_serves_when_native_is_unavailable() {
-        let schema = schema("svc_jit");
-        let dir = data(&schema, "svc_jit", "jit");
-        // An unavailable native backend degrades the engine — exactly the
-        // deployment where the in-process jit becomes the ceiling tier.
-        let engine = QueryEngine::with_options(
-            &schema,
-            EngineOptions {
-                native: NativeChoice::Backend("cranelift".into()),
-                workers: 1,
-                gen_dir: std::env::temp_dir().join("dblab_service_jit_gen"),
-                ..EngineOptions::default()
-            },
-        )
-        .expect("engine");
-        assert_eq!(engine.native_backend(), None);
-        let q = engine.prepare(&sum_query("svc_jit")).expect("prepare");
-        assert!(
-            q.wait_for_tier(Tier::Jit, Duration::from_secs(30)),
-            "jit tier must land: {:?}",
-            q.stats()
-        );
-        assert_eq!(q.tier(), Tier::Jit);
-        let run = q.execute(&dir).expect("jit serves");
-        assert_eq!(run.tier, Tier::Jit);
-        assert_eq!(run.output.stdout.trim(), "12|24");
-
-        let stats = q.stats();
-        assert_eq!(stats.tier_stats(Tier::Jit).swaps, 1);
-        assert_eq!(stats.tier_stats(Tier::Jit).lat.runs, 1);
-        let swap_ms = stats.tier_stats(Tier::Jit).swap_ms.expect("landed");
-        assert!(swap_ms >= 0.0);
-        assert_eq!(engine.stats().jit_builds, 1);
-        // Native can never arrive — but waiting for it returns promptly
-        // (pinned), and the handle keeps serving from the jit rung.
-        assert!(!q.wait_for_native(Duration::from_secs(5)));
-        assert!(q.report().contains("tier jit permanently"));
-
-        // Pinned execution reaches every landed rung — and only those.
-        let pinned = q
-            .execute_pinned(Tier::Interp, &dir, &[], None)
-            .expect("interp retained")
-            .expect("interp runs");
-        assert_eq!(pinned.tier, Tier::Interp);
-        assert_eq!(pinned.output.stdout.trim(), "12|24");
-        assert!(q.execute_pinned(Tier::Native, &dir, &[], None).is_none());
-    }
-
-    #[test]
-    fn jit_deadline_interrupts_mid_loop_as_typed_timeout() {
-        let schema = schema("svc_jit_dl");
-        let dir = data(&schema, "svc_jit_dl", "jit_dl");
-        let engine = QueryEngine::with_options(
-            &schema,
-            EngineOptions {
-                native: NativeChoice::Backend("cranelift".into()),
-                workers: 1,
-                gen_dir: std::env::temp_dir().join("dblab_service_jit_dl_gen"),
-                ..EngineOptions::default()
-            },
-        )
-        .expect("engine");
-        let q = engine.prepare(&sum_query("svc_jit_dl")).expect("prepare");
-        assert!(q.wait_for_tier(Tier::Jit, Duration::from_secs(30)));
-
-        // An already-expired budget: the jit's loop back-edge fuel check
-        // fires before any row lands — typed error, no partial output.
-        match q.execute_with_deadline(&dir, Some(Duration::ZERO)) {
-            Err(ExecError::Timeout { tier, .. }) => assert_eq!(tier, Tier::Jit),
-            other => panic!("expected jit timeout, got {other:?}"),
+    fn each_prepare_queues_exactly_one_native_job() {
+        if !backend("gcc").expect("registered").available() {
+            eprintln!("(skipping: gcc not present)");
+            return;
         }
-        let stats = q.stats();
-        assert_eq!(stats.timeouts, 1);
-        assert_eq!(
-            stats.tier_stats(Tier::Jit).lat.runs,
-            0,
-            "abandoned runs record no latency"
-        );
-
-        // The same handle still serves full rows once given room.
-        let run = q
-            .execute_with_deadline(&dir, Some(Duration::from_secs(60)))
-            .expect("generous budget");
-        assert_eq!(run.tier, Tier::Jit);
-        assert_eq!(run.output.stdout.trim(), "12|24");
+        let schema = schema("svc_queue");
+        let mut engine = QueryEngine::with_options(
+            &schema,
+            EngineOptions {
+                gen_dir: std::env::temp_dir().join("dblab_service_queue_gen"),
+                ..EngineOptions::default()
+            },
+        )
+        .expect("engine");
+        engine.shared.queue.lock().unwrap().shutdown = true;
+        engine.shared.cvar.notify_all();
+        for w in engine.workers.drain(..) {
+            w.join().expect("worker");
+        }
+        let prog = sum_query("svc_queue");
+        let a = engine.prepare_named(&prog, "queue_a").expect("prepare");
+        assert_eq!(engine.pending_jobs(), 1);
+        let b = engine.prepare_named(&prog, "queue_b").expect("prepare");
+        assert_eq!(engine.pending_jobs(), 2);
+        assert_eq!((a.tier(), b.tier()), (Tier::Jit, Tier::Jit));
     }
 
     #[test]
@@ -1723,11 +1557,11 @@ mod tests {
         .expect("engine");
         let q = engine.prepare(&sum_query("svc_tierup")).expect("prepare");
 
-        // An in-process tier answers without waiting for gcc. (Whether
-        // that is interp or already jit is a race the jit usually wins —
-        // it compiles in microseconds.)
+        // The jit answers without waiting for gcc: `prepare` built it, so
+        // the first result is the jit's by construction, not by a race.
+        assert_eq!(q.tier(), Tier::Jit);
         let first = q.execute(&dir).expect("immediate");
-        assert_ne!(first.tier, Tier::Native);
+        assert_eq!(first.tier, Tier::Jit);
         assert_eq!(first.output.stdout.trim(), "12|24");
 
         assert!(
@@ -1744,20 +1578,10 @@ mod tests {
         assert_eq!(up.backend, "gcc");
         assert!(up.elapsed_ms >= 0.0);
         assert_eq!(stats.tier_stats(Tier::Native).swaps, 1);
-        let pre_native: u64 = [Tier::Interp, Tier::Jit]
-            .iter()
-            .map(|t| stats.tier_stats(*t).lat.runs)
-            .sum();
-        assert!(pre_native >= 1 && stats.tier_stats(Tier::Native).lat.runs >= 1);
-        // The jit rung's swap must beat the toolchain by a wide margin
-        // whenever it landed first.
-        if let Some(jit_ms) = stats.tier_stats(Tier::Jit).swap_ms {
-            let native_ms = stats.tier_stats(Tier::Native).swap_ms.expect("landed");
-            assert!(
-                jit_ms <= native_ms,
-                "jit swapped at {jit_ms:.2}ms, after native at {native_ms:.2}ms"
-            );
-        }
+        assert_eq!(stats.tier_stats(Tier::Jit).lat.runs, 1);
+        assert_eq!(stats.tier_stats(Tier::Interp).lat.runs, 0);
+        assert!(stats.tier_stats(Tier::Native).lat.runs >= 1);
+        assert_eq!(engine.stats().tierups_built, 1);
         assert!(q.report().contains("tier native via gcc"));
     }
 }

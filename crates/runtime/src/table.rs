@@ -217,13 +217,14 @@ fn push_tbl_line(table: &mut Table, line: &str, lineno: usize) -> io::Result<()>
 }
 
 /// Parse a single `.tbl` field of the given type; `None` when the text is
-/// not a value of that type.
+/// not a value of that type. Doubles must be finite: no executor orders
+/// a `NaN`, so one must never get past loading.
 pub fn parse_field(raw: &str, ty: ColType) -> Option<Value> {
     Some(match ty {
         ColType::Int => Value::Int(raw.parse().ok()?),
         ColType::Bool => Value::Int(if raw == "1" || raw == "true" { 1 } else { 0 }),
         ColType::Long => Value::Long(raw.parse().ok()?),
-        ColType::Double => Value::Double(raw.parse().ok()?),
+        ColType::Double => Value::Double(raw.parse().ok().filter(|v: &f64| v.is_finite())?),
         ColType::String => Value::str(raw),
         ColType::Char => Value::Int(raw.as_bytes().first().copied().unwrap_or(b' ') as i32),
         ColType::Date => {
@@ -348,8 +349,9 @@ mod tests {
         );
     }
 
-    /// A row cut mid-line (a writer caught half way, a damaged file) is an
-    /// `InvalidData` error that says where, not a panic.
+    /// A row cut mid-line (a writer caught half way, a damaged file) or a
+    /// non-finite double is an `InvalidData` error that says where, not a
+    /// panic.
     #[test]
     fn malformed_rows_are_typed_errors_naming_the_place() {
         let dir = std::env::temp_dir().join("dblab_tbl_malformed_test");
@@ -360,6 +362,13 @@ mod tests {
             ("1|2.50|hello|1998-09-02|R|\n2|-1.00|world", 2, "d"),
             ("x|2.50|hello|1998-09-02|R|\n", 1, "a"),
             ("1|2.50|hello|1998-09|R|\n", 1, "d"),
+            (
+                "1|2.50|hello|1998-09-02|R|\n2|NaN|x|1998-09-02|R|\n",
+                2,
+                "b",
+            ),
+            ("1|inf|hello|1998-09-02|R|\n", 1, "b"),
+            ("1|-infinity|hello|1998-09-02|R|\n", 1, "b"),
         ] {
             std::fs::write(&path, text).unwrap();
             let err = Table::read_tbl(&def(), &path).expect_err(text);

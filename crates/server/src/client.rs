@@ -1,5 +1,5 @@
-//! A blocking client for the wire protocol — what `loadgen`, the CI
-//! smoke and the integration tests speak. One request in flight at a
+//! A blocking client for the wire protocol — what the benchmark and the
+//! integration tests speak. One request in flight at a
 //! time per client; the `seq` echo is still checked on every response so
 //! a protocol bug surfaces as a typed error, not silent misattribution.
 

@@ -6,8 +6,8 @@
 //! onto a fixed set of I/O threads ([`reactor`]), a bounded request
 //! worker pool with admission control and per-request deadlines, and a
 //! graceful drain-then-join shutdown ([`server`]). [`client`] is the
-//! matching blocking client used by the `loadgen` harness and the
-//! integration tests.
+//! matching blocking client used by the benchmark and the integration
+//! tests.
 //!
 //! ```no_run
 //! use dblab_server::{Client, Server, ServerOptions, tpch_resolver};

@@ -166,7 +166,9 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
 /// Wire codes for the tier that served a `RESULT`. Native keeps its
 /// original code `1`: the jit tier (`2`) was appended when the ladder
 /// grew a middle rung, so old clients still parse interp/native frames —
-/// the codes are wire history, not ladder order.
+/// the codes are wire history, not ladder order. The server never sends
+/// `TIER_INTERP` any more (the interpreter serves no traffic); the code
+/// stays reserved because the frozen benchmark names it.
 pub const TIER_INTERP: u8 = 0;
 pub const TIER_NATIVE: u8 = 1;
 pub const TIER_JIT: u8 = 2;

@@ -22,7 +22,7 @@
 //! server silently dropped. Admitted requests carry their enqueue time;
 //! the per-request deadline ([`ServerOptions::deadline`]) covers queue
 //! wait *plus* execution, and an overrun kills the native query process
-//! (or interrupts the interpreter) and answers [`ErrorCode::Timeout`].
+//! (or interrupts the jit) and answers [`ErrorCode::Timeout`].
 //!
 //! ## Result streaming
 //!

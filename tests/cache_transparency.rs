@@ -1,7 +1,9 @@
 //! Cache-transparency suite: memoization must be semantically invisible.
 //!
 //! * cold-vs-warm compiles produce **byte-identical emitted source** and
-//!   identical stage traces (modulo wall times and the `cached` flag);
+//!   identical stage traces (modulo wall times and the `cached` flag),
+//!   and emitting one program twice gives the same bytes for all 22
+//!   queries;
 //! * the per-pass cache keys on exactly the inputs a pass reads — a pass
 //!   whose relevant configuration bit flips must **miss** (under-keying
 //!   guard), while a pass that reads no configuration must **hit** across
@@ -88,6 +90,24 @@ fn warm_compile_emits_byte_identical_source_and_trace() {
     assert!(warm.stage_report().contains("[cached]"));
     assert!(warm.stage_report().contains("stage-cache hit"));
     assert!(!cold.stage_report().contains("[cached]"));
+}
+
+/// Emission is a pure function of the IR. The build cache and its disk
+/// index key on the emitted source's hash, so a query whose C changes
+/// from one emit to the next never hits across processes (Q16/Q17/Q19
+/// did, while the emitter walked a hash map of dictionary columns).
+#[test]
+fn all_level5_queries_emit_byte_identical_c_twice() {
+    let db = dblab::tpch::generate(0.002, &std::env::temp_dir().join("dblab_ct_emit"));
+    let gcc = backend("gcc").expect("registered");
+    for q in 1..=22 {
+        let prog = dblab::tpch::queries::query(q);
+        let cq = dblab::transform::compile(&prog, &db.schema, &StackConfig::level5());
+        assert!(
+            gcc.emit(&cq.program, &db.schema) == gcc.emit(&cq.program, &db.schema),
+            "Q{q}: two emits of one program differ"
+        );
+    }
 }
 
 #[test]

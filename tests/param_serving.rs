@@ -40,7 +40,7 @@ fn setup(tag: &str) -> (dblab::runtime::Database, PathBuf) {
     (db, dir)
 }
 
-fn interp_engine_opts(tag: &str) -> EngineOptions {
+fn jit_engine_opts(tag: &str) -> EngineOptions {
     EngineOptions {
         gen_dir: std::env::temp_dir().join(format!("dblab_pserve_gen_{tag}")),
         native: NativeChoice::Disabled,
@@ -63,7 +63,7 @@ fn q6_oracle(db: &dblab::runtime::Database, discount: f64, quantity: f64) -> Str
 fn one_prepare_serves_many_bindings_from_one_compile() {
     let (db, data) = setup("transparent");
     let engine =
-        QueryEngine::with_options(&db.schema, interp_engine_opts("transparent")).expect("engine");
+        QueryEngine::with_options(&db.schema, jit_engine_opts("transparent")).expect("engine");
     let template = tpch::queries::template(6).expect("template");
     let handle = engine
         .prepare_named(&template, "pserve_q6")
@@ -82,7 +82,7 @@ fn one_prepare_serves_many_bindings_from_one_compile() {
             })
             .collect();
         let run = handle.execute_bound(&data, &full, None).expect("execute");
-        assert_eq!(run.tier, Tier::Interp);
+        assert_eq!(run.tier, Tier::Jit);
         let oracle = q6_oracle(&db, disc, qty);
         assert!(
             same_normalized(&oracle, &run.output.stdout),
@@ -119,7 +119,7 @@ fn wire_bindings_and_param_sections_serve_from_one_cache_entry() {
         &data,
         dblab_server::tpch_resolver(),
         ServerOptions {
-            engine: interp_engine_opts("wire"),
+            engine: jit_engine_opts("wire"),
             ..ServerOptions::default()
         },
     )
@@ -215,7 +215,7 @@ fn cold_prepare_of_one_spec_does_not_block_another() {
         &data,
         latch_resolver(delay, Arc::clone(&slow_hits)),
         ServerOptions {
-            engine: interp_engine_opts("latch"),
+            engine: jit_engine_opts("latch"),
             ..ServerOptions::default()
         },
     )
@@ -287,7 +287,7 @@ fn tiny_program() -> QueryProgram {
 fn dead_handles_are_pruned_from_the_registry() {
     let (db, data) = setup("registry");
     let engine =
-        QueryEngine::with_options(&db.schema, interp_engine_opts("registry")).expect("engine");
+        QueryEngine::with_options(&db.schema, jit_engine_opts("registry")).expect("engine");
     let prog = tiny_program();
 
     let mut max_seen = 0;
@@ -331,7 +331,7 @@ fn server_prepared_cache_evicts_past_the_cap() {
         &data,
         dblab_server::tpch_resolver(),
         ServerOptions {
-            engine: interp_engine_opts("lru"),
+            engine: jit_engine_opts("lru"),
             prepared_cap: 2,
             ..ServerOptions::default()
         },
@@ -366,8 +366,7 @@ fn server_prepared_cache_evicts_past_the_cap() {
 #[test]
 fn same_name_distinct_programs_get_distinct_artifacts() {
     let (db, data) = setup("stems");
-    let engine =
-        QueryEngine::with_options(&db.schema, interp_engine_opts("stems")).expect("engine");
+    let engine = QueryEngine::with_options(&db.schema, jit_engine_opts("stems")).expect("engine");
     let h1 = engine
         .prepare_named(&tpch::queries::query(6), "collide")
         .expect("prepare q6");
@@ -432,8 +431,6 @@ fn stats_drift_past_threshold_retiers_live_handles() {
         handle.wait_for_native(Duration::from_secs(300)),
         "first tier-up must land"
     );
-    // `swap_count` also counts the jit rung landing; the native ladder
-    // entry is the one the re-tier check below cares about.
     let native_swaps = || handle.stats().tier_stats(Tier::Native).swaps;
     assert_eq!(native_swaps(), 1);
 

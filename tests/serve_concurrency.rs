@@ -7,10 +7,10 @@
 //!   one);
 //! * the swap is **observed**: the handle reports exactly one swap, the
 //!   final tier is native, and the executor threads see the tier change
-//!   (at least one pre-swap interpreter run and, once the swap lands, at
-//!   least one native run);
+//!   (at least one pre-swap jit run and, once the swap lands, at least
+//!   one native run);
 //! * a degraded engine (no native tier) serves the same threads from the
-//!   interpreter indefinitely, without errors.
+//!   jit indefinitely, without errors.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,9 +53,8 @@ fn threads_race_the_hot_swap_and_every_result_matches_the_oracle() {
         let handle = engine
             .prepare_named(&prog, &format!("serve_it_q{q}"))
             .expect("prepare");
-        // An in-process tier serves first — interp, or already jit if the
-        // microsecond jit build won the race against this very assert.
-        assert_ne!(handle.tier(), Tier::Native, "native can't land this fast");
+        // `prepare` built the jit: it serves first, by construction.
+        assert_eq!(handle.tier(), Tier::Jit, "native can't land this fast");
 
         // Four executor threads hammer the handle until the swap has
         // landed AND they have each seen the native tier at least once;
@@ -71,7 +70,7 @@ fn threads_race_the_hot_swap_and_every_result_matches_the_oracle() {
                 let handle = handle.clone();
                 let (oracle, data, stop, gave_up) = (&oracle, &data, &stop, &gave_up);
                 executors.push(s.spawn(move || {
-                    let mut tiers = (0u32, 0u32); // (in-process, native) runs
+                    let mut tiers = (0u32, 0u32); // (jit, native) runs
                     loop {
                         let run = handle.execute(data).expect("serve");
                         assert!(
@@ -83,8 +82,9 @@ fn threads_race_the_hot_swap_and_every_result_matches_the_oracle() {
                             run.output.stdout
                         );
                         match run.tier {
-                            Tier::Interp | Tier::Jit => tiers.0 += 1,
+                            Tier::Jit => tiers.0 += 1,
                             Tier::Native => tiers.1 += 1,
+                            Tier::Interp => panic!("the reference interpreter served traffic"),
                         }
                         // Keep executing until the swap landed and this
                         // thread has observed the native tier — unless
@@ -108,7 +108,7 @@ fn threads_race_the_hot_swap_and_every_result_matches_the_oracle() {
                 .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
             (swapped, totals)
         });
-        let (swap_landed, (inprocess_runs, native_runs)) = swapped;
+        let (swap_landed, (jit_runs, native_runs)) = swapped;
         assert!(
             swap_landed,
             "tier-up must land: {:?}",
@@ -125,33 +125,29 @@ fn threads_race_the_hot_swap_and_every_result_matches_the_oracle() {
             native_runs >= 4,
             "every thread observed the swapped-in native tier"
         );
-        // gcc takes orders of magnitude longer than one in-process run at
-        // this scale, so the pre-swap window is reliably observed.
+        // gcc takes orders of magnitude longer than one jit run at this
+        // scale, so the pre-swap window is reliably observed.
         assert!(
-            inprocess_runs >= 1,
-            "at least one execution was served in-process before the swap"
+            jit_runs >= 1,
+            "at least one execution was served by the jit before the swap"
         );
         let ladder_runs: u64 = Tier::LADDER
             .iter()
             .map(|&t| stats.tier_stats(t).lat.runs)
             .sum();
-        assert_eq!(ladder_runs, u64::from(inprocess_runs + native_runs));
+        assert_eq!(ladder_runs, u64::from(jit_runs + native_runs));
         assert!(stats.first_result_ms.is_some());
         assert!(stats.tier_up.as_ref().expect("tier-up report").elapsed_ms >= 0.0);
-        // The jit rung, when it landed first, must have swapped in far
-        // earlier than the toolchain tier.
-        if let Some(jit_ms) = stats.tier_stats(Tier::Jit).swap_ms {
-            let native_ms = stats.tier_stats(Tier::Native).swap_ms.expect("landed");
-            assert!(
-                jit_ms <= native_ms,
-                "jit ({jit_ms}ms) after native ({native_ms}ms)"
-            );
-        }
+        assert_eq!(
+            stats.tier_stats(Tier::Jit).swap_ms,
+            Some(0.0),
+            "landed in prepare"
+        );
     }
 }
 
 #[test]
-fn degraded_engine_serves_threads_from_the_interpreter_without_errors() {
+fn degraded_engine_serves_threads_from_the_jit_without_errors() {
     let (db, data) = setup();
     let schema = db.schema.clone();
     let engine = QueryEngine::with_options(
@@ -177,13 +173,13 @@ fn degraded_engine_serves_threads_from_the_interpreter_without_errors() {
             let (oracle, data) = (&oracle, &data);
             s.spawn(move || {
                 for _ in 0..3 {
-                    let run = handle.execute(data).expect("interp serves");
-                    assert_eq!(run.tier, Tier::Interp);
+                    let run = handle.execute(data).expect("the jit serves");
+                    assert_eq!(run.tier, Tier::Jit);
                     assert!(same_normalized(oracle, &run.output.stdout));
                 }
             });
         }
     });
     assert_eq!(handle.swap_count(), 0);
-    assert!(handle.report().contains("tier interp permanently"));
+    assert!(handle.report().contains("tier jit permanently"));
 }

@@ -23,7 +23,7 @@
 //!   panicking resolver, a panicking execution — answer a typed
 //!   `internal` frame, cost no worker, and never wedge the drain.
 //!
-//! Interp-only engine (no toolchain dependency), tiny scale factor:
+//! Jit-only engine (no toolchain dependency), tiny scale factor:
 //! what's under test is the serving path, not the queries.
 
 mod common;
@@ -57,8 +57,9 @@ fn setup_at(dir: &str) -> (dblab::runtime::Database, PathBuf) {
     (db, dir)
 }
 
-/// An interp-only server with a deterministic thread anatomy (two
-/// engine build workers), small knobs overridable per test.
+/// A jit-only server with a deterministic thread anatomy (no engine
+/// build workers: there is no native tier), small knobs overridable per
+/// test.
 fn start_server(
     db: &dblab::runtime::Database,
     data: &std::path::Path,
@@ -77,7 +78,6 @@ fn start_server_with(
         engine: EngineOptions {
             gen_dir: std::env::temp_dir().join("dblab_server_adv_gen"),
             native: NativeChoice::Disabled,
-            workers: 2,
             ..EngineOptions::default()
         },
         ..ServerOptions::default()
@@ -320,7 +320,7 @@ fn a_stalled_reader_is_shed_not_wedged() {
 /// instead of scaling with the socket count.
 #[test]
 fn pipelined_requests_across_256_sockets_match_the_oracle() {
-    // 1024 interpreted executes queued at once on two cores in a debug
+    // 1024 executes queued at once on two cores in a debug
     // build, so this one test gets a longer leash.
     let _watchdog = common::watchdog(3 * common::LIMIT);
     let (db, data) = setup();
@@ -350,8 +350,8 @@ fn pipelined_requests_across_256_sockets_match_the_oracle() {
     // server scaling with connections — the regression this test exists
     // to catch.
     if let (Some(t0), Some(t1)) = (t_pre, proc_threads()) {
-        // 1 acceptor + 2 io + 4 workers + 2 engine builders + slack.
-        let limit = 1 + 2 + 4 + 2 + 16;
+        // 1 acceptor + 2 io + 4 workers + slack.
+        let limit = 1 + 2 + 4 + 16;
         assert!(
             t1 - t0 <= limit,
             "server grew {} threads for {SOCKETS} sockets (limit {limit})",
@@ -561,7 +561,7 @@ fn a_table_truncated_mid_line_answers_internal_then_recovers() {
 }
 
 /// Panics below the serving path — in the resolver during `PREPARE`, in
-/// the interpreter during `EXECUTE` (integer division by a column that
+/// the jit during `EXECUTE` (integer division by a column that
 /// is 0 for some rows) — each answer one `internal` frame. The server
 /// runs a *single* worker, so every later success proves that worker
 /// survived; the drain at shutdown completes.

@@ -13,9 +13,9 @@
 //! * an exhausted per-request deadline is a typed `timeout` frame, not a
 //!   hung worker.
 //!
-//! The engine runs with the native tier disabled: tier 0 (the
-//! interpreter) serves everything, so the suite needs no C toolchain and
-//! exercises pure protocol/admission behavior. The loadgen CI smoke
+//! The engine runs with the native tier disabled: the jit `prepare`
+//! builds serves everything, so the suite needs no C toolchain and
+//! exercises pure protocol/admission behavior. `serve_concurrency`
 //! covers the tier-up path end to end.
 
 mod common;
@@ -37,7 +37,7 @@ fn setup() -> (dblab::runtime::Database, PathBuf) {
     (db, dir)
 }
 
-/// An interp-only server (no toolchain dependency), small knobs
+/// A jit-only server (no toolchain dependency), small knobs
 /// overridable per test.
 fn start_server(
     db: &dblab::runtime::Database,
@@ -71,8 +71,8 @@ fn happy_path_prepare_execute_stats_close() {
     let stmt = c.prepare("tpch:6").expect("prepare");
     assert_eq!(stmt, 1, "first statement id in a fresh session");
     let reply = c.execute(stmt).expect("execute");
-    assert!(!reply.native(), "native tier is disabled; interp serves");
-    assert_eq!(reply.tier_name(), "interp", "Disabled turns off jit too");
+    assert!(!reply.native(), "native tier is disabled");
+    assert_eq!(reply.tier_name(), "jit", "the jit serves from PREPARE on");
     assert!(reply.query_ms >= 0.0);
     assert!(
         same_normalized(&expect, &reply.rows),

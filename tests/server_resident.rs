@@ -5,8 +5,8 @@
 //! the two halves of that bargain through its own `STATS` reply:
 //!
 //! * *fresh*: a table rewritten under a live server is what the very next
-//!   `EXECUTE` reads, on the interp and the jit tier alike, at the price
-//!   of re-parsing exactly that one table;
+//!   `EXECUTE` reads on the jit, at the price of re-parsing exactly that
+//!   one table;
 //! * *resident*: nothing else is ever parsed twice — concurrent first
 //!   touches load once, steady state is all hits, and the native tier,
 //!   which reads no snapshot, never causes one to be loaded.
@@ -30,7 +30,7 @@ use dblab::frontend::expr::col;
 use dblab::frontend::qplan::{AggFunc, QPlan, QueryProgram};
 use dblab::runtime::{ColData, Database};
 use dblab::tpch;
-use dblab_server::protocol::{TIER_INTERP, TIER_JIT, TIER_NATIVE};
+use dblab_server::protocol::{TIER_JIT, TIER_NATIVE};
 use dblab_server::{tpch_resolver, Client, ErrorCode, QueryResolver, Server, ServerOptions};
 
 fn setup(tag: &str) -> (Database, PathBuf) {
@@ -90,78 +90,55 @@ fn snapshot_counters(c: &mut Client) -> (u64, u64, u64) {
     )
 }
 
-/// Execute until the wanted tier answers (the jit swap lands a few
-/// milliseconds after `PREPARE`).
-fn execute_on(c: &mut Client, stmt: u32, wire: u8) -> String {
-    let give_up = Instant::now() + Duration::from_secs(60);
-    loop {
-        let reply = c.execute(stmt).expect("execute");
-        if reply.tier == wire {
-            return reply.rows;
-        }
-        assert!(Instant::now() < give_up, "tier {wire} never served");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
 /// Rewrite `nation.tbl` with one row changed under a live server: the
-/// next `EXECUTE` answers from the new file on both in-process tiers,
-/// exactly one table was parsed again, and the request after that is a
-/// plain hit.
+/// next `EXECUTE` answers from the new file on the jit, exactly one table
+/// was parsed again, and the request after that is a plain hit.
 #[test]
-fn a_rewritten_table_is_served_fresh_on_the_interp_and_jit_tiers() {
+fn a_rewritten_table_is_served_fresh_on_the_jit_tier() {
     let _watchdog = common::watchdog(common::LIMIT);
     let (mut db, data) = setup("stale");
-    let jit_ceiling = NativeChoice::Backend("unavailable".to_string());
-    for (native, wire, renamed) in [
-        (NativeChoice::Disabled, TIER_INTERP, "ATLANTIS"),
-        (jit_ceiling, TIER_JIT, "LEMURIA"),
-    ] {
-        let server = start(&db, &data, "stale", native, 2);
-        let mut c =
-            Client::connect_timeout(server.addr(), Some(Duration::from_secs(60))).expect("connect");
-        let stmt = c.prepare("nations").expect("prepare");
-        let before = engine::execute_program(&nations(), &db).to_text();
-        let rows = execute_on(&mut c, stmt, wire);
-        assert!(
-            same_normalized(&before, &rows),
-            "rows diverge before the rewrite"
-        );
-        let (loads, hits, reloaded) = snapshot_counters(&mut c);
-        assert_eq!(loads, 1, "one directory, loaded once for the whole process");
+    let server = start(&db, &data, "stale", NativeChoice::Disabled, 2);
+    let mut c =
+        Client::connect_timeout(server.addr(), Some(Duration::from_secs(60))).expect("connect");
+    let stmt = c.prepare("nations").expect("prepare");
+    let before = engine::execute_program(&nations(), &db).to_text();
+    let reply = c.execute(stmt).expect("execute");
+    assert_eq!(reply.tier, TIER_JIT, "the jit serves from `PREPARE` on");
+    assert!(
+        same_normalized(&before, &reply.rows),
+        "rows diverge before the rewrite"
+    );
+    let (loads, hits, reloaded) = snapshot_counters(&mut c);
+    assert_eq!(loads, 1, "one directory, loaded once for the whole process");
 
-        let nation = db
-            .tables
-            .iter_mut()
-            .find(|t| &*t.def.name == "nation")
-            .expect("nation");
-        let name_col = nation.def.col_index("n_name");
-        let ColData::Str(names) = &mut nation.cols[name_col] else {
-            panic!("n_name is a string column")
-        };
-        names[7] = renamed.into();
-        nation
-            .write_tbl(&data.join("nation.tbl"))
-            .expect("rewrite nation.tbl");
-        let after = engine::execute_program(&nations(), &db).to_text();
-        assert!(after.contains(renamed) && !before.contains(renamed));
+    let nation = db
+        .tables
+        .iter_mut()
+        .find(|t| &*t.def.name == "nation")
+        .expect("nation");
+    let name_col = nation.def.col_index("n_name");
+    let ColData::Str(names) = &mut nation.cols[name_col] else {
+        panic!("n_name is a string column")
+    };
+    names[7] = "LEMURIA".into();
+    nation
+        .write_tbl(&data.join("nation.tbl"))
+        .expect("rewrite nation.tbl");
+    let after = engine::execute_program(&nations(), &db).to_text();
+    assert!(after.contains("LEMURIA") && !before.contains("LEMURIA"));
 
-        let rows = c.execute(stmt).expect("execute after the rewrite").rows;
-        assert!(
-            same_normalized(&after, &rows),
-            "tier {wire} served stale rows:\n{rows}"
-        );
-        assert_eq!(
-            snapshot_counters(&mut c),
-            (loads, hits, reloaded + 1),
-            "exactly the rewritten table is parsed again"
-        );
-        let rows = c.execute(stmt).expect("steady state").rows;
-        assert!(same_normalized(&after, &rows));
-        assert_eq!(snapshot_counters(&mut c), (loads, hits + 1, reloaded + 1));
-        c.close().expect("close");
-        server.shutdown();
-    }
+    let rows = c.execute(stmt).expect("execute after the rewrite").rows;
+    assert!(same_normalized(&after, &rows), "stale rows:\n{rows}");
+    assert_eq!(
+        snapshot_counters(&mut c),
+        (loads, hits, reloaded + 1),
+        "exactly the rewritten table is parsed again"
+    );
+    let rows = c.execute(stmt).expect("steady state").rows;
+    assert!(same_normalized(&after, &rows));
+    assert_eq!(snapshot_counters(&mut c), (loads, hits + 1, reloaded + 1));
+    c.close().expect("close");
+    server.shutdown();
 }
 
 /// Eight sessions whose first `EXECUTE`s race on a directory nobody has
