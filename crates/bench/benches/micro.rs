@@ -1,7 +1,6 @@
 //! Micro-benchmarks for the substrate pieces whose cost gaps the paper's
-//! optimizations exploit: generic chained vs. specialized open-addressing
-//! hash tables, string comparison vs. dictionary codes, ANF construction
-//! with hash-consing, the per-backend unparsers (C vs Rust), and the
+//! optimizations exploit: string comparison vs. dictionary codes, ANF
+//! construction with hash-consing, the per-backend unparsers, and the
 //! compiler passes themselves — with the per-pass wall-time breakdown the
 //! instrumented pass manager records.
 //!
@@ -15,7 +14,6 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use dblab_runtime::hash::{ChainedMap, ChainedMultiMap, OpenMap};
 use dblab_runtime::StringDict;
 
 const RUNS: usize = 7;
@@ -30,36 +28,6 @@ fn bench<R>(name: &str, mut f: impl FnMut() -> R) {
         best = best.min(t0.elapsed());
     }
     println!("{:<36}{:>12.1} µs", name, best.as_secs_f64() * 1e6);
-}
-
-fn hash_tables() {
-    println!("\n## hash tables (generic chained vs specialized)");
-    let n = 10_000i64;
-    bench("chained-build-10k", || {
-        let mut m: ChainedMap<i64, i64> = ChainedMap::new();
-        for i in 0..n {
-            m.insert(i * 7 % n, i);
-        }
-        m.len()
-    });
-    bench("open-addressing-build-10k", || {
-        let mut m: OpenMap<i64, i64> = OpenMap::with_capacity(n as usize);
-        for i in 0..n {
-            *m.get_or_insert_with(i * 7 % n, || 0) = i;
-        }
-        m.len()
-    });
-    let mut mm: ChainedMultiMap<i64, i64> = ChainedMultiMap::new();
-    for i in 0..n {
-        mm.add_binding(i % 100, i);
-    }
-    bench("multimap-probe-10k", || {
-        let mut acc = 0i64;
-        for k in 0..100 {
-            acc += mm.get(&k).len() as i64;
-        }
-        acc
-    });
 }
 
 fn string_dictionary() {
@@ -165,7 +133,6 @@ fn compiler_passes() {
 
 fn main() {
     println!("# dblab micro-benchmarks (best of {RUNS})");
-    hash_tables();
     string_dictionary();
     anf_builder();
     compiler_passes();

@@ -19,10 +19,11 @@
 //! `build` receives the program alongside the source because in-process
 //! backends execute the IR directly rather than re-parsing text.
 
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::sync::OnceLock;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dblab_catalog::Schema;
@@ -30,7 +31,7 @@ use dblab_frontend::qmonad::QMonad;
 use dblab_frontend::qplan::QueryProgram;
 use dblab_ir::expr::{Block, Expr, Stmt};
 use dblab_ir::Program;
-use dblab_runtime::{snapshot, Snapshot};
+use dblab_runtime::{snapshot, Snapshot, Value};
 use dblab_transform::stack::CompiledQuery;
 use dblab_transform::StackConfig;
 
@@ -39,11 +40,14 @@ use dblab_transform::StackConfig;
 pub struct RunOutput {
     /// Result rows (stdout).
     pub stdout: String,
-    /// In-query time reported by the generated timer (whole-execution time
-    /// for the interpreter, which has no separate loading phase).
+    /// In-query time: the generated timer's (`QUERY_TIME_MS`) for gcc
+    /// binaries and for jit programs that run their timer; otherwise the
+    /// whole evaluation after the snapshot resolve (the interpreter, and a
+    /// jit program without timer instrumentation).
     pub query_ms: f64,
-    /// Peak resident set size, KiB (the measuring process itself for the
-    /// in-process interpreter).
+    /// Peak resident set size, KiB, as a gcc binary reports it for itself
+    /// (`PEAK_RSS_KB`, from `getrusage`). 0 for the in-process backends:
+    /// the serving process's lifetime high-water mark is not the query's.
     pub peak_rss_kb: u64,
     /// Whole-process wall time (loading included).
     pub wall: Duration,
@@ -60,38 +64,23 @@ pub struct RunOutput {
 /// noisy (every shipped impl is a path + metadata, or an IR program —
 /// thread-portable by construction).
 pub trait Executable: Send + Sync {
-    /// Execute against `data_dir` and capture result rows + metrics.
-    fn run(&self, data_dir: &Path) -> io::Result<RunOutput>;
-    /// [`Executable::run`] with an execution budget: once `deadline`
-    /// elapses the run is abandoned — the native backends kill the query
-    /// process, the interpreter interrupts cooperatively at loop
+    /// Execute against `data_dir` and capture result rows + metrics. The
+    /// `idx`-th `LoadParam` in the program reads `params[idx]`: native
+    /// backends pass the canonical text form (see [`format_param`]) as
+    /// `argv[2..]`, the in-process backends bind the values directly. Once
+    /// `deadline` elapses the run is abandoned — the native backends kill
+    /// the query process, the in-process ones interrupt at loop
     /// back-edges — and an [`io::ErrorKind::TimedOut`] error comes back
-    /// instead of a hung thread. The default ignores the deadline, which
-    /// is correct for executables that cannot be interrupted; the serving
-    /// engine's typed timeout rides on the shipped overrides.
-    fn run_deadline(&self, data_dir: &Path, deadline: Option<Duration>) -> io::Result<RunOutput> {
-        let _ = deadline;
-        self.run(data_dir)
-    }
-    /// [`Executable::run_deadline`] with positional query-parameter
-    /// bindings: the `idx`-th `LoadParam` in the program reads
-    /// `params[idx]`. Native backends pass the canonical text form (see
-    /// [`format_param`]) as `argv[2..]`; the interpreter binds the values
-    /// directly. The default accepts only an empty binding vector — an
-    /// executable that has not opted in cannot silently ignore parameters.
+    /// instead of a hung thread.
     fn run_bound(
         &self,
         data_dir: &Path,
-        params: &[dblab_runtime::Value],
+        params: &[Value],
         deadline: Option<Duration>,
-    ) -> io::Result<RunOutput> {
-        if params.is_empty() {
-            self.run_deadline(data_dir, deadline)
-        } else {
-            Err(io::Error::other(
-                "this executable does not accept query parameters",
-            ))
-        }
+    ) -> io::Result<RunOutput>;
+    /// [`Executable::run_bound`] with no parameters and no deadline.
+    fn run(&self, data_dir: &Path) -> io::Result<RunOutput> {
+        self.run_bound(data_dir, &[], None)
     }
     /// Wall time the toolchain spent building (the gcc half of
     /// Figure 9; zero for in-process backends).
@@ -103,13 +92,9 @@ pub trait Executable: Send + Sync {
 /// The error every deadline overrun surfaces as (matched upstream by
 /// `ErrorKind::TimedOut`).
 pub fn timeout_error(budget: Duration) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::TimedOut,
-        format!(
-            "query exceeded its {:.0}ms execution deadline",
-            budget.as_secs_f64() * 1e3
-        ),
-    )
+    let ms = budget.as_secs_f64() * 1e3;
+    let msg = format!("query exceeded its {ms:.0}ms execution deadline");
+    io::Error::new(io::ErrorKind::TimedOut, msg)
 }
 
 /// Everything a backend needs to build: the emitted source, where to put
@@ -149,19 +134,12 @@ pub trait Backend: Send + Sync {
     }
 }
 
-/// Spawn a generated binary on `data_dir` and parse the instrumentation
-/// lines (`QUERY_TIME_MS`, `PEAK_RSS_KB`) from stderr.
-pub fn run_binary(binary: &Path, data_dir: &Path) -> io::Result<RunOutput> {
-    run_binary_args(binary, data_dir, &[])
-}
-
 /// Canonical command-line text for one query-parameter value, identical
 /// for every native backend: decimal integers, Rust's shortest
 /// round-tripping `{}` for doubles (which C's `atof`/`strtod` parses back
 /// to the same bits), `0`/`1` for bools. One binding therefore maps to one
 /// argv vector, whichever backend serves it.
-pub fn format_param(v: &dblab_runtime::Value) -> String {
-    use dblab_runtime::Value;
+pub fn format_param(v: &Value) -> String {
     match v {
         Value::Null => "0".to_string(),
         Value::Bool(b) => (if *b { "1" } else { "0" }).to_string(),
@@ -172,122 +150,77 @@ pub fn format_param(v: &dblab_runtime::Value) -> String {
     }
 }
 
-/// [`run_binary`] with query parameters appended after the data directory
-/// (`argv[2..]`, canonical text form — see [`format_param`]).
-pub fn run_binary_args(binary: &Path, data_dir: &Path, params: &[String]) -> io::Result<RunOutput> {
-    let t0 = Instant::now();
-    let out = Command::new(binary).arg(data_dir).args(params).output()?;
-    let wall = t0.elapsed();
-    if !out.status.success() {
-        return Err(io::Error::other(format!(
-            "query binary {} failed: {}",
-            binary.display(),
-            String::from_utf8_lossy(&out.stderr)
-        )));
-    }
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let mut query_ms = f64::NAN;
-    let mut peak_rss_kb = 0;
-    for line in stderr.lines() {
-        if let Some(v) = line.strip_prefix("QUERY_TIME_MS: ") {
-            query_ms = v.trim().parse().unwrap_or(f64::NAN);
-        } else if let Some(v) = line.strip_prefix("PEAK_RSS_KB: ") {
-            peak_rss_kb = v.trim().parse().unwrap_or(0);
-        }
-    }
-    Ok(RunOutput {
-        stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
-        query_ms,
-        peak_rss_kb,
-        wall,
-    })
-}
-
-/// [`run_binary`] under an execution budget: the child is spawned with
-/// piped output, drained by two reader threads (a full pipe must never
-/// wedge the poll loop), and polled with `try_wait`; past the deadline it
-/// is killed and the run reports [`io::ErrorKind::TimedOut`]. The drainer
-/// threads are joined on every path — a timed-out query leaks neither a
-/// process nor a thread.
-pub fn run_binary_deadline(
+/// Spawn a generated binary on `data_dir` with `params` as `argv[2..]`
+/// (canonical text form — see [`format_param`]) and parse the
+/// instrumentation lines (`QUERY_TIME_MS`, `PEAK_RSS_KB`) from stderr.
+///
+/// Output is piped and drained by two reader threads, so a full pipe never
+/// wedges the wait. Without a deadline the caller blocks in `wait`; with
+/// one it polls `try_wait` every millisecond and, once the budget is
+/// spent, kills the child and reports [`io::ErrorKind::TimedOut`]. On
+/// every exit the child is reaped and both readers are joined — a failed
+/// or timed-out query leaks neither a process nor a thread.
+pub fn run_binary(
     binary: &Path,
     data_dir: &Path,
-    deadline: Duration,
+    params: &[Value],
+    deadline: Option<Duration>,
 ) -> io::Result<RunOutput> {
-    run_binary_args_deadline(binary, data_dir, &[], deadline)
-}
-
-/// [`run_binary_deadline`] with query parameters appended after the data
-/// directory (`argv[2..]`, canonical text form — see [`format_param`]).
-pub fn run_binary_args_deadline(
-    binary: &Path,
-    data_dir: &Path,
-    params: &[String],
-    deadline: Duration,
-) -> io::Result<RunOutput> {
-    use std::io::Read;
-    use std::process::Stdio;
-
+    fn drain(mut pipe: impl Read + Send + 'static) -> JoinHandle<Vec<u8>> {
+        std::thread::spawn(move || {
+            let mut buf = Vec::new();
+            let _ = pipe.read_to_end(&mut buf);
+            buf
+        })
+    }
     let t0 = Instant::now();
     let mut child = Command::new(binary)
         .arg(data_dir)
-        .args(params)
+        .args(params.iter().map(format_param))
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()?;
-    let mut out_pipe = child.stdout.take().expect("piped stdout");
-    let mut err_pipe = child.stderr.take().expect("piped stderr");
-    let drain_out = std::thread::spawn(move || {
-        let mut buf = Vec::new();
-        let _ = out_pipe.read_to_end(&mut buf);
-        buf
-    });
-    let drain_err = std::thread::spawn(move || {
-        let mut buf = Vec::new();
-        let _ = err_pipe.read_to_end(&mut buf);
-        buf
-    });
-
-    let status = loop {
-        match child.try_wait()? {
-            Some(status) => break status,
-            None if t0.elapsed() >= deadline => {
-                let _ = child.kill();
-                let _ = child.wait();
-                let _ = drain_out.join();
-                let _ = drain_err.join();
-                return Err(timeout_error(deadline));
+    let out = drain(child.stdout.take().expect("piped stdout"));
+    let err = drain(child.stderr.take().expect("piped stderr"));
+    // `Ok(None)`: the budget ran out while the child was still running.
+    let waited = match deadline {
+        None => child.wait().map(Some),
+        Some(budget) => loop {
+            match child.try_wait() {
+                Ok(None) if t0.elapsed() < budget => std::thread::sleep(Duration::from_millis(1)),
+                other => break other,
             }
-            None => std::thread::sleep(Duration::from_millis(1)),
-        }
+        },
     };
-    let wall = t0.elapsed();
-    let stdout = drain_out.join().unwrap_or_default();
-    let stderr = drain_err.join().unwrap_or_default();
-    if !status.success() {
-        return Err(io::Error::other(format!(
-            "query binary {} failed: {}",
-            binary.display(),
-            String::from_utf8_lossy(&stderr)
-        )));
+    if !matches!(waited, Ok(Some(_))) {
+        let _ = child.kill();
+        let _ = child.wait();
     }
-    let stderr = String::from_utf8_lossy(&stderr);
-    let mut query_ms = f64::NAN;
-    let mut peak_rss_kb = 0;
+    let wall = t0.elapsed();
+    let stdout = out.join().unwrap_or_default();
+    let stderr = String::from_utf8_lossy(&err.join().unwrap_or_default()).into_owned();
+    let Some(status) = waited? else {
+        return Err(timeout_error(deadline.unwrap_or_default()));
+    };
+    if !status.success() {
+        let msg = format!("query binary {} failed: {stderr}", binary.display());
+        return Err(io::Error::other(msg));
+    }
+    let mut run = RunOutput {
+        stdout: String::from_utf8_lossy(&stdout).into_owned(),
+        query_ms: f64::NAN,
+        peak_rss_kb: 0,
+        wall,
+    };
     for line in stderr.lines() {
         if let Some(v) = line.strip_prefix("QUERY_TIME_MS: ") {
-            query_ms = v.trim().parse().unwrap_or(f64::NAN);
+            run.query_ms = v.trim().parse().unwrap_or(f64::NAN);
         } else if let Some(v) = line.strip_prefix("PEAK_RSS_KB: ") {
-            peak_rss_kb = v.trim().parse().unwrap_or(0);
+            run.peak_rss_kb = v.trim().parse().unwrap_or(0);
         }
     }
-    Ok(RunOutput {
-        stdout: String::from_utf8_lossy(&stdout).into_owned(),
-        query_ms,
-        peak_rss_kb,
-        wall,
-    })
+    Ok(run)
 }
 
 /// Split one result text into `|`-separated rows and sort them into a
@@ -400,26 +333,13 @@ pub(crate) struct NativeExecutable {
 }
 
 impl Executable for NativeExecutable {
-    fn run(&self, data_dir: &Path) -> io::Result<RunOutput> {
-        run_binary(&self.binary, data_dir)
-    }
-    fn run_deadline(&self, data_dir: &Path, deadline: Option<Duration>) -> io::Result<RunOutput> {
-        match deadline {
-            Some(budget) => run_binary_deadline(&self.binary, data_dir, budget),
-            None => self.run(data_dir),
-        }
-    }
     fn run_bound(
         &self,
         data_dir: &Path,
-        params: &[dblab_runtime::Value],
+        params: &[Value],
         deadline: Option<Duration>,
     ) -> io::Result<RunOutput> {
-        let args: Vec<String> = params.iter().map(format_param).collect();
-        match deadline {
-            Some(budget) => run_binary_args_deadline(&self.binary, data_dir, &args, budget),
-            None => run_binary_args(&self.binary, data_dir, &args),
-        }
+        run_binary(&self.binary, data_dir, params, deadline)
     }
     fn build_time(&self) -> Duration {
         self.build_time
@@ -466,15 +386,32 @@ impl Backend for CBackend {
 /// program itself is the executable.
 pub struct InterpBackend;
 
-struct InterpExecutable {
-    program: Program,
+/// What an in-process executable evaluates: the two in-process backends
+/// differ in nothing else.
+pub(crate) enum Evaluator {
+    Interp(Program),
+    Jit(crate::jit::JitProgram),
+}
+
+/// The interpreter's or the jit's executable: resolves the resident
+/// snapshot, then evaluates over it on the calling thread.
+pub(crate) struct InProcessExecutable {
+    eval: Evaluator,
     data: ResidentData,
+    build: Duration,
+}
+
+impl InProcessExecutable {
+    pub(crate) fn new(eval: Evaluator, input: &BuildInput, build: Duration) -> Self {
+        let data = ResidentData::new(input.program, input.schema);
+        Self { eval, data, build }
+    }
 }
 
 /// What an in-process executable knows about the data it runs over: the
 /// schema the directory is parsed under, and the indexes its program
 /// loads.
-pub(crate) struct ResidentData {
+struct ResidentData {
     schema: Schema,
     /// The table of every `LoadTable` statement.
     tables: Vec<std::sync::Arc<str>>,
@@ -493,7 +430,7 @@ pub(crate) fn for_each_stmt<'a>(b: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
 }
 
 impl ResidentData {
-    pub(crate) fn new(p: &Program, schema: &Schema) -> ResidentData {
+    fn new(p: &Program, schema: &Schema) -> ResidentData {
         let (mut tables, mut indexes) = (Vec::new(), Vec::new());
         for_each_stmt(&p.body, &mut |st| match &st.expr {
             Expr::LoadTable { table, .. } => tables.push(table.clone()),
@@ -514,7 +451,7 @@ impl ResidentData {
     /// loads already built and every table it loads within what a row
     /// handle can address — so data the executors refuse (it is outside
     /// input) is this call's typed error, not a panic mid-query.
-    pub(crate) fn resolve(&self, data_dir: &Path) -> io::Result<std::sync::Arc<Snapshot>> {
+    fn resolve(&self, data_dir: &Path) -> io::Result<std::sync::Arc<Snapshot>> {
         let db = snapshot::resident(&self.schema, data_dir)?;
         for table in &self.tables {
             let rows = db.table(table).len();
@@ -537,58 +474,41 @@ impl ResidentData {
     }
 }
 
-impl Executable for InterpExecutable {
-    fn run(&self, data_dir: &Path) -> io::Result<RunOutput> {
-        self.run_deadline(data_dir, None)
-    }
-    fn run_deadline(&self, data_dir: &Path, deadline: Option<Duration>) -> io::Result<RunOutput> {
-        self.run_bound(data_dir, &[], deadline)
-    }
+impl Executable for InProcessExecutable {
     fn run_bound(
         &self,
         data_dir: &Path,
-        params: &[dblab_runtime::Value],
+        params: &[Value],
         deadline: Option<Duration>,
     ) -> io::Result<RunOutput> {
         let t0 = Instant::now();
         let db = self.data.resolve(data_dir)?;
         let tq = Instant::now();
-        // The interpreter interrupts itself at loop back-edges once the
-        // absolute deadline passes — the budget covers query evaluation,
-        // not resolving the snapshot above (native binaries exclude
-        // loading from their in-query timer the same way).
-        let stdout = dblab_interp::run_bound(&self.program, &db, params, deadline.map(|d| tq + d))
-            .map_err(|dblab_interp::Interrupted| {
-                timeout_error(deadline.expect("interrupt implies a deadline"))
-            })?;
-        let query = tq.elapsed();
+        // Evaluation interrupts itself at loop back-edges once the absolute
+        // deadline passes — the budget covers query evaluation, not
+        // resolving the snapshot above (native binaries exclude loading
+        // from their in-query timer the same way).
+        let at = deadline.map(|d| tq + d);
+        let evaluated = match &self.eval {
+            Evaluator::Interp(p) => dblab_interp::run_bound(p, &db, params, at).map(|s| (s, None)),
+            Evaluator::Jit(jp) => jp.run_bound(&db, params, at),
+        };
+        let (stdout, timer_ms) = evaluated.map_err(|dblab_interp::Interrupted| {
+            timeout_error(deadline.expect("interrupt implies a deadline"))
+        })?;
         Ok(RunOutput {
             stdout,
-            query_ms: query.as_secs_f64() * 1e3,
-            peak_rss_kb: self_peak_rss_kb(),
+            query_ms: timer_ms.unwrap_or_else(|| tq.elapsed().as_secs_f64() * 1e3),
+            peak_rss_kb: 0,
             wall: t0.elapsed(),
         })
     }
     fn build_time(&self) -> Duration {
-        Duration::ZERO
+        self.build
     }
     fn artifact(&self) -> Option<&Path> {
         None
     }
-}
-
-/// `VmHWM` of the current process (the interpreter and jit run
-/// in-process), 0 where procfs is unavailable.
-pub(crate) fn self_peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines().find_map(|l| {
-                l.strip_prefix("VmHWM:")
-                    .and_then(|v| v.trim().trim_end_matches(" kB").trim().parse().ok())
-            })
-        })
-        .unwrap_or(0)
 }
 
 impl Backend for InterpBackend {
@@ -599,10 +519,9 @@ impl Backend for InterpBackend {
         dblab_ir::printer::print_program(p)
     }
     fn build(&self, input: BuildInput<'_>) -> io::Result<Box<dyn Executable>> {
-        Ok(Box::new(InterpExecutable {
-            program: input.program.clone(),
-            data: ResidentData::new(input.program, input.schema),
-        }))
+        let eval = Evaluator::Interp(input.program.clone());
+        let exe = InProcessExecutable::new(eval, &input, Duration::ZERO);
+        Ok(Box::new(exe))
     }
     fn requirement(&self) -> &'static str {
         "nothing (in-process)"
@@ -773,16 +692,6 @@ impl<'s> Compiler<'s> {
         })
     }
 
-    /// The selected backend's registry name.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    /// Is the selected backend's toolchain present?
-    pub fn backend_available(&self) -> bool {
-        self.backend.available()
-    }
-
     /// Stable artifact name derived from the lowered program text plus the
     /// configuration and backend — distinct programs get distinct
     /// artifacts, identical compiles reuse the same name. Hashed with the
@@ -827,7 +736,7 @@ mod tests {
     fn facade_compiles_and_runs_through_the_interp_backend() {
         use dblab_catalog::{ColType, TableDef};
         use dblab_frontend::qplan::{AggFunc, QPlan, QueryProgram};
-        use dblab_runtime::{Database, Table, Value};
+        use dblab_runtime::{Database, Table};
 
         let mut schema = dblab_catalog::Schema::new(vec![TableDef::new(
             "t",
@@ -866,5 +775,58 @@ mod tests {
         let cq1 = dblab_transform::compile(&prog, &schema, &StackConfig::level2());
         let compiler = Compiler::new(&schema).config(&StackConfig::level2());
         assert_eq!(compiler.auto_name(&cq1), compiler.auto_name(&cq1));
+    }
+
+    /// A `#!/bin/sh` stand-in for a generated binary, so the child-process
+    /// runner is tested without gcc. Its directory doubles as the data
+    /// directory it runs on (`$1`).
+    fn script(name: &str, body: &str) -> (PathBuf, PathBuf) {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = std::env::temp_dir().join(format!("dblab_runner_{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bin = dir.join("query");
+        std::fs::write(&bin, format!("#!/bin/sh\n{body}\n")).unwrap();
+        std::fs::set_permissions(&bin, std::fs::Permissions::from_mode(0o755)).unwrap();
+        (bin, dir)
+    }
+
+    #[test]
+    fn runner_returns_rows_instrumentation_and_passes_params() {
+        let body = r#"echo "$1|$2|$3"; echo 'QUERY_TIME_MS: 1.5' >&2; echo 'PEAK_RSS_KB: 42' >&2"#;
+        let (bin, dir) = script("args", body);
+        let params = [Value::Int(7), Value::Str("x y".into())];
+        let out = run_binary(&bin, &dir, &params, None).unwrap();
+        assert_eq!(out.stdout, format!("{}|7|x y\n", dir.display()));
+        assert_eq!((out.query_ms, out.peak_rss_kb), (1.5, 42));
+    }
+
+    #[test]
+    fn runner_drains_large_output_on_both_pipes() {
+        // stderr first: a runner reading stdout to EOF before touching
+        // stderr would wedge once the stderr pipe fills.
+        let body = "yes e | head -c 200000 >&2; yes o | head -c 200000";
+        let (bin, dir) = script("large", body);
+        for deadline in [None, Some(Duration::from_secs(60))] {
+            let out = run_binary(&bin, &dir, &[], deadline).unwrap();
+            assert_eq!(out.stdout.len(), 200_000);
+        }
+    }
+
+    #[test]
+    fn runner_kills_and_reaps_an_overrun() {
+        let (bin, dir) = script("sleep", r#"echo $$ > "$1/pid"; exec sleep 5"#);
+        let t0 = Instant::now();
+        let err = run_binary(&bin, &dir, &[], Some(Duration::from_millis(50))).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        let pid = std::fs::read_to_string(dir.join("pid")).unwrap();
+        assert!(!Path::new(&format!("/proc/{}", pid.trim())).exists());
+    }
+
+    #[test]
+    fn runner_reports_a_failing_binary_with_its_stderr() {
+        let (bin, dir) = script("fail", "echo boom >&2; exit 3");
+        let err = run_binary(&bin, &dir, &[], None).unwrap_err();
+        assert!(err.to_string().contains("boom"), "{err}");
     }
 }

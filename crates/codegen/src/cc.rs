@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
 }
 "#;
         let compiled = compile_c(src, &dir, "trivial").expect("gcc available");
-        let out = crate::backend::run_binary(&compiled.binary, &dir).expect("runs");
+        let out = crate::backend::run_binary(&compiled.binary, &dir, &[], None).expect("runs");
         assert_eq!(out.stdout, "42\n");
         assert!(out.query_ms >= 0.0);
         assert!(out.peak_rss_kb > 0);

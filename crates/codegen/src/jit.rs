@@ -46,9 +46,8 @@
 //! runs the 22-query differential suite over this backend like any other.
 
 use std::io;
-use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dblab_catalog::Schema;
 use dblab_interp::Interrupted;
@@ -57,7 +56,7 @@ use dblab_ir::types::StructId;
 use dblab_ir::{Program, Type};
 use dblab_runtime::{Snapshot, Value};
 
-use crate::backend::{self, Backend, BuildInput, Executable, RunOutput};
+use crate::backend::{self, Backend, BuildInput, Evaluator, Executable, InProcessExecutable};
 use crate::jit_rt::{
     base_str, compile_printf, row_of, Col, ColCounts, KeyShape, Obj, PfSeg, Rt, TableBinding, BASE,
 };
@@ -311,7 +310,7 @@ fn ord_d(u: u64, v: u64) -> std::cmp::Ordering {
 }
 
 /// An index the snapshot refused to build. The serving executable built
-/// every index its program loads in [`backend::ResidentData::resolve`], so
+/// every index its program loads while resolving the snapshot, so
 /// this means a caller ran the program over a snapshot it did not resolve
 /// that way; say why and unwind.
 fn built<T>(index: io::Result<T>) -> T {
@@ -1451,13 +1450,6 @@ pub struct JitProgram {
     cols: ColCounts,
 }
 
-/// What one jit execution produced: captured rows, and the in-query time
-/// if the program ran its `TimerStart`/`TimerStop` instrumentation.
-pub struct JitOutput {
-    pub stdout: String,
-    pub query_ms: Option<f64>,
-}
-
 /// Compile a fully-lowered program to threaded code. This is the whole
 /// tier-up: well under a millisecond, no toolchain, no subprocess. A
 /// program whose static types do not pin what an operator needs, or that
@@ -1488,23 +1480,22 @@ pub fn compile(p: &Program) -> io::Result<JitProgram> {
 
 impl JitProgram {
     /// Execute with positional parameter bindings and an optional absolute
-    /// deadline; on interruption the partial output is discarded.
+    /// deadline; on interruption the partial output is discarded. Returns
+    /// the captured rows, and the in-query time if the program ran its
+    /// `TimerStart`/`TimerStop` instrumentation.
     pub fn run_bound(
         &self,
         db: &Snapshot,
         params: &[Value],
         deadline: Option<Instant>,
-    ) -> Result<JitOutput, Interrupted> {
+    ) -> Result<(String, Option<f64>), Interrupted> {
         let mut rt = Rt::new(self.frame_size, &self.consts, self.cols, db, params);
         rt.deadline = deadline;
         self.body.run_unit(&mut rt);
         if rt.interrupted {
             Err(Interrupted)
         } else {
-            Ok(JitOutput {
-                stdout: rt.output,
-                query_ms: rt.query_ms,
-            })
+            Ok((rt.output, rt.query_ms))
         }
     }
 }
@@ -1512,53 +1503,6 @@ impl JitProgram {
 /// The in-process closure-JIT as a backend: no toolchain, no artifact —
 /// `build` is the sub-millisecond closure compile itself.
 pub struct JitBackend;
-
-struct JitExecutable {
-    program: JitProgram,
-    data: backend::ResidentData,
-    build: Duration,
-}
-
-impl Executable for JitExecutable {
-    fn run(&self, data_dir: &Path) -> io::Result<RunOutput> {
-        self.run_deadline(data_dir, None)
-    }
-    fn run_deadline(&self, data_dir: &Path, deadline: Option<Duration>) -> io::Result<RunOutput> {
-        self.run_bound(data_dir, &[], deadline)
-    }
-    fn run_bound(
-        &self,
-        data_dir: &Path,
-        params: &[Value],
-        deadline: Option<Duration>,
-    ) -> io::Result<RunOutput> {
-        let t0 = Instant::now();
-        let db = self.data.resolve(data_dir)?;
-        let tq = Instant::now();
-        // The budget covers query evaluation, not resolving the snapshot
-        // above — same accounting as the interpreter and the native
-        // binaries.
-        let out = self
-            .program
-            .run_bound(&db, params, deadline.map(|d| tq + d))
-            .map_err(|Interrupted| {
-                backend::timeout_error(deadline.expect("interrupt implies a deadline"))
-            })?;
-        let query = tq.elapsed();
-        Ok(RunOutput {
-            stdout: out.stdout,
-            query_ms: out.query_ms.unwrap_or(query.as_secs_f64() * 1e3),
-            peak_rss_kb: backend::self_peak_rss_kb(),
-            wall: t0.elapsed(),
-        })
-    }
-    fn build_time(&self) -> Duration {
-        self.build
-    }
-    fn artifact(&self) -> Option<&Path> {
-        None
-    }
-}
 
 impl Backend for JitBackend {
     fn name(&self) -> &'static str {
@@ -1569,12 +1513,9 @@ impl Backend for JitBackend {
     }
     fn build(&self, input: BuildInput<'_>) -> io::Result<Box<dyn Executable>> {
         let t = Instant::now();
-        let program = compile(input.program)?;
-        Ok(Box::new(JitExecutable {
-            program,
-            data: backend::ResidentData::new(input.program, input.schema),
-            build: t.elapsed(),
-        }))
+        let eval = Evaluator::Jit(compile(input.program)?);
+        let exe = InProcessExecutable::new(eval, &input, t.elapsed());
+        Ok(Box::new(exe))
     }
     fn requirement(&self) -> &'static str {
         "nothing (in-process closure jit)"
@@ -1591,6 +1532,7 @@ mod tests {
     use dblab_ir::types::{FieldDef, StructDef, StructId};
     use dblab_ir::{IrBuilder, Level};
     use dblab_runtime::{Database, Table};
+    use std::time::Duration;
 
     fn empty_db() -> Snapshot {
         Snapshot::from(Database {
@@ -1654,7 +1596,7 @@ mod tests {
         let p = b.finish(Atom::Unit, level);
         let db = small_db();
         let got = compile(&p).expect("compile").run_bound(&db, &[], None);
-        (got.expect("no deadline").stdout, dblab_interp::run(&p, &db))
+        (got.expect("no deadline").0, dblab_interp::run(&p, &db))
     }
 
     #[test]
@@ -1671,9 +1613,9 @@ mod tests {
         let p = b.finish(Atom::Unit, Level::ScaLite);
         let db = empty_db();
         let jp = compile(&p).unwrap();
-        let got = jp.run_bound(&db, &[], None).unwrap();
-        assert_eq!(got.stdout, dblab_interp::run(&p, &db));
-        assert_eq!(got.stdout, "10\n");
+        let (got, _) = jp.run_bound(&db, &[], None).unwrap();
+        assert_eq!(got, dblab_interp::run(&p, &db));
+        assert_eq!(got, "10\n");
     }
 
     #[test]
@@ -1690,9 +1632,9 @@ mod tests {
         });
         let p = b.finish(Atom::Unit, Level::ScaLite);
         let db = empty_db();
-        let got = compile(&p).unwrap().run_bound(&db, &[], None).unwrap();
-        assert_eq!(got.stdout, "1 2 3 ");
-        assert_eq!(got.stdout, dblab_interp::run(&p, &db));
+        let (got, _) = compile(&p).unwrap().run_bound(&db, &[], None).unwrap();
+        assert_eq!(got, "1 2 3 ");
+        assert_eq!(got, dblab_interp::run(&p, &db));
     }
 
     #[test]
@@ -1727,10 +1669,10 @@ mod tests {
         let p = b.finish(Atom::Unit, Level::ScaLite);
         let db = empty_db();
         let jp = compile(&p).unwrap();
-        let got = jp
+        let (got, _) = jp
             .run_bound(&db, &[Value::Int(40), Value::Int(2)], None)
             .unwrap();
-        assert_eq!(got.stdout, "42\n");
+        assert_eq!(got, "42\n");
     }
 
     /// The scan shape over an in-memory database that never touched disk:
@@ -1977,7 +1919,7 @@ mod tests {
         b.printf(" %d%d%d%d%d%d%d\n", shots);
         let p = b.finish(Atom::Unit, Level::ScaLite);
         let got = compile(&p).unwrap().run_bound(&small_db(), &[], None);
-        assert_eq!(got.expect("no deadline").stdout, "101 0110111\n");
+        assert_eq!(got.expect("no deadline").0, "101 0110111\n");
     }
 
     /// Records with a string field: through an arena array, sorted by a

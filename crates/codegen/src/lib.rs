@@ -38,9 +38,9 @@ pub mod runtime;
 mod tables;
 
 pub use backend::{
-    available_backends, backend, backends, format_param, run_binary, run_binary_args,
-    run_binary_args_deadline, run_binary_deadline, same_normalized, timeout_error, Backend,
-    BuildInput, CBackend, CompiledArtifact, Compiler, Executable, InterpBackend, RunOutput,
+    available_backends, backend, backends, format_param, run_binary, same_normalized,
+    timeout_error, Backend, BuildInput, CBackend, CompiledArtifact, Compiler, Executable,
+    InterpBackend, RunOutput,
 };
 pub use build_cache::{build_with_cache, BuildCacheStats, DiskCacheStats};
 pub use cc::{compile_c, Compiled};

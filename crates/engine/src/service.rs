@@ -475,7 +475,7 @@ impl PreparedQuery {
     /// Execute against a `.tbl` data directory on whatever tier is
     /// currently active. Never blocks on the background compile.
     pub fn execute(&self, data_dir: &Path) -> io::Result<ServedRun> {
-        self.execute_with_deadline(data_dir, None)
+        self.execute_bound(data_dir, &[], None)
             .map_err(|e| match e {
                 // Unreachable without a deadline; keep the io::Result
                 // signature every existing caller has.
@@ -484,28 +484,22 @@ impl PreparedQuery {
             })
     }
 
-    /// [`PreparedQuery::execute`] under a per-request execution budget.
+    /// [`PreparedQuery::execute`] with positional bindings for the
+    /// program's declared parameters and a per-request execution budget.
+    ///
+    /// `overrides[i]` binds the `i`-th declaration, declarations past the
+    /// end of `overrides` keep their defaults. Every execution passes the
+    /// *full* declared vector down (defaults filled in), whichever tier
+    /// serves — one compiled template, any binding. Overrides are coerced
+    /// to the declared type; more overrides than declarations is an error,
+    /// not a silent drop.
+    ///
     /// When the budget elapses the run is *abandoned*, not awaited: the
     /// native tier's query process is killed, the jit interrupts at its
-    /// next loop back-edge, and the caller gets
-    /// [`ExecError::Timeout`] — a typed error, never a hung worker. Timed
-    /// out runs count in [`ServeStats::timeouts`] and leave the latency
-    /// tallies untouched (a killed run has no honest latency).
-    pub fn execute_with_deadline(
-        &self,
-        data_dir: &Path,
-        deadline: Option<Duration>,
-    ) -> Result<ServedRun, ExecError> {
-        self.execute_bound(data_dir, &[], deadline)
-    }
-
-    /// [`PreparedQuery::execute_with_deadline`] with positional bindings
-    /// for the program's declared parameters: `overrides[i]` binds the
-    /// `i`-th declaration, declarations past the end of `overrides` keep
-    /// their defaults. Every execution passes the *full* declared vector
-    /// down (defaults filled in), whichever tier serves — one compiled
-    /// template, any binding. Overrides are coerced to the declared type;
-    /// more overrides than declarations is an error, not a silent drop.
+    /// next loop back-edge, and the caller gets [`ExecError::Timeout`] — a
+    /// typed error, never a hung worker. Timed out runs count in
+    /// [`ServeStats::timeouts`] and leave the latency tallies untouched (a
+    /// killed run has no honest latency).
     pub fn execute_bound(
         &self,
         data_dir: &Path,
@@ -664,9 +658,10 @@ impl PreparedQuery {
     }
 
     /// Block until a tier at least this high is active, the native tier
-    /// is known dead (pinned), or the timeout elapses. Returns `true` iff
-    /// a tier of that rank or above landed — immediately for the jit and
-    /// below, which `prepare` installs.
+    /// is known dead (pinned to the jit: no toolchain, or a failed build),
+    /// or the timeout elapses. Returns `true` iff a tier of that rank or
+    /// above landed — immediately for the jit and below, which `prepare`
+    /// installs.
     pub fn wait_for_tier(&self, tier: Tier, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut meta = self.inner.meta.lock().unwrap();
@@ -684,13 +679,6 @@ impl PreparedQuery {
             let (guard, _) = self.inner.cvar.wait_timeout(meta, deadline - now).unwrap();
             meta = guard;
         }
-    }
-
-    /// Block until the native tier is active, the query is pinned to the
-    /// jit (no toolchain / failed build), or the timeout elapses. Returns
-    /// `true` iff the native tier is active.
-    pub fn wait_for_native(&self, timeout: Duration) -> bool {
-        self.wait_for_tier(Tier::Native, timeout)
     }
 
     /// Current serving statistics.
@@ -860,7 +848,7 @@ impl EngineShared {
 /// the quickstart shape:
 ///
 /// ```no_run
-/// # use dblab_engine::service::QueryEngine;
+/// # use dblab_engine::service::{QueryEngine, Tier};
 /// # let schema = dblab_catalog::Schema::default();
 /// # let prog = dblab_frontend::qplan::QueryProgram::new(
 /// #     dblab_frontend::qplan::QPlan::scan("nation"));
@@ -868,7 +856,7 @@ impl EngineShared {
 /// let engine = QueryEngine::new(&schema).expect("engine");
 /// let q = engine.prepare(&prog).expect("prepare");
 /// let first = q.execute(data).expect("the jit serves immediately");
-/// q.wait_for_native(std::time::Duration::from_secs(60));
+/// q.wait_for_tier(Tier::Native, std::time::Duration::from_secs(60));
 /// let fast = q.execute(data).expect("tier 1 after the hot swap");
 /// ```
 pub struct QueryEngine {
@@ -1239,7 +1227,7 @@ fn worker_loop(shared: &Arc<EngineShared>) {
         };
         // A panicking pass or emitter is one query's failed build, not a
         // lost worker: the handle is pinned to the jit exactly as for an
-        // `Err`, so `wait_for_native` returns instead of waiting on a dead
+        // `Err`, so `wait_for_tier` returns instead of waiting on a dead
         // thread.
         let built = catch_unwind(AssertUnwindSafe(|| tier_up(shared, &job.prog, &inner)))
             .unwrap_or_else(|p| Err(format!("panicked: {}", panic_message(p.as_ref()))));
@@ -1411,7 +1399,7 @@ mod tests {
             assert_eq!(run.output.stdout.trim(), "12|24");
             // Waiting returns at once: the jit is there, native never comes.
             assert!(q.wait_for_tier(Tier::Jit, Duration::ZERO));
-            assert!(!q.wait_for_native(Duration::from_secs(5)));
+            assert!(!q.wait_for_tier(Tier::Native, Duration::from_secs(5)));
             let stats = q.stats();
             assert_eq!((q.swap_count(), stats.tier_stats(Tier::Jit).swaps), (0, 0));
             assert_eq!(stats.tier_stats(Tier::Jit).swap_ms, Some(0.0));
@@ -1448,7 +1436,7 @@ mod tests {
 
         // An already-expired budget: the jit's loop back-edge fuel check
         // fires before any row lands — typed error, no partial output.
-        match q.execute_with_deadline(&dir, Some(Duration::ZERO)) {
+        match q.execute_bound(&dir, &[], Some(Duration::ZERO)) {
             Err(ExecError::Timeout { tier, .. }) => assert_eq!(tier, Tier::Jit),
             other => panic!("expected timeout, got {other:?}"),
         }
@@ -1462,7 +1450,7 @@ mod tests {
 
         // The same handle still serves full rows once given room.
         let run = q
-            .execute_with_deadline(&dir, Some(Duration::from_secs(60)))
+            .execute_bound(&dir, &[], Some(Duration::from_secs(60)))
             .expect("generous budget");
         assert_eq!(run.tier, Tier::Jit);
         assert_eq!(run.output.stdout.trim(), "12|24");
@@ -1565,7 +1553,7 @@ mod tests {
         assert_eq!(first.output.stdout.trim(), "12|24");
 
         assert!(
-            q.wait_for_native(Duration::from_secs(120)),
+            q.wait_for_tier(Tier::Native, Duration::from_secs(120)),
             "tier-up must land: {:?}",
             q.stats().pinned
         );

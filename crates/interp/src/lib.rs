@@ -113,7 +113,7 @@ pub struct Interp<'d> {
     pub output: String,
     /// Cooperative-interrupt state: once the wall clock passes `deadline`,
     /// every loop breaks at its next back-edge and the partial output is
-    /// discarded by [`run_with_deadline`]. The fuel counter amortizes the
+    /// discarded by [`run_bound`]. The fuel counter amortizes the
     /// `Instant::now()` syscall over [`FUEL`] iterations.
     deadline: Option<Instant>,
     fuel: u32,
@@ -131,25 +131,16 @@ const FUEL: u32 = 256;
 /// Execute a program against the database; returns the captured stdout
 /// (result rows, same format as the compiled C).
 pub fn run(p: &Program, db: &Snapshot) -> String {
-    run_with_deadline(p, db, None).expect("no deadline, no interruption")
+    run_bound(p, db, &[], None).expect("no deadline, no interruption")
 }
 
-/// [`run`], but give up once the wall clock passes `deadline`. The check
-/// sits on loop back-edges (straight-line code always completes), so an
-/// expired interpreter unwinds within one fuel window instead of hanging
-/// the thread that called it — the serving engine's per-request deadline
-/// rides on this.
-pub fn run_with_deadline(
-    p: &Program,
-    db: &Snapshot,
-    deadline: Option<Instant>,
-) -> Result<String, Interrupted> {
-    run_bound(p, db, &[], deadline)
-}
-
-/// [`run_with_deadline`] with positional query-parameter bindings: the
-/// `idx`-th [`dblab_ir::Expr::LoadParam`] in `p` evaluates to
-/// `params[idx]`. Programs without parameters accept an empty slice.
+/// [`run`] with positional query-parameter bindings — the `idx`-th
+/// [`dblab_ir::Expr::LoadParam`] in `p` evaluates to `params[idx]`;
+/// programs without parameters accept an empty slice — that gives up once
+/// the wall clock passes `deadline`. The check sits on loop back-edges
+/// (straight-line code always completes), so an expired interpreter
+/// unwinds within one fuel window instead of hanging the thread that
+/// called it — the serving engine's per-request deadline rides on this.
 pub fn run_bound(
     p: &Program,
     db: &Snapshot,
@@ -821,11 +812,11 @@ mod tests {
         let p = b.finish(Atom::Unit, Level::ScaLite);
         let past = Instant::now() - std::time::Duration::from_millis(1);
         assert_eq!(
-            run_with_deadline(&p, &empty_db(), Some(past)),
+            run_bound(&p, &empty_db(), &[], Some(past)),
             Err(Interrupted)
         );
         // And without a deadline the same program completes.
-        assert!(run_with_deadline(&p, &empty_db(), None).is_ok());
+        assert!(run_bound(&p, &empty_db(), &[], None).is_ok());
     }
 
     #[test]

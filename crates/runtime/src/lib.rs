@@ -2,18 +2,15 @@
 //!
 //! Everything a running query touches: dynamic [`value::Value`]s, columnar
 //! [`table::Table`]s with `.tbl` IO (format-compatible with TPC-H `dbgen`
-//! output), the *generic* hash structures whose cost profile the generated
-//! unspecialized C mirrors ([`hash`]), order-preserving string dictionaries
-//! (paper §5.3), memory pools (Appendix D.1), and the resident
-//! [`snapshot`] the in-process executors read a data directory through.
+//! output), order-preserving string dictionaries (paper §5.3), and the
+//! resident [`snapshot`] the in-process executors read a data directory
+//! through.
 //!
 //! The Volcano reference engine, the IR interpreter and the TPC-H data
 //! generator are all built on this crate.
 
-pub mod hash;
 pub mod json;
 pub mod like;
-pub mod pool;
 pub mod snapshot;
 pub mod string_dict;
 pub mod table;

@@ -428,7 +428,7 @@ fn stats_drift_past_threshold_retiers_live_handles() {
         .prepare_named(&prog, "pserve_drift")
         .expect("prepare");
     assert!(
-        handle.wait_for_native(Duration::from_secs(300)),
+        handle.wait_for_tier(Tier::Native, Duration::from_secs(300)),
         "first tier-up must land"
     );
     let native_swaps = || handle.stats().tier_stats(Tier::Native).swaps;

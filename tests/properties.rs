@@ -6,7 +6,6 @@
 //!   preserve evaluation semantics — random expression trees are evaluated
 //!   by the Volcano evaluator and by the IR interpreter over the lowered
 //!   program, and must agree;
-//! * the generic hash structures behave like `std::collections::HashMap`;
 //! * ordered string dictionaries preserve `<`, equality and `startsWith`;
 //! * the Volcano hash join equals a naïve nested-loop join;
 //! * the structural IR hasher (the pass-cache key) is printer-faithful:
@@ -18,11 +17,8 @@
 //!   all 22 TPC-H queries, and a deliberately mis-declared pair is
 //!   caught by the soundness check.
 
-use std::collections::HashMap;
-
 use dblab::catalog::{ColType, Schema, TableDef};
 use dblab::frontend::expr::{Lit, ScalarExpr};
-use dblab::runtime::hash::{ChainedMap, ChainedMultiMap, OpenMap};
 use dblab::runtime::{Database, StringDict, Table, Value};
 use dblab::tpch::rng::Rng64;
 
@@ -132,67 +128,6 @@ fn cse_and_folding_are_semantics_preserving() {
             p2.body.size() <= p1.body.size(),
             "optimize must not grow programs"
         );
-    }
-}
-
-// -------------------------------------------------------------------
-// Hash structures vs std
-// -------------------------------------------------------------------
-
-#[test]
-fn chained_map_behaves_like_std() {
-    let mut rng = Rng64::seed_from_u64(0xdb1ab003);
-    for _ in 0..CASES {
-        let n = rng.gen_range(1..200usize);
-        let mut ours: ChainedMap<i64, i64> = ChainedMap::with_buckets(2);
-        let mut std_map: HashMap<i64, i64> = HashMap::new();
-        for _ in 0..n {
-            let k = rng.gen_range(0..64i64);
-            let v = rng.gen_range(-100..100i64);
-            assert_eq!(ours.insert(k, v), std_map.insert(k, v));
-        }
-        for k in 0..64 {
-            assert_eq!(ours.get(&k), std_map.get(&k));
-        }
-        assert_eq!(ours.len(), std_map.len());
-    }
-}
-
-#[test]
-fn open_map_behaves_like_std() {
-    let mut rng = Rng64::seed_from_u64(0xdb1ab004);
-    for _ in 0..CASES {
-        let n = rng.gen_range(1..200usize);
-        let mut ours: OpenMap<i64, i64> = OpenMap::with_capacity(512);
-        let mut std_map: HashMap<i64, i64> = HashMap::new();
-        for _ in 0..n {
-            let k = rng.gen_range(0..512i64);
-            *ours.get_or_insert_with(k, || 0) += 1;
-            *std_map.entry(k).or_insert(0) += 1;
-        }
-        for k in 0..512 {
-            assert_eq!(ours.get(&k), std_map.get(&k));
-        }
-    }
-}
-
-#[test]
-fn multimap_preserves_insertion_order_per_key() {
-    let mut rng = Rng64::seed_from_u64(0xdb1ab005);
-    for _ in 0..CASES {
-        let n = rng.gen_range(0..100usize);
-        let mut ours: ChainedMultiMap<i32, i32> = ChainedMultiMap::new();
-        let mut reference: HashMap<i32, Vec<i32>> = HashMap::new();
-        for _ in 0..n {
-            let k = rng.gen_range(0..16i32);
-            let v = rng.gen_range(0..1000i32);
-            ours.add_binding(k, v);
-            reference.entry(k).or_default().push(v);
-        }
-        for k in 0..16 {
-            let want = reference.get(&k).cloned().unwrap_or_default();
-            assert_eq!(ours.get(&k), &want[..]);
-        }
     }
 }
 

@@ -97,7 +97,7 @@ fn threads_race_the_hot_swap_and_every_result_matches_the_oracle() {
                     }
                 }));
             }
-            let swapped = handle.wait_for_native(Duration::from_secs(300));
+            let swapped = handle.wait_for_tier(Tier::Native, Duration::from_secs(300));
             if !swapped {
                 gave_up.store(true, Ordering::Release);
             }
@@ -166,7 +166,10 @@ fn degraded_engine_serves_threads_from_the_jit_without_errors() {
     let handle = engine
         .prepare_named(&prog, "serve_it_degraded")
         .expect("prepare");
-    assert!(!handle.wait_for_native(Duration::from_secs(5)), "pinned");
+    assert!(
+        !handle.wait_for_tier(Tier::Native, Duration::from_secs(5)),
+        "pinned"
+    );
     std::thread::scope(|s| {
         for _ in 0..4 {
             let handle = handle.clone();

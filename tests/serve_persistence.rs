@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use dblab::catalog::{ColType, Schema, TableDef};
 use dblab::codegen::{backend, build_cache, Compiler};
-use dblab::engine::service::{EngineOptions, NativeChoice, QueryEngine};
+use dblab::engine::service::{EngineOptions, NativeChoice, QueryEngine, Tier};
 use dblab::frontend::expr::{col, lit_i};
 use dblab::frontend::qplan::{AggFunc, QPlan, QueryProgram};
 use dblab::transform::StackConfig;
@@ -144,7 +144,10 @@ fn query_engine_warm_start_skips_the_toolchain() {
         let q = engine
             .prepare_named(&prog, "persist_serve")
             .expect("prepare");
-        assert!(q.wait_for_native(Duration::from_secs(300)), "tier-up lands");
+        assert!(
+            q.wait_for_tier(Tier::Native, Duration::from_secs(300)),
+            "tier-up lands"
+        );
         let up = q.stats().tier_up.expect("report");
         assert!(!up.build_cached, "first tier-up pays the toolchain");
         assert!(up.build_ms > 0.0);
@@ -171,7 +174,10 @@ fn query_engine_warm_start_skips_the_toolchain() {
     let q = engine
         .prepare_named(&prog, "persist_serve")
         .expect("prepare");
-    assert!(q.wait_for_native(Duration::from_secs(300)), "warm tier-up");
+    assert!(
+        q.wait_for_tier(Tier::Native, Duration::from_secs(300)),
+        "warm tier-up"
+    );
     let up = q.stats().tier_up.expect("report");
     assert!(up.build_cached, "warm start skips gcc entirely");
     assert_eq!(up.build_ms, 0.0);
