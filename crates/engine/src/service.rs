@@ -12,11 +12,12 @@
 //! query through the memoized DSL stack, compiles the lowered program to
 //! jit closures on the spot (it costs what starting an interpreter would)
 //! and returns a [`PreparedQuery`] serving from the jit — executable
-//! immediately (**tier 0**). In the background, a worker pool compiles the
-//! same query through a native backend, reusing every cache layer — the
-//! per-pass IR memo, the source-level build cache and its on-disk index
-//! ([`dblab_codegen::build_cache`]) — then **atomically hot-swaps** the
-//! executable under the handle (**tier 1**). Executions racing the swap
+//! immediately (**tier 0**). The handle keeps that lowered program: the
+//! query is lowered exactly once. In the background, a worker pool builds
+//! the same program through a native backend, reusing the source-level
+//! build cache and its on-disk index ([`dblab_codegen::build_cache`]),
+//! then **atomically hot-swaps** the executable under the handle (**tier
+//! 1**) — at most once per handle. Executions racing the swap
 //! see either tier, never a torn state: the active executable lives
 //! behind an `RwLock` and every run clones an `Arc<dyn Executable>` out
 //! under the read lock, so a swap never invalidates an in-flight run.
@@ -25,7 +26,9 @@
 //! queries stay on the jit permanently, one warning is emitted per engine
 //! (and surfaced on every handle's [`PreparedQuery::report`]), and
 //! nothing errors. The IR interpreter serves no traffic; it is the
-//! reference executor [`PreparedQuery::execute_pinned`] builds on demand.
+//! reference executor [`PreparedQuery::execute_pinned`] builds on demand
+//! from the same lowered program. The schema (and so every statistic a
+//! pass reads) is fixed for the engine's life.
 
 use std::collections::VecDeque;
 use std::io;
@@ -37,8 +40,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dblab_catalog::Schema;
-use dblab_codegen::{backend, Backend, Compiler, Executable, InterpBackend, JitBackend, RunOutput};
-use dblab_frontend::expr::Lit;
+use dblab_codegen::{
+    backend, Backend, CompiledArtifact, Compiler, Executable, InterpBackend, JitBackend, RunOutput,
+};
 use dblab_frontend::qplan::{ParamDecl, QueryProgram};
 use dblab_runtime::snapshot::{self, SnapshotStats};
 use dblab_runtime::{json, Value};
@@ -117,12 +121,6 @@ pub struct EngineOptions {
     /// Load/extend the on-disk build-cache index under
     /// [`EngineOptions::gen_dir`], so warm starts survive restarts.
     pub persist_cache: bool,
-    /// Relative row-count drift (per table, vs the schema statistics the
-    /// current native tier compiled under) beyond which
-    /// [`QueryEngine::refresh_stats`] re-enqueues tier-up builds for every
-    /// live prepared query. `0.5` = re-tier once any table grew or shrank
-    /// by half; non-finite or negative disables automatic re-tiering.
-    pub retier_threshold: f64,
 }
 
 impl Default for EngineOptions {
@@ -133,7 +131,6 @@ impl Default for EngineOptions {
             workers: 2,
             native: NativeChoice::Auto,
             persist_cache: false,
-            retier_threshold: 0.5,
         }
     }
 }
@@ -189,9 +186,6 @@ impl LatencySummary {
 pub struct TierUpReport {
     /// Which backend built tier 1.
     pub backend: &'static str,
-    /// DSL-stack generation time of the tier-1 compile (ms) — mostly memo
-    /// hits, since `prepare` already lowered the query.
-    pub gen_ms: f64,
     /// Toolchain time (ms); zero when the build cache (memory or disk)
     /// already had the artifact.
     pub build_ms: f64,
@@ -208,8 +202,8 @@ pub struct TierUpReport {
 #[derive(Debug, Clone, Copy)]
 pub struct TierStats {
     pub tier: Tier,
-    /// Executable swaps that landed this tier: only native swaps (>1
-    /// after re-tiering); the jit is installed by `prepare` itself.
+    /// Executable swaps that landed this tier: 0 or 1, native only; the
+    /// jit is installed by `prepare` itself.
     pub swaps: u64,
     /// Wall time from `prepare` returning to this tier being ready to
     /// serve (ms); `None` while the tier hasn't landed. The jit reports
@@ -259,23 +253,11 @@ impl ServeStats {
     }
 }
 
-impl LatencySummary {
-    /// `{"runs": …, "mean_ms": …, "best_ms": …}` (nulls while unserved).
-    pub fn to_json(&self) -> String {
-        json::Obj::new()
-            .int("runs", self.runs)
-            .num("mean_ms", self.mean_ms())
-            .num("best_ms", self.best_ms)
-            .build()
-    }
-}
-
 impl TierUpReport {
     /// The swap provenance as a JSON object.
     pub fn to_json(&self) -> String {
         json::Obj::new()
             .str("backend", self.backend)
-            .num("gen_ms", self.gen_ms)
             .num("build_ms", self.build_ms)
             .bool("build_cached", self.build_cached)
             .num("elapsed_ms", self.elapsed_ms)
@@ -321,7 +303,7 @@ pub struct EngineStats {
     /// run. With prepared templates this stays flat while distinct
     /// parameter bindings grow (`tests/param_serving.rs` pins it).
     pub tier0_compiles: u64,
-    /// Native tier-up builds that landed (initial swaps and re-tiers).
+    /// Native tier-up builds that landed (one per handle at most).
     pub tierups_built: u64,
     /// Engine-wide tier ladder: per tier, total swaps and the merged
     /// latency tally across every live prepared query.
@@ -421,16 +403,15 @@ struct Active {
 
 #[derive(Default)]
 struct Meta {
-    /// Prepare→ready latency of the first native swap (ms).
-    native_landed: Option<f64>,
+    /// Set when the (single) native swap lands.
     tier_up: Option<TierUpReport>,
     /// Why the native tier will never arrive, when it won't.
     pinned: Option<String>,
 }
 
 struct PreparedInner {
-    /// The engine's compile state: schema, configuration, gen dir (for
-    /// the on-demand reference interpreter) and the shared data-dir list.
+    /// The engine's compile state: schema, configuration, gen dir and the
+    /// shared data-dir list.
     shared: Arc<EngineShared>,
     name: String,
     /// Filesystem stem every artifact of this handle builds under:
@@ -439,19 +420,18 @@ struct PreparedInner {
     /// sanitize to the same string) must never share a `gen_dir` output
     /// path, or one's binary silently serves the other's rows.
     artifact_stem: String,
-    /// The source program, kept for re-tiering (a stats refresh recompiles
-    /// from here) and for its parameter declarations.
-    prog: QueryProgram,
+    /// The program's parameter declarations, in wire order.
+    params: Vec<ParamDecl>,
+    /// The program `prepare` lowered: the native tier-up and the reference
+    /// interpreter build from a clone of it, and `report` prints its stage
+    /// trace.
+    cq: CompiledQuery,
     prepared_at: Instant,
     /// Tier-0 compile cost paid inside `prepare` (ms).
     prepare_ms: f64,
-    /// The tier-0 stage trace, kept for `report`.
-    stage_report: String,
     active: RwLock<Active>,
     meta: Mutex<Meta>,
     cvar: Condvar,
-    /// Native swaps landed (re-tiers keep counting).
-    swaps: AtomicU64,
     timeouts: AtomicU64,
     first_result_ms: Mutex<Option<f64>>,
     /// Latency tally per ladder rank.
@@ -516,8 +496,8 @@ impl PreparedQuery {
 
     /// Execute on one *specific* tier, bypassing the active-tier
     /// selection — how a bench measures rungs side by side. `Tier::Interp`
-    /// is the reference interpreter, built on first use (the lowering is
-    /// all memo hits) and kept; `None` when any other tier never landed
+    /// is the reference interpreter, built on first use from the program
+    /// `prepare` lowered and kept; `None` when any other tier never landed
     /// on this handle. Runs are recorded in the same per-tier latency
     /// tallies as served traffic.
     pub fn execute_pinned(
@@ -546,19 +526,17 @@ impl PreparedQuery {
     /// Build the reference interpreter and keep it in the interp slot (a
     /// racing builder's copy wins; both are the same program).
     fn reference_interp(&self) -> io::Result<Arc<dyn Executable>> {
-        let s = &self.inner.shared;
-        let schema = s.schema.read().unwrap().clone();
-        let cq = dblab_transform::compile(&self.inner.prog, &schema, &s.cfg);
-        let name = format!("{}_interp", self.inner.artifact_stem);
-        let exe = build_in_process(s, &schema, cq, Box::new(InterpBackend), &name)?;
-        let mut exes = self.inner.tier_exes.lock().unwrap();
+        let inner = &self.inner;
+        let (cq, name) = (inner.cq.clone(), format!("{}_interp", inner.artifact_stem));
+        let exe = Arc::from(build(&inner.shared, cq, Box::new(InterpBackend), &name)?.exe);
+        let mut exes = inner.tier_exes.lock().unwrap();
         Ok(Arc::clone(exes[Tier::Interp.rank()].get_or_insert(exe)))
     }
 
     /// Full positional parameter vector: overrides by position, declared
     /// defaults elsewhere; more overrides than declarations is an error.
     fn bind(&self, overrides: &[Value]) -> Result<Vec<Value>, ExecError> {
-        let decls = &self.inner.prog.params;
+        let decls = &self.inner.params;
         if overrides.len() > decls.len() {
             return Err(ExecError::Exec(io::Error::other(format!(
                 "{} parameter(s) bound but `{}` declares {}",
@@ -573,7 +551,7 @@ impl PreparedQuery {
                 Some(v) => {
                     coerce_param(decl, v).map_err(|e| ExecError::Exec(io::Error::other(e)))?
                 }
-                None => lit_to_value(&decl.default),
+                None => crate::eval::lit_value(&decl.default),
             };
             bound.push(v);
         }
@@ -638,18 +616,12 @@ impl PreparedQuery {
 
     /// The program's declared parameters, in wire (positional) order.
     pub fn params(&self) -> &[ParamDecl] {
-        &self.inner.prog.params
+        &self.inner.params
     }
 
     /// The currently active tier.
     pub fn tier(&self) -> Tier {
         self.inner.active.read().unwrap().tier
-    }
-
-    /// How many native swaps have landed (0 or 1 until re-tiering, which
-    /// keeps counting).
-    pub fn swap_count(&self) -> u64 {
-        self.inner.swaps.load(Ordering::Acquire)
     }
 
     /// Tier-0 compile cost paid inside `prepare` (ms).
@@ -666,7 +638,7 @@ impl PreparedQuery {
         let deadline = Instant::now() + timeout;
         let mut meta = self.inner.meta.lock().unwrap();
         loop {
-            if tier != Tier::Native || meta.native_landed.is_some() {
+            if tier != Tier::Native || meta.tier_up.is_some() {
                 return true;
             }
             if meta.pinned.is_some() {
@@ -684,12 +656,15 @@ impl PreparedQuery {
     /// Current serving statistics.
     pub fn stats(&self) -> ServeStats {
         let meta = self.inner.meta.lock().unwrap();
+        // A handle swaps to native at most once: the report is the swap.
+        let native_ms = meta.tier_up.as_ref().map(|up| up.elapsed_ms);
+        let native_swaps = u64::from(native_ms.is_some());
         let ladder = std::array::from_fn(|rank| {
             let tier = Tier::LADDER[rank];
             let (swaps, swap_ms) = match tier {
                 Tier::Interp => (0, None),
                 Tier::Jit => (0, Some(0.0)),
-                Tier::Native => (self.swap_count(), meta.native_landed),
+                Tier::Native => (native_swaps, native_ms),
             };
             TierStats {
                 tier,
@@ -700,7 +675,7 @@ impl PreparedQuery {
         });
         ServeStats {
             tier: self.tier(),
-            swaps: self.swap_count(),
+            swaps: native_swaps,
             first_result_ms: *self.inner.first_result_ms.lock().unwrap(),
             ladder,
             timeouts: self.inner.timeouts.load(Ordering::Acquire),
@@ -713,14 +688,13 @@ impl PreparedQuery {
     /// swap provenance, or — when the engine is degraded — the one
     /// warning that replaces per-query errors.
     pub fn report(&self) -> String {
-        let mut out = self.inner.stage_report.clone();
+        let mut out = self.inner.cq.stage_report();
         let stats = self.stats();
         match (&stats.tier_up, &stats.pinned) {
             (Some(up), _) => out.push_str(&format!(
-                "serving: tier native via {} (swap #{} after {:.1}ms; \
+                "serving: tier native via {} (swapped in after {:.1}ms; \
                  build {:.1}ms{})\n",
                 up.backend,
-                stats.swaps,
                 up.elapsed_ms,
                 up.build_ms,
                 if up.build_cached { ", cached" } else { "" },
@@ -735,17 +709,6 @@ impl PreparedQuery {
             )),
         }
         out
-    }
-}
-
-/// A declaration's default literal as a runtime value.
-fn lit_to_value(l: &Lit) -> Value {
-    match l {
-        Lit::Bool(b) => Value::Bool(*b),
-        Lit::Int(v) => Value::Int(*v),
-        Lit::Long(v) => Value::Long(*v),
-        Lit::Double(v) => Value::Double(*v),
-        Lit::Str(s) => Value::Str(s.clone()),
     }
 }
 
@@ -770,7 +733,6 @@ fn coerce_param(decl: &ParamDecl, v: &Value) -> Result<Value, String> {
 /// One queued native build.
 struct Job {
     prepared: Weak<PreparedInner>,
-    prog: QueryProgram,
 }
 
 struct QueueState {
@@ -805,10 +767,8 @@ impl Registry {
 }
 
 struct EngineShared {
-    /// The schema queries compile under. Writable: a statistics refresh
-    /// ([`QueryEngine::refresh_stats`]) swaps it, and later compiles —
-    /// including triggered re-tiers — pick the new statistics up.
-    schema: RwLock<Schema>,
+    /// The schema queries compile under, fixed for the engine's life.
+    schema: Schema,
     cfg: StackConfig,
     gen_dir: PathBuf,
     /// Resolved tier-1 backend registry name; `None` = degraded/disabled.
@@ -824,11 +784,9 @@ struct EngineShared {
     /// Every handle this engine prepared, weakly: [`QueryEngine::stats`]
     /// aggregates the live ones; pushes prune dead entries amortized.
     prepared: Mutex<Registry>,
-    /// See [`EngineOptions::retier_threshold`].
-    retier_threshold: f64,
     /// Tier-0 compiles run by `prepare*` (never moves per-execution).
     tier0_compiles: AtomicU64,
-    /// Native builds that swapped in (initial tier-ups and re-tiers).
+    /// Native builds that swapped in.
     tierups_built: AtomicU64,
     /// Every data directory an in-process tier of this engine executed
     /// against (each handle appends on first sight).
@@ -886,7 +844,7 @@ impl QueryEngine {
         }
         let (native, degraded) = resolve_native(&opts.native);
         let shared = Arc::new(EngineShared {
-            schema: RwLock::new(schema.clone()),
+            schema: schema.clone(),
             cfg: opts.config,
             gen_dir: opts.gen_dir,
             native,
@@ -902,7 +860,6 @@ impl QueryEngine {
                 entries: Vec::new(),
                 prune_at: Registry::MIN_PRUNE_AT,
             }),
-            retier_threshold: opts.retier_threshold,
             tier0_compiles: AtomicU64::new(0),
             tierups_built: AtomicU64::new(0),
             data_dirs: RwLock::default(),
@@ -939,9 +896,7 @@ impl QueryEngine {
     pub fn prepare_named(&self, prog: &QueryProgram, name: &str) -> io::Result<PreparedQuery> {
         let s = &self.shared;
         let t0 = Instant::now();
-        let schema = s.schema.read().unwrap().clone();
-        let cq = dblab_transform::compile(prog, &schema, &s.cfg);
-        let stage_report = cq.stage_report();
+        let cq = dblab_transform::compile(prog, &s.schema, &s.cfg);
         // The on-disk stem carries the lowered program's stable hash:
         // distinct programs prepared under one display name (or colliding
         // sanitized server specs) land on distinct artifact paths.
@@ -949,13 +904,10 @@ impl QueryEngine {
             "{name}_{:08x}",
             dblab_ir::hash::program_hash(&cq.program) as u32
         );
-        let jit = build_in_process(
-            s,
-            &schema,
-            cq,
-            Box::new(JitBackend),
-            &format!("{artifact_stem}_jit"),
-        )?;
+        // The jit artifact hands the lowered program back: the handle keeps
+        // it, so the tier-up and the reference interpreter never lower again.
+        let art = build(s, cq, Box::new(JitBackend), &format!("{artifact_stem}_jit"))?;
+        let jit: Arc<dyn Executable> = Arc::from(art.exe);
         let prepare_ms = t0.elapsed().as_secs_f64() * 1e3;
         s.tier0_compiles.fetch_add(1, Ordering::Relaxed);
 
@@ -969,10 +921,10 @@ impl QueryEngine {
             shared: Arc::clone(s),
             name: name.to_string(),
             artifact_stem,
-            prog: prog.clone(),
+            params: prog.params.clone(),
+            cq: art.stack,
             prepared_at: Instant::now(),
             prepare_ms,
-            stage_report,
             active: RwLock::new(Active {
                 exe: Arc::clone(&jit),
                 tier: Tier::Jit,
@@ -982,7 +934,6 @@ impl QueryEngine {
                 ..Meta::default()
             }),
             cvar: Condvar::new(),
-            swaps: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             first_result_ms: Mutex::new(None),
             lats: Default::default(),
@@ -996,7 +947,6 @@ impl QueryEngine {
         if s.native.is_some() {
             s.queue.lock().unwrap().jobs.push_back(Job {
                 prepared: Arc::downgrade(&inner),
-                prog: prog.clone(),
             });
             s.cvar.notify_all();
         }
@@ -1065,9 +1015,8 @@ impl QueryEngine {
                 .collect();
             dirs.sort();
             dirs.dedup();
-            let schema = self.shared.schema.read().unwrap();
             for dir in &dirs {
-                resident += snapshot::stats(&schema, dir);
+                resident += snapshot::stats(&self.shared.schema, dir);
             }
         }
         EngineStats {
@@ -1092,53 +1041,6 @@ impl QueryEngine {
         self.shared.prepared.lock().unwrap().entries.len()
     }
 
-    /// Attach fresh schema statistics. Later compiles use them
-    /// immediately; and when any table's row count drifted beyond
-    /// [`EngineOptions::retier_threshold`] relative to the statistics the
-    /// engine was serving under, every live prepared query is re-enqueued
-    /// for a native rebuild — data that doubled deserves the
-    /// specializations its new shape earns. Returns how many re-tier jobs
-    /// were enqueued (0 when the drift stayed under the
-    /// threshold or the native tier is absent). Swap counters keep
-    /// counting: a handle that re-tiers reports `swaps >= 2`.
-    pub fn refresh_stats(&self, fresh: &Schema) -> usize {
-        let s = &self.shared;
-        let drift = {
-            let old = s.schema.read().unwrap();
-            max_rowcount_drift(&old, fresh)
-        };
-        *s.schema.write().unwrap() = fresh.clone();
-        let disabled = s.retier_threshold.is_nan() || s.retier_threshold < 0.0;
-        if disabled || drift <= s.retier_threshold || s.native.is_none() {
-            return 0;
-        }
-        let live: Vec<(Weak<PreparedInner>, QueryProgram)> = {
-            let reg = s.prepared.lock().unwrap();
-            reg.entries
-                .iter()
-                .filter_map(|(_, weak)| {
-                    weak.upgrade()
-                        .map(|inner| (Weak::clone(weak), inner.prog.clone()))
-                })
-                .collect()
-        };
-        let n = live.len();
-        if n > 0 {
-            let mut q = s.queue.lock().unwrap();
-            for (prepared, prog) in live {
-                q.jobs.push_back(Job { prepared, prog });
-            }
-            drop(q);
-            s.cvar.notify_all();
-        }
-        n
-    }
-
-    /// The configuration queries compile under.
-    pub fn config(&self) -> &StackConfig {
-        &self.shared.cfg
-    }
-
     /// Stable display/artifact name from program text + configuration
     /// (the lowered-program hash and backend name are appended per
     /// handle/tier). Hashed with the process-independent FNV the build
@@ -1150,23 +1052,6 @@ impl QueryEngine {
         let text = format!("{prog:?}\x1f{}", self.shared.cfg.name);
         format!("serve_{:016x}", dblab_ir::hash::str_hash(&text))
     }
-}
-
-/// Largest relative per-table row-count change between two schema
-/// snapshots (tables present in only one side are ignored — drift is
-/// about data growth, not DDL).
-fn max_rowcount_drift(old: &Schema, fresh: &Schema) -> f64 {
-    let mut drift = 0.0f64;
-    for t in &fresh.tables {
-        if !old.has_table(&t.name) {
-            continue;
-        }
-        let before = old.table(&t.name).stats.row_count as f64;
-        let after = t.stats.row_count as f64;
-        let rel = (after - before).abs() / before.max(1.0);
-        drift = drift.max(rel);
-    }
-    drift
 }
 
 impl Drop for QueryEngine {
@@ -1229,7 +1114,7 @@ fn worker_loop(shared: &Arc<EngineShared>) {
         // lost worker: the handle is pinned to the jit exactly as for an
         // `Err`, so `wait_for_tier` returns instead of waiting on a dead
         // thread.
-        let built = catch_unwind(AssertUnwindSafe(|| tier_up(shared, &job.prog, &inner)))
+        let built = catch_unwind(AssertUnwindSafe(|| tier_up(shared, &inner)))
             .unwrap_or_else(|p| Err(format!("panicked: {}", panic_message(p.as_ref()))));
         if let Err(e) = built {
             let msg = format!("native tier-up for `{}` failed: {e}", inner.name);
@@ -1250,37 +1135,27 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-/// Build an already-lowered program on an in-process backend (the jit in
-/// `prepare`, the reference interpreter on demand).
-fn build_in_process(
+/// Build an already-lowered program on one backend: the jit in `prepare`,
+/// the native tier-up, the reference interpreter on demand.
+fn build(
     shared: &EngineShared,
-    schema: &Schema,
     cq: CompiledQuery,
     backend: Box<dyn Backend>,
     name: &str,
-) -> io::Result<Arc<dyn Executable>> {
-    let art = Compiler::new(schema)
+) -> io::Result<CompiledArtifact> {
+    Compiler::new(&shared.schema)
         .config(&shared.cfg)
         .backend(backend)
         .out_dir(&shared.gen_dir)
-        .build_staged(cq, name)?;
-    Ok(Arc::from(art.exe))
+        .build_staged(cq, name)
 }
 
-/// One background compile: the memoized stack again (all memo hits —
-/// `prepare` already lowered the query), native build through the
-/// (possibly disk-backed) build cache, then the atomic swap.
-fn tier_up(
-    shared: &EngineShared,
-    prog: &QueryProgram,
-    inner: &Arc<PreparedInner>,
-) -> Result<(), String> {
+/// One background compile: the program `prepare` lowered, built natively
+/// through the (possibly disk-backed) build cache, then the atomic swap.
+fn tier_up(shared: &EngineShared, inner: &Arc<PreparedInner>) -> Result<(), String> {
     let bname = shared
         .native
         .expect("tier-up only enqueued with a native backend");
-    let schema = shared.schema.read().unwrap().clone();
-    let cq = dblab_transform::compile(prog, &schema, &shared.cfg);
-    let gen_ms = cq.gen_time.as_secs_f64() * 1e3;
     // The artifact name carries a per-engine sequence number: two
     // handles prepared for the same program share a deterministic stem,
     // and two workers building them concurrently must never hand the
@@ -1288,36 +1163,30 @@ fn tier_up(
     // in). Reuse still happens where it is safe — the build cache keys
     // on emitted source, not on this file name.
     let seq = shared.build_seq.fetch_add(1, Ordering::Relaxed);
-    let art = Compiler::new(&schema)
-        .config(&shared.cfg)
-        .backend(backend(bname).expect("resolved at construction"))
-        .out_dir(&shared.gen_dir)
-        .build_staged(cq, &format!("{}_{seq}_{bname}", inner.artifact_stem))
-        .map_err(|e| e.to_string())?;
+    let art = build(
+        shared,
+        inner.cq.clone(),
+        backend(bname).expect("resolved at construction"),
+        &format!("{}_{seq}_{bname}", inner.artifact_stem),
+    )
+    .map_err(|e| e.to_string())?;
     let report = TierUpReport {
         backend: art.backend,
-        gen_ms,
         build_ms: art.exe.build_time().as_secs_f64() * 1e3,
         build_cached: art.build_cached,
         elapsed_ms: inner.prepared_at.elapsed().as_secs_f64() * 1e3,
     };
     // The swap: writers are rare (one per tier-up), readers clone the Arc
     // out in O(1) — an in-flight jit run keeps its executable alive
-    // through its own Arc and simply finishes on the old tier. A re-tier
-    // replaces the active native executable the same way.
+    // through its own Arc and simply finishes on the old tier.
     let exe: Arc<dyn Executable> = Arc::from(art.exe);
     *inner.active.write().unwrap() = Active {
         exe: Arc::clone(&exe),
         tier: Tier::Native,
     };
     inner.tier_exes.lock().unwrap()[Tier::Native.rank()] = Some(exe);
-    inner.swaps.fetch_add(1, Ordering::AcqRel);
     shared.tierups_built.fetch_add(1, Ordering::Relaxed);
-    {
-        let mut meta = inner.meta.lock().unwrap();
-        meta.native_landed.get_or_insert(report.elapsed_ms);
-        meta.tier_up = Some(report);
-    }
+    inner.meta.lock().unwrap().tier_up = Some(report);
     inner.cvar.notify_all();
     Ok(())
 }
@@ -1401,7 +1270,7 @@ mod tests {
             assert!(q.wait_for_tier(Tier::Jit, Duration::ZERO));
             assert!(!q.wait_for_tier(Tier::Native, Duration::from_secs(5)));
             let stats = q.stats();
-            assert_eq!((q.swap_count(), stats.tier_stats(Tier::Jit).swaps), (0, 0));
+            assert_eq!((stats.swaps, stats.tier_stats(Tier::Jit).swaps), (0, 0));
             assert_eq!(stats.tier_stats(Tier::Jit).swap_ms, Some(0.0));
             assert!(stats.first_result_ms.is_some());
             assert!(stats.pinned.expect("pinned").contains(why));
@@ -1571,5 +1440,55 @@ mod tests {
         assert!(stats.tier_stats(Tier::Native).lat.runs >= 1);
         assert_eq!(engine.stats().tierups_built, 1);
         assert!(q.report().contains("tier native via gcc"));
+    }
+
+    /// A native build that fails (here: the gen dir became a regular file,
+    /// so gcc has nowhere to write) pins the handle to the jit: waiting
+    /// for native returns `false` at once, the stats name the failure,
+    /// and every execute keeps answering from the jit.
+    #[test]
+    fn a_failed_native_build_pins_the_handle_to_the_jit() {
+        if !backend("gcc").expect("registered").available() {
+            eprintln!("(skipping: gcc not present)");
+            return;
+        }
+        let schema = schema("svc_badgen");
+        let dir = data(&schema, "svc_badgen", "badgen");
+        let gen_dir = std::env::temp_dir().join("dblab_service_badgen_gen");
+        let _ = std::fs::remove_dir_all(&gen_dir);
+        let _ = std::fs::remove_file(&gen_dir);
+        let engine = QueryEngine::with_options(
+            &schema,
+            EngineOptions {
+                gen_dir: gen_dir.clone(),
+                workers: 1,
+                ..EngineOptions::default()
+            },
+        )
+        .expect("engine");
+        std::fs::remove_dir_all(&gen_dir).expect("remove gen dir");
+        std::fs::write(&gen_dir, b"not a directory").expect("gen dir as a file");
+
+        let q = engine
+            .prepare_named(&sum_query("svc_badgen"), "badgen")
+            .expect("the jit needs no gen dir");
+        let t0 = Instant::now();
+        assert!(!q.wait_for_tier(Tier::Native, Duration::from_secs(60)));
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "a failed build must end the wait, not the timeout"
+        );
+        let pinned = q.stats().pinned.expect("pinned after the failure");
+        assert!(
+            pinned.contains("native tier-up for `badgen` failed"),
+            "{pinned}"
+        );
+        for _ in 0..3 {
+            let run = q.execute(&dir).expect("the jit still serves");
+            assert_eq!(run.tier, Tier::Jit);
+            assert_eq!(run.output.stdout.trim(), "12|24");
+        }
+        assert_eq!(engine.stats().tierups_built, 0);
+        let _ = std::fs::remove_file(&gen_dir);
     }
 }

@@ -51,10 +51,6 @@ impl StringDict {
         self.values.is_empty()
     }
 
-    pub fn is_ordered(&self) -> bool {
-        self.ordered
-    }
-
     /// The integer code of `s`, or `-1` when `s` never occurs in the data
     /// (a query constant absent from the attribute can never match, which
     /// the integer comparison then correctly reports).

@@ -15,8 +15,7 @@ use crate::protocol::*;
 pub enum ClientError {
     /// The server answered with an `ERROR` frame.
     Server { code: ErrorCode, message: String },
-    /// The transport failed (includes read-timeout expiry, which is how
-    /// the harness detects a hung connection).
+    /// The transport failed (includes read-timeout expiry).
     Io(io::Error),
 }
 
@@ -38,12 +37,6 @@ impl From<io::Error> for ClientError {
 }
 
 impl ClientError {
-    /// True when the transport failure was a read timeout — the signal
-    /// the load harness counts as a hung connection.
-    pub fn is_hang(&self) -> bool {
-        matches!(self, ClientError::Io(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut))
-    }
-
     /// The server-side error code, if this was a server-reported error.
     pub fn code(&self) -> Option<ErrorCode> {
         match self {
@@ -91,8 +84,7 @@ impl Client {
     }
 
     /// Connect with a read timeout; a server that goes silent for longer
-    /// surfaces as a `WouldBlock`/`TimedOut` transport error
-    /// ([`ClientError::is_hang`]).
+    /// surfaces as a `WouldBlock`/`TimedOut` transport error.
     pub fn connect_timeout(addr: SocketAddr, read_timeout: Option<Duration>) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;

@@ -28,6 +28,11 @@
 //! let report = server.shutdown();
 //! assert_eq!(report.executed, 1);
 //! ```
+//!
+//! Linux only: every reactor thread is one `epoll` instance.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("dblab-server is Linux-only: its reactor is built on epoll");
 
 pub mod client;
 pub mod protocol;

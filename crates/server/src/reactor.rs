@@ -4,10 +4,10 @@
 //! PR 7's front end spent one reader thread per connection — thousands
 //! of sockets, not millions. Here a connection costs one registered fd
 //! and a few hundred bytes of buffer state; each [`Reactor`] thread
-//! drives every socket assigned to it through a readiness loop
-//! (`epoll` on Linux, portable `poll(2)` everywhere else — both
+//! drives every socket assigned to it through one `epoll` instance,
 //! reached through tiny `extern "C"` declarations against the libc the
-//! process already links, so no new dependency).
+//! process already links, so no new dependency. The crate is Linux-only
+//! (see the crate root).
 //!
 //! ## Connection state machine
 //!
@@ -57,7 +57,7 @@ use crate::session::Session;
 /// process already links libc, so the symbols are there; all we add is
 /// the ABI surface we actually use.
 mod sys {
-    use std::os::raw::{c_int, c_short, c_ulong};
+    use std::os::raw::c_int;
 
     pub const EPOLLIN: u32 = 0x001;
     pub const EPOLLOUT: u32 = 0x004;
@@ -68,15 +68,7 @@ mod sys {
     pub const EPOLL_CTL_MOD: c_int = 3;
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
 
-    pub const POLLIN: c_short = 0x001;
-    pub const POLLOUT: c_short = 0x004;
-    pub const POLLERR: c_short = 0x008;
-    pub const POLLHUP: c_short = 0x010;
-    pub const POLLNVAL: c_short = 0x020;
-
-    #[cfg(target_os = "linux")]
     pub const SOL_SOCKET: c_int = 1;
-    #[cfg(target_os = "linux")]
     pub const SO_SNDBUF: c_int = 7;
 
     /// Matches the kernel's `struct epoll_event`; packed on x86-64
@@ -89,29 +81,16 @@ mod sys {
         pub data: u64,
     }
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: c_int,
-        pub events: c_short,
-        pub revents: c_short,
-    }
-
     extern "C" {
-        #[cfg(target_os = "linux")]
         pub fn epoll_create1(flags: c_int) -> c_int;
-        #[cfg(target_os = "linux")]
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        #[cfg(target_os = "linux")]
         pub fn epoll_wait(
             epfd: c_int,
             events: *mut EpollEvent,
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
-        #[cfg(target_os = "linux")]
         pub fn close(fd: c_int) -> c_int;
-        #[cfg(target_os = "linux")]
         pub fn setsockopt(
             fd: c_int,
             level: c_int,
@@ -119,7 +98,6 @@ mod sys {
             value: *const core::ffi::c_void,
             len: u32,
         ) -> c_int;
-        pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     }
 }
 
@@ -128,23 +106,21 @@ mod sys {
 /// buffer to megabytes behind a slow reader), so at high connection
 /// counts this bounds kernel memory per connection — and makes the
 /// userspace write-queue backpressure the binding constraint instead of
-/// multi-megabyte kernel slack. No-op off Linux.
+/// multi-megabyte kernel slack.
 fn clamp_sndbuf(stream: &TcpStream, bytes: usize) {
-    #[cfg(target_os = "linux")]
-    {
-        let val = bytes.min(i32::MAX as usize) as std::os::raw::c_int;
-        unsafe {
-            sys::setsockopt(
-                stream.as_raw_fd(),
-                sys::SOL_SOCKET,
-                sys::SO_SNDBUF,
-                &val as *const _ as *const core::ffi::c_void,
-                std::mem::size_of_val(&val) as u32,
-            );
-        }
+    let val = bytes.min(i32::MAX as usize) as std::os::raw::c_int;
+    // SAFETY: the fd is open for the borrow of `stream`; `value` points
+    // at a live `c_int` and `len` is its size. A failure leaves the
+    // kernel default, which is harmless.
+    unsafe {
+        sys::setsockopt(
+            stream.as_raw_fd(),
+            sys::SOL_SOCKET,
+            sys::SO_SNDBUF,
+            &val as *const _ as *const core::ffi::c_void,
+            std::mem::size_of_val(&val) as u32,
+        );
     }
-    #[cfg(not(target_os = "linux"))]
-    let _ = (stream, bytes);
 }
 
 /// Token `0` is the reactor's own wake pipe; connections start at `1`.
@@ -162,107 +138,52 @@ struct Ready {
     writable: bool,
 }
 
-/// The two readiness backends behind one interface. Epoll keeps
-/// interest state in the kernel; the `poll(2)` fallback rebuilds its
-/// fd array per wait from a registration map.
-enum Poller {
-    #[cfg(target_os = "linux")]
-    Epoll { epfd: RawFd },
-    Fallback {
-        /// fd -> (token, write interest).
-        fds: HashMap<RawFd, (u64, bool)>,
-    },
-}
-
-#[cfg(target_os = "linux")]
-fn epoll_ctl(
+/// One epoll instance: interest state lives in the kernel.
+struct Poller {
     epfd: RawFd,
-    op: std::os::raw::c_int,
-    fd: RawFd,
-    events: u32,
-    token: u64,
-) -> io::Result<()> {
-    let mut ev = sys::EpollEvent {
-        events,
-        data: token,
-    };
-    let r = unsafe { sys::epoll_ctl(epfd, op, fd, &mut ev) };
-    if r < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(())
-    }
 }
 
 impl Poller {
-    fn new(force_poll: bool) -> Poller {
-        #[cfg(target_os = "linux")]
-        if !force_poll {
-            let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-            if epfd >= 0 {
-                return Poller::Epoll { epfd };
-            }
+    fn new() -> io::Result<Poller> {
+        // SAFETY: no pointers cross; the result is checked below.
+        let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
         }
-        let _ = force_poll;
-        Poller::Fallback {
-            fds: HashMap::new(),
-        }
+        Ok(Poller { epfd })
     }
 
-    /// True when this poller went through `epoll`; tests pin both arms.
-    #[cfg(test)]
-    fn is_epoll(&self) -> bool {
-        #[cfg(target_os = "linux")]
-        if matches!(self, Poller::Epoll { .. }) {
-            return true;
+    fn ctl(&self, op: std::os::raw::c_int, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+        let mut ev = sys::EpollEvent {
+            events,
+            data: token,
+        };
+        // SAFETY: `ev` is a live `epoll_event` for the whole call (the
+        // kernel copies it; `DEL` ignores it); `epfd` is ours until drop.
+        if unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
+            return Err(io::Error::last_os_error());
         }
-        false
+        Ok(())
     }
 
     /// Register with read interest (every registered fd is always
     /// read-watched; write interest toggles separately).
     fn add(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll { epfd } => epoll_ctl(*epfd, sys::EPOLL_CTL_ADD, fd, sys::EPOLLIN, token),
-            Poller::Fallback { fds } => {
-                fds.insert(fd, (token, false));
-                Ok(())
-            }
-        }
+        self.ctl(sys::EPOLL_CTL_ADD, fd, sys::EPOLLIN, token)
     }
 
     /// Toggle write-readiness interest (read interest stays on).
     fn set_write(&mut self, fd: RawFd, token: u64, want: bool) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll { epfd } => {
-                let events = if want {
-                    sys::EPOLLIN | sys::EPOLLOUT
-                } else {
-                    sys::EPOLLIN
-                };
-                epoll_ctl(*epfd, sys::EPOLL_CTL_MOD, fd, events, token)
-            }
-            Poller::Fallback { fds } => {
-                if let Some(slot) = fds.get_mut(&fd) {
-                    slot.1 = want;
-                }
-                Ok(())
-            }
-        }
+        let events = if want {
+            sys::EPOLLIN | sys::EPOLLOUT
+        } else {
+            sys::EPOLLIN
+        };
+        self.ctl(sys::EPOLL_CTL_MOD, fd, events, token)
     }
 
     fn del(&mut self, fd: RawFd) {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll { epfd } => {
-                let _ = epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fd, 0, 0);
-            }
-            Poller::Fallback { fds } => {
-                fds.remove(&fd);
-            }
-        }
+        let _ = self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0);
     }
 
     /// Collect readiness into `out`. Returns on events, timeout, or
@@ -272,65 +193,27 @@ impl Poller {
     fn wait(&mut self, out: &mut Vec<Ready>, timeout: Duration) {
         out.clear();
         let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll { epfd } => {
-                let mut evs = [sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
-                let n = unsafe { sys::epoll_wait(*epfd, evs.as_mut_ptr(), MAX_EVENTS as i32, ms) };
-                if n <= 0 {
-                    return;
-                }
-                for ev in evs.iter().take(n as usize) {
-                    let events = ev.events;
-                    let token = ev.data;
-                    out.push(Ready {
-                        token,
-                        readable: events & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLERR) != 0,
-                        writable: events & sys::EPOLLOUT != 0,
-                    });
-                }
-            }
-            Poller::Fallback { fds } => {
-                let mut pfds: Vec<sys::PollFd> = Vec::with_capacity(fds.len());
-                let mut tokens: Vec<u64> = Vec::with_capacity(fds.len());
-                for (fd, (token, want_write)) in fds.iter() {
-                    pfds.push(sys::PollFd {
-                        fd: *fd,
-                        events: sys::POLLIN | if *want_write { sys::POLLOUT } else { 0 },
-                        revents: 0,
-                    });
-                    tokens.push(*token);
-                }
-                let n = unsafe {
-                    sys::poll(pfds.as_mut_ptr(), pfds.len() as std::os::raw::c_ulong, ms)
-                };
-                if n <= 0 {
-                    return;
-                }
-                for (pfd, token) in pfds.iter().zip(tokens) {
-                    let re = pfd.revents;
-                    if re == 0 {
-                        continue;
-                    }
-                    out.push(Ready {
-                        token,
-                        readable: re & (sys::POLLIN | sys::POLLHUP | sys::POLLERR | sys::POLLNVAL)
-                            != 0,
-                        writable: re & sys::POLLOUT != 0,
-                    });
-                }
-            }
+        let mut evs = [sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+        // SAFETY: the kernel writes at most `MAX_EVENTS` entries into
+        // `evs`, which holds exactly that many; only the first `n` are read.
+        let n = unsafe { sys::epoll_wait(self.epfd, evs.as_mut_ptr(), MAX_EVENTS as i32, ms) };
+        for ev in evs.iter().take(n.max(0) as usize) {
+            let events = ev.events;
+            out.push(Ready {
+                token: ev.data,
+                readable: events & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLERR) != 0,
+                writable: events & sys::EPOLLOUT != 0,
+            });
         }
     }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let Poller::Epoll { epfd } = self {
-            unsafe {
-                sys::close(*epfd);
-            }
+        // SAFETY: `epfd` came from `epoll_create1`, nothing else owns it,
+        // and it is closed exactly once, here.
+        unsafe {
+            sys::close(self.epfd);
         }
     }
 }
@@ -347,8 +230,6 @@ pub struct ReactorConfig {
     /// How long shutdown flushes pending output before closing
     /// sockets regardless.
     pub shutdown_grace: Duration,
-    /// Skip `epoll` and exercise the portable `poll(2)` backend.
-    pub force_poll: bool,
     /// Kernel send-buffer clamp per connection (`SO_SNDBUF`); `0`
     /// leaves the kernel default and its auto-tuning. See
     /// [`clamp_sndbuf`].
@@ -561,7 +442,8 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Spawn a reactor thread with its poller and wake pipe.
+    /// Spawn a reactor thread with its epoll instance and wake pipe; an
+    /// `epoll_create1` failure is this call's error.
     pub fn spawn(
         name: &str,
         handler: Arc<dyn FrameHandler>,
@@ -570,7 +452,7 @@ impl Reactor {
         let (wake_rx, wake_tx) = UnixStream::pair()?;
         wake_rx.set_nonblocking(true)?;
         wake_tx.set_nonblocking(true)?;
-        let mut poller = Poller::new(cfg.force_poll);
+        let mut poller = Poller::new()?;
         poller.add(wake_rx.as_raw_fd(), WAKER_TOKEN)?;
         let shared = Arc::new(ReactorShared {
             cfg,
@@ -958,12 +840,11 @@ mod tests {
     use crate::protocol::{write_frame, OP_STATS, OP_STATS_REPLY};
     use std::net::TcpListener;
 
-    fn test_cfg(force_poll: bool) -> ReactorConfig {
+    fn test_cfg() -> ReactorConfig {
         ReactorConfig {
             write_buf_cap: 1 << 20,
             write_stall: Duration::from_secs(2),
             shutdown_grace: Duration::from_secs(2),
-            force_poll,
             sock_sndbuf: 0,
             open_conns: Arc::new(AtomicUsize::new(0)),
             write_overflows: Arc::new(AtomicU64::new(0)),
@@ -988,8 +869,9 @@ mod tests {
         }
     }
 
-    fn poller_reports_readiness(force_poll: bool) {
-        let mut poller = Poller::new(force_poll);
+    #[test]
+    fn epoll_reports_readiness() {
+        let mut poller = Poller::new().unwrap();
         let (a, b) = UnixStream::pair().unwrap();
         a.set_nonblocking(true).unwrap();
         poller.add(a.as_raw_fd(), 7).unwrap();
@@ -1000,13 +882,13 @@ mod tests {
         poller.wait(&mut out, Duration::from_millis(1000));
         assert!(
             out.iter().any(|r| r.token == 7 && r.readable),
-            "readable after peer write ({force_poll})"
+            "readable after peer write"
         );
         poller.set_write(a.as_raw_fd(), 7, true).unwrap();
         poller.wait(&mut out, Duration::from_millis(1000));
         assert!(
             out.iter().any(|r| r.token == 7 && r.writable),
-            "writable once write interest is on ({force_poll})"
+            "writable once write interest is on"
         );
         poller.del(a.as_raw_fd());
         poller.wait(&mut out, Duration::from_millis(10));
@@ -1014,21 +896,8 @@ mod tests {
     }
 
     #[test]
-    fn poll_fallback_reports_readiness() {
-        poller_reports_readiness(true);
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_reports_readiness() {
-        let poller = Poller::new(false);
-        assert!(poller.is_epoll(), "Linux defaults to epoll");
-        drop(poller);
-        poller_reports_readiness(false);
-    }
-
-    fn echo_reactor_round_trip(force_poll: bool) {
-        let cfg = test_cfg(force_poll);
+    fn echo_reactor_round_trip() {
+        let cfg = test_cfg();
         let open = Arc::clone(&cfg.open_conns);
         let mut reactor = Reactor::spawn("echo-reactor", Arc::new(Echo), cfg).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1075,18 +944,8 @@ mod tests {
     }
 
     #[test]
-    fn echo_round_trip_default_backend() {
-        echo_reactor_round_trip(false);
-    }
-
-    #[test]
-    fn echo_round_trip_poll_backend() {
-        echo_reactor_round_trip(true);
-    }
-
-    #[test]
     fn malformed_length_prefix_answers_then_closes() {
-        let mut reactor = Reactor::spawn("bad-reactor", Arc::new(Echo), test_cfg(false)).unwrap();
+        let mut reactor = Reactor::spawn("bad-reactor", Arc::new(Echo), test_cfg()).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         client

@@ -36,8 +36,10 @@
 //!
 //! ## Shutdown sequence
 //!
-//! [`Server::shutdown`] (1) stops accepting and drops the listener, so
-//! new connections are refused by the OS; (2) closes admission — new
+//! [`Server::shutdown`] (1) stops accepting — it sets the stop flag,
+//! wakes the blocked `accept` with one loopback connection and joins the
+//! accept thread, which drops the listener, so new connections are
+//! refused by the OS; (2) closes admission — new
 //! `execute`/`prepare` frames get [`ErrorCode::ShuttingDown`]; (3)
 //! drains: every already-admitted request completes and its response is
 //! queued; (4) joins the workers; (5) shuts the reactors down — each
@@ -47,7 +49,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -135,9 +137,6 @@ pub struct ServerOptions {
     /// How long a worker waits for write-queue space before shedding
     /// the connection as a stalled reader.
     pub write_stall: Duration,
-    /// Skip `epoll` and run the reactors on the portable `poll(2)`
-    /// backend (tests pin both).
-    pub force_poll: bool,
     /// Kernel send-buffer clamp per connection (`SO_SNDBUF` bytes);
     /// `0` keeps the kernel default and its auto-tuning. Clamping
     /// bounds kernel memory per connection at high connection counts
@@ -164,7 +163,6 @@ impl Default for ServerOptions {
             stream_chunk: 64 << 10,
             write_buf_cap: 8 << 20,
             write_stall: Duration::from_secs(10),
-            force_poll: false,
             sock_sndbuf: 0,
             debug_worker_delay: Duration::ZERO,
         }
@@ -349,7 +347,8 @@ pub struct Server {
 impl Server {
     /// Bind, start the reactor set, the worker pool and the accept
     /// loop. The engine is constructed here and owned by the server for
-    /// its lifetime.
+    /// its lifetime. A reactor whose epoll instance cannot be created is
+    /// this call's error.
     pub fn start(
         schema: &Schema,
         data_dir: &std::path::Path,
@@ -359,7 +358,6 @@ impl Server {
         let engine = QueryEngine::with_options(schema, opts.engine.clone())?;
         let listener = TcpListener::bind(&opts.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let stream_chunk = opts.stream_chunk.clamp(1, MAX_FRAME - HEADER);
         let stream_threshold = opts.stream_threshold.min(MAX_FRAME - HEADER);
@@ -409,7 +407,6 @@ impl Server {
                         write_buf_cap,
                         write_stall: opts.write_stall,
                         shutdown_grace: Duration::from_secs(5),
-                        force_poll: opts.force_poll,
                         sock_sndbuf: opts.sock_sndbuf,
                         open_conns: Arc::clone(&open_conns),
                         write_overflows: Arc::clone(&write_overflows),
@@ -496,10 +493,17 @@ impl Server {
     }
 
     fn shutdown_impl(&mut self) -> usize {
-        // (1) Stop accepting; joining the accept thread drops the
-        // listener, so the OS refuses connections from here on.
-        self.shared.stop_accepting.store(true, Ordering::SeqCst);
+        // (1) Stop accepting: the accept thread blocks in `accept`, so
+        // raise the flag and wake it with one connection of our own; it
+        // sees the flag and returns, dropping the listener, and the OS
+        // refuses connections from here on.
         if let Some(a) = self.accept.take() {
+            self.shared.stop_accepting.store(true, Ordering::SeqCst);
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(Ipv4Addr::LOCALHOST.into());
+            }
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
             let _ = a.join();
         }
         // (2) Close admission. Reactors still answer — with
@@ -547,7 +551,13 @@ fn accept_loop(
 ) {
     let mut next = 0usize;
     loop {
-        match listener.accept() {
+        // The listener blocks: an idle server's accept thread sleeps in
+        // the kernel until a connection (or shutdown's wake-up) arrives.
+        let accepted = listener.accept();
+        if shared.stop_accepting.load(Ordering::SeqCst) {
+            return; // drops the stream and the listener: connections now refused
+        }
+        match accepted {
             Ok((stream, _)) => {
                 shared.counters.connections.fetch_add(1, Ordering::AcqRel);
                 // Deal round-robin; the reactor flips the stream
@@ -555,18 +565,9 @@ fn accept_loop(
                 registrars[next % registrars.len()].register(stream);
                 next = next.wrapping_add(1);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if shared.stop_accepting.load(Ordering::SeqCst) {
-                    return; // drops the listener: connections now refused
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => {
-                if shared.stop_accepting.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // A real accept error (e.g. `EMFILE`) would repeat at once;
+            // back off briefly instead of spinning.
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
 }

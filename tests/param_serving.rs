@@ -14,9 +14,7 @@
 //!   shrinks as handles die, and the server's prepared cache evicts
 //!   cold entries past `prepared_cap`;
 //! * **Artifact naming**: two distinct programs prepared under the same
-//!   name get distinct artifact stems (the old collision bug);
-//! * **Re-tier on drift**: refreshed schema statistics past the drift
-//!   threshold re-enqueue live handles for a second tier-up.
+//!   name get distinct artifact stems (the old collision bug).
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -24,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dblab::codegen::{backend, same_normalized};
+use dblab::codegen::same_normalized;
 use dblab::engine::service::{EngineOptions, NativeChoice, QueryEngine, Tier};
 use dblab::engine::{self};
 use dblab::frontend::expr::col;
@@ -388,75 +386,4 @@ fn same_name_distinct_programs_get_distinct_artifacts() {
         &o1,
         &h2.execute(&data).expect("q1").output.stdout
     ));
-}
-
-/// Statistics drift past the threshold re-tiers live handles: the
-/// handle swaps a second time and keeps serving oracle-correct rows.
-/// Needs a native toolchain; drift *below* the threshold is a no-op
-/// either way.
-#[test]
-fn stats_drift_past_threshold_retiers_live_handles() {
-    let (db, data) = setup("drift");
-    let engine = QueryEngine::with_options(
-        &db.schema,
-        EngineOptions {
-            gen_dir: std::env::temp_dir().join("dblab_pserve_gen_drift"),
-            workers: 2,
-            ..EngineOptions::default()
-        },
-    )
-    .expect("engine");
-
-    // Small drift never re-tiers, native or not.
-    let mut nudged = db.schema.clone();
-    for t in &mut nudged.tables {
-        t.stats.row_count += t.stats.row_count / 10; // +10% < 0.5 threshold
-    }
-    assert_eq!(
-        engine.refresh_stats(&nudged),
-        0,
-        "sub-threshold drift is a no-op"
-    );
-
-    if !backend("gcc").expect("registered").available() {
-        eprintln!("(skipping the re-tier half: gcc not present)");
-        return;
-    }
-    let prog = tpch::queries::query(6);
-    let oracle = engine::execute_program(&prog, &db).to_text();
-    let handle = engine
-        .prepare_named(&prog, "pserve_drift")
-        .expect("prepare");
-    assert!(
-        handle.wait_for_tier(Tier::Native, Duration::from_secs(300)),
-        "first tier-up must land"
-    );
-    let native_swaps = || handle.stats().tier_stats(Tier::Native).swaps;
-    assert_eq!(native_swaps(), 1);
-
-    // 4x the row counts: well past the 0.5 relative-drift threshold.
-    let mut drifted = db.schema.clone();
-    for t in &mut drifted.tables {
-        t.stats.row_count *= 4;
-    }
-    assert_eq!(
-        engine.refresh_stats(&drifted),
-        1,
-        "one live handle re-enqueued"
-    );
-
-    let deadline = Instant::now() + Duration::from_secs(300);
-    while native_swaps() < 2 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    assert!(
-        native_swaps() >= 2,
-        "drift must produce a second tier-up swap"
-    );
-    let run = handle.execute(&data).expect("post-re-tier execute");
-    assert_eq!(run.tier, Tier::Native);
-    assert!(
-        same_normalized(&oracle, &run.output.stdout),
-        "re-tiered executable diverged from the oracle"
-    );
 }

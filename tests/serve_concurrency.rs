@@ -78,7 +78,7 @@ fn threads_race_the_hot_swap_and_every_result_matches_the_oracle() {
                             "Q{q} diverged from the oracle on tier {} \
                              (swap #{}):\noracle:\n{oracle}\ngot:\n{}",
                             run.tier,
-                            handle.swap_count(),
+                            handle.stats().swaps,
                             run.output.stdout
                         );
                         match run.tier {
@@ -183,6 +183,6 @@ fn degraded_engine_serves_threads_from_the_jit_without_errors() {
             });
         }
     });
-    assert_eq!(handle.swap_count(), 0);
+    assert_eq!(handle.stats().swaps, 0);
     assert!(handle.report().contains("tier jit permanently"));
 }

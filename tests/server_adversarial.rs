@@ -18,7 +18,6 @@
 //!   `RESULT_CHUNK`/`RESULT_END` sequences byte-identical to the
 //!   single-frame encoding, and a client cancelling mid-stream costs
 //!   the server nothing;
-//! * everything above also holds on the portable `poll(2)` backend;
 //! * faults below the serving path — a `.tbl` file cut mid-line, a
 //!   panicking resolver, a panicking execution — answer a typed
 //!   `internal` frame, cost no worker, and never wedge the drain.
@@ -495,24 +494,6 @@ fn a_mid_stream_cancel_leaves_the_server_clean() {
         std::thread::sleep(Duration::from_millis(20));
     }
     server.shutdown();
-}
-
-/// The portable `poll(2)` backend serves the same happy path — CI for
-/// the code path non-Linux hosts would take.
-#[test]
-fn the_poll_backend_serves_the_happy_path() {
-    let _shared = shared();
-    let _watchdog = common::watchdog(common::LIMIT);
-    let (db, data) = setup();
-    let server = start_server(&db, &data, |o| o.force_poll = true);
-    let expect = oracle(&db, 6);
-    let mut c = Client::connect(server.addr()).expect("connect");
-    let stmt = c.prepare("tpch:6").expect("prepare");
-    let reply = c.execute(stmt).expect("execute");
-    assert!(same_normalized(&expect, &reply.rows), "rows diverge");
-    c.close().expect("close");
-    let report = server.shutdown();
-    assert_eq!(report.executed, 1);
 }
 
 /// A `.tbl` file cut mid-line under a live server (a writer caught half

@@ -7,7 +7,9 @@
 //!   gone before the drain begins);
 //! * shutdown is a clean exit: repeated start/shutdown cycles return the
 //!   process to its exact pre-start thread count — nothing is detached,
-//!   nothing leaks.
+//!   nothing leaks;
+//! * an idle server's accept thread sleeps in `accept` rather than
+//!   polling, and shutdown still wakes it.
 //!
 //! The thread-parity check counts every thread in the process, so the
 //! tests of this binary take [`SERIAL`] and run one at a time even under
@@ -64,6 +66,69 @@ fn thread_count() -> usize {
         .trim()
         .parse()
         .expect("thread count")
+}
+
+/// `(tid, voluntary_ctxt_switches)` of every thread whose name starts with
+/// `prefix` (`/proc/self/task/<tid>/comm`; Linux cuts names to 15 bytes).
+fn voluntary_switches(prefix: &str) -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
+        let path = task.expect("task entry").path();
+        let Ok(comm) = std::fs::read_to_string(path.join("comm")) else {
+            continue; // the thread exited between readdir and read
+        };
+        if !comm.starts_with(prefix) {
+            continue;
+        }
+        let Ok(status) = std::fs::read_to_string(path.join("status")) else {
+            continue;
+        };
+        let switches = status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .expect("voluntary_ctxt_switches line")
+            .trim()
+            .parse()
+            .expect("switch count");
+        let tid = path.file_name().unwrap().to_string_lossy().into_owned();
+        out.push((tid, switches));
+    }
+    out
+}
+
+/// An idle server's accept thread sleeps in a blocking `accept`: over
+/// half a second it wakes a handful of times at most, where a 5 ms
+/// polling loop would wake about a hundred.
+#[test]
+fn an_idle_accept_thread_stays_asleep() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _watchdog = common::watchdog(common::LIMIT);
+    let (db, data) = setup();
+    let server = start_server(&db, &data, |_| {});
+    std::thread::sleep(Duration::from_millis(100));
+    let before = voluntary_switches("dblab-srv-acc");
+    assert!(!before.is_empty(), "the accept thread is running");
+    std::thread::sleep(Duration::from_millis(500));
+    let after = voluntary_switches("dblab-srv-acc");
+    for (tid, n0) in &before {
+        let n1 = after
+            .iter()
+            .find(|(t, _)| t == tid)
+            .map(|&(_, n)| n)
+            .expect("the accept thread is still running");
+        assert!(
+            n1 - n0 < 10,
+            "idle accept thread {tid} woke {} times in 500 ms",
+            n1 - n0
+        );
+    }
+
+    // The blocked `accept` still serves and still shuts down.
+    let mut c = Client::connect(server.addr()).expect("connect");
+    let stmt = c.prepare("tpch:6").expect("prepare");
+    c.execute(stmt).expect("execute");
+    c.close().expect("close");
+    assert_eq!(server.shutdown().executed, 1);
 }
 
 #[test]
