@@ -254,7 +254,8 @@ fn normalized_rows(s: &str) -> Vec<Vec<&str>> {
 /// backend-conformance suite and `tpch_showdown`'s oracle check: rows
 /// sorted into a canonical order (see [`normalized_rows`]), then
 /// field-wise with a small numeric tolerance (C prints through `%.4f`,
-/// Rust through `{:.4}`; rounding can differ in the last digit).
+/// Rust through `{:.4}`; rounding can differ in the last digit, and a NaN
+/// is `-nan` in one and `NaN` in the other).
 ///
 /// Two rows whose sort keys differ only *within* the tolerance may pair
 /// up either way after sorting — both pairings pass, so the sort's
@@ -275,6 +276,7 @@ pub fn same_normalized(a: &str, b: &str) -> bool {
             }
             match (u.parse::<f64>(), v.parse::<f64>()) {
                 (Ok(a), Ok(b)) if (a - b).abs() <= 0.02_f64.max(a.abs() * 1e-6) => {}
+                (Ok(a), Ok(b)) if a.is_nan() && b.is_nan() => {}
                 _ => return false,
             }
         }
@@ -300,6 +302,8 @@ mod normalize_tests {
     fn last_digit_rounding_is_tolerated_but_values_are_not() {
         assert!(same_normalized("x|10.5001\n", "x|10.4999\n"));
         assert!(!same_normalized("x|10.5\n", "x|11.5\n"));
+        assert!(same_normalized("NaN\n", "-nan\n"));
+        assert!(!same_normalized("NaN\n", "0.0000\n"));
     }
 
     #[test]

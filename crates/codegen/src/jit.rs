@@ -39,6 +39,11 @@
 //!    back to back; loops iterate it with the same fuel-amortized deadline
 //!    check at every back-edge the interpreter uses, so cooperative
 //!    timeouts hold on this tier too.
+//! 5. **Chunked scans.** A loop over a table's rows whose body is one
+//!    filter reading only base columns, invariants and constants runs
+//!    [`crate::jit_scan`]'s way: column kernels narrow a selection vector
+//!    per 1,024 rows, and the then-block closure runs per surviving row
+//!    ([`Jc::chunked`]; [`JitProgram::chunked_loops`] reports them).
 //!
 //! Semantics are pinned to `dblab-interp` (wrapping i64 arithmetic, null
 //! `Eq`/`Ne`, dictionary encoding, hash-map iteration order, serial
@@ -60,6 +65,7 @@ use crate::backend::{self, Backend, BuildInput, Evaluator, Executable, InProcess
 use crate::jit_rt::{
     base_str, compile_printf, row_of, Col, ColCounts, KeyShape, Obj, PfSeg, Rt, TableBinding, BASE,
 };
+use crate::jit_scan::{self, Pred, Rhs, Scan};
 
 /// One compiled effect: runs against the runtime state. `Send + Sync` is
 /// load-bearing — closures capture only slot numbers, constants and child
@@ -79,7 +85,7 @@ type E = Arc<dyn Fn(&Rt<'_>) -> u64 + Send + Sync>;
 /// fragment. Always yields the word in the representation its consumer
 /// asked [`Jc::want`] for.
 #[derive(Clone)]
-enum G {
+pub(crate) enum G {
     Slot(usize),
     Const(u64),
     Ev(E),
@@ -87,7 +93,7 @@ enum G {
 
 impl G {
     #[inline]
-    fn get(&self, rt: &Rt<'_>) -> u64 {
+    pub(crate) fn get(&self, rt: &Rt<'_>) -> u64 {
         match self {
             G::Slot(s) => rt.frame[*s],
             G::Const(c) => *c,
@@ -111,14 +117,14 @@ fn store(s: usize, g: G) -> Op {
 }
 
 /// A compiled block: the closure array plus the block's result getter.
-struct Seq {
+pub(crate) struct Seq {
     ops: Vec<Op>,
     result: G,
 }
 
 impl Seq {
     #[inline]
-    fn run_unit(&self, rt: &mut Rt<'_>) {
+    pub(crate) fn run_unit(&self, rt: &mut Rt<'_>) {
         for op in &self.ops {
             op(rt);
         }
@@ -305,6 +311,25 @@ macro_rules! ordering {
     }};
 }
 
+/// Bind `$k` to the word test `Fn(u64, u64) -> bool` of comparison `$op`
+/// — on doubles (`$dbl`) or on i64s — and expand `$body`; `None` for any
+/// other operator. The row path and the chunk kernels share it.
+macro_rules! compare {
+    ($op:expr, $dbl:expr, $k:ident => $body:expr) => {
+        if $dbl {
+            ordering!($op, o => {
+                let $k = move |u, v| o(ord_d(u, v));
+                $body
+            })
+        } else {
+            ordering!($op, o => {
+                let $k = move |u: u64, v: u64| o((u as i64).cmp(&(v as i64)));
+                $body
+            })
+        }
+    };
+}
+
 fn ord_d(u: u64, v: u64) -> std::cmp::Ordering {
     d(u).partial_cmp(&d(v)).expect("NaN comparison")
 }
@@ -347,6 +372,7 @@ struct Jc<'p> {
     /// Record types some `LoadTable` yields, with their column numbers.
     bases: Vec<(StructId, TableBinding)>,
     cols: ColCounts,
+    scans: Vec<ChunkedLoop>,
 }
 
 fn invalid(msg: String) -> io::Error {
@@ -534,14 +560,19 @@ impl<'p> Jc<'p> {
     /// transitively — `o.f + b` feeding a compare feeding an `If` becomes
     /// one op), else it is stored at its original position.
     fn seq(&mut self, b: &'p Block, want: Cls) -> io::Result<Seq> {
+        self.seq_of(&b.stmts, &b.result, want)
+    }
+
+    /// [`Jc::seq`] over the block `{ stmts; result }`.
+    fn seq_of(&mut self, stmts: &'p [Stmt], res: &Atom, want: Cls) -> io::Result<Seq> {
         let outer = self.cur;
         // The statement this block belongs to built its operands already.
         self.unnest();
-        let mut ops = Vec::with_capacity(b.stmts.len());
+        let mut ops = Vec::with_capacity(stmts.len());
         let mut prev: Option<(Sym, G)> = None;
         let mut i = 0;
-        while i < b.stmts.len() {
-            let st = &b.stmts[i];
+        while i < stmts.len() {
+            let st = &stmts[i];
             self.cur = Some(st);
             if let Some((psym, g)) = prev.take() {
                 let direct = direct_uses(st, psym);
@@ -553,7 +584,7 @@ impl<'p> Jc<'p> {
                 }
             }
             if self.nested.is_none() {
-                if let Some((op, n)) = self.fuse_rmw(&b.stmts[i..])? {
+                if let Some((op, n)) = self.fuse_rmw(&stmts[i..])? {
                     ops.push(op);
                     i += n;
                     continue;
@@ -587,17 +618,17 @@ impl<'p> Jc<'p> {
         // stored at its original position like any other statement.
         let tail = prev.map(|(psym, g)| (slot(psym), g));
         let result = match tail {
-            Some((s, g)) if b.result == Atom::Sym(Sym(s as u32)) && self.uses.count[s] == 1 => {
+            Some((s, g)) if *res == Atom::Sym(Sym(s as u32)) && self.uses.count[s] == 1 => {
                 self.inline[s] = Some(g);
-                let result = self.want(&b.result, want);
+                let result = self.want(res, want);
                 self.inline[s] = None;
                 result?
             }
             Some((s, g)) => {
                 ops.push(store(s, g));
-                self.want(&b.result, want)?
+                self.want(res, want)?
             }
-            None => self.want(&b.result, want)?,
+            None => self.want(res, want)?,
         };
         self.cur = outer;
         Ok(Seq { ops, result })
@@ -637,13 +668,7 @@ impl<'p> Jc<'p> {
             }
             Eq | Ne | Lt | Le | Gt | Ge => {
                 let (x, y) = (self.want(a, num)?, self.want(b, num)?);
-                if dbl {
-                    ordering!(op, k => (ev2(x, y, move |u, v| k(ord_d(u, v)) as u64), Cls::Bool))
-                } else {
-                    ordering!(op, k => {
-                        (ev2(x, y, move |u, v| k((u as i64).cmp(&(v as i64))) as u64), Cls::Bool)
-                    })
-                }
+                compare!(op, dbl, k => (ev2(x, y, move |u, v| k(u, v) as u64), Cls::Bool))
             }
             And | Or | BitAnd | BitOr => {
                 let both_bool = ca == Cls::Bool && cb == Cls::Bool;
@@ -901,12 +926,11 @@ impl<'p> Jc<'p> {
                 })
             }
             Expr::ForRange { lo, hi, var, body } => {
-                let (lo, hi, var) = (
-                    self.want(lo, Cls::Int)?,
-                    self.want(hi, Cls::Int)?,
-                    slot(*var),
-                );
-                let body = self.seq(body, Cls::Unit)?;
+                let (lo, hi) = (self.want(lo, Cls::Int)?, self.want(hi, Cls::Int)?);
+                if let Some(scan) = self.chunked(*var, body, lo.clone(), hi.clone())? {
+                    return effect(op_box(move |rt| scan.run(rt)));
+                }
+                let (var, body) = (slot(*var), self.seq(body, Cls::Unit)?);
                 effect(op_box(move |rt| {
                     for i in lo.get(rt) as i64..hi.get(rt) as i64 {
                         if rt.expired() {
@@ -1437,6 +1461,229 @@ impl<'p> Jc<'p> {
 }
 
 // ---------------------------------------------------------------------
+// Chunked scans
+// ---------------------------------------------------------------------
+
+/// One loop [`compile`] runs as chunked scans ([`crate::jit_scan`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChunkedLoop {
+    /// The loop variable.
+    pub var: Sym,
+    /// The table whose rows the chunks are.
+    pub table: Arc<str>,
+    /// Conjuncts of the filter's top-level `&`-chain that run as column
+    /// kernels over the chunk …
+    pub kernels: usize,
+    /// … and as their row getter per surviving row.
+    pub leaves: usize,
+}
+
+/// Where a chunked loop's rows come from: `table(var)` (`None`) or
+/// `table(index(var))` (`Some(index)`).
+type Src = Option<Sym>;
+
+/// The statement of `pre` that binds `a`.
+fn def<'s>(pre: &'s [Stmt], a: &Atom) -> Option<&'s Stmt> {
+    let s = a.as_sym()?;
+    pre.iter().find(|st| st.sym == s)
+}
+
+/// `a` has one value for the whole loop over `var`: a constant, a symbol
+/// bound outside the loop body `pre`, or `Bin`/`Un` over those.
+fn invariant(pre: &[Stmt], var: Sym, a: &Atom) -> bool {
+    match def(pre, a).map(|st| &st.expr) {
+        _ if *a == Atom::Sym(var) => false,
+        None => true,
+        Some(Expr::Bin(_, x, y)) => invariant(pre, var, x) && invariant(pre, var, y),
+        Some(Expr::Un(_, x)) => invariant(pre, var, x),
+        Some(_) => false,
+    }
+}
+
+impl<'p> Jc<'p> {
+    /// `for (var <- lo until hi) { pre; if (c) { then } }` as a chunked
+    /// [`Scan`], or `None` — the closure tree — unless `pre` reads a
+    /// loaded table at `var` (or at an index entry at `var`) and inlines
+    /// every fragment but column reads of those rows that `c` does not read.
+    /// Then `c` reads only immutable base columns, single-assignment slots
+    /// and constants — a base record is never written (`bind_tables`) — so
+    /// evaluating it for a chunk of rows before their then-blocks run, and
+    /// storing those reads, which cannot fail, at the head of each
+    /// surviving row's then-block, is the row loop's semantics.
+    fn chunked(&mut self, var: Sym, body: &'p Block, lo: G, hi: G) -> io::Result<Option<Scan>> {
+        let Some((last, pre)) = body.stmts.split_last() else {
+            return Ok(None);
+        };
+        let Expr::If {
+            cond,
+            then_b,
+            else_b,
+        } = &last.expr
+        else {
+            return Ok(None);
+        };
+        let nested = pre.iter().any(|st| !st.expr.blocks().is_empty());
+        if nested || !else_b.stmts.is_empty() || cls(&last.ty) != Cls::Unit {
+            return Ok(None);
+        }
+        let rows = pre
+            .iter()
+            .find_map(|st| Some((st, self.row_src(pre, var, st)?)));
+        let table = rows.and_then(|(row, _)| self.base(record_sid(&row.ty)?));
+        let (Some((_, src)), Some(table)) = (rows, table.map(|b| b.table.clone())) else {
+            return Ok(None);
+        };
+        // What `pre` does not inline is stored: only column reads of the
+        // loop's rows may be, to run at the head of the then-block.
+        let stores = self.seq_of(pre, cond, Cls::Bool)?.ops;
+        let read = |st: &Stmt| match &st.expr {
+            Expr::FieldGet { obj, .. } => def(pre, obj).and_then(|r| self.row_src(pre, var, r)),
+            _ => None,
+        };
+        if pre
+            .iter()
+            .any(|st| self.inline[slot(st.sym)].is_none() && read(st).is_none())
+        {
+            return Ok(None);
+        }
+        let mut conjuncts = Vec::new();
+        self.conjuncts(pre, cond, &mut conjuncts);
+        let mut preds = Vec::with_capacity(conjuncts.len());
+        for c in conjuncts {
+            preds.push(match self.kernel(pre, var, src, c)? {
+                Some(k) => k,
+                None if self.inlined(pre, c) => Pred::Leaf(self.want(c, Cls::Bool)?),
+                None => return Ok(None),
+            });
+        }
+        let leaves = preds.iter().filter(|p| matches!(p, Pred::Leaf(_))).count();
+        let kernels = preds.len() - leaves;
+        self.scans.push(ChunkedLoop {
+            var,
+            table,
+            kernels,
+            leaves,
+        });
+        let Seq { ops, result } = self.seq(then_b, Cls::Unit)?;
+        let (var, index) = (slot(var), src.map(|ix| self.raw(&Atom::Sym(ix))));
+        let then = Seq {
+            ops: stores.into_iter().chain(ops).collect(),
+            result,
+        };
+        Ok(Some(Scan {
+            var,
+            lo,
+            hi,
+            index,
+            filter: Pred::All(preds),
+            then,
+        }))
+    }
+
+    /// Every symbol of `pre` that `a`'s fragment reads, `a` included, is
+    /// inlined: the fragment reads no slot the chunk has not written.
+    fn inlined(&self, pre: &[Stmt], a: &Atom) -> bool {
+        let Some(st) = def(pre, a) else {
+            return true;
+        };
+        let mut all = self.inline[slot(st.sym)].is_some();
+        st.expr.for_each_atom(|x| all &= self.inlined(pre, x));
+        all
+    }
+
+    /// `Some(src)` if `st` reads a loaded table at `var`, or at entry `var`
+    /// of a loaded index.
+    fn row_src(&self, pre: &[Stmt], var: Sym, st: &Stmt) -> Option<Src> {
+        let loaded = |a: &Atom, at: &[usize]| a.as_sym().is_some_and(|s| at.contains(&slot(s)));
+        match &st.expr {
+            Expr::ArrayGet { arr, idx } if loaded(arr, &self.tables) => match &def(pre, idx) {
+                _ if *idx == Atom::Sym(var) => Some(None),
+                Some(Stmt {
+                    expr: Expr::ArrayGet { arr, idx },
+                    ..
+                }) if *idx == Atom::Sym(var) && loaded(arr, &self.indexes) => Some(arr.as_sym()),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    fn bools(&self, x: &Atom, y: &Atom) -> bool {
+        self.atom_cls(x) == Cls::Bool && self.atom_cls(y) == Cls::Bool
+    }
+
+    /// The top-level `&`-chain of `a`, in IR order.
+    fn conjuncts(&self, pre: &'p [Stmt], a: &'p Atom, out: &mut Vec<&'p Atom>) {
+        match def(pre, a).map(|st| &st.expr) {
+            Some(Expr::Bin(BinOp::And | BinOp::BitAnd, x, y)) if self.bools(x, y) => {
+                self.conjuncts(pre, x, out);
+                self.conjuncts(pre, y, out);
+            }
+            _ => out.push(a),
+        }
+    }
+
+    /// Conjunct `a` as column kernels — `&`, `|` and `!` over comparisons
+    /// of a column of the loop's rows with a column of the same kind or an
+    /// invariant, in the row path's class (a double column for a double
+    /// comparison, an integer one otherwise) — or `None` if a part of it
+    /// has none.
+    fn kernel(&mut self, pre: &[Stmt], var: Sym, src: Src, a: &Atom) -> io::Result<Option<Pred>> {
+        use BinOp::*;
+        let (op, x, y) = match def(pre, a).map(|st| &st.expr) {
+            Some(Expr::Un(UnOp::Not, x)) => {
+                return Ok((self.kernel(pre, var, src, x)?).map(|x| Pred::Not(Box::new(x))))
+            }
+            Some(Expr::Bin(op, x, y)) => (*op, x, y),
+            _ => return Ok(None),
+        };
+        if matches!(op, And | BitAnd | Or | BitOr) && self.bools(x, y) {
+            let (x, y) = (
+                self.kernel(pre, var, src, x)?,
+                self.kernel(pre, var, src, y)?,
+            );
+            return Ok(x.zip(y).map(|(x, y)| match op {
+                And | BitAnd => Pred::All(vec![x, y]),
+                _ => Pred::Or(Box::new(x), Box::new(y)),
+            }));
+        }
+        if !matches!(op, Eq | Ne | Lt | Le | Gt | Ge) {
+            return Ok(None);
+        }
+        let dbl = self.atom_cls(x) == Cls::Double || self.atom_cls(y) == Cls::Double;
+        let column = |a: &Atom| {
+            let Expr::FieldGet { obj, sid, field } = &def(pre, a)?.expr else {
+                return None;
+            };
+            let col = self.col_of(*sid, *field)?;
+            let fits = matches!(
+                (dbl, col),
+                (true, Col::F64(_)) | (false, Col::I32(_) | Col::I64(_))
+            );
+            (fits && self.row_src(pre, var, def(pre, obj)?)? == src).then_some(col)
+        };
+        // A column on the right only: `s op c` is `c op' s`.
+        let flip = [(Lt, Gt), (Le, Ge), (Gt, Lt), (Ge, Le)]
+            .into_iter()
+            .find(|f| f.0 == op);
+        let (col, op, rhs) = match (column(x), column(y)) {
+            (Some(a), b) => (a, op, b.ok_or(y)),
+            (None, Some(b)) => (b, flip.map_or(op, |f| f.1), Err(x)),
+            (None, None) => return Ok(None),
+        };
+        let rhs = match rhs {
+            Ok(b) => Rhs::Col(b),
+            Err(s) if invariant(pre, var, s) && self.inlined(pre, s) => {
+                Rhs::Word(self.want(s, if dbl { Cls::Double } else { Cls::Int })?)
+            }
+            Err(_) => return Ok(None),
+        };
+        let k = compare!(op, dbl, k => jit_scan::kernel(col, rhs, k));
+        Ok(k.flatten().map(Pred::Kernel))
+    }
+}
+
+// ---------------------------------------------------------------------
 // Compiled program + backend registration
 // ---------------------------------------------------------------------
 
@@ -1448,6 +1695,7 @@ pub struct JitProgram {
     frame_size: usize,
     consts: Vec<Arc<str>>,
     cols: ColCounts,
+    scans: Vec<ChunkedLoop>,
 }
 
 /// Compile a fully-lowered program to threaded code. This is the whole
@@ -1468,6 +1716,7 @@ pub fn compile(p: &Program) -> io::Result<JitProgram> {
         consts: vec!["".into()],
         bases: Vec::new(),
         cols: ColCounts::default(),
+        scans: Vec::new(),
     };
     jc.bind_tables()?;
     Ok(JitProgram {
@@ -1475,10 +1724,16 @@ pub fn compile(p: &Program) -> io::Result<JitProgram> {
         frame_size: p.sym_types.len(),
         consts: jc.consts,
         cols: jc.cols,
+        scans: jc.scans,
     })
 }
 
 impl JitProgram {
+    /// The loops that run as chunked scans, outer before inner.
+    pub fn chunked_loops(&self) -> &[ChunkedLoop] {
+        &self.scans
+    }
+
     /// Execute with positional parameter bindings and an optional absolute
     /// deadline; on interruption the partial output is discarded. Returns
     /// the captured rows, and the in-query time if the program ran its
@@ -1544,6 +1799,22 @@ mod tests {
 
     /// `t(k, name, v, tag)` — four rows, built in memory, never written.
     fn small_db() -> Snapshot {
+        table_db([
+            (3, "carol".into(), 2.5, "red"),
+            (1, "alice".into(), 9.0, "blue"),
+            (2, "bob".into(), 4.25, "red"),
+            (0, "dave".into(), 7.5, "green"),
+        ])
+    }
+
+    /// `t` with `n` rows: `k = i % 3`, `name = "r{i}"`, `v = i / 2`, `tag`
+    /// cycling red, blue, green.
+    fn rows_db(n: usize) -> Snapshot {
+        let tags = ["red", "blue", "green"];
+        table_db((0..n).map(|i| ((i % 3) as i32, format!("r{i}"), i as f64 * 0.5, tags[i % 3])))
+    }
+
+    fn table_db(rows: impl IntoIterator<Item = (i32, String, f64, &'static str)>) -> Snapshot {
         let def = TableDef::new(
             "t",
             vec![
@@ -1554,15 +1825,10 @@ mod tests {
             ],
         );
         let mut t = Table::empty(&def);
-        for (k, name, v, tag) in [
-            (3, "carol", 2.5, "red"),
-            (1, "alice", 9.0, "blue"),
-            (2, "bob", 4.25, "red"),
-            (0, "dave", 7.5, "green"),
-        ] {
+        for (k, name, v, tag) in rows {
             t.push_row(vec![
                 Value::Int(k),
-                Value::str(name),
+                Value::str(&name),
                 Value::Double(v),
                 Value::str(tag),
             ]);
@@ -2111,5 +2377,232 @@ mod tests {
         let x = b.read_var(v);
         b.emit(Type::Bool, Expr::Un(UnOp::Not, x));
         assert!(refusal(b).contains("is `Double` where a boolean is required"));
+    }
+
+    /// The level-5 programs of the five `steady_jit` statements: which
+    /// loops run as chunked scans, and each prints what the interpreter
+    /// prints.
+    #[test]
+    fn the_steady_jit_statements_scan_in_chunks() {
+        use dblab_frontend::expr::Lit;
+        use dblab_transform::StackConfig;
+        let db = dblab_tpch::generate(0.002, &std::env::temp_dir().join("dblab_jit_chunks"));
+        let snap = Snapshot::from(db.clone());
+        let mut got = String::new();
+        for spec in ["1?", "6?", "14?", "3", "12"] {
+            let n = spec.trim_end_matches('?').parse().expect("query number");
+            let q = match spec.ends_with('?') {
+                true => dblab_tpch::queries::template(n).expect("template"),
+                false => dblab_tpch::queries::query(n),
+            };
+            let p = dblab_transform::compile(&q, &db.schema, &StackConfig::level5()).program;
+            let params: Vec<Value> = (q.params.iter())
+                .map(|d| match d.default {
+                    Lit::Int(v) => Value::Int(v),
+                    Lit::Double(v) => Value::Double(v),
+                    ref other => panic!("{other:?}"),
+                })
+                .collect();
+            let jp = compile(&p).expect("compile");
+            let got_rows = jp.run_bound(&snap, &params, None).expect("no deadline").0;
+            assert_eq!(
+                got_rows,
+                dblab_interp::run_bound(&p, &snap, &params, None).expect("run")
+            );
+            for l in jp.chunked_loops() {
+                got += &format!("tpch:{spec} {} {}+{} ", l.table, l.kernels, l.leaves);
+            }
+        }
+        let want = "tpch:1? lineitem 1+0 tpch:6? lineitem 5+0 tpch:14? lineitem 2+0 \
+                    tpch:3 orders 1+0 tpch:3 lineitem 1+0 tpch:12 lineitem 5+0 ";
+        assert_eq!(got, want);
+    }
+
+    /// Field `f` of a `t` row ([`with_table`]).
+    fn col(b: &mut IrBuilder, row: &Atom, f: usize) -> Atom {
+        let sid = b.structs.lookup("t").expect("with_table registered `t`");
+        b.field_get(row.clone(), sid, f)
+    }
+
+    /// `for i <- 0 until t.length { row = t(i); if (pred(row, [t.length, i])) { then(row, i) } }`.
+    fn scan_of(
+        pred: impl FnOnce(&mut IrBuilder, Atom, [Atom; 2]) -> Atom,
+        then: impl FnOnce(&mut IrBuilder, Atom, Atom),
+    ) -> Program {
+        let (mut b, _, table) = with_table();
+        let n = b.array_len(table.clone());
+        b.for_range(Atom::Int(0), n.clone(), |bb, i| {
+            let row = bb.array_get(table.clone(), i.clone());
+            let c = pred(bb, row.clone(), [n, i.clone()]);
+            bb.if_then(c, |bb| then(bb, row, i));
+        });
+        b.finish(Atom::Unit, Level::ScaLite)
+    }
+
+    /// `p`'s chunked loops as `(kernels, leaves)` — none: the closure tree
+    /// — and what it prints on `db`, or `None` if it was interrupted.
+    fn chunked(
+        p: &Program,
+        db: &Snapshot,
+        deadline: Option<Instant>,
+    ) -> (Vec<(usize, usize)>, Option<String>) {
+        let jp = compile(p).expect("compile");
+        let loops = jp
+            .chunked_loops()
+            .iter()
+            .map(|l| (l.kernels, l.leaves))
+            .collect();
+        (
+            loops,
+            jp.run_bound(db, &[], deadline).ok().map(|(out, _)| out),
+        )
+    }
+
+    /// A scan printing each row `pred` keeps: chunked as `loops` says, and
+    /// printing what the interpreter prints.
+    fn scan(
+        db: &Snapshot,
+        loops: &[(usize, usize)],
+        pred: impl FnOnce(&mut IrBuilder, Atom, [Atom; 2]) -> Atom,
+    ) {
+        let p = scan_of(pred, |b, row, i| {
+            let name = col(b, &row, 1);
+            b.printf("%d|%s\n", vec![i, name]);
+        });
+        let rows = db.table("t").len();
+        let want = (loops.to_vec(), Some(dblab_interp::run(&p, db)));
+        assert_eq!(chunked(&p, db, None), want, "{rows} rows");
+    }
+
+    #[test]
+    fn chunked_scans_match_the_interpreter_at_every_chunk_edge() {
+        for rows in [0, 1, 1023, 1024, 1025, 2049] {
+            let db = rows_db(rows);
+            // Kernels on every column kind against constants, an outer
+            // slot and an invariant computed in the body; a string leaf.
+            scan(&db, &[(4, 1)], |b, row, [n, _]| {
+                let (k, v, name) = (col(b, &row, 0), col(b, &row, 2), col(b, &row, 1));
+                let c1 = b.ge(v.clone(), Atom::double(3.0));
+                let lim = b.mul(Atom::double(0.25), n.clone());
+                let c2 = b.lt(v, lim);
+                let c3 = b.ne(k.clone(), Atom::Int(1));
+                let c4 = b.lt(k, n);
+                let c5 = b.prim(PrimOp::StrEndsWith, vec![name, Atom::Str("1".into())]);
+                [c2, c3, c4, c5].into_iter().fold(c1, |c, d| b.and(c, d))
+            });
+            // `|` whose sides overlap, `!`, column ⋈ column, a column on
+            // the right; leaves: a mixed-width compare, the loop variable.
+            scan(&db, &[(3, 2)], |b, row, [_, i]| {
+                let (k, v, tag) = (col(b, &row, 0), col(b, &row, 2), col(b, &row, 3));
+                let one = b.eq(k.clone(), Atom::Int(1));
+                let big = b.gt(v.clone(), Atom::double(300.0));
+                let c1 = b.or(one, big);
+                let early = b.gt(Atom::double(100.0), v);
+                let c2 = b.not(early);
+                let c3 = b.le(tag, k.clone());
+                let c4 = b.lt(k.clone(), Atom::double(1.5));
+                let c5 = b.gt(i, k);
+                [c2, c3, c4, c5].into_iter().fold(c1, |c, d| b.and(c, d))
+            });
+        }
+        let db = rows_db(1025);
+        let v = |b: &mut IrBuilder, row: Atom| col(b, &row, 2);
+        scan(&db, &[(1, 0)], |b, row, _| {
+            let v = v(b, row);
+            b.lt(v, Atom::double(0.0))
+        });
+        scan(&db, &[(1, 0)], |b, row, _| {
+            let v = v(b, row);
+            b.ge(v, Atom::double(0.0))
+        });
+        // The closure tree: a body with an effect ahead of its filter, and a
+        // leaf reading a column stored for a loop in the then-block.
+        scan(&db, &[], |b, row, _| {
+            let k = col(b, &row, 0);
+            b.printf("%d\n", vec![k.clone()]);
+            b.ne(k, Atom::Int(1))
+        });
+        let (mut b, sid, table) = with_table();
+        let n = b.array_len(table.clone());
+        b.for_range(Atom::Int(0), n, |b, i| {
+            let row = b.array_get(table.clone(), i);
+            let k = b.field_get(row, sid, 0);
+            let c = b.lt(k.clone(), Atom::double(1.5));
+            b.if_then(c, |b| {
+                b.for_range(Atom::Int(0), Atom::Int(1), |b, _| b.printf("%d\n", vec![k]))
+            });
+        });
+        let p = b.finish(Atom::Unit, Level::ScaLite);
+        let want = (vec![], Some(dblab_interp::run(&p, &db)));
+        assert_eq!(chunked(&p, &db, None), want);
+        // A leaf on a row through an index, in a loop over the range.
+        let (mut b, sid, table) = with_table();
+        let unique = b.load_index_unique("t", 0);
+        b.for_range(Atom::Int(0), Atom::Int(4), |b, i| {
+            let row = b.array_get(table.clone(), i.clone());
+            let at = b.array_get(unique.clone(), i);
+            let other = b.array_get(table.clone(), at);
+            let (k, v) = (b.field_get(row, sid, 0), b.field_get(other, sid, 2));
+            let (c1, c2) = (b.ne(k.clone(), Atom::Int(1)), b.gt(v, Atom::double(3.0)));
+            let c = b.and(c1, c2);
+            b.if_then(c, |b| b.printf("%d\n", vec![k]));
+        });
+        let (p, db) = (b.finish(Atom::Unit, Level::ScaLite), small_db());
+        let want = (vec![(1, 1)], Some(dblab_interp::run(&p, &db)));
+        assert_eq!(chunked(&p, &db, None), want);
+    }
+
+    /// `k != 0 & 6 / k > 3`: the division, a leaf, only sees the rows the
+    /// first conjunct kept, so it never divides by zero — where the
+    /// interpreter, which evaluates every statement, would.
+    #[test]
+    fn a_later_conjunct_never_sees_a_row_an_earlier_one_rejected() {
+        let pred = |b: &mut IrBuilder, row, _| {
+            let k = col(b, &row, 0);
+            let nonzero = b.ne(k.clone(), Atom::Int(0));
+            let q = b.div(Atom::Int(6), k);
+            let big = b.gt(q, Atom::Int(3));
+            b.and(nonzero, big)
+        };
+        let p = scan_of(pred, |b, _, i| b.printf("%d\n", vec![i]));
+        // `k = i % 3`: `6 / k > 3` holds for `k = 1` only.
+        let want: String = (1..2049).step_by(3).map(|i| format!("{i}\n")).collect();
+        assert_eq!(
+            chunked(&p, &rows_db(2049), None),
+            (vec![(1, 1)], Some(want))
+        );
+    }
+
+    /// A chunked loop checks the deadline per chunk, and stops once a loop
+    /// in its then-block was interrupted; either way the output is dropped.
+    #[test]
+    fn a_deadline_expiring_in_a_chunked_loop_discards_partial_output() {
+        let program = |inner: bool| {
+            let pred = |b: &mut IrBuilder, row: Atom, _| {
+                let k = col(b, &row, 0);
+                b.ne(k, Atom::Int(1))
+            };
+            scan_of(pred, |b, _, i| {
+                b.printf("%d\n", vec![i]);
+                let total = b.decl_var(Atom::Int(0));
+                let n = if inner { 100_000 } else { 0 };
+                b.for_range(Atom::Int(0), Atom::Int(n), |b, j| {
+                    let t = b.read_var(total);
+                    let t = b.add(t, j);
+                    b.assign(total, t);
+                });
+            })
+        };
+        let db = rows_db(2049);
+        let past = Instant::now() - Duration::from_millis(1);
+        assert_eq!(
+            chunked(&program(false), &db, Some(past)),
+            (vec![(1, 0)], None)
+        );
+        let soon = Instant::now() + Duration::from_millis(20);
+        assert_eq!(
+            chunked(&program(true), &db, Some(soon)),
+            (vec![(1, 0)], None)
+        );
     }
 }

@@ -281,6 +281,9 @@ pub struct Rt<'d> {
     /// the data-loading phase, like the generated native binaries report.
     pub timer_start: Option<Instant>,
     pub query_ms: Option<f64>,
+    /// Row-id and selection buffers of finished chunked scans, for the
+    /// next one to reuse ([`crate::jit_scan`]).
+    pub sels: Vec<(Vec<u32>, Vec<u32>)>,
 }
 
 impl<'d> Rt<'d> {
@@ -313,6 +316,7 @@ impl<'d> Rt<'d> {
             interrupted: false,
             timer_start: None,
             query_ms: None,
+            sels: Vec::new(),
         }
     }
 
@@ -336,6 +340,13 @@ impl<'d> Rt<'d> {
             }
         }
         self.interrupted
+    }
+
+    /// [`Rt::expired`] for `n ≥ 1` back-edges at once — a chunk of rows:
+    /// the clock is read when they use up the fuel.
+    pub fn expired_by(&mut self, n: u32) -> bool {
+        self.fuel = self.fuel.saturating_sub(n - 1).max(1);
+        self.expired()
     }
 
     // ---- strings --------------------------------------------------------

@@ -34,6 +34,7 @@ pub mod cc;
 pub mod emit;
 pub mod jit;
 pub mod jit_rt;
+mod jit_scan;
 pub mod runtime;
 mod tables;
 

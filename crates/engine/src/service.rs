@@ -379,6 +379,9 @@ pub enum ExecError {
     /// The execution itself failed (IO, missing data directory, a broken
     /// binary).
     Exec(io::Error),
+    /// An override does not bind its declaration (another type, a
+    /// non-finite number, one too many): the request's fault; nothing ran.
+    Binding(String),
 }
 
 impl std::fmt::Display for ExecError {
@@ -390,6 +393,7 @@ impl std::fmt::Display for ExecError {
                 budget.as_secs_f64() * 1e3
             ),
             ExecError::Exec(e) => write!(f, "execution failed: {e}"),
+            ExecError::Binding(e) => write!(f, "bad binding: {e}"),
         }
     }
 }
@@ -461,6 +465,7 @@ impl PreparedQuery {
                 // signature every existing caller has.
                 ExecError::Timeout { budget, .. } => dblab_codegen::timeout_error(budget),
                 ExecError::Exec(io) => io,
+                ExecError::Binding(e) => io::Error::new(io::ErrorKind::InvalidInput, e),
             })
     }
 
@@ -538,19 +543,17 @@ impl PreparedQuery {
     fn bind(&self, overrides: &[Value]) -> Result<Vec<Value>, ExecError> {
         let decls = &self.inner.params;
         if overrides.len() > decls.len() {
-            return Err(ExecError::Exec(io::Error::other(format!(
+            return Err(ExecError::Binding(format!(
                 "{} parameter(s) bound but `{}` declares {}",
                 overrides.len(),
                 self.inner.name,
                 decls.len()
-            ))));
+            )));
         }
         let mut bound = Vec::with_capacity(decls.len());
         for (i, decl) in decls.iter().enumerate() {
             let v = match overrides.get(i) {
-                Some(v) => {
-                    coerce_param(decl, v).map_err(|e| ExecError::Exec(io::Error::other(e)))?
-                }
+                Some(v) => coerce_param(decl, v).map_err(ExecError::Binding)?,
                 None => crate::eval::lit_value(&decl.default),
             };
             bound.push(v);
@@ -714,10 +717,17 @@ impl PreparedQuery {
 
 /// Coerce one override to its declaration's type (the generated code read
 /// a typed slot at compile time; a binding of another numeric width is a
-/// client convenience, not an error — but bool/string mismatches are).
+/// client convenience, not an error — but bool/string mismatches are, and
+/// so is a NaN or infinite number, which no ordered comparison admits).
 fn coerce_param(decl: &ParamDecl, v: &Value) -> Result<Value, String> {
     use dblab_catalog::ColType;
     let numeric = matches!(v, Value::Int(_) | Value::Long(_) | Value::Double(_));
+    if numeric && !v.as_f64().is_finite() {
+        return Err(format!(
+            "parameter `{}` bound {v:?}, which is not a finite number",
+            decl.name
+        ));
+    }
     match decl.default.ty() {
         ColType::Int if numeric => Ok(Value::Int(v.as_f64() as i32)),
         ColType::Long if numeric => Ok(Value::Long(v.as_f64() as i64)),

@@ -1041,6 +1041,10 @@ fn serve_one(shared: &Shared, job: &ExecJob) {
             shared.counters.exec_errors.fetch_add(1, Ordering::AcqRel);
             worker_error(job, ErrorCode::Internal, &e.to_string());
         }
+        Err(ExecError::Binding(e)) => {
+            shared.counters.malformed.fetch_add(1, Ordering::AcqRel);
+            worker_error(job, ErrorCode::Malformed, &e);
+        }
     }
 }
 

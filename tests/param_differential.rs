@@ -31,13 +31,20 @@ fn setup(tag: &str) -> (dblab::runtime::Database, PathBuf) {
 type Binding = Vec<(&'static str, Value)>;
 
 /// At least three distinct bindings per template, the first one empty —
-/// the defaults must reproduce the plain (literal-baked) query.
+/// the defaults must reproduce the plain (literal-baked) query — then one
+/// whose filter keeps no row and one whose window keeps every row.
 fn bindings_for(n: usize) -> Vec<Binding> {
+    let (first, last) = (
+        Value::Int(dates::encode(1990, 1, 1)),
+        Value::Int(dates::encode(2000, 1, 1)),
+    );
     match n {
         1 => vec![
             vec![],
             vec![("ship_hi", Value::Int(dates::encode(1995, 6, 17)))],
             vec![("ship_hi", Value::Int(dates::encode(1993, 3, 31)))],
+            vec![("ship_hi", first)],
+            vec![("ship_hi", last)],
         ],
         6 => vec![
             vec![],
@@ -51,6 +58,12 @@ fn bindings_for(n: usize) -> Vec<Binding> {
                 ("discount", Value::Double(0.07)),
                 ("quantity", Value::Double(50.0)),
             ],
+            vec![("date_lo", last.clone()), ("date_hi", first.clone())],
+            vec![
+                ("date_lo", first),
+                ("date_hi", last),
+                ("quantity", Value::Double(1e9)),
+            ],
         ],
         14 => vec![
             vec![],
@@ -62,6 +75,8 @@ fn bindings_for(n: usize) -> Vec<Binding> {
                 ("date_lo", Value::Int(dates::encode(1992, 1, 1))),
                 ("date_hi", Value::Int(dates::encode(1998, 12, 31))),
             ],
+            vec![("date_lo", last.clone()), ("date_hi", first.clone())],
+            vec![("date_lo", first), ("date_hi", last)],
         ],
         other => panic!("no binding set for template {other}"),
     }

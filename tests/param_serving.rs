@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dblab::codegen::same_normalized;
-use dblab::engine::service::{EngineOptions, NativeChoice, QueryEngine, Tier};
+use dblab::engine::service::{EngineOptions, ExecError, NativeChoice, QueryEngine, Tier};
 use dblab::engine::{self};
 use dblab::frontend::expr::col;
 use dblab::frontend::qplan::{AggFunc, QPlan, QueryProgram};
@@ -181,6 +181,83 @@ fn wire_bindings_and_param_sections_serve_from_one_cache_entry() {
         1,
         "every binding spelling must share the template's single compile"
     );
+    let _ = c.close();
+    server.shutdown();
+}
+
+/// Q6's positional bindings: the declared defaults with `name` bound to
+/// `v`.
+fn q6_binding(name: &str, v: Value) -> Vec<Value> {
+    let template = tpch::queries::template(6).expect("template");
+    (template.params.iter())
+        .map(|d| match &*d.name == name {
+            true => v.clone(),
+            false => engine::eval::lit_value(&d.default),
+        })
+        .collect()
+}
+
+/// A NaN or infinite number binds no parameter — a double one or, through
+/// the numeric coercion, an int one — and says which; the handle serves
+/// the next binding.
+#[test]
+fn non_finite_bindings_are_refused_by_execute_bound() {
+    let (db, data) = setup("nonfinite");
+    let engine =
+        QueryEngine::with_options(&db.schema, jit_engine_opts("nonfinite")).expect("engine");
+    let handle = engine
+        .prepare_named(&tpch::queries::template(6).expect("template"), "pserve_nan")
+        .expect("prepare");
+    for (name, v) in [
+        ("discount", f64::NAN),
+        ("quantity", f64::INFINITY),
+        ("date_lo", f64::NEG_INFINITY),
+    ] {
+        match handle.execute_bound(&data, &q6_binding(name, Value::Double(v)), None) {
+            Err(ExecError::Binding(msg)) => assert!(msg.contains(name), "{msg}"),
+            other => panic!("{name} = {v}: {other:?}"),
+        }
+    }
+    let run = (handle.execute_bound(&data, &q6_binding("discount", Value::Double(0.03)), None))
+        .expect("a finite binding still serves");
+    assert!(same_normalized(
+        &q6_oracle(&db, 0.03, 24.0),
+        &run.output.stdout
+    ));
+}
+
+/// Both wire spellings of a non-finite binding — spec text the number
+/// parser takes (`nan`, `inf`) and a param section carrying NaN bits —
+/// answer a typed `malformed` frame, not `internal`, and the session
+/// serves its next request.
+#[test]
+fn non_finite_bindings_over_the_wire_answer_malformed() {
+    let (db, data) = setup("wire_nonfinite");
+    let server = Server::start(
+        &db.schema,
+        &data,
+        dblab_server::tpch_resolver(),
+        ServerOptions {
+            engine: jit_engine_opts("wire_nonfinite"),
+            ..ServerOptions::default()
+        },
+    )
+    .expect("start server");
+    let mut c = Client::connect(server.addr()).expect("connect");
+    let bare = c.prepare("tpch:6?").expect("prepare");
+    for spec in ["tpch:6?discount=nan", "tpch:6?quantity=inf"] {
+        let stmt = c.prepare(spec).expect("the number parses");
+        let err = c.execute(stmt).expect_err("a non-finite binding must fail");
+        assert_eq!(err.code(), Some(ErrorCode::Malformed), "{spec}: {err}");
+    }
+    let nan = q6_binding("discount", Value::Double(f64::NAN));
+    let err = c
+        .execute_params(bare, &nan)
+        .expect_err("NaN bits must fail");
+    assert_eq!(err.code(), Some(ErrorCode::Malformed), "{err}");
+    assert!(err.to_string().contains("discount"), "{err}");
+    let rows = c.execute(bare).expect("the session still serves").rows;
+    assert!(same_normalized(&q6_oracle(&db, 0.06, 24.0), &rows));
     let _ = c.close();
     server.shutdown();
 }
