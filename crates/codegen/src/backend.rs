@@ -30,7 +30,7 @@ use dblab_catalog::Schema;
 use dblab_frontend::qmonad::QMonad;
 use dblab_frontend::qplan::QueryProgram;
 use dblab_ir::expr::{Block, Expr, Stmt};
-use dblab_ir::Program;
+use dblab_ir::{Program, Type};
 use dblab_runtime::{snapshot, Snapshot, Value};
 use dblab_transform::stack::CompiledQuery;
 use dblab_transform::StackConfig;
@@ -413,14 +413,16 @@ impl InProcessExecutable {
 }
 
 /// What an in-process executable knows about the data it runs over: the
-/// schema the directory is parsed under, and the indexes its program
-/// loads.
+/// schema the directory is parsed under, the indexes its program loads,
+/// and the parameter slots a run must bind.
 struct ResidentData {
     schema: Schema,
     /// The table of every `LoadTable` statement.
     tables: Vec<std::sync::Arc<str>>,
     /// `(table, column, unique)` per `LoadIndex*` statement.
     indexes: Vec<(std::sync::Arc<str>, usize, bool)>,
+    /// `(idx, declared type)` per `LoadParam` statement.
+    params: Vec<(usize, Type)>,
 }
 
 /// Apply `f` to every statement of `b`, nested blocks included.
@@ -435,20 +437,48 @@ pub(crate) fn for_each_stmt<'a>(b: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
 
 impl ResidentData {
     fn new(p: &Program, schema: &Schema) -> ResidentData {
-        let (mut tables, mut indexes) = (Vec::new(), Vec::new());
+        let (mut tables, mut indexes, mut params) = (Vec::new(), Vec::new(), Vec::new());
         for_each_stmt(&p.body, &mut |st| match &st.expr {
             Expr::LoadTable { table, .. } => tables.push(table.clone()),
             Expr::LoadIndexUnique { table, field } => indexes.push((table.clone(), *field, true)),
             Expr::LoadIndexStarts { table, field } | Expr::LoadIndexItems { table, field } => {
                 indexes.push((table.clone(), *field, false))
             }
+            Expr::LoadParam { idx } => params.push((*idx, st.ty.clone())),
             _ => {}
         });
         ResidentData {
             schema: schema.clone(),
             tables,
             indexes,
+            params,
         }
+    }
+
+    /// Every parameter slot has a binding its declared type takes (numbers
+    /// widen to `Double`), so neither evaluator meets one that does not.
+    fn check_params(&self, params: &[Value]) -> io::Result<()> {
+        for (idx, ty) in &self.params {
+            let binding = params.get(*idx);
+            let takes = matches!(
+                (ty, binding),
+                (Type::Int | Type::Long, Some(Value::Int(_) | Value::Long(_)))
+                    | (
+                        Type::Double,
+                        Some(Value::Int(_) | Value::Long(_) | Value::Double(_))
+                    )
+                    | (Type::Bool, Some(Value::Bool(_)))
+                    | (Type::String, Some(Value::Str(_)))
+            );
+            if !takes {
+                let got = binding.map_or("unbound".to_string(), |v| format!("bound to {v:?}"));
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("query parameter {idx} (`{ty}`) is {got}"),
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The resident snapshot of `data_dir`, with every index the program
@@ -486,6 +516,7 @@ impl Executable for InProcessExecutable {
         deadline: Option<Duration>,
     ) -> io::Result<RunOutput> {
         let t0 = Instant::now();
+        self.data.check_params(params)?;
         let db = self.data.resolve(data_dir)?;
         let tq = Instant::now();
         // Evaluation interrupts itself at loop back-edges once the absolute

@@ -283,7 +283,7 @@ impl<'p> Emitter<'p> {
                 ColType::Long => format!("(int64_t)atoll(f{ci})"),
                 ColType::Double => format!("strtod(f{ci}, NULL)"),
                 ColType::Date => format!("dblab_parse_date(f{ci})"),
-                ColType::Char => format!("(int32_t)f{ci}[0]"),
+                ColType::Char => format!("(int32_t)(unsigned char)f{ci}[0]"),
                 ColType::String => format!("f{ci}"),
             };
             let _ = writeln!(s, "        {target} = {parse};");

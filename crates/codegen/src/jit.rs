@@ -43,7 +43,10 @@
 //!    filter reading only base columns, invariants and constants runs
 //!    [`crate::jit_scan`]'s way: column kernels narrow a selection vector
 //!    per 1,024 rows, and the then-block closure runs per surviving row
-//!    ([`Jc::chunked`]; [`JitProgram::chunked_loops`] reports them).
+//!    ([`Jc::chunked`]). So does a walk over the slots of an arena array
+//!    that skips the null ones — a dense table's or a bucket array's
+//!    emission loop — with one kernel keeping the non-null slots
+//!    ([`Jc::non_null`]). [`JitProgram::chunked_loops`] reports both.
 //!
 //! Semantics are pinned to `dblab-interp` (wrapping i64 arithmetic, null
 //! `Eq`/`Ne`, dictionary encoding, hash-map iteration order, serial
@@ -373,6 +376,8 @@ struct Jc<'p> {
     bases: Vec<(StructId, TableBinding)>,
     cols: ColCounts,
     scans: Vec<ChunkedLoop>,
+    /// `(idx, class)` of every `LoadParam`.
+    params: Vec<(usize, Cls)>,
 }
 
 fn invalid(msg: String) -> io::Error {
@@ -927,7 +932,11 @@ impl<'p> Jc<'p> {
             }
             Expr::ForRange { lo, hi, var, body } => {
                 let (lo, hi) = (self.want(lo, Cls::Int)?, self.want(hi, Cls::Int)?);
-                if let Some(scan) = self.chunked(*var, body, lo.clone(), hi.clone())? {
+                let scan = match self.chunked(*var, body, lo.clone(), hi.clone())? {
+                    None => self.non_null(*var, body, lo.clone(), hi.clone())?,
+                    scan => scan,
+                };
+                if let Some(scan) = scan {
                     return effect(op_box(move |rt| scan.run(rt)));
                 }
                 let (var, body) = (slot(*var), self.seq(body, Cls::Unit)?);
@@ -1262,28 +1271,11 @@ impl<'p> Jc<'p> {
                     merge.run_unit(rt);
                 }))
             }
+            // The binding, converted to a word once per run (`run_bound`).
             Expr::LoadParam { idx } => {
                 let idx = *idx;
-                effect(op_box(move |rt| {
-                    // The engine coerced the binding to the declared type;
-                    // numeric widths still convert, anything else is a
-                    // caller that bypassed it.
-                    let word = match (to, rt.params.get(idx)) {
-                        (Cls::Int, Some(Value::Int(v))) => *v as i64 as u64,
-                        (Cls::Int, Some(Value::Long(v))) => *v as u64,
-                        (Cls::Double, Some(Value::Double(v))) => v.to_bits(),
-                        (Cls::Double, Some(Value::Int(v))) => (*v as f64).to_bits(),
-                        (Cls::Double, Some(Value::Long(v))) => (*v as f64).to_bits(),
-                        (Cls::Bool, Some(Value::Bool(b))) => *b as u64,
-                        (Cls::Str, Some(Value::Str(s))) => {
-                            let s = s.clone();
-                            rt.new_str(s)
-                        }
-                        (_, None) => panic!("unbound query parameter {idx}"),
-                        (_, Some(v)) => panic!("query parameter {idx} is {v:?}, declared {to:?}"),
-                    };
-                    rt.frame[out] = word;
-                }))
+                self.params.push((idx, to));
+                effect(op_box(move |rt| rt.frame[out] = rt.params[idx]))
             }
         }
     }
@@ -1469,8 +1461,9 @@ impl<'p> Jc<'p> {
 pub struct ChunkedLoop {
     /// The loop variable.
     pub var: Sym,
-    /// The table whose rows the chunks are.
-    pub table: Arc<str>,
+    /// The table whose rows the chunks are; `None`: the slots of an arena
+    /// array, the non-null ones kept by one kernel.
+    pub table: Option<Arc<str>>,
     /// Conjuncts of the filter's top-level `&`-chain that run as column
     /// kernels over the chunk …
     pub kernels: usize,
@@ -1560,7 +1553,7 @@ impl<'p> Jc<'p> {
         let kernels = preds.len() - leaves;
         self.scans.push(ChunkedLoop {
             var,
-            table,
+            table: Some(table),
             kernels,
             leaves,
         });
@@ -1577,6 +1570,92 @@ impl<'p> Jc<'p> {
             index,
             filter: Pred::All(preds),
             then,
+        }))
+    }
+
+    /// `for (var <- lo until hi) { e = arr(var); e != null; if (…) { then } }`
+    /// — the test spelled `e != null`, `null != e` or `!(e == null)`, used
+    /// by the `If` alone — over an array `arr` bound outside the loop, as a
+    /// chunked [`Scan`] whose one kernel keeps the non-null slots, with `e`
+    /// stored at the head of each survivor's then-block; or `None`, the
+    /// closure tree. Only if nothing in the loop stores into (or sorts) an
+    /// array of `arr`'s type: arrays of different element types do not
+    /// alias, so no then-block changes a slot a later test of the chunk
+    /// reads, and testing the chunk first is the row loop's semantics.
+    fn non_null(&mut self, var: Sym, body: &'p Block, lo: G, hi: G) -> io::Result<Option<Scan>> {
+        let [get, test @ .., last] = &body.stmts[..] else {
+            return Ok(None);
+        };
+        let (
+            Expr::ArrayGet { arr, idx },
+            Expr::If {
+                cond,
+                then_b,
+                else_b,
+            },
+        ) = (&get.expr, &last.expr)
+        else {
+            return Ok(None);
+        };
+        let unit = cls(&last.ty) == Cls::Unit && else_b.stmts.is_empty();
+        if *idx != Atom::Sym(var) || cls(&get.ty) != Cls::Handle || !unit {
+            return Ok(None);
+        }
+        let e = Atom::Sym(get.sym);
+        let null_test = |st: &Stmt, want: BinOp| match &st.expr {
+            Expr::Bin(op, x, y) if *op == want => {
+                (*x == e && matches!(y, Atom::Null(_))) || (*y == e && matches!(x, Atom::Null(_)))
+            }
+            _ => false,
+        };
+        let feeds =
+            |st: &Stmt, a: &Atom| *a == Atom::Sym(st.sym) && self.uses.count[slot(st.sym)] == 1;
+        let shaped = match test {
+            [ne] => null_test(ne, BinOp::Ne) && feeds(ne, cond),
+            [eq, not] => {
+                null_test(eq, BinOp::Eq)
+                    && matches!(&not.expr, Expr::Un(UnOp::Not, a) if feeds(eq, a))
+                    && feeds(not, cond)
+            }
+            _ => false,
+        };
+        if !shaped {
+            return Ok(None);
+        }
+        let (a, elem) = self.array(arr)?;
+        let mut aliased = false;
+        backend::for_each_stmt(body, &mut |st| match &st.expr {
+            Expr::ArraySet { arr, .. } | Expr::SortArray { arr, .. } => {
+                aliased |=
+                    matches!(self.p.atom_type(arr), Type::Array(t) | Type::Pointer(t) if *t == elem)
+            }
+            _ => {}
+        });
+        if aliased {
+            return Ok(None);
+        }
+        self.scans.push(ChunkedLoop {
+            var,
+            table: None,
+            kernels: 1,
+            leaves: 0,
+        });
+        let Seq { ops, result } = self.seq(then_b, Cls::Unit)?;
+        let (var, e) = (slot(var), slot(get.sym));
+        let load = {
+            let a = a.clone();
+            op_box(move |rt| rt.frame[e] = rt.elem(a.get(rt), rt.frame[var] as usize))
+        };
+        Ok(Some(Scan {
+            var,
+            lo,
+            hi,
+            index: None,
+            filter: Pred::All(vec![Pred::Kernel(jit_scan::non_null(a))]),
+            then: Seq {
+                ops: std::iter::once(load).chain(ops).collect(),
+                result,
+            },
         }))
     }
 
@@ -1696,6 +1775,7 @@ pub struct JitProgram {
     consts: Vec<Arc<str>>,
     cols: ColCounts,
     scans: Vec<ChunkedLoop>,
+    params: Vec<(usize, Cls)>,
 }
 
 /// Compile a fully-lowered program to threaded code. This is the whole
@@ -1717,6 +1797,7 @@ pub fn compile(p: &Program) -> io::Result<JitProgram> {
         bases: Vec::new(),
         cols: ColCounts::default(),
         scans: Vec::new(),
+        params: Vec::new(),
     };
     jc.bind_tables()?;
     Ok(JitProgram {
@@ -1725,6 +1806,7 @@ pub fn compile(p: &Program) -> io::Result<JitProgram> {
         consts: jc.consts,
         cols: jc.cols,
         scans: jc.scans,
+        params: jc.params,
     })
 }
 
@@ -1737,14 +1819,31 @@ impl JitProgram {
     /// Execute with positional parameter bindings and an optional absolute
     /// deadline; on interruption the partial output is discarded. Returns
     /// the captured rows, and the in-query time if the program ran its
-    /// `TimerStart`/`TimerStop` instrumentation.
+    /// `TimerStart`/`TimerStop` instrumentation. Every `LoadParam` needs a
+    /// binding its declared type takes — the executable checks that
+    /// before it calls this.
     pub fn run_bound(
         &self,
         db: &Snapshot,
         params: &[Value],
         deadline: Option<Instant>,
     ) -> Result<(String, Option<f64>), Interrupted> {
-        let mut rt = Rt::new(self.frame_size, &self.consts, self.cols, db, params);
+        let mut rt = Rt::new(self.frame_size, &self.consts, self.cols, db);
+        rt.params = (params.iter().enumerate())
+            .map(|(i, v)| {
+                let to = self.params.iter().find(|(j, _)| *j == i).map(|&(_, c)| c);
+                match (v, to) {
+                    (Value::Int(v), Some(Cls::Double)) => (*v as f64).to_bits(),
+                    (Value::Long(v), Some(Cls::Double)) => (*v as f64).to_bits(),
+                    (Value::Int(v), _) => *v as i64 as u64,
+                    (Value::Long(v), _) => *v as u64,
+                    (Value::Double(v), _) => v.to_bits(),
+                    (Value::Bool(b), _) => *b as u64,
+                    (Value::Str(s), _) => rt.new_str(s.clone()),
+                    (Value::Null, _) => 0,
+                }
+            })
+            .collect();
         rt.deadline = deadline;
         self.body.run_unit(&mut rt);
         if rt.interrupted {
@@ -2380,8 +2479,8 @@ mod tests {
     }
 
     /// The level-5 programs of the five `steady_jit` statements: which
-    /// loops run as chunked scans, and each prints what the interpreter
-    /// prints.
+    /// loops run as chunked scans or null-skipping walks, and each prints
+    /// what the interpreter prints.
     #[test]
     fn the_steady_jit_statements_scan_in_chunks() {
         use dblab_frontend::expr::Lit;
@@ -2410,11 +2509,15 @@ mod tests {
                 dblab_interp::run_bound(&p, &snap, &params, None).expect("run")
             );
             for l in jp.chunked_loops() {
-                got += &format!("tpch:{spec} {} {}+{} ", l.table, l.kernels, l.leaves);
+                let rows = l.table.as_deref().unwrap_or("slots");
+                got += &format!("tpch:{spec} {rows} {}+{} ", l.kernels, l.leaves);
             }
         }
-        let want = "tpch:1? lineitem 1+0 tpch:6? lineitem 5+0 tpch:14? lineitem 2+0 \
-                    tpch:3 orders 1+0 tpch:3 lineitem 1+0 tpch:12 lineitem 5+0 ";
+        // `slots`: the emission walks over Q1's dense table and over Q3's
+        // and Q12's bucket arrays.
+        let want = "tpch:1? lineitem 1+0 tpch:1? slots 1+0 tpch:6? lineitem 5+0 \
+                    tpch:14? lineitem 2+0 tpch:3 orders 1+0 tpch:3 lineitem 1+0 \
+                    tpch:3 slots 1+0 tpch:12 lineitem 5+0 tpch:12 slots 1+0 ";
         assert_eq!(got, want);
     }
 
@@ -2571,6 +2674,95 @@ mod tests {
             chunked(&p, &rows_db(2049), None),
             (vec![(1, 1)], Some(want))
         );
+    }
+
+    /// `n` slots of `own(x)` records, slot `i` set where `i % 3 < fill`;
+    /// then `for (i <- 0 until n) { e = slots(i); if (e != null) { then } }`
+    /// — the test spelled `!(e == null)` when `negated` — `then` given `own`,
+    /// `e`, `i`, the slot array and an array of `n` `Int`s.
+    fn slot_walk(
+        n: i64,
+        fill: i64,
+        negated: bool,
+        then: impl FnOnce(&mut IrBuilder, StructId, [Atom; 4]),
+    ) -> Program {
+        let mut b = IrBuilder::new();
+        let own = b.structs.register(StructDef {
+            name: "own".into(),
+            fields: vec![field("x", Type::Int)],
+        });
+        let null = Atom::Null(Box::new(Type::Record(own)));
+        let slots = b.array_new(Type::Record(own), Atom::Int(n));
+        let ints = b.array_new(Type::Int, Atom::Int(n));
+        let fill_slots = slots.clone();
+        b.for_range(Atom::Int(0), Atom::Int(n), |b, i| {
+            let r = b.bin(BinOp::Mod, i.clone(), Atom::Int(3));
+            let c = b.lt(r, Atom::Int(fill));
+            b.if_then(c, |b| {
+                let rec = b.struct_new(own, vec![i.clone()]);
+                b.array_set(fill_slots, i, rec);
+            });
+        });
+        b.for_range(Atom::Int(0), Atom::Int(n), |b, i| {
+            let e = b.array_get(slots.clone(), i.clone());
+            let c = match negated {
+                true => {
+                    let is_null = b.eq(e.clone(), null.clone());
+                    b.not(is_null)
+                }
+                false => b.ne(null, e.clone()),
+            };
+            b.if_then(c, |b| then(b, own, [e, i, slots, ints]));
+        });
+        b.finish(Atom::Unit, Level::ScaLite)
+    }
+
+    /// A walk over an arena array's non-null slots runs in chunks — one
+    /// kernel — and prints what the interpreter prints, at every chunk
+    /// edge, with no, some and every slot null, while its then-block
+    /// stores into an array of another type; storing into one of the slot
+    /// array's own type puts it back on the closure tree.
+    #[test]
+    fn null_skipping_walks_match_the_interpreter_at_every_chunk_edge() {
+        let db = empty_db();
+        for n in [0, 1, 1023, 1024, 1025, 2049] {
+            for (fill, negated) in [(0, false), (2, true), (2, false), (3, false)] {
+                let p = slot_walk(n, fill, negated, |b, own, [e, i, _, ints]| {
+                    let x = b.field_get(e, own, 0);
+                    b.array_set(ints, i.clone(), x.clone());
+                    b.printf("%d|%d\n", vec![i, x]);
+                });
+                let want = (vec![(1, 0)], Some(dblab_interp::run(&p, &db)));
+                assert_eq!(chunked(&p, &db, None), want, "{n} slots, fill {fill}");
+            }
+        }
+        // Moving each record to the mirror slot changes what a later slot
+        // test sees: the row loop's order decides, so no chunks.
+        let p = slot_walk(2049, 2, false, |b, _, [e, i, slots, _]| {
+            let mirror = b.sub(Atom::Int(2048), i.clone());
+            b.array_set(slots, mirror, e);
+            b.printf("%d\n", vec![i]);
+        });
+        let want = (vec![], Some(dblab_interp::run(&p, &db)));
+        assert_eq!(chunked(&p, &db, None), want);
+    }
+
+    #[test]
+    fn a_deadline_expiring_in_a_null_skipping_walk_discards_partial_output() {
+        let p = slot_walk(2049, 3, false, |b, _, [_, i, _, _]| {
+            b.printf("%d\n", vec![i]);
+            let total = b.decl_var(Atom::Int(0));
+            b.for_range(Atom::Int(0), Atom::Int(100_000), |b, j| {
+                let t = b.read_var(total);
+                let t = b.add(t, j);
+                b.assign(total, t);
+            });
+        });
+        let db = empty_db();
+        let past = Instant::now() - Duration::from_millis(1);
+        assert_eq!(chunked(&p, &db, Some(past)), (vec![(1, 0)], None));
+        let soon = Instant::now() + Duration::from_millis(20);
+        assert_eq!(chunked(&p, &db, Some(soon)), (vec![(1, 0)], None));
     }
 
     /// A chunked loop checks the deadline per chunk, and stops once a loop

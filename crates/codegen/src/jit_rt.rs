@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dblab_runtime::snapshot::ColumnRef;
-use dblab_runtime::{Snapshot, Value};
+use dblab_runtime::Snapshot;
 
 /// Handle bit: base data — a `(view, row)` record, a view (table or index
 /// array), or a string read in place from a snapshot column.
@@ -269,7 +269,9 @@ pub struct Rt<'d> {
     /// The program's string constants (the empty string first, so a zeroed
     /// `String` word is `""`), then every string this run produced.
     strs: Vec<Arc<str>>,
-    pub params: Vec<Value>,
+    /// The run's parameter bindings, each a word of the class its
+    /// `LoadParam` declares.
+    pub params: Vec<u64>,
     pub db: &'d Snapshot,
     pub cols: Cols<'d>,
     views: Vec<View<'d>>,
@@ -292,14 +294,13 @@ impl<'d> Rt<'d> {
         consts: &[Arc<str>],
         cols: ColCounts,
         db: &'d Snapshot,
-        params: &[Value],
     ) -> Rt<'d> {
         Rt {
             frame: vec![0; frame_size],
             arena: Arena::default(),
             objs: Objects::default(),
             strs: consts.to_vec(),
-            params: params.to_vec(),
+            params: Vec::new(),
             db,
             cols: Cols {
                 i32s: vec![&[]; cols.i32s],

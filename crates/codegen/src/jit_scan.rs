@@ -17,9 +17,14 @@
 //! surviving row, in row order. A kernel reads its invariant operand once
 //! per call, and is called only when some row reaches it, so a row sees
 //! exactly the evaluations it would on the row path.
+//!
+//! The same chunk loop runs `for (i <- lo until hi) { e = arr(i); if (e != null)
+//! { then } }` over an arena array (`Jc::non_null`): the chunk's ids are
+//! the slots, one kernel ([`non_null`]) keeps the non-null ones, and the
+//! then-block runs per survivor with `e` loaded at its head.
 
 use crate::jit::{Seq, G};
-use crate::jit_rt::{Col, Rt};
+use crate::jit_rt::{Col, Rt, BASE};
 
 /// Rows per chunk.
 pub(crate) const CHUNK: usize = 1024;
@@ -85,6 +90,21 @@ pub(crate) fn kernel(
         Col::I64(a) => kernel!(i64s, I64, a, |v: i64| v as u64),
         Col::F64(a) => kernel!(f64s, F64, a, |v: f64| v.to_bits()),
         Col::Str(_) => return None,
+    })
+}
+
+/// Keep the offsets whose slot of array `arr` — read once per call — is
+/// not null: the one kernel of a `Jc::non_null` loop. A
+/// loaded table's rows are never null, but `Rt::elem` bounds them.
+pub(crate) fn non_null(arr: G) -> Kernel {
+    Box::new(move |rt: &Rt<'_>, ids: &[u32], sel: &mut Vec<u32>| {
+        let h = arr.get(rt);
+        if h & BASE == 0 {
+            let words = rt.arena.elems(h);
+            keep(sel, |k| words[ids[k] as usize] != 0)
+        } else {
+            keep(sel, |k| rt.elem(h, ids[k] as usize) != 0)
+        }
     })
 }
 

@@ -286,9 +286,11 @@ impl QPlan {
 
 /// A declared query parameter: a typed hole in the plan, referenced by
 /// name via [`ScalarExpr::Param`] and bound to a concrete value per
-/// execution. The default literal doubles as the type declaration — a
-/// parameterized query runs unbound by evaluating its defaults, and the
-/// compiled template stays one artifact across every binding.
+/// execution. The default literal doubles as the type declaration, and
+/// the engine binds it for a parameter a request leaves out; an
+/// executable run without a binding is refused (`InvalidInput` in
+/// process, "missing query parameter" from a native binary). The compiled
+/// template stays one artifact across every binding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParamDecl {
     pub name: Arc<str>,

@@ -741,9 +741,10 @@ pub enum Annot {
     Table(Arc<str>),
     /// Worst-case cardinality estimate (drives memory-pool sizing, App. D.1).
     SizeHint(u64),
-    /// Keys are dense integers in `[0, max)` — enables dense-array
-    /// specialization of hash tables.
-    DenseKey { max: u64 },
+    /// Keys are dense integers in `[0, max]` — enables dense-array
+    /// specialization of hash tables. `composite`: the key packs several
+    /// group columns, so no single field of the stored record equals it.
+    DenseKey { max: u64, composite: bool },
     /// The MultiMap/HashMap key equals the given field of the inserted
     /// record — enables index inference (§5.2) and intrusive lists.
     KeyField { sid: StructId, field: usize },
@@ -774,9 +775,10 @@ impl Annotations {
             _ => None,
         })
     }
-    pub fn dense_key(&self, sym: Sym) -> Option<u64> {
+    /// `(max, composite)` of a [`Annot::DenseKey`].
+    pub fn dense_key(&self, sym: Sym) -> Option<(u64, bool)> {
         self.get(sym).iter().find_map(|a| match a {
-            Annot::DenseKey { max } => Some(*max),
+            Annot::DenseKey { max, composite } => Some((*max, *composite)),
             _ => None,
         })
     }
@@ -893,9 +895,15 @@ mod tests {
     fn annotations_roundtrip() {
         let mut a = Annotations::default();
         a.add(Sym(1), Annot::SizeHint(100));
-        a.add(Sym(1), Annot::DenseKey { max: 42 });
+        a.add(
+            Sym(1),
+            Annot::DenseKey {
+                max: 42,
+                composite: false,
+            },
+        );
         assert_eq!(a.size_hint(Sym(1)), Some(100));
-        assert_eq!(a.dense_key(Sym(1)), Some(42));
+        assert_eq!(a.dense_key(Sym(1)), Some((42, false)));
         assert_eq!(a.size_hint(Sym(2)), None);
     }
 }

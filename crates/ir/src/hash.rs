@@ -148,11 +148,29 @@ mod tests {
     fn annotations_are_order_canonical() {
         let mut a = prog(1);
         let mut b = prog(1);
-        a.annots.add(Sym(0), Annot::DenseKey { max: 3 });
-        b.annots.add(Sym(0), Annot::DenseKey { max: 3 });
+        a.annots.add(
+            Sym(0),
+            Annot::DenseKey {
+                max: 3,
+                composite: false,
+            },
+        );
+        b.annots.add(
+            Sym(0),
+            Annot::DenseKey {
+                max: 3,
+                composite: false,
+            },
+        );
         assert_eq!(program_hash(&a), program_hash(&b));
         let mut c = prog(1);
-        c.annots.add(Sym(0), Annot::DenseKey { max: 4 });
+        c.annots.add(
+            Sym(0),
+            Annot::DenseKey {
+                max: 4,
+                composite: false,
+            },
+        );
         assert_ne!(program_hash(&a), program_hash(&c));
     }
 

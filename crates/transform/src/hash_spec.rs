@@ -8,7 +8,8 @@
 //!   cardinality annotation, with inline hashing and key re-checks;
 //! * **HashMaps** with a dense integer key annotation become a direct
 //!   `Array[AggRec]` (Figure 7d's shape applied to aggregation), optionally
-//!   with initialization hoisted out of the hot loop (Appendix D.2);
+//!   with initialization hoisted out of the hot loop (Appendix D.2) — not
+//!   for a composite key, which no record field holds;
 //! * other **HashMaps** become bucket arrays with get-or-insert probes.
 //!
 //! All emitted list operations are ScaLite\[List\] vocabulary; the next
@@ -274,10 +275,16 @@ impl Rule for HashSpec {
                     Type::Record(sid) => *sid,
                     other => panic!("hash map values must be records, got {other}"),
                 };
-                if let Some(max) = dense.filter(|_| *key == Type::Int) {
+                if let Some((max, composite)) = dense.filter(|_| *key == Type::Int) {
                     let len = max as i64 + 1;
                     let arr = rw.b.array_new(Type::Record(vrec), Atom::Int(len));
-                    let hoisted = self.cfg.init_hoist && !has_minmax && neutral_init(&rw.b, vrec);
+                    // A composite key is no field of the record, so the
+                    // pre-fill below would store the slot number where a
+                    // group column belongs.
+                    let hoisted = self.cfg.init_hoist
+                        && !composite
+                        && !has_minmax
+                        && neutral_init(&rw.b, vrec);
                     if hoisted {
                         // Appendix D.2: pre-initialize every slot (key field
                         // first, neutral accumulators after); the emission
@@ -619,7 +626,13 @@ mod tests {
         let hm = b.hashmap_new(Type::Int, Type::Record(sid));
         if let Atom::Sym(s) = hm {
             b.annotate(s, Annot::SizeHint(50));
-            b.annotate(s, Annot::DenseKey { max: 49 });
+            b.annotate(
+                s,
+                Annot::DenseKey {
+                    max: 49,
+                    composite: false,
+                },
+            );
         }
         let rec = b.hashmap_get_or_init(hm.clone(), Atom::Int(7), |bb| {
             bb.struct_new(sid, vec![Atom::Int(7), Atom::Long(0)])

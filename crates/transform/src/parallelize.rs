@@ -22,11 +22,19 @@
 //!   complete private table (same bucket count, so slot indices transfer
 //!   without re-hashing); the merge walks every private chain and either
 //!   relinks unseen keys into the shared table or folds the reduce fields
-//!   of matching groups. This covers the group-by build loops (Q1-style).
+//!   of matching groups. This covers the group-by build loops (Q3-style).
+//!   A *dense* slot array (records with no `next` field, one group per
+//!   slot, inserted only under `if (slots(k) == null)`) is the same
+//!   cluster without chains: the merge relinks a private record into a
+//!   null shared slot or folds it into the one there (Q1's `Char` keys).
 //!
 //! Anything else — I/O, sorts, list/map operations that mutate shared
 //! state, writes the analysis cannot prove private — vetoes the loop, and
-//! it stays serial. A vetoed loop is never wrong, only not faster.
+//! it stays serial. A vetoed loop is never wrong, only not faster. In
+//! particular a record field written through anything but this
+//! iteration's own allocation must belong to the privatized cluster: a
+//! dense table pre-filled before the loop (Appendix D.2) is updated with
+//! no store into the array at all, so it has no cluster and vetoes.
 //!
 //! With `threads <= 1` the pass is the identity (it is not even selected
 //! by the registry), so serial pipelines — and their memoized artifacts —
@@ -299,8 +307,9 @@ struct TableRed {
     bucket_len: Atom,
     /// Chain record type stored in the bucket.
     psid: StructId,
-    /// Index of the intrusive `next` field on `psid`.
-    next_field: usize,
+    /// Index of the intrusive `next` field on `psid`; `None` for a dense
+    /// slot array, whose slot is the key.
+    next_field: Option<usize>,
     pools: Vec<(Sym, Expr)>,
     /// `(sid, field) -> op` for every associative self-reduction the body
     /// performs on records reached through the bucket.
@@ -415,9 +424,16 @@ fn try_parallelize(
 
     // ---- Shape B: the bucket cluster, if present -------------------------
     let table = match bucket {
-        Some(b) => Some(table_reduction(&analysis, b, &outer_pools)?),
+        Some(b) => Some(table_reduction(&analysis, body, b, &outer_pools)?),
         None => None,
     };
+    // With no cluster the body allocates nothing (pools need a bucket,
+    // `StructNew`/`Malloc` veto above), so every record it writes predates
+    // the loop: shared state written in place.
+    let writes_field = |st: &&Stmt| matches!(st.expr, Expr::FieldSet { .. });
+    if table.is_none() && analysis.stmts.iter().any(writes_field) {
+        return None;
+    }
 
     // ---- build the node --------------------------------------------------
     Some(build_parallel_for(
@@ -511,7 +527,7 @@ fn scalar_reduction(a: &LoopAnalysis, v: Sym) -> Option<ScalarRed> {
 }
 
 /// Check Shape B for the bucket array and describe the cluster.
-fn table_reduction(a: &LoopAnalysis, bucket: Sym, pools: &[Sym]) -> Option<TableRed> {
+fn table_reduction(a: &LoopAnalysis, body: &Block, bucket: Sym, pools: &[Sym]) -> Option<TableRed> {
     // The bucket must be a bucket array of chain records.
     let bucket_def = a.global_defs.get(&bucket)?.clone();
     let (elem, bucket_len) = match &bucket_def {
@@ -521,7 +537,8 @@ fn table_reduction(a: &LoopAnalysis, bucket: Sym, pools: &[Sym]) -> Option<Table
     let Type::Record(psid) = elem else {
         return None;
     };
-    // Exactly one intrusive next field (what makes the chain walkable).
+    // Exactly one intrusive next field (what makes the chain walkable),
+    // or none: a dense slot array.
     let pdef = a.p.structs.get(psid);
     let next_fields: Vec<usize> = pdef
         .fields
@@ -530,8 +547,10 @@ fn table_reduction(a: &LoopAnalysis, bucket: Sym, pools: &[Sym]) -> Option<Table
         .filter(|(_, f)| f.ty == Type::Record(psid))
         .map(|(i, _)| i)
         .collect();
-    let [next_field] = next_fields[..] else {
-        return None;
+    let next_field = match next_fields[..] {
+        [f] => Some(f),
+        [] => None,
+        _ => return None,
     };
     // Each pool must be an outer PoolNew (cloned per worker).
     let mut pool_defs = Vec::new();
@@ -640,7 +659,13 @@ fn table_reduction(a: &LoopAnalysis, bucket: Sym, pools: &[Sym]) -> Option<Table
     // fresh record (dedup-by-probe with no accumulator would be broken by
     // concatenation, so it vetoes).
     let keyed = !reduce.is_empty();
-    if !keyed {
+    if next_field.is_none() {
+        // Dense: one record per key and worker, or the merge would fold a
+        // record the serial loop overwrote.
+        if !keyed || !inserts_once(&body.stmts, &a.defs, bucket, None) {
+            return None;
+        }
+    } else if !keyed {
         for st in &a.stmts {
             if let Expr::ArrayGet { arr, .. } = &st.expr {
                 if arr.as_sym() != Some(bucket) {
@@ -651,7 +676,7 @@ fn table_reduction(a: &LoopAnalysis, bucket: Sym, pools: &[Sym]) -> Option<Table
                         matches!(&s2.expr,
                             Expr::FieldSet { sid, field, value, .. }
                                 if *sid == psid
-                                    && *field == next_field
+                                    && Some(*field) == next_field
                                     && value.as_sym() == Some(st.sym))
                     });
                 if !feeds_relink_only {
@@ -672,8 +697,9 @@ fn table_reduction(a: &LoopAnalysis, bucket: Sym, pools: &[Sym]) -> Option<Table
     if reduce.keys().any(|(sid, _)| !reachable.contains(sid)) {
         return None;
     }
-    // Key fields (compared in the keyed merge) must be scalar-comparable.
-    if keyed {
+    // Key fields (compared in the chained keyed merge) must be
+    // scalar-comparable.
+    if let (Some(next_field), true) = (next_field, keyed) {
         for (i, f) in pdef.fields.iter().enumerate() {
             if i == next_field || reduce.contains_key(&(psid, i)) {
                 continue;
@@ -708,6 +734,41 @@ fn table_reduction(a: &LoopAnalysis, bucket: Sym, pools: &[Sym]) -> Option<Table
         pools: pool_defs,
         reduce,
         keyed,
+    })
+}
+
+/// Every store into dense slot array `bucket` in `stmts` sits directly
+/// under `if (bucket(k) == null)`, `k` its own index (`guard`: the `k` of
+/// the innermost such test around `stmts`) — hash-table specialization's
+/// get-or-insert, which inserts each key once.
+fn inserts_once(
+    stmts: &[Stmt],
+    defs: &HashMap<Sym, Expr>,
+    bucket: Sym,
+    guard: Option<&Atom>,
+) -> bool {
+    let def = |a: &Atom| a.as_sym().and_then(|s| defs.get(&s));
+    let probe = |cond: &Atom| match def(cond) {
+        Some(Expr::Bin(BinOp::Eq, x, Atom::Null(_)) | Expr::Bin(BinOp::Eq, Atom::Null(_), x)) => {
+            match def(x) {
+                Some(Expr::ArrayGet { arr, idx }) if arr.as_sym() == Some(bucket) => Some(idx),
+                _ => None,
+            }
+        }
+        _ => None,
+    };
+    stmts.iter().all(|st| match &st.expr {
+        Expr::ArraySet { arr, idx, .. } if arr.as_sym() == Some(bucket) => guard == Some(idx),
+        Expr::If {
+            cond,
+            then_b,
+            else_b,
+        } => {
+            inserts_once(&then_b.stmts, defs, bucket, probe(cond).or(guard))
+                && inserts_once(&else_b.stmts, defs, bucket, guard)
+        }
+        // A loop could store at one slot many times.
+        e => (e.blocks().iter()).all(|b| inserts_once(&b.stmts, defs, bucket, None)),
     })
 }
 
@@ -833,10 +894,53 @@ fn table_merge(p: &Program, fresh: &mut Fresh, t: &TableRed, bucket_acc: Sym) ->
     let prec = Type::Record(psid);
     let null = || Atom::Null(Box::new(prec.clone()));
     let pdef = p.structs.get(psid).clone();
-    let nf = t.next_field;
-
     let slot = fresh.sym(Type::Int);
     let mut slot_body: Vec<Stmt> = Vec::new();
+    let slot_loop = |fresh: &mut Fresh, slot_body| {
+        fresh.unit_stmt(Expr::ForRange {
+            lo: Atom::Int(0),
+            hi: t.bucket_len.clone(),
+            var: slot,
+            body: Block::unit(slot_body),
+        })
+    };
+    let get = |fresh: &mut Fresh, arr: Sym| {
+        fresh.stmt(
+            prec.clone(),
+            Expr::ArrayGet {
+                arr: Atom::Sym(arr),
+                idx: Atom::Sym(slot),
+            },
+        )
+    };
+
+    let Some(nf) = t.next_field else {
+        // Dense: if (pr != null) { sh = shared(slot); if (sh == null)
+        // shared(slot) = pr else fold pr into sh }.
+        let (pr, s_pr) = get(fresh, bucket_acc);
+        slot_body.push(s_pr);
+        let (prnn, s_prnn) = fresh.stmt(Type::Bool, Expr::Bin(BinOp::Ne, Atom::Sym(pr), null()));
+        slot_body.push(s_prnn);
+        let (sh, s_sh) = get(fresh, t.bucket);
+        let (miss, s_miss) = fresh.stmt(Type::Bool, Expr::Bin(BinOp::Eq, Atom::Sym(sh), null()));
+        let relink = fresh.unit_stmt(Expr::ArraySet {
+            arr: Atom::Sym(t.bucket),
+            idx: Atom::Sym(slot),
+            value: Atom::Sym(pr),
+        });
+        let fold = fold_record(p, fresh, t, sh, pr);
+        let merge_one = fresh.unit_stmt(Expr::If {
+            cond: Atom::Sym(miss),
+            then_b: Block::unit(vec![relink]),
+            else_b: Block::unit(fold),
+        });
+        slot_body.push(fresh.unit_stmt(Expr::If {
+            cond: Atom::Sym(prnn),
+            then_b: Block::unit(vec![s_sh, s_miss, merge_one]),
+            else_b: Block::default(),
+        }));
+        return slot_loop(fresh, slot_body);
+    };
 
     if !t.keyed {
         // Multimap concatenation: splice each non-empty private chain in
@@ -918,12 +1022,7 @@ fn table_merge(p: &Program, fresh: &mut Fresh, t: &TableRed, bucket_acc: Sym) ->
             then_b: Block::unit(then_b),
             else_b: Block::default(),
         }));
-        return fresh.unit_stmt(Expr::ForRange {
-            lo: Atom::Int(0),
-            hi: t.bucket_len.clone(),
-            var: slot,
-            body: Block::unit(slot_body),
-        });
+        return slot_loop(fresh, slot_body);
     }
 
     // cur = private chain head; walk it.
@@ -1203,48 +1302,7 @@ fn table_merge(p: &Program, fresh: &mut Fresh, t: &TableRed, bucket_acc: Sym) ->
     }));
 
     // else: fold every reduce field of pr into m.
-    let mut else_b: Vec<Stmt> = Vec::new();
-    // Inline reduce fields on the chain record itself.
-    for (i, f) in pdef.fields.iter().enumerate() {
-        if let Some(op) = t.reduce.get(&(psid, i)) {
-            fold_field(fresh, &mut else_b, mv, pr, psid, i, &f.ty, *op);
-        }
-    }
-    // Reduce fields inside value records.
-    for (i, f) in pdef.fields.iter().enumerate() {
-        let Type::Record(vsid) = &f.ty else { continue };
-        let inner = p.structs.get(*vsid).clone();
-        let folds: Vec<(usize, Type, BinOp)> = inner
-            .fields
-            .iter()
-            .enumerate()
-            .filter_map(|(j, vf)| t.reduce.get(&(*vsid, j)).map(|op| (j, vf.ty.clone(), *op)))
-            .collect();
-        if folds.is_empty() {
-            continue;
-        }
-        let (sv, s1) = fresh.stmt(
-            f.ty.clone(),
-            Expr::FieldGet {
-                obj: Atom::Sym(mv),
-                sid: psid,
-                field: i,
-            },
-        );
-        else_b.push(s1);
-        let (pv, s2) = fresh.stmt(
-            f.ty.clone(),
-            Expr::FieldGet {
-                obj: Atom::Sym(pr),
-                sid: psid,
-                field: i,
-            },
-        );
-        else_b.push(s2);
-        for (j, vt, op) in folds {
-            fold_field(fresh, &mut else_b, sv, pv, *vsid, j, &vt, op);
-        }
-    }
+    let else_b = fold_record(p, fresh, t, mv, pr);
 
     w.push(fresh.unit_stmt(Expr::If {
         cond: Atom::Sym(miss),
@@ -1260,13 +1318,50 @@ fn table_merge(p: &Program, fresh: &mut Fresh, t: &TableRed, bucket_acc: Sym) ->
         cond,
         body: Block::unit(w),
     }));
+    slot_loop(fresh, slot_body)
+}
 
-    fresh.unit_stmt(Expr::ForRange {
-        lo: Atom::Int(0),
-        hi: t.bucket_len.clone(),
-        var: slot,
-        body: Block::unit(slot_body),
-    })
+/// Fold every reduce field of record `from` into record `into`, both of
+/// the cluster's record type: fields of the record itself, then fields
+/// of the value records it holds.
+fn fold_record(p: &Program, fresh: &mut Fresh, t: &TableRed, into: Sym, from: Sym) -> Vec<Stmt> {
+    let (psid, pdef) = (t.psid, p.structs.get(t.psid).clone());
+    let mut out: Vec<Stmt> = Vec::new();
+    for (i, f) in pdef.fields.iter().enumerate() {
+        if let Some(op) = t.reduce.get(&(psid, i)) {
+            fold_field(fresh, &mut out, into, from, psid, i, &f.ty, *op);
+        }
+    }
+    for (i, f) in pdef.fields.iter().enumerate() {
+        let Type::Record(vsid) = &f.ty else { continue };
+        let inner = p.structs.get(*vsid).clone();
+        let folds: Vec<(usize, Type, BinOp)> = inner
+            .fields
+            .iter()
+            .enumerate()
+            .filter_map(|(j, vf)| t.reduce.get(&(*vsid, j)).map(|op| (j, vf.ty.clone(), *op)))
+            .collect();
+        if folds.is_empty() {
+            continue;
+        }
+        let mut field_of = |rec: Sym| {
+            let (v, st) = fresh.stmt(
+                f.ty.clone(),
+                Expr::FieldGet {
+                    obj: Atom::Sym(rec),
+                    sid: psid,
+                    field: i,
+                },
+            );
+            out.push(st);
+            v
+        };
+        let (sv, pv) = (field_of(into), field_of(from));
+        for (j, vt, op) in folds {
+            fold_field(fresh, &mut out, sv, pv, *vsid, j, &vt, op);
+        }
+    }
+    out
 }
 
 /// `into.f = into.f OP from.f`
@@ -1414,6 +1509,147 @@ mod tests {
         let p = b.finish(r, Level::CScala);
         let q = apply(&p, 4);
         assert_eq!(program_hash(&p), program_hash(&q));
+    }
+
+    /// TPC-H query `n` at level 5 and two threads, over generated
+    /// statistics (the dense-table decisions read `int_max`).
+    fn tpch_two_threads(n: usize) -> Program {
+        let dir = std::env::temp_dir().join("dblab_par_stats");
+        let schema = dblab_tpch::generate(0.002, &dir).schema;
+        let mut cfg = crate::StackConfig::level5();
+        cfg.threads = 2;
+        crate::compile(&dblab_tpch::queries::query(n), &schema, &cfg).program
+    }
+
+    fn record_of(t: &Type) -> Option<StructId> {
+        match t {
+            Type::Record(s) => Some(*s),
+            Type::Pointer(e) | Type::Array(e) | Type::Pool(e) => record_of(e),
+            _ => None,
+        }
+    }
+
+    /// Over the 22 queries at two threads, every field a `ParallelFor`
+    /// body writes is on a record type its workers hold privately (a
+    /// private array's or pool's records, or records those hold). A table
+    /// pre-filled before the loop and updated in place has none: the loop
+    /// stays serial (Q11, Q13, Q15 twice, Q17, Q18).
+    #[test]
+    fn every_parallel_for_privatizes_the_fields_it_writes() {
+        let mut loops = 0;
+        for n in 1..=22 {
+            let p = tpch_two_threads(n);
+            for st in &p.body.stmts {
+                let Expr::ParallelFor { accs, body, .. } = &st.expr else {
+                    continue;
+                };
+                loops += 1;
+                let mut owned: HashSet<StructId> =
+                    accs.iter().filter_map(|a| record_of(&a.ty)).collect();
+                for sid in owned.clone() {
+                    owned.extend(
+                        p.structs
+                            .get(sid)
+                            .fields
+                            .iter()
+                            .filter_map(|f| record_of(&f.ty)),
+                    );
+                }
+                let mut stmts = Vec::new();
+                flatten(body, &mut stmts);
+                for w in stmts {
+                    if let Expr::FieldSet { sid, .. } = &w.expr {
+                        let name = &p.structs.get(*sid).name;
+                        assert!(
+                            owned.contains(sid),
+                            "Q{n}: a worker writes shared `{name}` records"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(loops, 51, "ParallelFor count over the 22 queries");
+    }
+
+    /// Q1 at two threads: its scan is a `ParallelFor` whose private table
+    /// is a 65,536-slot dense array, merged slot by slot — no chain walk.
+    #[test]
+    fn q1_privatizes_its_dense_table() {
+        let p = tpch_two_threads(1);
+        let Some(Expr::ParallelFor { accs, merge, .. }) = top_level_parallel_for(&p) else {
+            panic!("Q1's scan stays serial");
+        };
+        let dense = |b: &Block| {
+            matches!(
+                b.stmts[..],
+                [Stmt {
+                    expr: Expr::ArrayNew {
+                        len: Atom::Int(65_536),
+                        ..
+                    },
+                    ..
+                }]
+            )
+        };
+        assert!(accs.iter().any(|a| dense(&a.init)), "a private dense array");
+        let mut stmts = Vec::new();
+        flatten(merge, &mut stmts);
+        assert!(stmts.iter().any(|st| matches!(
+            st.expr,
+            Expr::ForRange {
+                hi: Atom::Int(65_536),
+                ..
+            }
+        )));
+        assert!(!stmts.iter().any(|st| matches!(st.expr, Expr::While { .. })));
+    }
+
+    /// A count per `i % 16` in a dense 16-slot array of `Agg(cnt)`
+    /// records from a pool; `guarded`: inserted under `if (slots(k) ==
+    /// null)`, else stored over every row.
+    fn dense_count(guarded: bool) -> Program {
+        let mut b = IrBuilder::new();
+        let agg = b.structs.register(dblab_ir::types::StructDef {
+            name: "Agg".into(),
+            fields: vec![dblab_ir::types::FieldDef {
+                name: "cnt".into(),
+                ty: Type::Long,
+            }],
+        });
+        let pool = b.pool_new(Type::Record(agg), Atom::Int(16));
+        let slots = b.array_new(Type::Record(agg), Atom::Int(16));
+        let src = b.array_new(Type::Int, Atom::Int(64));
+        let n = b.array_len(src);
+        b.for_range(Atom::Int(0), n, |b, i| {
+            let k = b.bin(BinOp::Mod, i, Atom::Int(16));
+            let insert = |b: &mut IrBuilder| {
+                let v = b.pool_alloc(pool.clone());
+                b.field_set(v.clone(), agg, 0, Atom::Long(0));
+                b.array_set(slots.clone(), k.clone(), v);
+            };
+            if guarded {
+                let r = b.array_get(slots.clone(), k.clone());
+                let miss = b.eq(r, Atom::Null(Box::new(Type::Record(agg))));
+                b.if_then(miss, insert);
+            } else {
+                insert(b);
+            }
+            let r = b.array_get(slots.clone(), k.clone());
+            let c = b.field_get(r.clone(), agg, 0);
+            let c1 = b.add(c, Atom::Long(1));
+            b.field_set(r, agg, 0, c1);
+        });
+        b.finish(Atom::Unit, Level::CScala)
+    }
+
+    /// A dense table is privatized only when each worker inserts a key
+    /// once: a row that replaces the slot's record restarts its count, and
+    /// folding the workers' last records would not.
+    #[test]
+    fn a_dense_table_privatizes_only_a_get_or_insert() {
+        assert!(top_level_parallel_for(&apply(&dense_count(true), 2)).is_some());
+        let p = dense_count(false);
+        assert_eq!(program_hash(&p), program_hash(&apply(&p, 2)));
     }
 
     /// A fixed-trip loop (`for (i <- 0 until 64)`) is not a data scan;

@@ -33,6 +33,10 @@ use crate::scalar::{ir_type, lower_expr, ColRef, RowEnv};
 /// Largest dense-key range for aggregation arrays.
 const MAX_DENSE_KEY: u64 = 1 << 26;
 
+/// Most `Char` group columns packed into one dense key: 256² = 65,536
+/// slots; a third column would need 16 M.
+const MAX_CHAR_KEY_COLS: usize = 2;
+
 /// Loaded index atoms per (table, key column, unique): a unique
 /// row-position array, or CSR starts+items.
 type IndexLoads = HashMap<(Arc<str>, usize, bool), (Atom, Option<Atom>)>;
@@ -944,20 +948,28 @@ impl<'a> Lowering<'a> {
             }
         }
         let rec_sid = self.fresh_struct("Agg", fields);
+        let group_prov: Vec<Option<(Arc<str>, usize)>> = group_by
+            .iter()
+            .map(|(n, _)| static_prov(plan, n, self.schema))
+            .collect();
         self.rec_prov.insert(rec_sid, {
-            let mut p: Vec<Option<(Arc<str>, usize)>> = group_by
-                .iter()
-                .map(|(n, _)| static_prov(plan, n, self.schema))
-                .collect();
+            let mut p = group_prov.clone();
             p.resize(acc_idx.last().map(|i| i + 1).unwrap_or(p.len() + 1), None);
             p
         });
+        // One or two base `Char` columns (one byte each, whatever the data):
+        // the key is the one `Int` Σ kᵢ·256^(n−1−i), dense below 256ⁿ.
+        let char_key = group_by.len() <= MAX_CHAR_KEY_COLS
+            && group_prov.iter().all(|p| {
+                p.as_ref()
+                    .is_some_and(|(t, f)| self.schema.table(t).columns[*f].ty == ColType::Char)
+            });
 
         let key_types: Vec<Type> = group_by
             .iter()
             .map(|(_, e)| ir_type(e.ty(&child_cols)))
             .collect();
-        let (key_ty, key_sid) = if key_types.len() == 1 {
+        let (key_ty, key_sid) = if key_types.len() == 1 || char_key {
             (key_types[0].clone(), None)
         } else {
             let sid = self.fresh_struct(
@@ -977,18 +989,31 @@ impl<'a> Lowering<'a> {
 
         let hint = self.estimate(plan);
         let hm = self.b.hashmap_new(key_ty, Type::Record(rec_sid));
-        let mut dense = None;
         if let Atom::Sym(s) = hm {
             self.b.annotate(s, Annot::SizeHint(hint));
-            if group_by.len() == 1 {
+            if char_key {
+                let n = group_by.len() as u32;
+                self.b.annotate(
+                    s,
+                    Annot::DenseKey {
+                        max: 256u64.pow(n) - 1,
+                        composite: n > 1,
+                    },
+                );
+            } else if group_by.len() == 1 {
                 if let Some((t, f)) = group_col_prov(plan, self.schema) {
                     let max = *self.schema.table(&t).stats.int_max.get(f).unwrap_or(&0);
                     if max > 0
                         && max <= MAX_DENSE_KEY
                         && self.schema.table(&t).columns[f].ty == ColType::Int
                     {
-                        self.b.annotate(s, Annot::DenseKey { max });
-                        dense = Some(max);
+                        self.b.annotate(
+                            s,
+                            Annot::DenseKey {
+                                max,
+                                composite: false,
+                            },
+                        );
                     }
                 }
             }
@@ -999,11 +1024,20 @@ impl<'a> Lowering<'a> {
                 self.b.annotate(s, Annot::Comment("has_minmax".into()));
             }
         }
-        let _ = dense;
 
         let group_exprs: Vec<ScalarExpr> = group_by.iter().map(|(_, e)| e.clone()).collect();
         self.produce(child, &mut |lw, env| {
-            let k = lw.join_key(env, &group_exprs, key_sid);
+            let packed = char_key.then(|| {
+                let bytes: Vec<Atom> = group_exprs
+                    .iter()
+                    .map(|e| lower_expr(&mut lw.b, env, &lw.params, e))
+                    .collect();
+                (bytes[1..].iter()).fold(bytes[0].clone(), |k, byte| {
+                    let shifted = lw.b.mul(k, Atom::Int(256));
+                    lw.b.add(shifted, byte.clone())
+                })
+            });
+            let k = packed.unwrap_or_else(|| lw.join_key(env, &group_exprs, key_sid));
             let key_atoms: Vec<Atom> = group_exprs
                 .iter()
                 .map(|e| lower_expr(&mut lw.b, env, &lw.params, e))
@@ -1670,10 +1704,109 @@ mod tests {
             .find(|st| matches!(st.expr, Expr::HashMapNew { .. }))
             .expect("hash map");
         assert!(p.annots.size_hint(hm.sym).is_some());
-        assert!(
-            p.annots.dense_key(hm.sym).is_some(),
+        assert_eq!(
+            p.annots.dense_key(hm.sym),
+            Some((100, false)),
             "o_custkey is a dense int key"
         );
+    }
+
+    /// Every expression of `b`, nested blocks included.
+    fn exprs(b: &Block) -> Vec<&Expr> {
+        let mut out = Vec::new();
+        for st in &b.stmts {
+            out.push(&st.expr);
+            st.expr
+                .blocks()
+                .into_iter()
+                .for_each(|n| out.extend(exprs(n)));
+        }
+        out
+    }
+
+    /// How a level-5 aggregation table ended up: `(hashed, slot counts of
+    /// dense arrays, of pre-filled ones)`. Hashed means a `Key` record and
+    /// `HashInt` probes; a pre-filled array is stored into straight from
+    /// a `for` (Appendix D.2).
+    fn table_shape(p: &Program) -> (bool, Vec<i64>, Vec<i64>) {
+        let all = exprs(&p.body);
+        let key_struct = p.structs.iter().any(|(_, d)| d.name.starts_with("Key"));
+        let hashes = all.iter().any(|e| matches!(e, Expr::Un(UnOp::HashInt, _)));
+        // Slots of `arr` if it is an array of aggregate records.
+        let slots = |arr: &Atom| {
+            p.body.stmts.iter().find_map(|st| match &st.expr {
+                Expr::ArrayNew {
+                    elem: Type::Record(sid),
+                    len: Atom::Int(n),
+                } if Atom::Sym(st.sym) == *arr && p.structs.get(*sid).name.starts_with("Agg") => {
+                    Some(*n)
+                }
+                _ => None,
+            })
+        };
+        let dense: Vec<i64> = (p.body.stmts.iter())
+            .filter_map(|st| slots(&Atom::Sym(st.sym)))
+            .collect();
+        let prefilled = (all.iter())
+            .filter_map(|e| match e {
+                Expr::ForRange { body, .. } => body.stmts.iter().find_map(|st| match &st.expr {
+                    Expr::ArraySet { arr, .. } => slots(arr),
+                    _ => None,
+                }),
+                _ => None,
+            })
+            .collect();
+        (key_struct && hashes, dense, prefilled)
+    }
+
+    /// `t(a, b, c: Char, n: Int)` grouped by `keys`, counted, at level 5.
+    fn grouped_chars(keys: &[&str]) -> Program {
+        let mut t = dblab_catalog::TableDef::new(
+            "t",
+            vec![
+                ("a", ColType::Char),
+                ("b", ColType::Char),
+                ("c", ColType::Char),
+                ("n", ColType::Int),
+            ],
+        );
+        t.stats.row_count = 100;
+        t.stats.int_max = vec![100; 4];
+        t.stats.distinct = vec![10; 4];
+        let plan = QPlan::scan("t").agg(
+            keys.iter().map(|k| (*k, col(k))).collect(),
+            vec![("cnt", Count)],
+        );
+        let schema = Schema::new(vec![t]);
+        crate::compile(&QueryProgram::new(plan), &schema, &StackConfig::level5()).program
+    }
+
+    /// Q1's two `Char` group columns pack into one dense `Int` key: no
+    /// `Key` record, no hash, one 65,536-slot array — not pre-filled,
+    /// since no record field holds a packed key.
+    #[test]
+    fn char_group_keys_index_one_dense_array() {
+        let q1 = dblab_tpch::queries::query(1);
+        let p = crate::compile(&q1, &schema(), &StackConfig::level5()).program;
+        assert_eq!(table_shape(&p), (false, vec![65_536], vec![]));
+        assert_eq!(
+            table_shape(&grouped_chars(&["a", "b"])),
+            (false, vec![65_536], vec![])
+        );
+        // One `Char` is its own key: 256 slots, pre-filled like an `Int`'s.
+        assert_eq!(
+            table_shape(&grouped_chars(&["a"])),
+            (false, vec![256], vec![256])
+        );
+    }
+
+    /// Three `Char` columns (16 M slots) or a non-`Char` column stay hashed.
+    #[test]
+    fn wider_or_mixed_char_keys_stay_hashed() {
+        for keys in [&["a", "b", "c"][..], &["a", "n"]] {
+            let (hashed, dense, _) = table_shape(&grouped_chars(keys));
+            assert!(hashed && dense.is_empty(), "{keys:?}: {dense:?}");
+        }
     }
 
     #[test]

@@ -8,15 +8,19 @@
 
 use std::path::PathBuf;
 
+use dblab::catalog::{ColType, Schema, TableDef};
 use dblab::codegen::{backends, same_normalized, Compiler};
 use dblab::engine;
+use dblab::frontend::expr::{col, lit_c, lit_i};
+use dblab::frontend::qplan::{AggFunc, QPlan, QueryProgram};
+use dblab::runtime::{Database, Table, Value};
 use dblab::tpch;
 use dblab::transform::StackConfig;
 
 /// Per-test data directories: the tests in this binary run on parallel
 /// threads, so sharing one `.tbl` directory would let one test's
 /// `write_all` truncate files another test's query binary is reading.
-fn setup(tag: &str) -> (dblab::runtime::Database, PathBuf) {
+fn setup(tag: &str) -> (Database, PathBuf) {
     let dir = std::env::temp_dir().join(format!("dblab_conf_data_{tag}"));
     let db = tpch::generate(0.002, &dir);
     db.write_all().expect("write .tbl");
@@ -92,6 +96,90 @@ fn every_backend_matches_the_oracle_with_four_threads() {
     let mut cfg = StackConfig::level5();
     cfg.threads = 4;
     let failures = conformance_suite(&cfg, "l5t4");
+    assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// `t(a, b: Char, v: Int)`, 3,000 rows whose `Char`s are the bytes 0xC3
+/// (`é`'s first byte in UTF-8), `~` and `A`, written as `.tbl` files.
+fn char_table(tag: &str) -> (Database, PathBuf) {
+    let mut def = TableDef::new(
+        "t",
+        vec![
+            ("a", ColType::Char),
+            ("b", ColType::Char),
+            ("v", ColType::Int),
+        ],
+    );
+    let rows = 3000;
+    def.stats.row_count = rows as u64;
+    def.stats.int_max = vec![255, 255, rows as u64];
+    def.stats.distinct = vec![3, 3, rows as u64];
+    let bytes = [0xC3, b'~' as i32, b'A' as i32];
+    let mut t = Table::empty(&def);
+    for i in 0..rows {
+        let (a, b) = (bytes[i % 3], bytes[i / 3 % 3]);
+        t.push_row(vec![Value::Int(a), Value::Int(b), Value::Int(i as i32)]);
+    }
+    let dir = std::env::temp_dir().join(format!("dblab_conf_chars_{tag}"));
+    let db = Database {
+        schema: Schema::new(vec![def]),
+        tables: vec![t],
+        dir: dir.clone(),
+    };
+    db.write_all().expect("write .tbl");
+    (db, dir)
+}
+
+/// A `Char` is its byte, 0–255, on every backend: `a > 'Z'` keeps 0xC3
+/// and `~`, and grouping by two `Char`s — one dense key `a·256 + b` —
+/// finds the nine groups, printed as integers (a lone 0xC3 byte is not
+/// text). Serial and with two workers.
+#[test]
+fn char_bytes_above_0x7f_compare_and_group_on_every_backend() {
+    let (db, data) = char_table("bytes");
+    let count = QueryProgram::new(
+        QPlan::scan("t")
+            .select(col("a").gt(lit_c('Z')))
+            .agg(vec![], vec![("n", AggFunc::Count)]),
+    );
+    let grouped = QueryProgram::new(
+        QPlan::scan("t")
+            .agg(
+                vec![("a", col("a")), ("b", col("b"))],
+                vec![("n", AggFunc::Count), ("s", AggFunc::Sum(col("v")))],
+            )
+            .project(vec![
+                ("ka", lit_i(0).add(col("a"))),
+                ("kb", lit_i(0).add(col("b"))),
+                ("n", col("n")),
+                ("s", col("s")),
+            ]),
+    );
+    let oracles = [&count, &grouped].map(|p| engine::execute_program(p, &db).to_text());
+    assert_eq!(oracles[0], "2000\n");
+    assert!(oracles[1].contains("195|126|333|"), "{}", oracles[1]);
+    let out = std::env::temp_dir().join("dblab_conf_gen");
+    let mut failures = Vec::new();
+    for threads in [1, 2] {
+        let mut cfg = StackConfig::level5();
+        cfg.threads = threads;
+        for b in backends().into_iter().filter(|b| b.available()) {
+            for (i, (prog, oracle)) in [&count, &grouped].iter().zip(&oracles).enumerate() {
+                let name = format!("bc_chars{i}_t{threads}_{}", b.name());
+                let run = Compiler::new(&db.schema)
+                    .config(&cfg)
+                    .backend(dblab::codegen::backend(b.name()).expect("registered"))
+                    .out_dir(&out)
+                    .compile_named(prog, &name)
+                    .and_then(|art| art.run(&data));
+                match run {
+                    Ok(r) if same_normalized(oracle, &r.stdout) => {}
+                    Ok(r) => failures.push(format!("{name}: got\n{}want\n{oracle}", r.stdout)),
+                    Err(e) => failures.push(format!("{name}: {e}")),
+                }
+            }
+        }
+    }
     assert!(failures.is_empty(), "{failures:#?}");
 }
 

@@ -185,6 +185,46 @@ fn default_bindings_reproduce_the_literal_query() {
     }
 }
 
+/// The in-process executables refuse a run whose bindings leave a
+/// parameter slot unbound, or bind it to a value its type does not take:
+/// `InvalidInput` naming the slot — the native binary's "missing query
+/// parameter", not a panic inside the evaluator.
+#[test]
+fn in_process_executables_refuse_missing_or_mistyped_bindings() {
+    let (db, data) = setup("refused");
+    let template = tpch::queries::template(6).expect("template");
+    let out = std::env::temp_dir().join("dblab_param_gen");
+    for name in ["jit", "interp"] {
+        let art = Compiler::new(&db.schema)
+            .config(&StackConfig::level5())
+            .backend(backend(name).expect("registered"))
+            .out_dir(&out)
+            .compile_named(&template, &format!("pd_refused_{name}"))
+            .expect("compile template");
+        let mut mistyped = positional(&template, &[]);
+        mistyped[0] = Value::str("1994-01-01");
+        for (params, what) in [(vec![], "unbound"), (mistyped, "bound to Str")] {
+            let err = art.exe.run_bound(&data, &params, None).expect_err(what);
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::InvalidInput,
+                "[{name}] {err}"
+            );
+            let msg = err.to_string();
+            assert!(
+                msg.contains("query parameter 0") && msg.contains(what),
+                "[{name}] {msg}"
+            );
+        }
+        let err = art.exe.run(&data).expect_err("run(dir) binds nothing");
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "[{name}] {err}"
+        );
+    }
+}
+
 /// Binding values must never reach the IR: lowering a template yields
 /// `param` slots, the lowered program is trivially binding-independent
 /// (bindings are not a compile input), and a parameter-free program's
