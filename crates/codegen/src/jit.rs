@@ -1,9 +1,9 @@
 //! # jit — the in-process closure-JIT backend
 //!
-//! Tier 0.5 of the serving ladder: compiles a fully-lowered IR program into
-//! a tree of pre-resolved Rust closures ("threaded code") in well under a
-//! millisecond — no fork+exec, no toolchain. What carries the speedup over
-//! the AST interpreter:
+//! Tier 0 of the serving ladder — what `prepare` returns: compiles a
+//! fully-lowered IR program into a tree of pre-resolved Rust closures
+//! ("threaded code") in well under a millisecond — no fork+exec, no
+//! toolchain. What carries the speedup over the AST interpreter:
 //!
 //! 1. **A word frame typed at compile time.** ANF symbols are dense
 //!    (`Sym(n)` indexes `Program::sym_types`), so every variable is frame
@@ -46,7 +46,8 @@
 //!    ([`Jc::chunked`]). So does a walk over the slots of an arena array
 //!    that skips the null ones — a dense table's or a bucket array's
 //!    emission loop — with one kernel keeping the non-null slots
-//!    ([`Jc::non_null`]). [`JitProgram::chunked_loops`] reports both.
+//!    ([`Jc::non_null`]), for a `ForRange` and a `ParallelFor` alike
+//!    ([`Jc::range`]). [`JitProgram::chunked_loops`] reports both.
 //!
 //! Semantics are pinned to `dblab-interp` (wrapping i64 arithmetic, null
 //! `Eq`/`Ne`, dictionary encoding, hash-map iteration order, serial
@@ -932,23 +933,7 @@ impl<'p> Jc<'p> {
             }
             Expr::ForRange { lo, hi, var, body } => {
                 let (lo, hi) = (self.want(lo, Cls::Int)?, self.want(hi, Cls::Int)?);
-                let scan = match self.chunked(*var, body, lo.clone(), hi.clone())? {
-                    None => self.non_null(*var, body, lo.clone(), hi.clone())?,
-                    scan => scan,
-                };
-                if let Some(scan) = scan {
-                    return effect(op_box(move |rt| scan.run(rt)));
-                }
-                let (var, body) = (slot(*var), self.seq(body, Cls::Unit)?);
-                effect(op_box(move |rt| {
-                    for i in lo.get(rt) as i64..hi.get(rt) as i64 {
-                        if rt.expired() {
-                            break;
-                        }
-                        rt.frame[var] = i as u64;
-                        body.run_unit(rt);
-                    }
-                }))
+                effect(self.range(*var, lo, hi, body)?)
             }
             Expr::While { cond, body } => {
                 // `run_val` lets the cond block's tail chain collapse into
@@ -1234,10 +1219,9 @@ impl<'p> Jc<'p> {
                     rt.printf(&segs, &words);
                 }))
             }
-            // Tier 0.5 executes the morsel form with a single logical
-            // worker, exactly like the interpreter: init each accumulator,
-            // run the whole range, merge once. Parallel semantics at worker
-            // count one — the differential suites compare against this.
+            // The morsel form as one logical worker, like the interpreter:
+            // init each accumulator, run the range as a `ForRange` would,
+            // merge once — parallel semantics at worker count one.
             Expr::ParallelFor {
                 lo,
                 hi,
@@ -1247,27 +1231,16 @@ impl<'p> Jc<'p> {
                 merge,
                 ..
             } => {
-                let (lo, hi, var) = (
-                    self.want(lo, Cls::Int)?,
-                    self.want(hi, Cls::Int)?,
-                    slot(*var),
-                );
+                let (lo, hi) = (self.want(lo, Cls::Int)?, self.want(hi, Cls::Int)?);
                 let accs = (accs.iter())
                     .map(|acc| Ok((slot(acc.sym), self.seq(&acc.init, cls(&acc.ty))?)))
                     .collect::<io::Result<Vec<(usize, Seq)>>>()?;
-                let (body, merge) = (self.seq(body, Cls::Unit)?, self.seq(merge, Cls::Unit)?);
+                let (range, merge) = (self.range(*var, lo, hi, body)?, self.seq(merge, Cls::Unit)?);
                 effect(op_box(move |rt| {
-                    let range = lo.get(rt) as i64..hi.get(rt) as i64;
                     for (acc, init) in &accs {
                         rt.frame[*acc] = init.run_val(rt);
                     }
-                    for i in range {
-                        if rt.expired() {
-                            break;
-                        }
-                        rt.frame[var] = i as u64;
-                        body.run_unit(rt);
-                    }
+                    range(rt);
                     merge.run_unit(rt);
                 }))
             }
@@ -1494,6 +1467,29 @@ fn invariant(pre: &[Stmt], var: Sym, a: &Atom) -> bool {
 }
 
 impl<'p> Jc<'p> {
+    /// `for (var <- lo until hi) { body }` — a `ForRange`'s or a
+    /// `ParallelFor`'s range — as a chunked scan, a null-skipping walk, or
+    /// the closure loop, which checks the deadline at every back-edge.
+    fn range(&mut self, var: Sym, lo: G, hi: G, body: &'p Block) -> io::Result<Op> {
+        let scan = match self.chunked(var, body, lo.clone(), hi.clone())? {
+            None => self.non_null(var, body, lo.clone(), hi.clone())?,
+            scan => scan,
+        };
+        if let Some(scan) = scan {
+            return Ok(op_box(move |rt| scan.run(rt)));
+        }
+        let (var, body) = (slot(var), self.seq(body, Cls::Unit)?);
+        Ok(op_box(move |rt| {
+            for i in lo.get(rt) as i64..hi.get(rt) as i64 {
+                if rt.expired() {
+                    break;
+                }
+                rt.frame[var] = i as u64;
+                body.run_unit(rt);
+            }
+        }))
+    }
+
     /// `for (var <- lo until hi) { pre; if (c) { then } }` as a chunked
     /// [`Scan`], or `None` — the closure tree — unless `pre` reads a
     /// loaded table at `var` (or at an index entry at `var`) and inlines
@@ -2478,47 +2474,98 @@ mod tests {
         assert!(refusal(b).contains("is `Double` where a boolean is required"));
     }
 
-    /// The level-5 programs of the five `steady_jit` statements: which
-    /// loops run as chunked scans or null-skipping walks, and each prints
-    /// what the interpreter prints.
+    /// Generated TPC-H data at SF 0.002, for its schema and its rows.
+    fn tpch_db() -> Database {
+        dblab_tpch::generate(0.002, &std::env::temp_dir().join("dblab_jit_chunks"))
+    }
+
+    /// Statement `spec` (`"6?"`: the template of query 6 with its default
+    /// bindings) lowered through the level-5 stack at `threads`.
+    fn level5(spec: &str, db: &Database, threads: usize) -> (Program, Vec<Value>) {
+        use dblab_frontend::expr::Lit;
+        let n = spec.trim_end_matches('?').parse().expect("query number");
+        let q = match spec.ends_with('?') {
+            true => dblab_tpch::queries::template(n).expect("template"),
+            false => dblab_tpch::queries::query(n),
+        };
+        let cfg = dblab_transform::StackConfig {
+            threads,
+            ..dblab_transform::StackConfig::level5()
+        };
+        let params = (q.params.iter())
+            .map(|d| match d.default {
+                Lit::Int(v) => Value::Int(v),
+                Lit::Double(v) => Value::Double(v),
+                ref other => panic!("{other:?}"),
+            })
+            .collect();
+        (
+            dblab_transform::compile(&q, &db.schema, &cfg).program,
+            params,
+        )
+    }
+
+    /// `jp`'s chunked loops as `table kernels+leaves`, `slots` for a
+    /// null-skipping walk.
+    fn loops_of(jp: &JitProgram) -> Vec<String> {
+        let each = jp.chunked_loops().iter().map(|l| {
+            let rows = l.table.as_deref().unwrap_or("slots");
+            format!("{rows} {}+{}", l.kernels, l.leaves)
+        });
+        each.collect()
+    }
+
+    /// The level-5 programs of the five `steady_jit` statements, at one
+    /// thread and at two: which loops run as chunked scans or null-skipping
+    /// walks — the same list at both, so a `ParallelFor` keeps the chunking
+    /// of the `ForRange` it replaced — and each prints what the
+    /// interpreter prints.
     #[test]
     fn the_steady_jit_statements_scan_in_chunks() {
-        use dblab_frontend::expr::Lit;
-        use dblab_transform::StackConfig;
-        let db = dblab_tpch::generate(0.002, &std::env::temp_dir().join("dblab_jit_chunks"));
+        let db = tpch_db();
         let snap = Snapshot::from(db.clone());
-        let mut got = String::new();
-        for spec in ["1?", "6?", "14?", "3", "12"] {
-            let n = spec.trim_end_matches('?').parse().expect("query number");
-            let q = match spec.ends_with('?') {
-                true => dblab_tpch::queries::template(n).expect("template"),
-                false => dblab_tpch::queries::query(n),
-            };
-            let p = dblab_transform::compile(&q, &db.schema, &StackConfig::level5()).program;
-            let params: Vec<Value> = (q.params.iter())
-                .map(|d| match d.default {
-                    Lit::Int(v) => Value::Int(v),
-                    Lit::Double(v) => Value::Double(v),
-                    ref other => panic!("{other:?}"),
-                })
-                .collect();
-            let jp = compile(&p).expect("compile");
-            let got_rows = jp.run_bound(&snap, &params, None).expect("no deadline").0;
-            assert_eq!(
-                got_rows,
-                dblab_interp::run_bound(&p, &snap, &params, None).expect("run")
-            );
-            for l in jp.chunked_loops() {
-                let rows = l.table.as_deref().unwrap_or("slots");
-                got += &format!("tpch:{spec} {rows} {}+{} ", l.kernels, l.leaves);
+        for threads in [1, 2] {
+            let mut got = String::new();
+            for spec in ["1?", "6?", "14?", "3", "12"] {
+                let (p, params) = level5(spec, &db, threads);
+                let jp = compile(&p).expect("compile");
+                let got_rows = jp.run_bound(&snap, &params, None).expect("no deadline").0;
+                assert_eq!(
+                    got_rows,
+                    dblab_interp::run_bound(&p, &snap, &params, None).expect("run"),
+                    "tpch:{spec} at {threads} threads"
+                );
+                for l in loops_of(&jp) {
+                    got += &format!("tpch:{spec} {l} ");
+                }
+            }
+            // `slots`: the emission walks over Q1's dense table and over
+            // Q3's and Q12's bucket arrays.
+            let want = "tpch:1? lineitem 1+0 tpch:1? slots 1+0 tpch:6? lineitem 5+0 \
+                        tpch:14? lineitem 2+0 tpch:3 orders 1+0 tpch:3 lineitem 1+0 \
+                        tpch:3 slots 1+0 tpch:12 lineitem 5+0 tpch:12 slots 1+0 ";
+            assert_eq!(got, want, "{threads} threads");
+        }
+    }
+
+    /// `parallelize-scans` turns scans into `ParallelFor`s at two threads
+    /// and more; every loop that ran in chunks at one thread still does.
+    #[test]
+    fn every_query_chunks_the_same_loops_at_every_thread_count() {
+        let db = tpch_db();
+        let mut differ = Vec::new();
+        for n in 1..=22 {
+            let spec = n.to_string();
+            let at = |threads| loops_of(&compile(&level5(&spec, &db, threads).0).expect("compile"));
+            let serial = at(1);
+            for threads in [2, 4] {
+                let got = at(threads);
+                if got != serial {
+                    differ.push(format!("Q{n} at {threads} threads: {got:?} vs {serial:?}"));
+                }
             }
         }
-        // `slots`: the emission walks over Q1's dense table and over Q3's
-        // and Q12's bucket arrays.
-        let want = "tpch:1? lineitem 1+0 tpch:1? slots 1+0 tpch:6? lineitem 5+0 \
-                    tpch:14? lineitem 2+0 tpch:3 orders 1+0 tpch:3 lineitem 1+0 \
-                    tpch:3 slots 1+0 tpch:12 lineitem 5+0 tpch:12 slots 1+0 ";
-        assert_eq!(got, want);
+        assert!(differ.is_empty(), "{differ:#?}");
     }
 
     /// Field `f` of a `t` row ([`with_table`]).
@@ -2794,6 +2841,77 @@ mod tests {
         let soon = Instant::now() + Duration::from_millis(20);
         assert_eq!(
             chunked(&program(true), &db, Some(soon)),
+            (vec![(1, 0)], None)
+        );
+    }
+
+    /// The same scan as the morsel form `parallelize-scans` gives a
+    /// counting loop (Shape A): one accumulator counting the rows kept,
+    /// added into a variable by the merge. Its range runs in chunks like
+    /// the `ForRange`'s and prints what the interpreter prints; a deadline
+    /// before entry or mid-range interrupts it, and the output is dropped.
+    #[test]
+    fn a_deadline_expiring_in_a_chunked_parallel_for_discards_partial_output() {
+        let program = |inner: i64| {
+            let (mut b, sid, table) = with_table();
+            let total = b.decl_var(Atom::Int(0));
+            let n = b.array_len(table.clone());
+            let (var, acc) = (b.bind(Type::Int), b.bind(Type::Int));
+            let init = b.block(|_| Atom::Int(0));
+            let body = b.block_unit(|b| {
+                let row = b.array_get(table, Atom::Sym(var));
+                let k = b.field_get(row, sid, 0);
+                let c = b.ne(k, Atom::Int(1));
+                b.if_then(c, |b| {
+                    b.printf("%d\n", vec![Atom::Sym(var)]);
+                    let kept = b.read_var(acc);
+                    let kept = b.add(kept, Atom::Int(1));
+                    b.assign(acc, kept);
+                    let spin = b.decl_var(Atom::Int(0));
+                    b.for_range(Atom::Int(0), Atom::Int(inner), |b, j| {
+                        let t = b.read_var(spin);
+                        let t = b.add(t, j);
+                        b.assign(spin, t);
+                    });
+                });
+            });
+            let merge = b.block_unit(|b| {
+                let (t, kept) = (b.read_var(total), b.read_var(acc));
+                let t = b.add(t, kept);
+                b.assign(total, t);
+            });
+            b.emit_unit(Expr::ParallelFor {
+                lo: Atom::Int(0),
+                hi: n,
+                var,
+                threads: 2,
+                accs: vec![dblab_ir::expr::ParAcc {
+                    sym: acc,
+                    ty: Type::Int,
+                    var: true,
+                    init,
+                }],
+                body,
+                merge,
+            });
+            let t = b.read_var(total);
+            b.printf("kept %d\n", vec![t]);
+            b.finish(Atom::Unit, Level::ScaLite)
+        };
+        let db = rows_db(2049);
+        let p = program(0);
+        let rows = dblab_interp::run(&p, &db);
+        assert!(rows.ends_with("\nkept 1366\n"), "the merge ran: {rows}");
+        assert_eq!(chunked(&p, &db, None), (vec![(1, 0)], Some(rows)));
+        let past = Instant::now() - Duration::from_millis(1);
+        assert_eq!(chunked(&p, &db, Some(past)), (vec![(1, 0)], None));
+        assert_eq!(
+            dblab_interp::run_bound(&p, &db, &[], Some(past)),
+            Err(Interrupted)
+        );
+        let soon = Instant::now() + Duration::from_millis(20);
+        assert_eq!(
+            chunked(&program(100_000), &db, Some(soon)),
             (vec![(1, 0)], None)
         );
     }

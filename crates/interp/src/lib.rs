@@ -217,6 +217,20 @@ impl Interp<'_> {
         self.atom(&b.result)
     }
 
+    /// `for (var <- lo until hi) { body }`: the one counted loop of both
+    /// `ForRange` and `ParallelFor`.
+    fn range(&mut self, lo: &Atom, hi: &Atom, var: Sym, body: &Block) -> V {
+        let (l, h) = (self.atom(lo).i(), self.atom(hi).i());
+        for i in l..h {
+            if self.expired() {
+                break;
+            }
+            self.set(var, V::I(i));
+            self.block(body);
+        }
+        V::Unit
+    }
+
     fn expr(&mut self, e: &Expr, ty: &Type) -> V {
         match e {
             Expr::Atom(a) => self.atom(a),
@@ -259,17 +273,7 @@ impl Interp<'_> {
                     self.block(else_b)
                 }
             }
-            Expr::ForRange { lo, hi, var, body } => {
-                let (l, h) = (self.atom(lo).i(), self.atom(hi).i());
-                for i in l..h {
-                    if self.expired() {
-                        break;
-                    }
-                    self.set(*var, V::I(i));
-                    self.block(body);
-                }
-                V::Unit
-            }
+            Expr::ForRange { lo, hi, var, body } => self.range(lo, hi, *var, body),
             Expr::While { cond, body } => {
                 loop {
                     if self.expired() || !self.block(cond).b() {
@@ -496,10 +500,10 @@ impl Interp<'_> {
                 self.output.push_str(&line);
                 V::Unit
             }
-            // Tier 0 executes the morsel form with a single logical worker:
-            // init each accumulator, run the whole range, merge once. That
-            // is exactly the parallel semantics at worker count one, so the
-            // differential suites can compare any backend against it.
+            // The morsel form with a single logical worker: init each
+            // accumulator, run the whole range as a `ForRange`, merge once.
+            // That is exactly the parallel semantics at worker count one,
+            // so the differential suites can compare any backend against it.
             Expr::ParallelFor {
                 lo,
                 hi,
@@ -513,14 +517,7 @@ impl Interp<'_> {
                     let v = self.block(&acc.init);
                     self.set(acc.sym, v);
                 }
-                let (l, h) = (self.atom(lo).i(), self.atom(hi).i());
-                for i in l..h {
-                    if self.expired() {
-                        break;
-                    }
-                    self.set(*var, V::I(i));
-                    self.block(body);
-                }
+                self.range(lo, hi, *var, body);
                 self.block(merge);
                 V::Unit
             }

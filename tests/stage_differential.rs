@@ -3,7 +3,9 @@
 //! query compiled through the full five-level stack,
 //! `compile_with_snapshots` retains the complete IR program after *every*
 //! stage, and each snapshot — not just the final program — is executed by
-//! `dblab-interp` and checked against the Volcano oracle.
+//! both in-process executors, `dblab-interp` and the jit, and checked
+//! against the Volcano oracle. The morsel-parallel stack (`threads = 2`)
+//! is walked the same way on the jit alone.
 //!
 //! This is what localizes a miscompile to a single pass: if the
 //! stage-`k` snapshot agrees with the oracle and the stage-`k+1` snapshot
@@ -12,71 +14,115 @@
 //! is the same `Program` value a fresh run would produce, so it flows
 //! through this suite like any other.
 
-use std::path::PathBuf;
-
-use dblab::codegen::same_normalized;
+use dblab::codegen::{jit, same_normalized};
 use dblab::engine;
+use dblab::ir::Program;
+use dblab::runtime::{Database, Snapshot};
 use dblab::tpch;
 use dblab::transform::stack::compile_with_snapshots;
 use dblab::transform::StackConfig;
 
-fn setup() -> (dblab::runtime::Database, PathBuf) {
-    let dir = std::env::temp_dir().join("dblab_stage_diff_data");
-    let db = tpch::generate(0.002, &dir);
-    db.write_all().expect("write .tbl");
-    (db, dir)
+/// SF 0.002, in memory: every executor here reads the snapshot.
+fn setup() -> Database {
+    tpch::generate(0.002, &std::env::temp_dir().join("dblab_stage_diff_data"))
 }
 
-#[test]
-fn every_stage_snapshot_matches_the_oracle_for_all_queries() {
-    let (db, _) = setup();
-    let snap = dblab::runtime::Snapshot::from(db.clone());
-    let schema = db.schema.clone();
-    let cfg = StackConfig::level5();
-    let mut failures = Vec::new();
-    for n in 1..=22 {
+/// An in-process executor: what it prints for a program.
+type Executor = (&'static str, fn(&Program, &Snapshot) -> String);
+
+fn interp(p: &Program, snap: &Snapshot) -> String {
+    dblab::interp::run(p, snap)
+}
+
+/// A snapshot the jit refuses to compile diverges with the refusal, which
+/// names the statement.
+fn jit(p: &Program, snap: &Snapshot) -> String {
+    match jit::compile(p) {
+        Ok(jp) => jp.run_bound(snap, &[], None).expect("no deadline").0,
+        Err(e) => format!("jit refused: {e}"),
+    }
+}
+
+const INTERP: &[Executor] = &[("interp", interp)];
+const JIT: &[Executor] = &[("jit", jit)];
+const BOTH: &[Executor] = &[("interp", interp), ("jit", jit)];
+
+/// Every retained stage snapshot of `queries` under `cfg`, run by each of
+/// `executors` and compared with the oracle. Panics listing every
+/// divergence; else says how many snapshots agreed.
+fn walk(cfg: &StackConfig, queries: &[usize], executors: &[Executor]) {
+    let db = setup();
+    let snap = Snapshot::from(db.clone());
+    let (mut failures, mut snapshots) = (Vec::new(), 0);
+    for &n in queries {
         let prog = tpch::queries::query(n);
         let oracle = engine::execute_program(&prog, &db).to_text();
-        let (cq, programs) = compile_with_snapshots(&prog, &schema, &cfg, true);
+        let (cq, programs) = compile_with_snapshots(&prog, &db.schema, cfg, true);
         assert_eq!(
             programs.len(),
             cq.stages.len(),
             "Q{n}: one retained program per recorded stage"
         );
+        snapshots += programs.len();
         for (stage, p) in &programs {
-            let got = dblab::interp::run(p, &snap);
-            if !same_normalized(&oracle, &got) {
-                failures.push(format!(
-                    "Q{n} diverges at stage `{stage}` (level {}):\noracle:\n{}\ngot:\n{}",
-                    p.level,
-                    oracle.lines().take(4).collect::<Vec<_>>().join("\n"),
-                    got.lines().take(4).collect::<Vec<_>>().join("\n"),
-                ));
+            for (name, run) in executors {
+                let got = run(p, &snap);
+                if !same_normalized(&oracle, &got) {
+                    failures.push(format!(
+                        "Q{n} on {name} diverges at stage `{stage}` (level {}):\n\
+                         oracle:\n{}\ngot:\n{}",
+                        p.level,
+                        oracle.lines().take(4).collect::<Vec<_>>().join("\n"),
+                        got.lines().take(4).collect::<Vec<_>>().join("\n"),
+                    ));
+                }
             }
         }
     }
-    assert!(failures.is_empty(), "{failures:#?}");
+    assert!(
+        failures.is_empty(),
+        "{} @ {} threads: {failures:#?}",
+        cfg.name,
+        cfg.threads
+    );
+    let names: Vec<_> = executors.iter().map(|(name, _)| *name).collect();
+    eprintln!(
+        "{} @ {} threads: {snapshots} snapshots agree with the oracle on {names:?}",
+        cfg.name, cfg.threads
+    );
+}
+
+fn all_queries() -> Vec<usize> {
+    (1..=22).collect()
+}
+
+/// The level-5 walk on the interpreter; the jit's is the next test, so
+/// the two run side by side.
+#[test]
+fn every_stage_snapshot_matches_the_oracle_for_all_queries() {
+    walk(&StackConfig::level5(), &all_queries(), INTERP);
+}
+
+#[test]
+fn every_stage_snapshot_matches_the_oracle_on_the_jit() {
+    walk(&StackConfig::level5(), &all_queries(), JIT);
+}
+
+/// The morsel-parallel stack: `parallelize-scans` adds a stage, and every
+/// `ParallelFor` it leaves runs as one logical worker. The jit alone, to
+/// keep the debug suite's time flat; the interpreter shares its loop.
+#[test]
+fn every_stage_snapshot_at_two_threads_matches_the_oracle_on_the_jit() {
+    let cfg = StackConfig {
+        threads: 2,
+        ..StackConfig::level5()
+    };
+    walk(&cfg, &all_queries(), JIT);
 }
 
 /// The same stage-by-stage walk on the partial (compliant) stack — the
 /// configuration benches actually publish numbers for.
 #[test]
 fn compliant_stack_snapshots_match_the_oracle_on_the_showdown_queries() {
-    let (db, _) = setup();
-    let snap = dblab::runtime::Snapshot::from(db.clone());
-    let schema = db.schema.clone();
-    let cfg = StackConfig::compliant();
-    for n in [1, 3, 6, 14] {
-        let prog = tpch::queries::query(n);
-        let oracle = engine::execute_program(&prog, &db).to_text();
-        let (_, programs) = compile_with_snapshots(&prog, &schema, &cfg, true);
-        for (stage, p) in &programs {
-            let got = dblab::interp::run(p, &snap);
-            assert!(
-                same_normalized(&oracle, &got),
-                "Q{n} @ {} diverges at stage `{stage}`",
-                cfg.name
-            );
-        }
-    }
+    walk(&StackConfig::compliant(), &[1, 3, 6, 14], BOTH);
 }
