@@ -42,12 +42,18 @@
 //! 5. **Chunked scans.** A loop over a table's rows whose body is one
 //!    filter reading only base columns, invariants and constants runs
 //!    [`crate::jit_scan`]'s way: column kernels narrow a selection vector
-//!    per 1,024 rows, and the then-block closure runs per surviving row
-//!    ([`Jc::chunked`]). So does a walk over the slots of an arena array
-//!    that skips the null ones — a dense table's or a bucket array's
-//!    emission loop — with one kernel keeping the non-null slots
-//!    ([`Jc::non_null`]), for a `ForRange` and a `ParallelFor` alike
-//!    ([`Jc::range`]). [`JitProgram::chunked_loops`] reports both.
+//!    per 1,024 rows ([`Jc::chunked`]). Its then-block runs over the
+//!    survivors as kernels when that keeps row order for everything it
+//!    writes ([`Jc::then_kernels`]): value kernels fill chunk-local
+//!    columns, a group-by's get-or-insert runs its insert closure per
+//!    null slot, and each aggregate update is one read-modify-write
+//!    kernel — `tpch:1?`'s 15 kernels replace ~32 closure calls per row.
+//!    Otherwise its closures run per survivor. A walk over the slots of an
+//!    arena array that skips the null ones — a dense table's or a bucket
+//!    array's emission loop — runs in chunks too, with one kernel keeping
+//!    the non-null slots ([`Jc::non_null`]). Both serve a `ForRange` and
+//!    a `ParallelFor` alike ([`Jc::range`]);
+//!    [`JitProgram::chunked_loops`] reports them.
 //!
 //! Semantics are pinned to `dblab-interp` (wrapping i64 arithmetic, null
 //! `Eq`/`Ne`, dictionary encoding, hash-map iteration order, serial
@@ -69,7 +75,7 @@ use crate::backend::{self, Backend, BuildInput, Evaluator, Executable, InProcess
 use crate::jit_rt::{
     base_str, compile_printf, row_of, Col, ColCounts, KeyShape, Obj, PfSeg, Rt, TableBinding, BASE,
 };
-use crate::jit_scan::{self, Pred, Rhs, Scan};
+use crate::jit_scan::{self, Arg, Kernels, Pred, Rhs, Scan, Step, Then};
 
 /// One compiled effect: runs against the runtime state. `Send + Sync` is
 /// load-bearing — closures capture only slot numbers, constants and child
@@ -576,9 +582,7 @@ impl<'p> Jc<'p> {
         self.unnest();
         let mut ops = Vec::with_capacity(stmts.len());
         let mut prev: Option<(Sym, G)> = None;
-        let mut i = 0;
-        while i < stmts.len() {
-            let st = &stmts[i];
+        for st in stmts {
             self.cur = Some(st);
             if let Some((psym, g)) = prev.take() {
                 let direct = direct_uses(st, psym);
@@ -587,13 +591,6 @@ impl<'p> Jc<'p> {
                     self.nested = Some(slot(psym));
                 } else {
                     ops.push(store(slot(psym), g));
-                }
-            }
-            if self.nested.is_none() {
-                if let Some((op, n)) = self.fuse_rmw(&stmts[i..])? {
-                    ops.push(op);
-                    i += n;
-                    continue;
                 }
             }
             self.volatile = self.nested.is_some();
@@ -617,7 +614,6 @@ impl<'p> Jc<'p> {
                 }
             }
             self.unnest();
-            i += 1;
         }
         // Block tail: a still-pending fragment either *is* the block's
         // result (single use — feed it through without a store) or gets
@@ -1306,126 +1302,6 @@ fn record_sid(t: &Type) -> Option<StructId> {
 }
 
 // ---------------------------------------------------------------------
-// The one peephole over the statement window
-// ---------------------------------------------------------------------
-
-/// The fused field-flavor RMW for one arithmetic kernel.
-fn rmw_field(
-    k: impl Fn(u64, u64) -> u64 + Send + Sync + 'static,
-    (o, f): (G, usize),
-    (y, swap): (G, bool),
-    a_out: Option<usize>,
-    b_out: Option<usize>,
-) -> Op {
-    op_box(move |rt| {
-        let (oth, h) = (y.get(rt), o.get(rt));
-        let (cur, new) =
-            (rt.arena).update(h, f, |cur| if swap { k(oth, cur) } else { k(cur, oth) });
-        if let Some(a) = a_out {
-            rt.frame[a] = cur;
-        }
-        if let Some(b) = b_out {
-            rt.frame[b] = new;
-        }
-    })
-}
-
-/// The fused variable-flavor RMW for one arithmetic kernel.
-fn rmw_var(
-    k: impl Fn(u64, u64) -> u64 + Send + Sync + 'static,
-    var: usize,
-    (y, swap): (G, bool),
-    a_out: Option<usize>,
-    b_out: Option<usize>,
-) -> Op {
-    op_box(move |rt| {
-        let (oth, cur) = (y.get(rt), rt.frame[var]);
-        let new = if swap { k(oth, cur) } else { k(cur, oth) };
-        rt.frame[var] = new;
-        if let Some(a) = a_out {
-            rt.frame[a] = cur;
-        }
-        if let Some(b) = b_out {
-            rt.frame[b] = new;
-        }
-    })
-}
-
-impl<'p> Jc<'p> {
-    /// `a = read; b = a ⊕ y; write b` — the aggregate-update triple (nine
-    /// per Q1 row). Both the field flavor (`o.f`) and the loop-variable
-    /// flavor (`ReadVar`/`Assign`) collapse to one op that reads, combines
-    /// and writes back under a single address computation. An intermediate
-    /// is stored only if something past the triple uses it.
-    ///
-    /// Kept by `tpch:1?`: 10.98 ms in-query with it, 13.73 ms without
-    /// (SF 0.01, median of the minima of 8 interleaved rounds × 10 runs;
-    /// quartiles with it 10.71–11.84). The other window fusions this file
-    /// once had moved no `steady_jit` statement by 2 % and are gone.
-    fn fuse_rmw(&mut self, w: &'p [Stmt]) -> io::Result<Option<(Op, usize)>> {
-        let [g, m, s, ..] = w else { return Ok(None) };
-        let Expr::Bin(op, x, y) = &m.expr else {
-            return Ok(None);
-        };
-        // Which Bin operand is the freshly read value? The other one must
-        // not alias it, or the fused op would read the slot too early.
-        let (other, swap) = match (x, y) {
-            (Atom::Sym(a), yy) if *a == g.sym => (yy, false),
-            (xx, Atom::Sym(a)) if *a == g.sym => (xx, true),
-            _ => return Ok(None),
-        };
-        if matches!(other, Atom::Sym(a) if *a == g.sym) {
-            return Ok(None);
-        }
-        // One representation end to end: the location, the value read from
-        // it and the value written back are all `num` words.
-        let dbl = cls(&g.ty) == Cls::Double || self.atom_cls(other) == Cls::Double;
-        let num = if dbl { Cls::Double } else { Cls::Int };
-        let is_num = |t: &Type| cls(t) == num;
-        if !is_num(&g.ty) || !is_num(&m.ty) {
-            return Ok(None);
-        }
-        // The triple itself accounts for one use of each intermediate (the
-        // Bin operand, the written value); any further use needs the slot.
-        let live = |st: &Stmt| (self.uses.count[slot(st.sym)] > 1).then_some(slot(st.sym));
-        let (a_out, b_out) = (live(g), live(m));
-        let fused = match (&g.expr, &s.expr) {
-            (
-                Expr::FieldGet { obj, sid, field },
-                Expr::FieldSet {
-                    obj: o2,
-                    field: f2,
-                    value: Atom::Sym(v),
-                    ..
-                },
-            ) if obj == o2
-                && field == f2
-                && *v == m.sym
-                && is_num(self.p.structs.field_type(*sid, *field)) =>
-            {
-                self.cur = Some(g);
-                let at = (self.want(obj, Cls::Handle)?, *field);
-                let y = (self.want(other, num)?, swap);
-                arith!(*op, dbl, k => rmw_field(k, at, y, a_out, b_out))
-            }
-            (
-                Expr::ReadVar(v1),
-                Expr::Assign {
-                    var: v2,
-                    value: Atom::Sym(v),
-                },
-            ) if v1 == v2 && *v == m.sym && is_num(self.p.type_of(*v1)) => {
-                self.cur = Some(m);
-                let y = (self.want(other, num)?, swap);
-                arith!(*op, dbl, k => rmw_var(k, slot(*v1), y, a_out, b_out))
-            }
-            _ => None,
-        };
-        Ok(fused.map(|op| (op, 3)))
-    }
-}
-
-// ---------------------------------------------------------------------
 // Chunked scans
 // ---------------------------------------------------------------------
 
@@ -1442,6 +1318,10 @@ pub struct ChunkedLoop {
     pub kernels: usize,
     /// … and as their row getter per surviving row.
     pub leaves: usize,
+    /// Value and read-modify-write kernels (a fold into a variable is
+    /// one) the then-block runs as, over each chunk's survivors; `0`: its
+    /// closures, once per survivor.
+    pub then_kernels: usize,
 }
 
 /// Where a chunked loop's rows come from: `table(var)` (`None`) or
@@ -1546,19 +1426,34 @@ impl<'p> Jc<'p> {
             });
         }
         let leaves = preds.iter().filter(|p| matches!(p, Pred::Leaf(_))).count();
-        let kernels = preds.len() - leaves;
+        let at = self.scans.len();
         self.scans.push(ChunkedLoop {
             var,
             table: Some(table),
-            kernels,
+            kernels: preds.len() - leaves,
             leaves,
+            then_kernels: 0,
         });
-        let Seq { ops, result } = self.seq(then_b, Cls::Unit)?;
-        let (var, index) = (slot(var), src.map(|ix| self.raw(&Atom::Sym(ix))));
-        let then = Seq {
-            ops: stores.into_iter().chain(ops).collect(),
-            result,
+        // The kernels read the columns themselves; a stored read is for a
+        // loop in the then-block, which has none.
+        let kernels = match stores.is_empty() {
+            true => self.then_kernels(pre, var, src, then_b)?,
+            false => None,
         };
+        let then = match kernels {
+            Some((ks, n)) => {
+                self.scans[at].then_kernels = n;
+                Then::Kernels(ks)
+            }
+            None => {
+                let Seq { ops, result } = self.seq(then_b, Cls::Unit)?;
+                Then::Rows(Seq {
+                    ops: stores.into_iter().chain(ops).collect(),
+                    result,
+                })
+            }
+        };
+        let (var, index) = (slot(var), src.map(|ix| self.raw(&Atom::Sym(ix))));
         Ok(Some(Scan {
             var,
             lo,
@@ -1635,6 +1530,7 @@ impl<'p> Jc<'p> {
             table: None,
             kernels: 1,
             leaves: 0,
+            then_kernels: 0,
         });
         let Seq { ops, result } = self.seq(then_b, Cls::Unit)?;
         let (var, e) = (slot(var), slot(get.sym));
@@ -1648,10 +1544,10 @@ impl<'p> Jc<'p> {
             hi,
             index: None,
             filter: Pred::All(vec![Pred::Kernel(jit_scan::non_null(a))]),
-            then: Seq {
+            then: Then::Rows(Seq {
                 ops: std::iter::once(load).chain(ops).collect(),
                 result,
-            },
+            }),
         }))
     }
 
@@ -1755,6 +1651,479 @@ impl<'p> Jc<'p> {
         };
         let k = compare!(op, dbl, k => jit_scan::kernel(col, rhs, k));
         Ok(k.flatten().map(Pred::Kernel))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Then-blocks as kernels
+// ---------------------------------------------------------------------
+
+/// `e = arr(slot); c = e == null; if (c) { insert }` at the head of `w`,
+/// `e` and `c` used by the test alone: `(arr, slot, insert)`.
+fn get_or_insert<'s>(w: &'s [Stmt], uses: &Uses) -> Option<(&'s Atom, &'s Atom, &'s Block)> {
+    let [get, test, branch, ..] = w else {
+        return None;
+    };
+    let (
+        Expr::ArrayGet { arr, idx },
+        Expr::Bin(BinOp::Eq, x, y),
+        Expr::If {
+            cond,
+            then_b,
+            else_b,
+        },
+    ) = (&get.expr, &test.expr, &branch.expr)
+    else {
+        return None;
+    };
+    let (e, null) = (Atom::Sym(get.sym), |a: &Atom| matches!(a, Atom::Null(_)));
+    let once = |st: &Stmt| uses.count[slot(st.sym)] == 1;
+    let shaped = ((*x == e && null(y)) || (*y == e && null(x)))
+        && *cond == Atom::Sym(test.sym)
+        && once(get)
+        && once(test)
+        && else_b.stmts.is_empty()
+        && cls(&branch.ty) == Cls::Unit;
+    shaped.then_some((arr, idx, then_b))
+}
+
+/// `a = h.f; b = a ⊕ v; h.f = b` or `a = x; b = a ⊕ v; x = b` at the head
+/// of `w` — `b = v ⊕ a`: `swap` — as `(a's statement, b's, ⊕, v, swap)`.
+fn triple(w: &[Stmt]) -> Option<(&Stmt, &Stmt, BinOp, &Atom, bool)> {
+    let [read, bin, write, ..] = w else {
+        return None;
+    };
+    let Expr::Bin(op, x, y) = &bin.expr else {
+        return None;
+    };
+    let (a, b) = (Atom::Sym(read.sym), Atom::Sym(bin.sym));
+    let (v, swap) = match (*x == a, *y == a) {
+        (true, false) => (y, false),
+        (false, true) => (x, true),
+        _ => return None,
+    };
+    let paired = match (&read.expr, &write.expr) {
+        (
+            Expr::FieldGet { obj, field, .. },
+            Expr::FieldSet {
+                obj: o2,
+                field: f2,
+                value,
+                ..
+            },
+        ) => obj == o2 && field == f2 && *value == b,
+        (Expr::ReadVar(x), Expr::Assign { var, value }) => x == var && *value == b,
+        _ => false,
+    };
+    paired.then_some((read, bin, *op, v, swap))
+}
+
+/// A get-or-insert of a then-block: its step, array, slot — as an atom and
+/// an operand — and element type, its insert block and the `(frame slot,
+/// value column)`s to store before the block runs.
+struct Insert<'p> {
+    step: usize,
+    arr: &'p Atom,
+    at: &'p Atom,
+    slot: Arg,
+    elem: Type,
+    block: &'p Block,
+    frame: Vec<(usize, usize)>,
+}
+
+/// A then-block on its way to [`Kernels`] ([`Jc::then_kernels`]).
+struct Kb<'p> {
+    /// The scan: the statements ahead of its filter, its variable, where
+    /// its rows come from; and the then-block's statements.
+    pre: &'p [Stmt],
+    var: Sym,
+    src: Src,
+    then: &'p [Stmt],
+    /// How many value columns the steps fill, and the column of each
+    /// value.
+    cols: usize,
+    vals: Vec<(Sym, usize)>,
+    /// The value column of each loaded `(column, as a double)`.
+    loads: Vec<((Col, bool), usize)>,
+    /// `None`: a get-or-insert, compiled once the whole block passes.
+    steps: Vec<Option<Step>>,
+    inserts: Vec<Insert<'p>>,
+    /// Per gather: its step, array, slot and element type.
+    gathers: Vec<(usize, &'p Atom, &'p Atom, Type)>,
+    /// Per gathered handle: its value column, and how many uses the
+    /// triples make of it.
+    handles: Vec<(Sym, usize, u32)>,
+    /// What the triples write: `(Some(record type), field)` or
+    /// `(None, variable slot)`.
+    written: Vec<(Option<StructId>, usize)>,
+    /// Value and read-modify-write kernels.
+    kernels: usize,
+}
+
+impl Kb<'_> {
+    fn val(&self, s: Sym) -> Option<usize> {
+        self.vals.iter().find(|(v, _)| *v == s).map(|&(_, c)| c)
+    }
+
+    /// Bound in the loop body, or the loop variable.
+    fn inside(&self, s: Sym) -> bool {
+        s == self.var || self.pre.iter().chain(self.then).any(|st| st.sym == s)
+    }
+
+    /// A new value column, filled by `step`.
+    fn push(&mut self, step: Step) -> usize {
+        self.steps.push(Some(step));
+        self.cols += 1;
+        self.cols - 1
+    }
+
+    /// The value column of `col` at the survivors' rows, loaded once.
+    fn load(&mut self, col: Col, dbl: bool) -> Option<Arg> {
+        if let Some(&(_, c)) = self.loads.iter().find(|(k, _)| *k == (col, dbl)) {
+            return Some(Arg::Val(c));
+        }
+        let c = self.push(jit_scan::load(col, dbl, self.cols)?);
+        self.loads.push(((col, dbl), c));
+        Some(Arg::Val(c))
+    }
+}
+
+impl<'p> Jc<'p> {
+    /// The then-block `b` of a chunked scan over `var` — its rows at
+    /// `src`, `pre` the statements ahead of its filter — as [`Kernels`]
+    /// over each chunk's survivors, and how many value and
+    /// read-modify-write kernels it runs; or `None`, its closures per
+    /// survivor. Only when that gives the row loop's result:
+    ///
+    /// * a value kernel (`+ - *`, a comparison, `i2d`/`l2d`) reads row
+    ///   columns, invariants, constants and earlier values — no mutable
+    ///   state — and cannot fail;
+    /// * an array of records is written only by the insert of a
+    ///   get-or-insert, at the slot it tested, and read by a gather only
+    ///   at that slot, after it. An insert fills only a null slot, so
+    ///   after a chunk's inserts each survivor's slot holds what it held
+    ///   right after that survivor's own get-or-insert;
+    /// * an insert writes only the record it allocates and reads no field
+    ///   or variable, so running the inserts first moves them only past
+    ///   updates of other records;
+    /// * each field and each variable is written by one triple, whose
+    ///   intermediates nothing else uses, and read by nothing else. So it
+    ///   receives its updates in row order, and a double sum keeps its
+    ///   bits.
+    ///
+    /// Bought by `tpch:1?`: 9.5–13.3 ms in-query with the closures, 2.4–2.8
+    /// ms as 15 kernels (SF 0.01, median of 40 runs, four alternating
+    /// rounds on a 2-vCPU box); `tpch:6?`'s fold moves within the noise.
+    fn then_kernels(
+        &mut self,
+        pre: &'p [Stmt],
+        var: Sym,
+        src: Src,
+        b: &'p Block,
+    ) -> io::Result<Option<(Kernels, usize)>> {
+        let outer = self.cur;
+        let mut kb = Kb {
+            pre,
+            var,
+            src,
+            then: &b.stmts,
+            cols: 0,
+            vals: Vec::new(),
+            loads: Vec::new(),
+            steps: Vec::new(),
+            inserts: Vec::new(),
+            gathers: Vec::new(),
+            handles: Vec::new(),
+            written: Vec::new(),
+            kernels: 0,
+        };
+        let kernels = match b.result == Atom::Unit {
+            true => self.kernels_of(&mut kb),
+            false => Ok(None),
+        };
+        self.cur = outer;
+        Ok(kernels?.map(|ks| (ks, kb.kernels)))
+    }
+
+    fn kernels_of(&mut self, kb: &mut Kb<'p>) -> io::Result<Option<Kernels>> {
+        let mut i = 0;
+        while i < kb.then.len() {
+            let w = &kb.then[i..];
+            self.cur = Some(&w[0]);
+            let taken = if let Some((arr, at, block)) = get_or_insert(w, &self.uses) {
+                self.insert_kernel(kb, arr, at, block)?.map(|()| 3)
+            } else if let Some(t) = triple(w) {
+                self.rmw_kernel(kb, t)?.map(|()| 3)
+            } else {
+                self.value_kernel(kb, &w[0])?.map(|()| 1)
+            };
+            let Some(n) = taken else { return Ok(None) };
+            i += n;
+        }
+        let handles = (kb.handles.iter()).all(|&(h, _, n)| self.uses.count[slot(h)] == n);
+        let inserts = kb.inserts.iter().enumerate().all(|(i, ins)| {
+            kb.inserts[..i].iter().all(|other| other.elem != ins.elem)
+                && (kb.gathers.iter()).all(|(step, arr, at, elem)| {
+                    *elem != ins.elem || (*arr == ins.arr && *at == ins.at && ins.step < *step)
+                })
+        });
+        if kb.kernels == 0 || !handles || !inserts {
+            return Ok(None);
+        }
+        for ins in std::mem::take(&mut kb.inserts) {
+            let (arr, block) = (self.raw(ins.arr), self.seq(ins.block, Cls::Unit)?);
+            kb.steps[ins.step] = Some(jit_scan::insert(arr, ins.slot, ins.frame, block));
+        }
+        Ok(Some(Kernels {
+            steps: std::mem::take(&mut kb.steps)
+                .into_iter()
+                .flatten()
+                .collect(),
+            cols: kb.cols,
+        }))
+    }
+
+    /// Operand `a` of a kernel as a word of class `to`: an invariant or a
+    /// constant, or a value column — an earlier value, or a column of the
+    /// scan's rows, loaded once. `None` for anything else.
+    fn operand(&mut self, kb: &mut Kb<'p>, a: &Atom, to: Cls) -> io::Result<Option<Arg>> {
+        let from = self.atom_cls(a);
+        let fits = |widen: bool| {
+            from == to
+                || (from, to) == (Cls::Bool, Cls::Int)
+                || (widen && (from, to) == (Cls::Int, Cls::Double))
+        };
+        let scalar = matches!(from, Cls::Bool | Cls::Int | Cls::Double);
+        let Some(s) = a.as_sym() else {
+            return Ok(match scalar && fits(true) {
+                true => Some(Arg::Word(self.want(a, to)?)),
+                false => None,
+            });
+        };
+        if let Some(c) = kb.val(s) {
+            return Ok(fits(false).then_some(Arg::Val(c)));
+        }
+        let inner = kb.inside(s) && def(kb.pre, a).is_none();
+        if !scalar || !fits(true) || self.uses.var[slot(s)] || inner {
+            return Ok(None);
+        }
+        let Some(st) = def(kb.pre, a) else {
+            return Ok(Some(Arg::Word(self.want(a, to)?)));
+        };
+        let Expr::FieldGet { obj, sid, field } = &st.expr else {
+            return Ok(None);
+        };
+        let row = def(kb.pre, obj).and_then(|r| self.row_src(kb.pre, kb.var, r));
+        Ok(match self.col_of(*sid, *field) {
+            Some(col) if row == Some(kb.src) => kb.load(col, to == Cls::Double),
+            _ => None,
+        })
+    }
+
+    /// `a` is an array of records bound outside the loop: its element
+    /// type, which is what may alias it.
+    fn outer_array(&self, kb: &Kb<'p>, a: &Atom) -> Option<Type> {
+        let s = a
+            .as_sym()
+            .filter(|s| !kb.inside(*s) && !self.uses.var[slot(*s)])?;
+        match self.p.type_of(s) {
+            Type::Array(t) | Type::Pointer(t) if cls(t) == Cls::Handle => Some((**t).clone()),
+            _ => None,
+        }
+    }
+
+    /// A value kernel for `st`, or a gather of record handles; `None` for
+    /// anything else.
+    fn value_kernel(&mut self, kb: &mut Kb<'p>, st: &'p Stmt) -> io::Result<Option<()>> {
+        use BinOp::*;
+        let to = cls(&st.ty);
+        let step = match &st.expr {
+            Expr::Bin(op, x, y) => {
+                let (ca, cb) = (self.atom_cls(x), self.atom_cls(y));
+                let dbl = ca == Cls::Double || cb == Cls::Double;
+                let num = if dbl { Cls::Double } else { Cls::Int };
+                let from = match op {
+                    Add | Sub | Mul => num,
+                    Eq | Ne | Lt | Le | Gt | Ge => Cls::Bool,
+                    _ => return Ok(None),
+                };
+                if from != to && (from, to) != (Cls::Bool, Cls::Int) {
+                    return Ok(None);
+                }
+                let (Some(a), Some(b)) = (self.operand(kb, x, num)?, self.operand(kb, y, num)?)
+                else {
+                    return Ok(None);
+                };
+                let out = kb.cols;
+                match op {
+                    Add | Sub | Mul => arith!(*op, dbl, k => jit_scan::value(a, b, out, k)),
+                    _ => {
+                        compare!(*op, dbl, k => jit_scan::value(a, b, out, move |u, v| k(u, v) as u64))
+                    }
+                }
+            }
+            Expr::Un(UnOp::I2D | UnOp::L2D, x)
+                if (self.atom_cls(x), to) == (Cls::Int, Cls::Double) =>
+            {
+                let Some(a) = self.operand(kb, x, Cls::Int)? else {
+                    return Ok(None);
+                };
+                // One operand: the second is not read.
+                let i2d = |u: u64, _| (u as i64 as f64).to_bits();
+                Some(jit_scan::value(a, Arg::Word(G::Const(0)), kb.cols, i2d))
+            }
+            Expr::ArrayGet { arr, idx } if to == Cls::Handle => {
+                let Some(elem) = self.outer_array(kb, arr) else {
+                    return Ok(None);
+                };
+                let Some(at) = self.operand(kb, idx, Cls::Int)? else {
+                    return Ok(None);
+                };
+                let out = kb.push(jit_scan::gather(self.raw(arr), at, kb.cols));
+                kb.gathers.push((kb.steps.len() - 1, arr, idx, elem));
+                kb.handles.push((st.sym, out, 0));
+                return Ok(Some(()));
+            }
+            _ => return Ok(None),
+        };
+        let Some(step) = step else { return Ok(None) };
+        let out = kb.push(step);
+        kb.vals.push((st.sym, out));
+        kb.kernels += 1;
+        Ok(Some(()))
+    }
+
+    /// A get-or-insert at `arr(at)` with insert block `block`: checked
+    /// now, compiled once the whole then-block passes.
+    fn insert_kernel(
+        &mut self,
+        kb: &mut Kb<'p>,
+        arr: &'p Atom,
+        at: &'p Atom,
+        block: &'p Block,
+    ) -> io::Result<Option<()>> {
+        let Some(elem) = self.outer_array(kb, arr) else {
+            return Ok(None);
+        };
+        let Some(slot) = self.operand(kb, at, Cls::Int)? else {
+            return Ok(None);
+        };
+        let Some(frame) = self.insert_reads(kb, block, arr, at) else {
+            return Ok(None);
+        };
+        kb.inserts.push(Insert {
+            step: kb.steps.len(),
+            arr,
+            at,
+            slot,
+            elem,
+            block,
+            frame,
+        });
+        kb.steps.push(None);
+        Ok(Some(()))
+    }
+
+    /// The values `block` — the insert of a get-or-insert at `arr(at)` —
+    /// reads, as `(frame slot, value column)` pairs to store before it
+    /// runs; `None` unless it only allocates records, writes their fields
+    /// and computes scalars, then stores one of them into `arr(at)`.
+    fn insert_reads(
+        &self,
+        kb: &Kb<'p>,
+        block: &Block,
+        arr: &Atom,
+        at: &Atom,
+    ) -> Option<Vec<(usize, usize)>> {
+        let [body @ .., last] = &block.stmts[..] else {
+            return None;
+        };
+        let Expr::ArraySet {
+            arr: a,
+            idx,
+            value: Atom::Sym(new),
+        } = &last.expr
+        else {
+            return None;
+        };
+        let mut fresh = Vec::new();
+        for st in body {
+            match &st.expr {
+                Expr::PoolAlloc { .. } | Expr::StructNew { .. } => fresh.push(st.sym),
+                Expr::FieldSet {
+                    obj: Atom::Sym(o), ..
+                } if fresh.contains(o) => {}
+                Expr::Atom(_) | Expr::Bin(..) | Expr::Un(..) => {}
+                _ => return None,
+            }
+        }
+        let mut ok = block.result == Atom::Unit && a == arr && idx == at && fresh.contains(new);
+        let mut frame = Vec::new();
+        for st in &block.stmts {
+            (st.expr).for_each_atom(|x| {
+                let Some(s) = x.as_sym() else { return };
+                match kb.val(s) {
+                    Some(c) => frame.push((slot(s), c)),
+                    None => ok &= !self.uses.var[slot(s)] && !kb.then.iter().any(|t| t.sym == s),
+                }
+            });
+        }
+        frame.sort_unstable();
+        frame.dedup();
+        ok.then_some(frame)
+    }
+
+    /// A read-modify-write triple as one kernel: over a gathered record's
+    /// field, or a fold into a variable. `None` unless the triple is in
+    /// one numeric class end to end, its intermediates have no other use
+    /// and nothing else in the block writes its field or variable.
+    fn rmw_kernel(
+        &mut self,
+        kb: &mut Kb<'p>,
+        (read, bin, op, v, swap): (&Stmt, &Stmt, BinOp, &Atom, bool),
+    ) -> io::Result<Option<()>> {
+        use BinOp::*;
+        let dbl = cls(&read.ty) == Cls::Double || self.atom_cls(v) == Cls::Double;
+        let num = if dbl { Cls::Double } else { Cls::Int };
+        let once = |st: &Stmt| self.uses.count[slot(st.sym)] == 1;
+        let legal = matches!(op, Add | Sub | Mul | Max | Min)
+            && cls(&read.ty) == num
+            && cls(&bin.ty) == num
+            && once(read)
+            && once(bin);
+        // What the triple writes, as [`Kb::written`] keys it, and where:
+        // a handle column and a field, or a variable's slot.
+        let (written, target) = match &read.expr {
+            _ if !legal => return Ok(None),
+            Expr::FieldGet { obj, sid, field } => {
+                let h = obj
+                    .as_sym()
+                    .and_then(|h| kb.handles.iter().position(|e| e.0 == h));
+                let num_field = cls(self.p.structs.field_type(*sid, *field)) == num;
+                let Some(h) = h.filter(|_| num_field) else {
+                    return Ok(None);
+                };
+                kb.handles[h].2 += 2;
+                ((Some(*sid), *field), Ok((kb.handles[h].1, *field)))
+            }
+            Expr::ReadVar(x) if !kb.inside(*x) && cls(self.p.type_of(*x)) == num => {
+                ((None, slot(*x)), Err(slot(*x)))
+            }
+            _ => return Ok(None),
+        };
+        if kb.written.contains(&written) {
+            return Ok(None);
+        }
+        kb.written.push(written);
+        let Some(v) = self.operand(kb, v, num)? else {
+            return Ok(None);
+        };
+        kb.steps.push(match target {
+            Ok((hs, f)) => arith!(op, dbl, k => jit_scan::rmw(hs, f, v, swap, k)),
+            Err(var) => arith!(op, dbl, k => jit_scan::fold(var, v, swap, k)),
+        });
+        kb.kernels += 1;
+        Ok(Some(()))
     }
 }
 
@@ -2506,11 +2875,14 @@ mod tests {
     }
 
     /// `jp`'s chunked loops as `table kernels+leaves`, `slots` for a
-    /// null-skipping walk.
+    /// null-skipping walk, then `/n` if the then-block runs as `n` kernels.
     fn loops_of(jp: &JitProgram) -> Vec<String> {
         let each = jp.chunked_loops().iter().map(|l| {
             let rows = l.table.as_deref().unwrap_or("slots");
-            format!("{rows} {}+{}", l.kernels, l.leaves)
+            match l.then_kernels {
+                0 => format!("{rows} {}+{}", l.kernels, l.leaves),
+                n => format!("{rows} {}+{}/{n}", l.kernels, l.leaves),
+            }
         });
         each.collect()
     }
@@ -2540,8 +2912,9 @@ mod tests {
                 }
             }
             // `slots`: the emission walks over Q1's dense table and over
-            // Q3's and Q12's bucket arrays.
-            let want = "tpch:1? lineitem 1+0 tpch:1? slots 1+0 tpch:6? lineitem 5+0 \
+            // Q3's and Q12's bucket arrays. Q1's then-block is 6 value
+            // kernels and 9 RMW kernels; Q6's a product and its fold.
+            let want = "tpch:1? lineitem 1+0/15 tpch:1? slots 1+0 tpch:6? lineitem 5+0/2 \
                         tpch:14? lineitem 2+0 tpch:3 orders 1+0 tpch:3 lineitem 1+0 \
                         tpch:3 slots 1+0 tpch:12 lineitem 5+0 tpch:12 slots 1+0 ";
             assert_eq!(got, want, "{threads} threads");
@@ -2914,5 +3287,220 @@ mod tests {
             chunked(&program(100_000), &db, Some(soon)),
             (vec![(1, 0)], None)
         );
+    }
+
+    /// `p`'s chunked loops' then-kernel counts — a group scan's, then its
+    /// emission walk's — and what it prints on `db`, `None` if it was
+    /// interrupted.
+    fn then_kernels(
+        p: &Program,
+        db: &Snapshot,
+        deadline: Option<Instant>,
+    ) -> (Vec<usize>, Option<String>) {
+        let jp = compile(p).expect("compile");
+        let loops = jp.chunked_loops().iter().map(|l| l.then_kernels).collect();
+        (
+            loops,
+            jp.run_bound(db, &[], deadline).ok().map(|(out, _)| out),
+        )
+    }
+
+    /// `h.f = op(h.f)` as the triple `a = h.f; b = op(a); h.f = b`.
+    fn update(
+        b: &mut IrBuilder,
+        h: &Atom,
+        (sid, f): (StructId, usize),
+        op: impl FnOnce(&mut IrBuilder, Atom) -> Atom,
+    ) {
+        let a = b.field_get(h.clone(), sid, f);
+        let new = op(b, a);
+        b.field_set(h.clone(), sid, f, new);
+    }
+
+    /// What a group-by then-block ([`group_scan`]) is given: the builder,
+    /// the `agg` record type, the row's `k` and `v`, the slot array and
+    /// the `Long` variable `total`.
+    type GroupThen<'a> = &'a dyn Fn(&mut IrBuilder, StructId, [Atom; 2], &Atom, Sym);
+
+    /// `repeat` times, a scan of every row of `t` ([`with_table`]) whose
+    /// then-block `then` groups into nine slots of `agg(key: Int, cnt:
+    /// Long, sum: Double, neg: Double)` records; then each group — its
+    /// doubles as their raw bits — and `total`.
+    fn group_scan(repeat: i64, then: GroupThen<'_>) -> Program {
+        let (mut b, sid, table) = with_table();
+        let agg = b.structs.register(StructDef {
+            name: "agg".into(),
+            fields: vec![
+                field("key", Type::Int),
+                field("cnt", Type::Long),
+                field("sum", Type::Double),
+                field("neg", Type::Double),
+            ],
+        });
+        let slots = b.array_new(Type::Record(agg), Atom::Int(9));
+        let total = b.decl_var(Atom::Long(0));
+        let n = b.array_len(table.clone());
+        b.for_range(Atom::Int(0), Atom::Int(repeat), |b, _| {
+            b.for_range(Atom::Int(0), n, |b, i| {
+                let row = b.array_get(table, i);
+                let (k, v) = (b.field_get(row.clone(), sid, 0), b.field_get(row, sid, 2));
+                let c = b.ge(v.clone(), Atom::double(0.0));
+                b.if_then(c, |b| then(b, agg, [k, v], &slots, total));
+            })
+        });
+        b.for_range(Atom::Int(0), Atom::Int(9), |b, s| {
+            let e = b.array_get(slots.clone(), s.clone());
+            let c = b.ne(e.clone(), Atom::Null(Box::new(Type::Record(agg))));
+            b.if_then(c, |b| {
+                let [key, cnt, sum, neg] = [0, 1, 2, 3].map(|f| b.field_get(e.clone(), agg, f));
+                let (sum, neg) = (b.un(UnOp::HashDouble, sum), b.un(UnOp::HashDouble, neg));
+                b.printf("%d|%d|%ld|%ld|%ld\n", vec![s, key, cnt, sum, neg]);
+            });
+        });
+        let t = b.read_var(total);
+        b.printf("%ld\n", vec![t]);
+        b.finish(Atom::Unit, Level::ScaLite)
+    }
+
+    /// The group slot `k + 3 * (v >= 350) + 3 * (v >= 600)`: slots 0–2 are
+    /// filled from row 0, 3–5 from row 700 and 6–8 from row 1,200 — each
+    /// inserted mid-chunk, then updated in that chunk.
+    fn group_slot(b: &mut IrBuilder, [k, v]: &[Atom; 2]) -> Atom {
+        let late = b.ge(v.clone(), Atom::double(350.0));
+        let later = b.ge(v.clone(), Atom::double(600.0));
+        let (late, later) = (b.mul(Atom::Int(3), late), b.mul(Atom::Int(3), later));
+        let s = b.add(k.clone(), late);
+        b.add(s, later)
+    }
+
+    /// `e = slots(s); if (e == null) { slots(s) = agg(k, 0, 0, 0) }`.
+    fn get_or_insert(b: &mut IrBuilder, agg: StructId, k: &Atom, slots: &Atom, s: &Atom) {
+        let e = b.array_get(slots.clone(), s.clone());
+        let null = b.eq(e, Atom::Null(Box::new(Type::Record(agg))));
+        b.if_then(null, |b| {
+            let zero = [Atom::Long(0), Atom::double(0.0), Atom::double(0.0)];
+            let r = b.struct_new(agg, [k.clone()].into_iter().chain(zero).collect());
+            b.array_set(slots.clone(), s.clone(), r);
+        });
+    }
+
+    /// Per row: `cnt += 1`, `sum += v * 1.1 + i2d(k)`, `neg -= v` on the
+    /// row's group, and `total += k * 0x4000000000000001`, which wraps.
+    fn group_by(b: &mut IrBuilder, agg: StructId, kv: [Atom; 2], slots: &Atom, total: Sym) {
+        let s = group_slot(b, &kv);
+        let [k, v] = kv;
+        let w = b.mul(v.clone(), Atom::double(1.1));
+        let kd = b.un(UnOp::I2D, k.clone());
+        let w = b.add(w, kd);
+        let big = b.mul(k.clone(), Atom::Long(0x4000_0000_0000_0001));
+        get_or_insert(b, agg, &k, slots, &s);
+        let h = b.array_get(slots.clone(), s);
+        update(b, &h, (agg, 1), |b, a| b.add(a, Atom::Long(1)));
+        update(b, &h, (agg, 2), |b, a| b.add(a, w));
+        update(b, &h, (agg, 3), |b, a| b.sub(a, v));
+        let t = b.read_var(total);
+        let t = b.add(t, big);
+        b.assign(total, t);
+    }
+
+    /// [`group_scan`] of [`group_by`] over `rows_db(rows)` in row order,
+    /// in Rust.
+    fn group_by_rows(rows: usize) -> String {
+        let mut groups = [None; 9];
+        let mut total = 0i64;
+        for i in 0..rows {
+            let (k, v) = ((i % 3) as i64, i as f64 * 0.5);
+            let s = k + 3 * (v >= 350.0) as i64 + 3 * (v >= 600.0) as i64;
+            let (_, cnt, sum, neg) = groups[s as usize].get_or_insert((k, 0i64, 0.0, 0.0));
+            (*cnt, *sum, *neg) = (*cnt + 1, *sum + (v * 1.1 + k as f64), *neg - v);
+            total = total.wrapping_add(k.wrapping_mul(0x4000_0000_0000_0001));
+        }
+        let each = groups.iter().enumerate().filter_map(|(s, g)| {
+            let (k, cnt, sum, neg) = (*g)?;
+            Some(format!(
+                "{s}|{k}|{cnt}|{}|{}\n",
+                sum.to_bits() as i64,
+                neg.to_bits() as i64
+            ))
+        });
+        each.collect::<String>() + &format!("{total}\n")
+    }
+
+    /// A dense group-by's then-block runs as 10 value kernels, 3 RMW
+    /// kernels and a fold, and leaves every sum with the bits a row-order
+    /// fold gives it — at every survivor count around a chunk edge.
+    #[test]
+    fn rmw_kernels_keep_row_order_at_every_chunk_edge() {
+        let p = group_scan(1, &group_by);
+        for rows in [0, 1, 1023, 1024, 1025, 2049] {
+            let want = (vec![14, 0], Some(group_by_rows(rows)));
+            assert_eq!(then_kernels(&p, &rows_db(rows), None), want, "{rows} rows");
+        }
+    }
+
+    /// Then-blocks whose kernels would not see row order keep their
+    /// closures per survivor, and print what the interpreter prints: (a)
+    /// a field updated by two triples, (b) a value read off a field a
+    /// triple writes, (c) a gather at a slot other than the insert's, (d)
+    /// a loop or a `printf` in the then-block.
+    #[test]
+    fn then_blocks_out_of_row_order_keep_closures_in_chunked_scans() {
+        let twice: GroupThen<'_> = &|b, agg, kv, slots, _| {
+            let s = group_slot(b, &kv);
+            get_or_insert(b, agg, &kv[0], slots, &s);
+            let h = b.array_get(slots.clone(), s);
+            update(b, &h, (agg, 1), |b, a| b.add(a, Atom::Long(1)));
+            update(b, &h, (agg, 1), |b, a| b.mul(a, Atom::Long(2)));
+        };
+        let read_back: GroupThen<'_> = &|b, agg, kv, slots, total| {
+            let s = group_slot(b, &kv);
+            get_or_insert(b, agg, &kv[0], slots, &s);
+            let h = b.array_get(slots.clone(), s);
+            update(b, &h, (agg, 1), |b, a| b.add(a, Atom::Long(1)));
+            let cnt = b.field_get(h, agg, 1);
+            let t = b.read_var(total);
+            let t = b.add(t, cnt);
+            b.assign(total, t);
+        };
+        let elsewhere: GroupThen<'_> = &|b, agg, [k, v], slots, _| {
+            let s = group_slot(b, &[k.clone(), v]);
+            get_or_insert(b, agg, &k, slots, &s);
+            let h = b.array_get(slots.clone(), k);
+            update(b, &h, (agg, 1), |b, a| b.add(a, Atom::Long(1)));
+        };
+        let looping: GroupThen<'_> = &|b, agg, kv, slots, total| {
+            group_by(b, agg, kv, slots, total);
+            b.for_range(Atom::Int(0), Atom::Int(1), |_, _| {});
+        };
+        let printing: GroupThen<'_> = &|b, agg, kv, slots, total| {
+            let k = kv[0].clone();
+            group_by(b, agg, kv, slots, total);
+            b.printf("%d\n", vec![k]);
+        };
+        let db = rows_db(2049);
+        for (what, then) in [
+            ("(a)", twice),
+            ("(b)", read_back),
+            ("(c)", elsewhere),
+            ("(d) loop", looping),
+            ("(d) printf", printing),
+        ] {
+            let p = group_scan(1, then);
+            let want = (vec![0, 0], Some(dblab_interp::run(&p, &db)));
+            assert_eq!(then_kernels(&p, &db, None), want, "{what}");
+        }
+    }
+
+    /// A chunked scan whose then-block runs as kernels checks the deadline
+    /// per chunk like any other; the partial output is dropped.
+    #[test]
+    fn a_deadline_expiring_in_a_chunk_of_rmw_kernels_discards_partial_output() {
+        let db = rows_db(2049);
+        let past = Instant::now() - Duration::from_millis(1);
+        let p = group_scan(1, &group_by);
+        assert_eq!(then_kernels(&p, &db, Some(past)), (vec![14, 0], None));
+        let soon = Instant::now() + Duration::from_millis(20);
+        let p = group_scan(1_000_000, &group_by);
+        assert_eq!(then_kernels(&p, &db, Some(soon)), (vec![14, 0], None));
     }
 }

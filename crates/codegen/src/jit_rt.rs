@@ -31,6 +31,8 @@ use std::time::Instant;
 use dblab_runtime::snapshot::ColumnRef;
 use dblab_runtime::Snapshot;
 
+use crate::jit_scan::Bufs;
+
 /// Handle bit: base data — a `(view, row)` record, a view (table or index
 /// array), or a string read in place from a snapshot column.
 pub const BASE: u64 = 1 << 63;
@@ -114,14 +116,19 @@ impl Arena {
         self.words[i] = v;
     }
 
-    /// Read-modify-write of one field under a single address computation.
-    /// Returns `(old, new)`.
+    /// Read-modify-write of field `f` of each record `h` of `each`, in
+    /// order, to `k(old, v)`; every handle is checked.
     #[inline]
-    pub fn update(&mut self, h: u64, f: usize, k: impl FnOnce(u64) -> u64) -> (u64, u64) {
-        let i = self.at(h, f, "write");
-        let (old, new) = (self.words[i], k(self.words[i]));
-        self.words[i] = new;
-        (old, new)
+    pub fn update_each<'v>(
+        &mut self,
+        f: usize,
+        each: impl Iterator<Item = (&'v u64, &'v u64)>,
+        k: impl Fn(u64, u64) -> u64,
+    ) {
+        for (&h, &v) in each {
+            let i = self.at(h, f, "write");
+            self.words[i] = k(self.words[i], v);
+        }
     }
 
     /// The elements of the array at `h`.
@@ -283,9 +290,8 @@ pub struct Rt<'d> {
     /// the data-loading phase, like the generated native binaries report.
     pub timer_start: Option<Instant>,
     pub query_ms: Option<f64>,
-    /// Row-id and selection buffers of finished chunked scans, for the
-    /// next one to reuse ([`crate::jit_scan`]).
-    pub sels: Vec<(Vec<u32>, Vec<u32>)>,
+    /// Buffers of finished chunked scans, for the next one to reuse.
+    pub(crate) sels: Vec<Bufs>,
 }
 
 impl<'d> Rt<'d> {
