@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use dblab_catalog::Schema;
 use dblab_frontend::qmonad::QMonad;
 use dblab_frontend::qplan::QueryProgram;
-use dblab_ir::expr::{Block, Expr, Stmt};
+use dblab_ir::expr::Expr;
 use dblab_ir::{Program, Type};
 use dblab_runtime::{snapshot, Snapshot, Value};
 use dblab_transform::stack::CompiledQuery;
@@ -425,20 +425,10 @@ struct ResidentData {
     params: Vec<(usize, Type)>,
 }
 
-/// Apply `f` to every statement of `b`, nested blocks included.
-pub(crate) fn for_each_stmt<'a>(b: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
-    for st in &b.stmts {
-        f(st);
-        for nested in st.expr.blocks() {
-            for_each_stmt(nested, f);
-        }
-    }
-}
-
 impl ResidentData {
     fn new(p: &Program, schema: &Schema) -> ResidentData {
         let (mut tables, mut indexes, mut params) = (Vec::new(), Vec::new(), Vec::new());
-        for_each_stmt(&p.body, &mut |st| match &st.expr {
+        p.body.for_each_stmt(&mut |st| match &st.expr {
             Expr::LoadTable { table, .. } => tables.push(table.clone()),
             Expr::LoadIndexUnique { table, field } => indexes.push((table.clone(), *field, true)),
             Expr::LoadIndexStarts { table, field } | Expr::LoadIndexItems { table, field } => {

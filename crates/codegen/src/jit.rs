@@ -71,7 +71,7 @@ use dblab_ir::types::StructId;
 use dblab_ir::{Program, Type};
 use dblab_runtime::{Snapshot, Value};
 
-use crate::backend::{self, Backend, BuildInput, Evaluator, Executable, InProcessExecutable};
+use crate::backend::{Backend, BuildInput, Evaluator, Executable, InProcessExecutable};
 use crate::jit_rt::{
     base_str, compile_printf, row_of, Col, ColCounts, KeyShape, Obj, PfSeg, Rt, TableBinding, BASE,
 };
@@ -415,7 +415,7 @@ impl<'p> Jc<'p> {
     /// the statement, rather than discovered by a panic mid-query.
     fn bind_tables(&mut self) -> io::Result<()> {
         let (mut loads, mut writes) = (Vec::new(), Vec::new());
-        backend::for_each_stmt(&self.p.body, &mut |st| match &st.expr {
+        self.p.body.for_each_stmt(&mut |st| match &st.expr {
             Expr::LoadTable { table, sid } => loads.push((st, table, *sid)),
             Expr::FieldSet { sid, .. } => writes.push((st, *sid)),
             _ => {}
@@ -1515,7 +1515,7 @@ impl<'p> Jc<'p> {
         }
         let (a, elem) = self.array(arr)?;
         let mut aliased = false;
-        backend::for_each_stmt(body, &mut |st| match &st.expr {
+        body.for_each_stmt(&mut |st| match &st.expr {
             Expr::ArraySet { arr, .. } | Expr::SortArray { arr, .. } => {
                 aliased |=
                     matches!(self.p.atom_type(arr), Type::Array(t) | Type::Pointer(t) if *t == elem)

@@ -650,17 +650,11 @@ impl Block {
     /// so the order is deterministic (the backends derive worker-function
     /// capture lists from it).
     pub fn free_syms(&self) -> Vec<Sym> {
-        fn bound(b: &Block, out: &mut std::collections::HashSet<Sym>) {
-            for st in &b.stmts {
-                out.insert(st.sym);
-                out.extend(st.expr.bound_syms());
-                for sub in st.expr.blocks() {
-                    bound(sub, out);
-                }
-            }
-        }
         let mut bound_set = std::collections::HashSet::new();
-        bound(self, &mut bound_set);
+        self.for_each_stmt(&mut |st| {
+            bound_set.insert(st.sym);
+            bound_set.extend(st.expr.bound_syms());
+        });
         let mut free = Vec::new();
         self.for_each_used_sym_impl(&mut |s| {
             if !bound_set.contains(&s) {
@@ -674,13 +668,20 @@ impl Block {
 
     /// Total number of statements, including statements in nested blocks.
     pub fn size(&self) -> usize {
-        let mut n = self.stmts.len();
+        let mut n = 0;
+        self.for_each_stmt(&mut |_| n += 1);
+        n
+    }
+
+    /// Visit every statement, nested blocks included, in program order: a
+    /// statement before the statements of its blocks.
+    pub fn for_each_stmt<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
         for st in &self.stmts {
-            for b in st.expr.blocks() {
-                n += b.size();
+            f(st);
+            for nested in st.expr.blocks() {
+                nested.for_each_stmt(f);
             }
         }
-        n
     }
 }
 
@@ -763,8 +764,13 @@ pub enum Annot {
 }
 
 impl Annotations {
+    /// Attach `a` to `sym` unless the symbol already carries it: rewrites
+    /// re-add what the builder and the carried-over annotations both hold.
     pub fn add(&mut self, sym: Sym, a: Annot) {
-        self.map.entry(sym).or_default().push(a);
+        let annots = self.map.entry(sym).or_default();
+        if !annots.contains(&a) {
+            annots.push(a);
+        }
     }
     pub fn get(&self, sym: Sym) -> &[Annot] {
         self.map.get(&sym).map(|v| v.as_slice()).unwrap_or(&[])

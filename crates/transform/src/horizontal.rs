@@ -162,9 +162,8 @@ fn bodies_commute(a: &Block, b: &Block) -> bool {
     !conflict(&fa.writes, &fb) && !conflict(&fb.writes, &fa)
 }
 
-/// Replace every use of `from` with `to` inside a block (also used by the
-/// parallelize-scans pass to redirect loop bodies onto privatized state).
-pub(crate) fn substitute_sym(b: &mut Block, from: dblab_ir::Sym, to: dblab_ir::Sym) {
+/// Replace every use of `from` with `to` inside a block.
+fn substitute_sym(b: &mut Block, from: dblab_ir::Sym, to: dblab_ir::Sym) {
     use dblab_ir::expr::Atom;
     fn subst_atom(a: &mut Atom, from: dblab_ir::Sym, to: dblab_ir::Sym) {
         if let Atom::Sym(s) = a {

@@ -36,6 +36,15 @@
 //! dense table pre-filled before the loop (Appendix D.2) is updated with
 //! no store into the array at all, so it has no cluster and vetoes.
 //!
+//! **Construction.** The analysis makes a plan per top-level scan loop;
+//! a [`Rule`] run by [`run_rule`] then rebuilds the program through the
+//! [`IrBuilder`], like every other pass. For a planned loop it binds each
+//! worker copy with `bind`, maps the privatized variables, bucket array
+//! and pools to those copies while the body is rebuilt, and maps them
+//! back to the shared state for the merge, which it writes with the
+//! builder's loops, `if`s and field accesses. No symbol is made by hand.
+//! A program with no plan is returned as it came.
+//!
 //! With `threads <= 1` the pass is the identity (it is not even selected
 //! by the registry), so serial pipelines — and their memoized artifacts —
 //! are bit-for-bit what they were before this pass existed.
@@ -43,10 +52,9 @@
 use std::collections::{HashMap, HashSet};
 
 use dblab_ir::expr::{Atom, Block, Expr, ParAcc, Stmt, Sym};
+use dblab_ir::rewrite::{run_rule, Rewriter, Rule};
 use dblab_ir::types::{StructId, Type};
-use dblab_ir::{BinOp, PrimOp, Program};
-
-use crate::horizontal::substitute_sym;
+use dblab_ir::{BinOp, IrBuilder, PrimOp, Program};
 
 /// Rewrite every eligible top-level scan loop of `p` into a morsel-driven
 /// [`Expr::ParallelFor`] over `threads` workers.
@@ -54,17 +62,13 @@ pub fn apply(p: &Program, threads: usize) -> Program {
     if threads <= 1 {
         return p.clone();
     }
-    let mut q = p.clone();
     // Defs over the whole body: candidate detection needs the defining
     // expression of loop bounds and of the outer arrays/pools the body
     // touches.
-    let global_defs = collect_defs(&q.body);
-    // Fresh symbols for the merge blocks are appended here and committed
-    // back once the rewrites are in place.
-    let mut types = q.sym_types.clone();
-    let mut rewrites: Vec<(usize, Expr)> = Vec::new();
-    for (i, st) in q.body.stmts.iter().enumerate() {
-        let Expr::ForRange { lo, hi, var, body } = &st.expr else {
+    let global_defs = collect_defs(&p.body);
+    let mut plans = HashMap::new();
+    for st in &p.body.stmts {
+        let Expr::ForRange { hi, body, .. } = &st.expr else {
             continue;
         };
         // Only data-sized scans: the bound must be an `ArrayLen`. This is
@@ -75,16 +79,14 @@ pub fn apply(p: &Program, threads: usize) -> Program {
         if !matches!(global_defs.get(&h), Some(Expr::ArrayLen(_))) {
             continue;
         }
-        if let Some(par) = try_parallelize(p, &global_defs, lo, hi, *var, body, threads, &mut types)
-        {
-            rewrites.push((i, par));
+        if let Some(plan) = try_parallelize(p, &global_defs, body) {
+            plans.insert(st.sym, plan);
         }
     }
-    for (i, expr) in rewrites {
-        q.body.stmts[i].expr = expr;
+    if plans.is_empty() {
+        return p.clone();
     }
-    q.sym_types = types;
-    q
+    run_rule(p, &mut Parallelize { threads, plans }, p.level)
 }
 
 // ---------------------------------------------------------------------
@@ -94,42 +96,9 @@ pub fn apply(p: &Program, threads: usize) -> Program {
 /// Defining expression of every statement symbol, recursively.
 fn collect_defs(b: &Block) -> HashMap<Sym, Expr> {
     let mut out = HashMap::new();
-    fn walk(b: &Block, out: &mut HashMap<Sym, Expr>) {
-        for st in &b.stmts {
-            out.insert(st.sym, st.expr.clone());
-            for sub in st.expr.blocks() {
-                walk(sub, out);
-            }
-        }
-    }
-    walk(b, &mut out);
-    out
-}
-
-/// All statements of a block, flattened across nested control flow.
-fn flatten<'a>(b: &'a Block, out: &mut Vec<&'a Stmt>) {
-    for st in &b.stmts {
-        out.push(st);
-        for sub in st.expr.blocks() {
-            flatten(sub, out);
-        }
-    }
-}
-
-/// Symbols *declared* inside the block: statement symbols plus binders
-/// (loop variables, foreach cursors).
-fn declared_syms(b: &Block) -> HashSet<Sym> {
-    let mut out = HashSet::new();
-    fn walk(b: &Block, out: &mut HashSet<Sym>) {
-        for st in &b.stmts {
-            out.insert(st.sym);
-            out.extend(st.expr.bound_syms());
-            for sub in st.expr.blocks() {
-                walk(sub, out);
-            }
-        }
-    }
-    walk(b, &mut out);
+    b.for_each_stmt(&mut |st| {
+        out.insert(st.sym, st.expr.clone());
+    });
     out
 }
 
@@ -141,7 +110,7 @@ fn declared_syms(b: &Block) -> HashSet<Sym> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Root {
     /// A pool allocation made *this iteration* — definitely fresh memory.
-    Fresh,
+    Alloc,
     /// Private memory that may predate this iteration (reached through the
     /// privatized bucket array or through fields of private records).
     Priv,
@@ -156,7 +125,7 @@ impl Root {
         match (self, other) {
             (Other, _) | (_, Other) => Other,
             (Priv, _) | (_, Priv) => Priv,
-            (Fresh, Fresh) => Fresh,
+            (Alloc, Alloc) => Alloc,
         }
     }
 }
@@ -208,7 +177,7 @@ impl<'a> LoopAnalysis<'a> {
         };
         match def {
             Expr::PoolAlloc { pool } => match pool.as_sym() {
-                Some(pl) if self.pools.contains(&pl) => Root::Fresh,
+                Some(pl) if self.pools.contains(&pl) => Root::Alloc,
                 _ => Root::Other,
             },
             Expr::ArrayGet { arr, .. } => match (arr.as_sym(), self.bucket) {
@@ -251,12 +220,12 @@ impl<'a> LoopAnalysis<'a> {
                 }
             }
             Expr::ReadVar(v) => self.var_sources(*v),
-            Expr::Atom(a) => self.root_of_atom(a).unwrap_or(Root::Fresh),
+            Expr::Atom(a) => self.root_of_atom(a).unwrap_or(Root::Alloc),
             Expr::If { then_b, else_b, .. } => {
                 let t = self.root_of_atom(&then_b.result);
                 let e = self.root_of_atom(&else_b.result);
                 match (t, e) {
-                    (None, None) => Root::Fresh,
+                    (None, None) => Root::Alloc,
                     (Some(r), None) | (None, Some(r)) => r,
                     (Some(a), Some(b)) => a.join(b),
                 }
@@ -285,7 +254,7 @@ impl<'a> LoopAnalysis<'a> {
                 }
             }
         }
-        r.unwrap_or(Root::Fresh) // only ever null: any deref would trap
+        r.unwrap_or(Root::Alloc) // only ever null: any deref would trap
     }
 }
 
@@ -293,7 +262,6 @@ impl<'a> LoopAnalysis<'a> {
 struct ScalarRed {
     var: Sym,
     op: BinOp,
-    ty: Type,
     /// Worker-local initial value (the identity for `+`, the declared
     /// initial value for `min`/`max`).
     init: Atom,
@@ -302,15 +270,15 @@ struct ScalarRed {
 /// The Shape B cluster, fully resolved.
 struct TableRed {
     bucket: Sym,
-    /// `ArrayNew` that created the bucket (cloned for each worker).
-    bucket_def: Expr,
     bucket_len: Atom,
     /// Chain record type stored in the bucket.
     psid: StructId,
     /// Index of the intrusive `next` field on `psid`; `None` for a dense
     /// slot array, whose slot is the key.
     next_field: Option<usize>,
-    pools: Vec<(Sym, Expr)>,
+    /// Outer pools with their element type and capacity (each worker
+    /// allocates from a private pool of the same shape).
+    pools: Vec<(Sym, Type, Atom)>,
     /// `(sid, field) -> op` for every associative self-reduction the body
     /// performs on records reached through the bucket.
     reduce: HashMap<(StructId, usize), BinOp>,
@@ -321,23 +289,20 @@ struct TableRed {
     keyed: bool,
 }
 
+/// What one scan loop privatizes: its Shape A reductions and, if it
+/// builds a table, the Shape B cluster.
+struct Plan {
+    scalars: Vec<ScalarRed>,
+    table: Option<TableRed>,
+}
+
 fn reduce_ops() -> [BinOp; 3] {
     [BinOp::Add, BinOp::Min, BinOp::Max]
 }
 
-#[allow(clippy::too_many_arguments)]
-fn try_parallelize(
-    p: &Program,
-    global_defs: &HashMap<Sym, Expr>,
-    lo: &Atom,
-    hi: &Atom,
-    var: Sym,
-    body: &Block,
-    threads: usize,
-    types: &mut Vec<Type>,
-) -> Option<Expr> {
+fn try_parallelize(p: &Program, global_defs: &HashMap<Sym, Expr>, body: &Block) -> Option<Plan> {
     let mut stmts = Vec::new();
-    flatten(body, &mut stmts);
+    body.for_each_stmt(&mut |st| stmts.push(st));
 
     // ---- hard vetoes ---------------------------------------------------
     for st in &stmts {
@@ -363,7 +328,13 @@ fn try_parallelize(
         }
     }
 
-    let declared = declared_syms(body);
+    // Symbols declared inside the body: statement symbols plus binders
+    // (loop variables, foreach cursors).
+    let mut declared = HashSet::new();
+    body.for_each_stmt(&mut |st| {
+        declared.insert(st.sym);
+        declared.extend(st.expr.bound_syms());
+    });
     let defs = collect_defs(body);
     // `use_counts` also counts `Assign` targets, but those are only ever
     // queried for outer variables, which the Shape A check never asks
@@ -435,18 +406,7 @@ fn try_parallelize(
         return None;
     }
 
-    // ---- build the node --------------------------------------------------
-    Some(build_parallel_for(
-        p,
-        lo,
-        hi,
-        var,
-        body,
-        threads,
-        &scalars,
-        table.as_ref(),
-        types,
-    ))
+    Some(Plan { scalars, table })
 }
 
 /// Check Shape A for outer variable `v` and describe its reduction.
@@ -518,25 +478,20 @@ fn scalar_reduction(a: &LoopAnalysis, v: Sym) -> Option<ScalarRed> {
         },
         _ => unreachable!("filtered by reduce_ops"),
     };
-    Some(ScalarRed {
-        var: v,
-        op,
-        ty,
-        init,
-    })
+    Some(ScalarRed { var: v, op, init })
 }
 
 /// Check Shape B for the bucket array and describe the cluster.
 fn table_reduction(a: &LoopAnalysis, body: &Block, bucket: Sym, pools: &[Sym]) -> Option<TableRed> {
     // The bucket must be a bucket array of chain records.
-    let bucket_def = a.global_defs.get(&bucket)?.clone();
-    let (elem, bucket_len) = match &bucket_def {
-        Expr::ArrayNew { elem, len } => (elem.clone(), len.clone()),
-        _ => return None,
-    };
-    let Type::Record(psid) = elem else {
+    let Some(Expr::ArrayNew {
+        elem: Type::Record(psid),
+        len: bucket_len,
+    }) = a.global_defs.get(&bucket)
+    else {
         return None;
     };
+    let (psid, bucket_len) = (*psid, bucket_len.clone());
     // Exactly one intrusive next field (what makes the chain walkable),
     // or none: a dense slot array.
     let pdef = a.p.structs.get(psid);
@@ -552,14 +507,13 @@ fn table_reduction(a: &LoopAnalysis, body: &Block, bucket: Sym, pools: &[Sym]) -
         [] => None,
         _ => return None,
     };
-    // Each pool must be an outer PoolNew (cloned per worker).
+    // Each pool must be an outer PoolNew (copied per worker).
     let mut pool_defs = Vec::new();
     for pl in pools {
-        let d = a.global_defs.get(pl)?.clone();
-        if !matches!(d, Expr::PoolNew { .. }) {
+        let Some(Expr::PoolNew { ty, cap }) = a.global_defs.get(pl) else {
             return None;
-        }
-        pool_defs.push((*pl, d));
+        };
+        pool_defs.push((*pl, ty.clone(), cap.clone()));
     }
 
     // Classify every write.
@@ -575,7 +529,7 @@ fn table_reduction(a: &LoopAnalysis, body: &Block, bucket: Sym, pools: &[Sym]) -
                     return None;
                 }
                 match a.root_of_atom(value) {
-                    Some(Root::Fresh | Root::Priv) | None => {}
+                    Some(Root::Alloc | Root::Priv) | None => {}
                     Some(Root::Other) => return None,
                 }
             }
@@ -587,7 +541,7 @@ fn table_reduction(a: &LoopAnalysis, body: &Block, bucket: Sym, pools: &[Sym]) -
             } => {
                 let o = obj.as_sym()?;
                 match a.root_of(o) {
-                    Root::Fresh => {
+                    Root::Alloc => {
                         // Initialisation write on memory allocated this
                         // iteration: always private, any value shape.
                     }
@@ -640,7 +594,7 @@ fn table_reduction(a: &LoopAnalysis, body: &Block, bucket: Sym, pools: &[Sym]) -
                 continue;
             };
             let o = obj.as_sym()?;
-            if a.root_of(o) != Root::Fresh {
+            if a.root_of(o) != Root::Alloc {
                 continue;
             }
             let identity = *op == BinOp::Add
@@ -727,7 +681,6 @@ fn table_reduction(a: &LoopAnalysis, body: &Block, bucket: Sym, pools: &[Sym]) -
 
     Some(TableRed {
         bucket,
-        bucket_def,
         bucket_len,
         psid,
         next_field,
@@ -776,639 +729,289 @@ fn inserts_once(
 // node construction
 // ---------------------------------------------------------------------
 
-/// Fresh-symbol factory over the (pending) symbol table.
-struct Fresh<'a> {
-    types: &'a mut Vec<Type>,
-}
-
-impl Fresh<'_> {
-    fn sym(&mut self, ty: Type) -> Sym {
-        let s = Sym(self.types.len() as u32);
-        self.types.push(ty);
-        s
-    }
-    fn stmt(&mut self, ty: Type, expr: Expr) -> (Sym, Stmt) {
-        let s = self.sym(ty.clone());
-        (s, Stmt { sym: s, ty, expr })
-    }
-    fn unit_stmt(&mut self, expr: Expr) -> Stmt {
-        self.stmt(Type::Unit, expr).1
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_parallel_for(
-    p: &Program,
-    lo: &Atom,
-    hi: &Atom,
-    var: Sym,
-    body: &Block,
+/// The rewrite: every planned loop becomes a `ParallelFor`, everything
+/// else is rebuilt as it was.
+struct Parallelize {
     threads: usize,
-    scalars: &[ScalarRed],
-    table: Option<&TableRed>,
-    types: &mut Vec<Type>,
-) -> Expr {
-    let mut fresh = Fresh { types };
-    let mut body = body.clone();
-    let mut accs: Vec<ParAcc> = Vec::new();
-    let mut merge_stmts: Vec<Stmt> = Vec::new();
+    plans: HashMap<Sym, Plan>,
+}
 
-    // ---- Shape A accumulators -------------------------------------------
-    for red in scalars {
-        let acc = fresh.sym(red.ty.clone());
-        accs.push(ParAcc {
-            sym: acc,
-            ty: red.ty.clone(),
-            var: true,
-            init: Block {
-                stmts: vec![],
-                result: red.init.clone(),
-            },
-        });
-        substitute_sym(&mut body, red.var, acc);
-        // merge: v = v OP acc
-        let (cur, s1) = fresh.stmt(red.ty.clone(), Expr::ReadVar(red.var));
-        let (next, s2) = fresh.stmt(
-            red.ty.clone(),
-            Expr::Bin(red.op, Atom::Sym(cur), Atom::Sym(acc)),
-        );
-        let s3 = fresh.unit_stmt(Expr::Assign {
-            var: red.var,
-            value: Atom::Sym(next),
-        });
-        merge_stmts.extend([s1, s2, s3]);
+impl Rule for Parallelize {
+    fn name(&self) -> &'static str {
+        "parallelize-scans"
     }
 
-    // ---- Shape B cluster -------------------------------------------------
-    if let Some(t) = table {
-        // Private bucket array.
-        let bucket_ty = Type::array(Type::Record(t.psid));
-        let (init_sym, init_stmt) = fresh.stmt(bucket_ty.clone(), t.bucket_def.clone());
-        let bucket_acc = fresh.sym(bucket_ty.clone());
-        accs.push(ParAcc {
-            sym: bucket_acc,
-            ty: bucket_ty,
-            var: false,
-            init: Block {
-                stmts: vec![init_stmt],
-                result: Atom::Sym(init_sym),
-            },
-        });
-        substitute_sym(&mut body, t.bucket, bucket_acc);
-        // Private pools.
-        for (pool, pool_def) in &t.pools {
-            let pool_ty = p.type_of(*pool).clone();
-            let (pi, ps) = fresh.stmt(pool_ty.clone(), pool_def.clone());
-            let pool_acc = fresh.sym(pool_ty.clone());
+    fn apply(&mut self, rw: &mut Rewriter<'_>, sym: Sym, _: &Type, expr: &Expr) -> Option<Atom> {
+        let Plan { scalars, table } = self.plans.remove(&sym)?;
+        let Expr::ForRange { lo, hi, var, body } = expr else {
+            unreachable!("plans are made for scan loops")
+        };
+        let (lo, hi) = (rw.atom(lo), rw.atom(hi));
+
+        // Each worker's copy of the privatized state: one accumulator per
+        // reduced variable, then the bucket array and its pools. The body
+        // is rebuilt with the shared symbols mapped to the copies.
+        let mut accs = Vec::new();
+        let mut restore = Vec::new();
+        let mut privatize = |rw: &mut Rewriter<'_>, old: Sym, var: bool, init: Block| {
+            let ty = rw.old.type_of(old).clone();
+            let acc = rw.b.bind(ty.clone());
+            restore.push((old, rw.atom(&Atom::Sym(old))));
+            rw.map(old, Atom::Sym(acc));
             accs.push(ParAcc {
-                sym: pool_acc,
-                ty: pool_ty,
-                var: false,
-                init: Block {
-                    stmts: vec![ps],
-                    result: Atom::Sym(pi),
-                },
+                sym: acc,
+                ty,
+                var,
+                init,
             });
-            substitute_sym(&mut body, *pool, pool_acc);
+            Atom::Sym(acc)
+        };
+        let mut folds = Vec::new();
+        for red in &scalars {
+            let shared = rw.sym(red.var);
+            let init = rw.b.block(|_| red.init.clone());
+            let acc = privatize(rw, red.var, true, init);
+            folds.push((shared, red.op, acc));
         }
-        merge_stmts.push(table_merge(p, &mut fresh, t, bucket_acc));
-    }
+        let table = table.map(|t| {
+            let (len, shared) = (rw.atom(&t.bucket_len), rw.atom(&Atom::Sym(t.bucket)));
+            let init =
+                rw.b.block(|b| b.array_new(Type::Record(t.psid), len.clone()));
+            let private = privatize(rw, t.bucket, false, init);
+            for (pool, ty, cap) in &t.pools {
+                let cap = rw.atom(cap);
+                let init = rw.b.block(|b| b.pool_new(ty.clone(), cap));
+                privatize(rw, *pool, false, init);
+            }
+            (t, len, shared, private)
+        });
+        let var = rw.bind_fresh(*var, Type::Int);
+        let body = rw.block(self, body);
 
-    let merge = Block::unit(merge_stmts);
-    Expr::ParallelFor {
-        lo: lo.clone(),
-        hi: hi.clone(),
-        var,
-        threads,
-        accs,
-        body,
-        merge,
+        // The merge, and everything after the loop, works on the shared
+        // state again.
+        for (old, atom) in restore {
+            rw.map(old, atom);
+        }
+        let merge = rw.b.block_unit(|b| {
+            // v = v OP acc
+            for (v, op, acc) in folds {
+                let cur = b.read_var(v);
+                let next = b.bin(op, cur, acc);
+                b.assign(v, next);
+            }
+            if let Some((t, len, shared, private)) = table {
+                table_merge(b, &t, len, shared, private);
+            }
+        });
+        rw.b.emit_unit(Expr::ParallelFor {
+            lo,
+            hi,
+            var,
+            threads: self.threads,
+            accs,
+            body,
+            merge,
+        });
+        Some(Atom::Unit)
     }
 }
 
 /// The Shape B merge: for every slot, walk the worker's private chain and
 /// fold each record into the shared table — relink unseen keys, reduce
 /// matched groups.
-fn table_merge(p: &Program, fresh: &mut Fresh, t: &TableRed, bucket_acc: Sym) -> Stmt {
+fn table_merge(b: &mut IrBuilder, t: &TableRed, len: Atom, shared: Atom, private: Atom) {
     let psid = t.psid;
-    let prec = Type::Record(psid);
-    let null = || Atom::Null(Box::new(prec.clone()));
-    let pdef = p.structs.get(psid).clone();
-    let slot = fresh.sym(Type::Int);
-    let mut slot_body: Vec<Stmt> = Vec::new();
-    let slot_loop = |fresh: &mut Fresh, slot_body| {
-        fresh.unit_stmt(Expr::ForRange {
-            lo: Atom::Int(0),
-            hi: t.bucket_len.clone(),
-            var: slot,
-            body: Block::unit(slot_body),
-        })
-    };
-    let get = |fresh: &mut Fresh, arr: Sym| {
-        fresh.stmt(
-            prec.clone(),
-            Expr::ArrayGet {
-                arr: Atom::Sym(arr),
-                idx: Atom::Sym(slot),
-            },
-        )
-    };
-
-    let Some(nf) = t.next_field else {
-        // Dense: if (pr != null) { sh = shared(slot); if (sh == null)
-        // shared(slot) = pr else fold pr into sh }.
-        let (pr, s_pr) = get(fresh, bucket_acc);
-        slot_body.push(s_pr);
-        let (prnn, s_prnn) = fresh.stmt(Type::Bool, Expr::Bin(BinOp::Ne, Atom::Sym(pr), null()));
-        slot_body.push(s_prnn);
-        let (sh, s_sh) = get(fresh, t.bucket);
-        let (miss, s_miss) = fresh.stmt(Type::Bool, Expr::Bin(BinOp::Eq, Atom::Sym(sh), null()));
-        let relink = fresh.unit_stmt(Expr::ArraySet {
-            arr: Atom::Sym(t.bucket),
-            idx: Atom::Sym(slot),
-            value: Atom::Sym(pr),
-        });
-        let fold = fold_record(p, fresh, t, sh, pr);
-        let merge_one = fresh.unit_stmt(Expr::If {
-            cond: Atom::Sym(miss),
-            then_b: Block::unit(vec![relink]),
-            else_b: Block::unit(fold),
-        });
-        slot_body.push(fresh.unit_stmt(Expr::If {
-            cond: Atom::Sym(prnn),
-            then_b: Block::unit(vec![s_sh, s_miss, merge_one]),
-            else_b: Block::default(),
-        }));
-        return slot_loop(fresh, slot_body);
-    };
-
-    if !t.keyed {
-        // Multimap concatenation: splice each non-empty private chain in
-        // front of the shared one (walk to its tail, point the tail at the
-        // shared head, install the private head).
-        let (h, s_h) = fresh.stmt(
-            prec.clone(),
-            Expr::ArrayGet {
-                arr: Atom::Sym(bucket_acc),
-                idx: Atom::Sym(slot),
-            },
-        );
-        slot_body.push(s_h);
-        let (hnn, s_hnn) = fresh.stmt(Type::Bool, Expr::Bin(BinOp::Ne, Atom::Sym(h), null()));
-        slot_body.push(s_hnn);
-        let mut then_b: Vec<Stmt> = Vec::new();
-        let (tl, s_tl) = fresh.stmt(prec.clone(), Expr::DeclVar { init: Atom::Sym(h) });
-        then_b.push(s_tl);
-        let mut cond = Vec::new();
-        let (tv, s_tv) = fresh.stmt(prec.clone(), Expr::ReadVar(tl));
-        cond.push(s_tv);
-        let (nx, s_nx) = fresh.stmt(
-            prec.clone(),
-            Expr::FieldGet {
-                obj: Atom::Sym(tv),
-                sid: psid,
-                field: nf,
-            },
-        );
-        cond.push(s_nx);
-        let (nxnn, s_nxnn) = fresh.stmt(Type::Bool, Expr::Bin(BinOp::Ne, Atom::Sym(nx), null()));
-        cond.push(s_nxnn);
-        let mut wbody = Vec::new();
-        let (tv2, s_tv2) = fresh.stmt(prec.clone(), Expr::ReadVar(tl));
-        wbody.push(s_tv2);
-        let (nx2, s_nx2) = fresh.stmt(
-            prec.clone(),
-            Expr::FieldGet {
-                obj: Atom::Sym(tv2),
-                sid: psid,
-                field: nf,
-            },
-        );
-        wbody.push(s_nx2);
-        wbody.push(fresh.unit_stmt(Expr::Assign {
-            var: tl,
-            value: Atom::Sym(nx2),
-        }));
-        then_b.push(fresh.unit_stmt(Expr::While {
-            cond: Block {
-                stmts: cond,
-                result: Atom::Sym(nxnn),
-            },
-            body: Block::unit(wbody),
-        }));
-        let (tv3, s_tv3) = fresh.stmt(prec.clone(), Expr::ReadVar(tl));
-        then_b.push(s_tv3);
-        let (sh, s_sh) = fresh.stmt(
-            prec.clone(),
-            Expr::ArrayGet {
-                arr: Atom::Sym(t.bucket),
-                idx: Atom::Sym(slot),
-            },
-        );
-        then_b.push(s_sh);
-        then_b.push(fresh.unit_stmt(Expr::FieldSet {
-            obj: Atom::Sym(tv3),
-            sid: psid,
-            field: nf,
-            value: Atom::Sym(sh),
-        }));
-        then_b.push(fresh.unit_stmt(Expr::ArraySet {
-            arr: Atom::Sym(t.bucket),
-            idx: Atom::Sym(slot),
-            value: Atom::Sym(h),
-        }));
-        slot_body.push(fresh.unit_stmt(Expr::If {
-            cond: Atom::Sym(hnn),
-            then_b: Block::unit(then_b),
-            else_b: Block::default(),
-        }));
-        return slot_loop(fresh, slot_body);
-    }
-
-    // cur = private chain head; walk it.
-    let (head, s_head) = fresh.stmt(
-        prec.clone(),
-        Expr::ArrayGet {
-            arr: Atom::Sym(bucket_acc),
-            idx: Atom::Sym(slot),
-        },
-    );
-    slot_body.push(s_head);
-    let (cur, s_cur) = fresh.stmt(
-        prec.clone(),
-        Expr::DeclVar {
-            init: Atom::Sym(head),
-        },
-    );
-    slot_body.push(s_cur);
-
-    // while (cur != null) { ... }
-    let mut cond = Vec::new();
-    let (cv, s_cv) = fresh.stmt(prec.clone(), Expr::ReadVar(cur));
-    cond.push(s_cv);
-    let (cnn, s_cnn) = fresh.stmt(Type::Bool, Expr::Bin(BinOp::Ne, Atom::Sym(cv), null()));
-    cond.push(s_cnn);
-    let cond = Block {
-        stmts: cond,
-        result: Atom::Sym(cnn),
-    };
-
-    let mut w: Vec<Stmt> = Vec::new();
-    let (pr, s_pr) = fresh.stmt(prec.clone(), Expr::ReadVar(cur));
-    w.push(s_pr);
-    // Save the private next pointer *before* any relink clobbers it.
-    let (nx, s_nx) = fresh.stmt(
-        prec.clone(),
-        Expr::FieldGet {
-            obj: Atom::Sym(pr),
-            sid: psid,
-            field: nf,
-        },
-    );
-    w.push(s_nx);
-
-    // m = first shared-chain record with equal keys, else null.
-    let (m, s_m) = fresh.stmt(prec.clone(), Expr::DeclVar { init: null() });
-    w.push(s_m);
-    let (sh, s_sh) = fresh.stmt(
-        prec.clone(),
-        Expr::ArrayGet {
-            arr: Atom::Sym(t.bucket),
-            idx: Atom::Sym(slot),
-        },
-    );
-    w.push(s_sh);
-    let (walk, s_walk) = fresh.stmt(
-        prec.clone(),
-        Expr::DeclVar {
-            init: Atom::Sym(sh),
-        },
-    );
-    w.push(s_walk);
-
-    // Preload the private record's key atoms (loop-invariant across the
-    // shared-chain walk).
-    enum KeyCmp {
-        Scalar {
-            field: usize,
-            ty: Type,
-            pv: Sym,
-        },
-        Rec {
-            field: usize,
-            ksid: StructId,
-            pv: Sym,
-        },
-    }
-    let mut keys: Vec<KeyCmp> = Vec::new();
-    for (i, f) in pdef.fields.iter().enumerate() {
-        if i == nf || t.reduce.contains_key(&(psid, i)) {
-            continue;
-        }
-        match &f.ty {
-            Type::Record(ksid) => {
-                let inner = p.structs.get(*ksid);
-                let is_value_rec =
-                    (0..inner.fields.len()).any(|j| t.reduce.contains_key(&(*ksid, j)));
-                if is_value_rec {
-                    continue;
-                }
-                let (pv, s) = fresh.stmt(
-                    f.ty.clone(),
-                    Expr::FieldGet {
-                        obj: Atom::Sym(pr),
-                        sid: psid,
-                        field: i,
-                    },
+    let null = Atom::Null(Box::new(Type::Record(psid)));
+    let fields = b.structs.get(psid).fields.clone();
+    b.for_range(Atom::Int(0), len, |b, slot| {
+        let Some(nf) = t.next_field else {
+            // Dense: if (pr != null) { sh = shared(slot); if (sh == null)
+            // shared(slot) = pr else fold pr into sh }.
+            let pr = b.array_get(private, slot.clone());
+            let some = b.ne(pr.clone(), null.clone());
+            b.if_then(some, |b| {
+                let sh = b.array_get(shared.clone(), slot.clone());
+                let miss = b.eq(sh.clone(), null);
+                b.if_else(
+                    miss,
+                    |b| b.array_set(shared, slot, pr.clone()),
+                    |b| fold_record(b, t, sh, pr.clone()),
                 );
-                w.push(s);
-                keys.push(KeyCmp::Rec {
-                    field: i,
-                    ksid: *ksid,
-                    pv,
-                });
-            }
-            ty => {
-                let (pv, s) = fresh.stmt(
-                    ty.clone(),
-                    Expr::FieldGet {
-                        obj: Atom::Sym(pr),
-                        sid: psid,
-                        field: i,
-                    },
-                );
-                w.push(s);
-                keys.push(KeyCmp::Scalar {
-                    field: i,
-                    ty: ty.clone(),
-                    pv,
-                });
-            }
-        }
-    }
-
-    // inner while (walk != null) { if (keys equal) m = walk; walk = walk.next }
-    let mut icond = Vec::new();
-    let (wv, s_wv) = fresh.stmt(prec.clone(), Expr::ReadVar(walk));
-    icond.push(s_wv);
-    let (wnn, s_wnn) = fresh.stmt(Type::Bool, Expr::Bin(BinOp::Ne, Atom::Sym(wv), null()));
-    icond.push(s_wnn);
-    let icond = Block {
-        stmts: icond,
-        result: Atom::Sym(wnn),
-    };
-
-    let mut iw: Vec<Stmt> = Vec::new();
-    let (wp, s_wp) = fresh.stmt(prec.clone(), Expr::ReadVar(walk));
-    iw.push(s_wp);
-    // Key equality, AND-folded.
-    let mut eq_so_far: Option<Sym> = None;
-    let mut push_eq = |fresh: &mut Fresh, iw: &mut Vec<Stmt>, ty: &Type, a: Sym, b: Sym| {
-        let e = if *ty == Type::String {
-            let (e, s) = fresh.stmt(
-                Type::Bool,
-                Expr::Prim(PrimOp::StrEq, vec![Atom::Sym(a), Atom::Sym(b)]),
-            );
-            iw.push(s);
-            e
-        } else {
-            let (e, s) = fresh.stmt(Type::Bool, Expr::Bin(BinOp::Eq, Atom::Sym(a), Atom::Sym(b)));
-            iw.push(s);
-            e
+            });
+            return;
         };
-        eq_so_far = Some(match eq_so_far {
-            None => e,
-            Some(prev) => {
-                let (c, s) = fresh.stmt(
-                    Type::Bool,
-                    Expr::Bin(BinOp::BitAnd, Atom::Sym(prev), Atom::Sym(e)),
-                );
-                iw.push(s);
-                c
-            }
-        });
-    };
-    for k in &keys {
-        match k {
-            KeyCmp::Scalar { field, ty, pv } => {
-                let (sv, s) = fresh.stmt(
-                    ty.clone(),
-                    Expr::FieldGet {
-                        obj: Atom::Sym(wp),
-                        sid: psid,
-                        field: *field,
+
+        if !t.keyed {
+            // Multimap concatenation: splice each non-empty private chain in
+            // front of the shared one (walk to its tail, point the tail at
+            // the shared head, install the private head).
+            let h = b.array_get(private, slot.clone());
+            let some = b.ne(h.clone(), null.clone());
+            b.if_then(some, |b| {
+                let tail = b.decl_var(h.clone());
+                b.while_loop(
+                    |b| {
+                        let tv = b.read_var(tail);
+                        let next = b.field_get(tv, psid, nf);
+                        b.ne(next, null)
+                    },
+                    |b| {
+                        let tv = b.read_var(tail);
+                        let next = b.field_get(tv, psid, nf);
+                        b.assign(tail, next);
                     },
                 );
-                iw.push(s);
-                push_eq(fresh, &mut iw, ty, *pv, sv);
-            }
-            KeyCmp::Rec { field, ksid, pv } => {
-                let (sv, s) = fresh.stmt(
-                    Type::Record(*ksid),
-                    Expr::FieldGet {
-                        obj: Atom::Sym(wp),
-                        sid: psid,
-                        field: *field,
-                    },
-                );
-                iw.push(s);
-                let inner = p.structs.get(*ksid).clone();
-                for (j, kf) in inner.fields.iter().enumerate() {
-                    let (pa, s1) = fresh.stmt(
-                        kf.ty.clone(),
-                        Expr::FieldGet {
-                            obj: Atom::Sym(*pv),
-                            sid: *ksid,
-                            field: j,
-                        },
-                    );
-                    iw.push(s1);
-                    let (sa, s2) = fresh.stmt(
-                        kf.ty.clone(),
-                        Expr::FieldGet {
-                            obj: Atom::Sym(sv),
-                            sid: *ksid,
-                            field: j,
-                        },
-                    );
-                    iw.push(s2);
-                    push_eq(fresh, &mut iw, &kf.ty, pa, sa);
-                }
-            }
+                let tv = b.read_var(tail);
+                let sh = b.array_get(shared.clone(), slot.clone());
+                b.field_set(tv, psid, nf, sh);
+                b.array_set(shared, slot, h);
+            });
+            return;
         }
+
+        // Keyed: cur = private chain head; walk it.
+        let head = b.array_get(private, slot.clone());
+        let cur = b.decl_var(head);
+        b.while_loop(
+            |b| {
+                let cv = b.read_var(cur);
+                b.ne(cv, null.clone())
+            },
+            |b| {
+                let pr = b.read_var(cur);
+                // Save the private next pointer *before* any relink
+                // clobbers it.
+                let next = b.field_get(pr.clone(), psid, nf);
+                // m = first shared-chain record with equal keys, else null.
+                let m = b.decl_var(null.clone());
+                let sh = b.array_get(shared.clone(), slot.clone());
+                let walk = b.decl_var(sh);
+                // The private record's keys (loop-invariant across the
+                // shared-chain walk): scalar fields, and the fields of key
+                // records — record fields that hold no reduce field.
+                let keys: Vec<(usize, Atom)> = (fields.iter().enumerate())
+                    .filter(|&(i, f)| {
+                        i != nf
+                            && !t.reduce.contains_key(&(psid, i))
+                            && !matches!(f.ty, Type::Record(ksid) if t.reduces_into(ksid))
+                    })
+                    .map(|(i, _)| (i, b.field_get(pr.clone(), psid, i)))
+                    .collect();
+                // inner while (walk != null) { if (keys equal) m = walk;
+                // walk = walk.next }
+                b.while_loop(
+                    |b| {
+                        let wv = b.read_var(walk);
+                        b.ne(wv, null.clone())
+                    },
+                    |b| {
+                        let wp = b.read_var(walk);
+                        // Key equality, AND-folded.
+                        let mut eq: Option<Atom> = None;
+                        let mut push_eq = |b: &mut IrBuilder, x: Atom, y: Atom| {
+                            let e = if b.atom_type(&x) == Type::String {
+                                b.prim(PrimOp::StrEq, vec![x, y])
+                            } else {
+                                b.eq(x, y)
+                            };
+                            eq = Some(match eq.take() {
+                                None => e,
+                                Some(prev) => b.bin(BinOp::BitAnd, prev, e),
+                            });
+                        };
+                        for (i, pv) in keys {
+                            let sv = b.field_get(wp.clone(), psid, i);
+                            let Type::Record(ksid) = fields[i].ty else {
+                                push_eq(b, pv, sv);
+                                continue;
+                            };
+                            for j in 0..b.structs.get(ksid).fields.len() {
+                                let pa = b.field_get(pv.clone(), ksid, j);
+                                let sa = b.field_get(sv.clone(), ksid, j);
+                                push_eq(b, pa, sa);
+                            }
+                        }
+                        match eq {
+                            Some(eq) => b.if_then(eq, |b| b.assign(m, wp.clone())),
+                            // No key fields at all: every record "matches"
+                            // the chain head — degenerate but well-defined
+                            // (single-group tables).
+                            None => b.assign(m, wp.clone()),
+                        }
+                        let wn = b.field_get(wp, psid, nf);
+                        b.assign(walk, wn);
+                    },
+                );
+                // if (m == null) { pr.next = shared head; shared(slot) = pr }
+                // else fold pr into m.
+                let mv = b.read_var(m);
+                let miss = b.eq(mv.clone(), null.clone());
+                b.if_else(
+                    miss,
+                    |b| {
+                        let h = b.array_get(shared.clone(), slot.clone());
+                        b.field_set(pr.clone(), psid, nf, h);
+                        b.array_set(shared.clone(), slot.clone(), pr.clone());
+                    },
+                    |b| fold_record(b, t, mv, pr.clone()),
+                );
+                b.assign(cur, next);
+            },
+        );
+    });
+}
+
+impl TableRed {
+    /// Does the body reduce a field of record type `sid`?
+    fn reduces_into(&self, sid: StructId) -> bool {
+        self.reduce.keys().any(|(s, _)| *s == sid)
     }
-    if let Some(eq) = eq_so_far {
-        let then_b = Block::unit(vec![fresh.unit_stmt(Expr::Assign {
-            var: m,
-            value: Atom::Sym(wp),
-        })]);
-        iw.push(fresh.unit_stmt(Expr::If {
-            cond: Atom::Sym(eq),
-            then_b,
-            else_b: Block::default(),
-        }));
-    } else {
-        // No key fields at all: every record "matches" the chain head —
-        // degenerate but well-defined (single-group tables).
-        iw.push(fresh.unit_stmt(Expr::Assign {
-            var: m,
-            value: Atom::Sym(wp),
-        }));
-    }
-    let (wn, s_wn) = fresh.stmt(
-        prec.clone(),
-        Expr::FieldGet {
-            obj: Atom::Sym(wp),
-            sid: psid,
-            field: nf,
-        },
-    );
-    iw.push(s_wn);
-    iw.push(fresh.unit_stmt(Expr::Assign {
-        var: walk,
-        value: Atom::Sym(wn),
-    }));
-    w.push(fresh.unit_stmt(Expr::While {
-        cond: icond,
-        body: Block::unit(iw),
-    }));
-
-    // if (m == null) relink else fold.
-    let (mv, s_mv) = fresh.stmt(prec.clone(), Expr::ReadVar(m));
-    w.push(s_mv);
-    let (miss, s_miss) = fresh.stmt(Type::Bool, Expr::Bin(BinOp::Eq, Atom::Sym(mv), null()));
-    w.push(s_miss);
-
-    // then: pr.next = shared head; shared[slot] = pr
-    let mut then_b: Vec<Stmt> = Vec::new();
-    let (h2, s_h2) = fresh.stmt(
-        prec.clone(),
-        Expr::ArrayGet {
-            arr: Atom::Sym(t.bucket),
-            idx: Atom::Sym(slot),
-        },
-    );
-    then_b.push(s_h2);
-    then_b.push(fresh.unit_stmt(Expr::FieldSet {
-        obj: Atom::Sym(pr),
-        sid: psid,
-        field: nf,
-        value: Atom::Sym(h2),
-    }));
-    then_b.push(fresh.unit_stmt(Expr::ArraySet {
-        arr: Atom::Sym(t.bucket),
-        idx: Atom::Sym(slot),
-        value: Atom::Sym(pr),
-    }));
-
-    // else: fold every reduce field of pr into m.
-    let else_b = fold_record(p, fresh, t, mv, pr);
-
-    w.push(fresh.unit_stmt(Expr::If {
-        cond: Atom::Sym(miss),
-        then_b: Block::unit(then_b),
-        else_b: Block::unit(else_b),
-    }));
-    w.push(fresh.unit_stmt(Expr::Assign {
-        var: cur,
-        value: Atom::Sym(nx),
-    }));
-
-    slot_body.push(fresh.unit_stmt(Expr::While {
-        cond,
-        body: Block::unit(w),
-    }));
-    slot_loop(fresh, slot_body)
 }
 
 /// Fold every reduce field of record `from` into record `into`, both of
 /// the cluster's record type: fields of the record itself, then fields
 /// of the value records it holds.
-fn fold_record(p: &Program, fresh: &mut Fresh, t: &TableRed, into: Sym, from: Sym) -> Vec<Stmt> {
-    let (psid, pdef) = (t.psid, p.structs.get(t.psid).clone());
-    let mut out: Vec<Stmt> = Vec::new();
-    for (i, f) in pdef.fields.iter().enumerate() {
+fn fold_record(b: &mut IrBuilder, t: &TableRed, into: Atom, from: Atom) {
+    let psid = t.psid;
+    let fields = b.structs.get(psid).fields.clone();
+    for i in 0..fields.len() {
         if let Some(op) = t.reduce.get(&(psid, i)) {
-            fold_field(fresh, &mut out, into, from, psid, i, &f.ty, *op);
+            fold_field(b, into.clone(), from.clone(), psid, i, *op);
         }
     }
-    for (i, f) in pdef.fields.iter().enumerate() {
-        let Type::Record(vsid) = &f.ty else { continue };
-        let inner = p.structs.get(*vsid).clone();
-        let folds: Vec<(usize, Type, BinOp)> = inner
-            .fields
-            .iter()
-            .enumerate()
-            .filter_map(|(j, vf)| t.reduce.get(&(*vsid, j)).map(|op| (j, vf.ty.clone(), *op)))
-            .collect();
-        if folds.is_empty() {
+    for (i, f) in fields.iter().enumerate() {
+        // The chain link is not a value record: folding through it would
+        // fold the next group (or dereference null).
+        let Type::Record(vsid) = f.ty else { continue };
+        if vsid == psid || !t.reduces_into(vsid) {
             continue;
         }
-        let mut field_of = |rec: Sym| {
-            let (v, st) = fresh.stmt(
-                f.ty.clone(),
-                Expr::FieldGet {
-                    obj: Atom::Sym(rec),
-                    sid: psid,
-                    field: i,
-                },
-            );
-            out.push(st);
-            v
-        };
-        let (sv, pv) = (field_of(into), field_of(from));
-        for (j, vt, op) in folds {
-            fold_field(fresh, &mut out, sv, pv, *vsid, j, &vt, op);
+        let (sv, pv) = (
+            b.field_get(into.clone(), psid, i),
+            b.field_get(from.clone(), psid, i),
+        );
+        for j in 0..b.structs.get(vsid).fields.len() {
+            if let Some(op) = t.reduce.get(&(vsid, j)) {
+                fold_field(b, sv.clone(), pv.clone(), vsid, j, *op);
+            }
         }
     }
-    out
 }
 
 /// `into.f = into.f OP from.f`
-#[allow(clippy::too_many_arguments)]
-fn fold_field(
-    fresh: &mut Fresh,
-    out: &mut Vec<Stmt>,
-    into: Sym,
-    from: Sym,
-    sid: StructId,
-    field: usize,
-    ty: &Type,
-    op: BinOp,
-) {
-    let (a, s1) = fresh.stmt(
-        ty.clone(),
-        Expr::FieldGet {
-            obj: Atom::Sym(into),
-            sid,
-            field,
-        },
-    );
-    out.push(s1);
-    let (b, s2) = fresh.stmt(
-        ty.clone(),
-        Expr::FieldGet {
-            obj: Atom::Sym(from),
-            sid,
-            field,
-        },
-    );
-    out.push(s2);
-    let (c, s3) = fresh.stmt(ty.clone(), Expr::Bin(op, Atom::Sym(a), Atom::Sym(b)));
-    out.push(s3);
-    out.push(fresh.unit_stmt(Expr::FieldSet {
-        obj: Atom::Sym(into),
-        sid,
-        field,
-        value: Atom::Sym(c),
-    }));
+fn fold_field(b: &mut IrBuilder, into: Atom, from: Atom, sid: StructId, field: usize, op: BinOp) {
+    let x = b.field_get(into.clone(), sid, field);
+    let y = b.field_get(from, sid, field);
+    let folded = b.bin(op, x, y);
+    b.field_set(into, sid, field, folded);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dblab_ir::hash::program_hash;
-    use dblab_ir::{IrBuilder, Level};
+    use dblab_ir::Level;
 
     /// `var acc = 0.0; for (i <- 0 until arr.length) acc = acc + arr(i)`
     /// — the minimal Shape A loop.
@@ -1556,7 +1159,7 @@ mod tests {
                     );
                 }
                 let mut stmts = Vec::new();
-                flatten(body, &mut stmts);
+                body.for_each_stmt(&mut |st| stmts.push(st));
                 for w in stmts {
                     if let Expr::FieldSet { sid, .. } = &w.expr {
                         let name = &p.structs.get(*sid).name;
@@ -1593,7 +1196,7 @@ mod tests {
         };
         assert!(accs.iter().any(|a| dense(&a.init)), "a private dense array");
         let mut stmts = Vec::new();
-        flatten(merge, &mut stmts);
+        merge.for_each_stmt(&mut |st| stmts.push(st));
         assert!(stmts.iter().any(|st| matches!(
             st.expr,
             Expr::ForRange {

@@ -20,7 +20,7 @@
 //! pipelining attaches to every verbatim column copy, so predicates keep
 //! qualifying even after records cross hash tables.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use dblab_catalog::Schema;
@@ -44,8 +44,9 @@ struct Usage {
 struct StringDict<'s> {
     schema: &'s Schema,
     usage: HashMap<ColId, Usage>,
-    /// Eligible columns with their `ordered` flag.
-    chosen: HashMap<ColId, bool>,
+    /// Eligible columns with their `ordered` flag, in column order (the
+    /// order a table's `DictField` annotations are emitted in).
+    chosen: BTreeMap<ColId, bool>,
     /// Hoisted constant codes: (column, const, op) -> atom.
     consts: HashMap<(ColId, Arc<str>, DictOp), Atom>,
     /// Hash tables keyed directly by a dictionary-encoded column: their
@@ -59,7 +60,7 @@ pub fn apply(p: &Program, schema: &Schema) -> Program {
     let mut rule = StringDict {
         schema,
         usage: HashMap::new(),
-        chosen: HashMap::new(),
+        chosen: BTreeMap::new(),
         consts: HashMap::new(),
         retype_maps: HashSet::new(),
     };
@@ -225,7 +226,7 @@ impl Rule for StringDict<'_> {
         fn scan_keys(
             blk: &Block,
             p: &Program,
-            chosen: &HashMap<ColId, bool>,
+            chosen: &BTreeMap<ColId, bool>,
             out: &mut HashSet<Sym>,
         ) {
             for st in &blk.stmts {
@@ -258,7 +259,7 @@ impl Rule for StringDict<'_> {
         fn walk(
             blk: &Block,
             p: &Program,
-            chosen: &HashMap<ColId, bool>,
+            chosen: &BTreeMap<ColId, bool>,
             out: &mut Vec<(dblab_ir::StructId, usize)>,
         ) {
             for st in &blk.stmts {
