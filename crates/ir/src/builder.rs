@@ -58,19 +58,6 @@ impl IrBuilder {
         }
     }
 
-    /// Continue building in the name/type space of an existing program
-    /// (used by the rewriter; struct registry and annotations carry over).
-    pub fn from_program(p: &Program) -> Self {
-        IrBuilder {
-            structs: p.structs.clone(),
-            sym_types: p.sym_types.clone(),
-            annots: p.annots.clone(),
-            scopes: vec![Scope::default()],
-            cse_enabled: true,
-            fold_enabled: true,
-        }
-    }
-
     /// Finish building; `level` declares the dialect of the result.
     pub fn finish(mut self, result: Atom, level: Level) -> Program {
         assert_eq!(self.scopes.len(), 1, "unbalanced scopes at finish");
@@ -401,15 +388,6 @@ impl IrBuilder {
     pub fn field_get(&mut self, obj: Atom, sid: StructId, field: usize) -> Atom {
         let ty = self.structs.field_type(sid, field).clone();
         self.emit(ty, Expr::FieldGet { obj, sid, field })
-    }
-
-    pub fn field_get_named(&mut self, obj: Atom, sid: StructId, name: &str) -> Atom {
-        let field = self
-            .structs
-            .get(sid)
-            .field_index(name)
-            .unwrap_or_else(|| panic!("no field {name} in {}", self.structs.get(sid).name));
-        self.field_get(obj, sid, field)
     }
 
     pub fn field_set(&mut self, obj: Atom, sid: StructId, field: usize, value: Atom) {

@@ -39,17 +39,6 @@ impl Effects {
     pub fn is_removable(self) -> bool {
         !self.intersects(Effects::WRITE.union(Effects::IO))
     }
-    /// May two statements with these effects be swapped? (Used by the
-    /// statement-reordering done during data-structure synthesis, §5.2.)
-    pub fn commutes_with(self, other: Effects) -> bool {
-        if self.intersects(Effects::IO) || other.intersects(Effects::IO) {
-            return false;
-        }
-        let conflict = |a: Effects, b: Effects| {
-            a.intersects(Effects::WRITE) && b.intersects(Effects::READ.union(Effects::WRITE))
-        };
-        !conflict(self, other) && !conflict(other, self)
-    }
 }
 
 impl std::ops::BitOr for Effects {

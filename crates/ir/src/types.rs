@@ -69,10 +69,6 @@ impl Type {
         }
     }
 
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Type::Int | Type::Long | Type::Double)
-    }
-
     pub fn is_scalar(&self) -> bool {
         matches!(
             self,

@@ -12,14 +12,15 @@
 //! already has — the paper's point that a new front-end "benefits from all
 //! transformations that apply to [the lower levels] for free" (§4.5/§4.6).
 //!
-//! The naïve lowering of a multi-aggregate `fold` intentionally emits one
-//! loop per aggregate; the horizontal-fusion optimization
-//! ([`crate::horizontal`]) then merges them — mirroring the paper's split
-//! between shortcut (vertical) fusion and horizontal fusion (§7.3).
+//! A `fold` (and the aggregates of a `groupBy`) lowers through the plan's
+//! aggregation: a multi-aggregate `fold` becomes the plan's
+//! `aggregate_global`, one loop that updates every accumulator per row.
+//! So this front-end never hands the stack sibling loops over one source,
+//! and the stack has no horizontal fusion pass (the paper's §7.3) to merge
+//! them.
 
 use dblab_catalog::Schema;
 use dblab_frontend::qmonad::QMonad;
-use dblab_frontend::qplan::QueryProgram;
 use dblab_ir::expr::PrimOp;
 use dblab_ir::{Atom, Expr, Level, Program};
 
@@ -101,12 +102,6 @@ fn produce(lw: &mut Lowering<'_>, q: &QMonad, k: &mut dyn FnMut(&mut Lowering<'_
     }
 }
 
-/// Convenience: full compile of a QMonad query through the configured
-/// stack (fusion first, then the shared lowering chain).
-pub fn monad_program(q: &QMonad) -> QueryProgram {
-    QueryProgram::new(q.to_qplan())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,6 +131,21 @@ mod tests {
         assert!(!text.contains("MultiMap"), "{text}");
         let loops = count_loops_top(&p);
         assert_eq!(loops, 1, "{text}");
+    }
+
+    #[test]
+    fn multi_aggregate_fold_lowers_to_one_loop() {
+        // Three accumulators, one pass over lineitem: the lowering is
+        // already horizontally fused.
+        use dblab_frontend::qplan::AggFunc;
+        let q = QMonad::source("lineitem").fold(vec![
+            ("n", AggFunc::Count),
+            ("qty", AggFunc::Sum(col("l_quantity"))),
+            ("price", AggFunc::Sum(col("l_extendedprice"))),
+        ]);
+        let p = lower_qmonad(&q, &schema(), &StackConfig::level2());
+        let text = dblab_ir::printer::print_program(&p);
+        assert_eq!(count_loops_top(&p), 1, "{text}");
     }
 
     #[test]

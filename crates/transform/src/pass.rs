@@ -39,10 +39,7 @@ use dblab_ir::{Level, Program};
 
 use crate::config::StackConfig;
 use crate::stack::StageSnapshot;
-use crate::{
-    field_removal, fine, fusion, hash_spec, horizontal, layout, list_spec, mem_hoist, pipeline,
-    string_dict,
-};
+use crate::{field_removal, fine, fusion, hash_spec, list_spec, mem_hoist, pipeline, string_dict};
 
 /// What a pass *does* to the program (the paper's Table 4 taxonomy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,24 +50,6 @@ pub enum PassKind {
     Lowering,
     /// Rewrites within one level, applied to fixpoint.
     Optimization,
-    /// Pure analysis consulted by another pass; contributes no rewrite of
-    /// its own but is registered so the declared stack stays complete.
-    Analysis,
-    /// A decision recorded for a later consumer (e.g. the storage layout
-    /// the C unparser reads), not a rewrite.
-    Decision,
-}
-
-impl PassKind {
-    pub fn label(self) -> &'static str {
-        match self {
-            PassKind::FrontendLowering => "frontend",
-            PassKind::Lowering => "lowering",
-            PassKind::Optimization => "optimization",
-            PassKind::Analysis => "analysis",
-            PassKind::Decision => "decision",
-        }
-    }
 }
 
 /// Everything a pass may consult besides the program itself.
@@ -193,63 +172,6 @@ impl Frontend for MonadLowering<'_> {
 // The registered passes
 // ---------------------------------------------------------------------
 
-/// Automatic index inference (§5.2/App. B.1). The analysis itself runs as
-/// a hook inside pipelining (the "informed materialization decision" needs
-/// the plan, not the IR), so as a registered pass it is a marker: it
-/// declares the edge and shows up in the stage trace when enabled.
-struct IndexInference;
-
-impl Pass for IndexInference {
-    fn name(&self) -> &'static str {
-        "index-inference"
-    }
-    fn kind(&self) -> PassKind {
-        PassKind::Analysis
-    }
-    fn source(&self) -> Level {
-        Level::MapList
-    }
-    fn target(&self) -> Level {
-        Level::MapList
-    }
-    fn applies(&self, cfg: &StackConfig) -> bool {
-        cfg.index_inference
-    }
-    fn fixpoint_iters(&self) -> usize {
-        0
-    }
-    fn cfg_key(&self, _cfg: &StackConfig) -> u64 {
-        0 // marker pass: the rewrite is the identity
-    }
-    fn run(&self, p: &Program, _ctx: &PassCtx) -> Program {
-        p.clone()
-    }
-}
-
-/// Horizontal fusion of sibling loops (§7.3).
-struct HorizontalFusion;
-
-impl Pass for HorizontalFusion {
-    fn name(&self) -> &'static str {
-        "horizontal-fusion"
-    }
-    fn kind(&self) -> PassKind {
-        PassKind::Optimization
-    }
-    fn source(&self) -> Level {
-        Level::MapList
-    }
-    fn target(&self) -> Level {
-        Level::MapList
-    }
-    fn cfg_key(&self, _cfg: &StackConfig) -> u64 {
-        0 // reads no configuration
-    }
-    fn run(&self, p: &Program, _ctx: &PassCtx) -> Program {
-        horizontal::apply(p)
-    }
-}
-
 /// String dictionaries (§5.3).
 struct StringDictionaries;
 
@@ -272,19 +194,12 @@ impl Pass for StringDictionaries {
     fn cfg_key(&self, _cfg: &StackConfig) -> u64 {
         0 // reads only the schema, which the memo keys separately
     }
-    /// Dictionary selection keys on the loop/condition shapes the program
-    /// has *before* anything else rewrites them: horizontal fusion merges
-    /// the loops its usage analysis walks (measured: 15/22 queries
-    /// diverge when swapped).
-    fn after(&self) -> &'static [&'static str] {
-        &["horizontal-fusion"]
-    }
     /// Field removal re-indexes the `StructNew` argument lists this
     /// pass's retyping step anchors on (swapped, it crashes outright);
-    /// branch optimization and the terminal sweep restructure the string
-    /// comparisons it pattern-matches.
+    /// branch optimization restructures the string comparisons it
+    /// pattern-matches.
     fn before(&self) -> &'static [&'static str] {
-        &["field-removal", "branch-optimization", "final"]
+        &["field-removal", "branch-optimization"]
     }
     fn run(&self, p: &Program, ctx: &PassCtx) -> Program {
         string_dict::apply(p, ctx.schema)
@@ -463,41 +378,6 @@ impl Pass for BranchOptimization {
     }
 }
 
-/// Storage-layout specialization (App. C): the row/columnar decision the C
-/// unparser consults via [`layout::table_layout`]. Registered as a marker
-/// so the decision is visible in the stage trace and the declared stack.
-struct LayoutDecision;
-
-impl Pass for LayoutDecision {
-    fn name(&self) -> &'static str {
-        "storage-layout"
-    }
-    fn kind(&self) -> PassKind {
-        PassKind::Decision
-    }
-    fn source(&self) -> Level {
-        Level::CScala
-    }
-    fn target(&self) -> Level {
-        Level::CScala
-    }
-    fn applies(&self, cfg: &StackConfig) -> bool {
-        matches!(layout::table_layout(cfg), layout::Layout::Columnar)
-    }
-    fn floats(&self) -> bool {
-        true
-    }
-    fn fixpoint_iters(&self) -> usize {
-        0
-    }
-    fn cfg_key(&self, _cfg: &StackConfig) -> u64 {
-        0 // decision marker: the rewrite is the identity
-    }
-    fn run(&self, p: &Program, _ctx: &PassCtx) -> Program {
-        p.clone()
-    }
-}
-
 /// Morsel-driven scan parallelization (see [`crate::parallelize`]).
 /// Selected only when the configuration asks for more than one worker, so
 /// serial pipelines are untouched down to the memo keys.
@@ -534,7 +414,6 @@ impl Pass for ParallelizeScans {
     /// yet (the loop stays serial and the output program differs).
     fn after(&self) -> &'static [&'static str] {
         &[
-            "horizontal-fusion",
             "string-dictionaries",
             "hash-table-specialization",
             "list-specialization",
@@ -543,40 +422,8 @@ impl Pass for ParallelizeScans {
             "branch-optimization",
         ]
     }
-    /// The terminal sweep must still run over the merge blocks this pass
-    /// synthesizes.
-    fn before(&self) -> &'static [&'static str] {
-        &["final"]
-    }
     fn run(&self, p: &Program, ctx: &PassCtx) -> Program {
         crate::parallelize::apply(p, ctx.cfg.threads)
-    }
-}
-
-/// Terminal generic-optimizer sweep at whatever level the stack reached.
-struct FinalCleanup;
-
-impl Pass for FinalCleanup {
-    fn name(&self) -> &'static str {
-        "final"
-    }
-    fn kind(&self) -> PassKind {
-        PassKind::Optimization
-    }
-    fn source(&self) -> Level {
-        Level::CScala
-    }
-    fn target(&self) -> Level {
-        Level::CScala
-    }
-    fn floats(&self) -> bool {
-        true
-    }
-    fn cfg_key(&self, _cfg: &StackConfig) -> u64 {
-        0 // only the generic optimizer runs, which reads no configuration
-    }
-    fn run(&self, p: &Program, _ctx: &PassCtx) -> Program {
-        p.clone()
     }
 }
 
@@ -585,17 +432,13 @@ impl Pass for FinalCleanup {
 /// each pass's [`Pass::applies`] against the [`StackConfig`].
 pub fn registry() -> Vec<Box<dyn Pass>> {
     vec![
-        Box::new(IndexInference),
-        Box::new(HorizontalFusion),
         Box::new(StringDictionaries),
         Box::new(HashTableSpecialization),
         Box::new(ListSpecialization),
         Box::new(FieldRemoval),
         Box::new(MemoryHoisting),
         Box::new(BranchOptimization),
-        Box::new(LayoutDecision),
         Box::new(ParallelizeScans),
-        Box::new(FinalCleanup),
     ]
 }
 
@@ -615,36 +458,52 @@ pub fn check_pipeline<'r>(
     passes: &'r [Box<dyn Pass>],
     cfg: &StackConfig,
 ) -> Result<Vec<&'r dyn Pass>, String> {
+    let selected: Vec<&dyn Pass> = passes
+        .iter()
+        .filter(|p| p.applies(cfg))
+        .map(|p| p.as_ref())
+        .collect();
+    if let Some(p) = selected.iter().find(|p| p.target() < p.source()) {
+        return Err(format!(
+            "pass {} is declared upward ({} -> {}), violating expressibility",
+            p.name(),
+            p.source(),
+            p.target()
+        ));
+    }
+    check_levels(&selected).map_err(|e| {
+        format!(
+            "{e} under config `{}` — enable the lowerings in between or mark \
+             the pass floating",
+            cfg.name
+        )
+    })?;
+    Ok(selected)
+}
+
+/// The level simulation behind both [`check_pipeline`] and
+/// [`crate::schedule::Scheduler::validate_order`]: walk `passes` in order
+/// from ScaLite\[Map, List\] and fail at the first non-floating pass that
+/// meets the program at a level other than its source. Mirrors the
+/// runtime contract in [`apply_one`]: only a lowering moves the program
+/// level; a floating optimization's declared target says where it is
+/// *defined*, not where the program ends up.
+pub(crate) fn check_levels(passes: &[&dyn Pass]) -> Result<(), String> {
     let mut level = Level::MapList;
-    let mut selected = Vec::new();
-    for p in passes.iter().filter(|p| p.applies(cfg)) {
-        if p.target() < p.source() {
-            return Err(format!(
-                "pass {} is declared upward ({} -> {}), violating expressibility",
-                p.name(),
-                p.source(),
-                p.target()
-            ));
-        }
+    for p in passes {
         if !p.floats() && p.source() != level {
             return Err(format!(
-                "pass {} expects {} input but config `{}` hands it {} — \
-                 enable the lowerings in between or mark the pass floating",
+                "pass {} expects {} input but is handed {}",
                 p.name(),
                 p.source(),
-                cfg.name,
                 level
             ));
         }
-        // Mirror the runtime contract in apply_one: only a lowering moves
-        // the program level; a floating optimization's declared target says
-        // where it is *defined*, not where the program ends up.
         if p.kind() == PassKind::Lowering {
             level = level.max(p.target());
         }
-        selected.push(p.as_ref());
     }
-    Ok(selected)
+    Ok(())
 }
 
 /// How far the dialect ceiling drops after `pass` runs: a lowering whose
@@ -877,11 +736,11 @@ mod tests {
                 .collect()
         };
         let l2 = names(&StackConfig::level2());
-        assert_eq!(l2, vec!["horizontal-fusion", "field-removal", "final"]);
+        assert_eq!(l2, vec!["field-removal"]);
         let l5 = names(&StackConfig::level5());
         assert!(l5.contains(&"hash-table-specialization"));
         assert!(l5.contains(&"list-specialization"));
-        assert!(l5.contains(&"index-inference"));
+        assert!(l5.contains(&"string-dictionaries"));
         // Order is registry order regardless of config.
         let pos = |n: &str| l5.iter().position(|x| *x == n).unwrap();
         assert!(pos("hash-table-specialization") < pos("list-specialization"));

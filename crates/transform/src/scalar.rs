@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dblab_frontend::expr::{BinOp as FBinOp, Lit, ScalarExpr};
-use dblab_ir::expr::{Annot, PrimOp};
+use dblab_ir::expr::PrimOp;
 use dblab_ir::{Atom, BinOp, IrBuilder, Type, UnOp};
 
 /// One named column flowing through the pipeline.
@@ -52,22 +52,6 @@ impl RowEnv {
         let mut cols = self.cols.clone();
         cols.extend(other.cols.iter().cloned());
         RowEnv { cols }
-    }
-
-    /// Record provenance annotations on every symbol-valued column (so IR
-    /// rules can see it after the front-end environment is gone).
-    pub fn annotate_provenance(&self, b: &mut IrBuilder) {
-        for c in &self.cols {
-            if let (Atom::Sym(s), Some((t, f))) = (&c.atom, &c.prov) {
-                b.annotate(
-                    *s,
-                    Annot::Column {
-                        table: t.clone(),
-                        field: *f,
-                    },
-                );
-            }
-        }
     }
 }
 

@@ -524,7 +524,7 @@ mod tests {
         let schema = schema();
         let cfg = StackConfig::level5();
         let q = join_count_query();
-        let err = compile_ordered(&q, &schema, &cfg, &["final"]).unwrap_err();
+        let err = compile_ordered(&q, &schema, &cfg, &["field-removal"]).unwrap_err();
         assert!(err.contains("passes"), "{err}");
         let mut bad = crate::schedule::Scheduler::from_registry(&cfg)
             .unwrap()

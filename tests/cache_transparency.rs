@@ -116,11 +116,11 @@ fn cfg_sensitive_pass_misses_and_insensitive_pass_hits_on_relevant_flip() {
     let prog = agg_query("ctflip");
     // Two configurations differing ONLY in table_field_removal — the one
     // bit field-removal's rewrite reads.
-    let with_removal = StackConfig::level3();
+    let with_removal = StackConfig::level4();
     assert!(with_removal.table_field_removal);
     let without_removal = StackConfig {
         table_field_removal: false,
-        ..StackConfig::level3()
+        ..StackConfig::level4()
     };
 
     let first = dblab::transform::compile(&prog, &schema, &with_removal);
@@ -128,10 +128,10 @@ fn cfg_sensitive_pass_misses_and_insensitive_pass_hits_on_relevant_flip() {
 
     // Over-keying guard: a pass that reads no configuration must be
     // served from the first compile's entries despite the flag diff.
-    let hf = second.stage("horizontal-fusion").expect("stage");
+    let sd = second.stage("string-dictionaries").expect("stage");
     assert!(
-        hf.cached,
-        "horizontal-fusion keys on no cfg bits and must hit across the flip"
+        sd.cached,
+        "string-dictionaries keys on no cfg bits and must hit across the flip"
     );
     // Under-keying guard: the pass that reads the flipped bit must miss.
     let fr = second.stage("field-removal").expect("stage");

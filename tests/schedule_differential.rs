@@ -2,8 +2,9 @@
 //! *any* topological order of the declared dependency DAG compiles every
 //! query correctly — tested end to end.
 //!
-//! ≥25 distinct valid orderings of the level-5 stack are sampled (seeded,
-//! so the suite is deterministic), every ordering compiles all 22 TPC-H
+//! Every valid ordering of the level-5 stack is run (the DAG admits 8;
+//! the seeded sampler saturates at the exact count, so the suite is
+//! deterministic and exhaustive), every ordering compiles all 22 TPC-H
 //! queries through the contract-checked driver (which still validates the
 //! dialect window after every pass in test builds), and each final
 //! program is executed by `dblab-interp` against the Volcano oracle.
@@ -25,7 +26,6 @@ use dblab::transform::stack::{compile_ordered, compile_scheduled};
 use dblab::transform::StackConfig;
 
 const SEED: u64 = 0xdb1a_b5ce_d001;
-const ORDERINGS: usize = 25;
 
 fn setup() -> (dblab::runtime::Database, PathBuf) {
     let dir = std::env::temp_dir().join("dblab_sched_diff_data");
@@ -34,17 +34,19 @@ fn setup() -> (dblab::runtime::Database, PathBuf) {
     (db, dir)
 }
 
-/// Baseline plus distinct sampled permutations, ≥ `ORDERINGS` total.
+/// Every valid schedule of the DAG, asserted to be exactly
+/// `order_count()` of them (the baseline among them).
 fn orderings(sched: &Scheduler) -> Vec<Vec<&'static str>> {
-    let mut orders = vec![sched.baseline()];
-    for o in sched.sample_orders(SEED, ORDERINGS * 2) {
-        if !orders.contains(&o) {
-            orders.push(o);
-        }
-        if orders.len() == ORDERINGS {
-            break;
-        }
-    }
+    let count = sched
+        .order_count()
+        .expect("registry-sized DAG is countable") as usize;
+    let orders = sched.sample_orders(SEED, count);
+    assert_eq!(
+        orders.len(),
+        count,
+        "the sampler must return every one of the {count} valid schedules"
+    );
+    assert!(orders.contains(&sched.baseline()));
     orders
 }
 
@@ -101,14 +103,10 @@ fn sampled_schedules_agree_with_the_oracle_on_all_queries() {
     let cfg = StackConfig::level5();
     let sched = Scheduler::from_registry(&cfg).expect("level-5 DAG builds");
     let orders = orderings(&sched);
-    assert!(
-        orders.len() >= ORDERINGS,
-        "need >= {ORDERINGS} distinct schedules, got {}",
-        orders.len()
-    );
+    assert_eq!(orders.len(), 8, "level-5 DAG: {orders:?}");
     assert_eq!(orders, orderings(&sched), "sampling is deterministic");
     for o in &orders {
-        sched.validate_order(o).expect("sampled schedule valid");
+        sched.validate_order(o).expect("schedule valid");
     }
 
     let mut failures = Vec::new();
@@ -155,10 +153,6 @@ fn compliant_stack_schedules_agree_on_the_showdown_queries() {
     let cfg = StackConfig::compliant();
     let sched = Scheduler::from_registry(&cfg).expect("compliant DAG builds");
     let orders = orderings(&sched);
-    assert!(
-        orders.len() >= ORDERINGS,
-        "compliant DAG admits {ORDERINGS}+"
-    );
     for n in [1, 3, 6, 14] {
         let prog = tpch::queries::query(n);
         let oracle = engine::execute_program(&prog, &db).to_text();
@@ -181,7 +175,7 @@ fn compliant_stack_schedules_agree_on_the_showdown_queries() {
 
 /// `threads > 1` adds `parallelize-scans` to the DAG with no change to
 /// any call site — the scheduler picks it up from the registry, its
-/// declared edges constrain every sampled ordering, and each schedule
+/// declared edges constrain every ordering, and each schedule
 /// still agrees with the oracle (the interpreter executes `ParallelFor`
 /// as one logical worker).
 #[test]
@@ -198,11 +192,10 @@ fn threaded_schedules_pick_up_parallelize_scans_and_agree() {
         sched.baseline()
     );
     let orders = orderings(&sched);
-    assert!(orders.len() >= ORDERINGS);
-    // Every sampled ordering keeps the pass after all of its declared
+    // Every ordering keeps the pass after all of its declared
     // prerequisites (validate_order enforces the DAG).
     for o in &orders {
-        sched.validate_order(o).expect("sampled schedule valid");
+        sched.validate_order(o).expect("schedule valid");
     }
     // Q1 (hash-table build), Q6 (scalar reductions), Q17 (multimap
     // chain concatenation): one query per privatization shape.

@@ -33,6 +33,51 @@ fn declared_stack_satisfies_both_principles() {
     );
 }
 
+/// A registered pass has to earn its place: over the 22 TPC-H queries
+/// at level 5, one thread and two, every pass in the registry changes the
+/// program (its stage's output hash differs from its input's) for at least
+/// one query. A pass that rewrites nothing only widens the schedule space
+/// and costs compile time.
+#[test]
+fn every_registry_pass_rewrites_some_program() {
+    use dblab::ir::hash::program_hash;
+    use std::collections::HashSet;
+    let schema = schema_with_stats();
+    let mut threaded = StackConfig::level5();
+    threaded.threads = 2;
+    let mut selected = HashSet::new();
+    let mut rewrote = HashSet::new();
+    for cfg in [StackConfig::level5(), threaded] {
+        for n in 1..=22 {
+            let prog = tpch::queries::query(n);
+            let (_, stages) = compile_with_snapshots(&prog, &schema, &cfg, true);
+            for w in stages.windows(2) {
+                let (name, after) = (&w[1].0, &w[1].1);
+                selected.insert(name.clone());
+                if program_hash(&w[0].1) != program_hash(after) {
+                    rewrote.insert(name.clone());
+                }
+            }
+        }
+    }
+    let registry: Vec<&str> = pass::registry().iter().map(|p| p.name()).collect();
+    let unselected: Vec<&str> = registry
+        .iter()
+        .copied()
+        .filter(|n| !selected.contains(*n))
+        .collect();
+    assert!(unselected.is_empty(), "never selected: {unselected:?}");
+    let identity: Vec<&str> = registry
+        .iter()
+        .copied()
+        .filter(|n| !rewrote.contains(*n))
+        .collect();
+    assert!(
+        identity.is_empty(),
+        "registry passes that rewrote no query: {identity:?}"
+    );
+}
+
 #[test]
 fn every_stage_of_the_full_stack_validates_at_its_level() {
     let schema = schema_with_stats();
