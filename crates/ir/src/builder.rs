@@ -12,6 +12,7 @@
 //!   type-checking pass.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use crate::effects::effects_of;
@@ -24,7 +25,7 @@ use crate::types::{StructId, StructRegistry, Type};
 #[derive(Default)]
 struct Scope {
     stmts: Vec<Stmt>,
-    cse: HashMap<Expr, Atom>,
+    cse: HashMap<Expr, Atom, BuildHasherDefault<crate::hash::StableHasher>>,
 }
 
 /// Builds ANF [`Program`]s. See the module docs.

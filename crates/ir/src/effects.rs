@@ -50,7 +50,15 @@ impl std::ops::BitOr for Effects {
 
 /// Effects of one expression, including everything inside its sub-blocks.
 pub fn effects_of(e: &Expr) -> Effects {
-    let own = match e {
+    e.blocks()
+        .into_iter()
+        .fold(own_effects(e), |acc, b| acc.union(block_effects(b)))
+}
+
+/// Effects of the node itself, not counting its sub-blocks: what a
+/// compound statement does beyond running its blocks.
+pub fn own_effects(e: &Expr) -> Effects {
+    match e {
         Expr::Atom(_) | Expr::Bin(..) | Expr::Un(..) => Effects::PURE,
         // String primitives are pure except the instrumentation intrinsics.
         Expr::Prim(op, _) => match op {
@@ -96,10 +104,7 @@ pub fn effects_of(e: &Expr) -> Effects {
         // Parameters are bound once per execution and immutable for its
         // duration, so reading one is pure (CSE-able, droppable if dead).
         Expr::LoadParam { .. } => Effects::PURE,
-    };
-    e.blocks()
-        .into_iter()
-        .fold(own, |acc, b| acc.union(block_effects(b)))
+    }
 }
 
 /// Union of the effects of all statements in a block.

@@ -483,6 +483,29 @@ impl Expr {
         }
     }
 
+    /// [`Expr::blocks`], mutably and in the same order.
+    pub fn blocks_mut(&mut self) -> Vec<&mut Block> {
+        match self {
+            Expr::If { then_b, else_b, .. } => vec![then_b, else_b],
+            Expr::While { cond, body } => vec![cond, body],
+            Expr::ForRange { body, .. }
+            | Expr::ListForeach { body, .. }
+            | Expr::HashMapForeach { body, .. }
+            | Expr::MultiMapForeachAt { body, .. } => vec![body],
+            Expr::SortArray { cmp, .. } => vec![cmp],
+            Expr::HashMapGetOrInit { init, .. } => vec![init],
+            Expr::ParallelFor {
+                accs, body, merge, ..
+            } => {
+                let mut bs: Vec<&mut Block> = accs.iter_mut().map(|a| &mut a.init).collect();
+                bs.push(body);
+                bs.push(merge);
+                bs
+            }
+            _ => vec![],
+        }
+    }
+
     /// Symbols bound *by* this node (loop variables etc.), scoped to its
     /// blocks.
     pub fn bound_syms(&self) -> Vec<Sym> {

@@ -9,10 +9,31 @@
 //!
 //! CSE and constant folding live in the builder and therefore re-run on
 //! every rewrite; they are not separate passes.
+//!
+//! ### Cost of a sweep
+//!
+//! The front-end and nearly every pass end in [`optimize`], so its cost
+//! is paid many times per compile. One DCE sweep is linear in program size: one walk counts uses
+//! into a `Vec<u32>` indexed by [`crate::expr::Sym`] (symbols are dense
+//! indices into `sym_types`), and one walk cleans the owned program in
+//! place, `retain`ing each block and recursing through
+//! [`Expr::blocks_mut`]. A statement is judged by [`own_effects`] united
+//! with the effects its sub-blocks returned after they were cleaned, so
+//! every node's effect is computed once. Nothing is cloned; the fixpoint
+//! hands the program from round to round by value.
+//!
+//! ### Why the sweep order does not matter
+//!
+//! A statement is removed when it is unused and its effects are
+//! removable, or when it declares or assigns a variable nobody reads.
+//! Removing statements only lowers use counts and effects, so each
+//! condition, once true, stays true. The sweeps therefore all reach the
+//! same fixpoint, whatever order they remove things in; judging a
+//! statement after cleaning its sub-blocks only reaches it in fewer
+//! sweeps. (`tests/optimizer_reference.rs` holds the earlier
+//! clone-per-statement DCE and checks the two agree.)
 
-use std::collections::{HashMap, HashSet};
-
-use crate::effects::effects_of;
+use crate::effects::{own_effects, Effects};
 use crate::expr::{Atom, Block, Expr, Program, Sym};
 use crate::rewrite::{run_rule, Identity};
 
@@ -20,130 +41,79 @@ use crate::rewrite::{run_rule, Identity};
 /// and its effects are removable (no writes, no IO). Additionally, mutable
 /// variables that are only ever written (never read) are removed together
 /// with their assignments. Runs to fixpoint.
-pub fn dce(p: &Program) -> Program {
-    let mut p = p.clone();
+pub fn dce(mut p: Program) -> Program {
+    let mut uses = Vec::new();
+    let mut decls = Vec::new();
+    let mut write_only = Vec::new();
     loop {
-        let uses = body_uses(&p.body);
-        let write_only = write_only_vars(&p.body, &uses);
+        uses.clear();
+        uses.resize(p.sym_types.len(), 0u32);
+        decls.clear();
+        count_uses(&p.body, &mut uses, &mut decls);
+        write_only.clear();
+        write_only.resize(uses.len(), false);
+        for d in &decls {
+            write_only[d.0 as usize] = uses[d.0 as usize] == 0;
+        }
         let mut changed = false;
-        p.body = dce_block(&p.body, &uses, &write_only, &mut changed);
+        dce_block(&mut p.body, &uses, &write_only, &mut changed);
         if !changed {
             return p;
         }
     }
 }
 
-/// Collect every symbol that is *read* (used as an operand, a block result,
-/// or read as a variable) anywhere in the body. `Assign { var }` does not
-/// count as a read of `var`.
-fn body_uses(b: &Block) -> HashMap<Sym, usize> {
-    let mut counts = HashMap::new();
-    fn visit(b: &Block, counts: &mut HashMap<Sym, usize>) {
-        for st in &b.stmts {
-            st.expr.for_each_atom(|a| {
-                if let Atom::Sym(s) = a {
-                    *counts.entry(*s).or_insert(0) += 1;
-                }
-            });
-            if let Expr::ReadVar(v) = &st.expr {
-                *counts.entry(*v).or_insert(0) += 1;
-            }
-            for blk in st.expr.blocks() {
-                visit(blk, counts);
-            }
-        }
-        if let Atom::Sym(s) = b.result {
-            *counts.entry(s).or_insert(0) += 1;
-        }
-    }
-    visit(b, &mut counts);
-    counts
-}
-
-/// Variables declared with `DeclVar` whose only uses are assignments.
-fn write_only_vars(b: &Block, reads: &HashMap<Sym, usize>) -> HashSet<Sym> {
-    let mut vars = HashSet::new();
-    fn collect(b: &Block, vars: &mut HashSet<Sym>) {
-        for st in &b.stmts {
-            if matches!(st.expr, Expr::DeclVar { .. }) {
-                vars.insert(st.sym);
-            }
-            for blk in st.expr.blocks() {
-                collect(blk, vars);
-            }
-        }
-    }
-    collect(b, &mut vars);
-    vars.retain(|v| reads.get(v).copied().unwrap_or(0) == 0);
-    vars
-}
-
-fn dce_block(
-    b: &Block,
-    uses: &HashMap<Sym, usize>,
-    write_only: &HashSet<Sym>,
-    changed: &mut bool,
-) -> Block {
-    let mut stmts = Vec::with_capacity(b.stmts.len());
+/// Count every *read* of each symbol (as an operand, a block result, or
+/// a variable read) and collect the `DeclVar` symbols. `Assign { var }`
+/// does not count as a read of `var`.
+fn count_uses(b: &Block, uses: &mut [u32], decls: &mut Vec<Sym>) {
     for st in &b.stmts {
-        // Assignments to write-only variables are dead stores.
-        if let Expr::Assign { var, .. } = &st.expr {
-            if write_only.contains(var) {
-                *changed = true;
-                continue;
+        st.expr.for_each_atom(|a| {
+            if let Atom::Sym(s) = a {
+                uses[s.0 as usize] += 1;
             }
+        });
+        match &st.expr {
+            Expr::ReadVar(v) => uses[v.0 as usize] += 1,
+            Expr::DeclVar { .. } => decls.push(st.sym),
+            _ => {}
         }
-        if matches!(st.expr, Expr::DeclVar { .. }) && write_only.contains(&st.sym) {
-            *changed = true;
-            continue;
+        for blk in st.expr.blocks() {
+            count_uses(blk, uses, decls);
         }
-        let used = uses.get(&st.sym).copied().unwrap_or(0) > 0;
-        let eff = effects_of(&st.expr);
-        if !used && eff.is_removable() {
-            *changed = true;
-            continue;
-        }
-        // Recurse into sub-blocks.
-        let mut st = st.clone();
-        st.expr = map_blocks(&st.expr, |blk| dce_block(blk, uses, write_only, changed));
-        stmts.push(st);
     }
-    Block {
-        stmts,
-        result: b.result.clone(),
+    if let Atom::Sym(s) = b.result {
+        uses[s.0 as usize] += 1;
     }
 }
 
-/// Clone an expression with its sub-blocks transformed.
-pub fn map_blocks<F: FnMut(&Block) -> Block>(e: &Expr, mut f: F) -> Expr {
-    let mut e = e.clone();
-    match &mut e {
-        Expr::If { then_b, else_b, .. } => {
-            *then_b = f(then_b);
-            *else_b = f(else_b);
+/// Clean `b` in place; returns the effects of the statements that stay.
+fn dce_block(b: &mut Block, uses: &[u32], write_only: &[bool], changed: &mut bool) -> Effects {
+    let before = b.stmts.len();
+    let mut effects = Effects::PURE;
+    b.stmts.retain_mut(|st| {
+        // Declarations of and assignments to write-only variables are dead
+        // stores.
+        let dead_store = match &st.expr {
+            Expr::Assign { var, .. } => write_only[var.0 as usize],
+            Expr::DeclVar { .. } => write_only[st.sym.0 as usize],
+            _ => false,
+        };
+        if dead_store {
+            return false;
         }
-        Expr::ForRange { body, .. }
-        | Expr::ListForeach { body, .. }
-        | Expr::HashMapForeach { body, .. }
-        | Expr::MultiMapForeachAt { body, .. } => *body = f(body),
-        Expr::While { cond, body } => {
-            *cond = f(cond);
-            *body = f(body);
+        let mut eff = own_effects(&st.expr);
+        for blk in st.expr.blocks_mut() {
+            eff = eff.union(dce_block(blk, uses, write_only, changed));
         }
-        Expr::SortArray { cmp, .. } => *cmp = f(cmp),
-        Expr::HashMapGetOrInit { init, .. } => *init = f(init),
-        Expr::ParallelFor {
-            accs, body, merge, ..
-        } => {
-            for acc in accs {
-                acc.init = f(&acc.init);
-            }
-            *body = f(body);
-            *merge = f(merge);
+        if uses[st.sym.0 as usize] == 0 && eff.is_removable() {
+            return false;
         }
-        _ => {}
-    }
-    e
+        effects = effects.union(eff);
+        true
+    });
+    *changed |= b.stmts.len() != before;
+    effects
 }
 
 /// Unnecessary-let-binding removal (Appendix C): pure single-value aliases
@@ -156,18 +126,17 @@ pub fn inline_aliases(p: &Program) -> Program {
 /// The per-level fixpoint driver: alternate alias-inlining (which re-runs
 /// CSE/folding) and DCE until the program stops shrinking or `max_iters`
 /// is reached (termination guard; see paper footnote 4).
-pub fn optimize(p: &Program, max_iters: usize) -> Program {
-    let mut cur = p.clone();
+pub fn optimize(mut p: Program, max_iters: usize) -> Program {
     let mut last_size = usize::MAX;
     for _ in 0..max_iters {
-        cur = dce(&inline_aliases(&cur));
-        let size = cur.body.size();
+        p = dce(inline_aliases(&p));
+        let size = p.body.size();
         if size >= last_size {
             break;
         }
         last_size = size;
     }
-    cur
+    p
 }
 
 #[cfg(test)]
@@ -184,7 +153,7 @@ mod tests {
         let _dead = b.add(x.clone(), Atom::Int(42));
         let live = b.add(x, Atom::Int(1));
         let p = b.finish(live, Level::ScaLite);
-        let q = dce(&p);
+        let q = dce(p);
         assert_eq!(q.body.stmts.len(), 3); // decl, read, live add
     }
 
@@ -193,7 +162,7 @@ mod tests {
         let mut b = IrBuilder::new();
         b.printf("hello\n", vec![]);
         let p = b.finish(Atom::Unit, Level::ScaLite);
-        let q = dce(&p);
+        let q = dce(p);
         assert_eq!(q.body.stmts.len(), 1);
     }
 
@@ -204,7 +173,7 @@ mod tests {
         b.assign(v, Atom::Int(1));
         b.assign(v, Atom::Int(2));
         let p = b.finish(Atom::Unit, Level::ScaLite);
-        let q = dce(&p);
+        let q = dce(p);
         assert!(q.body.stmts.is_empty(), "{:?}", q.body.stmts);
     }
 
@@ -218,7 +187,7 @@ mod tests {
         let p = b.finish(Atom::Unit, Level::ScaLite);
         // v is write-only: assignments die, then the loop is pure and dies,
         // then the DeclVar dies.
-        let q = dce(&p);
+        let q = dce(p);
         assert!(q.body.stmts.is_empty(), "{:?}", q.body.stmts);
     }
 
@@ -233,7 +202,7 @@ mod tests {
         });
         let out = b.read_var(v);
         let p = b.finish(out, Level::ScaLite);
-        let q = dce(&p);
+        let q = dce(p);
         assert_eq!(q.body.stmts.len(), 3);
     }
 
@@ -254,7 +223,7 @@ mod tests {
             Expr::Bin(crate::expr::BinOp::Mul, c.clone(), Atom::Int(0)),
         );
         let p = b.finish(c, Level::ScaLite);
-        let q = optimize(&p, 10);
+        let q = optimize(p, 10);
         assert_eq!(q.body.stmts.len(), 2); // decl + read
         assert!(matches!(q.body.result, Atom::Sym(_)));
     }

@@ -7,10 +7,8 @@
 //! the same builder, which means CSE and constant folding are re-applied on
 //! every pass (the LMS/SC transformer design the paper builds on).
 
-use std::collections::HashMap;
-
 use crate::builder::IrBuilder;
-use crate::expr::{Atom, Block, Expr, ParAcc, Program, Stmt, Sym};
+use crate::expr::{Annot, Atom, Block, Expr, ParAcc, Program, Stmt, Sym};
 use crate::level::Level;
 use crate::types::Type;
 
@@ -33,7 +31,8 @@ pub struct Rewriter<'p> {
     pub old: &'p Program,
     /// The builder producing the target program.
     pub b: IrBuilder,
-    subst: HashMap<Sym, Atom>,
+    /// `subst[s]`: the target atom of source symbol `s`, once mapped.
+    subst: Vec<Option<Atom>>,
 }
 
 impl<'p> Rewriter<'p> {
@@ -42,7 +41,8 @@ impl<'p> Rewriter<'p> {
         match a {
             Atom::Sym(s) => self
                 .subst
-                .get(s)
+                .get(s.0 as usize)
+                .and_then(Option::as_ref)
                 .unwrap_or_else(|| panic!("unmapped symbol {s} during rewrite"))
                 .clone(),
             other => other.clone(),
@@ -59,7 +59,7 @@ impl<'p> Rewriter<'p> {
 
     /// Record a mapping from a source symbol to a target atom.
     pub fn map(&mut self, old: Sym, new: Atom) {
-        self.subst.insert(old, new);
+        self.subst[old.0 as usize] = Some(new);
     }
 
     /// Bind a fresh target symbol for a source binder (loop variables) and
@@ -404,15 +404,20 @@ pub fn run_rule(p: &Program, rule: &mut dyn Rule, new_level: Level) -> Program {
     let mut rw = Rewriter {
         old: p,
         b,
-        subst: HashMap::new(),
+        subst: vec![None; p.sym_types.len()],
     };
     let result = rw.block_inline(rule, &p.body);
-    // Carry annotations across the renaming.
-    let remap: Vec<(Sym, Atom)> = rw.subst.iter().map(|(k, v)| (*k, v.clone())).collect();
-    for (old_sym, new_atom) in remap {
-        if let Atom::Sym(ns) = new_atom {
-            for a in p.annots.get(old_sym).to_vec() {
-                rw.b.annotate(ns, a);
+    // Carry annotations across the renaming, in source-symbol order: when
+    // two source symbols map to one target (an inlined alias, a CSE hit),
+    // the target's annotation order must not depend on a hash seed.
+    let mut annotated: Vec<(Sym, &[Annot])> =
+        p.annots.iter().map(|(s, a)| (*s, a.as_slice())).collect();
+    annotated.sort_by_key(|(s, _)| *s);
+    for (old_sym, annots) in annotated {
+        if let Some(Some(Atom::Sym(ns))) = rw.subst.get(old_sym.0 as usize) {
+            let ns = *ns;
+            for a in annots {
+                rw.b.annotate(ns, a.clone());
             }
         }
     }
@@ -535,5 +540,40 @@ mod tests {
             .find(|st| matches!(st.expr, Expr::LoadTable { .. }))
             .unwrap();
         assert_eq!(q.annots.size_hint(loaded.sym), Some(99));
+    }
+
+    #[test]
+    fn annotations_of_merged_symbols_carry_in_source_order() {
+        // `val x = y` is inlined, so source symbols y and x map to one
+        // target symbol: both hints land on it, y's first, on every run.
+        let stmt = |sym: u32, expr: Expr| Stmt {
+            sym: Sym(sym),
+            ty: Type::Int,
+            expr,
+        };
+        let mut annots = crate::expr::Annotations::default();
+        annots.add(Sym(0), Annot::SizeHint(1));
+        annots.add(Sym(1), Annot::SizeHint(2));
+        let p = Program {
+            structs: crate::types::StructRegistry::new(),
+            body: Block {
+                stmts: vec![
+                    stmt(0, Expr::LoadParam { idx: 0 }),
+                    stmt(1, Expr::Atom(Atom::Sym(Sym(0)))),
+                ],
+                result: Atom::Sym(Sym(1)),
+            },
+            sym_types: vec![Type::Int; 2],
+            level: Level::ScaLite,
+            annots,
+        };
+        for _ in 0..64 {
+            let q = run_rule(&p, &mut Identity, Level::ScaLite);
+            let target = q.body.result.as_sym().expect("aliased symbol");
+            assert_eq!(
+                q.annots.get(target),
+                [Annot::SizeHint(1), Annot::SizeHint(2)]
+            );
+        }
     }
 }

@@ -87,7 +87,7 @@ pub fn apply(p: &Program, prune_tables: bool) -> Program {
             )
         })
         .collect();
-    out.body = rewrite_block(&out.body, &remap);
+    rewrite_block(&mut out.body, &remap);
     out
 }
 
@@ -134,10 +134,8 @@ fn scan(
     }
 }
 
-fn rewrite_block(b: &Block, remap: &HashMap<StructId, HashMap<usize, usize>>) -> Block {
-    let mut stmts = Vec::with_capacity(b.stmts.len());
-    for st in &b.stmts {
-        let mut st = st.clone();
+fn rewrite_block(b: &mut Block, remap: &HashMap<StructId, HashMap<usize, usize>>) {
+    b.stmts.retain_mut(|st| {
         match &mut st.expr {
             Expr::FieldGet { sid, field, .. } => {
                 if let Some(m) = remap.get(sid) {
@@ -148,7 +146,7 @@ fn rewrite_block(b: &Block, remap: &HashMap<StructId, HashMap<usize, usize>>) ->
                 if let Some(m) = remap.get(sid) {
                     match m.get(field) {
                         Some(nf) => *field = *nf,
-                        None => continue, // write to a removed field: drop
+                        None => return false, // write to a removed field: drop
                     }
                 }
             }
@@ -164,13 +162,11 @@ fn rewrite_block(b: &Block, remap: &HashMap<StructId, HashMap<usize, usize>>) ->
             }
             _ => {}
         }
-        st.expr = dblab_ir::opt::map_blocks(&st.expr, |blk| rewrite_block(blk, remap));
-        stmts.push(st);
-    }
-    Block {
-        stmts,
-        result: b.result.clone(),
-    }
+        for blk in st.expr.blocks_mut() {
+            rewrite_block(blk, remap);
+        }
+        true
+    });
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 //! level]`**. When every lowering runs, ceiling == current level and the
 //! check is exact dialect conformance.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dblab_catalog::Schema;
 use dblab_frontend::qmonad::QMonad;
@@ -541,12 +541,15 @@ pub fn apply_one(
         program: dblab_ir::hash::program_hash(p),
         inputs: pass.cfg_key(ctx.cfg) ^ crate::memo::schema_fingerprint(ctx.schema).rotate_left(1),
     };
+    let mut fixpoint = Duration::ZERO;
     let (q, cached) = match crate::memo::lookup(&key) {
         Some(q) => (q, true),
         None => {
             let mut q = pass.run(p, ctx);
             if pass.fixpoint_iters() > 0 {
-                q = optimize(&q, pass.fixpoint_iters());
+                let t = Instant::now();
+                q = optimize(q, pass.fixpoint_iters());
+                fixpoint = t.elapsed();
             }
             (q, false)
         }
@@ -593,6 +596,7 @@ pub fn apply_one(
         size_before,
         size: q.body.size(),
         time: t0.elapsed(),
+        fixpoint,
         cached,
     };
     Ok((q, snap))

@@ -469,7 +469,7 @@ impl Scheduler {
             cfg: &self.cfg,
         };
         let fe = PlanLowering(prog);
-        let (_, lowered) = crate::stack::lower_frontend(&fe as &dyn Frontend, &ctx);
+        let (_, _, lowered) = crate::stack::lower_frontend(&fe as &dyn Frontend, &ctx);
         self.counterexample_from(ia, ib, &lowered, schema)
     }
 
@@ -554,7 +554,7 @@ impl Scheduler {
                 cfg: &self.cfg,
             };
             let fe = PlanLowering(prog);
-            let (_, lowered) = crate::stack::lower_frontend(&fe as &dyn Frontend, &ctx);
+            let (_, _, lowered) = crate::stack::lower_frontend(&fe as &dyn Frontend, &ctx);
             for &(ia, ib) in &pairs {
                 match self.counterexample_from(ia, ib, &lowered, schema) {
                     Ok(None) => {}

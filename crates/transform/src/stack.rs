@@ -38,6 +38,9 @@ pub struct StageSnapshot {
     /// Wall-clock time of the rewrite plus its fixpoint re-optimization
     /// (on a memo hit: the hash + lookup time).
     pub time: Duration,
+    /// The part of `time` spent in the post-rewrite [`optimize`] fixpoint:
+    /// zero on a memo hit and for a pass with no fixpoint budget.
+    pub fixpoint: Duration,
     /// Whether the stage output came from the per-pass IR cache
     /// ([`crate::memo`]) instead of re-running the rewrite.
     pub cached: bool,
@@ -90,8 +93,8 @@ impl CompiledQuery {
     pub fn stage_report(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<26}{:>10}{:>8}{:>7}  {}\n",
-            "stage", "time", "stmts", "Δ", "level"
+            "{:<26}{:>10}{:>10}{:>8}{:>7}  {}\n",
+            "stage", "time", "fixpoint", "stmts", "Δ", "level"
         ));
         for s in &self.stages {
             let transition = if s.lowered() {
@@ -100,9 +103,10 @@ impl CompiledQuery {
                 s.level.to_string()
             };
             out.push_str(&format!(
-                "{:<26}{:>8.2}ms{:>8}{:>+7}  {}{}\n",
+                "{:<26}{:>8.2}ms{:>8.2}ms{:>8}{:>+7}  {}{}\n",
                 s.name,
                 s.time.as_secs_f64() * 1e3,
+                s.fixpoint.as_secs_f64() * 1e3,
                 s.size,
                 s.size_delta(),
                 transition,
@@ -273,10 +277,14 @@ pub fn compile_cost_scored(
 /// one definition of this step, shared by the driver and the scheduler's
 /// commutation checker (so they can never diverge on the lowering or its
 /// fixpoint budget). Returns the raw (pre-optimization) statement count
-/// alongside the program for the stage snapshot.
-pub(crate) fn lower_frontend(fe: &dyn Frontend, ctx: &PassCtx) -> (usize, Program) {
+/// and the time spent in the fixpoint alongside the program for the
+/// stage snapshot.
+pub(crate) fn lower_frontend(fe: &dyn Frontend, ctx: &PassCtx) -> (usize, Duration, Program) {
     let raw = fe.lower(ctx);
-    (raw.body.size(), optimize(&raw, 8))
+    let raw_size = raw.body.size();
+    let t = Instant::now();
+    let p = optimize(raw, 8);
+    (raw_size, t.elapsed(), p)
 }
 
 /// Shared driver body: front-end, then the given passes in the given
@@ -300,7 +308,7 @@ fn run_pipeline(
     let mut programs = Vec::new();
 
     let t0 = Instant::now();
-    let (raw_size, mut p) = lower_frontend(fe, &ctx);
+    let (raw_size, fixpoint, mut p) = lower_frontend(fe, &ctx);
     debug_assert_eq!(p.level, fe.target());
     if validate {
         let violations = validate_window(&p, fe.target(), p.level);
@@ -320,6 +328,7 @@ fn run_pipeline(
         size_before: raw_size,
         size: p.body.size(),
         time: t0.elapsed(),
+        fixpoint,
         // The front-end lowers an AST, not IR — outside the memo's domain.
         cached: false,
     });

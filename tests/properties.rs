@@ -121,7 +121,7 @@ fn cse_and_folding_are_semantics_preserving() {
         schema.table_mut("t").stats.row_count = 1;
         let cfg = dblab::transform::StackConfig::level2();
         let p1 = dblab::transform::pipeline::lower_program(&prog, &schema, &cfg);
-        let p2 = dblab::ir::opt::optimize(&p1, 8);
+        let p2 = dblab::ir::opt::optimize(p1.clone(), 8);
         let db = dblab::runtime::Snapshot::from(db);
         assert_eq!(dblab::interp::run(&p1, &db), dblab::interp::run(&p2, &db));
         assert!(

@@ -156,6 +156,39 @@ fn stage_trace_is_instrumented_end_to_end() {
     assert!(cq.stage_time_total() <= cq.gen_time);
 }
 
+/// Each stage reports how much of its time went to the post-pass
+/// `optimize` fixpoint: on a cold level-5 compile that share is part of
+/// every stage's time and some stage spends some; a stage served from the
+/// pass memo ran no fixpoint and reads 0 (the warm recompile is all hits).
+#[test]
+fn stage_trace_splits_the_fixpoint_from_the_rewrite() {
+    use std::time::Duration;
+    let schema = schema_with_stats();
+    let prog = tpch::queries::query(8);
+    let cfg = StackConfig::level5();
+    dblab::transform::memo::clear();
+    let cold = dblab::transform::compile(&prog, &schema, &cfg);
+    for s in &cold.stages {
+        assert!(
+            s.fixpoint <= s.time,
+            "{}: fixpoint exceeds stage time",
+            s.name
+        );
+        if s.cached {
+            assert_eq!(s.fixpoint, Duration::ZERO, "{}: cached", s.name);
+        }
+    }
+    assert!(
+        cold.stages.iter().any(|s| s.fixpoint > Duration::ZERO),
+        "no stage of a cold compile spent time in the fixpoint"
+    );
+    let warm = dblab::transform::compile(&prog, &schema, &cfg);
+    for s in &warm.stages[1..] {
+        assert!(s.cached, "{}: warm recompile missed the memo", s.name);
+        assert_eq!(s.fixpoint, Duration::ZERO, "{}: cached", s.name);
+    }
+}
+
 #[test]
 fn deeper_stacks_never_produce_slower_shapes() {
     // Structural proxy for Table 3's "performance is never negatively
