@@ -7,18 +7,17 @@
 //! the query set, and measures per ordering:
 //!
 //! * final IR size (summed over queries),
-//! * cold and warm generation time, with **honest per-ordering pass-cache
-//!   hit rates** (each ordering's sweep runs under its own
-//!   `memo::StatsScope`, so concurrent sweeps on `--threads` workers do
-//!   not pollute one another's tallies),
+//! * cold and warm generation time, with **honest per-ordering
+//!   compile-cache hit rates**, one lookup per query (each ordering's
+//!   sweep runs under its own `memo::StatsScope`, so concurrent sweeps on
+//!   `--threads` workers do not pollute one another's tallies),
 //! * query time through `--backend` (interp by default: zero-toolchain),
 //! * whether every ordering's results agree with the in-process Volcano
 //!   oracle (any disagreement makes the process exit non-zero — CI runs
 //!   this as a smoke test).
 //!
-//! Because the per-pass memo keys on (pass, input-program hash, cfg
-//! bits), orderings that share a pipeline prefix share cache entries —
-//! sweeping many schedules is far cheaper than K independent compiles.
+//! The compile cache keys on the pass order, so every ordering fills its
+//! own entries and only its warm pass hits.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -114,8 +113,8 @@ fn sweep_one(
     }
     row.cold = scope.stats();
 
-    // Warm pass: identical compiles — the per-pass cache should carry
-    // every stage of this ordering now.
+    // Warm pass: identical compiles — the compile cache should serve
+    // every query of this ordering now.
     let scope = memo::StatsScope::new();
     {
         let _g = scope.enter();
@@ -297,8 +296,7 @@ fn main() {
     }
     let global = memo::stats();
     println!(
-        "# wall {:.2}s; process-wide pass cache: {} hits / {} misses \
-         (prefix sharing across orderings)",
+        "# wall {:.2}s; process-wide compile cache: {} hits / {} misses",
         wall.as_secs_f64(),
         global.hits,
         global.misses,

@@ -25,7 +25,7 @@
 //! [`InterpBackend`] (`dblab-interp` as a zero-build in-process
 //! executable). Builds are memoized at two seams: [`build_cache`] skips
 //! the toolchain for byte-identical emitted source, and the DSL stack
-//! above memoizes per-pass IR outputs (`dblab_transform::memo`). See
+//! above caches one compiled query per input (`dblab_transform::memo`). See
 //! DESIGN.md §5 for the trait contracts and §6 for the cache layers.
 
 pub mod backend;

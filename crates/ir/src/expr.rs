@@ -407,7 +407,7 @@ pub enum Expr {
     /// This variant (and [`ParAcc`]) sits at the end of the enum so the
     /// derived-`Hash` discriminants of every pre-existing variant are
     /// unchanged — programs without `ParallelFor` keep their exact
-    /// `program_hash`, which is what keeps the pass memo and build caches
+    /// `program_hash`, which is what keeps the compile and build caches
     /// sound across this extension.
     ParallelFor {
         lo: Atom,
@@ -431,8 +431,8 @@ pub enum Expr {
     /// native binaries, a value slice for the interpreter). The parameter's
     /// *value* never appears in the IR — only this positional slot — so
     /// `program_hash` is automatically "modulo parameter values": every
-    /// literal binding of one template shares one hash, one pass-memo line
-    /// and one build-cache artifact. The statement's declared type carries
+    /// literal binding of one template shares one hash, one compile-cache
+    /// entry and one build-cache artifact. The statement's declared type carries
     /// the parameter type.
     ///
     /// Like [`Expr::ParallelFor`], this sits at the end of the enum so the

@@ -1,9 +1,9 @@
-//! Stable structural hashing of IR programs — the key half of the
-//! memoized compilation pipeline.
+//! Stable structural hashing of IR programs — the program half of the
+//! compile-cache key.
 //!
-//! The pass manager made every transformation a pure function of
-//! `(pass, program, config)`; what turns that purity into speed is a
-//! *cache key*. [`program_hash`] folds a [`Program`]'s entire observable
+//! The pass manager makes the whole stack a pure function of
+//! `(program, pass order, config, schema)`; what turns that purity into
+//! speed is a *cache key*. [`program_hash`] folds a [`Program`]'s entire observable
 //! structure — level, struct registry, body, symbol types and annotations
 //! — into one 64-bit fingerprint with these guarantees:
 //!
@@ -95,7 +95,7 @@ pub fn program_hash(p: &Program) -> u64 {
     h.finish()
 }
 
-// The memoization layers park Programs in process-wide `Sync` caches and
+// The cache layers park Programs in process-wide `Sync` caches and
 // the bench harness fans builds out across scoped threads — keep the IR
 // thread-portable by construction.
 const _: () = {

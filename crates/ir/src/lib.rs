@@ -24,8 +24,8 @@
 //!   (dead-code elimination, unnecessary-let-binding removal; paper §6 and
 //!   Appendix C).
 //! * [`printer`] — pretty printer used for debugging and the examples.
-//! * [`hash`] — stable structural fingerprints of programs (the cache key
-//!   of the memoized compilation pipeline).
+//! * [`hash`] — stable structural fingerprints of programs (part of the
+//!   compile-cache and build-cache keys).
 
 pub mod builder;
 pub mod effects;

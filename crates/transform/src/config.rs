@@ -42,8 +42,7 @@ pub struct StackConfig {
     // ---- execution ---------------------------------------------------------
     /// Worker threads for morsel-driven intra-query parallelism. `1` means
     /// fully serial: the parallelize-scans pass does not run and the
-    /// pipeline (and its memoized artifacts) are identical to a build that
-    /// predates the knob.
+    /// pipeline is identical to a build that predates the knob.
     pub threads: usize,
 }
 
@@ -131,32 +130,39 @@ impl StackConfig {
     }
 
     /// Fingerprint of every *semantic* flag (name and level count are
-    /// presentation-only). The conservative default for
-    /// [`crate::pass::Pass::cfg_key`]: passes that know which bits they
-    /// read narrow it down so overlapping configurations share memoized
-    /// pipeline prefixes.
+    /// presentation-only): the configuration part of the compile-cache
+    /// key ([`crate::memo`]). The destructuring is exhaustive, so a new
+    /// field does not compile until someone decides whether it is keyed.
     pub fn fingerprint(&self) -> u64 {
+        let StackConfig {
+            levels: _,
+            name: _,
+            mem_pools,
+            columnar_layout,
+            table_field_removal,
+            hash_spec,
+            string_dict,
+            init_hoist,
+            index_inference,
+            list_spec,
+            branchless,
+            threads,
+        } = *self;
         [
-            self.mem_pools,
-            self.columnar_layout,
-            self.table_field_removal,
-            self.hash_spec,
-            self.string_dict,
-            self.init_hoist,
-            self.index_inference,
-            self.list_spec,
-            self.branchless,
+            mem_pools,
+            columnar_layout,
+            table_field_removal,
+            hash_spec,
+            string_dict,
+            init_hoist,
+            index_inference,
+            list_spec,
+            branchless,
         ]
         .iter()
         .fold(0u64, |acc, &b| (acc << 1) | b as u64)
-            // `threads == 1` must leave the fingerprint exactly what it was
-            // before the knob existed, so every pre-parallelism memo and
-            // build-cache entry stays valid.
-            | if self.threads > 1 {
-                (self.threads as u64) << 32
-            } else {
-                0
-            }
+            // Every serial build (`threads <= 1`) runs the same pipeline.
+            | if threads > 1 { (threads as u64) << 32 } else { 0 }
     }
 
     /// All Table 3 configurations in presentation order.
@@ -277,6 +283,67 @@ mod tests {
         assert!(!c.index_inference);
         assert!(!c.table_field_removal);
         assert!(c.hash_spec, "compliant keeps data-structure specialization");
+    }
+
+    #[test]
+    fn fingerprint_sees_every_semantic_field_and_only_those() {
+        let base = StackConfig::level2();
+        let fp = base.fingerprint();
+        let flips = [
+            StackConfig {
+                mem_pools: true,
+                ..base.clone()
+            },
+            StackConfig {
+                columnar_layout: true,
+                ..base.clone()
+            },
+            StackConfig {
+                table_field_removal: true,
+                ..base.clone()
+            },
+            StackConfig {
+                hash_spec: true,
+                ..base.clone()
+            },
+            StackConfig {
+                string_dict: true,
+                ..base.clone()
+            },
+            StackConfig {
+                init_hoist: true,
+                ..base.clone()
+            },
+            StackConfig {
+                index_inference: true,
+                ..base.clone()
+            },
+            StackConfig {
+                list_spec: true,
+                ..base.clone()
+            },
+            StackConfig {
+                branchless: true,
+                ..base.clone()
+            },
+            StackConfig {
+                threads: 2,
+                ..base.clone()
+            },
+        ];
+        for (i, flipped) in flips.iter().enumerate() {
+            assert_ne!(flipped.fingerprint(), fp, "flip {i} is not keyed");
+        }
+        let renamed = StackConfig {
+            levels: 5,
+            name: "renamed",
+            ..base.clone()
+        };
+        assert_eq!(renamed.fingerprint(), fp, "name and levels are not keyed");
+        assert_eq!(
+            StackConfig::legobase().fingerprint(),
+            StackConfig::level4().fingerprint()
+        );
     }
 
     #[test]

@@ -1,31 +1,34 @@
-//! Per-pass IR memoization — layer one of the memoized compilation
-//! pipeline.
+//! The compile cache: one entry per compiled query.
 //!
-//! [`crate::pass::apply_one`] is a pure function of `(pass, program,
-//! relevant config bits, schema)`: PR 1 made that a checked contract
-//! (rogue passes are rejected), which is exactly what licenses caching
-//! its results. The key is
+//! A compile is the front-end lowering followed by the selected passes.
+//! The passes are a pure function of their input program, their order,
+//! the configuration and the schema (the [`crate::pass::Pass`]
+//! contract), which is what licenses caching the stack's result.
+//! [`crate::stack`] lowers the front-end (it must: the lowered program
+//! is part of the key) and then looks up
 //!
 //! ```text
-//! (pass name, structural program hash, pass-relevant cfg bits ⊕ schema)
+//! (front-end program hash, ordered pass names, config fingerprint, schema fingerprint)
 //! ```
 //!
 //! * the **program hash** is [`dblab_ir::hash::program_hash`] —
 //!   structural, pointer-free, stable across runs;
-//! * the **cfg fingerprint** is per-pass ([`crate::pass::Pass::cfg_key`]):
-//!   a pass keys only on the configuration bits its rewrite actually
-//!   reads, so a level-4 compile warms the shared pipeline prefix for a
-//!   level-5 compile instead of missing on irrelevant flag diffs
-//!   (over-keying), while a pass like field-removal still misses when
-//!   *its* bit flips (under-keying is caught by the transparency tests);
-//! * the **schema fingerprint** covers the other `PassCtx` input —
-//!   table/column definitions, keys and cardinality statistics all feed
-//!   specialization decisions, so two scale factors never share entries.
+//! * the **pass order** is the names in the order they run, so a
+//!   permuted schedule has its own entry;
+//! * the **config fingerprint** is [`StackConfig::fingerprint`], every
+//!   semantic flag: two configurations that differ only in `name`
+//!   (`level4()` and `legobase()`) share entries;
+//! * the **schema fingerprint** covers table/column definitions, keys and
+//!   the cardinality statistics that drive specialization, so two scale
+//!   factors never share entries.
 //!
-//! The cache is process-wide and `Sync` (the bench harness compiles
-//! queries from scoped threads), bounded by [`CAPACITY`] entries with a
-//! wholesale clear on overflow — memoization is an optimization, and a
-//! dumb eviction keeps it transparently correct.
+//! Only a compile whose every stage passed its level contract (and, in
+//! debug builds, its dialect window) is inserted, so a hit never returns
+//! an unchecked program. The cache is process-wide and `Sync` (the bench
+//! harness compiles queries from scoped threads), bounded by [`CAPACITY`]
+//! queries with a wholesale clear on overflow.
+//!
+//! [`StackConfig::fingerprint`]: crate::config::StackConfig::fingerprint
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -33,28 +36,43 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use dblab_catalog::Schema;
-use dblab_ir::hash::StableHasher;
+use dblab_catalog::{Column, ForeignKey, Schema, TableDef, TableStats};
+use dblab_ir::hash::{program_hash, StableHasher};
 use dblab_ir::Program;
 
-/// Entries retained before the cache is cleared wholesale.
-pub const CAPACITY: usize = 8192;
+use crate::config::StackConfig;
+use crate::pass::Pass;
+use crate::stack::CompiledQuery;
 
-/// The memo key. `pass` is the registry name (pass identity is its name:
-/// the registry owns uniqueness), `program` the structural input hash,
-/// `inputs` the pass-relevant configuration and schema fingerprint.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PassKey {
-    pub pass: &'static str,
-    pub program: u64,
-    pub inputs: u64,
+/// Compiled queries retained before the cache is cleared wholesale.
+pub const CAPACITY: usize = 1024;
+
+/// The key of running `passes`, in order, over the front-end's lowered
+/// `program` (see the module docs).
+pub(crate) fn key(
+    program: &Program,
+    passes: &[&dyn Pass],
+    cfg: &StackConfig,
+    schema: &Schema,
+) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_u64(program_hash(program));
+    h.write_usize(passes.len());
+    for p in passes {
+        p.name().hash(&mut h);
+    }
+    h.write_u64(cfg.fingerprint());
+    h.write_u64(schema_fingerprint(schema));
+    h.finish()
 }
 
-static CACHE: OnceLock<Mutex<HashMap<PassKey, Program>>> = OnceLock::new();
+static CACHE: OnceLock<Mutex<HashMap<u64, CompiledQuery>>> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
-fn cache() -> &'static Mutex<HashMap<PassKey, Program>> {
+const POISONED: &str = "a thread panicked while holding the compile cache";
+
+fn cache() -> &'static Mutex<HashMap<u64, CompiledQuery>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -85,7 +103,7 @@ impl CacheStats {
     }
 }
 
-/// Current pass-cache counters.
+/// Current compile-cache counters: one lookup per cached compile.
 pub fn stats() -> CacheStats {
     CacheStats {
         hits: HITS.load(Ordering::Relaxed),
@@ -94,16 +112,16 @@ pub fn stats() -> CacheStats {
 }
 
 // ---------------------------------------------------------------------
-// Scoped statistics: per-pipeline counters
+// Scoped statistics: per-sweep counters
 // ---------------------------------------------------------------------
 
-/// An independent hit/miss tally for one pipeline sweep.
+/// An independent hit/miss tally for one sweep of compiles.
 ///
 /// The global [`stats`] counters are process-wide: two sweeps compiling
 /// concurrently (the schedule-permutation harness fans orderings across
 /// threads) would each see the *sum* of both sweeps' traffic and report
 /// dishonest per-sweep hit rates. A `StatsScope` fixes that: install it on
-/// a thread with [`StatsScope::enter`] and every [`lookup`] made while the
+/// a thread with [`StatsScope::enter`] and every lookup made while the
 /// guard lives is tallied into this scope *as well as* the global
 /// counters. One scope may be entered from several worker threads at once
 /// (the counters are atomics behind an `Arc`), and scopes nest — a lookup
@@ -176,57 +194,68 @@ fn tally(hit: bool) {
     });
 }
 
-/// Number of memoized stage outputs currently retained.
-pub fn entry_count() -> usize {
-    cache().lock().unwrap().len()
-}
-
-/// Drop every memoized stage output (counters are left alone — they are
+/// Drop every cached compile (counters are left alone — they are
 /// cumulative by contract). Benches use this to measure genuinely cold
 /// compiles from a warm process.
 pub fn clear() {
-    cache().lock().unwrap().clear();
+    cache().lock().expect(POISONED).clear();
 }
 
-/// Look a stage output up, counting the hit or miss (globally and into
-/// every [`StatsScope`] installed on this thread).
-pub fn lookup(key: &PassKey) -> Option<Program> {
-    let got = cache().lock().unwrap().get(key).cloned();
+/// Look a compile up, counting the hit or miss (globally and into every
+/// [`StatsScope`] installed on this thread).
+pub(crate) fn lookup(key: u64) -> Option<CompiledQuery> {
+    let got = cache().lock().expect(POISONED).get(&key).cloned();
     tally(got.is_some());
     got
 }
 
-/// Record a freshly computed stage output.
-pub fn insert(key: PassKey, program: Program) {
-    let mut map = cache().lock().unwrap();
+/// Record a finished, contract-checked compile.
+pub(crate) fn insert(key: u64, cq: &CompiledQuery) {
+    let mut map = cache().lock().expect(POISONED);
     if map.len() >= CAPACITY {
         map.clear();
     }
-    map.insert(key, program);
+    map.insert(key, cq.clone());
 }
 
 /// Fingerprint of everything a pass can read off the schema: names,
 /// column types, key annotations and the cardinality statistics that
 /// drive pool sizing, dense-key detection and dictionary decisions.
+///
+/// Every struct is destructured exhaustively, so a new catalog field does
+/// not compile until someone decides whether it is keyed.
 pub fn schema_fingerprint(schema: &Schema) -> u64 {
+    let Schema { tables } = schema;
     let mut h = StableHasher::new();
-    h.write_usize(schema.tables.len());
-    for t in &schema.tables {
-        t.name.hash(&mut h);
-        h.write_usize(t.columns.len());
-        for c in &t.columns {
-            c.name.hash(&mut h);
-            c.ty.hash(&mut h);
+    h.write_usize(tables.len());
+    for t in tables {
+        let TableDef {
+            name,
+            columns,
+            primary_key,
+            foreign_keys,
+            stats,
+        } = t;
+        name.hash(&mut h);
+        h.write_usize(columns.len());
+        for Column { name, ty } in columns {
+            name.hash(&mut h);
+            ty.hash(&mut h);
         }
-        t.primary_key.hash(&mut h);
-        h.write_usize(t.foreign_keys.len());
-        for fk in &t.foreign_keys {
-            fk.column.hash(&mut h);
-            fk.ref_table.hash(&mut h);
+        primary_key.hash(&mut h);
+        h.write_usize(foreign_keys.len());
+        for ForeignKey { column, ref_table } in foreign_keys {
+            column.hash(&mut h);
+            ref_table.hash(&mut h);
         }
-        t.stats.row_count.hash(&mut h);
-        t.stats.int_max.hash(&mut h);
-        t.stats.distinct.hash(&mut h);
+        let TableStats {
+            row_count,
+            int_max,
+            distinct,
+        } = stats;
+        row_count.hash(&mut h);
+        int_max.hash(&mut h);
+        distinct.hash(&mut h);
     }
     h.finish()
 }
@@ -234,14 +263,31 @@ pub fn schema_fingerprint(schema: &Schema) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dblab_catalog::{ColType, TableDef};
+    use dblab_catalog::ColType;
+
+    fn table() -> TableDef {
+        TableDef::new("t", vec![("a", ColType::Int), ("s", ColType::String)])
+            .with_primary_key(&["a"])
+    }
 
     fn schema() -> Schema {
-        Schema::new(vec![TableDef::new(
-            "t",
-            vec![("a", ColType::Int), ("s", ColType::String)],
-        )
-        .with_primary_key(&["a"])])
+        Schema::new(vec![table()])
+    }
+
+    fn compiled() -> CompiledQuery {
+        CompiledQuery {
+            program: Program {
+                structs: dblab_ir::types::StructRegistry::new(),
+                body: dblab_ir::Block::default(),
+                sym_types: vec![],
+                level: dblab_ir::Level::MapList,
+                annots: Default::default(),
+            },
+            stages: vec![],
+            gen_time: std::time::Duration::ZERO,
+            config: StackConfig::level5(),
+            cached: false,
+        }
     }
 
     #[test]
@@ -267,66 +313,74 @@ mod tests {
         )
         .with_primary_key(&["a"])]);
         assert_ne!(schema_fingerprint(&a), schema_fingerprint(&c), "type");
+        let d = Schema::new(vec![table().with_foreign_key("s", "u")]);
+        assert_ne!(schema_fingerprint(&a), schema_fingerprint(&d), "fk");
+    }
+
+    #[test]
+    fn every_part_of_the_key_is_keyed() {
+        let program = compiled().program;
+        let registry = crate::pass::registry();
+        let passes: Vec<&dyn Pass> = registry.iter().map(|p| p.as_ref()).collect();
+        let cfg = StackConfig::level5();
+        let base = key(&program, &passes, &cfg, &schema());
+        let renamed = StackConfig {
+            name: "renamed",
+            ..cfg.clone()
+        };
+        assert_eq!(key(&program, &passes, &renamed, &schema()), base);
+
+        let mut lowered = program.clone();
+        lowered.level = dblab_ir::Level::List;
+        let mut swapped = passes.clone();
+        swapped.swap(0, 1);
+        let mut bigger = schema();
+        bigger.table_mut("t").stats.row_count = 7;
+        for (what, k) in [
+            ("program", key(&lowered, &passes, &cfg, &schema())),
+            ("pass order", key(&program, &swapped, &cfg, &schema())),
+            ("pass list", key(&program, &passes[1..], &cfg, &schema())),
+            (
+                "config",
+                key(&program, &passes, &StackConfig::level4(), &schema()),
+            ),
+            ("schema", key(&program, &passes, &cfg, &bigger)),
+        ] {
+            assert_ne!(k, base, "{what} is not keyed");
+        }
     }
 
     #[test]
     fn stats_move_on_lookup() {
-        let key = PassKey {
-            pass: "memo-unit-test",
-            program: 0xdead_beef,
-            inputs: 1,
-        };
+        let k = 0xdead_beef;
         let before = stats();
-        assert!(lookup(&key).is_none());
+        assert!(lookup(k).is_none());
         let mid = stats();
         assert!(mid.misses > before.misses);
-        insert(
-            key.clone(),
-            Program {
-                structs: dblab_ir::types::StructRegistry::new(),
-                body: dblab_ir::Block::default(),
-                sym_types: vec![],
-                level: dblab_ir::Level::MapList,
-                annots: Default::default(),
-            },
-        );
-        assert!(lookup(&key).is_some());
+        insert(k, &compiled());
+        assert!(lookup(k).is_some());
         let after = stats();
         assert!(after.hits > mid.hits);
         assert!(after.since(&before).hits >= 1);
     }
 
-    fn empty_program() -> Program {
-        Program {
-            structs: dblab_ir::types::StructRegistry::new(),
-            body: dblab_ir::Block::default(),
-            sym_types: vec![],
-            level: dblab_ir::Level::MapList,
-            annots: Default::default(),
-        }
-    }
-
     #[test]
     fn scoped_stats_tally_only_their_own_lookups() {
-        let key = PassKey {
-            pass: "memo-scope-test",
-            program: 0xfeed_f00d,
-            inputs: 7,
-        };
-        insert(key.clone(), empty_program());
+        let k = 0xfeed_f00d;
+        insert(k, &compiled());
         let a = StatsScope::new();
         let b = StatsScope::new();
         {
             let _ga = a.enter();
-            assert!(lookup(&key).is_some());
+            assert!(lookup(k).is_some());
         }
         {
             let _gb = b.enter();
-            assert!(lookup(&key).is_some());
-            assert!(lookup(&key).is_some());
+            assert!(lookup(k).is_some());
+            assert!(lookup(k).is_some());
         }
         // Outside any scope: global only.
-        assert!(lookup(&key).is_some());
+        assert!(lookup(k).is_some());
         assert_eq!(a.stats(), CacheStats { hits: 1, misses: 0 });
         assert_eq!(b.stats(), CacheStats { hits: 2, misses: 0 });
     }
@@ -336,12 +390,8 @@ mod tests {
         // Two sweeps on two threads, each with its own scope: per-sweep
         // tallies must not bleed into one another even though the cache
         // and the global counters are shared.
-        let mk = |i: u64| PassKey {
-            pass: "memo-scope-conc",
-            program: i,
-            inputs: 0,
-        };
-        insert(mk(1), empty_program());
+        let mk = |i: u64| 0xc0c0_0000 + i;
+        insert(mk(1), &compiled());
         let a = StatsScope::new();
         let b = StatsScope::new();
         std::thread::scope(|s| {
@@ -349,13 +399,13 @@ mod tests {
             s.spawn(move || {
                 let _g = a.enter();
                 for _ in 0..50 {
-                    assert!(lookup(&mk(1)).is_some());
+                    assert!(lookup(mk(1)).is_some());
                 }
             });
             s.spawn(move || {
                 let _g = b.enter();
                 for i in 0..30 {
-                    assert!(lookup(&mk(1000 + i)).is_none());
+                    assert!(lookup(mk(1000 + i)).is_none());
                 }
             });
         });
@@ -377,19 +427,15 @@ mod tests {
 
     #[test]
     fn scopes_nest_and_uninstall_on_drop() {
-        let key = PassKey {
-            pass: "memo-scope-nest",
-            program: 42,
-            inputs: 0,
-        };
+        let k = 42;
         let outer = StatsScope::new();
         let inner = StatsScope::new();
         let _go = outer.enter();
         {
             let _gi = inner.enter();
-            assert!(lookup(&key).is_none());
+            assert!(lookup(k).is_none());
         }
-        assert!(lookup(&key).is_none());
+        assert!(lookup(k).is_none());
         assert_eq!(inner.stats().misses, 1, "inner guard dropped");
         assert_eq!(outer.stats().misses, 2, "outer sees both");
     }

@@ -46,8 +46,8 @@
 //! A program with no plan is returned as it came.
 //!
 //! With `threads <= 1` the pass is the identity (it is not even selected
-//! by the registry), so serial pipelines — and their memoized artifacts —
-//! are bit-for-bit what they were before this pass existed.
+//! by the registry), so serial pipelines are bit-for-bit what they were
+//! before this pass existed.
 
 use std::collections::{HashMap, HashSet};
 

@@ -62,8 +62,8 @@ pub struct PassCtx<'a> {
 ///
 /// `Send + Sync` is part of the contract: a pass is stateless (its
 /// rewrite is a pure function of program + context — that purity is what
-/// licenses the [`crate::memo`] cache), so one registry instance and one
-/// [`crate::schedule::Scheduler`] can serve concurrent sweeps.
+/// licenses the [`crate::memo`] compile cache), so one registry instance
+/// and one [`crate::schedule::Scheduler`] can serve concurrent sweeps.
 pub trait Pass: Send + Sync {
     /// Stage label; also the edge name in the declared stack.
     fn name(&self) -> &'static str;
@@ -97,18 +97,6 @@ pub trait Pass: Send + Sync {
     /// the rewrite (0 = leave the output as produced).
     fn fixpoint_iters(&self) -> usize {
         4
-    }
-
-    /// The configuration bits this pass's *rewrite* reads, folded into the
-    /// memo key (see [`crate::memo`]). The default conservatively
-    /// fingerprints the whole configuration; a pass that reads nothing (or
-    /// a known subset) overrides this so warm compiles at overlapping
-    /// configurations share the pipeline prefix instead of missing on
-    /// irrelevant flag diffs. Membership (`applies`) is *not* part of the
-    /// key — the driver already decides that before the cache is
-    /// consulted.
-    fn cfg_key(&self, cfg: &StackConfig) -> u64 {
-        cfg.fingerprint()
     }
 
     /// Registry names of passes that must run **before** this one, beyond
@@ -191,9 +179,6 @@ impl Pass for StringDictionaries {
     fn applies(&self, cfg: &StackConfig) -> bool {
         cfg.string_dict
     }
-    fn cfg_key(&self, _cfg: &StackConfig) -> u64 {
-        0 // reads only the schema, which the memo keys separately
-    }
     /// Field removal re-indexes the `StructNew` argument lists this
     /// pass's retyping step anchors on (swapped, it crashes outright);
     /// branch optimization restructures the string comparisons it
@@ -226,11 +211,6 @@ impl Pass for HashTableSpecialization {
     fn applies(&self, cfg: &StackConfig) -> bool {
         cfg.hash_spec
     }
-    fn cfg_key(&self, cfg: &StackConfig) -> u64 {
-        // The rewrite consults init_hoist when deciding whether to hoist
-        // bucket-array initialization out of the hot loop.
-        cfg.init_hoist as u64
-    }
     fn run(&self, p: &Program, ctx: &PassCtx) -> Program {
         hash_spec::apply(p, ctx.cfg)
     }
@@ -254,9 +234,6 @@ impl Pass for ListSpecialization {
     }
     fn applies(&self, cfg: &StackConfig) -> bool {
         cfg.list_spec
-    }
-    fn cfg_key(&self, _cfg: &StackConfig) -> u64 {
-        0 // reads no configuration
     }
     fn run(&self, p: &Program, _ctx: &PassCtx) -> Program {
         list_spec::apply(p)
@@ -283,12 +260,6 @@ impl Pass for FieldRemoval {
     }
     fn floats(&self) -> bool {
         true
-    }
-    fn cfg_key(&self, cfg: &StackConfig) -> u64 {
-        // Whether base-table columns may be pruned changes the output
-        // program — the canonical cfg-sensitive pass of the transparency
-        // tests.
-        cfg.table_field_removal as u64
     }
     /// Run on the *specialized* data structures: hash-table
     /// specialization materializes records whose liveness this pass
@@ -331,9 +302,6 @@ impl Pass for MemoryHoisting {
     fn floats(&self) -> bool {
         true
     }
-    fn cfg_key(&self, _cfg: &StackConfig) -> u64 {
-        0 // pool sizing comes from annotations, not configuration
-    }
     fn run(&self, p: &Program, _ctx: &PassCtx) -> Program {
         mem_hoist::apply(p)
     }
@@ -364,9 +332,6 @@ impl Pass for BranchOptimization {
     fn fixpoint_iters(&self) -> usize {
         0
     }
-    fn cfg_key(&self, _cfg: &StackConfig) -> u64 {
-        0 // reads no configuration
-    }
     /// Hash-table specialization emits fresh `&&` chains in its bucket
     /// probes; run the `&&` → `&` rewrite before it and those are missed
     /// (measured: 9/22 queries diverge when swapped).
@@ -380,7 +345,7 @@ impl Pass for BranchOptimization {
 
 /// Morsel-driven scan parallelization (see [`crate::parallelize`]).
 /// Selected only when the configuration asks for more than one worker, so
-/// serial pipelines are untouched down to the memo keys.
+/// serial pipelines are untouched.
 struct ParallelizeScans;
 
 impl Pass for ParallelizeScans {
@@ -401,10 +366,6 @@ impl Pass for ParallelizeScans {
     }
     fn floats(&self) -> bool {
         true
-    }
-    fn cfg_key(&self, cfg: &StackConfig) -> u64 {
-        // The worker count is baked into the emitted `ParallelFor` nodes.
-        cfg.threads as u64
     }
     /// The scan shapes this pass recognizes are the *outputs* of the whole
     /// optimization stack: privatization keys on the specialized bucket
@@ -519,13 +480,6 @@ pub fn advance_ceiling(ceiling: Level, pass: &dyn Pass) -> Level {
 /// Run one pass: rewrite, re-optimize to fixpoint, check the level
 /// contract, and (when `validate` is set — debug/test builds) mechanically
 /// verify the output against the dialect window `[ceiling, level]`.
-///
-/// The rewrite + fixpoint step is memoized through [`crate::memo`], keyed
-/// on the pass name, the input program's structural hash and the
-/// pass-relevant configuration/schema fingerprint ([`Pass::cfg_key`]).
-/// Only the *rewrite* is skipped on a hit — the level contract and (in
-/// validating builds) the dialect-window check still run against the
-/// cached output, so memoization can never launder a contract violation.
 pub fn apply_one(
     pass: &dyn Pass,
     p: &Program,
@@ -536,24 +490,13 @@ pub fn apply_one(
     let t0 = Instant::now();
     let level_before = p.level;
     let size_before = p.body.size();
-    let key = crate::memo::PassKey {
-        pass: pass.name(),
-        program: dblab_ir::hash::program_hash(p),
-        inputs: pass.cfg_key(ctx.cfg) ^ crate::memo::schema_fingerprint(ctx.schema).rotate_left(1),
-    };
     let mut fixpoint = Duration::ZERO;
-    let (q, cached) = match crate::memo::lookup(&key) {
-        Some(q) => (q, true),
-        None => {
-            let mut q = pass.run(p, ctx);
-            if pass.fixpoint_iters() > 0 {
-                let t = Instant::now();
-                q = optimize(q, pass.fixpoint_iters());
-                fixpoint = t.elapsed();
-            }
-            (q, false)
-        }
-    };
+    let mut q = pass.run(p, ctx);
+    if pass.fixpoint_iters() > 0 {
+        let t = Instant::now();
+        q = optimize(q, pass.fixpoint_iters());
+        fixpoint = t.elapsed();
+    }
     // Only a lowering moves the level; everything else preserves the level
     // the (possibly partial) stack has reached.
     let expected = if pass.kind() == PassKind::Lowering {
@@ -585,9 +528,6 @@ pub fn apply_one(
             ));
         }
     }
-    if !cached {
-        crate::memo::insert(key, q.clone());
-    }
     let snap = StageSnapshot {
         name: pass.name().to_string(),
         kind: pass.kind(),
@@ -597,7 +537,6 @@ pub fn apply_one(
         size: q.body.size(),
         time: t0.elapsed(),
         fixpoint,
-        cached,
     };
     Ok((q, snap))
 }

@@ -91,7 +91,7 @@ pub fn lower_program(prog: &QueryProgram, schema: &Schema, cfg: &StackConfig) ->
     // before the query timer — argv parsing is setup, not query work — and
     // before the lets, which may reference parameters. The parameter
     // *value* never enters the IR, so every binding of one template hashes,
-    // memoizes and compiles identically.
+    // caches and compiles identically.
     for (idx, decl) in prog.params.iter().enumerate() {
         assert!(
             decl.default.ty() != dblab_catalog::ColType::String,

@@ -1,7 +1,6 @@
 //! The pass-commutation DAG and schedule permutation.
 //!
-//! PR 1 made pass *membership* data ([`Pass::applies`]) and PR 3 made
-//! re-running the stack cheap (the per-pass memo). This module makes pass
+//! Pass *membership* is data ([`Pass::applies`]). This module makes pass
 //! *order* data too: the linear registry becomes a declared dependency
 //! DAG, and any topological order of that DAG is a valid compilation
 //! schedule for the contract-checked driver ([`crate::stack`]).
@@ -548,7 +547,7 @@ impl Scheduler {
         let mut out = Vec::new();
         for (tag, prog) in corpus {
             // One front-end lowering per program; the pair sweeps below
-            // share it (and their prefixes share the pass memo).
+            // share it.
             let ctx = PassCtx {
                 schema,
                 cfg: &self.cfg,
@@ -577,18 +576,14 @@ impl Scheduler {
 /// Recorded compile latency per (configuration, schedule).
 ///
 /// Every valid schedule runs the same passes, so a per-pass cost model
-/// cannot rank them — what differs between orders is how they interact
-/// with the memo (prefix sharing) and how large the IR is when each pass
-/// meets it. Both effects are only visible in *measured whole-schedule
-/// latency*, so that is what this model records: the [`cost`] table maps
-/// `(config name, order)` to an EWMA of observed generation time plus the
-/// per-compile memo traffic ([`crate::memo::StatsScope`] keeps those
-/// tallies honest under concurrent serving).
+/// cannot rank them — what differs between orders is how large the IR is
+/// when each pass meets it. That is only visible in *measured
+/// whole-schedule latency*, so that is what this model records: the
+/// [`cost`] table maps `(config name, order)` to an EWMA of observed
+/// generation time.
 pub mod cost {
     use std::collections::HashMap;
     use std::sync::{Mutex, OnceLock};
-
-    use crate::memo::CacheStats;
 
     /// Observed compile cost of one (config, order) pair.
     #[derive(Debug, Clone, Copy)]
@@ -602,9 +597,6 @@ pub mod cost {
         pub ewma_ms: f64,
         /// The most recent observation (ms).
         pub last_ms: f64,
-        /// Cumulative pass-memo traffic attributed to this pair.
-        pub memo_hits: u64,
-        pub memo_misses: u64,
     }
 
     /// Weight of the newest observation in the EWMA.
@@ -626,29 +618,17 @@ pub mod cost {
     }
 
     /// Record one measured compile of `order` under `cfg`.
-    pub fn record(cfg: &str, order: &[&str], gen_ms: f64, memo: CacheStats) {
+    pub fn record(cfg: &str, order: &[&str], gen_ms: f64) {
         let mut m = model().lock().unwrap();
-        match m.get_mut(&key(cfg, order)) {
-            Some(c) => {
-                c.runs += 1;
-                c.ewma_ms = (1.0 - ALPHA) * c.ewma_ms + ALPHA * gen_ms;
-                c.last_ms = gen_ms;
-                c.memo_hits += memo.hits;
-                c.memo_misses += memo.misses;
-            }
-            None => {
-                m.insert(
-                    key(cfg, order),
-                    OrderCost {
-                        runs: 1,
-                        ewma_ms: gen_ms,
-                        last_ms: gen_ms,
-                        memo_hits: memo.hits,
-                        memo_misses: memo.misses,
-                    },
-                );
-            }
-        }
+        // A first observation starts the average at itself.
+        let c = m.entry(key(cfg, order)).or_insert(OrderCost {
+            runs: 0,
+            ewma_ms: gen_ms,
+            last_ms: gen_ms,
+        });
+        c.runs += 1;
+        c.ewma_ms = (1.0 - ALPHA) * c.ewma_ms + ALPHA * gen_ms;
+        c.last_ms = gen_ms;
     }
 
     /// The recorded cost of `order` under `cfg`, if any compile of that
@@ -960,29 +940,18 @@ mod tests {
         let cfg = "cost-model-unit";
         let order = ["a", "b", "c"];
         assert!(cost::score(cfg, &order).is_none());
-        cost::record(
-            cfg,
-            &order,
-            10.0,
-            crate::memo::CacheStats { hits: 3, misses: 1 },
-        );
+        cost::record(cfg, &order, 10.0);
         let c = cost::score(cfg, &order).expect("recorded");
         assert_eq!(c.runs, 1);
         assert_eq!(c.ewma_ms, 10.0);
-        assert_eq!((c.memo_hits, c.memo_misses), (3, 1));
-        cost::record(
-            cfg,
-            &order,
-            2.0,
-            crate::memo::CacheStats { hits: 4, misses: 0 },
-        );
+        cost::record(cfg, &order, 2.0);
         let c = cost::score(cfg, &order).expect("recorded");
         assert_eq!(c.runs, 2);
         assert!(c.ewma_ms < 10.0 && c.ewma_ms > 2.0, "EWMA moved: {c:?}");
         assert_eq!(c.last_ms, 2.0);
         assert_eq!(cost::recorded_orders(cfg), 1);
         // A different order under the same config is a separate entry.
-        cost::record(cfg, &["c", "b", "a"], 5.0, Default::default());
+        cost::record(cfg, &["c", "b", "a"], 5.0);
         assert_eq!(cost::recorded_orders(cfg), 2);
     }
 
@@ -1010,7 +979,7 @@ mod tests {
             // Pretend candidate i took (i == 2 ? 1ms : 10+i ms): the third
             // candidate is the cheapest.
             let ms = if i == 2 { 1.0 } else { 10.0 + i as f64 };
-            cost::record(cfg.name, &choice.order, ms, Default::default());
+            cost::record(cfg.name, &choice.order, ms);
         }
 
         // Exploitation: every candidate is scored; the cheapest wins, and
@@ -1023,7 +992,7 @@ mod tests {
         // New measurements keep steering the pick: make the baseline far
         // cheaper and it takes over.
         for _ in 0..8 {
-            cost::record(cfg.name, &pool[0], 0.1, Default::default());
+            cost::record(cfg.name, &pool[0], 0.1);
         }
         let choice = s.cost_scored_order(42, 4);
         assert_eq!(choice.order, pool[0]);

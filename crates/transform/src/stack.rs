@@ -21,6 +21,7 @@ use dblab_ir::opt::optimize;
 use dblab_ir::{Level, Program};
 
 use crate::config::StackConfig;
+use crate::memo;
 use crate::pass::{self, Frontend, MonadLowering, Pass, PassCtx, PassKind, PlanLowering};
 
 /// One stage of the compilation, for inspection, benches and tests.
@@ -36,14 +37,11 @@ pub struct StageSnapshot {
     pub size_before: usize,
     pub size: usize,
     /// Wall-clock time of the rewrite plus its fixpoint re-optimization
-    /// (on a memo hit: the hash + lookup time).
+    /// (zero for a pass stage of a cached compile).
     pub time: Duration,
     /// The part of `time` spent in the post-rewrite [`optimize`] fixpoint:
-    /// zero on a memo hit and for a pass with no fixpoint budget.
+    /// zero for a cached compile and for a pass with no fixpoint budget.
     pub fixpoint: Duration,
-    /// Whether the stage output came from the per-pass IR cache
-    /// ([`crate::memo`]) instead of re-running the rewrite.
-    pub cached: bool,
 }
 
 impl StageSnapshot {
@@ -66,6 +64,11 @@ pub struct CompiledQuery {
     /// Pure compiler time (the DBLAB half of Figure 9).
     pub gen_time: Duration,
     pub config: StackConfig,
+    /// Whether the passes were served from the compile cache
+    /// ([`crate::memo`]). Stage 0 is then this compile's own front-end
+    /// lowering; the pass stages keep the sizes and levels of the compile
+    /// that filled the entry, with zero `time` and `fixpoint`.
+    pub cached: bool,
 }
 
 impl CompiledQuery {
@@ -80,11 +83,6 @@ impl CompiledQuery {
     /// so slightly below [`CompiledQuery::gen_time`]).
     pub fn stage_time_total(&self) -> Duration {
         self.stages.iter().map(|s| s.time).sum()
-    }
-
-    /// How many stages were served from the per-pass IR cache.
-    pub fn cache_hits(&self) -> usize {
-        self.stages.iter().filter(|s| s.cached).count()
     }
 
     /// A human-readable per-pass trace: wall time, IR-size delta and level
@@ -103,29 +101,20 @@ impl CompiledQuery {
                 s.level.to_string()
             };
             out.push_str(&format!(
-                "{:<26}{:>8.2}ms{:>8.2}ms{:>8}{:>+7}  {}{}\n",
+                "{:<26}{:>8.2}ms{:>8.2}ms{:>8}{:>+7}  {}\n",
                 s.name,
                 s.time.as_secs_f64() * 1e3,
                 s.fixpoint.as_secs_f64() * 1e3,
                 s.size,
                 s.size_delta(),
                 transition,
-                if s.cached { "  [cached]" } else { "" }
             ));
         }
-        let hits = self.cache_hits();
         out.push_str(&format!(
             "{:<26}{:>8.2}ms{}\n",
             "total (gen)",
             self.gen_time.as_secs_f64() * 1e3,
-            if hits > 0 {
-                format!(
-                    "  ({hits} stage-cache hit{})",
-                    if hits == 1 { "" } else { "s" }
-                )
-            } else {
-                String::new()
-            }
+            if self.cached { "  (cache hit)" } else { "" }
         ));
         out
     }
@@ -138,7 +127,9 @@ pub fn compile(prog: &QueryProgram, schema: &Schema, cfg: &StackConfig) -> Compi
 }
 
 /// Compile, optionally retaining the full IR program after every stage
-/// (used by the differential tests and the `--show-ir` example flag).
+/// (used by the differential tests and the `--show-ir` example flag). A
+/// compile that keeps its programs neither reads nor fills the compile
+/// cache: a hit has no per-stage programs to return.
 pub fn compile_with_snapshots(
     prog: &QueryProgram,
     schema: &Schema,
@@ -233,17 +224,13 @@ pub struct CostScored {
     /// `true` when the pick was an exploration (candidate not yet
     /// measured), `false` when the model judged it cheapest.
     pub explored: bool,
-    /// This compile's own pass-memo traffic (scoped, so concurrent
-    /// compiles on other threads do not pollute it).
-    pub memo: crate::memo::CacheStats,
 }
 
 /// Compile through the **cheapest recorded schedule**: ask the scheduler
 /// for a cost-scored order (explore unmeasured candidates first, then
 /// exploit the lowest recorded warm-compile latency), run it through the
-/// contract-checked driver, and feed the measured generation time and
-/// scoped memo traffic back into the cost model — each compile both uses
-/// and trains the model.
+/// contract-checked driver, and feed the measured generation time back
+/// into the cost model — each compile both uses and trains the model.
 pub fn compile_cost_scored(
     sched: &crate::schedule::Scheduler,
     prog: &QueryProgram,
@@ -252,24 +239,17 @@ pub fn compile_cost_scored(
     candidates: usize,
 ) -> Result<CostScored, String> {
     let choice = sched.cost_scored_order(seed, candidates);
-    let scope = crate::memo::StatsScope::new();
-    let (cq, _) = {
-        let _guard = scope.enter();
-        compile_scheduled(sched, prog, schema, &choice.order, false)?
-    };
-    let memo = scope.stats();
+    let (cq, _) = compile_scheduled(sched, prog, schema, &choice.order, false)?;
     crate::schedule::cost::record(
         sched.config().name,
         &choice.order,
         cq.gen_time.as_secs_f64() * 1e3,
-        memo,
     );
     Ok(CostScored {
         cq,
         order: choice.order,
         non_baseline: choice.non_baseline,
         explored: choice.explored,
-        memo,
     })
 }
 
@@ -291,6 +271,11 @@ pub(crate) fn lower_frontend(fe: &dyn Frontend, ctx: &PassCtx) -> (usize, Durati
 /// order, with the dialect ceiling tracking which vocabulary each
 /// lowering discharges (ceiling advancement depends only on which
 /// lowerings have run — it is schedule-order-stable).
+///
+/// Unless `keep` asks for the per-stage programs, the passes go through
+/// the compile cache ([`crate::memo`]): one lookup keyed on the lowered
+/// program, the pass order, the configuration and the schema, and one
+/// insert once every stage has passed its contract checks.
 fn run_pipeline(
     fe: &dyn Frontend,
     schema: &Schema,
@@ -304,9 +289,6 @@ fn run_pipeline(
     let validate = cfg!(debug_assertions);
 
     let start = Instant::now();
-    let mut stages = Vec::new();
-    let mut programs = Vec::new();
-
     let t0 = Instant::now();
     let (raw_size, fixpoint, mut p) = lower_frontend(fe, &ctx);
     debug_assert_eq!(p.level, fe.target());
@@ -320,7 +302,7 @@ fn run_pipeline(
             violations[0]
         );
     }
-    stages.push(StageSnapshot {
+    let front = StageSnapshot {
         name: fe.name().to_string(),
         kind: PassKind::FrontendLowering,
         level_before: fe.target(),
@@ -329,9 +311,21 @@ fn run_pipeline(
         size: p.body.size(),
         time: t0.elapsed(),
         fixpoint,
-        // The front-end lowers an AST, not IR — outside the memo's domain.
-        cached: false,
-    });
+    };
+    let key = (!keep).then(|| memo::key(&p, passes, cfg, schema));
+    if let Some(mut cq) = key.and_then(memo::lookup) {
+        cq.stages[0] = front;
+        for s in &mut cq.stages[1..] {
+            s.time = Duration::ZERO;
+            s.fixpoint = Duration::ZERO;
+        }
+        cq.config = cfg.clone();
+        cq.cached = true;
+        cq.gen_time = start.elapsed();
+        return (cq, Vec::new());
+    }
+    let mut stages = vec![front];
+    let mut programs = Vec::new();
     if keep {
         programs.push((fe.name().to_string(), p.clone()));
     }
@@ -349,15 +343,18 @@ fn run_pipeline(
         p = q;
     }
 
-    (
-        CompiledQuery {
-            program: p,
-            stages,
-            gen_time: start.elapsed(),
-            config: cfg.clone(),
-        },
-        programs,
-    )
+    let mut cq = CompiledQuery {
+        program: p,
+        stages,
+        gen_time: Duration::ZERO,
+        config: cfg.clone(),
+        cached: false,
+    };
+    if let Some(key) = key {
+        memo::insert(key, &cq);
+    }
+    cq.gen_time = start.elapsed();
+    (cq, programs)
 }
 
 #[cfg(test)]
@@ -454,8 +451,12 @@ mod tests {
         let report = cq.stage_report();
         assert_eq!(report.lines().count(), cq.stages.len() + 2);
         assert!(report.contains("memory-hoisting"));
-        // Stage times are populated and bounded by the whole compilation.
+        // Stage times are populated and bounded by the whole compilation,
+        // also when the passes come from the compile cache.
         assert!(cq.stage_time_total() <= cq.gen_time);
+        let warm = compile(&join_count_query(), &schema(), &StackConfig::level5());
+        assert!(warm.cached);
+        assert!(warm.stage_time_total() <= warm.gen_time);
     }
 
     #[test]
@@ -515,11 +516,6 @@ mod tests {
             assert_eq!(
                 crate::schedule::cost::recorded_orders(cfg.name),
                 (i + 1).min(pool.len())
-            );
-            assert_eq!(
-                cs.memo.hits + cs.memo.misses,
-                (cs.cq.stages.len() - 1) as u64,
-                "scoped stats cover exactly this compile's passes"
             );
         }
         assert!(

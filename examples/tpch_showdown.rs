@@ -7,9 +7,10 @@
 //!
 //! Since the memoized pipeline landed, the showdown separates *building*
 //! from *timing*: every (configuration, backend, query) artifact is built
-//! first, fanned out across worker threads — overlapping configurations
-//! share memoized pipeline prefixes and byte-identical emitted source
-//! skips gcc via the build cache — and only then are the queries
+//! first, fanned out across worker threads — the compile cache serves a
+//! (configuration, query) pair's passes once per backend and
+//! byte-identical emitted source skips gcc via the build cache — and
+//! only then are the queries
 //! run serially, so the timings stay noise-free. Cache hit rates land in
 //! a final `JSON:` line.
 //!
@@ -157,7 +158,7 @@ fn main() {
     let disk_d = build_cache::disk_stats().since(&disk0);
     let built = built.into_inner().unwrap();
     println!(
-        "(built {} artifacts in {:.2}s on {threads} build jobs; pass-cache {}/{} hits, \
+        "(built {} artifacts in {:.2}s on {threads} build jobs; compile-cache {}/{} query hits, \
          build-cache {}/{} hits{})\n",
         built.iter().filter(|a| a.is_some()).count(),
         build_wall.as_secs_f64(),

@@ -184,8 +184,8 @@ fn char_bytes_above_0x7f_compare_and_group_on_every_backend() {
 }
 
 /// `threads = 1` must be invisible end to end: the `parallelize-scans`
-/// pass never enters the schedule, the config fingerprint (the pass- and
-/// build-cache key component) is unchanged, and the emitted source is
+/// pass never enters the schedule, the config fingerprint (the
+/// compile-cache key component) is unchanged, and the emitted source is
 /// exactly the serial text — no parallel runtime anywhere.
 #[test]
 fn threads_one_is_exactly_the_serial_stack() {

@@ -1,14 +1,14 @@
-//! Cache-transparency suite: memoization must be semantically invisible.
+//! Cache-transparency suite: caching must be semantically invisible.
 //!
 //! * cold-vs-warm compiles produce **byte-identical emitted source** and
 //!   identical stage traces (modulo wall times and the `cached` flag),
 //!   and emitting one program twice gives the same bytes for all 22
 //!   queries;
-//! * the per-pass cache keys on exactly the inputs a pass reads — a pass
-//!   whose relevant configuration bit flips must **miss** (under-keying
-//!   guard), while a pass that reads no configuration must **hit** across
-//!   configurations that only differ in bits it ignores (over-keying
-//!   guard);
+//! * the per-query compile cache keys on exactly what the passes read —
+//!   two configurations that lower to equal programs **share** an entry
+//!   (over-keying guard), while any configuration, schedule or schema
+//!   change **misses** (under-keying guard);
+//! * a compile that keeps its per-stage programs bypasses the cache;
 //! * the source-level build cache reuses artifacts for byte-identical
 //!   source and reports the reuse on the compiled artifact.
 //!
@@ -20,7 +20,9 @@ use dblab::catalog::{ColType, Schema, TableDef};
 use dblab::codegen::{backend, build_cache, Compiler};
 use dblab::frontend::expr::{col, lit_i};
 use dblab::frontend::qplan::{AggFunc, QPlan, QueryProgram};
-use dblab::transform::{memo, StackConfig};
+use dblab::transform::memo::{CacheStats, StatsScope};
+use dblab::transform::stack::{compile_ordered, compile_with_snapshots};
+use dblab::transform::{Scheduler, StackConfig};
 
 /// A schema unique to one test: the table name seeds every LoadTable
 /// node, so program hashes never collide across tests.
@@ -48,6 +50,21 @@ fn agg_query(table: &str) -> QueryProgram {
     ))
 }
 
+/// Run `f` and return this thread's compile-cache traffic during it
+/// (scoped, so tests compiling on other threads do not leak in).
+fn traffic<T>(f: impl FnOnce() -> T) -> (T, CacheStats) {
+    let scope = StatsScope::new();
+    let out = {
+        let _in_scope = scope.enter();
+        f()
+    };
+    (out, scope.stats())
+}
+
+const ONE_HIT: CacheStats = CacheStats { hits: 1, misses: 0 };
+const ONE_MISS: CacheStats = CacheStats { hits: 0, misses: 1 };
+const NO_LOOKUP: CacheStats = CacheStats { hits: 0, misses: 0 };
+
 #[test]
 fn warm_compile_emits_byte_identical_source_and_trace() {
     let schema = unique_schema("ctwarm");
@@ -55,10 +72,8 @@ fn warm_compile_emits_byte_identical_source_and_trace() {
     let cfg = StackConfig::level5();
     let gcc = backend("gcc").expect("registered");
 
-    let cold = dblab::transform::compile(&prog, &schema, &cfg);
-    let before = memo::stats();
-    let warm = dblab::transform::compile(&prog, &schema, &cfg);
-    let delta = memo::stats().since(&before);
+    let (cold, cold_traffic) = traffic(|| dblab::transform::compile(&prog, &schema, &cfg));
+    let (warm, warm_traffic) = traffic(|| dblab::transform::compile(&prog, &schema, &cfg));
 
     // Byte-identical emitted source (emit is pure — no toolchain needed).
     assert_eq!(
@@ -76,20 +91,15 @@ fn warm_compile_emits_byte_identical_source_and_trace() {
         assert_eq!(c.size_before, w.size_before);
         assert_eq!(c.size, w.size);
     }
-    // Every registry pass (all but the front-end stage) was served from
-    // the cache, and the process-wide counters saw those hits.
-    assert_eq!(warm.cache_hits(), warm.stages.len() - 1);
-    assert!(!warm.stages[0].cached, "front-end lowering is not memoized");
-    assert!(
-        delta.hits >= (warm.stages.len() - 1) as u64,
-        "expected >= {} new hits, got {delta:?}",
-        warm.stages.len() - 1
-    );
-    // The report surfaces the hits (satellite contract: observable, not
-    // silent).
-    assert!(warm.stage_report().contains("[cached]"));
-    assert!(warm.stage_report().contains("stage-cache hit"));
-    assert!(!cold.stage_report().contains("[cached]"));
+    // The cold compile filled the cache with one miss; the warm one is
+    // exactly one hit.
+    assert_eq!(cold_traffic, ONE_MISS);
+    assert!(!cold.cached);
+    assert_eq!(warm_traffic, ONE_HIT);
+    assert!(warm.cached);
+    // The report surfaces the hit once, on its total line.
+    assert_eq!(warm.stage_report().matches("(cache hit)").count(), 1);
+    assert!(!cold.stage_report().contains("cache hit"));
 }
 
 /// Emission is a pure function of the IR. The build cache and its disk
@@ -111,45 +121,69 @@ fn all_level5_queries_emit_byte_identical_c_twice() {
 }
 
 #[test]
-fn cfg_sensitive_pass_misses_and_insensitive_pass_hits_on_relevant_flip() {
+fn equal_lowerings_share_an_entry_and_program_changing_inputs_miss() {
+    use dblab::ir::hash::program_hash;
     let schema = unique_schema("ctflip");
     let prog = agg_query("ctflip");
-    // Two configurations differing ONLY in table_field_removal — the one
-    // bit field-removal's rewrite reads.
-    let with_removal = StackConfig::level4();
-    assert!(with_removal.table_field_removal);
+    let level4 = StackConfig::level4();
+    let (first, t) = traffic(|| dblab::transform::compile(&prog, &schema, &level4));
+    assert_eq!(t, ONE_MISS);
+
+    // Over-keying guard: `legobase()` differs from `level4()` only in its
+    // name, so it is served from level 4's entry, under its own name.
+    let (lb, t) = traffic(|| dblab::transform::compile(&prog, &schema, &StackConfig::legobase()));
+    assert_eq!(t, ONE_HIT, "legobase() after level4() must hit");
+    assert!(lb.cached);
+    assert_eq!(lb.config.name, StackConfig::legobase().name);
+    assert_eq!(program_hash(&lb.program), program_hash(&first.program));
+
+    // Under-keying guard: flipping a bit that changes the program misses.
     let without_removal = StackConfig {
         table_field_removal: false,
         ..StackConfig::level4()
     };
-
-    let first = dblab::transform::compile(&prog, &schema, &with_removal);
-    let second = dblab::transform::compile(&prog, &schema, &without_removal);
-
-    // Over-keying guard: a pass that reads no configuration must be
-    // served from the first compile's entries despite the flag diff.
-    let sd = second.stage("string-dictionaries").expect("stage");
-    assert!(
-        sd.cached,
-        "string-dictionaries keys on no cfg bits and must hit across the flip"
-    );
-    // Under-keying guard: the pass that reads the flipped bit must miss.
-    let fr = second.stage("field-removal").expect("stage");
-    assert!(
-        !fr.cached,
-        "field-removal keys on table_field_removal and must miss when it flips"
-    );
-    // And the flip is not a no-op: base-table pruning changes the program.
+    let (second, t) = traffic(|| dblab::transform::compile(&prog, &schema, &without_removal));
+    assert_eq!(t, ONE_MISS, "a table_field_removal flip must miss");
     assert_ne!(
-        dblab::ir::hash::program_hash(&first.program),
-        dblab::ir::hash::program_hash(&second.program),
+        program_hash(&first.program),
+        program_hash(&second.program),
         "table_field_removal must change the lowered program"
     );
 
-    // Idempotence: recompiling the second configuration is now all hits.
-    let third = dblab::transform::compile(&prog, &schema, &without_removal);
-    assert!(third.stage("field-removal").expect("stage").cached);
-    assert_eq!(third.cache_hits(), third.stages.len() - 1);
+    // The pass order is keyed too: a permuted schedule misses, and (every
+    // valid order commutes) still lowers to the baseline's program.
+    let level5 = StackConfig::level5();
+    let baseline = dblab::transform::compile(&prog, &schema, &level5);
+    let sched = Scheduler::from_registry(&level5).expect("dag");
+    let order = sched
+        .sample_orders(3, 8)
+        .into_iter()
+        .find(|o| *o != sched.baseline())
+        .expect("level-5 DAG admits non-baseline orders");
+    let (permuted, t) =
+        traffic(|| compile_ordered(&prog, &schema, &level5, &order).expect("valid"));
+    assert_eq!(t, ONE_MISS, "a non-baseline order must miss");
+    assert_eq!(
+        program_hash(&permuted.program),
+        program_hash(&baseline.program)
+    );
+}
+
+#[test]
+fn snapshot_compiles_bypass_the_compile_cache() {
+    let schema = unique_schema("ctsnap");
+    let prog = agg_query("ctsnap");
+    let cfg = StackConfig::level5();
+    let (_, t) = traffic(|| compile_with_snapshots(&prog, &schema, &cfg, true));
+    assert_eq!(t, NO_LOOKUP, "keep_programs must not look up");
+    // Nor did it fill the cache: the first plain compile misses.
+    let (cq, t) = traffic(|| dblab::transform::compile(&prog, &schema, &cfg));
+    assert_eq!(t, ONE_MISS);
+    assert!(!cq.cached);
+    let ((cq, stages), t) = traffic(|| compile_with_snapshots(&prog, &schema, &cfg, true));
+    assert_eq!(t, NO_LOOKUP, "a filled entry is not read either");
+    assert!(!cq.cached);
+    assert_eq!(stages.len(), cq.stages.len());
 }
 
 #[test]
@@ -159,18 +193,14 @@ fn schema_statistics_are_part_of_the_key() {
     let cfg = StackConfig::level5();
     let _ = dblab::transform::compile(&prog, &schema, &cfg);
     // Same program, same config, different cardinality statistics: pool
-    // sizing and specialization decisions read them, so nothing may hit
-    // once the pipeline's programs diverge — and the very first pass must
-    // not blindly reuse the other schema's entry.
+    // sizing and specialization decisions read them, so the compile must
+    // not reuse the other schema's entry.
     let mut bigger = schema.clone();
     bigger.table_mut("ctstats").stats.row_count = 4096;
     bigger.table_mut("ctstats").stats.int_max = vec![4096; 3];
-    let recompiled = dblab::transform::compile(&prog, &bigger, &cfg);
-    assert_eq!(
-        recompiled.cache_hits(),
-        0,
-        "a statistics change must invalidate every stage"
-    );
+    let (recompiled, t) = traffic(|| dblab::transform::compile(&prog, &bigger, &cfg));
+    assert_eq!(t, ONE_MISS, "a statistics change must miss");
+    assert!(!recompiled.cached);
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! A cold compile is a pure function of (query, schema, configuration):
-//! two compiles with the per-pass memo cleared in between give one
-//! `program_hash`, so the memo and the build caches key the same program
+//! two compiles with the compile cache cleared in between give one
+//! `program_hash`, so the compile and build caches key the same program
 //! the same way in every process.
 //!
-//! Clearing the memo is process-wide and tests in one binary run in
+//! Clearing the compile cache is process-wide and tests in one binary run in
 //! parallel, so this suite is a binary of its own with a single test.
 
 use dblab::ir::hash::program_hash;

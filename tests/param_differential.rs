@@ -267,7 +267,7 @@ fn lowered_templates_carry_param_slots_not_literals() {
     }
 }
 
-/// The template's program hash — the transform-memo and build-cache key
+/// The template's program hash — the compile-cache and build-cache key
 /// component — is a function of the template alone. Two compiles are
 /// hash-identical, and the hash differs from the literal query's (they
 /// are different programs: slots vs baked constants).

@@ -8,7 +8,7 @@
 //!   program, and must agree;
 //! * ordered string dictionaries preserve `<`, equality and `startsWith`;
 //! * the Volcano hash join equals a naïve nested-loop join;
-//! * the structural IR hasher (the pass-cache key) is printer-faithful:
+//! * the structural IR hasher (the compile-cache key) is printer-faithful:
 //!   printer-equal programs hash equal, any single-node mutation changes
 //!   the hash, and two process-independent constructions of the same
 //!   query plan agree;
@@ -171,7 +171,7 @@ fn ordered_dictionary_is_order_preserving() {
 }
 
 // -------------------------------------------------------------------
-// Structural IR hashing (the pass-cache key)
+// Structural IR hashing (the compile-cache key)
 // -------------------------------------------------------------------
 
 /// Lower an arbitrary expression program through the level-2 stack —

@@ -158,33 +158,33 @@ fn stage_trace_is_instrumented_end_to_end() {
 
 /// Each stage reports how much of its time went to the post-pass
 /// `optimize` fixpoint: on a cold level-5 compile that share is part of
-/// every stage's time and some stage spends some; a stage served from the
-/// pass memo ran no fixpoint and reads 0 (the warm recompile is all hits).
+/// every stage's time and some stage spends some. The warm recompile is
+/// one compile-cache hit, whose pass stages ran nothing and read 0.
 #[test]
 fn stage_trace_splits_the_fixpoint_from_the_rewrite() {
     use std::time::Duration;
     let schema = schema_with_stats();
     let prog = tpch::queries::query(8);
     let cfg = StackConfig::level5();
-    dblab::transform::memo::clear();
-    let cold = dblab::transform::compile(&prog, &schema, &cfg);
+    // Keeping the stage programs bypasses the compile cache: always cold.
+    let (cold, _) = compile_with_snapshots(&prog, &schema, &cfg, true);
+    assert!(!cold.cached);
     for s in &cold.stages {
         assert!(
             s.fixpoint <= s.time,
             "{}: fixpoint exceeds stage time",
             s.name
         );
-        if s.cached {
-            assert_eq!(s.fixpoint, Duration::ZERO, "{}: cached", s.name);
-        }
     }
     assert!(
         cold.stages.iter().any(|s| s.fixpoint > Duration::ZERO),
         "no stage of a cold compile spent time in the fixpoint"
     );
+    let _fill = dblab::transform::compile(&prog, &schema, &cfg);
     let warm = dblab::transform::compile(&prog, &schema, &cfg);
+    assert!(warm.cached, "warm recompile missed the compile cache");
     for s in &warm.stages[1..] {
-        assert!(s.cached, "{}: warm recompile missed the memo", s.name);
+        assert_eq!(s.time, Duration::ZERO, "{}: cached", s.name);
         assert_eq!(s.fixpoint, Duration::ZERO, "{}: cached", s.name);
     }
 }

@@ -9,10 +9,8 @@
 //!
 //! This is what localizes a miscompile to a single pass: if the
 //! stage-`k` snapshot agrees with the oracle and the stage-`k+1` snapshot
-//! does not, the bug is in exactly one transformation. It is also the
-//! semantic backstop for the per-pass IR cache: a memoized stage output
-//! is the same `Program` value a fresh run would produce, so it flows
-//! through this suite like any other.
+//! does not, the bug is in exactly one transformation. Snapshot compiles
+//! bypass the compile cache, so every stage here is a fresh run.
 
 use dblab::codegen::{jit, same_normalized};
 use dblab::engine;
