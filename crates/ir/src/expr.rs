@@ -459,6 +459,83 @@ pub struct ParAcc {
     pub init: Block,
 }
 
+/// The operand match behind [`Expr::for_each_atom`] and
+/// [`Expr::for_each_atom_mut`]: `$e` is an `&Expr` or an `&mut Expr`, and
+/// the bindings follow it, so both visitors share one list of each
+/// variant's operands.
+macro_rules! visit_operands {
+    ($e:expr, $f:ident) => {
+        match $e {
+            Expr::Atom(a) | Expr::Un(_, a) | Expr::ArrayLen(a) | Expr::Free(a) => $f(a),
+            Expr::Bin(_, a, b) => {
+                $f(a);
+                $f(b);
+            }
+            Expr::Prim(_, args) | Expr::StructNew { args, .. } | Expr::Printf { args, .. } => {
+                for a in args {
+                    $f(a);
+                }
+            }
+            Expr::Dict { arg, .. } => $f(arg),
+            Expr::If { cond, .. } => $f(cond),
+            Expr::ForRange { lo, hi, .. } | Expr::ParallelFor { lo, hi, .. } => {
+                $f(lo);
+                $f(hi);
+            }
+            Expr::DeclVar { init } => $f(init),
+            Expr::Assign { value, .. } => $f(value),
+            Expr::FieldGet { obj, .. } => $f(obj),
+            Expr::FieldSet { obj, value, .. } => {
+                $f(obj);
+                $f(value);
+            }
+            Expr::ArrayNew { len, .. } => $f(len),
+            Expr::ArrayGet { arr, idx } => {
+                $f(arr);
+                $f(idx);
+            }
+            Expr::ArraySet { arr, idx, value } => {
+                $f(arr);
+                $f(idx);
+                $f(value);
+            }
+            Expr::SortArray { arr, len, .. } => {
+                $f(arr);
+                $f(len);
+            }
+            Expr::ListAppend { list, value } => {
+                $f(list);
+                $f(value);
+            }
+            Expr::ListSize(l) | Expr::HashMapSize(l) => $f(l),
+            Expr::ListForeach { list, .. } => $f(list),
+            Expr::HashMapGetOrInit { map, key, .. } | Expr::MultiMapForeachAt { map, key, .. } => {
+                $f(map);
+                $f(key);
+            }
+            Expr::HashMapForeach { map, .. } => $f(map),
+            Expr::MultiMapAdd { map, key, value } => {
+                $f(map);
+                $f(key);
+                $f(value);
+            }
+            Expr::Malloc { count, .. } => $f(count),
+            Expr::PoolNew { cap, .. } => $f(cap),
+            Expr::PoolAlloc { pool } => $f(pool),
+            Expr::While { .. }
+            | Expr::ReadVar(_)
+            | Expr::ListNew { .. }
+            | Expr::HashMapNew { .. }
+            | Expr::MultiMapNew { .. }
+            | Expr::LoadTable { .. }
+            | Expr::LoadIndexUnique { .. }
+            | Expr::LoadIndexStarts { .. }
+            | Expr::LoadIndexItems { .. }
+            | Expr::LoadParam { .. } => {}
+        }
+    };
+}
+
 impl Expr {
     /// All sub-blocks (control-flow bodies) of this node.
     pub fn blocks(&self) -> Vec<&Block> {
@@ -526,81 +603,12 @@ impl Expr {
 
     /// Visit every operand atom of this node (not descending into blocks).
     pub fn for_each_atom<F: FnMut(&Atom)>(&self, mut f: F) {
-        self.for_each_atom_impl(&mut f);
+        visit_operands!(self, f)
     }
 
-    fn for_each_atom_impl(&self, f: &mut dyn FnMut(&Atom)) {
-        match self {
-            Expr::Atom(a) | Expr::Un(_, a) | Expr::ArrayLen(a) | Expr::Free(a) => f(a),
-            Expr::Bin(_, a, b) => {
-                f(a);
-                f(b);
-            }
-            Expr::Prim(_, args) | Expr::StructNew { args, .. } => args.iter().for_each(f),
-            Expr::Dict { arg, .. } => f(arg),
-            Expr::If { cond, .. } => f(cond),
-            Expr::ForRange { lo, hi, .. } => {
-                f(lo);
-                f(hi);
-            }
-            Expr::While { .. } => {}
-            Expr::DeclVar { init } => f(init),
-            Expr::ReadVar(_) => {}
-            Expr::Assign { value, .. } => f(value),
-            Expr::FieldGet { obj, .. } => f(obj),
-            Expr::FieldSet { obj, value, .. } => {
-                f(obj);
-                f(value);
-            }
-            Expr::ArrayNew { len, .. } => f(len),
-            Expr::ArrayGet { arr, idx } => {
-                f(arr);
-                f(idx);
-            }
-            Expr::ArraySet { arr, idx, value } => {
-                f(arr);
-                f(idx);
-                f(value);
-            }
-            Expr::SortArray { arr, len, .. } => {
-                f(arr);
-                f(len);
-            }
-            Expr::ListNew { .. } | Expr::HashMapNew { .. } | Expr::MultiMapNew { .. } => {}
-            Expr::ListAppend { list, value } => {
-                f(list);
-                f(value);
-            }
-            Expr::ListSize(l) | Expr::HashMapSize(l) => f(l),
-            Expr::ListForeach { list, .. } => f(list),
-            Expr::HashMapGetOrInit { map, key, .. } => {
-                f(map);
-                f(key);
-            }
-            Expr::HashMapForeach { map, .. } => f(map),
-            Expr::MultiMapAdd { map, key, value } => {
-                f(map);
-                f(key);
-                f(value);
-            }
-            Expr::MultiMapForeachAt { map, key, .. } => {
-                f(map);
-                f(key);
-            }
-            Expr::Malloc { count, .. } => f(count),
-            Expr::PoolNew { cap, .. } => f(cap),
-            Expr::PoolAlloc { pool } => f(pool),
-            Expr::LoadTable { .. }
-            | Expr::LoadIndexUnique { .. }
-            | Expr::LoadIndexStarts { .. }
-            | Expr::LoadIndexItems { .. } => {}
-            Expr::Printf { args, .. } => args.iter().for_each(f),
-            Expr::ParallelFor { lo, hi, .. } => {
-                f(lo);
-                f(hi);
-            }
-            Expr::LoadParam { .. } => {}
-        }
+    /// [`Expr::for_each_atom`], mutably and in the same order.
+    pub fn for_each_atom_mut<F: FnMut(&mut Atom)>(&mut self, mut f: F) {
+        visit_operands!(self, f)
     }
 
     /// Visit every symbol *used* by this node, including uses inside nested
@@ -611,7 +619,7 @@ impl Expr {
     }
 
     fn for_each_used_sym_impl(&self, f: &mut dyn FnMut(Sym)) {
-        self.for_each_atom_impl(&mut |a| {
+        self.for_each_atom(|a| {
             if let Atom::Sym(s) = a {
                 f(*s)
             }
@@ -852,6 +860,15 @@ impl Annotations {
     }
     pub fn iter(&self) -> impl Iterator<Item = (&Sym, &Vec<Annot>)> {
         self.map.iter()
+    }
+    /// Move every symbol's annotations to `rename(sym)`, dropping those
+    /// `rename` maps to `None`. `rename` must be injective, so no two
+    /// lists meet and the result does not depend on the map's order.
+    pub fn rekey(&mut self, rename: impl Fn(Sym) -> Option<Sym>) {
+        self.map = std::mem::take(&mut self.map)
+            .into_iter()
+            .filter_map(|(s, a)| Some((rename(s)?, a)))
+            .collect();
     }
 }
 
