@@ -120,11 +120,6 @@ pub fn stats() -> BuildCacheStats {
     }
 }
 
-/// Number of artifacts currently tracked.
-pub fn entry_count() -> usize {
-    cache().lock().unwrap().len()
-}
-
 /// Forget every tracked artifact (the files themselves stay on disk;
 /// counters are cumulative and left alone; an attached on-disk index
 /// stays attached and can be re-loaded with [`enable_persistence`]).

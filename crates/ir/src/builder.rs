@@ -11,86 +11,16 @@
 //! * tracks per-symbol types, so transformations never need a separate
 //!   type-checking pass.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-use crate::effects::{effects_of, own_effects, Effects};
+use crate::effects::effects_of;
 use crate::expr::{
     Annot, Annotations, Atom, BinOp, Block, DictOp, Expr, PrimOp, Program, Stmt, Sym, UnOp,
 };
 use crate::level::Level;
-use crate::rewrite::reconstructs_to_unit;
 use crate::types::{StructId, StructRegistry, Type};
-
-/// Which expressions [`IrBuilder::emit`] hash-conses: the pure ones.
-fn hash_consed(eff: Effects) -> bool {
-    eff.is_pure()
-}
-
-type CseSet<'a> = HashSet<&'a Expr, BuildHasherDefault<crate::hash::StableHasher>>;
-
-/// [`IrBuilder::rebuild_would_simplify`]'s walk.
-struct RebuildScan<'a> {
-    annots: &'a Annotations,
-    /// The hash-consed expressions in scope; `scoped` lists them,
-    /// innermost scope last.
-    seen: CseSet<'a>,
-    scoped: Vec<&'a Expr>,
-    /// `unit[s]`: statement `s` is one the rewrite maps to `Unit`.
-    unit: Vec<bool>,
-}
-
-impl<'a> RebuildScan<'a> {
-    /// The effects of `b`'s statements, or `None` as soon as one of them
-    /// would be simplified.
-    fn block(&mut self, b: &'a Block) -> Option<Effects> {
-        let outer = self.scoped.len();
-        let mut effects = Effects::PURE;
-        for st in &b.stmts {
-            let mut eff = own_effects(&st.expr);
-            for blk in st.expr.blocks() {
-                eff = eff.union(self.block(blk)?);
-            }
-            if matches!(st.expr, Expr::Atom(_)) || fold(&st.expr).is_some() {
-                return None;
-            }
-            let mut uses_unit = false;
-            st.expr.for_each_atom(|a| uses_unit |= self.is_unit(a));
-            if uses_unit {
-                return None;
-            }
-            match &st.expr {
-                e if reconstructs_to_unit(e) => self.unit[st.sym.0 as usize] = true,
-                Expr::LoadTable { table, .. } => {
-                    let first = self.annots.get(st.sym).first();
-                    if !matches!(first, Some(Annot::Table(t)) if t == table) {
-                        return None;
-                    }
-                }
-                _ => {}
-            }
-            if hash_consed(eff) {
-                if !self.seen.insert(&st.expr) {
-                    return None;
-                }
-                self.scoped.push(&st.expr);
-            }
-            effects = effects.union(eff);
-        }
-        if self.is_unit(&b.result) {
-            return None;
-        }
-        for e in self.scoped.drain(outer..) {
-            self.seen.remove(e);
-        }
-        Some(effects)
-    }
-
-    fn is_unit(&self, a: &Atom) -> bool {
-        matches!(a, Atom::Sym(s) if self.unit.get(s.0 as usize) == Some(&true))
-    }
-}
 
 #[derive(Default)]
 struct Scope {
@@ -104,11 +34,10 @@ pub struct IrBuilder {
     sym_types: Vec<Type>,
     annots: Annotations,
     scopes: Vec<Scope>,
-    /// When false, pure expressions are re-emitted verbatim (used by tests
-    /// and by the "unoptimized" template-expander comparison).
+    /// When false, pure expressions are emitted verbatim, not
+    /// hash-consed. Only tests turn it off, to build duplicates the
+    /// identity rewrite then collapses.
     pub cse_enabled: bool,
-    /// When false, constant folding is skipped.
-    pub fold_enabled: bool,
 }
 
 impl Default for IrBuilder {
@@ -125,7 +54,6 @@ impl IrBuilder {
             annots: Annotations::default(),
             scopes: vec![Scope::default()],
             cse_enabled: true,
-            fold_enabled: true,
         }
     }
 
@@ -185,12 +113,10 @@ impl IrBuilder {
     /// Emit `expr` with result type `ty`; returns the atom naming its value.
     /// Pure expressions are constant-folded and hash-consed.
     pub fn emit(&mut self, ty: Type, expr: Expr) -> Atom {
-        if self.fold_enabled {
-            if let Some(folded) = fold(&expr) {
-                return folded;
-            }
+        if let Some(folded) = fold(&expr) {
+            return folded;
         }
-        let consed = self.cse_enabled && hash_consed(effects_of(&expr));
+        let consed = self.cse_enabled && effects_of(&expr).is_pure();
         if consed {
             for scope in self.scopes.iter().rev() {
                 if let Some(prev) = scope.cse.get(&expr) {
@@ -213,41 +139,6 @@ impl IrBuilder {
             .stmts
             .push(Stmt { sym, ty, expr });
         atom
-    }
-
-    /// Would rebuilding `p` through a fresh builder (the identity rewrite,
-    /// [`crate::opt::inline_aliases`]) do more than renumber its symbols
-    /// and re-infer their types? It would when some statement
-    ///
-    /// * is an [`Expr::Atom`] alias (the rewrite substitutes it away),
-    /// * folds ([`IrBuilder::emit`]'s constant folding),
-    /// * is hash-consed and equal to an expression `emit` still holds in
-    ///   its CSE scopes: an earlier statement of the same block or of an
-    ///   enclosing one,
-    /// * is one the rewrite maps to [`Atom::Unit`]
-    ///   (`rewrite::reconstructs_to_unit`) and its symbol is
-    ///   annotated or used (the rewrite drops the annotations and turns
-    ///   the uses into `Unit`), or
-    /// * is a [`Expr::LoadTable`] whose annotations do not start with its
-    ///   [`Annot::Table`] (the rewrite's [`IrBuilder::load_table`] puts it
-    ///   first).
-    ///
-    /// Re-inferred types are not checked: a program whose declared types
-    /// differ from the inferred ones keeps them without a rebuild.
-    ///
-    /// The walk visits statements in the order a rebuild emits them — a
-    /// statement's sub-blocks, each in a scope of its own, before the
-    /// statement — and keeps one set of borrowed expressions, scoped like
-    /// the builder's. Each statement's effects are computed once, from its
-    /// own node and the effects its sub-blocks returned.
-    pub fn rebuild_would_simplify(p: &Program) -> bool {
-        let mut scan = RebuildScan {
-            annots: &p.annots,
-            seen: CseSet::default(),
-            scoped: Vec::new(),
-            unit: vec![false; p.sym_types.len()],
-        };
-        scan.block(&p.body).is_none() || p.annots.iter().any(|(s, _)| scan.is_unit(&Atom::Sym(*s)))
     }
 
     /// Emit a unit-typed (effectful) statement.

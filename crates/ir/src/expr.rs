@@ -778,7 +778,9 @@ pub enum Annot {
     /// group columns, so no single field of the stored record equals it.
     DenseKey { max: u64, composite: bool },
     /// The MultiMap/HashMap key equals the given field of the inserted
-    /// record — enables index inference (§5.2) and intrusive lists.
+    /// record. Nothing attaches it any more; it stays because removing a
+    /// variant shifts the derived `Hash` discriminants of the ones after
+    /// it, and with them every `program_hash`.
     KeyField { sid: StructId, field: usize },
     /// Free-form note (kept in generated C as a comment).
     Comment(Arc<str>),
@@ -822,12 +824,6 @@ impl Annotations {
     pub fn table(&self, sym: Sym) -> Option<Arc<str>> {
         self.get(sym).iter().find_map(|a| match a {
             Annot::Table(t) => Some(t.clone()),
-            _ => None,
-        })
-    }
-    pub fn key_field(&self, sym: Sym) -> Option<(StructId, usize)> {
-        self.get(sym).iter().find_map(|a| match a {
-            Annot::KeyField { sid, field } => Some((*sid, *field)),
             _ => None,
         })
     }

@@ -20,8 +20,8 @@
 //! place, `retain`ing each block and recursing through
 //! [`Expr::blocks_mut`]. A statement is judged by [`own_effects`] united
 //! with the effects its sub-blocks returned after they were cleaned, so
-//! every node's effect is computed once. Nothing is cloned; the fixpoint
-//! hands the program from round to round by value.
+//! every node's effect is computed once. Nothing is cloned: [`optimize`]
+//! takes the program by value.
 //!
 //! ### Why the sweep order does not matter
 //!
@@ -34,39 +34,24 @@
 //! sweeps. (`tests/optimizer_reference.rs` holds the earlier
 //! clone-per-statement DCE and checks the two agree.)
 //!
-//! ### When the rebuild runs
+//! ### The contract
 //!
-//! A round of the fixpoint is "rebuild, then DCE", where the rebuild is
-//! [`inline_aliases`]: the whole program re-emitted through a fresh
-//! builder, which substitutes aliases away and re-runs folding and CSE.
-//! The front-end and every pass already emit through the builder, so
-//! their output has nothing left for it to do, and DCE only deletes
-//! statements: it cannot create an alias or a foldable node, and it
-//! makes two expressions equal only in the rare case where it empties
-//! the blocks that told two pure `If`s apart. So a round first asks
-//! [`IrBuilder::rebuild_would_simplify`], one read-only walk beside the
-//! builder's `emit` that applies `emit`'s own rules (alias, `fold`, a
-//! pure expression equal to one in scope) and the two ways the rewriter
-//! itself changes a symbol (a statement it maps to `Unit` that is
-//! annotated or used; a `LoadTable` whose `Table` annotation is not its
-//! first). Only when it says yes does the round rebuild.
-//!
-//! Otherwise a rebuild would only renumber (and re-infer types, which
-//! the builder's programs already carry): it allocates symbols densely,
-//! in emission order, and so closes the holes DCE leaves. [`compact`]
-//! does the same in place, in the same order: a statement's sub-blocks
-//! and binders come before the statement itself, binders before the
-//! blocks that see them, a `ParallelFor`'s accumulators each after its
-//! `init` block and before the loop variable, `body` and `merge`. It
-//! permutes `sym_types` to match and re-keys the annotations, dropping
-//! those of deleted symbols. Both the check and the renumbering are
-//! blind to symbol numbers, so [`optimize`] compacts once, when the
-//! fixpoint stops, and its result is the program the unconditional
-//! rebuild-then-DCE rounds produced: `tests/optimizer_reference.rs`
-//! keeps those rounds and compares, and debug builds assert that the
-//! result is a fixed point of the rebuild.
+//! The front-end and every pass emit through
+//! [`IrBuilder`](crate::IrBuilder), which substitutes aliases away,
+//! folds, and hash-conses pure expressions on every emission (§3.3), so
+//! the program a stage hands [`optimize`] is already what an identity
+//! rebuild ([`inline_aliases`]) makes of it, up to symbol numbers. DCE
+//! only deletes statements: it creates no alias and no foldable node,
+//! and makes two pure expressions equal only by emptying the blocks that
+//! told two pure `If`s apart, which no compiled program does.
+//! [`optimize`] is therefore one [`dce`] (itself run to a fixpoint) and
+//! one [`compact`], which closes the holes DCE leaves in the numbering a
+//! rebuild would give. Debug builds assert in every call that the result
+//! is a fixed point of the rebuild, so a rewrite that emits around the
+//! builder fails the debug test suite instead of being rebuilt.
+//! (`tests/optimizer_reference.rs` keeps the earlier rebuild-then-DCE
+//! rounds and compares.)
 
-use crate::builder::IrBuilder;
 use crate::effects::{own_effects, Effects};
 use crate::expr::{Atom, Block, Expr, Program, Sym};
 use crate::hash::program_hash;
@@ -160,12 +145,12 @@ pub fn inline_aliases(p: &Program) -> Program {
 }
 
 /// Renumber `p`'s symbols densely, in the order a rebuild through a
-/// fresh builder allocates them (module docs, *When the rebuild runs*):
-/// for a program [`IrBuilder::rebuild_would_simplify`] passes over, the
-/// result equals [`inline_aliases`]'s, except that the rebuild
-/// re-infers types. `sym_types` follows the new numbers and annotations
-/// of symbols the body no longer binds are dropped. A program with no
-/// holes comes back untouched.
+/// fresh builder allocates them: a statement after its sub-blocks and
+/// binders, binders before the blocks that see them, a `ParallelFor`'s
+/// accumulators each after its `init` block and before the loop
+/// variable, `body` and `merge`. `sym_types` follows the new numbers and
+/// annotations of symbols the body no longer binds are dropped. A
+/// program with no holes comes back untouched.
 pub fn compact(mut p: Program) -> Program {
     let mut r = Renumber {
         new_of: vec![UNMAPPED; p.sym_types.len()],
@@ -275,36 +260,17 @@ impl Renumber {
     }
 }
 
-/// The per-level fixpoint driver: rounds of alias-inlining (which re-runs
-/// CSE/folding) and DCE until the program stops shrinking or `max_iters`
-/// rounds have run (termination guard; see paper footnote 4). A round
-/// rebuilds only when [`IrBuilder::rebuild_would_simplify`] says the
-/// rebuild would do more than renumber, and the result is compacted once
-/// at the end (module docs, *When the rebuild runs*).
-pub fn optimize(mut p: Program, max_iters: usize) -> Program {
-    let mut last_size = usize::MAX;
-    for round in 1..=max_iters {
-        if IrBuilder::rebuild_would_simplify(&p) {
-            p = inline_aliases(&p);
-        } else if round == max_iters {
-            // The result keeps this round's DCE holes, in the numbering
-            // the rebuild would have given its input.
-            p = compact(p);
-        }
-        p = dce(p);
-        let size = p.body.size();
-        if size >= last_size {
-            let p = compact(p);
-            if cfg!(debug_assertions) {
-                assert_eq!(
-                    program_hash(&inline_aliases(&p)),
-                    program_hash(&p),
-                    "the fixpoint left a program an identity rebuild still changes"
-                );
-            }
-            return p;
-        }
-        last_size = size;
+/// The per-level fixpoint (paper §2.2; module docs, *The contract*):
+/// DCE to its fixpoint, then dense renumbering.
+pub fn optimize(p: Program) -> Program {
+    let p = compact(dce(p));
+    if cfg!(debug_assertions) {
+        assert_eq!(
+            program_hash(&inline_aliases(&p)),
+            program_hash(&p),
+            "the fixpoint left a program an identity rebuild still changes: \
+             a rewrite emitted around IrBuilder"
+        );
     }
     p
 }
@@ -378,44 +344,25 @@ mod tests {
 
     #[test]
     fn optimize_reaches_fixpoint() {
+        // `dead` feeds only another dead product; the loop only writes a
+        // variable nobody reads.
         let mut b = IrBuilder::new();
-        b.cse_enabled = false;
         let v = b.decl_var(Atom::Int(5));
         let x = b.read_var(v);
-        // alias chain: a = x; c = a + 0 (folds to alias); dead = c * 0
-        let a = b.emit(Type::Int, Expr::Atom(x.clone()));
-        let c = b.emit(
-            Type::Int,
-            Expr::Bin(crate::expr::BinOp::Add, a, Atom::Int(0)),
-        );
-        let _dead = b.emit(
-            Type::Int,
-            Expr::Bin(crate::expr::BinOp::Mul, c.clone(), Atom::Int(0)),
-        );
-        let p = b.finish(c, Level::ScaLite);
-        let q = optimize(p, 10);
-        assert_eq!(q.body.stmts.len(), 2); // decl + read
-        assert!(matches!(q.body.result, Atom::Sym(_)));
+        let dead = b.add(x.clone(), Atom::Int(3));
+        b.mul(dead, Atom::Int(2));
+        let w = b.decl_var(Atom::Int(0));
+        b.for_range(Atom::Int(0), x.clone(), |bb, i| bb.assign(w, i));
+        let live = b.sub(x, Atom::Int(1));
+        let q = optimize(b.finish(live, Level::ScaLite));
+        assert_eq!(q.body.stmts.len(), 3); // decl, read, live sub
+        assert_eq!(q.sym_types.len(), 3, "symbols not renumbered densely");
+        assert_same(&optimize(q.clone()), &q);
+        assert_same(&inline_aliases(&q), &q);
     }
 
-    use crate::expr::{Annot, BinOp, ParAcc, Stmt};
-    use crate::rewrite::{reconstructs_to_unit, Rewriter, Rule};
-    use crate::types::{FieldDef, StructDef, StructId, Type};
-
-    /// A builder that emits every expression verbatim, and a variable read
-    /// to compute with.
-    fn verbatim() -> (IrBuilder, Atom) {
-        let mut b = IrBuilder::new();
-        b.cse_enabled = false;
-        b.fold_enabled = false;
-        let v = b.decl_var(Atom::Int(5));
-        let x = b.read_var(v);
-        (b, x)
-    }
-
-    fn simplifies(b: IrBuilder) -> bool {
-        IrBuilder::rebuild_would_simplify(&b.finish(Atom::Unit, Level::ScaLite))
-    }
+    use crate::expr::{Annot, ParAcc};
+    use crate::types::{FieldDef, StructDef, StructId};
 
     fn record(b: &mut IrBuilder) -> StructId {
         b.structs.register(StructDef {
@@ -425,194 +372,6 @@ mod tests {
                 ty: Type::Int,
             }],
         })
-    }
-
-    #[test]
-    fn a_builder_built_program_needs_no_rebuild() {
-        let (mut b, x) = verbatim();
-        b.add(x.clone(), Atom::Int(1));
-        b.if_then(x, |bb| {
-            bb.printf("%d\n", vec![Atom::Int(1)]);
-        });
-        assert!(!simplifies(b));
-    }
-
-    #[test]
-    fn an_alias_needs_a_rebuild() {
-        let (mut b, x) = verbatim();
-        b.emit(Type::Int, Expr::Atom(x));
-        assert!(simplifies(b));
-    }
-
-    #[test]
-    fn a_foldable_node_needs_a_rebuild() {
-        let (mut b, x) = verbatim();
-        b.bin(BinOp::Add, x, Atom::Int(0));
-        assert!(simplifies(b));
-    }
-
-    #[test]
-    fn a_pure_duplicate_of_an_enclosing_scope_needs_a_rebuild() {
-        let (mut b, x) = verbatim();
-        b.add(x.clone(), Atom::Int(1));
-        b.for_range(Atom::Int(0), Atom::Int(3), |bb, _| {
-            bb.if_then(x.clone(), |bbb| {
-                bbb.add(x.clone(), Atom::Int(1));
-            });
-        });
-        assert!(simplifies(b));
-    }
-
-    #[test]
-    fn a_duplicate_pure_if_needs_a_rebuild() {
-        let (mut b, x) = verbatim();
-        for _ in 0..2 {
-            b.if_val(x.clone(), |_| x.clone(), |_| Atom::Int(0));
-        }
-        assert!(simplifies(b));
-    }
-
-    #[test]
-    fn a_duplicate_in_a_sibling_scope_needs_no_rebuild() {
-        let (mut b, x) = verbatim();
-        b.if_else(
-            x.clone(),
-            |bb| {
-                bb.add(x.clone(), Atom::Int(1));
-            },
-            |bb| {
-                bb.add(x.clone(), Atom::Int(1));
-            },
-        );
-        b.add(x.clone(), Atom::Int(1));
-        assert!(!simplifies(b));
-    }
-
-    #[test]
-    fn reads_and_allocations_are_never_duplicates() {
-        let (mut b, _) = verbatim();
-        let v = b.decl_var(Atom::Int(1));
-        b.read_var(v);
-        b.read_var(v);
-        assert!(!simplifies(b), "two ReadVars of one variable");
-
-        let (mut b, x) = verbatim();
-        let sid = record(&mut b);
-        b.struct_new(sid, vec![x.clone()]);
-        b.struct_new(sid, vec![x]);
-        assert!(!simplifies(b), "two StructNews");
-    }
-
-    fn printf(b: &mut IrBuilder, args: Vec<Atom>) -> Sym {
-        let fmt = "%d\n".into();
-        b.emit(Type::Unit, Expr::Printf { fmt, args })
-            .as_sym()
-            .unwrap()
-    }
-
-    /// `optimize` rebuilds `p` and leaves a fixed point of the rebuild.
-    fn optimizes_through_a_rebuild(p: Program) {
-        assert!(IrBuilder::rebuild_would_simplify(&p));
-        let out = optimize(p, 8);
-        assert_eq!(program_hash(&inline_aliases(&out)), program_hash(&out));
-    }
-
-    #[test]
-    fn an_annotated_unit_statement_needs_a_rebuild() {
-        let (mut b, x) = verbatim();
-        let s = printf(&mut b, vec![x]);
-        b.annotate(s, Annot::SizeHint(1));
-        optimizes_through_a_rebuild(b.finish(Atom::Unit, Level::ScaLite));
-    }
-
-    #[test]
-    fn a_use_of_a_unit_statement_needs_a_rebuild() {
-        let (mut b, x) = verbatim();
-        let s = printf(&mut b, vec![x.clone()]);
-        optimizes_through_a_rebuild(b.finish(Atom::Sym(s), Level::ScaLite));
-
-        let (mut b, x) = verbatim();
-        let s = printf(&mut b, vec![x]);
-        printf(&mut b, vec![Atom::Sym(s)]);
-        optimizes_through_a_rebuild(b.finish(Atom::Unit, Level::ScaLite));
-    }
-
-    #[test]
-    fn a_table_whose_annotations_do_not_start_with_it_needs_a_rebuild() {
-        let mut b = IrBuilder::new();
-        let sid = record(&mut b);
-        let load = Expr::LoadTable {
-            table: "t".into(),
-            sid,
-        };
-        let t = b.emit(Type::array(Type::Record(sid)), load.clone());
-        printf(&mut b, vec![t.clone()]);
-        optimizes_through_a_rebuild(b.finish(Atom::Unit, Level::ScaLite));
-
-        let mut b = IrBuilder::new();
-        let sid = record(&mut b);
-        let t = b.emit(Type::array(Type::Record(sid)), load);
-        b.annotate(t.as_sym().unwrap(), Annot::SizeHint(9));
-        b.annotate(t.as_sym().unwrap(), Annot::Table("t".into()));
-        printf(&mut b, vec![t]);
-        optimizes_through_a_rebuild(b.finish(Atom::Unit, Level::ScaLite));
-    }
-
-    /// Reconstructs every statement itself and records whether the
-    /// statement's symbol went to `Unit`.
-    struct RecordUnit(Vec<(bool, bool)>);
-
-    impl Rule for RecordUnit {
-        fn name(&self) -> &'static str {
-            "record-unit"
-        }
-        fn apply(
-            &mut self,
-            rw: &mut Rewriter<'_>,
-            sym: Sym,
-            ty: &Type,
-            expr: &Expr,
-        ) -> Option<Atom> {
-            let st = Stmt {
-                sym,
-                ty: ty.clone(),
-                expr: expr.clone(),
-            };
-            let atom = rw.reconstruct(self, &st);
-            self.0
-                .push((reconstructs_to_unit(expr), atom == Atom::Unit));
-            Some(atom)
-        }
-    }
-
-    #[test]
-    fn reconstructs_to_unit_names_the_statements_reconstruct_maps_to_unit() {
-        let mut b = IrBuilder::new();
-        let sid = record(&mut b);
-        let list = b.list_new(Type::Record(sid));
-        let r = b.struct_new(sid, vec![Atom::Int(1)]);
-        b.list_append(list, r.clone());
-        b.field_set(r, sid, 0, Atom::Int(2));
-        let m = b.malloc(Type::Int, Atom::Int(4));
-        b.free(m);
-        let v = b.decl_var(Atom::Int(0));
-        b.while_loop(
-            |bb| {
-                let cur = bb.read_var(v);
-                bb.lt(cur, Atom::Int(3))
-            },
-            |bb| bb.assign(v, Atom::Int(3)),
-        );
-        let mut kinds = std::collections::BTreeSet::new();
-        for p in [b.finish(Atom::Unit, Level::ScaLite), every_binder_form()] {
-            let mut rule = RecordUnit(Vec::new());
-            run_rule(&p, &mut rule, p.level);
-            for (listed, unit) in rule.0 {
-                assert_eq!(listed, unit);
-                kinds.insert(listed);
-            }
-        }
-        assert_eq!(kinds.len(), 2);
     }
 
     /// Every binder form, with dead code in their blocks (so DCE leaves
@@ -728,7 +487,6 @@ mod tests {
     #[test]
     fn compact_leaves_a_compact_program_alone() {
         let p = every_binder_form();
-        assert!(!IrBuilder::rebuild_would_simplify(&p));
         assert_same(&compact(p.clone()), &p);
         assert_same(&inline_aliases(&p), &p);
     }
@@ -738,7 +496,6 @@ mod tests {
         let p = every_binder_form();
         let q = dce(p.clone());
         assert!(q.body.size() < p.body.size(), "DCE removed nothing");
-        assert!(!IrBuilder::rebuild_would_simplify(&q));
         let got = compact(q.clone());
         assert!(got.sym_types.len() < q.sym_types.len(), "no holes closed");
         assert_same(&got, &inline_aliases(&q));
@@ -750,7 +507,7 @@ mod tests {
     #[test]
     fn optimize_compacts_once_it_stops() {
         let p = every_binder_form();
-        let out = optimize(p.clone(), 4);
+        let out = optimize(p.clone());
         assert_same(&out, &inline_aliases(&dce(p)));
     }
 }

@@ -395,30 +395,6 @@ impl<'p> Rewriter<'p> {
     }
 }
 
-/// Does [`Rewriter::reconstruct`] map a statement of `e` to [`Atom::Unit`]
-/// rather than to the symbol it emits? It does exactly for the arms that
-/// return `Atom::Unit`, so a rebuild drops such a statement's annotations
-/// and replaces its uses; [`IrBuilder::rebuild_would_simplify`] asks this.
-pub(crate) fn reconstructs_to_unit(e: &Expr) -> bool {
-    matches!(
-        e,
-        Expr::ForRange { .. }
-            | Expr::While { .. }
-            | Expr::Assign { .. }
-            | Expr::FieldSet { .. }
-            | Expr::ArraySet { .. }
-            | Expr::SortArray { .. }
-            | Expr::ListAppend { .. }
-            | Expr::ListForeach { .. }
-            | Expr::HashMapForeach { .. }
-            | Expr::MultiMapAdd { .. }
-            | Expr::MultiMapForeachAt { .. }
-            | Expr::Free(_)
-            | Expr::Printf { .. }
-            | Expr::ParallelFor { .. }
-    )
-}
-
 /// Run one rule over a whole program, producing a program at `new_level`.
 /// Annotations attached to surviving symbols are carried over.
 pub fn run_rule(p: &Program, rule: &mut dyn Rule, new_level: Level) -> Program {

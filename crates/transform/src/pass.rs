@@ -29,7 +29,7 @@
 //! level]`**. When every lowering runs, ceiling == current level and the
 //! check is exact dialect conformance.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dblab_catalog::Schema;
 use dblab_frontend::qmonad::QMonad;
@@ -93,12 +93,6 @@ pub trait Pass: Send + Sync {
         false
     }
 
-    /// How many fixpoint iterations of the generic optimizer to run after
-    /// the rewrite (0 = leave the output as produced).
-    fn fixpoint_iters(&self) -> usize {
-        4
-    }
-
     /// Registry names of passes that must run **before** this one, beyond
     /// what the level structure already implies (see
     /// [`crate::schedule`]). An edge here is a *semantic* claim: this
@@ -118,6 +112,11 @@ pub trait Pass: Send + Sync {
         &[]
     }
 
+    /// The rewrite. Its output must be a program [`dblab_ir::IrBuilder`]
+    /// emitted (a `run_rule` rewrite, or the input with fields renumbered
+    /// in place): the post-pass [`optimize`] only deletes dead code and
+    /// renumbers, and debug builds assert that an identity rebuild leaves
+    /// its result unchanged.
     fn run(&self, p: &Program, ctx: &PassCtx) -> Program;
 }
 
@@ -329,9 +328,6 @@ impl Pass for BranchOptimization {
     fn floats(&self) -> bool {
         true
     }
-    fn fixpoint_iters(&self) -> usize {
-        0
-    }
     /// Hash-table specialization emits fresh `&&` chains in its bucket
     /// probes; run the `&&` → `&` rewrite before it and those are missed
     /// (measured: 9/22 queries diverge when swapped).
@@ -490,13 +486,10 @@ pub fn apply_one(
     let t0 = Instant::now();
     let level_before = p.level;
     let size_before = p.body.size();
-    let mut fixpoint = Duration::ZERO;
-    let mut q = pass.run(p, ctx);
-    if pass.fixpoint_iters() > 0 {
-        let t = Instant::now();
-        q = optimize(q, pass.fixpoint_iters());
-        fixpoint = t.elapsed();
-    }
+    let q = pass.run(p, ctx);
+    let t = Instant::now();
+    let q = optimize(q);
+    let fixpoint = t.elapsed();
     // Only a lowering moves the level; everything else preserves the level
     // the (possibly partial) stack has reached.
     let expected = if pass.kind() == PassKind::Lowering {
@@ -578,9 +571,6 @@ mod tests {
         fn target(&self) -> Level {
             Level::MapList
         }
-        fn fixpoint_iters(&self) -> usize {
-            0
-        }
         fn run(&self, p: &Program, _ctx: &PassCtx) -> Program {
             let mut q = p.clone();
             let sym = Sym(q.sym_types.len() as u32);
@@ -593,6 +583,8 @@ mod tests {
                     count: Atom::Int(8),
                 },
             });
+            // Live, so the post-pass DCE keeps it for the check to find.
+            q.body.result = Atom::Sym(sym);
             q
         }
     }
@@ -613,9 +605,6 @@ mod tests {
         }
         fn target(&self) -> Level {
             Level::MapList
-        }
-        fn fixpoint_iters(&self) -> usize {
-            0
         }
         fn run(&self, p: &Program, _ctx: &PassCtx) -> Program {
             let mut q = p.clone();

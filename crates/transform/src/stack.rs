@@ -39,8 +39,8 @@ pub struct StageSnapshot {
     /// Wall-clock time of the rewrite plus its fixpoint re-optimization
     /// (zero for a pass stage of a cached compile).
     pub time: Duration,
-    /// The part of `time` spent in the post-rewrite [`optimize`] fixpoint:
-    /// zero for a cached compile and for a pass with no fixpoint budget.
+    /// The part of `time` spent in the post-rewrite [`optimize`] fixpoint
+    /// (zero for a cached compile).
     pub fixpoint: Duration,
 }
 
@@ -255,15 +255,14 @@ pub fn compile_cost_scored(
 
 /// Front-end lowering into the top IR level, optimized to fixpoint — the
 /// one definition of this step, shared by the driver and the scheduler's
-/// commutation checker (so they can never diverge on the lowering or its
-/// fixpoint budget). Returns the raw (pre-optimization) statement count
-/// and the time spent in the fixpoint alongside the program for the
-/// stage snapshot.
+/// commutation checker (so they can never diverge on it). Returns the
+/// raw (pre-optimization) statement count and the time spent in the
+/// fixpoint alongside the program for the stage snapshot.
 pub(crate) fn lower_frontend(fe: &dyn Frontend, ctx: &PassCtx) -> (usize, Duration, Program) {
     let raw = fe.lower(ctx);
     let raw_size = raw.body.size();
     let t = Instant::now();
-    let p = optimize(raw, 8);
+    let p = optimize(raw);
     (raw_size, t.elapsed(), p)
 }
 

@@ -7,9 +7,9 @@
 //!   one sweep cost size × depth; the optimizer's DCE cleans in place in
 //!   one linear walk.
 //! * [`optimize_reference`], the fixpoint that rebuilt the whole program
-//!   (`inline_aliases`) before every DCE. `optimize` rebuilds only when
-//!   the builder's check says a rebuild would simplify something, and
-//!   otherwise renumbers in place (`compact`).
+//!   (`inline_aliases`) before every DCE. `optimize` is one DCE and one
+//!   in-place renumbering (`compact`): the front-end and every pass emit
+//!   through the builder, so a rebuild has nothing left to simplify.
 //!
 //! Each pair must return the same program on every input the compiler
 //! hands it while compiling the 22 TPC-H queries, and on seeded random
@@ -19,8 +19,9 @@ use std::collections::{HashMap, HashSet};
 
 use dblab::ir::effects::effects_of;
 use dblab::ir::expr::{Annot, Atom, BinOp, Block, Expr, Program, Stmt, Sym};
-use dblab::ir::opt::{dce, inline_aliases, optimize};
-use dblab::ir::{IrBuilder, Level, StructRegistry, Type};
+use dblab::ir::hash::program_hash;
+use dblab::ir::opt::{compact, dce, inline_aliases, optimize};
+use dblab::ir::{Level, StructRegistry, Type};
 use dblab::tpch;
 use dblab::tpch::rng::Rng64;
 use dblab::transform::pass::{self, Frontend, PassCtx, PlanLowering};
@@ -204,24 +205,27 @@ fn check(label: &str, input: Program) -> Program {
     got
 }
 
+/// Rounds the reference fixpoint may run (the earlier per-pass budget).
+const ROUNDS: usize = 4;
+
 /// Run both fixpoints on `input` and require equal programs; returns the
 /// optimizer's output.
-fn check_optimize(label: &str, input: Program, iters: usize) -> Program {
-    let want = optimize_reference(input.clone(), iters);
-    let got = optimize(input, iters);
+fn check_optimize(label: &str, input: Program) -> Program {
+    let want = optimize_reference(input.clone(), ROUNDS);
+    let got = optimize(input);
     assert_same(&format!("{label} (fixpoint)"), &got, &want);
     got
 }
 
-/// Check every DCE input of one post-rewrite fixpoint: the rewrite's raw
+/// Check every DCE input of one reference fixpoint: the rewrite's raw
 /// output, then each round's alias-inlined program, mirroring
 /// [`optimize_reference`] (same size-based stop).
-fn check_fixpoint(label: &str, raw: Program, iters: usize) -> usize {
+fn check_fixpoint(label: &str, raw: Program) -> usize {
     let mut checked = 1;
     check(&format!("{label} (raw)"), raw.clone());
     let mut cur = raw;
     let mut last_size = usize::MAX;
-    for round in 0..iters {
+    for round in 0..ROUNDS {
         cur = check(&format!("{label} round {round}"), inline_aliases(&cur));
         checked += 1;
         let size = cur.body.size();
@@ -248,16 +252,22 @@ fn schema_with_stats() -> dblab::catalog::Schema {
 }
 
 /// Replay every stage's rewrite and hand `f` the program the following
-/// fixpoint starts from, with that fixpoint's budget: the front-end's
-/// lowering (budget 8), then each selected pass over the previous
-/// stage's snapshot (its own `fixpoint_iters`), for the 22 queries at
-/// level 5 with one thread and two, and at the compliant stack.
-fn replay_fixpoint_inputs(mut f: impl FnMut(&str, Program, usize)) {
+/// fixpoint starts from: the front-end's lowering, then each selected
+/// pass over the previous stage's snapshot, for the 22 queries under
+/// every Table 3 configuration and LegoBase's, each at one thread and two.
+fn replay_fixpoint_inputs(mut f: impl FnMut(&str, Program)) {
     let schema = schema_with_stats();
-    let mut threaded = StackConfig::level5();
-    threaded.threads = 2;
     let registry = pass::registry();
-    for cfg in [StackConfig::level5(), threaded, StackConfig::compliant()] {
+    let configs = StackConfig::table3()
+        .into_iter()
+        .chain([StackConfig::legobase()])
+        .flat_map(|cfg| {
+            [1, 2].map(|threads| StackConfig {
+                threads,
+                ..cfg.clone()
+            })
+        });
+    for cfg in configs {
         let ctx = PassCtx {
             schema: &schema,
             cfg: &cfg,
@@ -269,52 +279,51 @@ fn replay_fixpoint_inputs(mut f: impl FnMut(&str, Program, usize)) {
             f(
                 &format!("{label} front-end"),
                 PlanLowering(&prog).lower(&ctx),
-                8,
             );
             let (_, stages) = compile_with_snapshots(&prog, &schema, &cfg, true);
             assert_eq!(stages.len(), selected.len() + 1, "{label}: stage count");
             for (ps, (_, input)) in selected.iter().zip(&stages) {
-                let label = format!("{label} {}", ps.name());
-                f(&label, ps.run(input, &ctx), ps.fixpoint_iters());
+                f(&format!("{label} {}", ps.name()), ps.run(input, &ctx));
             }
         }
     }
 }
 
-/// Every program the following fixpoint would give DCE goes to both
+/// Every program the reference fixpoint would give DCE goes to both
 /// implementations.
 #[test]
 fn dce_matches_the_reference_on_every_stage_input_of_the_22_queries() {
     let mut checked = 0;
-    replay_fixpoint_inputs(|label, raw, iters| checked += check_fixpoint(label, raw, iters));
-    assert!(checked > 1000, "only {checked} DCE inputs compared");
+    replay_fixpoint_inputs(|label, raw| checked += check_fixpoint(label, raw));
+    assert!(checked > 3000, "only {checked} DCE inputs compared");
 }
 
 #[test]
 fn optimize_matches_the_rebuild_per_round_fixpoint_on_every_stage_input_of_the_22_queries() {
     let mut checked = 0;
-    replay_fixpoint_inputs(|label, raw, iters| {
-        checked += usize::from(iters > 0);
-        check_optimize(label, raw, iters);
+    replay_fixpoint_inputs(|label, raw| {
+        checked += 1;
+        check_optimize(label, raw);
     });
-    assert!(checked > 350, "only {checked} fixpoint inputs compared");
+    assert!(checked > 1400, "only {checked} fixpoint inputs compared");
 }
 
 /// The front-end and every pass emit through `IrBuilder`, so what they
 /// hand the fixpoint has no alias, foldable node or duplicate pure
-/// expression in scope for a rebuild to remove. A rewrite that starts
-/// emitting one is named here; the fixpoint still handles it (it falls
-/// back to the rebuild), at the price of one whole-program rebuild per
-/// round.
+/// expression in scope: an identity rebuild changes at most its symbol
+/// numbers, the way `compact` does. A rewrite that emits around the
+/// builder is named here (and trips `optimize`'s debug assertion).
 #[test]
-fn every_rewrite_hands_the_fixpoint_a_program_that_needs_no_rebuild() {
-    let mut needs = Vec::new();
-    replay_fixpoint_inputs(|label, raw, iters| {
-        if iters > 0 && IrBuilder::rebuild_would_simplify(&raw) {
-            needs.push(label.to_string());
+fn every_fixpoint_input_is_its_own_rebuild_up_to_numbering() {
+    let (mut checked, mut differ) = (0, Vec::new());
+    replay_fixpoint_inputs(|label, raw| {
+        checked += 1;
+        if program_hash(&inline_aliases(&raw)) != program_hash(&compact(raw)) {
+            differ.push(label.to_string());
         }
     });
-    assert!(needs.is_empty(), "rewrites that need a rebuild: {needs:?}");
+    assert!(checked > 1400, "only {checked} fixpoint inputs compared");
+    assert!(differ.is_empty(), "rewrites a rebuild changes: {differ:?}");
 }
 
 // -------------------------------------------------------------------
@@ -515,171 +524,10 @@ fn optimize_matches_the_reference_on_random_nested_programs() {
     for seed in 0..400u64 {
         let p = inline_aliases(&random_program(0xdce0_0000 + seed));
         let before = p.body.size();
-        let out = check_optimize(&format!("random program {seed}"), p, 4);
+        let out = check_optimize(&format!("random program {seed}"), p);
         shrunk += usize::from(out.body.size() < before);
     }
     assert!(shrunk > 200, "only {shrunk} of 400 programs lost code");
-}
-
-/// Random nested programs emitted through an `IrBuilder` with CSE and
-/// folding switched off, so they keep what a rebuild removes: pure
-/// expressions repeated in one scope or an enclosing one, and, in about
-/// half of the programs each, explicit `Expr::Atom` aliases and `Bin`s
-/// that fold.
-struct Verbatim {
-    rng: Rng64,
-    b: IrBuilder,
-    aliases: bool,
-    folds: bool,
-}
-
-impl Verbatim {
-    fn atom(&mut self, vals: &[Atom]) -> Atom {
-        if !vals.is_empty() && self.rng.gen_bool(0.7) {
-            vals[self.rng.gen_range(0..vals.len())].clone()
-        } else {
-            // 0 is the identity of `+`: `x + 0` folds.
-            Atom::Int(self.rng.gen_range(usize::from(!self.folds) as i64..4))
-        }
-    }
-
-    /// A `Bin`'s first operand: a symbol unless the program may fold.
-    fn operand(&mut self, vals: &[Atom]) -> Option<Atom> {
-        if self.folds {
-            Some(self.atom(vals))
-        } else {
-            (!vals.is_empty()).then(|| vals[self.rng.gen_range(0..vals.len())].clone())
-        }
-    }
-
-    fn block(&mut self, depth: usize, vals: &[Atom], vars: &[Sym]) -> Block {
-        self.b.scope_push();
-        let result = self.stmts(depth, vals, vars);
-        self.b.scope_pop(result)
-    }
-
-    /// Emit one to five statements into the current scope; returns the
-    /// block's result.
-    fn stmts(&mut self, depth: usize, vals: &[Atom], vars: &[Sym]) -> Atom {
-        let (mut vals, mut vars) = (vals.to_vec(), vars.to_vec());
-        let mut local = Vec::new();
-        for _ in 0..self.rng.gen_range(1..=5usize) {
-            let kind = if depth < MAX_DEPTH && self.rng.gen_bool(0.3) {
-                self.rng.gen_range(0..2usize)
-            } else {
-                self.rng.gen_range(2..10usize)
-            };
-            let value = match kind {
-                0 => {
-                    let cond = self.atom(&vals);
-                    let then_b = self.block(depth + 1, &vals, &vars);
-                    let else_b = self.block(depth + 1, &vals, &vars);
-                    let ty = match &then_b.result {
-                        Atom::Unit => self.b.atom_type(&else_b.result),
-                        r => self.b.atom_type(r),
-                    };
-                    let int = ty == Type::Int;
-                    let value = self.b.emit(
-                        ty,
-                        Expr::If {
-                            cond,
-                            then_b,
-                            else_b,
-                        },
-                    );
-                    Some(value).filter(|_| int)
-                }
-                1 => {
-                    let (lo, hi) = (self.atom(&vals), self.atom(&vals));
-                    let var = self.b.bind(Type::Int);
-                    let mut inner = vals.clone();
-                    inner.push(Atom::Sym(var));
-                    let body = self.block(depth + 1, &inner, &vars);
-                    self.b.emit_unit(Expr::ForRange { lo, hi, var, body });
-                    None
-                }
-                2 | 3 => self.operand(&vals).map(|x| {
-                    let y = self.atom(&vals);
-                    self.b.emit(Type::Int, Expr::Bin(BinOp::Add, x, y))
-                }),
-                4 if self.aliases => {
-                    let x = self.atom(&vals);
-                    Some(self.b.emit(Type::Int, Expr::Atom(x)))
-                }
-                5 => {
-                    let init = self.atom(&vals);
-                    vars.push(self.b.decl_var(init));
-                    None
-                }
-                6 if !vars.is_empty() => {
-                    let v = vars[self.rng.gen_range(0..vars.len())];
-                    Some(self.b.read_var(v))
-                }
-                7 if !vars.is_empty() => {
-                    let var = vars[self.rng.gen_range(0..vars.len())];
-                    let value = self.atom(&vals);
-                    self.b.assign(var, value);
-                    None
-                }
-                8 => {
-                    let x = self.atom(&vals);
-                    self.b.printf("%d\n", vec![x]);
-                    None
-                }
-                _ => self.operand(&vals).map(|x| {
-                    self.b
-                        .emit(Type::Int, Expr::Bin(BinOp::Sub, x, Atom::Int(1)))
-                }),
-            };
-            if let Some(v) = value {
-                vals.push(v.clone());
-                local.push(v);
-            }
-        }
-        match local.last() {
-            Some(v) if self.rng.gen_bool(0.4) => v.clone(),
-            _ => Atom::Unit,
-        }
-    }
-}
-
-/// A program, and whether it was built with neither aliases nor folding
-/// `Bin`s.
-fn verbatim_program(seed: u64) -> (Program, bool) {
-    let mut rng = Rng64::seed_from_u64(seed);
-    let (aliases, folds) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
-    let mut g = Verbatim {
-        rng,
-        b: IrBuilder::new(),
-        aliases,
-        folds,
-    };
-    g.b.cse_enabled = false;
-    g.b.fold_enabled = false;
-    let result = g.stmts(0, &[], &[]);
-    (g.b.finish(result, Level::ScaLite), !aliases && !folds)
-}
-
-#[test]
-fn optimize_matches_the_reference_on_random_programs_that_need_a_rebuild() {
-    let (mut rebuilt, mut for_cse_alone) = (0, 0);
-    for seed in 0..400u64 {
-        let (p, cse_only) = verbatim_program(0xf1c5_0000 + seed);
-        let rebuild = IrBuilder::rebuild_would_simplify(&p);
-        rebuilt += usize::from(rebuild);
-        for_cse_alone += usize::from(rebuild && cse_only);
-        check_optimize(&format!("verbatim program {seed}"), p, 4);
-    }
-    // The corpus must exercise the fallback rebuild, also where only a
-    // duplicate pure expression calls for it.
-    assert!(
-        rebuilt > 250,
-        "only {rebuilt} of 400 programs needed a rebuild"
-    );
-    assert!(
-        for_cse_alone > 40,
-        "only {for_cse_alone} of 400 programs needed a rebuild for CSE alone"
-    );
 }
 
 fn depth(b: &Block) -> usize {

@@ -121,7 +121,7 @@ fn cse_and_folding_are_semantics_preserving() {
         schema.table_mut("t").stats.row_count = 1;
         let cfg = dblab::transform::StackConfig::level2();
         let p1 = dblab::transform::pipeline::lower_program(&prog, &schema, &cfg);
-        let p2 = dblab::ir::opt::optimize(p1.clone(), 8);
+        let p2 = dblab::ir::opt::optimize(p1.clone());
         let db = dblab::runtime::Snapshot::from(db);
         assert_eq!(dblab::interp::run(&p1, &db), dblab::interp::run(&p2, &db));
         assert!(
@@ -411,15 +411,23 @@ fn mis_declared_commutation_is_caught_by_the_soundness_check() {
     use dblab::ir::{BinOp, Level, Program};
     use dblab::transform::{schedule::Scheduler, Pass, PassCtx, PassKind, StackConfig};
 
+    /// Appends `printf(v op rhs)` for a fresh variable `v = lhs`: printed,
+    /// so the post-pass DCE keeps it, and with a variable operand, so the
+    /// `Bin` is what the builder would emit (`lhs op rhs` would fold).
     fn append_stmt(p: &Program, op: BinOp, lhs: i64, rhs: i64) -> Program {
         let mut q = p.clone();
-        let sym = Sym(q.sym_types.len() as u32);
-        q.sym_types.push(Type::Int);
-        q.body.stmts.push(Stmt {
-            sym,
-            ty: Type::Int,
-            expr: Expr::Bin(op, Atom::Int(lhs), Atom::Int(rhs)),
-        });
+        let mut push = |ty: Type, expr: Expr| {
+            let sym = Sym(q.sym_types.len() as u32);
+            q.sym_types.push(ty.clone());
+            q.body.stmts.push(Stmt { sym, ty, expr });
+            sym
+        };
+        let init = Atom::Int(lhs);
+        let var = push(Type::Int, Expr::DeclVar { init });
+        let x = push(Type::Int, Expr::ReadVar(var));
+        let y = push(Type::Int, Expr::Bin(op, Atom::Sym(x), Atom::Int(rhs)));
+        let (fmt, args) = ("%d\n".into(), vec![Atom::Sym(y)]);
+        push(Type::Unit, Expr::Printf { fmt, args });
         q
     }
 
@@ -438,9 +446,6 @@ fn mis_declared_commutation_is_caught_by_the_soundness_check() {
                 }
                 fn target(&self) -> Level {
                     Level::MapList
-                }
-                fn fixpoint_iters(&self) -> usize {
-                    0
                 }
                 fn after(&self) -> &'static [&'static str] {
                     $after
