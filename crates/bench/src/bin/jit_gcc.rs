@@ -1,0 +1,57 @@
+//! In-query time of the 22 TPC-H queries on the jit and on gcc, one
+//! process, level 5.
+//!
+//! ```text
+//! cargo run --release -p dblab-bench --bin jit_gcc -- \
+//!     [--sf 0.01] [--runs 7] [--queries 5,7,9] [--threads 1]
+//! ```
+//!
+//! Both backends build every query first; then each of `--runs` rounds
+//! runs every query once on the jit and once on gcc, so the two backends
+//! see the same machine state. Prints each query's best in-query time per
+//! backend, their ratio, and the geomeans.
+
+use dblab_bench::{best_of, data_dir, gen_dir, Args};
+use dblab_codegen::{backend, Compiler};
+use dblab_transform::StackConfig;
+
+fn main() {
+    let args = Args::parse();
+    let (db, data) = data_dir(args.sf);
+    let mut cfg = StackConfig::level5();
+    cfg.threads = args.threads;
+    let built: Vec<_> = (args.queries.iter())
+        .map(|&q| {
+            ["jit", "gcc"].map(|b| {
+                (Compiler::new(&db.schema).config(&cfg).out_dir(&gen_dir()))
+                    .backend(backend(b).expect("registered backend"))
+                    .compile_named(
+                        &dblab_tpch::queries::query(q),
+                        &format!("jg_q{q}_t{}", cfg.threads),
+                    )
+                    .unwrap_or_else(|e| panic!("Q{q} on {b}: {e}"))
+            })
+        })
+        .collect();
+    let mut best = vec![[f64::INFINITY; 2]; built.len()];
+    for _ in 0..args.runs.max(1) {
+        for (arts, best) in built.iter().zip(&mut best) {
+            for (art, ms) in arts.iter().zip(best.iter_mut()) {
+                *ms = ms.min(best_of(art.exe.as_ref(), &data, 1).expect("run").query_ms);
+            }
+        }
+    }
+    println!(
+        "# in-query ms, SF {}, threads {}, best of {}",
+        args.sf, cfg.threads, args.runs
+    );
+    println!("{:<6}{:>10}{:>10}{:>8}", "query", "jit", "gcc", "jit/gcc");
+    let mut logs = [0.0; 2];
+    for (&q, [jit, gcc]) in args.queries.iter().zip(&best) {
+        println!("Q{q:<5}{jit:>10.3}{gcc:>10.3}{:>8.2}", jit / gcc);
+        logs[0] += jit.ln();
+        logs[1] += gcc.ln();
+    }
+    let [jit, gcc] = logs.map(|l| (l / best.len() as f64).exp());
+    println!("{:<6}{jit:>10.3}{gcc:>10.3}{:>8.2}", "geo", jit / gcc);
+}

@@ -476,16 +476,18 @@ pub fn advance_ceiling(ceiling: Level, pass: &dyn Pass) -> Level {
 /// Run one pass: rewrite, re-optimize to fixpoint, check the level
 /// contract, and (when `validate` is set — debug/test builds) mechanically
 /// verify the output against the dialect window `[ceiling, level]`.
+/// `size_before` is `p`'s statement count, which the stage that produced
+/// `p` has already counted.
 pub fn apply_one(
     pass: &dyn Pass,
     p: &Program,
+    size_before: usize,
     ctx: &PassCtx,
     ceiling: Level,
     validate: bool,
 ) -> Result<(Program, StageSnapshot), String> {
     let t0 = Instant::now();
     let level_before = p.level;
-    let size_before = p.body.size();
     let q = pass.run(p, ctx);
     let t = Instant::now();
     let q = optimize(q);
@@ -627,6 +629,7 @@ mod tests {
         let err = apply_one(
             &LevelViolatingPass,
             &maplist_prog(),
+            1,
             &ctx,
             Level::MapList,
             true,
@@ -638,6 +641,7 @@ mod tests {
         assert!(apply_one(
             &LevelViolatingPass,
             &maplist_prog(),
+            1,
             &ctx,
             Level::MapList,
             false
@@ -652,8 +656,15 @@ mod tests {
             schema: &schema,
             cfg: &cfg,
         };
-        let err =
-            apply_one(&LevelLyingPass, &maplist_prog(), &ctx, Level::MapList, true).unwrap_err();
+        let err = apply_one(
+            &LevelLyingPass,
+            &maplist_prog(),
+            1,
+            &ctx,
+            Level::MapList,
+            true,
+        )
+        .unwrap_err();
         assert!(err.contains("declared target"), "{err}");
     }
 

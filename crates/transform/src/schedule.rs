@@ -488,26 +488,27 @@ impl Scheduler {
             cfg: &self.cfg,
         };
         let mut p = lowered.clone();
+        let mut size = p.body.size();
         // Shared prefix: every ancestor of either pass, baseline order.
         let mut ceiling = Level::MapList;
         for v in 0..self.names.len() {
             if self.reach[v][ia] || self.reach[v][ib] {
                 let ps = self.passes[v].as_ref();
                 ceiling = advance_ceiling(ceiling, ps);
-                let (q, _) = pass::apply_one(ps, &p, &ctx, ceiling, true)
+                let (q, snap) = pass::apply_one(ps, &p, size, &ctx, ceiling, true)
                     .map_err(|e| format!("prefix pass {} failed: {e}", ps.name()))?;
-                p = q;
+                (p, size) = (q, snap.size);
             }
         }
         let run_pair = |first: usize, second: usize| -> Result<u64, String> {
-            let mut q = p.clone();
+            let (mut q, mut qsize) = (p.clone(), size);
             let mut c = ceiling;
             for &v in &[first, second] {
                 let ps = self.passes[v].as_ref();
                 c = advance_ceiling(c, ps);
-                let (r, _) = pass::apply_one(ps, &q, &ctx, c, true)
+                let (r, snap) = pass::apply_one(ps, &q, qsize, &ctx, c, true)
                     .map_err(|e| format!("pass {} failed: {e}", ps.name()))?;
-                q = r;
+                (q, qsize) = (r, snap.size);
             }
             Ok(program_hash(&q))
         };

@@ -332,7 +332,8 @@ fn run_pipeline(
     let mut ceiling = Level::MapList;
     for ps in passes {
         let ceiling_after = pass::advance_ceiling(ceiling, *ps);
-        let (q, snap) = pass::apply_one(*ps, &p, &ctx, ceiling_after, validate)
+        let size = stages.last().expect("front-end stage").size;
+        let (q, snap) = pass::apply_one(*ps, &p, size, &ctx, ceiling_after, validate)
             .unwrap_or_else(|e| panic!("stack contract broken: {e}"));
         ceiling = ceiling_after;
         if keep {

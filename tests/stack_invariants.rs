@@ -2,7 +2,11 @@
 //! monotone lowering, stage-by-stage interpretability, and the formal
 //! stack-construction principles.
 
+use std::collections::{HashMap, HashSet};
+
+use dblab::ir::expr::{Atom, Block, Expr, Sym};
 use dblab::ir::level::{validate, validate_window, Level};
+use dblab::ir::{Program, StructId, Type};
 use dblab::tpch;
 use dblab::transform::config::dblab_stack;
 use dblab::transform::stack::compile_with_snapshots;
@@ -137,23 +141,28 @@ fn partial_stacks_validate_within_their_dialect_window() {
     assert!(validate(&cq.program).is_empty());
 }
 
+/// Over the 22 level-5 queries the trace matches the retained programs
+/// and is contiguous: each stage starts at the level and size the stage
+/// before it ended (`run_pipeline` hands each pass the size its predecessor
+/// counted rather than counting again).
 #[test]
 fn stage_trace_is_instrumented_end_to_end() {
     let schema = schema_with_stats();
-    let prog = tpch::queries::query(6);
-    let (cq, programs) = compile_with_snapshots(&prog, &schema, &StackConfig::level5(), true);
-    assert_eq!(cq.stages.len(), programs.len());
-    for (snap, (name, p)) in cq.stages.iter().zip(&programs) {
-        assert_eq!(&snap.name, name);
-        assert_eq!(snap.level, p.level);
-        assert_eq!(snap.size, p.body.size());
+    for n in 1..=22 {
+        let prog = tpch::queries::query(n);
+        let (cq, programs) = compile_with_snapshots(&prog, &schema, &StackConfig::level5(), true);
+        assert_eq!(cq.stages.len(), programs.len());
+        for (snap, (name, p)) in cq.stages.iter().zip(&programs) {
+            assert_eq!(&snap.name, name);
+            assert_eq!(snap.level, p.level);
+            assert_eq!(snap.size, p.body.size(), "Q{n}: {name}");
+        }
+        for w in cq.stages.windows(2) {
+            assert_eq!(w[1].level_before, w[0].level);
+            assert_eq!(w[1].size_before, w[0].size, "Q{n}: {}", w[1].name);
+        }
+        assert!(cq.stage_time_total() <= cq.gen_time);
     }
-    // The trace is contiguous: each stage starts where the last ended.
-    for w in cq.stages.windows(2) {
-        assert_eq!(w[1].level_before, w[0].level);
-        assert_eq!(w[1].size_before, w[0].size);
-    }
-    assert!(cq.stage_time_total() <= cq.gen_time);
 }
 
 /// Each stage reports how much of its time went to the post-pass
@@ -242,4 +251,174 @@ fn generated_c_is_self_contained_and_stable() {
     assert!(src1.contains("#include \"dblab_runtime.h\""));
     assert!(src1.contains("load_lineitem"));
     assert!(src1.contains("dblab_timer_start"));
+}
+
+/// Field removal (paper App. C) decides liveness through copies. A field
+/// is live when a value read from it reaches something other than another
+/// record field, or when it is copied into a live field; a record with no
+/// live field keeps field 0 (C structs cannot be empty), and index key
+/// columns are read by the loader. Recomputed here by plain iteration on
+/// the final level-5 programs, every field of every record is live: no
+/// join record and no base-table load carries a column only to copy it
+/// into a dead one. Q7's `lineitem` load keeps the five columns it reads.
+#[test]
+fn no_level5_record_field_is_only_copied_into_dead_fields() {
+    let schema = schema_with_stats();
+    let mut failures = Vec::new();
+    for threads in [1, 2] {
+        let mut cfg = StackConfig::level5();
+        cfg.threads = threads;
+        for n in 1..=22 {
+            let cq = dblab::transform::compile(&tpch::queries::query(n), &schema, &cfg);
+            for (sid, field) in dead_fields(&cq.program) {
+                let def = cq.program.structs.get(sid);
+                failures.push(format!(
+                    "Q{n} threads {threads}: {}.{}",
+                    def.name, def.fields[field].name
+                ));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} record fields are only copied into dead fields: {failures:?}",
+        failures.len()
+    );
+
+    let cq = dblab::transform::compile(&tpch::queries::query(7), &schema, &StackConfig::level5());
+    let mut kept = Vec::new();
+    cq.program.body.for_each_stmt(&mut |st| {
+        if let Expr::LoadTable { table, .. } = &st.expr {
+            if &**table == "lineitem" {
+                kept.push(cq.program.annots.kept_columns(st.sym));
+            }
+        }
+    });
+    assert_eq!(kept, vec![Some(vec![0, 2, 5, 6, 10])]);
+}
+
+/// The fields of `p`'s records that copy-aware liveness finds dead. A
+/// `StructNew` argument counts as a copy whether or not the record is
+/// read; level-5 programs build their records in pools, through
+/// `FieldSet`s, anyway.
+fn dead_fields(p: &Program) -> Vec<(StructId, usize)> {
+    #[derive(Default)]
+    struct Uses {
+        getter: HashMap<Sym, (StructId, usize)>,
+        escaping: HashSet<Sym>,
+        copies: Vec<((StructId, usize), Sym)>,
+        live: HashSet<(StructId, usize)>,
+        /// Base tables with their kept columns, and the index key columns.
+        tables: Vec<(StructId, String, Option<Vec<usize>>)>,
+        index_cols: Vec<(String, usize)>,
+        /// Records used as hash-table keys, compared field-wise.
+        keys: Vec<StructId>,
+    }
+    fn walk(p: &Program, b: &Block, u: &mut Uses) {
+        for st in &b.stmts {
+            if let Type::HashMap(k, _) | Type::MultiMap(k, _) = &st.ty {
+                if let Type::Record(sid) = &**k {
+                    u.keys.push(*sid);
+                }
+            }
+            let escape = |a: &Atom, u: &mut Uses| {
+                if let Atom::Sym(s) = a {
+                    u.escaping.insert(*s);
+                }
+            };
+            match &st.expr {
+                Expr::FieldGet { obj, sid, field } => {
+                    u.getter.insert(st.sym, (*sid, *field));
+                    escape(obj, u);
+                }
+                Expr::StructNew { sid, args } => {
+                    for (j, a) in args.iter().enumerate() {
+                        if let Atom::Sym(s) = a {
+                            u.copies.push(((*sid, j), *s));
+                        }
+                    }
+                }
+                Expr::FieldSet {
+                    obj,
+                    sid,
+                    field,
+                    value,
+                } => {
+                    escape(obj, u);
+                    if let Atom::Sym(s) = value {
+                        u.copies.push(((*sid, *field), *s));
+                    }
+                }
+                Expr::LoadTable { sid, table } => {
+                    let kept = p.annots.kept_columns(st.sym);
+                    u.tables.push((*sid, table.to_string(), kept))
+                }
+                Expr::LoadIndexUnique { table, field }
+                | Expr::LoadIndexStarts { table, field }
+                | Expr::LoadIndexItems { table, field } => {
+                    u.index_cols.push((table.to_string(), *field))
+                }
+                e => e.for_each_atom(|a| escape(a, u)),
+            }
+            for blk in st.expr.blocks() {
+                walk(p, blk, u);
+            }
+        }
+        if let Atom::Sym(s) = b.result {
+            u.escaping.insert(s);
+        }
+    }
+    let mut u = Uses::default();
+    walk(p, &p.body, &mut u);
+    for (g, f) in &u.getter {
+        if u.escaping.contains(g) {
+            u.live.insert(*f);
+        }
+    }
+    for (sid, table, kept) in &u.tables {
+        for i in 0..p.structs.get(*sid).fields.len() {
+            // Index columns count in the table's original column space.
+            let col = kept.as_ref().map_or(i, |k| k[i]);
+            if u.index_cols.contains(&(table.clone(), col)) {
+                u.live.insert((*sid, i));
+            }
+        }
+    }
+    for sid in &u.keys {
+        for i in 0..p.structs.get(*sid).fields.len() {
+            u.live.insert((*sid, i));
+        }
+    }
+    loop {
+        let before = u.live.len();
+        for (dst, g) in &u.copies {
+            if let Some(src) = u.getter.get(g) {
+                if u.live.contains(dst) {
+                    u.live.insert(*src);
+                }
+            }
+        }
+        if u.live.len() == before {
+            // A record with no live field keeps field 0.
+            for (sid, def) in p.structs.iter() {
+                if !def.fields.is_empty()
+                    && !(0..def.fields.len()).any(|i| u.live.contains(&(sid, i)))
+                {
+                    u.live.insert((sid, 0));
+                }
+            }
+            if u.live.len() == before {
+                break;
+            }
+        }
+    }
+    let mut dead = Vec::new();
+    for (sid, def) in p.structs.iter() {
+        dead.extend(
+            (0..def.fields.len())
+                .map(|i| (sid, i))
+                .filter(|f| !u.live.contains(f)),
+        );
+    }
+    dead
 }
