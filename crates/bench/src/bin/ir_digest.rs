@@ -17,10 +17,7 @@
 //! cargo run --release -p dblab-bench --bin ir_digest -- --sf 0.002 > digest.txt
 //! ```
 
-use dblab_bench::{table3_configs, Args};
-use dblab_frontend::expr::{col, date, lit_d, lit_s};
-use dblab_frontend::qmonad::QMonad;
-use dblab_frontend::qplan::{AggFunc, SortDir};
+use dblab_bench::{qmonad_queries, table3_configs, Args};
 use dblab_ir::hash::{program_hash, str_hash};
 use dblab_transform::stack::compile_qmonad;
 use dblab_transform::{compile, CompiledQuery};
@@ -52,42 +49,4 @@ fn main() {
             }
         }
     }
-}
-
-/// The QMonad session of `examples/qmonad_analytics.rs`.
-fn qmonad_queries() -> [(&'static str, QMonad); 3] {
-    let building_revenue = QMonad::source("customer")
-        .filter(col("c_mktsegment").eq(lit_s("BUILDING")))
-        .hash_join(
-            QMonad::source("orders"),
-            vec![col("c_custkey")],
-            vec![col("o_custkey")],
-        )
-        .map(vec![("price", col("o_totalprice"))])
-        .sum(col("price"));
-    let cheap_1994_lines = QMonad::source("lineitem")
-        .filter(
-            col("l_shipdate")
-                .ge(date(1994, 1, 1))
-                .and(col("l_shipdate").lt(date(1995, 1, 1)))
-                .and(col("l_discount").gt(lit_d(0.05))),
-        )
-        .count();
-    let revenue_by_nation = QMonad::source("customer")
-        .hash_join(
-            QMonad::source("nation"),
-            vec![col("c_nationkey")],
-            vec![col("n_nationkey")],
-        )
-        .group_by(
-            vec![("nation", col("n_name"))],
-            vec![("balance", AggFunc::Sum(col("c_acctbal")))],
-        )
-        .sort_by(vec![(col("balance"), SortDir::Desc)])
-        .take(5);
-    [
-        ("building_revenue", building_revenue),
-        ("cheap_1994_lines", cheap_1994_lines),
-        ("revenue_by_nation", revenue_by_nation),
-    ]
 }

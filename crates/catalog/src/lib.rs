@@ -108,10 +108,6 @@ impl TableDef {
             .unwrap_or_else(|| panic!("table {} has no column {name}", self.name))
     }
 
-    pub fn col_type(&self, name: &str) -> ColType {
-        self.columns[self.col_index(name)].ty
-    }
-
     /// Is `col` a single-column primary key?
     pub fn is_primary_key(&self, col: usize) -> bool {
         self.primary_key == [col]

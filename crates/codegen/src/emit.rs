@@ -184,7 +184,7 @@ impl<'p> Emitter<'p> {
             for &c in &info.index_keys {
                 let _ = writeln!(self.top, "static int32_t* g_{t}_key_{c};");
             }
-            for &c in info.dicts.keys() {
+            for &c in &info.dicts {
                 let _ = writeln!(
                     self.top,
                     "static dblab_dict g_dict_{}__{c};",
@@ -244,7 +244,7 @@ impl<'p> Emitter<'p> {
             );
         }
         // Temporary raw-string columns for dictionary-encoded fields.
-        for &c in info.dicts.keys() {
+        for &c in &info.dicts {
             let _ = writeln!(
                 s,
                 "    char** raw_{c} = (char**)malloc((size_t)n * sizeof(char*));"
@@ -263,16 +263,17 @@ impl<'p> Emitter<'p> {
                 s,
                 "        char* f{ci} = p; while (*p != '|') p++; *p = '\\0'; p++;"
             );
-            let field_pos = info.kept.iter().position(|&k| k == ci);
             // Standalone key array (for index builders).
             if info.index_keys.contains(&ci) {
                 let _ = writeln!(s, "        g_{t}_key_{ci}[row] = (int32_t)atoi(f{ci});");
             }
-            if info.dicts.contains_key(&ci) {
+            if info.dicts.contains(&ci) {
                 let _ = writeln!(s, "        raw_{ci}[row] = f{ci};");
                 continue;
             }
-            let Some(fp) = field_pos else { continue };
+            let Some(fp) = info.field_of[ci] else {
+                continue;
+            };
             let fname = ident(&rec_def.fields[fp].name);
             let target = match info.layout {
                 Layout::Columnar => format!("g_{t}_{fname}[row]"),
@@ -291,14 +292,10 @@ impl<'p> Emitter<'p> {
         let _ = writeln!(s, "        while (*p == '\\n' || *p == '\\r') p++;");
         let _ = writeln!(s, "    }}");
         // Build dictionaries and re-encode their columns.
-        for &c in info.dicts.keys() {
+        for &c in &info.dicts {
             let dict = format!("g_dict_{t}__{c}");
             let _ = writeln!(s, "    {dict} = dblab_dict_build(raw_{c}, n);");
-            let fp = info
-                .kept
-                .iter()
-                .position(|&k| k == c)
-                .expect("dictionary column kept");
+            let fp = info.field_of[c].expect("a dictionary column has a field");
             let fname = ident(&rec_def.fields[fp].name);
             assert!(
                 matches!(info.layout, Layout::Columnar),
@@ -565,7 +562,6 @@ impl<'p> Emitter<'p> {
                     BinOp::Sub => format!("({x} - {y})"),
                     BinOp::Mul => format!("({x} * {y})"),
                     BinOp::Div => format!("({x} / {y})"),
-                    BinOp::Mod => format!("({x} % {y})"),
                     BinOp::Eq => format!("({x} == {y})"),
                     BinOp::Ne => format!("({x} != {y})"),
                     BinOp::Lt => format!("({x} < {y})"),
@@ -577,7 +573,6 @@ impl<'p> Emitter<'p> {
                     BinOp::BitAnd => format!("({x} & {y})"),
                     BinOp::BitOr => format!("({x} | {y})"),
                     BinOp::Max => format!("({x} > {y} ? {x} : {y})"),
-                    BinOp::Min => format!("({x} < {y} ? {x} : {y})"),
                 };
                 self.def(st, depth, out, &rhs);
             }
@@ -587,7 +582,6 @@ impl<'p> Emitter<'p> {
                     UnOp::Neg => format!("(-{x})"),
                     UnOp::Not => format!("(!{x})"),
                     UnOp::I2D | UnOp::L2D => format!("(double){x}"),
-                    UnOp::I2L => format!("(int64_t){x}"),
                     UnOp::L2I => format!("(int32_t){x}"),
                     UnOp::Year => format!("({x} / 10000)"),
                     UnOp::HashInt => format!("dblab_hash_i64((int64_t){x})"),
@@ -606,7 +600,6 @@ impl<'p> Emitter<'p> {
                     PrimOp::StrContains => format!("(strstr({}, {}) != NULL)", a[0], a[1]),
                     PrimOp::StrLike => format!("dblab_like({}, {})", a[0], a[1]),
                     PrimOp::StrSubstr => format!("dblab_substr({}, {}, {})", a[0], a[1], a[2]),
-                    PrimOp::StrLen => format!("(int32_t)strlen({})", a[0]),
                     PrimOp::HashStr => format!("dblab_hash_str({})", a[0]),
                     PrimOp::TimerStart => "dblab_timer_start()".into(),
                     PrimOp::TimerStop => "dblab_timer_stop()".into(),
@@ -902,10 +895,6 @@ impl<'p> Emitter<'p> {
                 self.block(body, depth + 1, out);
                 self.line(depth, out, "}");
             }
-            Expr::HashMapSize(m) => {
-                let mv = self.atom(m);
-                self.def(st, depth, out, &format!("(int32_t){mv}->len"));
-            }
             Expr::MultiMapAdd { map, key, value } => {
                 let m = self.atom(map);
                 let kk = self.box_key(key);
@@ -944,20 +933,6 @@ impl<'p> Emitter<'p> {
                 );
                 self.block(body, depth + 1, out);
                 self.line(depth, out, "}");
-            }
-            Expr::Malloc { ty, count } => {
-                let ec = self.c_type(ty);
-                let c = self.atom(count);
-                self.def(
-                    st,
-                    depth,
-                    out,
-                    &format!("({ec}*)calloc((size_t)({c}), sizeof({ec}))"),
-                );
-            }
-            Expr::Free(ptr) => {
-                let p = self.atom(ptr);
-                self.line(depth, out, &format!("free((void*){p});"));
             }
             Expr::PoolNew { ty, cap } => {
                 let rec = match ty {

@@ -29,7 +29,7 @@
 //!    position. There is no second, "stored" implementation of any
 //!    operator.
 //! 3. **Arena records, columns in place.** `PoolAlloc`/`StructNew`/
-//!    `Malloc`/`ArrayNew` bump one per-run arena of words. `LoadTable`
+//!    `ArrayNew` bump one per-run arena of words. `LoadTable`
 //!    binds the record type's fields to the resident snapshot's typed
 //!    column slices under column numbers assigned here, so a `FieldGet` on
 //!    a base record is `slice[row]` on a `&[i32]` / `&[i64]` / `&[f64]` —
@@ -287,16 +287,12 @@ macro_rules! arith {
             (BinOp::Sub, false) => arith!(@int $k, wrapping_sub, $body),
             (BinOp::Mul, false) => arith!(@int $k, wrapping_mul, $body),
             (BinOp::Div, false) => bind!($k, |u: u64, v: u64| (u as i64 / v as i64) as u64, $body),
-            (BinOp::Mod, false) => bind!($k, |u: u64, v: u64| (u as i64 % v as i64) as u64, $body),
             (BinOp::Max, false) => arith!(@int $k, max, $body),
-            (BinOp::Min, false) => arith!(@int $k, min, $body),
             (BinOp::Add, true) => bind!($k, |u: u64, v: u64| (d(u) + d(v)).to_bits(), $body),
             (BinOp::Sub, true) => bind!($k, |u: u64, v: u64| (d(u) - d(v)).to_bits(), $body),
             (BinOp::Mul, true) => bind!($k, |u: u64, v: u64| (d(u) * d(v)).to_bits(), $body),
             (BinOp::Div, true) => bind!($k, |u: u64, v: u64| (d(u) / d(v)).to_bits(), $body),
-            (BinOp::Mod, true) => bind!($k, |u: u64, v: u64| (d(u) % d(v)).to_bits(), $body),
             (BinOp::Max, true) => bind!($k, |u: u64, v: u64| d(u).max(d(v)).to_bits(), $body),
-            (BinOp::Min, true) => bind!($k, |u: u64, v: u64| d(u).min(d(v)).to_bits(), $body),
             _ => None,
         }
     };
@@ -656,7 +652,7 @@ impl<'p> Jc<'p> {
         let dbl = ca == Cls::Double || cb == Cls::Double;
         let num = if dbl { Cls::Double } else { Cls::Int };
         let compiled = match op {
-            Add | Sub | Mul | Div | Mod | Max | Min => {
+            Add | Sub | Mul | Div | Max => {
                 let (x, y) = (self.want(a, num)?, self.want(b, num)?);
                 arith!(op, dbl, k => (ev2(x, y, k), num))
             }
@@ -713,7 +709,7 @@ impl<'p> Jc<'p> {
                 (ev(move |rt| x.get(rt) ^ 1), Cls::Bool)
             }
             UnOp::I2D | UnOp::L2D => (self.want(a, Cls::Double)?, Cls::Double),
-            UnOp::I2L | UnOp::L2I => (self.want(a, Cls::Int)?, Cls::Int),
+            UnOp::L2I => (self.want(a, Cls::Int)?, Cls::Int),
             UnOp::Year => int(self.want(a, Cls::Int)?, |v| v / 10000),
             UnOp::HashInt => int(self.want(a, Cls::Int)?, |v| {
                 v.wrapping_mul(0x9E3779B97F4A7C15u64 as i64)
@@ -751,10 +747,6 @@ impl<'p> Jc<'p> {
             PrimOp::StrLike => {
                 let like = |a: &str, b: &str| dblab_runtime::like::like_match(a, b) as u64;
                 (self.str2(args, like)?, Cls::Bool)
-            }
-            PrimOp::StrLen => {
-                let x = self.want(&args[0], Cls::Str)?;
-                (ev(move |rt| rt.str_at(x.get(rt)).len() as u64), Cls::Int)
             }
             PrimOp::HashStr => {
                 let x = self.want(&args[0], Cls::Str)?;
@@ -983,7 +975,7 @@ impl<'p> Jc<'p> {
                     rt.arena.set(o.get(rt), f, v);
                 }))
             }
-            Expr::ArrayNew { len: n, .. } | Expr::Malloc { count: n, .. } => {
+            Expr::ArrayNew { len: n, .. } => {
                 let n = self.want(n, Cls::Int)?;
                 effect(op_box(move |rt| {
                     rt.frame[out] = rt.arena.alloc_array(n.get(rt) as usize)
@@ -1123,12 +1115,6 @@ impl<'p> Jc<'p> {
                     }
                 }))
             }
-            Expr::HashMapSize(m) => {
-                let (m, _) = self.map(m)?;
-                effect(op_box(move |rt| {
-                    rt.frame[out] = rt.objs.map(m.get(rt)).len() as u64
-                }))
-            }
             Expr::MultiMapNew { .. } => effect(op_box(move |rt| {
                 rt.frame[out] = rt.objs.new_obj(Obj::MMap(Default::default()))
             })),
@@ -1162,7 +1148,7 @@ impl<'p> Jc<'p> {
             }
             // Allocation identity is all a pool gives: `alloc` bumps the
             // arena by the element record's size, known from the type.
-            Expr::Free(_) | Expr::PoolNew { .. } => effect(op_box(|_| {})),
+            Expr::PoolNew { .. } => effect(op_box(|_| {})),
             Expr::PoolAlloc { pool } => {
                 let n = self.pool_record(pool)?;
                 effect(op_box(move |rt| rt.frame[out] = rt.arena.alloc(n)))
@@ -2086,7 +2072,7 @@ impl<'p> Jc<'p> {
         let dbl = cls(&read.ty) == Cls::Double || self.atom_cls(v) == Cls::Double;
         let num = if dbl { Cls::Double } else { Cls::Int };
         let once = |st: &Stmt| self.uses.count[slot(st.sym)] == 1;
-        let legal = matches!(op, Add | Sub | Mul | Max | Min)
+        let legal = matches!(op, Add | Sub | Mul | Max)
             && cls(&read.ty) == num
             && cls(&bin.ty) == num
             && once(read)
@@ -2439,16 +2425,20 @@ mod tests {
                 bb.hashmap_get_or_init(map.clone(), row, |_| Atom::Int(1));
             });
         }
-        let size = b.hashmap_size(map.clone());
-        b.printf("%d\n", vec![size]);
+        let size = b.decl_var(Atom::Int(0));
         b.hashmap_foreach(map, |bb, key, one| {
             let k = bb.field_get(key.clone(), sid, 0);
             let name = bb.field_get(key, sid, 1);
-            bb.printf("%d|%s|%d\n", vec![k, name, one]);
+            bb.printf("%d|%s|%d\n", vec![k, name, one.clone()]);
+            let n = bb.read_var(size);
+            let n = bb.add(n, one);
+            bb.assign(size, n);
         });
+        let size = b.read_var(size);
+        b.printf("%d\n", vec![size]);
         let (jit, interp) = jit_and_interp(b, Level::MapList);
         assert_eq!(jit, interp);
-        assert!(jit.starts_with("4\n"), "{jit}");
+        assert!(jit.ends_with("\n4\n"), "{jit}");
     }
 
     #[test]
@@ -2688,13 +2678,11 @@ mod tests {
                 bb.field_get(rec.clone(), named, 0),
                 bb.field_get(rec, named, 1),
             );
-            let len = bb.prim(PrimOp::StrLen, vec![name.clone()]);
-            bb.printf("%s/%d/%.4f ", vec![name, len, v]);
+            bb.printf("%s/%.4f ", vec![name, v]);
         });
         let (jit, interp) = jit_and_interp(b, Level::ScaLite);
         assert_eq!(jit, interp);
-        let want = "alice/5/9.0000 ban/3/1.0000 bob/3/4.2500 carol/5/2.5000 \
-                    dave/4/7.5000 green/5/0.5000 ";
+        let want = "alice/9.0000 ban/1.0000 bob/4.2500 carol/2.5000 dave/7.5000 green/0.5000 ";
         assert_eq!(jit, want);
     }
 
@@ -2773,17 +2761,21 @@ mod tests {
             let total = bb.add(total, v);
             bb.array_set(sums.clone(), Atom::Int(0), total);
         });
-        let size = b.hashmap_size(map.clone());
-        let total = b.array_get(sums, Atom::Int(0));
-        b.printf("%d %.4f\n", vec![size, total]);
+        let size = b.decl_var(Atom::Int(0));
         b.hashmap_foreach(map, |bb, k, v| {
             let (tag, big) = (bb.field_get(k.clone(), key, 0), bb.field_get(k, key, 1));
             bb.printf("%d|%d|%.4f\n", vec![tag, big, v]);
+            let n = bb.read_var(size);
+            let n = bb.add(n, Atom::Int(1));
+            bb.assign(size, n);
         });
+        let size = b.read_var(size);
+        let total = b.array_get(sums, Atom::Int(0));
+        b.printf("%d %.4f\n", vec![size, total]);
         let (jit, interp) = jit_and_interp(b, Level::MapList);
         assert_eq!(jit, interp);
         // red/small (carol), blue/big, red/big (bob), green/big: 4 groups.
-        assert!(jit.starts_with("4 423.2500\n"), "{jit}");
+        assert!(jit.ends_with("\n4 423.2500\n"), "{jit}");
         assert_eq!(jit.lines().count(), 5);
     }
 
@@ -3096,7 +3088,7 @@ mod tests {
         );
     }
 
-    /// `n` slots of `own(x)` records, slot `i` set where `i % 3 < fill`;
+    /// `n` slots of `own(x)` records, slot `i` set where `i & 3 < fill`;
     /// then `for (i <- 0 until n) { e = slots(i); if (e != null) { then } }`
     /// — the test spelled `!(e == null)` when `negated` — `then` given `own`,
     /// `e`, `i`, the slot array and an array of `n` `Int`s.
@@ -3116,7 +3108,7 @@ mod tests {
         let ints = b.array_new(Type::Int, Atom::Int(n));
         let fill_slots = slots.clone();
         b.for_range(Atom::Int(0), Atom::Int(n), |b, i| {
-            let r = b.bin(BinOp::Mod, i.clone(), Atom::Int(3));
+            let r = b.bin(BinOp::BitAnd, i.clone(), Atom::Int(3));
             let c = b.lt(r, Atom::Int(fill));
             b.if_then(c, |b| {
                 let rec = b.struct_new(own, vec![i.clone()]);
@@ -3146,7 +3138,7 @@ mod tests {
     fn null_skipping_walks_match_the_interpreter_at_every_chunk_edge() {
         let db = empty_db();
         for n in [0, 1, 1023, 1024, 1025, 2049] {
-            for (fill, negated) in [(0, false), (2, true), (2, false), (3, false)] {
+            for (fill, negated) in [(0, false), (2, true), (2, false), (4, false)] {
                 let p = slot_walk(n, fill, negated, |b, own, [e, i, _, ints]| {
                     let x = b.field_get(e, own, 0);
                     b.array_set(ints, i.clone(), x.clone());
@@ -3169,7 +3161,7 @@ mod tests {
 
     #[test]
     fn a_deadline_expiring_in_a_null_skipping_walk_discards_partial_output() {
-        let p = slot_walk(2049, 3, false, |b, _, [_, i, _, _]| {
+        let p = slot_walk(2049, 4, false, |b, _, [_, i, _, _]| {
             b.printf("%d\n", vec![i]);
             let total = b.decl_var(Atom::Int(0));
             b.for_range(Atom::Int(0), Atom::Int(100_000), |b, j| {

@@ -59,8 +59,8 @@ fn view_of(h: u64) -> usize {
     ((h & !BASE) >> 32) as usize
 }
 
-/// The per-run bump allocator behind `PoolAlloc`, `StructNew`, `Malloc`
-/// and `ArrayNew`. Nothing is freed before the run ends.
+/// The per-run bump allocator behind `PoolAlloc`, `StructNew` and
+/// `ArrayNew`. Nothing is freed before the run ends.
 #[derive(Default)]
 pub struct Arena {
     words: Vec<u64>,

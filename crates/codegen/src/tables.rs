@@ -1,29 +1,32 @@
 //! Base-table analysis for the C emitter.
 //!
 //! Before emitting a translation unit the unparser needs to know which
-//! relations the program loads, each relation's layout / dictionary /
-//! kept-column annotations, and which columns need standalone key arrays
-//! for the index builders (Figure 7 pre-computation).
+//! relations the program loads, each relation's layout, which columns its
+//! record type reads and which columns need standalone key arrays for the
+//! index builders (Figure 7 pre-computation).
+//!
+//! The record type decides what a `LoadTable` reads, as in the jit and
+//! the interpreter: each field names the column it reads, and an `Int`
+//! field over a `String` column reads dictionary codes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use dblab_catalog::Schema;
 use dblab_ir::expr::{Block, Expr, Layout, Sym};
 use dblab_ir::types::StructId;
-use dblab_ir::Program;
+use dblab_ir::{Program, Type};
 
 #[derive(Clone)]
 pub(crate) struct TableInfo {
     pub name: Arc<str>,
     pub sid: StructId,
     pub layout: Layout,
-    /// Original column index per (pruned) struct field.
-    pub kept: Vec<usize>,
-    /// Original column index -> ordered? for dictionary-encoded fields.
-    /// Ordered so the emitter walks it the same way every time: emitted
-    /// C is the build cache's key.
-    pub dicts: BTreeMap<usize, bool>,
+    /// Per column of the table: the record field that reads it, if any.
+    pub field_of: Vec<Option<usize>>,
+    /// Dictionary-encoded columns, ascending (emitted C is the build
+    /// cache's key, so the emitter walks them the same way every time).
+    pub dicts: Vec<usize>,
     /// Original column indices needing standalone key arrays for indexes.
     pub index_keys: Vec<usize>,
 }
@@ -51,17 +54,22 @@ fn walk(
         match &st.expr {
             Expr::LoadTable { table, sid } => {
                 let layout = p.annots.layout(st.sym).unwrap_or(Layout::Boxed);
-                let ncols = schema.table(table).columns.len();
-                let kept = p
-                    .annots
-                    .kept_columns(st.sym)
-                    .unwrap_or_else(|| (0..ncols).collect());
-                let dicts = p.annots.dict_fields(st.sym).into_iter().collect();
+                let def = schema.table(table);
+                let mut field_of = vec![None; def.columns.len()];
+                let mut dicts = Vec::new();
+                for (fi, f) in p.structs.get(*sid).fields.iter().enumerate() {
+                    let c = def.col_index(&f.name);
+                    field_of[c] = Some(fi);
+                    if def.columns[c].ty.is_string() && f.ty == Type::Int {
+                        dicts.push(c);
+                    }
+                }
+                dicts.sort_unstable();
                 let info = TableInfo {
                     name: table.clone(),
                     sid: *sid,
                     layout,
-                    kept,
+                    field_of,
                     dicts,
                     index_keys: Vec::new(),
                 };

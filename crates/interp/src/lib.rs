@@ -245,7 +245,7 @@ impl Interp<'_> {
                     },
                     UnOp::Not => V::B(!x.b()),
                     UnOp::I2D | UnOp::L2D => V::D(x.d()),
-                    UnOp::I2L | UnOp::L2I => V::I(x.i()),
+                    UnOp::L2I => V::I(x.i()),
                     UnOp::Year => V::I(x.i() / 10000),
                     UnOp::HashInt => V::I(x.i().wrapping_mul(0x9E3779B97F4A7C15u64 as i64)),
                     UnOp::HashDouble => V::I(x.d().to_bits() as i64),
@@ -430,10 +430,6 @@ impl Interp<'_> {
                 }
                 V::Unit
             }
-            Expr::HashMapSize(m) => match self.atom(m) {
-                V::Map(m) => V::I(m.borrow().len() as i64),
-                other => panic!("size on {other:?}"),
-            },
             Expr::MultiMapNew { .. } => V::MMap(Rc::new(RefCell::new(HashMap::new()))),
             Expr::MultiMapAdd { map, key, value } => {
                 let m = match self.atom(map) {
@@ -466,11 +462,6 @@ impl Interp<'_> {
                 }
                 V::Unit
             }
-            Expr::Malloc { ty: t, count } => {
-                let n = self.atom(count).i() as usize;
-                V::Cells(Rc::new(RefCell::new(vec![zero_of(t); n])))
-            }
-            Expr::Free(_) => V::Unit,
             // Pools: allocation identity is all that matters here; hand out
             // fresh zeroed records sized by the pool's element type.
             Expr::PoolNew { ty: t, .. } => {
@@ -544,7 +535,7 @@ impl Interp<'_> {
         }
         let numeric_dbl = matches!(x, V::D(_)) || matches!(y, V::D(_));
         match op {
-            Add | Sub | Mul | Div | Mod | Max | Min => {
+            Add | Sub | Mul | Div | Max => {
                 if numeric_dbl {
                     let (u, v) = (x.d(), y.d());
                     V::D(match op {
@@ -552,9 +543,7 @@ impl Interp<'_> {
                         Sub => u - v,
                         Mul => u * v,
                         Div => u / v,
-                        Mod => u % v,
                         Max => u.max(v),
-                        Min => u.min(v),
                         _ => unreachable!(),
                     })
                 } else {
@@ -567,9 +556,7 @@ impl Interp<'_> {
                         Sub => u.wrapping_sub(v),
                         Mul => u.wrapping_mul(v),
                         Div => u / v,
-                        Mod => u % v,
                         Max => u.max(v),
-                        Min => u.min(v),
                         _ => unreachable!(),
                     })
                 }
@@ -627,7 +614,6 @@ impl Interp<'_> {
                 let to = (from + v[2].i() as usize).min(s.len());
                 V::S(s[from..to].into())
             }
-            PrimOp::StrLen => V::I(v[0].s().len() as i64),
             PrimOp::HashStr => {
                 let mut h = 1469598103934665603u64;
                 for b in v[0].s().bytes() {

@@ -206,7 +206,7 @@ impl IrBuilder {
             UnOp::Neg => self.atom_type(&a),
             UnOp::Not => Type::Bool,
             UnOp::I2D | UnOp::L2D => Type::Double,
-            UnOp::I2L | UnOp::HashInt | UnOp::HashDouble => Type::Long,
+            UnOp::HashInt | UnOp::HashDouble => Type::Long,
             UnOp::Year | UnOp::L2I => Type::Int,
         };
         self.emit(ty, Expr::Un(op, a))
@@ -221,7 +221,7 @@ impl IrBuilder {
             | PrimOp::StrEndsWith
             | PrimOp::StrContains
             | PrimOp::StrLike => Type::Bool,
-            PrimOp::StrCmp | PrimOp::StrLen => Type::Int,
+            PrimOp::StrCmp => Type::Int,
             PrimOp::StrSubstr => Type::String,
             PrimOp::HashStr => Type::Long,
             PrimOp::TimerStart | PrimOp::TimerStop | PrimOp::PrintRusage => Type::Unit,
@@ -513,10 +513,6 @@ impl IrBuilder {
         });
     }
 
-    pub fn hashmap_size(&mut self, map: Atom) -> Atom {
-        self.emit(Type::Int, Expr::HashMapSize(map))
-    }
-
     pub fn multimap_new(&mut self, key: Type, value: Type) -> Atom {
         self.emit(
             Type::multi_map(key.clone(), value.clone()),
@@ -547,14 +543,6 @@ impl IrBuilder {
     // C.Scala
     // ------------------------------------------------------------------
 
-    pub fn malloc(&mut self, ty: Type, count: Atom) -> Atom {
-        self.emit(Type::pointer(ty.clone()), Expr::Malloc { ty, count })
-    }
-
-    pub fn free(&mut self, ptr: Atom) {
-        self.emit_unit(Expr::Free(ptr));
-    }
-
     pub fn pool_new(&mut self, ty: Type, cap: Atom) -> Atom {
         self.emit(Type::pool(ty.clone()), Expr::PoolNew { ty, cap })
     }
@@ -572,17 +560,13 @@ impl IrBuilder {
     // ------------------------------------------------------------------
 
     pub fn load_table(&mut self, table: &str, sid: StructId) -> Atom {
-        let atom = self.emit(
+        self.emit(
             Type::array(Type::Record(sid)),
             Expr::LoadTable {
                 table: table.into(),
                 sid,
             },
-        );
-        if let Atom::Sym(s) = atom {
-            self.annotate(s, Annot::Table(table.into()));
-        }
-        atom
+        )
     }
 
     pub fn load_index_unique(&mut self, table: &str, field: usize) -> Atom {
@@ -672,7 +656,6 @@ fn fold_bin(op: BinOp, a: &Atom, b: &Atom) -> Option<Atom> {
             Sub => mk(x.wrapping_sub(y)),
             Mul => mk(x.wrapping_mul(y)),
             Div if y != 0 => mk(x / y),
-            Mod if y != 0 => mk(x % y),
             Eq => Atom::Bool(x == y),
             Ne => Atom::Bool(x != y),
             Lt => Atom::Bool(x < y),
@@ -680,7 +663,6 @@ fn fold_bin(op: BinOp, a: &Atom, b: &Atom) -> Option<Atom> {
             Gt => Atom::Bool(x > y),
             Ge => Atom::Bool(x >= y),
             Max => mk(x.max(y)),
-            Min => mk(x.min(y)),
             _ => return None,
         });
     }
@@ -697,7 +679,6 @@ fn fold_bin(op: BinOp, a: &Atom, b: &Atom) -> Option<Atom> {
             Gt => Atom::Bool(x > y),
             Ge => Atom::Bool(x >= y),
             Max => Atom::double(x.max(y)),
-            Min => Atom::double(x.min(y)),
             _ => return None,
         });
     }
@@ -721,7 +702,6 @@ fn fold_un(op: UnOp, a: &Atom) -> Option<Atom> {
         (UnOp::Not, Atom::Bool(x)) => Atom::Bool(!x),
         (UnOp::I2D, Atom::Int(x)) => Atom::double(*x as f64),
         (UnOp::L2D, Atom::Long(x)) => Atom::double(*x as f64),
-        (UnOp::I2L, Atom::Int(x)) => Atom::Long(*x),
         (UnOp::Year, Atom::Int(x)) => Atom::Int(x / 10000),
         _ => return None,
     })

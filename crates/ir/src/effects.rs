@@ -87,11 +87,10 @@ pub fn own_effects(e: &Expr) -> Effects {
         Expr::HashMapNew { .. } | Expr::MultiMapNew { .. } => Effects::ALLOC,
         // get-or-init may insert.
         Expr::HashMapGetOrInit { .. } => Effects::READ | Effects::WRITE,
-        Expr::HashMapForeach { .. } | Expr::HashMapSize(_) => Effects::READ,
+        Expr::HashMapForeach { .. } => Effects::READ,
         Expr::MultiMapAdd { .. } => Effects::WRITE,
         Expr::MultiMapForeachAt { .. } => Effects::READ,
-        Expr::Malloc { .. } | Expr::PoolNew { .. } | Expr::PoolAlloc { .. } => Effects::ALLOC,
-        Expr::Free(_) => Effects::WRITE,
+        Expr::PoolNew { .. } | Expr::PoolAlloc { .. } => Effects::ALLOC,
         Expr::LoadTable { .. }
         | Expr::LoadIndexUnique { .. }
         | Expr::LoadIndexStarts { .. }

@@ -100,7 +100,6 @@ pub enum BinOp {
     Sub,
     Mul,
     Div,
-    Mod,
     Eq,
     Ne,
     Lt,
@@ -114,7 +113,6 @@ pub enum BinOp {
     BitAnd,
     BitOr,
     Max,
-    Min,
 }
 
 impl BinOp {
@@ -138,8 +136,6 @@ pub enum UnOp {
     I2D,
     /// long -> double widening.
     L2D,
-    /// int -> long widening.
-    I2L,
     /// long -> int truncation (bucket indices after masking).
     L2I,
     /// `yyyymmdd / 10000` — extract the year of an encoded date.
@@ -166,7 +162,6 @@ pub enum PrimOp {
     StrLike,
     /// `substr(s, start1based, len)` — returns a fresh string.
     StrSubstr,
-    StrLen,
     /// String hash, returns `Long`.
     HashStr,
     /// Start the query-execution timer (excludes data loading, §7).
@@ -188,7 +183,7 @@ impl PrimOp {
             | PrimOp::StrContains
             | PrimOp::StrLike => 2,
             PrimOp::StrSubstr => 3,
-            PrimOp::StrLen | PrimOp::HashStr => 1,
+            PrimOp::HashStr => 1,
             PrimOp::TimerStart | PrimOp::TimerStop | PrimOp::PrintRusage => 0,
         }
     }
@@ -332,7 +327,6 @@ pub enum Expr {
         vvar: Sym,
         body: Block,
     },
-    HashMapSize(Atom),
     MultiMapNew {
         key: Type,
         value: Type,
@@ -352,11 +346,6 @@ pub enum Expr {
     },
 
     // ---- C.Scala ----------------------------------------------------------
-    Malloc {
-        ty: Type,
-        count: Atom,
-    },
-    Free(Atom),
     /// Memory pool of `cap` records (Appendix D.1).
     PoolNew {
         ty: Type,
@@ -403,12 +392,6 @@ pub enum Expr {
     /// per worker to fold the worker-local state back into the shared
     /// symbols. Introduced by the `parallelize-scans` pass (never by the
     /// front-end); executed serially by the interpreter.
-    ///
-    /// This variant (and [`ParAcc`]) sits at the end of the enum so the
-    /// derived-`Hash` discriminants of every pre-existing variant are
-    /// unchanged — programs without `ParallelFor` keep their exact
-    /// `program_hash`, which is what keeps the compile and build caches
-    /// sound across this extension.
     ParallelFor {
         lo: Atom,
         hi: Atom,
@@ -434,10 +417,6 @@ pub enum Expr {
     /// literal binding of one template shares one hash, one compile-cache
     /// entry and one build-cache artifact. The statement's declared type carries
     /// the parameter type.
-    ///
-    /// Like [`Expr::ParallelFor`], this sits at the end of the enum so the
-    /// derived-`Hash` discriminants of every pre-existing variant are
-    /// unchanged and existing programs keep their exact `program_hash`.
     LoadParam {
         idx: usize,
     },
@@ -466,7 +445,7 @@ pub struct ParAcc {
 macro_rules! visit_operands {
     ($e:expr, $f:ident) => {
         match $e {
-            Expr::Atom(a) | Expr::Un(_, a) | Expr::ArrayLen(a) | Expr::Free(a) => $f(a),
+            Expr::Atom(a) | Expr::Un(_, a) | Expr::ArrayLen(a) => $f(a),
             Expr::Bin(_, a, b) => {
                 $f(a);
                 $f(b);
@@ -507,7 +486,7 @@ macro_rules! visit_operands {
                 $f(list);
                 $f(value);
             }
-            Expr::ListSize(l) | Expr::HashMapSize(l) => $f(l),
+            Expr::ListSize(l) => $f(l),
             Expr::ListForeach { list, .. } => $f(list),
             Expr::HashMapGetOrInit { map, key, .. } | Expr::MultiMapForeachAt { map, key, .. } => {
                 $f(map);
@@ -519,7 +498,6 @@ macro_rules! visit_operands {
                 $f(key);
                 $f(value);
             }
-            Expr::Malloc { count, .. } => $f(count),
             Expr::PoolNew { cap, .. } => $f(cap),
             Expr::PoolAlloc { pool } => $f(pool),
             Expr::While { .. }
@@ -760,8 +738,6 @@ pub struct Annotations {
 pub enum Layout {
     /// Array of pointers to separately allocated records.
     Boxed,
-    /// Contiguous array of records.
-    Row,
     /// Struct-of-arrays (one array per field).
     Columnar,
 }
@@ -769,31 +745,21 @@ pub enum Layout {
 /// An individual annotation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Annot {
-    /// The symbol holds (an array of) the named input relation.
-    Table(Arc<str>),
     /// Worst-case cardinality estimate (drives memory-pool sizing, App. D.1).
     SizeHint(u64),
     /// Keys are dense integers in `[0, max]` — enables dense-array
     /// specialization of hash tables. `composite`: the key packs several
     /// group columns, so no single field of the stored record equals it.
     DenseKey { max: u64, composite: bool },
-    /// The MultiMap/HashMap key equals the given field of the inserted
-    /// record. Nothing attaches it any more; it stays because removing a
-    /// variant shifts the derived `Hash` discriminants of the ones after
-    /// it, and with them every `program_hash`.
-    KeyField { sid: StructId, field: usize },
-    /// Free-form note (kept in generated C as a comment).
+    /// Free-form note. No backend emits it; the one in use is
+    /// `"has_minmax"`, which pipelining puts on a group-by map whose
+    /// aggregates include a `min` or `max`, for hash-table specialization.
     Comment(Arc<str>),
     /// The symbol is a verbatim copy of `table`'s column `field`
     /// (provenance for string dictionaries and index inference).
     Column { table: Arc<str>, field: usize },
     /// Storage layout decision for a loaded base-table array (App. C).
     TableLayout(Layout),
-    /// The given field of this loaded table is dictionary-encoded (§5.3).
-    DictField { field: usize, ordered: bool },
-    /// After unused-field removal: the original column positions that
-    /// survived (tells the loader which `.tbl` fields to parse, App. C).
-    KeptColumns(Vec<usize>),
 }
 
 impl Annotations {
@@ -821,12 +787,6 @@ impl Annotations {
             _ => None,
         })
     }
-    pub fn table(&self, sym: Sym) -> Option<Arc<str>> {
-        self.get(sym).iter().find_map(|a| match a {
-            Annot::Table(t) => Some(t.clone()),
-            _ => None,
-        })
-    }
     pub fn column(&self, sym: Sym) -> Option<(Arc<str>, usize)> {
         self.get(sym).iter().find_map(|a| match a {
             Annot::Column { table, field } => Some((table.clone(), *field)),
@@ -838,21 +798,6 @@ impl Annotations {
             Annot::TableLayout(l) => Some(*l),
             _ => None,
         })
-    }
-    pub fn kept_columns(&self, sym: Sym) -> Option<Vec<usize>> {
-        self.get(sym).iter().find_map(|a| match a {
-            Annot::KeptColumns(v) => Some(v.clone()),
-            _ => None,
-        })
-    }
-    pub fn dict_fields(&self, sym: Sym) -> Vec<(usize, bool)> {
-        self.get(sym)
-            .iter()
-            .filter_map(|a| match a {
-                Annot::DictField { field, ordered } => Some((*field, *ordered)),
-                _ => None,
-            })
-            .collect()
     }
     pub fn iter(&self) -> impl Iterator<Item = (&Sym, &Vec<Annot>)> {
         self.map.iter()

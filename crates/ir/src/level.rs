@@ -76,7 +76,6 @@ fn level_range(e: &Expr) -> (Level, Level) {
         Expr::HashMapNew { .. }
         | Expr::HashMapGetOrInit { .. }
         | Expr::HashMapForeach { .. }
-        | Expr::HashMapSize(_)
         | Expr::MultiMapNew { .. }
         | Expr::MultiMapAdd { .. }
         | Expr::MultiMapForeachAt { .. } => (MapList, MapList),
@@ -86,9 +85,7 @@ fn level_range(e: &Expr) -> (Level, Level) {
         | Expr::ListSize(_)
         | Expr::ListForeach { .. } => (MapList, List),
         // Memory management appears only at the bottom.
-        Expr::Malloc { .. } | Expr::Free(_) | Expr::PoolNew { .. } | Expr::PoolAlloc { .. } => {
-            (CScala, CScala)
-        }
+        Expr::PoolNew { .. } | Expr::PoolAlloc { .. } => (CScala, CScala),
         // Everything else is core ScaLite, legal everywhere.
         _ => (MapList, CScala),
     }
@@ -242,12 +239,9 @@ fn discriminant_name(e: &Expr) -> &'static str {
         Expr::HashMapNew { .. } => "HashMapNew",
         Expr::HashMapGetOrInit { .. } => "HashMapGetOrInit",
         Expr::HashMapForeach { .. } => "HashMapForeach",
-        Expr::HashMapSize(_) => "HashMapSize",
         Expr::MultiMapNew { .. } => "MultiMapNew",
         Expr::MultiMapAdd { .. } => "MultiMapAdd",
         Expr::MultiMapForeachAt { .. } => "MultiMapForeachAt",
-        Expr::Malloc { .. } => "Malloc",
-        Expr::Free(_) => "Free",
         Expr::PoolNew { .. } => "PoolNew",
         Expr::PoolAlloc { .. } => "PoolAlloc",
         Expr::LoadTable { .. } => "LoadTable",
@@ -301,13 +295,13 @@ mod tests {
     }
 
     #[test]
-    fn malloc_only_at_cscala() {
+    fn pools_only_at_cscala() {
         let st = Stmt {
             sym: Sym(0),
-            ty: Type::pointer(Type::Int),
-            expr: Expr::Malloc {
+            ty: Type::pool(Type::Int),
+            expr: Expr::PoolNew {
                 ty: Type::Int,
-                count: Atom::Int(4),
+                cap: Atom::Int(4),
             },
         };
         assert!(validate(&prog(Level::CScala, vec![st.clone()], 1)).is_empty());
@@ -363,10 +357,10 @@ mod tests {
         };
         let mem_node = Stmt {
             sym: Sym(0),
-            ty: Type::pointer(Type::Int),
-            expr: Expr::Malloc {
+            ty: Type::pool(Type::Int),
+            expr: Expr::PoolNew {
                 ty: Type::Int,
-                count: Atom::Int(1),
+                cap: Atom::Int(1),
             },
         };
         for lvl in Level::ALL {

@@ -77,7 +77,6 @@ fn bin_op(op: BinOp) -> &'static str {
         BinOp::Sub => "-",
         BinOp::Mul => "*",
         BinOp::Div => "/",
-        BinOp::Mod => "%",
         BinOp::Eq => "==",
         BinOp::Ne => "!=",
         BinOp::Lt => "<",
@@ -89,7 +88,6 @@ fn bin_op(op: BinOp) -> &'static str {
         BinOp::BitAnd => "&",
         BinOp::BitOr => "|",
         BinOp::Max => "max",
-        BinOp::Min => "min",
     }
 }
 
@@ -114,7 +112,6 @@ fn print_stmt(st: &Stmt, depth: usize, out: &mut String) {
                 UnOp::Not => "!",
                 UnOp::I2D => "i2d ",
                 UnOp::L2D => "l2d ",
-                UnOp::I2L => "i2l ",
                 UnOp::Year => "year ",
                 UnOp::L2I => "l2i ",
                 UnOp::HashInt => "hash ",
@@ -133,7 +130,6 @@ fn print_stmt(st: &Stmt, depth: usize, out: &mut String) {
                 PrimOp::StrContains => "contains",
                 PrimOp::StrLike => "like",
                 PrimOp::StrSubstr => "substr",
-                PrimOp::StrLen => "strLen",
                 PrimOp::HashStr => "hashStr",
                 PrimOp::TimerStart => "timerStart",
                 PrimOp::TimerStop => "timerStop",
@@ -271,10 +267,6 @@ fn print_stmt(st: &Stmt, depth: usize, out: &mut String) {
             block_arg(body, depth, out);
             out.push('\n');
         }
-        Expr::HashMapSize(m) => {
-            lhs(out, st);
-            let _ = writeln!(out, "{}.size", atom(m));
-        }
         Expr::MultiMapNew { key, value } => {
             lhs(out, st);
             let _ = writeln!(out, "new MultiMap[{}, {}]", key, value);
@@ -297,13 +289,6 @@ fn print_stmt(st: &Stmt, depth: usize, out: &mut String) {
             let _ = write!(out, "for ({} <- {}.get({})) ", var, atom(map), atom(key));
             block_arg(body, depth, out);
             out.push('\n');
-        }
-        Expr::Malloc { ty, count } => {
-            lhs(out, st);
-            let _ = writeln!(out, "malloc[{}]({})", ty, atom(count));
-        }
-        Expr::Free(p) => {
-            let _ = writeln!(out, "free({})", atom(p));
         }
         Expr::PoolNew { ty, cap } => {
             lhs(out, st);

@@ -294,10 +294,6 @@ impl<'p> Rewriter<'p> {
                 });
                 Atom::Unit
             }
-            Expr::HashMapSize(m) => {
-                let m = self.atom(m);
-                self.b.hashmap_size(m)
-            }
             Expr::MultiMapNew { key, value } => self.b.multimap_new(key.clone(), value.clone()),
             Expr::MultiMapAdd { map, key, value } => {
                 let (map, key, value) = (self.atom(map), self.atom(key), self.atom(value));
@@ -323,15 +319,6 @@ impl<'p> Rewriter<'p> {
                     var: nvar,
                     body,
                 });
-                Atom::Unit
-            }
-            Expr::Malloc { ty, count } => {
-                let count = self.atom(count);
-                self.b.malloc(ty.clone(), count)
-            }
-            Expr::Free(p) => {
-                let p = self.atom(p);
-                self.b.free(p);
                 Atom::Unit
             }
             Expr::PoolNew { ty, cap } => {

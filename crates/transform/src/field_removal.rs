@@ -37,14 +37,14 @@
 //! The rewrite drops dead fields from `StructNew` argument lists, drops
 //! `FieldSet`s and `FieldGet`s of dead fields and the `StructNew`s of dead
 //! records (their only uses are copies the rewrite drops), and renumbers
-//! the rest. It creates no statement. The original column positions of pruned base tables are
-//! recorded in an [`Annot::KeptColumns`] annotation so the `.tbl` loaders
-//! parse only those; index and dictionary annotations keep referring to
-//! original column space.
+//! the rest. It creates no statement and no annotation: a pruned base
+//! table's record type is what every executor's loader reads, one column
+//! per remaining field, found by name. Index nodes keep referring to
+//! original column positions.
 
 use std::sync::Arc;
 
-use dblab_ir::expr::{Annot, Atom, Block, Expr, Sym};
+use dblab_ir::expr::{Atom, Block, Expr};
 use dblab_ir::{Program, StructId, Type};
 
 /// No node / no new index.
@@ -86,7 +86,7 @@ pub fn apply(p: &Program, prune_tables: bool) -> Program {
             live[n] = true;
         }
     }
-    for (_, sid, table) in &sc.tables {
+    for (sid, table) in &sc.tables {
         let s = sid.0 as usize;
         if !prune_tables {
             sc.protected[s] = true;
@@ -165,16 +165,6 @@ pub fn apply(p: &Program, prune_tables: bool) -> Program {
             live[f - 1]
         });
     }
-    // Loader guidance for pruned base tables.
-    for (sym, sid, _) in &sc.tables {
-        let s = sid.0 as usize;
-        let kept: Vec<usize> = (0..base[s + 1] - base[s])
-            .filter(|&i| live[base[s] + i])
-            .collect();
-        if kept.len() < base[s + 1] - base[s] {
-            out.annots.add(*sym, Annot::KeptColumns(kept));
-        }
-    }
     // Getters of dead fields and dead records go: their only uses are
     // copies into dead fields, which go too.
     let dead: Vec<bool> = sc.node.iter().map(|&n| n != NONE && !live[n]).collect();
@@ -225,7 +215,7 @@ struct Scan<'a> {
     records: Vec<(usize, usize)>,
     /// `StructNew` arguments: the symbol, or NONE for a constant.
     args: Vec<usize>,
-    tables: Vec<(Sym, StructId, Arc<str>)>,
+    tables: Vec<(StructId, Arc<str>)>,
     index_cols: Vec<(Arc<str>, usize)>,
     /// Records used as abstract hash-table keys. After hash-table
     /// specialization the key comparisons are explicit `FieldGet`s, so
@@ -274,7 +264,7 @@ impl Scan<'_> {
                     }
                 }
                 Expr::LoadTable { sid, table } => {
-                    self.tables.push((st.sym, *sid, table.clone()));
+                    self.tables.push((*sid, table.clone()));
                 }
                 Expr::LoadIndexUnique { table, field }
                 | Expr::LoadIndexStarts { table, field }
@@ -410,16 +400,8 @@ mod tests {
         assert_eq!(compliant.structs.get(sid).fields.len(), 2);
 
         let q = apply(&p, true);
-        assert_eq!(q.structs.get(sid).fields.len(), 1);
-        // Loader guidance recorded.
-        let load_sym = q
-            .body
-            .stmts
-            .iter()
-            .find(|st| matches!(st.expr, Expr::LoadTable { .. }))
-            .unwrap()
-            .sym;
-        assert_eq!(q.annots.kept_columns(load_sym), Some(vec![0]));
+        // The record type is what the loaders read.
+        assert_eq!(field_names(&q, sid), ["x"]);
     }
 
     /// A struct of `Int` fields named `fields`.
@@ -449,15 +431,6 @@ mod tests {
         fields.iter().map(|f| f.name.to_string()).collect()
     }
 
-    fn kept_columns(p: &Program) -> Option<Vec<usize>> {
-        let load = p
-            .body
-            .stmts
-            .iter()
-            .find(|st| matches!(st.expr, Expr::LoadTable { .. }));
-        p.annots.kept_columns(load.unwrap().sym)
-    }
-
     fn count(p: &Program, pred: impl Fn(&Expr) -> bool) -> usize {
         let mut n = 0;
         p.body.for_each_stmt(&mut |st| n += pred(&st.expr) as usize);
@@ -482,7 +455,6 @@ mod tests {
         assert_eq!(field_names(&q, t), ["y"]);
         assert_eq!(field_names(&q, rec_a), ["ay"]);
         assert_eq!(field_names(&q, rec_b), ["by"]);
-        assert_eq!(kept_columns(&q), Some(vec![1]));
         // The getters that fed the dropped fields are gone with them.
         assert_eq!(count(&q, |e| matches!(e, Expr::FieldGet { .. })), 3);
     }
@@ -502,7 +474,7 @@ mod tests {
 
         let q = apply(&p, true);
         assert_eq!(field_names(&q, rec), ["a"]);
-        assert_eq!(kept_columns(&q), Some(vec![2]));
+        assert_eq!(field_names(&q, t), ["z"]);
         assert_eq!(count(&q, |e| matches!(e, Expr::FieldSet { .. })), 0);
         let reads = |sid| move |e: &Expr| matches!(e, Expr::FieldGet { sid: s, .. } if *s == sid);
         assert_eq!(count(&q, reads(t)), 1);
@@ -522,7 +494,7 @@ mod tests {
 
         let q = apply(&p, true);
         assert_eq!(field_names(&q, key), ["k0", "k1"]);
-        assert_eq!(kept_columns(&q), Some(vec![0, 1]));
+        assert_eq!(field_names(&q, t), ["x", "y"]);
     }
 
     #[test]
@@ -540,7 +512,7 @@ mod tests {
 
         let q = apply(&p, true);
         assert_eq!(field_names(&q, rec), ["e0"]);
-        assert_eq!(kept_columns(&q), Some(vec![0, 2]));
+        assert_eq!(field_names(&q, t), ["x", "z"]);
     }
 
     #[test]
@@ -556,7 +528,7 @@ mod tests {
 
         let q = apply(&p, true);
         assert_eq!(field_names(&q, rec), ["b"]);
-        assert_eq!(kept_columns(&q), Some(vec![0, 1]));
+        assert_eq!(field_names(&q, t), ["x", "y"]);
         let args = q.body.stmts.iter().find_map(|st| match &st.expr {
             Expr::StructNew { args, .. } => Some(args.clone()),
             _ => None,
@@ -591,7 +563,7 @@ mod tests {
 
         let q = apply(&p, true);
         assert_eq!(field_names(&q, outer), ["o1"]);
-        assert_eq!(kept_columns(&q), Some(vec![1]));
+        assert_eq!(field_names(&q, t), ["y"]);
         let builds = |sid| move |e: &Expr| matches!(e, Expr::StructNew { sid: s, .. } if *s == sid);
         assert_eq!(count(&q, builds(inner)), 0);
     }

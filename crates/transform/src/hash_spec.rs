@@ -513,9 +513,6 @@ impl Rule for HashSpec {
                     }
                 }
             }
-            Expr::HashMapSize(_) => {
-                unimplemented!("HashMapSize is not used by the TPC-H pipeline")
-            }
             _ => None,
         }
     }

@@ -6,13 +6,10 @@
 //! effect of the loop body falls into one of two shapes it knows how to
 //! privatize:
 //!
-//! * **Shape A — scalar self-reductions.** An outer mutable variable only
-//!   ever updated as `v = v OP delta` with one associative/commutative
-//!   `OP ∈ {+, min, max}`. Each worker accumulates into a private copy
-//!   (initialised to the identity for `+`, to the loop-invariant initial
-//!   value for `min`/`max`, which are idempotent); the merge folds the
-//!   worker copies back into `v` with the same `OP`. This covers the
-//!   filter-aggregate queries (Q6-style).
+//! * **Shape A — scalar sums.** An outer mutable variable only ever
+//!   updated as `v = v + delta`. Each worker accumulates into a private
+//!   copy initialised to zero; the merge adds the worker copies back into
+//!   `v`. This covers the filter-aggregate queries (Q6-style).
 //!
 //! * **Shape B — privatized hash-table builds.** A bucket-array + memory-
 //!   pool cluster (the residue of hash-table specialization + memory
@@ -258,13 +255,11 @@ impl<'a> LoopAnalysis<'a> {
     }
 }
 
-/// One Shape A reduction over an outer variable.
+/// One Shape A sum over an outer variable.
 struct ScalarRed {
     var: Sym,
-    op: BinOp,
-    /// Worker-local initial value (the identity for `+`, the declared
-    /// initial value for `min`/`max`).
-    init: Atom,
+    /// Worker-local initial value: zero of the variable's type.
+    zero: Atom,
 }
 
 /// The Shape B cluster, fully resolved.
@@ -296,10 +291,6 @@ struct Plan {
     table: Option<TableRed>,
 }
 
-fn reduce_ops() -> [BinOp; 3] {
-    [BinOp::Add, BinOp::Min, BinOp::Max]
-}
-
 fn try_parallelize(p: &Program, global_defs: &HashMap<Sym, Expr>, body: &Block) -> Option<Plan> {
     let mut stmts = Vec::new();
     body.for_each_stmt(&mut |st| stmts.push(st));
@@ -314,8 +305,6 @@ fn try_parallelize(p: &Program, global_defs: &HashMap<Sym, Expr>, body: &Block) 
             | Expr::LoadIndexStarts { .. }
             | Expr::LoadIndexItems { .. }
             | Expr::SortArray { .. }
-            | Expr::Free(_)
-            | Expr::Malloc { .. }
             | Expr::StructNew { .. }
             | Expr::ListNew { .. }
             | Expr::ListAppend { .. }
@@ -399,7 +388,7 @@ fn try_parallelize(p: &Program, global_defs: &HashMap<Sym, Expr>, body: &Block) 
         None => None,
     };
     // With no cluster the body allocates nothing (pools need a bucket,
-    // `StructNew`/`Malloc` veto above), so every record it writes predates
+    // `StructNew` vetoes above), so every record it writes predates
     // the loop: shared state written in place.
     let writes_field = |st: &&Stmt| matches!(st.expr, Expr::FieldSet { .. });
     if table.is_none() && analysis.stmts.iter().any(writes_field) {
@@ -411,10 +400,8 @@ fn try_parallelize(p: &Program, global_defs: &HashMap<Sym, Expr>, body: &Block) 
 
 /// Check Shape A for outer variable `v` and describe its reduction.
 fn scalar_reduction(a: &LoopAnalysis, v: Sym) -> Option<ScalarRed> {
-    let ty = a.p.type_of(v).clone();
-    // Every assignment must be `v = g OP d` where `g = readVar(v)` feeds
-    // only this reduction, with one op across all sites.
-    let mut op: Option<BinOp> = None;
+    // Every assignment must be `v = g + d` where `g = readVar(v)` feeds
+    // only this reduction.
     let mut consumed_reads: HashSet<Sym> = HashSet::new();
     for st in &a.stmts {
         let Expr::Assign { var, value } = &st.expr else {
@@ -424,18 +411,9 @@ fn scalar_reduction(a: &LoopAnalysis, v: Sym) -> Option<ScalarRed> {
             continue;
         }
         let s = value.as_sym()?;
-        let Some(Expr::Bin(o, x, y)) = a.defs.get(&s) else {
+        let Some(Expr::Bin(BinOp::Add, x, y)) = a.defs.get(&s) else {
             return None;
         };
-        if !reduce_ops().contains(o) {
-            return None;
-        }
-        if let Some(prev) = op {
-            if prev != *o {
-                return None;
-            }
-        }
-        op = Some(*o);
         // Exactly one operand is the read-back of `v`.
         let is_read = |at: &Atom| -> Option<Sym> {
             let g = at.as_sym()?;
@@ -453,7 +431,6 @@ fn scalar_reduction(a: &LoopAnalysis, v: Sym) -> Option<ScalarRed> {
         }
         consumed_reads.insert(g);
     }
-    let op = op?;
     // No other reads of `v` may exist in the body: a read outside the
     // reduction would observe a partial, worker-local value.
     for st in &a.stmts {
@@ -463,22 +440,13 @@ fn scalar_reduction(a: &LoopAnalysis, v: Sym) -> Option<ScalarRed> {
             }
         }
     }
-    let init = match op {
-        BinOp::Add => match ty {
-            Type::Int => Atom::Int(0),
-            Type::Long => Atom::Long(0),
-            Type::Double => Atom::double(0.0),
-            _ => return None,
-        },
-        // min/max are idempotent, so seeding every worker with the loop-
-        // invariant declared initial value keeps the fold exact.
-        BinOp::Min | BinOp::Max => match a.global_defs.get(&v) {
-            Some(Expr::DeclVar { init }) if init.is_const() => init.clone(),
-            _ => return None,
-        },
-        _ => unreachable!("filtered by reduce_ops"),
+    let zero = match a.p.type_of(v) {
+        Type::Int => Atom::Int(0),
+        Type::Long => Atom::Long(0),
+        Type::Double => Atom::double(0.0),
+        _ => return None,
     };
-    Some(ScalarRed { var: v, op, init })
+    Some(ScalarRed { var: v, zero })
 }
 
 /// Check Shape B for the bucket array and describe the cluster.
@@ -548,14 +516,12 @@ fn table_reduction(a: &LoopAnalysis, body: &Block, bucket: Sym, pools: &[Sym]) -
                     Root::Priv => {
                         // May target a record from an earlier iteration:
                         // must be an associative self-reduction
-                        // `o.f = o.f OP d`.
+                        // `o.f = o.f OP d` with `OP` one of `+`, `max`.
                         let s = value.as_sym()?;
-                        let Some(Expr::Bin(op, x, y)) = a.defs.get(&s) else {
+                        let Some(Expr::Bin(op @ (BinOp::Add | BinOp::Max), x, y)) = a.defs.get(&s)
+                        else {
                             return None;
                         };
-                        if !reduce_ops().contains(op) {
-                            return None;
-                        }
                         let is_self_get = |at: &Atom| -> bool {
                             at.as_sym().is_some_and(|g| {
                                 matches!(a.defs.get(&g),
@@ -769,9 +735,9 @@ impl Rule for Parallelize {
         let mut folds = Vec::new();
         for red in &scalars {
             let shared = rw.sym(red.var);
-            let init = rw.b.block(|_| red.init.clone());
+            let init = rw.b.block(|_| red.zero.clone());
             let acc = privatize(rw, red.var, true, init);
-            folds.push((shared, red.op, acc));
+            folds.push((shared, acc));
         }
         let table = table.map(|t| {
             let (len, shared) = (rw.atom(&t.bucket_len), rw.atom(&Atom::Sym(t.bucket)));
@@ -794,10 +760,10 @@ impl Rule for Parallelize {
             rw.map(old, atom);
         }
         let merge = rw.b.block_unit(|b| {
-            // v = v OP acc
-            for (v, op, acc) in folds {
+            // v = v + acc
+            for (v, acc) in folds {
                 let cur = b.read_var(v);
-                let next = b.bin(op, cur, acc);
+                let next = b.add(cur, acc);
                 b.assign(v, next);
             }
             if let Some((t, len, shared, private)) = table {
@@ -1224,7 +1190,7 @@ mod tests {
         let src = b.array_new(Type::Int, Atom::Int(64));
         let n = b.array_len(src);
         b.for_range(Atom::Int(0), n, |b, i| {
-            let k = b.bin(BinOp::Mod, i, Atom::Int(16));
+            let k = b.bin(BinOp::BitAnd, i, Atom::Int(15));
             let insert = |b: &mut IrBuilder| {
                 let v = b.pool_alloc(pool.clone());
                 b.field_set(v.clone(), agg, 0, Atom::Long(0));

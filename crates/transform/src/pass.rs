@@ -576,13 +576,13 @@ mod tests {
         fn run(&self, p: &Program, _ctx: &PassCtx) -> Program {
             let mut q = p.clone();
             let sym = Sym(q.sym_types.len() as u32);
-            q.sym_types.push(Type::pointer(Type::Int));
+            q.sym_types.push(Type::pool(Type::Int));
             q.body.stmts.push(Stmt {
                 sym,
-                ty: Type::pointer(Type::Int),
-                expr: Expr::Malloc {
+                ty: Type::pool(Type::Int),
+                expr: Expr::PoolNew {
                     ty: Type::Int,
-                    count: Atom::Int(8),
+                    cap: Atom::Int(8),
                 },
             });
             // Live, so the post-pass DCE keeps it for the check to find.

@@ -439,42 +439,11 @@ impl Scheduler {
         Ok(order)
     }
 
-    /// Run the common DAG-ancestor prefix of `{a, b}`, then `a; b` and
-    /// `b; a`, and compare the resulting IR by [`program_hash`]. `None`
-    /// means the pair commutes on this program; `Some(description)` is a
-    /// counterexample (the pair needs a declared edge).
-    pub fn commutation_counterexample(
-        &self,
-        a: &str,
-        b: &str,
-        prog: &QueryProgram,
-        schema: &Schema,
-    ) -> Result<Option<String>, String> {
-        let ia = self
-            .names
-            .iter()
-            .position(|n| *n == a)
-            .ok_or_else(|| format!("unknown pass `{a}`"))?;
-        let ib = self
-            .names
-            .iter()
-            .position(|n| *n == b)
-            .ok_or_else(|| format!("unknown pass `{b}`"))?;
-        if self.reach[ia][ib] || self.reach[ib][ia] {
-            return Err(format!("the DAG orders `{a}` and `{b}`"));
-        }
-        let ctx = PassCtx {
-            schema,
-            cfg: &self.cfg,
-        };
-        let fe = PlanLowering(prog);
-        let (_, _, lowered) = crate::stack::lower_frontend(&fe as &dyn Frontend, &ctx);
-        self.counterexample_from(ia, ib, &lowered, schema)
-    }
-
-    /// [`Scheduler::commutation_counterexample`] from an already-lowered
-    /// program (so a corpus sweep pays the front-end once per program,
-    /// not once per pair).
+    /// Run the common DAG-ancestor prefix of passes `ia` and `ib` on an
+    /// already-lowered program, then `a; b` and `b; a`, and compare the
+    /// resulting IR by [`program_hash`]. `None` means the pair commutes on
+    /// this program; `Some(description)` is a counterexample (the pair
+    /// needs a declared edge).
     fn counterexample_from(
         &self,
         ia: usize,

@@ -19,12 +19,18 @@
 //! finds attribute uses through the provenance annotations (§3.3) that
 //! pipelining attaches to every verbatim column copy, so predicates keep
 //! qualifying even after records cross hash tables.
+//!
+//! The pass retypes each chosen column's base-table field from `String`
+//! to `Int`, and that type is the whole contract with the loaders: every
+//! executor reads an `Int` field over a `String` column as dictionary
+//! codes. Dictionaries are always built sorted, so one dictionary serves
+//! both the normal and the ordered operations.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use dblab_catalog::Schema;
-use dblab_ir::expr::{Annot, Atom, Block, DictOp, Expr, PrimOp, Sym};
+use dblab_ir::expr::{Atom, Block, DictOp, Expr, PrimOp, Sym};
 use dblab_ir::rewrite::{run_rule, Rewriter, Rule};
 use dblab_ir::{IrBuilder, Program, Type};
 
@@ -44,9 +50,8 @@ struct Usage {
 struct StringDict<'s> {
     schema: &'s Schema,
     usage: HashMap<ColId, Usage>,
-    /// Eligible columns with their `ordered` flag, in column order (the
-    /// order a table's `DictField` annotations are emitted in).
-    chosen: BTreeMap<ColId, bool>,
+    /// Eligible columns.
+    chosen: BTreeSet<ColId>,
     /// Hoisted constant codes: (column, const, op) -> atom.
     consts: HashMap<(ColId, Arc<str>, DictOp), Atom>,
     /// Hash tables keyed directly by a dictionary-encoded column: their
@@ -60,7 +65,7 @@ pub fn apply(p: &Program, schema: &Schema) -> Program {
     let mut rule = StringDict {
         schema,
         usage: HashMap::new(),
-        chosen: BTreeMap::new(),
+        chosen: BTreeSet::new(),
         consts: HashMap::new(),
         retype_maps: HashSet::new(),
     };
@@ -112,7 +117,6 @@ fn analyze(b: &Block, p: &Program, rule: &mut StringDict<'_>) {
                 | PrimOp::StrContains
                 | PrimOp::StrLike
                 | PrimOp::StrSubstr
-                | PrimOp::StrLen
                 | PrimOp::HashStr => disqualify_all(p, rule, args),
                 _ => {}
             },
@@ -196,14 +200,13 @@ impl StringDict<'_> {
             if def.primary_key.contains(&col.1) {
                 continue;
             }
-            let ordered = !u.prefix_consts.is_empty() || u.cmp_use;
-            self.chosen.insert(col.clone(), ordered);
+            self.chosen.insert(col.clone());
         }
     }
 
     fn dict_of(&self, p: &Program, a: &Atom) -> Option<ColId> {
         let c = col_of(p, a)?;
-        self.chosen.contains_key(&c).then_some(c)
+        self.chosen.contains(&c).then_some(c)
     }
 
     /// The hoisted code of a query constant (emitted at TimerStart).
@@ -223,12 +226,7 @@ impl Rule for StringDict<'_> {
     fn prepare(&mut self, p: &Program, b: &mut IrBuilder) {
         // Hash tables keyed by a dictionary-encoded value switch to
         // integer keys.
-        fn scan_keys(
-            blk: &Block,
-            p: &Program,
-            chosen: &BTreeMap<ColId, bool>,
-            out: &mut HashSet<Sym>,
-        ) {
+        fn scan_keys(blk: &Block, p: &Program, chosen: &BTreeSet<ColId>, out: &mut HashSet<Sym>) {
             for st in &blk.stmts {
                 let key = match &st.expr {
                     Expr::HashMapGetOrInit { map, key, .. }
@@ -238,7 +236,7 @@ impl Rule for StringDict<'_> {
                 };
                 if let Some((Some(ms), key)) = key {
                     if let Some(c) = col_of(p, key) {
-                        if chosen.contains_key(&c) {
+                        if chosen.contains(&c) {
                             out.insert(ms);
                         }
                     }
@@ -259,13 +257,13 @@ impl Rule for StringDict<'_> {
         fn walk(
             blk: &Block,
             p: &Program,
-            chosen: &BTreeMap<ColId, bool>,
+            chosen: &BTreeSet<ColId>,
             out: &mut Vec<(dblab_ir::StructId, usize)>,
         ) {
             for st in &blk.stmts {
                 match &st.expr {
                     Expr::LoadTable { sid, table } => {
-                        for (c, _) in chosen.iter().filter(|((t, _), _)| t == table) {
+                        for c in chosen.iter().filter(|(t, _)| t == table) {
                             out.push((*sid, c.1));
                         }
                     }
@@ -273,7 +271,7 @@ impl Rule for StringDict<'_> {
                         for (i, a) in args.iter().enumerate() {
                             if let Atom::Sym(s) = a {
                                 if let Some(c) = p.annots.column(*s) {
-                                    if chosen.contains_key(&c) {
+                                    if chosen.contains(&c) {
                                         out.push((*sid, i));
                                     }
                                 }
@@ -306,7 +304,7 @@ impl Rule for StringDict<'_> {
                 rw.b.prim(PrimOp::TimerStart, vec![]);
                 let mut work: Vec<(ColId, Arc<str>, DictOp)> = Vec::new();
                 for (col, u) in &self.usage {
-                    if !self.chosen.contains_key(col) {
+                    if !self.chosen.contains(col) {
                         continue;
                     }
                     for k in &u.eq_consts {
@@ -331,28 +329,6 @@ impl Rule for StringDict<'_> {
             Expr::MultiMapNew { key, value } if self.retype_maps.contains(&_sym) => {
                 debug_assert_eq!(*key, Type::String);
                 Some(rw.b.multimap_new(Type::Int, value.clone()))
-            }
-            Expr::LoadTable { table, .. } => {
-                let atom = rw.reconstruct(
-                    self,
-                    &dblab_ir::expr::Stmt {
-                        sym: _sym,
-                        ty: _ty.clone(),
-                        expr: e.clone(),
-                    },
-                );
-                if let Atom::Sym(s) = atom {
-                    for (col, ordered) in self.chosen.iter().filter(|((t, _), _)| t == table) {
-                        rw.b.annotate(
-                            s,
-                            Annot::DictField {
-                                field: col.1,
-                                ordered: *ordered,
-                            },
-                        );
-                    }
-                }
-                Some(atom)
             }
             Expr::Prim(op @ (PrimOp::StrEq | PrimOp::StrNe), args) => {
                 let (col, cst) = match (self.dict_of(rw.old, &args[0]), &args[1]) {
@@ -422,6 +398,7 @@ impl Rule for StringDict<'_> {
 mod tests {
     use super::*;
     use dblab_catalog::{ColType, TableDef};
+    use dblab_ir::expr::Annot;
     use dblab_ir::{FieldDef, Level, StructDef};
 
     fn schema() -> Schema {

@@ -67,7 +67,7 @@ fn scan(b: &mut IrBuilder, n: i64, f: impl FnOnce(&mut IrBuilder, Atom)) {
     b.for_range(Atom::Int(0), len, f);
 }
 
-/// A dense 16-slot array of `Agg(cnt, sum)` keyed by `i % 16`. Slots 0–5
+/// A dense 16-slot array of `Agg(cnt, sum)` keyed by `i & 15`. Slots 0–5
 /// are filled before the scan, so the merge folds into them.
 #[test]
 fn parallelize_dense_slots_fold_into_filled_slots() {
@@ -80,7 +80,7 @@ fn parallelize_dense_slots_fold_into_filled_slots() {
     let pool = b.pool_new(Type::Record(agg), Atom::Int(32));
     let slots = b.array_new(Type::Record(agg), Atom::Int(16));
     let upsert = |b: &mut IrBuilder, i: Atom| {
-        let k = b.bin(BinOp::Mod, i.clone(), Atom::Int(16));
+        let k = b.bin(BinOp::BitAnd, i.clone(), Atom::Int(15));
         let r = b.array_get(slots.clone(), k.clone());
         let miss = b.eq(r, null.clone());
         b.if_then(miss, |b| {
@@ -114,8 +114,9 @@ fn parallelize_dense_slots_fold_into_filled_slots() {
 
 /// A chained table of `Pair(k, key: Key(name, j), n, val: Val(cnt), next)`
 /// over four buckets: a composite key with a `String` field, a reduce
-/// field on the chain record and one on a value record. Four of the six
-/// groups exist before the scan, so the merge finds and folds them.
+/// field on the chain record and one on a value record. Four of the eight
+/// groups exist before the scan, so the merge finds and folds them, and
+/// the two buckets in use hold four groups each, so it walks chains.
 #[test]
 fn parallelize_chained_keyed_fold_matches_a_string_key() {
     let mut b = IrBuilder::new();
@@ -125,7 +126,7 @@ fn parallelize_chained_keyed_fold_matches_a_string_key() {
     });
     let val = b.structs.register(StructDef {
         name: "Val".into(),
-        fields: vec![field("cnt", Type::Long)],
+        fields: vec![field("cnt", Type::Int)],
     });
     let pair = b.structs.register(StructDef {
         name: "Pair".into(),
@@ -143,8 +144,8 @@ fn parallelize_chained_keyed_fold_matches_a_string_key() {
     let pairs = b.pool_new(Type::Record(pair), Atom::Int(64));
     let buckets = b.array_new(Type::Record(pair), Atom::Int(4));
     let upsert = |b: &mut IrBuilder, i: Atom| {
-        let k = b.bin(BinOp::Mod, i.clone(), Atom::Int(3));
-        let parity = b.bin(BinOp::Mod, i.clone(), Atom::Int(2));
+        let k = b.bin(BinOp::BitAnd, i.clone(), Atom::Int(6));
+        let parity = b.bin(BinOp::BitAnd, i.clone(), Atom::Int(1));
         let odd = b.eq(parity, Atom::Int(1));
         let name = b.if_val(
             odd,
@@ -155,7 +156,7 @@ fn parallelize_chained_keyed_fold_matches_a_string_key() {
         b.field_set(kr.clone(), key, 0, name.clone());
         let j = b.add(k.clone(), Atom::Int(1));
         b.field_set(kr.clone(), key, 1, j);
-        let slot = b.bin(BinOp::Mod, k.clone(), Atom::Int(4));
+        let slot = b.bin(BinOp::BitAnd, k.clone(), Atom::Int(3));
         let found = b.decl_var(null.clone());
         let head = b.array_get(buckets.clone(), slot.clone());
         let cur = b.decl_var(head);
@@ -185,7 +186,7 @@ fn parallelize_chained_keyed_fold_matches_a_string_key() {
         let miss = b.eq(f, null.clone());
         b.if_then(miss, |b| {
             let v = b.pool_alloc(vals.clone());
-            b.field_set(v.clone(), val, 0, Atom::Long(0));
+            b.field_set(v.clone(), val, 0, Atom::Int(0));
             let p = b.pool_alloc(pairs.clone());
             b.field_set(p.clone(), pair, 0, k.clone());
             b.field_set(p.clone(), pair, 1, kr.clone());
@@ -202,8 +203,7 @@ fn parallelize_chained_keyed_fold_matches_a_string_key() {
         b.field_set(r.clone(), pair, 2, n);
         let v = b.field_get(r, pair, 3);
         let cnt = b.field_get(v.clone(), val, 0);
-        let x = b.un(UnOp::I2L, i);
-        let cnt = b.add(cnt, x);
+        let cnt = b.add(cnt, i);
         b.field_set(v, val, 0, cnt);
     };
     b.for_range(Atom::Int(0), Atom::Int(4), upsert);
@@ -225,7 +225,7 @@ fn parallelize_chained_keyed_fold_matches_a_string_key() {
                 let n = b.field_get(c.clone(), pair, 2);
                 let v = b.field_get(c.clone(), pair, 3);
                 let cnt = b.field_get(v, val, 0);
-                b.printf("%d|%s|%d|%ld|%ld\n", vec![k, name, j, n, cnt]);
+                b.printf("%d|%s|%d|%ld|%d\n", vec![k, name, j, n, cnt]);
                 let next = b.field_get(c, pair, 4);
                 b.assign(cur, next);
             },
@@ -235,7 +235,7 @@ fn parallelize_chained_keyed_fold_matches_a_string_key() {
 }
 
 /// A multimap build: every row pushes an `Item(k, v)` onto the chain of
-/// bucket `k % 4`, with no probe and no reduction. The chains hold items
+/// bucket `k & 3`, with no probe and no reduction. The chains hold items
 /// before the scan, so the merge splices each private chain in front of
 /// a non-empty shared one.
 #[test]
@@ -250,8 +250,8 @@ fn parallelize_multimap_splices_onto_filled_chains() {
     let pool = b.pool_new(Type::Record(item), Atom::Int(64));
     let buckets = b.array_new(Type::Record(item), Atom::Int(4));
     let push = |b: &mut IrBuilder, i: Atom| {
-        let k = b.bin(BinOp::Mod, i.clone(), Atom::Int(5));
-        let slot = b.bin(BinOp::Mod, k.clone(), Atom::Int(4));
+        let k = b.bin(BinOp::BitAnd, i.clone(), Atom::Int(7));
+        let slot = b.bin(BinOp::BitAnd, k.clone(), Atom::Int(3));
         let it = b.pool_alloc(pool.clone());
         b.field_set(it.clone(), item, 0, k);
         b.field_set(it.clone(), item, 1, i);
@@ -279,37 +279,5 @@ fn parallelize_multimap_splices_onto_filled_chains() {
             },
         );
     });
-    check(b.finish(Atom::Unit, Level::CScala));
-}
-
-/// Two Shape A `min`s. A fixed-trip loop lowers both first: `lo` to 2,
-/// below anything the scan sees, and `hi` to 40, above the scan's 1. The
-/// merge keeps the shared value in the first case and takes the worker's
-/// in the second.
-#[test]
-fn parallelize_shape_a_min_folds_into_the_shared_value() {
-    let mut b = IrBuilder::new();
-    let lo = b.decl_var(Atom::Int(1000));
-    let hi = b.decl_var(Atom::Int(1000));
-    let fold_min = |b: &mut IrBuilder, var, x: Atom| {
-        let cur = b.read_var(var);
-        let m = b.bin(BinOp::Min, cur, x);
-        b.assign(var, m);
-    };
-    b.for_range(Atom::Int(0), Atom::Int(4), |b, i| {
-        let x = b.add(i.clone(), Atom::Int(2));
-        fold_min(b, lo, x);
-        let y = b.add(i, Atom::Int(40));
-        fold_min(b, hi, y);
-    });
-    scan(&mut b, 64, |b, i| {
-        let x = b.mul(i.clone(), Atom::Int(3));
-        let x = b.add(x, Atom::Int(5));
-        fold_min(b, lo, x);
-        let y = b.sub(Atom::Int(64), i);
-        fold_min(b, hi, y);
-    });
-    let (l, h) = (b.read_var(lo), b.read_var(hi));
-    b.printf("%d|%d\n", vec![l, h]);
     check(b.finish(Atom::Unit, Level::CScala));
 }

@@ -10,8 +10,8 @@ use dblab::ir::hash::program_hash;
 use dblab::transform::{memo, StackConfig};
 
 /// Q16, Q17 and Q19 once gave two or three hashes over four cold
-/// compiles: every rewrite re-added a loaded table's `Table`
-/// annotation, and the string-dictionary pass attached `DictField`s in
+/// compiles: every rewrite re-added an annotation a loaded table already
+/// carried, and the string-dictionary pass attached its annotations in
 /// hash-map order.
 #[test]
 fn two_cold_compiles_of_every_level5_query_hash_equal() {

@@ -4,9 +4,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dblab::ir::expr::{Atom, Block, Expr, Sym};
+use dblab::ir::expr::{Annot, Atom, Block, DictOp, Expr, Layout, Sym};
 use dblab::ir::level::{validate, validate_window, Level};
-use dblab::ir::{Program, StructId, Type};
+use dblab::ir::{BinOp, PrimOp, Program, StructId, Type, UnOp};
 use dblab::tpch;
 use dblab::transform::config::dblab_stack;
 use dblab::transform::stack::compile_with_snapshots;
@@ -260,7 +260,8 @@ fn generated_c_is_self_contained_and_stable() {
 /// columns are read by the loader. Recomputed here by plain iteration on
 /// the final level-5 programs, every field of every record is live: no
 /// join record and no base-table load carries a column only to copy it
-/// into a dead one. Q7's `lineitem` load keeps the five columns it reads.
+/// into a dead one. Q7's `lineitem` record keeps the five columns it
+/// reads, and every executor's loader reads exactly those.
 #[test]
 fn no_level5_record_field_is_only_copied_into_dead_fields() {
     let schema = schema_with_stats();
@@ -270,7 +271,7 @@ fn no_level5_record_field_is_only_copied_into_dead_fields() {
         cfg.threads = threads;
         for n in 1..=22 {
             let cq = dblab::transform::compile(&tpch::queries::query(n), &schema, &cfg);
-            for (sid, field) in dead_fields(&cq.program) {
+            for (sid, field) in dead_fields(&cq.program, &schema) {
                 let def = cq.program.structs.get(sid);
                 failures.push(format!(
                     "Q{n} threads {threads}: {}.{}",
@@ -286,35 +287,48 @@ fn no_level5_record_field_is_only_copied_into_dead_fields() {
     );
 
     let cq = dblab::transform::compile(&tpch::queries::query(7), &schema, &StackConfig::level5());
-    let mut kept = Vec::new();
+    let mut read = Vec::new();
     cq.program.body.for_each_stmt(&mut |st| {
-        if let Expr::LoadTable { table, .. } = &st.expr {
+        if let Expr::LoadTable { table, sid } = &st.expr {
             if &**table == "lineitem" {
-                kept.push(cq.program.annots.kept_columns(st.sym));
+                let fields = &cq.program.structs.get(*sid).fields;
+                read.push(
+                    fields
+                        .iter()
+                        .map(|f| f.name.to_string())
+                        .collect::<Vec<_>>(),
+                );
             }
         }
     });
-    assert_eq!(kept, vec![Some(vec![0, 2, 5, 6, 10])]);
+    let q7 = [
+        "l_orderkey",
+        "l_suppkey",
+        "l_extendedprice",
+        "l_discount",
+        "l_shipdate",
+    ];
+    assert_eq!(read, vec![q7]);
 }
 
 /// The fields of `p`'s records that copy-aware liveness finds dead. A
 /// `StructNew` argument counts as a copy whether or not the record is
 /// read; level-5 programs build their records in pools, through
 /// `FieldSet`s, anyway.
-fn dead_fields(p: &Program) -> Vec<(StructId, usize)> {
+fn dead_fields(p: &Program, schema: &dblab::catalog::Schema) -> Vec<(StructId, usize)> {
     #[derive(Default)]
     struct Uses {
         getter: HashMap<Sym, (StructId, usize)>,
         escaping: HashSet<Sym>,
         copies: Vec<((StructId, usize), Sym)>,
         live: HashSet<(StructId, usize)>,
-        /// Base tables with their kept columns, and the index key columns.
-        tables: Vec<(StructId, String, Option<Vec<usize>>)>,
+        /// Base tables, and the index key columns.
+        tables: Vec<(StructId, String)>,
         index_cols: Vec<(String, usize)>,
         /// Records used as hash-table keys, compared field-wise.
         keys: Vec<StructId>,
     }
-    fn walk(p: &Program, b: &Block, u: &mut Uses) {
+    fn walk(b: &Block, u: &mut Uses) {
         for st in &b.stmts {
             if let Type::HashMap(k, _) | Type::MultiMap(k, _) = &st.ty {
                 if let Type::Record(sid) = &**k {
@@ -349,10 +363,7 @@ fn dead_fields(p: &Program) -> Vec<(StructId, usize)> {
                         u.copies.push(((*sid, *field), *s));
                     }
                 }
-                Expr::LoadTable { sid, table } => {
-                    let kept = p.annots.kept_columns(st.sym);
-                    u.tables.push((*sid, table.to_string(), kept))
-                }
+                Expr::LoadTable { sid, table } => u.tables.push((*sid, table.to_string())),
                 Expr::LoadIndexUnique { table, field }
                 | Expr::LoadIndexStarts { table, field }
                 | Expr::LoadIndexItems { table, field } => {
@@ -361,7 +372,7 @@ fn dead_fields(p: &Program) -> Vec<(StructId, usize)> {
                 e => e.for_each_atom(|a| escape(a, u)),
             }
             for blk in st.expr.blocks() {
-                walk(p, blk, u);
+                walk(blk, u);
             }
         }
         if let Atom::Sym(s) = b.result {
@@ -369,16 +380,17 @@ fn dead_fields(p: &Program) -> Vec<(StructId, usize)> {
         }
     }
     let mut u = Uses::default();
-    walk(p, &p.body, &mut u);
+    walk(&p.body, &mut u);
     for (g, f) in &u.getter {
         if u.escaping.contains(g) {
             u.live.insert(*f);
         }
     }
-    for (sid, table, kept) in &u.tables {
-        for i in 0..p.structs.get(*sid).fields.len() {
-            // Index columns count in the table's original column space.
-            let col = kept.as_ref().map_or(i, |k| k[i]);
+    for (sid, table) in &u.tables {
+        for (i, f) in p.structs.get(*sid).fields.iter().enumerate() {
+            // A base field reads the column it is named after; index
+            // columns count in the table's original column space.
+            let col = schema.table(table).col_index(&f.name);
             if u.index_cols.contains(&(table.clone(), col)) {
                 u.live.insert((*sid, i));
             }
@@ -421,4 +433,127 @@ fn dead_fields(p: &Program) -> Vec<(StructId, usize)> {
         );
     }
     dead
+}
+
+/// `$all` lists every variant of `$ty` and `$f` names a value's variant.
+/// Both come from one list, and `$f` matches it exhaustively, so a new
+/// variant does not compile until it is listed here.
+macro_rules! variants {
+    ($ty:ident, $f:ident, $all:ident, [$($v:ident),* $(,)?]) => {
+        const $all: &[&str] = &[$(stringify!($v)),*];
+        fn $f(x: &$ty) -> &'static str {
+            match x {
+                $($ty::$v { .. } => stringify!($v)),*
+            }
+        }
+    };
+}
+
+variants! {Expr, expr_variant, EXPR, [
+    Atom, Bin, Un, Prim, Dict, If, ForRange, While, DeclVar, ReadVar, Assign,
+    StructNew, FieldGet, FieldSet, ArrayNew, ArrayGet, ArraySet, ArrayLen, SortArray,
+    ListNew, ListAppend, ListSize, ListForeach, HashMapNew, HashMapGetOrInit,
+    HashMapForeach, MultiMapNew, MultiMapAdd, MultiMapForeachAt, PoolNew, PoolAlloc,
+    LoadTable, LoadIndexUnique, LoadIndexStarts, LoadIndexItems, Printf, ParallelFor,
+    LoadParam,
+]}
+variants! {BinOp, bin_variant, BIN_OP, [
+    Add, Sub, Mul, Div, Eq, Ne, Lt, Le, Gt, Ge, And, Or, BitAnd, BitOr, Max,
+]}
+variants! {UnOp, un_variant, UN_OP, [Neg, Not, I2D, L2D, L2I, Year, HashInt, HashDouble]}
+variants! {PrimOp, prim_variant, PRIM_OP, [
+    StrEq, StrNe, StrCmp, StrStartsWith, StrEndsWith, StrContains, StrLike, StrSubstr,
+    HashStr, TimerStart, TimerStop, PrintRusage,
+]}
+variants! {DictOp, dict_variant, DICT_OP, [Lookup, RangeStart, RangeEnd, Decode]}
+variants! {Annot, annot_variant, ANNOT, [SizeHint, DenseKey, Comment, Column, TableLayout]}
+variants! {Layout, layout_variant, LAYOUT, [Boxed, Columnar]}
+
+/// The IR keeps only vocabulary the stack emits: every variant of the
+/// node, operator, annotation and layout enums occurs in some stage
+/// program of the `ir_digest` corpus (the 22 queries and the three QMonad
+/// queries at every Table 3 configuration, one thread and two), the
+/// parameterized templates, or one of two small plans (a negated column,
+/// the average of an `Int` column). `Expr::Atom` is the exception the
+/// other way: the builder folds every alias, so no program holds one.
+#[test]
+fn every_ir_variant_is_emitted_by_some_compile() {
+    use dblab::frontend::expr::col;
+    use dblab::frontend::qplan::{AggFunc, QPlan, QueryProgram};
+    use dblab::transform::pass::{Frontend, MonadLowering, PlanLowering};
+    use dblab::transform::stack::compile_frontend;
+
+    let schema = tpch::generate(0.002, &std::env::temp_dir().join("dblab_census")).schema;
+    let mut plans: Vec<QueryProgram> = (1..=22).map(tpch::queries::query).collect();
+    plans.extend((1..=22).filter_map(tpch::queries::template));
+    let lineitem = || QPlan::scan("lineitem");
+    plans.push(QueryProgram::new(
+        lineitem().project(vec![("neg", col("l_linenumber").neg())]),
+    ));
+    plans.push(QueryProgram::new(
+        lineitem().agg(vec![], vec![("avg", AggFunc::Avg(col("l_linenumber")))]),
+    ));
+    let monads = dblab_bench::qmonad_queries();
+    let mut frontends: Vec<Box<dyn Frontend + '_>> = Vec::new();
+    frontends.extend(
+        plans
+            .iter()
+            .map(|p| Box::new(PlanLowering(p)) as Box<dyn Frontend>),
+    );
+    frontends.extend(
+        monads
+            .iter()
+            .map(|(_, q)| Box::new(MonadLowering(q)) as Box<dyn Frontend>),
+    );
+
+    let mut seen = HashSet::new();
+    for base in dblab_bench::table3_configs() {
+        for threads in [1, 2] {
+            let cfg = StackConfig {
+                threads,
+                ..base.clone()
+            };
+            for fe in &frontends {
+                for (_, p) in compile_frontend(fe.as_ref(), &schema, &cfg, true).1 {
+                    p.body.for_each_stmt(&mut |st| {
+                        seen.insert(("Expr", expr_variant(&st.expr)));
+                        seen.insert(match &st.expr {
+                            Expr::Bin(op, ..) => ("BinOp", bin_variant(op)),
+                            Expr::Un(op, _) => ("UnOp", un_variant(op)),
+                            Expr::Prim(op, _) => ("PrimOp", prim_variant(op)),
+                            Expr::Dict { op, .. } => ("DictOp", dict_variant(op)),
+                            _ => ("Expr", expr_variant(&st.expr)),
+                        });
+                    });
+                    for (_, annots) in p.annots.iter() {
+                        for a in annots {
+                            seen.insert(("Annot", annot_variant(a)));
+                            if let Annot::TableLayout(l) = a {
+                                seen.insert(("Layout", layout_variant(l)));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let every = [
+        ("Expr", EXPR),
+        ("BinOp", BIN_OP),
+        ("UnOp", UN_OP),
+        ("PrimOp", PRIM_OP),
+        ("DictOp", DICT_OP),
+        ("Annot", ANNOT),
+        ("Layout", LAYOUT),
+    ];
+    let missing: Vec<String> = (every.iter())
+        .flat_map(|(ty, vs)| vs.iter().map(move |v| (*ty, *v)))
+        .filter(|k| *k != ("Expr", "Atom") && !seen.contains(k))
+        .map(|(ty, v)| format!("{ty}::{v}"))
+        .collect();
+    assert!(missing.is_empty(), "no compile emits {missing:?}");
+    assert!(
+        !seen.contains(&("Expr", "Atom")),
+        "a stage program holds an alias"
+    );
 }
