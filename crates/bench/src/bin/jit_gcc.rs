@@ -8,11 +8,13 @@
 //!
 //! Both backends build every query first; then each of `--runs` rounds
 //! runs every query once on the jit and once on gcc, so the two backends
-//! see the same machine state. Prints each query's best in-query time per
-//! backend, their ratio, and the geomeans.
+//! see the same machine state. The first round's output of every query
+//! is compared with the Volcano oracle's. Prints each query's best
+//! in-query time per backend, their ratio, and the geomeans; exits
+//! non-zero if any backend's result disagrees with the oracle.
 
-use dblab_bench::{best_of, data_dir, gen_dir, Args};
-use dblab_codegen::{backend, Compiler};
+use dblab_bench::{data_dir, gen_dir, Args};
+use dblab_codegen::{backend, same_normalized, Compiler};
 use dblab_transform::StackConfig;
 
 fn main() {
@@ -33,11 +35,21 @@ fn main() {
             })
         })
         .collect();
+    let oracles: Vec<String> = (args.queries.iter())
+        .map(|&q| dblab_engine::execute_program(&dblab_tpch::queries::query(q), &db).to_text())
+        .collect();
+    let mut wrong = Vec::new();
     let mut best = vec![[f64::INFINITY; 2]; built.len()];
-    for _ in 0..args.runs.max(1) {
-        for (arts, best) in built.iter().zip(&mut best) {
-            for (art, ms) in arts.iter().zip(best.iter_mut()) {
-                *ms = ms.min(best_of(art.exe.as_ref(), &data, 1).expect("run").query_ms);
+    for round in 0..args.runs.max(1) {
+        for (((arts, best), oracle), q) in
+            built.iter().zip(&mut best).zip(&oracles).zip(&args.queries)
+        {
+            for ((art, ms), b) in arts.iter().zip(best.iter_mut()).zip(["jit", "gcc"]) {
+                let out = art.exe.run(&data).expect("run");
+                if round == 0 && !same_normalized(oracle, &out.stdout) {
+                    wrong.push(format!("Q{q} on {b}"));
+                }
+                *ms = ms.min(out.query_ms);
             }
         }
     }
@@ -54,4 +66,8 @@ fn main() {
     }
     let [jit, gcc] = logs.map(|l| (l / best.len() as f64).exp());
     println!("{:<6}{jit:>10.3}{gcc:>10.3}{:>8.2}", "geo", jit / gcc);
+    if !wrong.is_empty() {
+        eprintln!("results disagree with the oracle: {}", wrong.join(", "));
+        std::process::exit(1);
+    }
 }

@@ -745,16 +745,18 @@ pub enum Layout {
 /// An individual annotation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Annot {
-    /// Worst-case cardinality estimate (drives memory-pool sizing, App. D.1).
+    /// Cardinality estimate: worst case on records and lists (drives
+    /// memory-pool sizing, App. D.1), expected case on hashed maps (drives
+    /// bucket-array sizing).
     SizeHint(u64),
     /// Keys are dense integers in `[0, max]` — enables dense-array
     /// specialization of hash tables. `composite`: the key packs several
     /// group columns, so no single field of the stored record equals it.
     DenseKey { max: u64, composite: bool },
-    /// Free-form note. No backend emits it; the one in use is
-    /// `"has_minmax"`, which pipelining puts on a group-by map whose
-    /// aggregates include a `min` or `max`, for hash-table specialization.
-    Comment(Arc<str>),
+    /// A group-by map whose aggregates include a `min` or `max`: its
+    /// records have no neutral initial value, so hash-table specialization
+    /// does not pre-fill a dense array of them (App. D.2).
+    HasMinMax,
     /// The symbol is a verbatim copy of `table`'s column `field`
     /// (provenance for string dictionaries and index inference).
     Column { table: Arc<str>, field: usize },

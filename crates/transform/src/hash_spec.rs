@@ -4,7 +4,7 @@
 //! The abstract `HashMap`/`MultiMap` nodes become concrete storage:
 //!
 //! * **MultiMaps** become a power-of-two array of buckets
-//!   (`Array[List[Pair]]`, Figure 4e) sized from the worst-case
+//!   (`Array[List[Pair]]`, Figure 4e) sized from the map's expected-case
 //!   cardinality annotation, with inline hashing and key re-checks;
 //! * **HashMaps** with a dense integer key annotation become a direct
 //!   `Array[AggRec]` (Figure 7d's shape applied to aggregation), optionally
@@ -112,10 +112,13 @@ impl HashSpec {
         key_eq_static(b, x, y)
     }
 
-    /// Allocate a bucket array (`Array[List[Pair]]`); `hint` drives the
-    /// power-of-two sizing (≤ 50% load). Buckets are created **lazily** on
-    /// first insertion — pre-initializing millions of empty containers
-    /// would dwarf the query itself for large worst-case estimates.
+    /// Allocate a bucket array (`Array[List[Pair]]`); `hint`, the map's
+    /// expected-case entry count ([`crate::pipeline::expected_rows`]),
+    /// drives the power-of-two sizing (≤ 50% load when the estimate
+    /// holds). A chained bucket array is correct at any size, so an
+    /// under-estimate costs chain length, not correctness. Buckets are
+    /// created **lazily** on first insertion, so an empty slot costs one
+    /// null word to allocate and to skip in a walk.
     fn make_buckets(
         &mut self,
         b: &mut IrBuilder,
@@ -265,12 +268,7 @@ impl Rule for HashSpec {
             Expr::HashMapNew { key, value } => {
                 let hint = rw.old.annots.size_hint(sym).unwrap_or(1024);
                 let dense = rw.old.annots.dense_key(sym);
-                let has_minmax = rw
-                    .old
-                    .annots
-                    .get(sym)
-                    .iter()
-                    .any(|a| matches!(a, Annot::Comment(c) if &**c == "has_minmax"));
+                let has_minmax = rw.old.annots.get(sym).contains(&Annot::HasMinMax);
                 let vrec = match value {
                     Type::Record(sid) => *sid,
                     other => panic!("hash map values must be records, got {other}"),
@@ -539,7 +537,7 @@ fn key_eq_static(b: &mut IrBuilder, x: &Atom, y: &Atom) -> Atom {
 
 /// Can every non-key field of the aggregate record start at a neutral zero?
 /// (Holds for sum/count/avg accumulators; min/max records are excluded via
-/// the `has_minmax` annotation before this is consulted.)
+/// the `HasMinMax` annotation before this is consulted.)
 fn neutral_init(b: &IrBuilder, sid: StructId) -> bool {
     b.structs
         .get(sid)

@@ -3,7 +3,8 @@
 //!
 //! Record construction (`StructNew`) becomes explicit memory management:
 //! one memory pool per record type, created up front and sized from the
-//! worst-case cardinality annotations gathered during pipelining, so that
+//! cardinality annotations gathered during pipelining (worst case for
+//! records, the map's expected case for a hash table's pairs), so that
 //! no `malloc` remains on the critical path. Records without a usable
 //! estimate fall back to a default-capacity pool that doubles on overflow
 //! (the fallback policy App. D.1 discusses).

@@ -13,8 +13,11 @@
 //! The lowering also performs the paper's "informed materialization
 //! decisions" (§4.3): when enabled, qualifying hash-join builds are elided
 //! in favour of load-time indexes ([`crate::index_inference`]), and every
-//! allocation site is annotated with worst-case cardinalities (App. D.1)
-//! for the pool and specialization passes below.
+//! allocation site is annotated with a cardinality for the pool and
+//! specialization passes below: records and sort lists with a worst-case
+//! estimate (App. D.1), hashed maps with an expected-case one
+//! ([`expected_rows`]), since a chained bucket array is correct at any
+//! size.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -157,6 +160,125 @@ pub fn row_format(cols: &[(Arc<str>, ColType)]) -> String {
     }
     fmt.push('\n');
     fmt
+}
+
+/// Share of rows a predicate keeps when the catalog says nothing better.
+const SEL_DEFAULT: f64 = 1.0 / 3.0;
+
+/// Share of rows a string match (`LIKE`, contains, prefix, suffix) keeps.
+const SEL_STRING_MATCH: f64 = 1.0 / 20.0;
+
+/// Expected-case cardinality of `plan`, from the catalog's row counts,
+/// distinct counts and primary keys; it sizes every hashed map. An
+/// under-estimate costs only chain length, so unlike the worst case
+/// that sizes records it discounts selections and joins:
+///
+/// * a selection keeps 1/`d` for `col = constant`, 1/20 for a string
+///   match and 1/3 for any other predicate; `And` multiplies, `Or` adds
+///   (at most 1);
+/// * an inner join keeps `e(L)·e(R) / max(d_L, d_R)`, where a side's `d`
+///   is the product of its key columns' distinct counts (a single-column
+///   primary key counts its rows), capped at the row count of the key's
+///   table and at the side's own estimate; without provenance for a key
+///   it keeps `max(e(L), e(R))`;
+/// * semi and anti joins keep the left input, a left outer join the
+///   larger input, and an aggregate at most the product of its group
+///   columns' distinct counts.
+pub fn expected_rows(plan: &QPlan, schema: &Schema) -> u64 {
+    (expected(plan, schema).ceil() as u64).max(1)
+}
+
+fn expected(plan: &QPlan, schema: &Schema) -> f64 {
+    match plan {
+        QPlan::Scan { table, .. } => schema.table(table).stats.row_count.max(1) as f64,
+        QPlan::Select { child, pred } => expected(child, schema) * selectivity(pred, child, schema),
+        QPlan::Project { child, .. } | QPlan::Sort { child, .. } => expected(child, schema),
+        QPlan::Limit { child, n } => expected(child, schema).min(*n as f64),
+        QPlan::HashJoin {
+            left,
+            right,
+            kind,
+            left_keys,
+            right_keys,
+            ..
+        } => {
+            let (l, r) = (expected(left, schema), expected(right, schema));
+            match kind {
+                JoinKind::Inner => {
+                    let dl = key_distinct(left, left_keys, l, schema);
+                    let dr = key_distinct(right, right_keys, r, schema);
+                    match dl.zip(dr) {
+                        Some((dl, dr)) => l * r / dl.max(dr),
+                        None => l.max(r),
+                    }
+                }
+                JoinKind::LeftSemi | JoinKind::LeftAnti => l,
+                JoinKind::LeftOuter => l.max(r),
+            }
+        }
+        QPlan::Agg {
+            child, group_by, ..
+        } => {
+            let c = expected(child, schema);
+            (group_by.iter())
+                .try_fold(1.0, |groups, (_, e)| {
+                    Some(groups * col_distinct(child, e, schema)?.0)
+                })
+                .map_or(c, |groups| c.min(groups))
+        }
+    }
+}
+
+/// `(distinct values, rows of its table)` of a column expression of
+/// `plan`'s output: a single-column primary key counts its rows.
+fn col_distinct(plan: &QPlan, e: &ScalarExpr, schema: &Schema) -> Option<(f64, f64)> {
+    let ScalarExpr::Col(name) = e else {
+        return None;
+    };
+    let (t, c) = static_prov(plan, name, schema)?;
+    let def = schema.table(&t);
+    let rows = def.stats.row_count.max(1);
+    let d = match def.is_primary_key(c) {
+        true => rows,
+        false => *def.stats.distinct.get(c)?,
+    };
+    (d > 0).then_some((d as f64, rows as f64))
+}
+
+/// Distinct join-key values on one side of size `e`: the key columns'
+/// distinct product, capped at the row count of their (largest) table and
+/// at `e` — a composite key's product can exceed both (`partsupp`'s is
+/// 2,000 × 100 over 8,000 rows at SF 0.01).
+fn key_distinct(side: &QPlan, keys: &[ScalarExpr], e: f64, schema: &Schema) -> Option<f64> {
+    let (mut d, mut rows) = (1.0f64, 1.0f64);
+    for k in keys {
+        let (dk, rk) = col_distinct(side, k, schema)?;
+        d *= dk;
+        rows = rows.max(rk);
+    }
+    Some(d.min(rows).min(e).max(1.0))
+}
+
+/// Share of `child`'s rows that `pred` keeps (see [`expected_rows`]).
+fn selectivity(pred: &ScalarExpr, child: &QPlan, schema: &Schema) -> f64 {
+    use dblab_frontend::expr::BinOp;
+    let sel = |p: &ScalarExpr| selectivity(p, child, schema);
+    match pred {
+        ScalarExpr::Bin(BinOp::And, a, b) => sel(a) * sel(b),
+        ScalarExpr::Bin(BinOp::Or, a, b) => (sel(a) + sel(b)).min(1.0),
+        ScalarExpr::Bin(BinOp::Eq, a, b) => match (&**a, &**b) {
+            (c @ ScalarExpr::Col(_), ScalarExpr::Lit(_) | ScalarExpr::Param(_))
+            | (ScalarExpr::Lit(_) | ScalarExpr::Param(_), c @ ScalarExpr::Col(_)) => {
+                col_distinct(child, c, schema).map_or(SEL_DEFAULT, |(d, _)| 1.0 / d)
+            }
+            _ => SEL_DEFAULT,
+        },
+        ScalarExpr::Like(..)
+        | ScalarExpr::Contains(..)
+        | ScalarExpr::StartsWith(..)
+        | ScalarExpr::EndsWith(..) => SEL_STRING_MATCH,
+        _ => SEL_DEFAULT,
+    }
 }
 
 /// Trace a column of `plan`'s output back to a verbatim base-table column.
@@ -471,7 +593,8 @@ impl<'a> Lowering<'a> {
         }
     }
 
-    /// Worst-case cardinality estimate (App. D.1).
+    /// Worst-case cardinality estimate (App. D.1): sizes the pools of
+    /// records and sort lists.
     fn estimate(&self, plan: &QPlan) -> u64 {
         match plan {
             QPlan::Scan { table, .. } => self.schema.table(table).stats.row_count.max(1),
@@ -657,7 +780,8 @@ impl<'a> Lowering<'a> {
 
         let mm = self.b.multimap_new(key_ty, Type::Record(rec_sid));
         if let Atom::Sym(s) = mm {
-            self.b.annotate(s, Annot::SizeHint(hint));
+            self.b
+                .annotate(s, Annot::SizeHint(expected_rows(build, self.schema)));
         }
 
         // Build phase.
@@ -987,10 +1111,10 @@ impl<'a> Lowering<'a> {
             (Type::Record(sid), Some(sid))
         };
 
-        let hint = self.estimate(plan);
         let hm = self.b.hashmap_new(key_ty, Type::Record(rec_sid));
         if let Atom::Sym(s) = hm {
-            self.b.annotate(s, Annot::SizeHint(hint));
+            self.b
+                .annotate(s, Annot::SizeHint(expected_rows(plan, self.schema)));
             if char_key {
                 let n = group_by.len() as u32;
                 self.b.annotate(
@@ -1021,7 +1145,7 @@ impl<'a> Lowering<'a> {
                 .iter()
                 .any(|(_, a)| matches!(a, AggFunc::Min(_) | AggFunc::Max(_)))
             {
-                self.b.annotate(s, Annot::Comment("has_minmax".into()));
+                self.b.annotate(s, Annot::HasMinMax);
             }
         }
 
@@ -1319,12 +1443,12 @@ impl<'a> Lowering<'a> {
             }],
         );
         self.rec_prov.insert(marker_sid, vec![None]);
-        let hint = self.estimate(child);
         let dd = self
             .b
             .hashmap_new(Type::Record(dkey_sid), Type::Record(marker_sid));
         if let Atom::Sym(s) = dd {
-            self.b.annotate(s, Annot::SizeHint(hint));
+            self.b
+                .annotate(s, Annot::SizeHint(expected_rows(child, self.schema)));
         }
         self.produce(child, &mut |lw, env| {
             let mut args: Vec<Atom> = group_by
@@ -1376,10 +1500,10 @@ impl<'a> Lowering<'a> {
             self.rec_prov.insert(sid, vec![None; group_by.len()]);
             (Type::Record(sid), Some(sid))
         };
-        let hint2 = self.estimate(plan);
         let cnts = self.b.hashmap_new(key_ty, Type::Record(cnt_sid));
         if let Atom::Sym(s) = cnts {
-            self.b.annotate(s, Annot::SizeHint(hint2));
+            self.b
+                .annotate(s, Annot::SizeHint(expected_rows(plan, self.schema)));
         }
         let n_groups = group_by.len();
         self.hashmap_foreach(dd, |lw, k, _marker| {
@@ -1807,6 +1931,39 @@ mod tests {
             let (hashed, dense, _) = table_shape(&grouped_chars(keys));
             assert!(hashed && dense.is_empty(), "{keys:?}: {dense:?}");
         }
+    }
+
+    /// The expected-case rules on a catalog of 100 rows and 10 distinct
+    /// values per column.
+    #[test]
+    fn expected_rows_discounts_selections_and_joins() {
+        let s = schema();
+        let e = |p: &QPlan| expected_rows(p, &s);
+        let orders = || QPlan::scan("orders");
+        assert_eq!(e(&orders()), 100);
+        assert_eq!(e(&orders().select(col("o_custkey").eq(lit_i(3)))), 10);
+        assert_eq!(e(&orders().select(col("o_comment").contains("x"))), 5);
+        assert_eq!(e(&orders().select(col("o_custkey").lt(lit_i(3)))), 34);
+        // A primary key counts its rows: 100 · 100 / max(100, 10).
+        let join = QPlan::scan("customer").hash_join(
+            orders(),
+            JoinKind::Inner,
+            vec![col("c_custkey")],
+            vec![col("o_custkey")],
+        );
+        assert_eq!(e(&join), 100);
+        // Each side's key product is capped at its own rows: the
+        // filtered side's 10 · 100 at 10, partsupp's 10 · 10 at 100, so
+        // 10 · 100 / max(10, 100).
+        let composite = orders().select(col("o_custkey").eq(lit_i(3))).hash_join(
+            QPlan::scan("partsupp"),
+            JoinKind::Inner,
+            vec![col("o_custkey"), col("o_orderkey")],
+            vec![col("ps_partkey"), col("ps_suppkey")],
+        );
+        assert_eq!(e(&composite), 10);
+        let groups = orders().agg(vec![("k", col("o_custkey"))], vec![("n", Count)]);
+        assert_eq!(e(&groups), 10);
     }
 
     #[test]

@@ -7,9 +7,6 @@
 //! ```
 
 use dblab::codegen::Compiler;
-use dblab::frontend::expr::{col, date, lit_d, lit_s};
-use dblab::frontend::qmonad::QMonad;
-use dblab::frontend::qplan::AggFunc;
 use dblab::transform::StackConfig;
 
 fn main() {
@@ -18,48 +15,10 @@ fn main() {
     db.write_all().expect("write data");
     let schema = db.schema.clone();
 
-    // Three increasingly involved collection queries.
-    let building_revenue = QMonad::source("customer")
-        .filter(col("c_mktsegment").eq(lit_s("BUILDING")))
-        .hash_join(
-            QMonad::source("orders"),
-            vec![col("c_custkey")],
-            vec![col("o_custkey")],
-        )
-        .map(vec![("price", col("o_totalprice"))])
-        .sum(col("price"));
-
-    let cheap_1994_lines = QMonad::source("lineitem")
-        .filter(
-            col("l_shipdate")
-                .ge(date(1994, 1, 1))
-                .and(col("l_shipdate").lt(date(1995, 1, 1)))
-                .and(col("l_discount").gt(lit_d(0.05))),
-        )
-        .count();
-
-    let revenue_by_nation = QMonad::source("customer")
-        .hash_join(
-            QMonad::source("nation"),
-            vec![col("c_nationkey")],
-            vec![col("n_nationkey")],
-        )
-        .group_by(
-            vec![("nation", col("n_name"))],
-            vec![("balance", AggFunc::Sum(col("c_acctbal")))],
-        )
-        .sort_by(vec![(
-            col("balance"),
-            dblab::frontend::qplan::SortDir::Desc,
-        )])
-        .take(5);
-
+    // Three increasingly involved collection queries, the session that
+    // `ir_digest` and the IR census compile too.
     let gen = std::env::temp_dir().join("dblab_qmonad_gen");
-    for (name, q) in [
-        ("building_revenue", &building_revenue),
-        ("cheap_1994_lines", &cheap_1994_lines),
-        ("revenue_by_nation", &revenue_by_nation),
-    ] {
+    for (name, q) in &dblab_bench::qmonad_queries() {
         // Oracle through the QPlan translation (the expressibility witness).
         let oracle = dblab::engine::execute_plan(&q.to_qplan(), &db);
         // Compiled through shortcut fusion + the full stack, via the facade.
