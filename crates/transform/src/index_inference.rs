@@ -10,16 +10,31 @@
 //! the build-side filter re-applied inside the probe loop ("the iteration
 //! over the first relation is moved to the next step").
 //!
-//! The analysis here answers *whether* a build side qualifies; the
-//! pipelining lowering consults it to make the paper's "informed
-//! materialization decision" (§4.3) and to push the index construction into
-//! the pre-processing phase.
+//! Which input an index may replace ([`join_index`]):
+//!
+//! * semi and anti joins: the right input, the side they build;
+//! * inner joins: the left input (the side they build) with either index
+//!   shape; when the left input does not qualify, the right input, but only
+//!   through a *unique* index on its single-column primary key. The left
+//!   input then becomes the probe stream, so the join builds no map and
+//!   never scans the keyed table. A unique lookup emits at most one row per
+//!   probe row, which is what a hash join on a primary key emits too, and
+//!   the index is O(rows) of the keyed table. A non-unique (CSR) right side
+//!   would trade a hash build over the left input for an index over the
+//!   whole right table and a walk of one partition per left row; whether
+//!   that pays depends on the sides' sizes, which this rule does not weigh;
+//! * left outer joins: none (they need the preserved-row branch).
+//!
+//! The analysis here answers *whether* and *where*; the pipelining
+//! lowering consults it to make the paper's "informed materialization
+//! decision" (§4.3) and to push the index construction into the
+//! pre-processing phase.
 
 use std::sync::Arc;
 
 use dblab_catalog::{ColType, Schema};
 use dblab_frontend::expr::ScalarExpr;
-use dblab_frontend::qplan::QPlan;
+use dblab_frontend::qplan::{JoinKind, QPlan};
 
 /// Result of a successful analysis.
 #[derive(Debug, Clone)]
@@ -102,6 +117,39 @@ pub fn analyze<'p>(
             // intermediate relation", §5.2).
             _ => return None,
         }
+    }
+}
+
+/// The join input a load-time index replaces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    Left,
+    Right,
+}
+
+/// The index decision for one hash join (see the module doc): the
+/// indexable input and its side, or `None` when the join keeps its hash
+/// table. Lowering, index preloading and the tests that count map sites
+/// all ask this one function.
+pub fn join_index<'p>(
+    kind: JoinKind,
+    left: &'p QPlan,
+    right: &'p QPlan,
+    left_keys: &[ScalarExpr],
+    right_keys: &[ScalarExpr],
+    schema: &Schema,
+) -> Option<(IndexableBuild<'p>, Side)> {
+    if left_keys.len() != 1 {
+        return None;
+    }
+    let right_ix = || analyze(right, &right_keys[0], schema).map(|ix| (ix, Side::Right));
+    match kind {
+        JoinKind::Inner => match analyze(left, &left_keys[0], schema) {
+            Some(ix) => Some((ix, Side::Left)),
+            None => right_ix().filter(|(ix, _)| ix.unique),
+        },
+        JoinKind::LeftSemi | JoinKind::LeftAnti => right_ix(),
+        JoinKind::LeftOuter => None,
     }
 }
 

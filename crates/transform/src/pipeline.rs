@@ -11,8 +11,9 @@
 //! vocabulary.
 //!
 //! The lowering also performs the paper's "informed materialization
-//! decisions" (§4.3): when enabled, qualifying hash-join builds are elided
-//! in favour of load-time indexes ([`crate::index_inference`]), and every
+//! decisions" (§4.3): when enabled, a hash join one of whose inputs is a
+//! keyed base table probes a load-time index instead of building a table
+//! ([`crate::index_inference::join_index`] picks the input), and every
 //! allocation site is annotated with a cardinality for the pool and
 //! specialization passes below: records and sort lists with a worst-case
 //! estimate (App. D.1), hashed maps with an expected-case one
@@ -30,7 +31,7 @@ use dblab_ir::types::{FieldDef, StructDef, StructId};
 use dblab_ir::{Atom, Block, Expr, IrBuilder, Level, Program, Type, UnOp};
 
 use crate::config::StackConfig;
-use crate::index_inference::{analyze, IndexableBuild};
+use crate::index_inference::{join_index, IndexableBuild, Side};
 use crate::scalar::{ir_type, lower_expr, ColRef, RowEnv};
 
 /// Largest dense-key range for aggregation arrays.
@@ -477,15 +478,12 @@ impl<'a> Lowering<'a> {
             } => {
                 self.preload_indexes(left);
                 self.preload_indexes(right);
-                if !self.cfg.index_inference || left_keys.len() != 1 || *kind == JoinKind::LeftOuter
-                {
+                if !self.cfg.index_inference {
                     return;
                 }
-                let (build, key) = match kind {
-                    JoinKind::Inner => (left, &left_keys[0]),
-                    _ => (right, &right_keys[0]),
-                };
-                if let Some(ix) = analyze(build, key, self.schema) {
+                if let Some((ix, _)) =
+                    join_index(*kind, left, right, left_keys, right_keys, self.schema)
+                {
                     self.ensure_index(&ix);
                 }
             }
@@ -617,15 +615,9 @@ impl<'a> Lowering<'a> {
                 // child cardinality (worst case, App. D.1).
                 let c = self.estimate(child);
                 let mut product: u64 = 1;
-                for (n, e) in group_by {
-                    let d = match e {
-                        ScalarExpr::Col(_) => static_prov(child, n, self.schema)
-                            .and_then(|(t, f)| self.schema.table(&t).stats.distinct.get(f).copied())
-                            .filter(|d| *d > 0),
-                        _ => None,
-                    };
-                    match d {
-                        Some(d) => product = product.saturating_mul(d),
+                for (_, e) in group_by {
+                    match col_distinct(child, e, self.schema) {
+                        Some((d, _)) => product = product.saturating_mul(d as u64),
                         None => return c,
                     }
                 }
@@ -723,6 +715,25 @@ impl<'a> Lowering<'a> {
         residual: &Option<ScalarExpr>,
         consumer: &mut dyn FnMut(&mut Self, &RowEnv),
     ) {
+        // Informed materialization decision (§4.3): use a load-time index
+        // instead of a query-time hash table when one input qualifies
+        // (`join_index` says which). The other input is the probe stream.
+        if self.cfg.index_inference {
+            if let Some((ix, side)) =
+                join_index(kind, left, right, left_keys, right_keys, self.schema)
+            {
+                let key = (ix.table.clone(), ix.key_col, ix.unique);
+                if self.index_loads.contains_key(&key) {
+                    let (probe, probe_keys) = match side {
+                        Side::Left => (right, right_keys),
+                        Side::Right => (left, left_keys),
+                    };
+                    return self
+                        .indexed_join(&ix, side, probe, kind, probe_keys, residual, consumer);
+                }
+            }
+        }
+
         // Inner joins build the left input (paper Figure 4d); the
         // left-preserving variants build the right input and probe with
         // left rows.
@@ -730,19 +741,6 @@ impl<'a> Lowering<'a> {
             JoinKind::Inner => (left, right, left_keys, right_keys),
             _ => (right, left, right_keys, left_keys),
         };
-
-        // Informed materialization decision (§4.3): use a load-time index
-        // instead of a query-time hash table when the build side qualifies.
-        // Outer joins keep the hash-table path (they need per-match rows
-        // *and* the preserved-row branch).
-        if self.cfg.index_inference && build_keys.len() == 1 && kind != JoinKind::LeftOuter {
-            if let Some(ix) = analyze(build, &build_keys[0], self.schema) {
-                let key = (ix.table.clone(), ix.key_col, ix.unique);
-                if self.index_loads.contains_key(&key) {
-                    return self.indexed_join(&ix, probe, kind, probe_keys, residual, consumer);
-                }
-            }
-        }
 
         let build_cols = build.output_cols(self.schema);
         let key_types: Vec<Type> = build_keys
@@ -881,10 +879,14 @@ impl<'a> Lowering<'a> {
         });
     }
 
-    /// Figure 7c/7d: probe a load-time index instead of a hash table.
+    /// Figure 7c/7d: probe a load-time index instead of a hash table. The
+    /// index stands for the `side` input; a match row is still the left
+    /// input's columns followed by the right's.
+    #[allow(clippy::too_many_arguments)]
     fn indexed_join(
         &mut self,
         ix: &IndexableBuild<'_>,
+        side: Side,
         probe: &QPlan,
         kind: JoinKind,
         probe_keys: &[ScalarExpr],
@@ -912,21 +914,15 @@ impl<'a> Lowering<'a> {
                         let p = lower_expr(&mut lw.b, &benv, &lw.params, f);
                         cond = lw.b.and(cond, p);
                     }
+                    let combined = match side {
+                        Side::Left => benv.concat(penv),
+                        Side::Right => penv.concat(&benv),
+                    };
                     if let Some(pred) = residual {
-                        let combined = match kind {
-                            JoinKind::Inner => benv.concat(penv),
-                            _ => penv.concat(&benv),
-                        };
                         let p = lower_expr(&mut lw.b, &combined, &lw.params, pred);
                         cond = lw.b.and(cond, p);
                     }
-                    match kind {
-                        JoinKind::Inner => {
-                            let combined = benv.concat(penv);
-                            lw.if_then(cond, |lw| consumer(lw, &combined));
-                        }
-                        _ => lw.if_then(cond, |lw| consumer(lw, &RowEnv::default())),
-                    }
+                    lw.if_then(cond, |lw| consumer(lw, &combined));
                 };
 
             match kind {
@@ -1812,6 +1808,212 @@ mod tests {
         let text = dblab_ir::printer::print_program(&p);
         assert!(!text.contains("new MultiMap"), "{text}");
         assert!(text.contains("loadIndex"), "{text}");
+    }
+
+    /// `customer ⋈ orders`, which index inference lowers through the
+    /// customer index: an intermediate result, so it never qualifies.
+    fn customer_orders() -> QPlan {
+        QPlan::scan("customer").hash_join(
+            QPlan::scan("orders"),
+            JoinKind::Inner,
+            vec![col("c_custkey")],
+            vec![col("o_custkey")],
+        )
+    }
+
+    /// `left ⋈ right` on one key pair.
+    fn join_on(left: QPlan, right: QPlan, kind: JoinKind, lk: &str, rk: &str) -> QPlan {
+        left.hash_join(right, kind, vec![col(lk)], vec![col(rk)])
+    }
+
+    /// Hashed join maps, and the tables given a unique and a CSR index,
+    /// in `plan`'s lowering (level 5 unless `cfg` says otherwise).
+    fn join_shape_at(plan: QPlan, cfg: &StackConfig) -> (usize, Vec<String>, Vec<String>) {
+        let p = lower(&QueryProgram::new(plan), cfg);
+        let (mut maps, mut unique, mut csr) = (0, Vec::new(), Vec::new());
+        p.body.for_each_stmt(&mut |st| match &st.expr {
+            Expr::MultiMapNew { .. } => maps += 1,
+            Expr::LoadIndexUnique { table, .. } => unique.push(table.to_string()),
+            Expr::LoadIndexStarts { table, .. } => csr.push(table.to_string()),
+            _ => {}
+        });
+        (maps, unique, csr)
+    }
+
+    fn join_shape(plan: QPlan) -> (usize, Vec<String>, Vec<String>) {
+        join_shape_at(plan, &StackConfig::level5())
+    }
+
+    #[test]
+    fn a_primary_key_probe_side_becomes_a_unique_index() {
+        let plan = join_on(
+            customer_orders(),
+            QPlan::scan("nation"),
+            JoinKind::Inner,
+            "c_nationkey",
+            "n_nationkey",
+        );
+        assert_eq!(
+            join_shape(plan),
+            (0, vec!["customer".into(), "nation".into()], vec![])
+        );
+    }
+
+    #[test]
+    fn the_swap_needs_a_unique_key_an_inner_join_and_an_unqualified_left() {
+        // A non-unique (CSR) probe side keeps the hash table.
+        let csr_right = join_on(
+            customer_orders(),
+            QPlan::scan("lineitem"),
+            JoinKind::Inner,
+            "o_orderkey",
+            "l_orderkey",
+        );
+        assert_eq!(join_shape(csr_right), (1, vec!["customer".into()], vec![]));
+        // Semi and anti joins index their right (build) input; a keyed
+        // left input stays the preserved probe stream.
+        for kind in [JoinKind::LeftSemi, JoinKind::LeftAnti] {
+            let keyed_left = join_on(
+                QPlan::scan("nation"),
+                customer_orders(),
+                kind,
+                "n_nationkey",
+                "c_nationkey",
+            );
+            assert_eq!(
+                join_shape(keyed_left),
+                (1, vec!["customer".into()], vec![]),
+                "{kind:?}"
+            );
+        }
+        // Outer joins keep the hash table on either side.
+        let outer = join_on(
+            customer_orders(),
+            QPlan::scan("nation"),
+            JoinKind::LeftOuter,
+            "c_nationkey",
+            "n_nationkey",
+        );
+        assert_eq!(join_shape(outer), (1, vec!["customer".into()], vec![]));
+        // A left side that qualifies keeps its index, even a CSR one.
+        let both = join_on(
+            QPlan::scan("orders"),
+            QPlan::scan("customer"),
+            JoinKind::Inner,
+            "o_custkey",
+            "c_custkey",
+        );
+        assert_eq!(join_shape(both), (0, vec![], vec!["orders".into()]));
+        // Without index inference nothing is swapped.
+        let plan = join_on(
+            customer_orders(),
+            QPlan::scan("nation"),
+            JoinKind::Inner,
+            "c_nationkey",
+            "n_nationkey",
+        );
+        assert_eq!(
+            join_shape_at(plan, &StackConfig::level4()),
+            (2, vec![], vec![])
+        );
+    }
+
+    /// The column names of the rows `plan` produces under `cfg`.
+    fn produced_cols(plan: &QPlan, cfg: &StackConfig) -> Vec<String> {
+        let s = schema();
+        let mut lw = Lowering::new(&s, cfg);
+        lw.preload_indexes(plan);
+        let mut names = Vec::new();
+        lw.produce(plan, &mut |_, env| {
+            names = env.cols.iter().map(|c| c.name.to_string()).collect();
+        });
+        names
+    }
+
+    /// The aliased, filtered `nation` of Q7, keyed on its primary key and
+    /// probed by an intermediate result.
+    fn aliased_nation_join() -> QPlan {
+        join_on(
+            customer_orders(),
+            QPlan::scan_as("nation", "n2").select(col("n2_n_name").eq(lit_s("GERMANY"))),
+            JoinKind::Inner,
+            "c_nationkey",
+            "n2_n_nationkey",
+        )
+    }
+
+    #[test]
+    fn a_swapped_join_keeps_left_then_right_columns() {
+        let plan = aliased_nation_join();
+        let want: Vec<String> = (plan.output_cols(&schema()).into_iter())
+            .map(|(n, _)| n.to_string())
+            .collect();
+        assert_eq!(want.first().map(String::as_str), Some("c_custkey"));
+        assert_eq!(want.last().map(String::as_str), Some("n2_n_comment"));
+        for cfg in [StackConfig::level2(), StackConfig::level5()] {
+            assert_eq!(produced_cols(&plan, &cfg), want);
+        }
+    }
+
+    /// On generated data, the swapped lowering re-applies the aliased
+    /// right side's filter and the residual: the interpreter prints the
+    /// hash join's rows.
+    #[test]
+    fn a_swapped_join_reapplies_the_right_filter_and_the_residual() {
+        let db = dblab_tpch::generate(0.001, &std::env::temp_dir());
+        let snapshot = dblab_runtime::Snapshot::from(db.clone());
+        let QPlan::HashJoin {
+            left,
+            right,
+            kind,
+            left_keys,
+            right_keys,
+            ..
+        } = aliased_nation_join()
+        else {
+            unreachable!()
+        };
+        let plan = QPlan::HashJoin {
+            left,
+            right,
+            kind,
+            left_keys,
+            right_keys,
+            residual: Some(col("o_orderkey").lt(lit_i(3000))),
+        }
+        .project(vec![
+            ("k", col("o_orderkey")),
+            ("n", col("n2_n_name")),
+            ("c", col("c_name")),
+        ]);
+        let run = |cfg: &StackConfig| {
+            let p = lower_program(&QueryProgram::new(plan.clone()), &db.schema, cfg);
+            let mut rows: Vec<String> = (dblab_interp::run(&p, &snapshot).lines())
+                .map(str::to_string)
+                .collect();
+            rows.sort();
+            (p, rows)
+        };
+        let (hashed, want) = run(&StackConfig::level2());
+        let (indexed, got) = run(&StackConfig::level5());
+        let maps = |p: &Program| {
+            (p.body.stmts.iter())
+                .filter(|st| matches!(st.expr, Expr::MultiMapNew { .. }))
+                .count()
+        };
+        assert_eq!((maps(&hashed), maps(&indexed)), (2, 0));
+        assert!(!want.is_empty() && want.iter().all(|r| r.contains("|GERMANY|")));
+        assert_eq!(got, want);
+    }
+
+    /// The worst case counts a renamed group column's distinct values.
+    #[test]
+    fn worst_case_groups_read_the_column_inside_the_expression() {
+        let s = schema();
+        let cfg = StackConfig::level5();
+        let lw = Lowering::new(&s, &cfg);
+        let groups = QPlan::scan("orders").agg(vec![("k", col("o_custkey"))], vec![("n", Count)]);
+        assert_eq!(lw.estimate(&groups), 10);
     }
 
     #[test]
