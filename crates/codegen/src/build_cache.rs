@@ -416,7 +416,6 @@ mod tests {
     }
 
     use dblab_catalog::Schema;
-    use dblab_ir::expr::Annotations;
     use dblab_ir::types::StructRegistry;
     use dblab_ir::{Block, Level, Program};
 
@@ -427,7 +426,6 @@ mod tests {
             body: Block::default(),
             sym_types: vec![],
             level: Level::MapList,
-            annots: Annotations::default(),
         };
         let schema = Schema::default();
         let dir = std::env::temp_dir().join("dblab_bc_test");

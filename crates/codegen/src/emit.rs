@@ -1,10 +1,11 @@
 //! The C.Scala → C unparser ("stringification", paper §4.1).
 //!
 //! Emits one self-contained C translation unit per query: record typedefs,
-//! generated `.tbl` loaders (honouring layout, dictionary and kept-column
-//! annotations), index/partition builders (Figure 7's pre-computation),
-//! per-key-type hash/equality functions for the generic containers, sort
-//! comparators, and a `main` that loads, runs and prints — "a stand-alone
+//! generated `.tbl` loaders (honouring each `LoadTable`'s layout and the
+//! columns and dictionary codes its record type reads), index/partition
+//! builders (Figure 7's pre-computation), per-key-type hash/equality
+//! functions for the generic containers, sort comparators, and a `main`
+//! that loads, runs and prints — "a stand-alone
 //! executable for the given query, which includes data loading and data
 //! processing" (§6).
 
@@ -677,7 +678,7 @@ impl<'p> Emitter<'p> {
                 let rhs = self.atom(value);
                 self.line(depth, out, &format!("x{} = {rhs};", var.0));
             }
-            Expr::StructNew { sid, args } => {
+            Expr::StructNew { sid, args, .. } => {
                 let rec = ident(&self.p.structs.get(*sid).name);
                 self.line(
                     depth,

@@ -412,7 +412,7 @@ impl<'p> Jc<'p> {
     fn bind_tables(&mut self) -> io::Result<()> {
         let (mut loads, mut writes) = (Vec::new(), Vec::new());
         self.p.body.for_each_stmt(&mut |st| match &st.expr {
-            Expr::LoadTable { table, sid } => loads.push((st, table, *sid)),
+            Expr::LoadTable { table, sid, .. } => loads.push((st, table, *sid)),
             Expr::FieldSet { sid, .. } => writes.push((st, *sid)),
             _ => {}
         });
@@ -942,7 +942,7 @@ impl<'p> Jc<'p> {
                 let x = self.want(value, cls(self.p.type_of(*var)))?;
                 effect(store(slot(*var), x))
             }
-            Expr::StructNew { sid, args } => {
+            Expr::StructNew { sid, args, .. } => {
                 let fields = &self.p.structs.get(*sid).fields;
                 if args.len() != fields.len() {
                     return Err(self.reject(format!("the record has {} fields", fields.len())));
@@ -2303,7 +2303,7 @@ mod tests {
                 field("tag", Type::Int),
             ],
         });
-        let table = b.load_table("t", sid);
+        let table = b.load_table("t", sid, dblab_ir::expr::Layout::Columnar);
         (b, sid, table)
     }
 
@@ -2416,7 +2416,7 @@ mod tests {
     #[test]
     fn a_base_row_is_a_hash_key_by_value() {
         let (mut b, sid, table) = with_table();
-        let map = b.hashmap_new(Type::Record(sid), Type::Int);
+        let map = b.hashmap_new(Type::Record(sid), Type::Int, 8);
         let n = b.array_len(table.clone());
         // Twice over the table: the second pass must find every key.
         for _ in 0..2 {
@@ -2444,9 +2444,9 @@ mod tests {
     #[test]
     fn base_rows_live_in_lists_arrays_and_multimaps() {
         let (mut b, sid, table) = with_table();
-        let list = b.list_new(Type::Record(sid));
+        let list = b.list_new(Type::Record(sid), None);
         let arr = b.array_new(Type::Record(sid), Atom::Int(4));
-        let mm = b.multimap_new(Type::Int, Type::Record(sid));
+        let mm = b.multimap_new(Type::Int, Type::Record(sid), 8);
         b.for_range(Atom::Int(0), Atom::Int(4), |bb, i| {
             let row = bb.array_get(table.clone(), i.clone());
             bb.list_append(list.clone(), row.clone());
@@ -2745,7 +2745,7 @@ mod tests {
             name: "key".into(),
             fields: vec![field("tag", Type::Int), field("big", Type::Bool)],
         });
-        let map = b.hashmap_new(Type::Record(key), Type::Double);
+        let map = b.hashmap_new(Type::Record(key), Type::Double, 8);
         let sums = b.array_new(Type::Double, Atom::Int(1));
         b.for_range(Atom::Int(0), Atom::Int(4), |bb, i| {
             let row = bb.array_get(table.clone(), i);

@@ -52,8 +52,7 @@ fn walk(
 ) {
     for st in &b.stmts {
         match &st.expr {
-            Expr::LoadTable { table, sid } => {
-                let layout = p.annots.layout(st.sym).unwrap_or(Layout::Boxed);
+            Expr::LoadTable { table, sid, layout } => {
                 let def = schema.table(table);
                 let mut field_of = vec![None; def.columns.len()];
                 let mut dicts = Vec::new();
@@ -68,7 +67,7 @@ fn walk(
                 let info = TableInfo {
                     name: table.clone(),
                     sid: *sid,
-                    layout,
+                    layout: *layout,
                     field_of,
                     dicts,
                     index_keys: Vec::new(),

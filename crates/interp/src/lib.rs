@@ -475,7 +475,7 @@ impl Interp<'_> {
                 let nfields = self.atom(pool).i() as usize;
                 V::Cells(Rc::new(RefCell::new(vec![V::I(0); nfields])))
             }
-            Expr::LoadTable { table, sid } => self.load_table(table, *sid),
+            Expr::LoadTable { table, sid, .. } => self.load_table(table, *sid),
             Expr::LoadIndexUnique { table, field } => {
                 int_cells(&index(self.db.table(table).index_unique(*field))[..])
             }
@@ -763,7 +763,7 @@ mod tests {
     #[test]
     fn interprets_collections() {
         let mut b = IrBuilder::new();
-        let mm = b.multimap_new(Type::Int, Type::Int);
+        let mm = b.multimap_new(Type::Int, Type::Int, 8);
         b.multimap_add(mm.clone(), Atom::Int(1), Atom::Int(10));
         b.multimap_add(mm.clone(), Atom::Int(1), Atom::Int(20));
         b.multimap_add(mm.clone(), Atom::Int(2), Atom::Int(99));

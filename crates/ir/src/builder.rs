@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use crate::effects::effects_of;
 use crate::expr::{
-    Annot, Annotations, Atom, BinOp, Block, DictOp, Expr, PrimOp, Program, Stmt, Sym, UnOp,
+    Atom, BinOp, Block, DictOp, Expr, Layout, PrimOp, Program, Stmt, Sym, UnOp, DEFAULT_POOL,
 };
 use crate::level::Level;
 use crate::types::{StructId, StructRegistry, Type};
@@ -32,7 +32,6 @@ struct Scope {
 pub struct IrBuilder {
     pub structs: StructRegistry,
     sym_types: Vec<Type>,
-    annots: Annotations,
     scopes: Vec<Scope>,
     /// When false, pure expressions are emitted verbatim, not
     /// hash-consed. Only tests turn it off, to build duplicates the
@@ -51,7 +50,6 @@ impl IrBuilder {
         IrBuilder {
             structs: StructRegistry::new(),
             sym_types: Vec::new(),
-            annots: Annotations::default(),
             scopes: vec![Scope::default()],
             cse_enabled: true,
         }
@@ -66,7 +64,6 @@ impl IrBuilder {
             body: Block { stmts, result },
             sym_types: self.sym_types,
             level,
-            annots: self.annots,
         }
     }
 
@@ -96,14 +93,6 @@ impl IrBuilder {
             Atom::Str(_) => Type::String,
             Atom::Null(t) => (**t).clone(),
         }
-    }
-
-    pub fn annotate(&mut self, sym: Sym, a: Annot) {
-        self.annots.add(sym, a);
-    }
-
-    pub fn annotations(&self) -> &Annotations {
-        &self.annots
     }
 
     // ------------------------------------------------------------------
@@ -377,9 +366,16 @@ impl IrBuilder {
     // Records
     // ------------------------------------------------------------------
 
+    /// A record from a site with no cardinality estimate
+    /// ([`DEFAULT_POOL`]).
     pub fn struct_new(&mut self, sid: StructId, args: Vec<Atom>) -> Atom {
+        self.struct_new_pooled(sid, args, DEFAULT_POOL)
+    }
+
+    /// A record from a site that allocates at most `pool` of them.
+    pub fn struct_new_pooled(&mut self, sid: StructId, args: Vec<Atom>, pool: u64) -> Atom {
         debug_assert_eq!(args.len(), self.structs.get(sid).fields.len());
-        self.emit(Type::Record(sid), Expr::StructNew { sid, args })
+        self.emit(Type::Record(sid), Expr::StructNew { sid, args, pool })
     }
 
     pub fn field_get(&mut self, obj: Atom, sid: StructId, field: usize) -> Atom {
@@ -449,8 +445,8 @@ impl IrBuilder {
     // Lists
     // ------------------------------------------------------------------
 
-    pub fn list_new(&mut self, elem: Type) -> Atom {
-        self.emit(Type::list(elem.clone()), Expr::ListNew { elem })
+    pub fn list_new(&mut self, elem: Type, bound: Option<u64>) -> Atom {
+        self.emit(Type::list(elem.clone()), Expr::ListNew { elem, bound })
     }
 
     pub fn list_append(&mut self, list: Atom, value: Atom) {
@@ -476,10 +472,18 @@ impl IrBuilder {
     // Hash tables
     // ------------------------------------------------------------------
 
-    pub fn hashmap_new(&mut self, key: Type, value: Type) -> Atom {
+    /// A hashed map of about `expected` entries; dense-key and min/max
+    /// facts are for [`Self::emit`] with a full [`Expr::HashMapNew`].
+    pub fn hashmap_new(&mut self, key: Type, value: Type, expected: u64) -> Atom {
         self.emit(
             Type::hash_map(key.clone(), value.clone()),
-            Expr::HashMapNew { key, value },
+            Expr::HashMapNew {
+                key,
+                value,
+                expected,
+                dense: None,
+                has_minmax: false,
+            },
         )
     }
 
@@ -513,10 +517,14 @@ impl IrBuilder {
         });
     }
 
-    pub fn multimap_new(&mut self, key: Type, value: Type) -> Atom {
+    pub fn multimap_new(&mut self, key: Type, value: Type, expected: u64) -> Atom {
         self.emit(
             Type::multi_map(key.clone(), value.clone()),
-            Expr::MultiMapNew { key, value },
+            Expr::MultiMapNew {
+                key,
+                value,
+                expected,
+            },
         )
     }
 
@@ -559,12 +567,13 @@ impl IrBuilder {
     // I/O
     // ------------------------------------------------------------------
 
-    pub fn load_table(&mut self, table: &str, sid: StructId) -> Atom {
+    pub fn load_table(&mut self, table: &str, sid: StructId, layout: Layout) -> Atom {
         self.emit(
             Type::array(Type::Record(sid)),
             Expr::LoadTable {
                 table: table.into(),
                 sid,
+                layout,
             },
         )
     }
@@ -822,7 +831,7 @@ mod tests {
                 ty: Type::Int,
             }],
         });
-        let list = b.list_new(Type::Record(sid));
+        let list = b.list_new(Type::Record(sid), None);
         let rec = b.struct_new(sid, vec![Atom::Int(7)]);
         b.list_append(list.clone(), rec);
         let total = b.decl_var(Atom::Int(0));

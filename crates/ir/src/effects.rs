@@ -165,7 +165,10 @@ mod tests {
 
     #[test]
     fn alloc_removable_but_not_pure() {
-        let e = Expr::ListNew { elem: Type::Int };
+        let e = Expr::ListNew {
+            elem: Type::Int,
+            bound: None,
+        };
         assert!(!effects_of(&e).is_pure());
         assert!(effects_of(&e).is_removable());
     }

@@ -255,6 +255,10 @@ pub enum Expr {
     StructNew {
         sid: StructId,
         args: Vec<Atom>,
+        /// How many records this site allocates at most (App. D.1):
+        /// memory hoisting sizes each record type's pool by the sum over
+        /// its sites. [`DEFAULT_POOL`] where no estimate exists.
+        pool: u64,
     },
     FieldGet {
         obj: Atom,
@@ -297,6 +301,9 @@ pub enum Expr {
     // ---- lists (ScaLite[List] and above) ---------------------------------
     ListNew {
         elem: Type,
+        /// Worst-case length from the bounded-loop analysis, when known:
+        /// list specialization turns a bounded list into a pre-sized array.
+        bound: Option<u64>,
     },
     ListAppend {
         list: Atom,
@@ -313,6 +320,14 @@ pub enum Expr {
     HashMapNew {
         key: Type,
         value: Type,
+        /// Expected-case entry count: sizes the bucket array.
+        expected: u64,
+        /// Keys known dense: the map may become a direct array.
+        dense: Option<DenseKey>,
+        /// The aggregates include a `min` or `max`: the records have no
+        /// neutral initial value, so a dense array of them is not
+        /// pre-filled (App. D.2).
+        has_minmax: bool,
     },
     /// Aggregation workhorse: returns the value for `key`, running `init`
     /// to create it on first sight.
@@ -330,6 +345,8 @@ pub enum Expr {
     MultiMapNew {
         key: Type,
         value: Type,
+        /// Expected-case entry count: sizes the bucket array.
+        expected: u64,
     },
     MultiMapAdd {
         map: Atom,
@@ -357,10 +374,11 @@ pub enum Expr {
 
     // ---- I/O intrinsics -----------------------------------------------------
     /// Load an input relation; yields `Array[Record(sid)]`. Expanded by the
-    /// code generator into a `.tbl` loader honouring the layout decisions.
+    /// code generator into a `.tbl` loader honouring `layout` (App. C).
     LoadTable {
         table: Arc<str>,
         sid: StructId,
+        layout: Layout,
     },
     /// Precomputed unique index (Fig. 7d): `Array[Int]` mapping each key of
     /// the (dense, single-column primary key) `field` to its row position.
@@ -694,8 +712,8 @@ impl Block {
     }
 }
 
-/// A complete IR program: struct definitions, per-symbol types, annotations
-/// and the body block. `level` records the DSL the program is currently
+/// A complete IR program: struct definitions, per-symbol types and the
+/// body block. `level` records the DSL the program is currently
 /// expressed in; [`crate::level::validate`] checks the body against it.
 #[derive(Debug, Clone)]
 pub struct Program {
@@ -704,7 +722,6 @@ pub struct Program {
     /// `sym_types[s.0]` is the type of symbol `s`.
     pub sym_types: Vec<Type>,
     pub level: crate::level::Level,
-    pub annots: Annotations,
 }
 
 impl Program {
@@ -726,11 +743,18 @@ impl Program {
     }
 }
 
-/// Symbol annotations (paper §3.3): side-band facts attached to unique ANF
-/// symbols, written by analyses at one level and consumed at lower levels.
-#[derive(Debug, Clone, Default)]
-pub struct Annotations {
-    map: std::collections::HashMap<Sym, Vec<Annot>>,
+/// Pool capacity of a [`Expr::StructNew`] site with no cardinality
+/// estimate; such a pool doubles on overflow (App. D.1).
+pub const DEFAULT_POOL: u64 = 1024;
+
+/// Keys of a [`Expr::HashMapNew`] are dense integers in `[0, max]`, which
+/// enables its dense-array specialization. `composite`: the key packs
+/// several group columns, so no single field of the stored record
+/// equals it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct DenseKey {
+    pub max: u64,
+    pub composite: bool,
 }
 
 /// Storage layouts for arrays of records (paper Figure 3).
@@ -740,79 +764,6 @@ pub enum Layout {
     Boxed,
     /// Struct-of-arrays (one array per field).
     Columnar,
-}
-
-/// An individual annotation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Annot {
-    /// Cardinality estimate: worst case on records and lists (drives
-    /// memory-pool sizing, App. D.1), expected case on hashed maps (drives
-    /// bucket-array sizing).
-    SizeHint(u64),
-    /// Keys are dense integers in `[0, max]` — enables dense-array
-    /// specialization of hash tables. `composite`: the key packs several
-    /// group columns, so no single field of the stored record equals it.
-    DenseKey { max: u64, composite: bool },
-    /// A group-by map whose aggregates include a `min` or `max`: its
-    /// records have no neutral initial value, so hash-table specialization
-    /// does not pre-fill a dense array of them (App. D.2).
-    HasMinMax,
-    /// The symbol is a verbatim copy of `table`'s column `field`
-    /// (provenance for string dictionaries and index inference).
-    Column { table: Arc<str>, field: usize },
-    /// Storage layout decision for a loaded base-table array (App. C).
-    TableLayout(Layout),
-}
-
-impl Annotations {
-    /// Attach `a` to `sym` unless the symbol already carries it: rewrites
-    /// re-add what the builder and the carried-over annotations both hold.
-    pub fn add(&mut self, sym: Sym, a: Annot) {
-        let annots = self.map.entry(sym).or_default();
-        if !annots.contains(&a) {
-            annots.push(a);
-        }
-    }
-    pub fn get(&self, sym: Sym) -> &[Annot] {
-        self.map.get(&sym).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-    pub fn size_hint(&self, sym: Sym) -> Option<u64> {
-        self.get(sym).iter().find_map(|a| match a {
-            Annot::SizeHint(n) => Some(*n),
-            _ => None,
-        })
-    }
-    /// `(max, composite)` of a [`Annot::DenseKey`].
-    pub fn dense_key(&self, sym: Sym) -> Option<(u64, bool)> {
-        self.get(sym).iter().find_map(|a| match a {
-            Annot::DenseKey { max, composite } => Some((*max, *composite)),
-            _ => None,
-        })
-    }
-    pub fn column(&self, sym: Sym) -> Option<(Arc<str>, usize)> {
-        self.get(sym).iter().find_map(|a| match a {
-            Annot::Column { table, field } => Some((table.clone(), *field)),
-            _ => None,
-        })
-    }
-    pub fn layout(&self, sym: Sym) -> Option<Layout> {
-        self.get(sym).iter().find_map(|a| match a {
-            Annot::TableLayout(l) => Some(*l),
-            _ => None,
-        })
-    }
-    pub fn iter(&self) -> impl Iterator<Item = (&Sym, &Vec<Annot>)> {
-        self.map.iter()
-    }
-    /// Move every symbol's annotations to `rename(sym)`, dropping those
-    /// `rename` maps to `None`. `rename` must be injective, so no two
-    /// lists meet and the result does not depend on the map's order.
-    pub fn rekey(&mut self, rename: impl Fn(Sym) -> Option<Sym>) {
-        self.map = std::mem::take(&mut self.map)
-            .into_iter()
-            .filter_map(|(s, a)| Some((rename(s)?, a)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -878,21 +829,5 @@ mod tests {
             },
         }]);
         assert_eq!(outer.size(), 2);
-    }
-
-    #[test]
-    fn annotations_roundtrip() {
-        let mut a = Annotations::default();
-        a.add(Sym(1), Annot::SizeHint(100));
-        a.add(
-            Sym(1),
-            Annot::DenseKey {
-                max: 42,
-                composite: false,
-            },
-        );
-        assert_eq!(a.size_hint(Sym(1)), Some(100));
-        assert_eq!(a.dense_key(Sym(1)), Some((42, false)));
-        assert_eq!(a.size_hint(Sym(2)), None);
     }
 }

@@ -4,8 +4,8 @@
 //! The pass manager makes the whole stack a pure function of
 //! `(program, pass order, config, schema)`; what turns that purity into
 //! speed is a *cache key*. [`program_hash`] folds a [`Program`]'s entire observable
-//! structure — level, struct registry, body, symbol types and annotations
-//! — into one 64-bit fingerprint with these guarantees:
+//! structure — level, struct registry, body and symbol types — into one
+//! 64-bit fingerprint with these guarantees:
 //!
 //! * **no pointer identity** — `Arc<str>` contents are hashed, never
 //!   addresses, so two independently constructed programs that print the
@@ -13,9 +13,8 @@
 //! * **stable across runs** — the hasher is an in-tree FNV-1a, not the
 //!   randomly-keyed `std` SipHash, so fingerprints can key on-disk build
 //!   artifacts between processes;
-//! * **canonical annotation order** — [`crate::expr::Annotations`] is a
-//!   `HashMap` with nondeterministic iteration order; hashing sorts by
-//!   symbol first.
+//! * **decisions included** — sizes, dense-key ranges and layouts are
+//!   fields of the nodes they describe, so hashing the body covers them.
 //!
 //! [`str_hash`] is the same FNV-1a over raw text, used by the
 //! source-level build cache in `dblab-codegen` (`Backend::emit` is pure
@@ -84,14 +83,6 @@ pub fn program_hash(p: &Program) -> u64 {
     }
     p.body.hash(&mut h);
     p.sym_types.hash(&mut h);
-    // Annotations live in a HashMap; canonicalize by symbol order.
-    let mut annotated: Vec<_> = p.annots.iter().collect();
-    annotated.sort_by_key(|(s, _)| **s);
-    h.write_usize(annotated.len());
-    for (sym, annots) in annotated {
-        sym.hash(&mut h);
-        annots.hash(&mut h);
-    }
     h.finish()
 }
 
@@ -106,13 +97,11 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{Annot, Annotations, Atom, Block, Expr, Stmt, Sym};
+    use crate::expr::{Atom, Block, DenseKey, Expr, Stmt, Sym};
     use crate::types::{StructRegistry, Type};
     use crate::Level;
 
     fn prog(lit: i64) -> Program {
-        let mut annots = Annotations::default();
-        annots.add(Sym(0), Annot::SizeHint(7));
         Program {
             structs: StructRegistry::new(),
             body: Block::unit(vec![Stmt {
@@ -122,7 +111,6 @@ mod tests {
             }]),
             sym_types: vec![Type::Int],
             level: Level::MapList,
-            annots,
         }
     }
 
@@ -145,33 +133,29 @@ mod tests {
     }
 
     #[test]
-    fn annotations_are_order_canonical() {
-        let mut a = prog(1);
-        let mut b = prog(1);
-        a.annots.add(
-            Sym(0),
-            Annot::DenseKey {
-                max: 3,
-                composite: false,
-            },
-        );
-        b.annots.add(
-            Sym(0),
-            Annot::DenseKey {
-                max: 3,
-                composite: false,
-            },
-        );
-        assert_eq!(program_hash(&a), program_hash(&b));
-        let mut c = prog(1);
-        c.annots.add(
-            Sym(0),
-            Annot::DenseKey {
-                max: 4,
-                composite: false,
-            },
-        );
-        assert_ne!(program_hash(&a), program_hash(&c));
+    fn sizing_fields_are_part_of_the_key() {
+        let map = |expected, max| Program {
+            structs: StructRegistry::new(),
+            body: Block::unit(vec![Stmt {
+                sym: Sym(0),
+                ty: Type::hash_map(Type::Int, Type::Int),
+                expr: Expr::HashMapNew {
+                    key: Type::Int,
+                    value: Type::Int,
+                    expected,
+                    dense: Some(DenseKey {
+                        max,
+                        composite: false,
+                    }),
+                    has_minmax: false,
+                },
+            }]),
+            sym_types: vec![Type::hash_map(Type::Int, Type::Int)],
+            level: Level::MapList,
+        };
+        assert_eq!(program_hash(&map(7, 3)), program_hash(&map(7, 3)));
+        assert_ne!(program_hash(&map(7, 3)), program_hash(&map(8, 3)));
+        assert_ne!(program_hash(&map(7, 3)), program_hash(&map(7, 4)));
     }
 
     #[test]

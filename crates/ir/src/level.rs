@@ -257,7 +257,7 @@ fn discriminant_name(e: &Expr) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{Annotations, Stmt};
+    use crate::expr::Stmt;
     use crate::types::StructRegistry;
 
     fn prog(level: Level, stmts: Vec<Stmt>, ntypes: usize) -> Program {
@@ -266,7 +266,6 @@ mod tests {
             body: Block::unit(stmts),
             sym_types: vec![Type::Unit; ntypes],
             level,
-            annots: Annotations::default(),
         }
     }
 
@@ -287,6 +286,7 @@ mod tests {
             expr: Expr::MultiMapNew {
                 key: Type::Int,
                 value: Type::Int,
+                expected: 8,
             },
         };
         assert!(validate(&prog(Level::MapList, vec![st.clone()], 1)).is_empty());
@@ -348,12 +348,18 @@ mod tests {
             expr: Expr::HashMapNew {
                 key: Type::Int,
                 value: Type::Int,
+                expected: 8,
+                dense: None,
+                has_minmax: false,
             },
         };
         let list_node = Stmt {
             sym: Sym(0),
             ty: Type::list(Type::Int),
-            expr: Expr::ListNew { elem: Type::Int },
+            expr: Expr::ListNew {
+                elem: Type::Int,
+                bound: None,
+            },
         };
         let mem_node = Stmt {
             sym: Sym(0),
@@ -392,7 +398,10 @@ mod tests {
         let st = Stmt {
             sym: Sym(0),
             ty: Type::list(Type::Int),
-            expr: Expr::ListNew { elem: Type::Int },
+            expr: Expr::ListNew {
+                elem: Type::Int,
+                bound: None,
+            },
         };
         let p = prog(Level::CScala, vec![st], 1);
         assert!(!validate(&p).is_empty());
@@ -405,6 +414,9 @@ mod tests {
             expr: Expr::HashMapNew {
                 key: Type::Int,
                 value: Type::Int,
+                expected: 8,
+                dense: None,
+                has_minmax: false,
             },
         };
         let p = prog(Level::CScala, vec![st], 1);
@@ -416,7 +428,10 @@ mod tests {
         let st = Stmt {
             sym: Sym(0),
             ty: Type::list(Type::Int),
-            expr: Expr::ListNew { elem: Type::Int },
+            expr: Expr::ListNew {
+                elem: Type::Int,
+                bound: None,
+            },
         };
         for lvl in Level::ALL {
             let p = prog(lvl, vec![st.clone()], 1);

@@ -148,8 +148,7 @@ pub fn inline_aliases(p: &Program) -> Program {
 /// fresh builder allocates them: a statement after its sub-blocks and
 /// binders, binders before the blocks that see them, a `ParallelFor`'s
 /// accumulators each after its `init` block and before the loop
-/// variable, `body` and `merge`. `sym_types` follows the new numbers and
-/// annotations of symbols the body no longer binds are dropped. A
+/// variable, `body` and `merge`. `sym_types` follows the new numbers. A
 /// program with no holes comes back untouched.
 pub fn compact(mut p: Program) -> Program {
     let mut r = Renumber {
@@ -167,10 +166,6 @@ pub fn compact(mut p: Program) -> Program {
         .iter()
         .map(|&o| std::mem::replace(&mut old_types[o as usize], Type::Unit))
         .collect();
-    p.annots.rekey(|s| match r.new_of.get(s.0 as usize) {
-        Some(&n) if n != UNMAPPED => Some(Sym(n)),
-        _ => None,
-    });
     p
 }
 
@@ -361,7 +356,7 @@ mod tests {
         assert_same(&inline_aliases(&q), &q);
     }
 
-    use crate::expr::{Annot, ParAcc};
+    use crate::expr::{Layout, ParAcc};
     use crate::types::{FieldDef, StructDef, StructId};
 
     fn record(b: &mut IrBuilder) -> StructId {
@@ -375,15 +370,14 @@ mod tests {
     }
 
     /// Every binder form, with dead code in their blocks (so DCE leaves
-    /// holes) and annotations on live and dead symbols.
+    /// holes) and sized allocations, live and dead.
     fn every_binder_form() -> Program {
         let mut b = IrBuilder::new();
         let sid = record(&mut b);
         let rec = Type::Record(sid);
-        let t = b.load_table("t", sid);
-        b.annotate(t.as_sym().unwrap(), Annot::SizeHint(9));
-        let dead = b.array_new(Type::Int, Atom::Int(3));
-        b.annotate(dead.as_sym().unwrap(), Annot::SizeHint(3));
+        let t = b.load_table("t", sid, Layout::Columnar);
+        b.array_new(Type::Int, Atom::Int(3));
+        b.list_new(Type::Int, Some(3));
         let total = b.decl_var(Atom::Int(0));
 
         // A `ParallelFor` with two accumulators.
@@ -394,14 +388,13 @@ mod tests {
         let acc0 = b.bind(Type::Int);
         let init1 = b.block(|bb| bb.array_new(rec.clone(), Atom::Int(4)));
         let acc1 = b.bind(Type::array(rec.clone()));
-        b.annotate(acc1, Annot::SizeHint(4));
         let var = b.bind(Type::Int);
         let body = b.block_unit(|bb| {
             bb.mul(Atom::Sym(var), Atom::Int(7));
             let cur = bb.read_var(acc0);
             let next = bb.add(cur, Atom::Sym(var));
             bb.assign(acc0, next);
-            let r = bb.struct_new(sid, vec![Atom::Sym(var)]);
+            let r = bb.struct_new_pooled(sid, vec![Atom::Sym(var)], 4);
             bb.array_set(Atom::Sym(acc1), Atom::Sym(var), r);
         });
         let merge = b.block_unit(|bb| {
@@ -440,7 +433,7 @@ mod tests {
             let ky = bb.field_get(y, sid, 0);
             bb.sub(kx, ky)
         });
-        let map = b.hashmap_new(Type::Int, Type::Int);
+        let map = b.hashmap_new(Type::Int, Type::Int, 9);
         b.hashmap_get_or_init(map.clone(), Atom::Int(1), |bb| {
             bb.array_new(Type::Int, Atom::Int(2));
             Atom::Int(0)
@@ -450,7 +443,7 @@ mod tests {
             let s = bb.add(k, v);
             bb.printf("%d\n", vec![s]);
         });
-        let mm = b.multimap_new(Type::Int, rec.clone());
+        let mm = b.multimap_new(Type::Int, rec.clone(), 5);
         let r = b.struct_new(sid, vec![Atom::Int(5)]);
         b.multimap_add(mm.clone(), Atom::Int(5), r);
         b.multimap_foreach_at(mm, Atom::Int(5), |bb, r| {
@@ -458,7 +451,7 @@ mod tests {
             let k = bb.field_get(r, sid, 0);
             bb.printf("%d\n", vec![k]);
         });
-        let list = b.list_new(rec);
+        let list = b.list_new(rec, Some(7));
         b.list_foreach(list, |bb, r| {
             let k = bb.field_get(r, sid, 0);
             bb.printf("%d\n", vec![k]);
@@ -471,17 +464,10 @@ mod tests {
         b.finish(out, Level::ScaLite)
     }
 
-    fn annots(p: &Program) -> Vec<(Sym, Vec<Annot>)> {
-        let mut v: Vec<_> = p.annots.iter().map(|(s, a)| (*s, a.clone())).collect();
-        v.sort_by_key(|(s, _)| *s);
-        v
-    }
-
     fn assert_same(got: &Program, want: &Program) {
         assert_eq!(got.body, want.body);
         assert_eq!(got.sym_types, want.sym_types);
         assert_eq!(got.level, want.level);
-        assert_eq!(annots(got), annots(want));
     }
 
     #[test]
@@ -499,9 +485,29 @@ mod tests {
         let got = compact(q.clone());
         assert!(got.sym_types.len() < q.sym_types.len(), "no holes closed");
         assert_same(&got, &inline_aliases(&q));
-        // The dead array's annotation went with it; the accumulator's and
-        // the table's (after the builder's own `Table`) stayed.
-        assert_eq!(annots(&got).len(), 2);
+        // Sizes and layouts are node fields, so renumbering cannot detach
+        // them: the live allocations keep theirs, the dead list is gone.
+        let mut sized = Vec::new();
+        got.body.for_each_stmt(&mut |st| match &st.expr {
+            Expr::LoadTable { layout, .. } => sized.push(format!("{layout:?}")),
+            Expr::StructNew { pool, .. } => sized.push(format!("pool {pool}")),
+            Expr::ListNew { bound, .. } => sized.push(format!("list {bound:?}")),
+            Expr::HashMapNew { expected, .. } | Expr::MultiMapNew { expected, .. } => {
+                sized.push(format!("map {expected}"))
+            }
+            _ => {}
+        });
+        assert_eq!(
+            sized,
+            [
+                "Columnar",
+                "pool 4",
+                "map 9",
+                "map 5",
+                "pool 1024",
+                "list Some(7)"
+            ]
+        );
     }
 
     #[test]

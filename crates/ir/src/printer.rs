@@ -184,7 +184,7 @@ fn print_stmt(st: &Stmt, depth: usize, out: &mut String) {
         Expr::Assign { var, value } => {
             let _ = writeln!(out, "{} = {}", var, atom(value));
         }
-        Expr::StructNew { sid, args } => {
+        Expr::StructNew { sid, args, .. } => {
             lhs(out, st);
             let args: Vec<String> = args.iter().map(atom).collect();
             let _ = writeln!(out, "new #{}({})", sid.0, args.join(", "));
@@ -231,7 +231,7 @@ fn print_stmt(st: &Stmt, depth: usize, out: &mut String) {
             block_arg(cmp, depth, out);
             out.push_str(")\n");
         }
-        Expr::ListNew { elem } => {
+        Expr::ListNew { elem, .. } => {
             lhs(out, st);
             let _ = writeln!(out, "new List[{}]", elem);
         }
@@ -247,7 +247,7 @@ fn print_stmt(st: &Stmt, depth: usize, out: &mut String) {
             block_arg(body, depth, out);
             out.push('\n');
         }
-        Expr::HashMapNew { key, value } => {
+        Expr::HashMapNew { key, value, .. } => {
             lhs(out, st);
             let _ = writeln!(out, "new HashMap[{}, {}]", key, value);
         }
@@ -267,7 +267,7 @@ fn print_stmt(st: &Stmt, depth: usize, out: &mut String) {
             block_arg(body, depth, out);
             out.push('\n');
         }
-        Expr::MultiMapNew { key, value } => {
+        Expr::MultiMapNew { key, value, .. } => {
             lhs(out, st);
             let _ = writeln!(out, "new MultiMap[{}, {}]", key, value);
         }
@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn prints_collections() {
         let mut b = IrBuilder::new();
-        let mm = b.multimap_new(crate::types::Type::Int, crate::types::Type::Int);
+        let mm = b.multimap_new(crate::types::Type::Int, crate::types::Type::Int, 8);
         b.multimap_add(mm.clone(), Atom::Int(1), Atom::Int(2));
         b.multimap_foreach_at(mm, Atom::Int(1), |bb, v| {
             bb.printf("%d\n", vec![v]);

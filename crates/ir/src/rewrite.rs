@@ -8,7 +8,7 @@
 //! every pass (the LMS/SC transformer design the paper builds on).
 
 use crate::builder::IrBuilder;
-use crate::expr::{Annot, Atom, Block, Expr, ParAcc, Program, Stmt, Sym};
+use crate::expr::{Atom, Block, Expr, ParAcc, Program, Stmt, Sym};
 use crate::level::Level;
 use crate::types::Type;
 
@@ -173,9 +173,9 @@ impl<'p> Rewriter<'p> {
                 self.b.assign(var, value);
                 Atom::Unit
             }
-            Expr::StructNew { sid, args } => {
+            Expr::StructNew { sid, args, pool } => {
                 let args = args.iter().map(|a| self.atom(a)).collect();
-                self.b.struct_new(*sid, args)
+                self.b.struct_new_pooled(*sid, args, *pool)
             }
             Expr::FieldGet { obj, sid, field } => {
                 let obj = self.atom(obj);
@@ -235,7 +235,11 @@ impl<'p> Rewriter<'p> {
                 });
                 Atom::Unit
             }
-            Expr::ListNew { elem } => self.b.list_new(elem.clone()),
+            // Operand-free allocations: the node is its own reconstruction.
+            Expr::ListNew { .. }
+            | Expr::HashMapNew { .. }
+            | Expr::MultiMapNew { .. }
+            | Expr::LoadTable { .. } => self.b.emit(st.ty.clone(), st.expr.clone()),
             Expr::ListAppend { list, value } => {
                 let (list, value) = (self.atom(list), self.atom(value));
                 self.b.list_append(list, value);
@@ -262,7 +266,6 @@ impl<'p> Rewriter<'p> {
                 });
                 Atom::Unit
             }
-            Expr::HashMapNew { key, value } => self.b.hashmap_new(key.clone(), value.clone()),
             Expr::HashMapGetOrInit { map, key, init } => {
                 let (map, key) = (self.atom(map), self.atom(key));
                 let vt = match self.b.atom_type(&map) {
@@ -294,7 +297,6 @@ impl<'p> Rewriter<'p> {
                 });
                 Atom::Unit
             }
-            Expr::MultiMapNew { key, value } => self.b.multimap_new(key.clone(), value.clone()),
             Expr::MultiMapAdd { map, key, value } => {
                 let (map, key, value) = (self.atom(map), self.atom(key), self.atom(value));
                 self.b.multimap_add(map, key, value);
@@ -329,7 +331,6 @@ impl<'p> Rewriter<'p> {
                 let pool = self.atom(pool);
                 self.b.pool_alloc(pool)
             }
-            Expr::LoadTable { table, sid } => self.b.load_table(table, *sid),
             Expr::LoadIndexUnique { table, field } => self.b.load_index_unique(table, *field),
             Expr::LoadIndexStarts { table, field } => self.b.load_index_starts(table, *field),
             Expr::LoadIndexItems { table, field } => self.b.load_index_items(table, *field),
@@ -383,7 +384,6 @@ impl<'p> Rewriter<'p> {
 }
 
 /// Run one rule over a whole program, producing a program at `new_level`.
-/// Annotations attached to surviving symbols are carried over.
 pub fn run_rule(p: &Program, rule: &mut dyn Rule, new_level: Level) -> Program {
     let mut b = IrBuilder::new();
     b.structs = p.structs.clone();
@@ -394,20 +394,6 @@ pub fn run_rule(p: &Program, rule: &mut dyn Rule, new_level: Level) -> Program {
         subst: vec![None; p.sym_types.len()],
     };
     let result = rw.block_inline(rule, &p.body);
-    // Carry annotations across the renaming, in source-symbol order: when
-    // two source symbols map to one target (an inlined alias, a CSE hit),
-    // the target's annotation order must not depend on a hash seed.
-    let mut annotated: Vec<(Sym, &[Annot])> =
-        p.annots.iter().map(|(s, a)| (*s, a.as_slice())).collect();
-    annotated.sort_by_key(|(s, _)| *s);
-    for (old_sym, annots) in annotated {
-        if let Some(Some(Atom::Sym(ns))) = rw.subst.get(old_sym.0 as usize) {
-            let ns = *ns;
-            for a in annots {
-                rw.b.annotate(ns, a.clone());
-            }
-        }
-    }
     rw.b.finish(result, new_level)
 }
 
@@ -505,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn annotations_survive_rewrites() {
+    fn sizing_fields_survive_rewrites() {
         let mut b = IrBuilder::new();
         let sid = b.structs.register(crate::types::StructDef {
             name: "T".into(),
@@ -514,53 +500,49 @@ mod tests {
                 ty: Type::Int,
             }],
         });
-        let t = b.load_table("t", sid);
-        let s = t.as_sym().unwrap();
-        b.annotate(s, crate::expr::Annot::SizeHint(99));
+        let t = b.load_table("t", sid, crate::expr::Layout::Columnar);
+        let len = b.array_len(t);
+        let list = b.list_new(Type::Record(sid), Some(64));
+        let map = b.emit(
+            Type::hash_map(Type::Int, Type::Record(sid)),
+            Expr::HashMapNew {
+                key: Type::Int,
+                value: Type::Record(sid),
+                expected: 9,
+                dense: Some(crate::expr::DenseKey {
+                    max: 42,
+                    composite: true,
+                }),
+                has_minmax: true,
+            },
+        );
+        let mm = b.multimap_new(Type::Int, Type::Record(sid), 5);
+        b.for_range(Atom::Int(0), len, |bb, i| {
+            let r = bb.struct_new_pooled(sid, vec![i.clone()], 99);
+            bb.list_append(list.clone(), r.clone());
+            bb.multimap_add(mm.clone(), i.clone(), r.clone());
+            bb.hashmap_get_or_init(map.clone(), i, |_| r);
+        });
         let p = b.finish(Atom::Unit, Level::MapList);
 
         let q = run_rule(&p, &mut Identity, Level::MapList);
-        let loaded = q
-            .body
-            .stmts
-            .iter()
-            .find(|st| matches!(st.expr, Expr::LoadTable { .. }))
-            .unwrap();
-        assert_eq!(q.annots.size_hint(loaded.sym), Some(99));
-    }
-
-    #[test]
-    fn annotations_of_merged_symbols_carry_in_source_order() {
-        // `val x = y` is inlined, so source symbols y and x map to one
-        // target symbol: both hints land on it, y's first, on every run.
-        let stmt = |sym: u32, expr: Expr| Stmt {
-            sym: Sym(sym),
-            ty: Type::Int,
-            expr,
+        let allocs = |p: &Program| {
+            let mut v = Vec::new();
+            p.body.for_each_stmt(&mut |st| {
+                if matches!(
+                    st.expr,
+                    Expr::LoadTable { .. }
+                        | Expr::ListNew { .. }
+                        | Expr::HashMapNew { .. }
+                        | Expr::MultiMapNew { .. }
+                        | Expr::StructNew { .. }
+                ) {
+                    v.push(st.expr.clone());
+                }
+            });
+            v
         };
-        let mut annots = crate::expr::Annotations::default();
-        annots.add(Sym(0), Annot::SizeHint(1));
-        annots.add(Sym(1), Annot::SizeHint(2));
-        let p = Program {
-            structs: crate::types::StructRegistry::new(),
-            body: Block {
-                stmts: vec![
-                    stmt(0, Expr::LoadParam { idx: 0 }),
-                    stmt(1, Expr::Atom(Atom::Sym(Sym(0)))),
-                ],
-                result: Atom::Sym(Sym(1)),
-            },
-            sym_types: vec![Type::Int; 2],
-            level: Level::ScaLite,
-            annots,
-        };
-        for _ in 0..64 {
-            let q = run_rule(&p, &mut Identity, Level::ScaLite);
-            let target = q.body.result.as_sym().expect("aliased symbol");
-            assert_eq!(
-                q.annots.get(target),
-                [Annot::SizeHint(1), Annot::SizeHint(2)]
-            );
-        }
+        assert_eq!(allocs(&q).len(), 5);
+        assert_eq!(allocs(&q), allocs(&p));
     }
 }

@@ -37,7 +37,7 @@
 //! The rewrite drops dead fields from `StructNew` argument lists, drops
 //! `FieldSet`s and `FieldGet`s of dead fields and the `StructNew`s of dead
 //! records (their only uses are copies the rewrite drops), and renumbers
-//! the rest. It creates no statement and no annotation: a pruned base
+//! the rest. It creates no statement: a pruned base
 //! table's record type is what every executor's loader reads, one column
 //! per remaining field, found by name. Index nodes keep referring to
 //! original column positions.
@@ -242,7 +242,7 @@ impl Scan<'_> {
                     self.node[st.sym.0 as usize] = self.base[sid.0 as usize] + field;
                     self.escape(obj);
                 }
-                Expr::StructNew { sid, args } => {
+                Expr::StructNew { sid, args, .. } => {
                     let nfields = self.base[self.base.len() - 1];
                     self.node[st.sym.0 as usize] = nfields + self.records.len();
                     self.records.push((sid.0 as usize, self.args.len()));
@@ -263,7 +263,7 @@ impl Scan<'_> {
                         self.sets.push((f, g.0 as usize));
                     }
                 }
-                Expr::LoadTable { sid, table } => {
+                Expr::LoadTable { sid, table, .. } => {
                     self.tables.push((*sid, table.clone()));
                 }
                 Expr::LoadIndexUnique { table, field }
@@ -295,7 +295,7 @@ fn rewrite_block(b: &mut Block, base: &[usize], renum: &[usize], dead: &[bool]) 
                     nf => *field = nf,
                 }
             }
-            Expr::StructNew { sid, args } => {
+            Expr::StructNew { sid, args, .. } => {
                 let mut f = base[sid.0 as usize];
                 args.retain(|_| {
                     f += 1;
@@ -390,7 +390,7 @@ mod tests {
                 },
             ],
         });
-        let arr = b.load_table("t", sid);
+        let arr = b.load_table("t", sid, dblab_ir::expr::Layout::Columnar);
         let rec = b.array_get(arr, Atom::Int(0));
         let x = b.field_get(rec, sid, 0);
         b.printf("%d\n", vec![x]);
@@ -421,7 +421,7 @@ mod tests {
     /// Table `t(x, y, z)` and its row 0.
     fn row(b: &mut IrBuilder) -> (StructId, Atom) {
         let t = ints(b, "t", &["x", "y", "z"]);
-        let arr = b.load_table("t", t);
+        let arr = b.load_table("t", t, dblab_ir::expr::Layout::Columnar);
         let r = b.array_get(arr, Atom::Int(0));
         (t, r)
     }
@@ -487,7 +487,7 @@ mod tests {
         let key = ints(&mut b, "Key", &["k0", "k1"]);
         let (x, y) = (b.field_get(r.clone(), t, 0), b.field_get(r, t, 1));
         let k = b.struct_new(key, vec![x, y]);
-        let m = b.hashmap_new(Type::Record(key), Type::Int);
+        let m = b.hashmap_new(Type::Record(key), Type::Int, 8);
         let v = b.hashmap_get_or_init(m, k, |_| Atom::Int(0));
         b.printf("%d\n", vec![v]);
         let p = b.finish(Atom::Unit, Level::MapList);

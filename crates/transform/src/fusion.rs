@@ -78,12 +78,6 @@ fn produce(lw: &mut Lowering<'_>, q: &QMonad, k: &mut dyn FnMut(&mut Lowering<'_
                         .map(|(n, e)| ColRef {
                             name: n.clone(),
                             atom: lower_expr(&mut lw.b, env, &lw.params, e),
-                            prov: match e {
-                                dblab_frontend::expr::ScalarExpr::Col(c) => {
-                                    env.lookup(c).prov.clone()
-                                }
-                                _ => None,
-                            },
                         })
                         .collect();
                     k(lw, &RowEnv::new(new_cols));

@@ -5,8 +5,8 @@
 //!
 //! * **MultiMaps** become a power-of-two array of buckets
 //!   (`Array[List[Pair]]`, Figure 4e) sized from the map's expected-case
-//!   cardinality annotation, with inline hashing and key re-checks;
-//! * **HashMaps** with a dense integer key annotation become a direct
+//!   cardinality, with inline hashing and key re-checks;
+//! * **HashMaps** with a dense integer key range become a direct
 //!   `Array[AggRec]` (Figure 7d's shape applied to aggregation), optionally
 //!   with initialization hoisted out of the hot loop (Appendix D.2) — not
 //!   for a composite key, which no record field holds;
@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use dblab_ir::expr::{Annot, Atom, Block, Expr, PrimOp, Sym, UnOp};
+use dblab_ir::expr::{Atom, Block, Expr, PrimOp, Sym, UnOp};
 use dblab_ir::rewrite::{run_rule, Rewriter, Rule};
 use dblab_ir::types::{FieldDef, StructDef, StructId};
 use dblab_ir::{IrBuilder, Level, Program, Type};
@@ -29,6 +29,8 @@ struct Buckets {
     arr: Atom,
     mask: i64,
     pair_sid: StructId,
+    /// The map's expected entry count, which also sizes its pairs' pool.
+    expected: u64,
 }
 
 struct DenseMap {
@@ -112,8 +114,8 @@ impl HashSpec {
         key_eq_static(b, x, y)
     }
 
-    /// Allocate a bucket array (`Array[List[Pair]]`); `hint`, the map's
-    /// expected-case entry count ([`crate::pipeline::expected_rows`]),
+    /// Allocate a bucket array (`Array[List[Pair]]`); `expected`, the
+    /// map's expected-case entry count ([`crate::pipeline::expected_rows`]),
     /// drives the power-of-two sizing (≤ 50% load when the estimate
     /// holds). A chained bucket array is correct at any size, so an
     /// under-estimate costs chain length, not correctness. Buckets are
@@ -124,12 +126,17 @@ impl HashSpec {
         b: &mut IrBuilder,
         key_ty: Type,
         val_ty: Type,
-        hint: u64,
-    ) -> (Atom, i64, StructId) {
-        let n = (hint.max(8) * 2).next_power_of_two().min(1 << 26) as i64;
+        expected: u64,
+    ) -> Buckets {
+        let n = (expected.max(8) * 2).next_power_of_two().min(1 << 26) as i64;
         let pair_sid = self.fresh_pair(b, &key_ty, &val_ty);
         let arr = b.array_new(Type::list(Type::Record(pair_sid)), Atom::Int(n));
-        (arr, n - 1, pair_sid)
+        Buckets {
+            arr,
+            mask: n - 1,
+            pair_sid,
+            expected,
+        }
     }
 
     /// Fetch `arr[idx]`, creating the bucket list on first touch.
@@ -138,7 +145,7 @@ impl HashSpec {
         let l0 = b.array_get(arr.clone(), idx.clone());
         let isnull = b.eq(l0, Atom::Null(Box::new(lty.clone())));
         b.scope_push();
-        let nl = b.list_new(Type::Record(pair_sid));
+        let nl = b.list_new(Type::Record(pair_sid), None);
         b.array_set(arr.clone(), idx.clone(), nl);
         let then_b = b.scope_pop(Atom::Unit);
         b.emit_unit(Expr::If {
@@ -180,18 +187,14 @@ impl Rule for HashSpec {
     fn apply(&mut self, rw: &mut Rewriter<'_>, sym: Sym, _ty: &Type, e: &Expr) -> Option<Atom> {
         match e {
             // ---- MultiMap ------------------------------------------------
-            Expr::MultiMapNew { key, value } => {
-                let hint = rw.old.annots.size_hint(sym).unwrap_or(1024);
-                let (arr, mask, pair_sid) =
-                    self.make_buckets(&mut rw.b, key.clone(), value.clone(), hint);
-                self.maps.insert(
-                    sym,
-                    MapRepr::Buckets(Buckets {
-                        arr: arr.clone(),
-                        mask,
-                        pair_sid,
-                    }),
-                );
+            Expr::MultiMapNew {
+                key,
+                value,
+                expected,
+            } => {
+                let buckets = self.make_buckets(&mut rw.b, key.clone(), value.clone(), *expected);
+                let arr = buckets.arr.clone();
+                self.maps.insert(sym, MapRepr::Buckets(buckets));
                 Some(arr)
             }
             Expr::MultiMapAdd { map, key, value } => {
@@ -200,15 +203,11 @@ impl Rule for HashSpec {
                     unreachable!("multimap lowered to dense map")
                 };
                 let (arr, mask, pair_sid) = (info.arr.clone(), info.mask, info.pair_sid);
+                let pool = info.expected;
                 let k = rw.atom(key);
                 let v = rw.atom(value);
                 let idx = self.bucket_index(&mut rw.b, &k, mask);
-                let pair = rw.b.struct_new(pair_sid, vec![k, v]);
-                if let Atom::Sym(s) = pair {
-                    if let Some(h) = rw.old.annots.size_hint(ms) {
-                        rw.b.annotate(s, Annot::SizeHint(h));
-                    }
-                }
+                let pair = rw.b.struct_new_pooled(pair_sid, vec![k, v], pool);
                 let l = self.bucket_lazy(&mut rw.b, &arr, &idx, pair_sid);
                 rw.b.list_append(l, pair);
                 Some(Atom::Unit)
@@ -265,22 +264,25 @@ impl Rule for HashSpec {
             }
 
             // ---- HashMap -------------------------------------------------
-            Expr::HashMapNew { key, value } => {
-                let hint = rw.old.annots.size_hint(sym).unwrap_or(1024);
-                let dense = rw.old.annots.dense_key(sym);
-                let has_minmax = rw.old.annots.get(sym).contains(&Annot::HasMinMax);
+            Expr::HashMapNew {
+                key,
+                value,
+                expected,
+                dense,
+                has_minmax,
+            } => {
                 let vrec = match value {
                     Type::Record(sid) => *sid,
                     other => panic!("hash map values must be records, got {other}"),
                 };
-                if let Some((max, composite)) = dense.filter(|_| *key == Type::Int) {
-                    let len = max as i64 + 1;
+                if let Some(dense) = dense.filter(|_| *key == Type::Int) {
+                    let len = dense.max as i64 + 1;
                     let arr = rw.b.array_new(Type::Record(vrec), Atom::Int(len));
                     // A composite key is no field of the record, so the
                     // pre-fill below would store the slot number where a
                     // group column belongs.
                     let hoisted = self.cfg.init_hoist
-                        && !composite
+                        && !dense.composite
                         && !has_minmax
                         && neutral_init(&rw.b, vrec);
                     if hoisted {
@@ -302,10 +304,7 @@ impl Rule for HashSpec {
                                 }
                             })
                             .collect();
-                        let rec = rw.b.struct_new(vrec, args);
-                        if let Atom::Sym(s) = rec {
-                            rw.b.annotate(s, Annot::SizeHint(len as u64));
-                        }
+                        let rec = rw.b.struct_new_pooled(vrec, args, len as u64);
                         rw.b.array_set(arr.clone(), Atom::Sym(var), rec);
                         let body = rw.b.scope_pop(Atom::Unit);
                         rw.b.emit_unit(Expr::ForRange {
@@ -326,16 +325,10 @@ impl Rule for HashSpec {
                     );
                     Some(arr)
                 } else {
-                    let (arr, mask, pair_sid) =
-                        self.make_buckets(&mut rw.b, key.clone(), value.clone(), hint);
-                    self.maps.insert(
-                        sym,
-                        MapRepr::Buckets(Buckets {
-                            arr: arr.clone(),
-                            mask,
-                            pair_sid,
-                        }),
-                    );
+                    let buckets =
+                        self.make_buckets(&mut rw.b, key.clone(), value.clone(), *expected);
+                    let arr = buckets.arr.clone();
+                    self.maps.insert(sym, MapRepr::Buckets(buckets));
                     Some(arr)
                 }
             }
@@ -366,6 +359,7 @@ impl Rule for HashSpec {
                     }
                     MapRepr::Buckets(info) => {
                         let (arr, mask, pair_sid) = (info.arr.clone(), info.mask, info.pair_sid);
+                        let pool = info.expected;
                         let vty = rw.b.structs.get(pair_sid).fields[1].ty.clone();
                         let k = rw.atom(key);
                         let idx = self.bucket_index(&mut rw.b, &k, mask);
@@ -404,10 +398,8 @@ impl Rule for HashSpec {
                         rw.b.scope_push();
                         {
                             let v = rw.block_inline(self, init);
-                            let pair = rw.b.struct_new(pair_sid, vec![k.clone(), v.clone()]);
-                            if let (Atom::Sym(s), Some(h)) = (&pair, rw.old.annots.size_hint(ms)) {
-                                rw.b.annotate(*s, Annot::SizeHint(h));
-                            }
+                            let pair =
+                                rw.b.struct_new_pooled(pair_sid, vec![k.clone(), v.clone()], pool);
                             let l = self.bucket_lazy(&mut rw.b, &arr, &idx, pair_sid);
                             rw.b.list_append(l, pair);
                             rw.b.assign(found, v);
@@ -537,7 +529,7 @@ fn key_eq_static(b: &mut IrBuilder, x: &Atom, y: &Atom) -> Atom {
 
 /// Can every non-key field of the aggregate record start at a neutral zero?
 /// (Holds for sum/count/avg accumulators; min/max records are excluded via
-/// the `HasMinMax` annotation before this is consulted.)
+/// the map's `has_minmax` before this is consulted.)
 fn neutral_init(b: &IrBuilder, sid: StructId) -> bool {
     b.structs
         .get(sid)
@@ -571,10 +563,7 @@ mod tests {
 
     fn build_mm_program() -> Program {
         let mut b = IrBuilder::new();
-        let mm = b.multimap_new(Type::Int, Type::Int);
-        if let Atom::Sym(s) = mm {
-            b.annotate(s, Annot::SizeHint(100));
-        }
+        let mm = b.multimap_new(Type::Int, Type::Int, 100);
         b.multimap_add(mm.clone(), Atom::Int(1), Atom::Int(10));
         b.multimap_add(mm.clone(), Atom::Int(1), Atom::Int(20));
         let total = b.decl_var(Atom::Int(0));
@@ -596,6 +585,18 @@ mod tests {
         assert!(!has_node(&q, |e| matches!(e, Expr::MultiMapAdd { .. })));
         assert!(has_node(&q, |e| matches!(e, Expr::ArrayNew { .. })));
         assert!(has_node(&q, |e| matches!(e, Expr::ListAppend { .. })));
+        // 100 expected entries: 256 buckets, and a pool of 100 pairs.
+        assert!(has_node(&q, |e| matches!(
+            e,
+            Expr::ArrayNew {
+                len: Atom::Int(256),
+                ..
+            }
+        )));
+        assert!(has_node(&q, |e| matches!(
+            e,
+            Expr::StructNew { pool: 100, .. }
+        )));
         // Result is valid ScaLite[List].
         let violations = dblab_ir::level::validate(&q);
         assert!(violations.is_empty(), "{violations:?}");
@@ -618,17 +619,19 @@ mod tests {
                 },
             ],
         });
-        let hm = b.hashmap_new(Type::Int, Type::Record(sid));
-        if let Atom::Sym(s) = hm {
-            b.annotate(s, Annot::SizeHint(50));
-            b.annotate(
-                s,
-                Annot::DenseKey {
+        let hm = b.emit(
+            Type::hash_map(Type::Int, Type::Record(sid)),
+            Expr::HashMapNew {
+                key: Type::Int,
+                value: Type::Record(sid),
+                expected: 50,
+                dense: Some(dblab_ir::expr::DenseKey {
                     max: 49,
                     composite: false,
-                },
-            );
-        }
+                }),
+                has_minmax: false,
+            },
+        );
         let rec = b.hashmap_get_or_init(hm.clone(), Atom::Int(7), |bb| {
             bb.struct_new(sid, vec![Atom::Int(7), Atom::Long(0)])
         });
@@ -644,8 +647,19 @@ mod tests {
         let q = apply(&p, &StackConfig::level4());
         assert!(!has_node(&q, |e| matches!(e, Expr::HashMapNew { .. })));
         // init hoisting pre-fills the array: a ForRange containing a
-        // StructNew appears before the probe.
+        // StructNew appears before the probe, one record per slot.
         assert!(has_node(&q, |e| matches!(e, Expr::ForRange { .. })));
+        assert!(has_node(&q, |e| matches!(
+            e,
+            Expr::ArrayNew {
+                len: Atom::Int(50),
+                ..
+            }
+        )));
+        assert!(has_node(&q, |e| matches!(
+            e,
+            Expr::StructNew { pool: 50, .. }
+        )));
         assert!(dblab_ir::level::validate(&q).is_empty());
     }
 
@@ -659,7 +673,7 @@ mod tests {
                 ty: Type::Long,
             }],
         });
-        let hm = b.hashmap_new(Type::String, Type::Record(sid));
+        let hm = b.hashmap_new(Type::String, Type::Record(sid), 8);
         let _ = b.hashmap_get_or_init(hm, Atom::Str("x".into()), |bb| {
             bb.struct_new(sid, vec![Atom::Long(0)])
         });

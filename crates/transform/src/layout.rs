@@ -3,9 +3,9 @@
 //! Base-table arrays can be represented as (a) boxed — an array of pointers
 //! to separately allocated records, (b) row — a contiguous array of
 //! records, or (c) columnar — one array per field, "which often has a
-//! positive impact on cache locality". The decision is recorded as a
-//! [`Layout`] annotation on the `LoadTable` symbol during pipelining and
-//! honoured by the C unparser, which emits the corresponding loader and
+//! positive impact on cache locality". The decision is recorded as the
+//! [`Layout`] of each `LoadTable` node during pipelining and honoured by
+//! the C unparser, which emits the corresponding loader and
 //! rewrites `table[i].field` access chains per layout.
 
 pub use dblab_ir::expr::Layout;

@@ -25,7 +25,7 @@
 //!
 //! `index_inference` and `layout` are not passes: pipelining calls the
 //! first as a hook (gated by `StackConfig::index_inference`) and writes
-//! the second's decision as a `TableLayout` annotation. Every other
+//! the second's decision into each `LoadTable`'s `layout`. Every other
 //! transformation above is registered with the contract-checked
 //! **pass manager** in [`pass`]: a [`pass::Pass`] declares its name, its
 //! input/output [`dblab_ir::Level`] contract and an `applies(cfg)`

@@ -9,7 +9,7 @@
 //!   indirection caused by the separate allocations of the container nodes
 //!   and the records";
 //! * **Static arrays** for lists whose worst-case size is known from the
-//!   bounded-loop analysis (the `SizeHint` annotation): a pre-sized
+//!   bounded-loop analysis (the `bound` of their `ListNew`): a pre-sized
 //!   `Array[T]` plus a count variable — "we benefit from the existing array
 //!   layout optimizations provided for ScaLite down the DSL stack".
 
@@ -32,19 +32,17 @@ struct ListSpec {
     bucket_gets: HashMap<Sym, (Sym, Atom)>,
     /// Plain lists: old sym -> (new array atom, count var, elem type).
     plain: HashMap<Sym, (Atom, Sym)>,
-    /// Size hints of plain lists (from the old program's annotations).
-    hints: HashMap<Sym, u64>,
 }
 
 /// Apply list specialization; the result is a plain ScaLite program.
 pub fn apply(p: &Program) -> Program {
     let mut rule = ListSpec::default();
     // Analysis: classify lists before rewriting.
-    classify(&p.body, &mut rule, p);
+    classify(&p.body, &mut rule);
     run_rule(p, &mut rule, Level::ScaLite)
 }
 
-fn classify(b: &Block, st: &mut ListSpec, p: &Program) {
+fn classify(b: &Block, st: &mut ListSpec) {
     for s in &b.stmts {
         match &s.expr {
             Expr::ArrayNew {
@@ -68,15 +66,10 @@ fn classify(b: &Block, st: &mut ListSpec, p: &Program) {
             } if st.bucket_arrays.contains(a) => {
                 st.bucket_gets.insert(s.sym, (*a, idx.clone()));
             }
-            Expr::ListNew { .. } => {
-                if let Some(h) = p.annots.size_hint(s.sym) {
-                    st.hints.insert(s.sym, h);
-                }
-            }
             _ => {}
         }
         for blk in s.expr.blocks() {
-            classify(blk, st, p);
+            classify(blk, st);
         }
     }
 }
@@ -118,13 +111,13 @@ impl Rule for ListSpec {
                 Some(rw.b.array_new(Type::Record(sid), len))
             }
             // Bucket initialisation disappears: heads start null.
-            Expr::ListNew { elem } => {
+            Expr::ListNew { elem, bound } => {
                 if self.bucket_lists.contains(&sym) {
                     return Some(Atom::Null(Box::new(elem.clone())));
                 }
-                // Static-array strategy for hinted plain lists.
-                let hint = self.hints.get(&sym).copied()?;
-                let arr = rw.b.array_new(elem.clone(), Atom::Int(hint.max(1) as i64));
+                // Static-array strategy for bounded plain lists.
+                let bound = (*bound)?;
+                let arr = rw.b.array_new(elem.clone(), Atom::Int(bound.max(1) as i64));
                 let cnt = rw.b.decl_var(Atom::Int(0));
                 self.plain.insert(sym, (arr.clone(), cnt));
                 Some(arr)
@@ -224,12 +217,12 @@ impl Rule for ListSpec {
             }
             // Records whose type gained a `next` field: extend construction
             // with a null tail.
-            Expr::StructNew { sid, args } => {
+            Expr::StructNew { sid, args, pool } => {
                 let nf = *self.next_field.get(sid)?;
                 let mut args: Vec<Atom> = args.iter().map(|a| rw.atom(a)).collect();
                 debug_assert_eq!(args.len(), nf);
                 args.push(Atom::Null(Box::new(Type::Record(*sid))));
-                Some(rw.b.struct_new(*sid, args))
+                Some(rw.b.struct_new_pooled(*sid, args, *pool))
             }
             _ => None,
         }
@@ -239,7 +232,6 @@ impl Rule for ListSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dblab_ir::expr::Annot;
 
     fn has_node(p: &Program, pred: fn(&Expr) -> bool) -> bool {
         fn walk(b: &Block, pred: fn(&Expr) -> bool) -> bool {
@@ -251,12 +243,9 @@ mod tests {
     }
 
     #[test]
-    fn hinted_list_becomes_static_array() {
+    fn bounded_list_becomes_static_array() {
         let mut b = IrBuilder::new();
-        let l = b.list_new(Type::Int);
-        if let Atom::Sym(s) = l {
-            b.annotate(s, Annot::SizeHint(64));
-        }
+        let l = b.list_new(Type::Int, Some(64));
         b.list_append(l.clone(), Atom::Int(1));
         b.list_append(l.clone(), Atom::Int(2));
         let n = b.list_size(l.clone());
@@ -272,7 +261,13 @@ mod tests {
         let q = apply(&p);
         assert!(!has_node(&q, |e| matches!(e, Expr::ListNew { .. })));
         assert!(!has_node(&q, |e| matches!(e, Expr::ListForeach { .. })));
-        assert!(has_node(&q, |e| matches!(e, Expr::ArrayNew { .. })));
+        assert!(has_node(&q, |e| matches!(
+            e,
+            Expr::ArrayNew {
+                len: Atom::Int(64),
+                ..
+            }
+        )));
         let violations = dblab_ir::level::validate(&q);
         assert!(violations.is_empty(), "{violations:?}");
         assert_eq!(q.level, Level::ScaLite);
@@ -298,11 +293,11 @@ mod tests {
         });
         let arr = b.array_new(Type::list(Type::Record(sid)), Atom::Int(4));
         b.for_range(Atom::Int(0), Atom::Int(4), |bb, i| {
-            let l = bb.list_new(Type::Record(sid));
+            let l = bb.list_new(Type::Record(sid), None);
             bb.array_set(arr.clone(), i, l);
         });
         // insert
-        let pair = b.struct_new(sid, vec![Atom::Int(1), Atom::Int(10)]);
+        let pair = b.struct_new_pooled(sid, vec![Atom::Int(1), Atom::Int(10)], 4);
         let l = b.array_get(arr.clone(), Atom::Int(1));
         b.list_append(l, pair);
         // probe
@@ -328,6 +323,11 @@ mod tests {
         // Pair gained a next field.
         let pair_def = q.structs.get(sid);
         assert_eq!(&*pair_def.fields.last().unwrap().name, "next");
+        // The rebuilt construction keeps its pool count.
+        assert!(has_node(&q, |e| matches!(
+            e,
+            Expr::StructNew { pool: 4, .. }
+        )));
         let violations = dblab_ir::level::validate(&q);
         assert!(violations.is_empty(), "{violations:?}");
     }

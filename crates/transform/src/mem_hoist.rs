@@ -3,15 +3,15 @@
 //!
 //! Record construction (`StructNew`) becomes explicit memory management:
 //! one memory pool per record type, created up front and sized from the
-//! cardinality annotations gathered during pipelining (worst case for
-//! records, the map's expected case for a hash table's pairs), so that
-//! no `malloc` remains on the critical path. Records without a usable
-//! estimate fall back to a default-capacity pool that doubles on overflow
-//! (the fallback policy App. D.1 discusses).
+//! pool counts the allocation sites carry (worst case for records, the
+//! map's expected case for a hash table's pairs), so that no `malloc`
+//! remains on the critical path. Sites without a usable estimate carry
+//! the default capacity, and such a pool doubles on overflow (the
+//! fallback policy App. D.1 discusses).
 
 use std::collections::HashMap;
 
-use dblab_ir::expr::{Atom, Block, Expr, Sym};
+use dblab_ir::expr::{Atom, Expr, Sym};
 use dblab_ir::rewrite::{run_rule, Rewriter, Rule};
 use dblab_ir::types::StructId;
 use dblab_ir::{IrBuilder, Level, Program, Type};
@@ -26,23 +26,14 @@ struct MemHoist {
 /// C.Scala program.
 pub fn apply(p: &Program) -> Program {
     let mut rule = MemHoist::default();
-    collect_hints(&p.body, p, &mut rule.hints);
-    run_rule(p, &mut rule, Level::CScala)
-}
-
-fn collect_hints(b: &Block, p: &Program, hints: &mut HashMap<StructId, u64>) {
-    for st in &b.stmts {
-        if let Expr::StructNew { sid, .. } = &st.expr {
-            let h = p.annots.size_hint(st.sym).unwrap_or(1024);
-            let e = hints.entry(*sid).or_insert(0);
+    p.body.for_each_stmt(&mut |st| {
+        if let Expr::StructNew { sid, pool, .. } = &st.expr {
             // Several sites may allocate the same record type; pools must
             // cover their sum.
-            *e += h;
+            *rule.hints.entry(*sid).or_insert(0) += pool;
         }
-        for blk in st.expr.blocks() {
-            collect_hints(blk, p, hints);
-        }
-    }
+    });
+    run_rule(p, &mut rule, Level::CScala)
 }
 
 impl Rule for MemHoist {
@@ -63,7 +54,7 @@ impl Rule for MemHoist {
     }
 
     fn apply(&mut self, rw: &mut Rewriter<'_>, _sym: Sym, _ty: &Type, e: &Expr) -> Option<Atom> {
-        if let Expr::StructNew { sid, args } = e {
+        if let Expr::StructNew { sid, args, .. } = e {
             let pool = self.pools.get(sid).expect("pool for record type").clone();
             let p = rw.b.pool_alloc(pool);
             for (i, a) in args.iter().enumerate() {
@@ -92,10 +83,7 @@ mod tests {
             }],
         });
         b.for_range(Atom::Int(0), Atom::Int(10), |bb, i| {
-            let r = bb.struct_new(sid, vec![i]);
-            if let Atom::Sym(s) = r {
-                bb.annotate(s, dblab_ir::expr::Annot::SizeHint(10));
-            }
+            let r = bb.struct_new_pooled(sid, vec![i], 10);
             let x = bb.field_get(r, sid, 0);
             bb.printf("%d\n", vec![x]);
         });
@@ -121,10 +109,7 @@ mod tests {
             }],
         });
         for hint in [100u64, 200] {
-            let r = b.struct_new(sid, vec![Atom::Int(1)]);
-            if let Atom::Sym(s) = r {
-                b.annotate(s, dblab_ir::expr::Annot::SizeHint(hint));
-            }
+            let r = b.struct_new_pooled(sid, vec![Atom::Int(1)], hint);
             let x = b.field_get(r, sid, 0);
             b.printf("%d\n", vec![x]);
         }

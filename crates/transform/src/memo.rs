@@ -281,7 +281,6 @@ mod tests {
                 body: dblab_ir::Block::default(),
                 sym_types: vec![],
                 level: dblab_ir::Level::MapList,
-                annots: Default::default(),
             },
             stages: vec![],
             gen_time: std::time::Duration::ZERO,

@@ -539,7 +539,7 @@ pub fn apply_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dblab_ir::expr::{Annotations, Atom, Block, Expr, Stmt, Sym};
+    use dblab_ir::expr::{Atom, Block, Expr, Stmt, Sym};
     use dblab_ir::types::{StructRegistry, Type};
 
     fn maplist_prog() -> Program {
@@ -552,7 +552,6 @@ mod tests {
             }]),
             sym_types: vec![Type::Int],
             level: Level::MapList,
-            annots: Annotations::default(),
         }
     }
 

@@ -14,11 +14,10 @@
 //! decisions" (§4.3): when enabled, a hash join one of whose inputs is a
 //! keyed base table probes a load-time index instead of building a table
 //! ([`crate::index_inference::join_index`] picks the input), and every
-//! allocation site is annotated with a cardinality for the pool and
-//! specialization passes below: records and sort lists with a worst-case
-//! estimate (App. D.1), hashed maps with an expected-case one
-//! ([`expected_rows`]), since a chained bucket array is correct at any
-//! size.
+//! allocation node carries the cardinality the pool and specialization
+//! passes below size it by: records and sort lists a worst-case estimate
+//! (App. D.1), hashed maps an expected-case one ([`expected_rows`]),
+//! since a chained bucket array is correct at any size.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,7 +25,7 @@ use std::sync::Arc;
 use dblab_catalog::{ColType, Schema};
 use dblab_frontend::expr::ScalarExpr;
 use dblab_frontend::qplan::{AggFunc, JoinKind, QPlan, QueryProgram, SortDir};
-use dblab_ir::expr::{Annot, PrimOp};
+use dblab_ir::expr::{DenseKey, PrimOp};
 use dblab_ir::types::{FieldDef, StructDef, StructId};
 use dblab_ir::{Atom, Block, Expr, IrBuilder, Level, Program, Type, UnOp};
 
@@ -45,10 +44,6 @@ const MAX_CHAR_KEY_COLS: usize = 2;
 /// row-position array, or CSR starts+items.
 type IndexLoads = HashMap<(Arc<str>, usize, bool), (Atom, Option<Atom>)>;
 
-/// Column provenance per record type: which (table, column) each field
-/// carries, when statically known.
-type RecordProvenance = HashMap<StructId, Vec<Option<(Arc<str>, usize)>>>;
-
 /// The lowering context.
 pub struct Lowering<'a> {
     pub b: IrBuilder,
@@ -57,7 +52,6 @@ pub struct Lowering<'a> {
     loads: HashMap<Arc<str>, (Atom, StructId)>,
     index_loads: IndexLoads,
     pub params: HashMap<Arc<str>, Atom>,
-    rec_prov: RecordProvenance,
     rec_ctr: usize,
 }
 
@@ -71,7 +65,6 @@ impl<'a> Lowering<'a> {
             loads: HashMap::new(),
             index_loads: HashMap::new(),
             params: HashMap::new(),
-            rec_prov: HashMap::new(),
             rec_ctr: 0,
         }
     }
@@ -441,19 +434,9 @@ impl<'a> Lowering<'a> {
                 })
                 .collect(),
         });
-        self.rec_prov.insert(
-            sid,
-            (0..def.columns.len())
-                .map(|i| Some((def.name.clone(), i)))
-                .collect(),
-        );
-        let arr = self.b.load_table(table, sid);
-        if let Atom::Sym(s) = arr {
-            self.b
-                .annotate(s, Annot::SizeHint(def.stats.row_count.max(1)));
-            self.b
-                .annotate(s, Annot::TableLayout(crate::layout::table_layout(self.cfg)));
-        }
+        let arr = self
+            .b
+            .load_table(table, sid, crate::layout::table_layout(self.cfg));
         self.loads.insert(def.name.clone(), (arr.clone(), sid));
         (arr, sid)
     }
@@ -518,28 +501,13 @@ impl<'a> Lowering<'a> {
     /// Rebuild a row environment by reading every field of a record.
     fn env_from_record(&mut self, rec: &Atom, sid: StructId) -> RowEnv {
         let def = self.b.structs.get(sid).clone();
-        let prov = self.rec_prov.get(&sid).cloned().unwrap_or_default();
         let cols = def
             .fields
             .iter()
             .enumerate()
-            .map(|(i, f)| {
-                let atom = self.b.field_get(rec.clone(), sid, i);
-                let p = prov.get(i).cloned().flatten();
-                if let (Atom::Sym(s), Some((t, c))) = (&atom, &p) {
-                    self.b.annotate(
-                        *s,
-                        Annot::Column {
-                            table: t.clone(),
-                            field: *c,
-                        },
-                    );
-                }
-                ColRef {
-                    name: f.name.clone(),
-                    atom,
-                    prov: p,
-                }
+            .map(|(i, f)| ColRef {
+                name: f.name.clone(),
+                atom: self.b.field_get(rec.clone(), sid, i),
             })
             .collect();
         RowEnv::new(cols)
@@ -558,26 +526,12 @@ impl<'a> Lowering<'a> {
             .columns
             .iter()
             .enumerate()
-            .map(|(i, c)| {
-                let atom = self.b.field_get(rec.clone(), sid, i);
-                if let Atom::Sym(s) = &atom {
-                    self.b.annotate(
-                        *s,
-                        Annot::Column {
-                            table: def.name.clone(),
-                            field: i,
-                        },
-                    );
-                }
-                let name: Arc<str> = match alias {
+            .map(|(i, c)| ColRef {
+                name: match alias {
                     Some(a) => format!("{a}_{}", c.name).into(),
                     None => c.name.clone(),
-                };
-                ColRef {
-                    name,
-                    atom,
-                    prov: Some((def.name.clone(), i)),
-                }
+                },
+                atom: self.b.field_get(rec.clone(), sid, i),
             })
             .collect();
         RowEnv::new(cols)
@@ -651,17 +605,9 @@ impl<'a> Lowering<'a> {
                 self.produce(child, &mut |lw, env| {
                     let new_cols = cols
                         .iter()
-                        .map(|(n, e)| {
-                            let atom = lower_expr(&mut lw.b, env, &lw.params, e);
-                            let prov = match e {
-                                ScalarExpr::Col(c) => env.lookup(c).prov.clone(),
-                                _ => None,
-                            };
-                            ColRef {
-                                name: n.clone(),
-                                atom,
-                                prov,
-                            }
+                        .map(|(n, e)| ColRef {
+                            name: n.clone(),
+                            atom: lower_expr(&mut lw.b, env, &lw.params, e),
                         })
                         .collect();
                     let out = RowEnv::new(new_cols);
@@ -761,7 +707,6 @@ impl<'a> Lowering<'a> {
                     })
                     .collect(),
             );
-            self.rec_prov.insert(sid, vec![None; key_types.len()]);
             (Type::Record(sid), Some(sid))
         };
 
@@ -776,28 +721,14 @@ impl<'a> Lowering<'a> {
         let rec_sid = self.fresh_struct("Rec", rec_fields);
         let hint = self.estimate(build);
 
-        let mm = self.b.multimap_new(key_ty, Type::Record(rec_sid));
-        if let Atom::Sym(s) = mm {
-            self.b
-                .annotate(s, Annot::SizeHint(expected_rows(build, self.schema)));
-        }
+        let expected = expected_rows(build, self.schema);
+        let mm = self.b.multimap_new(key_ty, Type::Record(rec_sid), expected);
 
         // Build phase.
-        let mut first = true;
         self.produce(build, &mut |lw, env| {
-            if first {
-                // Provenance becomes known on the first row (identical for
-                // every row — it is per-column, not per-value).
-                lw.rec_prov
-                    .insert(rec_sid, env.cols.iter().map(|c| c.prov.clone()).collect());
-                first = false;
-            }
             let k = lw.join_key(env, build_keys, key_sid);
             let args = env.cols.iter().map(|c| c.atom.clone()).collect();
-            let rec = lw.b.struct_new(rec_sid, args);
-            if let Atom::Sym(s) = rec {
-                lw.b.annotate(s, Annot::SizeHint(hint));
-            }
+            let rec = lw.b.struct_new_pooled(rec_sid, args, hint);
             lw.b.multimap_add(mm.clone(), k, rec);
         });
 
@@ -839,7 +770,6 @@ impl<'a> Lowering<'a> {
                         combined.cols.push(ColRef {
                             name: QPlan::MATCHED.into(),
                             atom: Atom::Bool(true),
-                            prov: None,
                         });
                         match residual {
                             None => {
@@ -864,13 +794,11 @@ impl<'a> Lowering<'a> {
                             combined.cols.push(ColRef {
                                 name: n.clone(),
                                 atom: default_atom(*t),
-                                prov: None,
                             });
                         }
                         combined.cols.push(ColRef {
                             name: QPlan::MATCHED.into(),
                             atom: Atom::Bool(false),
-                            prov: None,
                         });
                         consumer(lw, &combined);
                     });
@@ -1072,11 +1000,6 @@ impl<'a> Lowering<'a> {
             .iter()
             .map(|(n, _)| static_prov(plan, n, self.schema))
             .collect();
-        self.rec_prov.insert(rec_sid, {
-            let mut p = group_prov.clone();
-            p.resize(acc_idx.last().map(|i| i + 1).unwrap_or(p.len() + 1), None);
-            p
-        });
         // One or two base `Char` columns (one byte each, whatever the data):
         // the key is the one `Int` Σ kᵢ·256^(n−1−i), dense below 256ⁿ.
         let char_key = group_by.len() <= MAX_CHAR_KEY_COLS
@@ -1103,47 +1026,40 @@ impl<'a> Lowering<'a> {
                     })
                     .collect(),
             );
-            self.rec_prov.insert(sid, vec![None; key_types.len()]);
             (Type::Record(sid), Some(sid))
         };
 
-        let hm = self.b.hashmap_new(key_ty, Type::Record(rec_sid));
-        if let Atom::Sym(s) = hm {
-            self.b
-                .annotate(s, Annot::SizeHint(expected_rows(plan, self.schema)));
-            if char_key {
-                let n = group_by.len() as u32;
-                self.b.annotate(
-                    s,
-                    Annot::DenseKey {
-                        max: 256u64.pow(n) - 1,
-                        composite: n > 1,
-                    },
-                );
-            } else if group_by.len() == 1 {
-                if let Some((t, f)) = group_col_prov(plan, self.schema) {
-                    let max = *self.schema.table(&t).stats.int_max.get(f).unwrap_or(&0);
-                    if max > 0
-                        && max <= MAX_DENSE_KEY
-                        && self.schema.table(&t).columns[f].ty == ColType::Int
-                    {
-                        self.b.annotate(
-                            s,
-                            Annot::DenseKey {
-                                max,
-                                composite: false,
-                            },
-                        );
-                    }
-                }
-            }
-            if aggs
-                .iter()
-                .any(|(_, a)| matches!(a, AggFunc::Min(_) | AggFunc::Max(_)))
-            {
-                self.b.annotate(s, Annot::HasMinMax);
-            }
-        }
+        let dense = if char_key {
+            let n = group_by.len() as u32;
+            Some(DenseKey {
+                max: 256u64.pow(n) - 1,
+                composite: n > 1,
+            })
+        } else if group_by.len() == 1 {
+            group_col_prov(plan, self.schema).and_then(|(t, f)| {
+                let max = *self.schema.table(&t).stats.int_max.get(f).unwrap_or(&0);
+                (max > 0
+                    && max <= MAX_DENSE_KEY
+                    && self.schema.table(&t).columns[f].ty == ColType::Int)
+                    .then_some(DenseKey {
+                        max,
+                        composite: false,
+                    })
+            })
+        } else {
+            None
+        };
+        let hm = self.b.emit(
+            Type::hash_map(key_ty.clone(), Type::Record(rec_sid)),
+            Expr::HashMapNew {
+                key: key_ty,
+                value: Type::Record(rec_sid),
+                expected: expected_rows(plan, self.schema),
+                dense,
+                has_minmax: (aggs.iter())
+                    .any(|(_, a)| matches!(a, AggFunc::Min(_) | AggFunc::Max(_))),
+            },
+        );
 
         let group_exprs: Vec<ScalarExpr> = group_by.iter().map(|(_, e)| e.clone()).collect();
         self.produce(child, &mut |lw, env| {
@@ -1244,24 +1160,11 @@ impl<'a> Lowering<'a> {
             let cnt = lw.b.field_get(rec.clone(), rec_sid, cnt_idx);
             let non_empty = lw.b.gt(cnt.clone(), Atom::Long(0));
             lw.if_then(non_empty, |lw| {
-                let prov = lw.rec_prov.get(&rec_sid).cloned().unwrap_or_default();
                 let mut cols = Vec::new();
                 for (i, (n, _)) in group_by.iter().enumerate() {
-                    let atom = lw.b.field_get(rec.clone(), rec_sid, i);
-                    let p = prov.get(i).cloned().flatten();
-                    if let (Atom::Sym(s), Some((t, c))) = (&atom, &p) {
-                        lw.b.annotate(
-                            *s,
-                            Annot::Column {
-                                table: t.clone(),
-                                field: *c,
-                            },
-                        );
-                    }
                     cols.push(ColRef {
                         name: n.clone(),
-                        atom,
-                        prov: p,
+                        atom: lw.b.field_get(rec.clone(), rec_sid, i),
                     });
                 }
                 for (((n, a), &fi), _) in aggs.iter().zip(&acc_idx).zip(0..) {
@@ -1277,7 +1180,6 @@ impl<'a> Lowering<'a> {
                     cols.push(ColRef {
                         name: n.clone(),
                         atom,
-                        prov: None,
                     });
                 }
                 let env = RowEnv::new(cols);
@@ -1382,7 +1284,6 @@ impl<'a> Lowering<'a> {
                 ColRef {
                     name: n.clone(),
                     atom,
-                    prov: None,
                 }
             })
             .collect();
@@ -1423,14 +1324,6 @@ impl<'a> Lowering<'a> {
             ty: ir_type(distinct_expr.ty(&child_cols)),
         });
         let dkey_sid = self.fresh_struct("Key", key_fields);
-        self.rec_prov.insert(dkey_sid, {
-            let mut pv: Vec<Option<(Arc<str>, usize)>> = group_by
-                .iter()
-                .map(|(n, _)| static_prov(plan, n, self.schema))
-                .collect();
-            pv.push(None);
-            pv
-        });
         let marker_sid = self.fresh_struct(
             "Mark",
             vec![FieldDef {
@@ -1438,14 +1331,11 @@ impl<'a> Lowering<'a> {
                 ty: Type::Long,
             }],
         );
-        self.rec_prov.insert(marker_sid, vec![None]);
-        let dd = self
-            .b
-            .hashmap_new(Type::Record(dkey_sid), Type::Record(marker_sid));
-        if let Atom::Sym(s) = dd {
-            self.b
-                .annotate(s, Annot::SizeHint(expected_rows(child, self.schema)));
-        }
+        let dd = self.b.hashmap_new(
+            Type::Record(dkey_sid),
+            Type::Record(marker_sid),
+            expected_rows(child, self.schema),
+        );
         self.produce(child, &mut |lw, env| {
             let mut args: Vec<Atom> = group_by
                 .iter()
@@ -1471,14 +1361,6 @@ impl<'a> Lowering<'a> {
             ty: Type::Long,
         });
         let cnt_sid = self.fresh_struct("Agg", fields);
-        self.rec_prov.insert(cnt_sid, {
-            let mut pv: Vec<Option<(Arc<str>, usize)>> = group_by
-                .iter()
-                .map(|(n, _)| static_prov(plan, n, self.schema))
-                .collect();
-            pv.push(None);
-            pv
-        });
         let (key_ty, key_sid) = if group_by.len() == 1 {
             (ir_type(group_by[0].1.ty(&child_cols)), None)
         } else {
@@ -1493,31 +1375,17 @@ impl<'a> Lowering<'a> {
                     })
                     .collect(),
             );
-            self.rec_prov.insert(sid, vec![None; group_by.len()]);
             (Type::Record(sid), Some(sid))
         };
-        let cnts = self.b.hashmap_new(key_ty, Type::Record(cnt_sid));
-        if let Atom::Sym(s) = cnts {
-            self.b
-                .annotate(s, Annot::SizeHint(expected_rows(plan, self.schema)));
-        }
+        let cnts = self.b.hashmap_new(
+            key_ty,
+            Type::Record(cnt_sid),
+            expected_rows(plan, self.schema),
+        );
         let n_groups = group_by.len();
         self.hashmap_foreach(dd, |lw, k, _marker| {
-            let prov = lw.rec_prov.get(&dkey_sid).cloned().unwrap_or_default();
             let key_atoms: Vec<Atom> = (0..n_groups)
-                .map(|i| {
-                    let a = lw.b.field_get(k.clone(), dkey_sid, i);
-                    if let (Atom::Sym(sy), Some(Some((t, c)))) = (&a, prov.get(i)) {
-                        lw.b.annotate(
-                            *sy,
-                            Annot::Column {
-                                table: t.clone(),
-                                field: *c,
-                            },
-                        );
-                    }
-                    a
-                })
+                .map(|i| lw.b.field_get(k.clone(), dkey_sid, i))
                 .collect();
             let k2 = match key_sid {
                 None => key_atoms[0].clone(),
@@ -1534,31 +1402,17 @@ impl<'a> Lowering<'a> {
         });
 
         self.hashmap_foreach(cnts, |lw, _k, rec| {
-            let prov = lw.rec_prov.get(&cnt_sid).cloned().unwrap_or_default();
             let mut cols = Vec::new();
             for (i, (n, _)) in group_by.iter().enumerate() {
-                let atom = lw.b.field_get(rec.clone(), cnt_sid, i);
-                let pv = prov.get(i).cloned().flatten();
-                if let (Atom::Sym(sy), Some((t, c))) = (&atom, &pv) {
-                    lw.b.annotate(
-                        *sy,
-                        Annot::Column {
-                            table: t.clone(),
-                            field: *c,
-                        },
-                    );
-                }
                 cols.push(ColRef {
                     name: n.clone(),
-                    atom,
-                    prov: pv,
+                    atom: lw.b.field_get(rec.clone(), cnt_sid, i),
                 });
             }
             let atom = lw.b.field_get(rec.clone(), cnt_sid, n_groups);
             cols.push(ColRef {
                 name: aggs[0].0.clone(),
                 atom,
-                prov: None,
             });
             let env = RowEnv::new(cols);
             consumer(lw, &env);
@@ -1585,28 +1439,13 @@ impl<'a> Lowering<'a> {
             .collect();
         let sid = self.fresh_struct("Rec", fields);
         let hint = self.estimate(child);
-        // Provenance: all verbatim columns keep their origin.
-        self.rec_prov.insert(
-            sid,
-            child_cols
-                .iter()
-                .map(|(n, _)| static_prov(child, n, self.schema))
-                .collect(),
-        );
-
-        let lst = self.b.list_new(Type::Record(sid));
-        if let Atom::Sym(s) = lst {
-            self.b.annotate(s, Annot::SizeHint(hint));
-        }
+        let lst = self.b.list_new(Type::Record(sid), Some(hint));
         self.produce(child, &mut |lw, env| {
             let args = child_cols
                 .iter()
                 .map(|(n, _)| env.lookup(n).atom.clone())
                 .collect();
-            let rec = lw.b.struct_new(sid, args);
-            if let Atom::Sym(s) = rec {
-                lw.b.annotate(s, Annot::SizeHint(hint));
-            }
+            let rec = lw.b.struct_new_pooled(sid, args, hint);
             lw.b.list_append(lst.clone(), rec);
         });
 
@@ -2017,7 +1856,7 @@ mod tests {
     }
 
     #[test]
-    fn grouped_aggregation_uses_hashmap_with_annotations() {
+    fn grouped_aggregation_uses_a_sized_dense_hashmap() {
         let plan = QPlan::scan("orders").agg(
             vec![("k", col("o_custkey"))],
             vec![("total", Sum(col("o_totalprice")))],
@@ -2027,14 +1866,21 @@ mod tests {
             .body
             .stmts
             .iter()
-            .find(|st| matches!(st.expr, Expr::HashMapNew { .. }))
+            .find_map(|st| match &st.expr {
+                Expr::HashMapNew {
+                    expected,
+                    dense,
+                    has_minmax,
+                    ..
+                } => Some((*expected, *dense, *has_minmax)),
+                _ => None,
+            })
             .expect("hash map");
-        assert!(p.annots.size_hint(hm.sym).is_some());
-        assert_eq!(
-            p.annots.dense_key(hm.sym),
-            Some((100, false)),
-            "o_custkey is a dense int key"
-        );
+        let dense = DenseKey {
+            max: 100,
+            composite: false,
+        };
+        assert_eq!(hm, (10, Some(dense), false), "o_custkey is a dense int key");
     }
 
     /// Every expression of `b`, nested blocks included.

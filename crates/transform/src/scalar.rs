@@ -1,9 +1,5 @@
 //! Scalar expression lowering: front-end [`ScalarExpr`]s → ANF IR, against
 //! a named row environment.
-//!
-//! The environment rows carry *provenance* — which base-table column an
-//! atom is a verbatim copy of — piped along as symbol annotations (§3.3).
-//! The string-dictionary and index-inference transformations consume it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -17,9 +13,6 @@ use dblab_ir::{Atom, BinOp, IrBuilder, Type, UnOp};
 pub struct ColRef {
     pub name: Arc<str>,
     pub atom: Atom,
-    /// `Some((table, field))` when the atom is a verbatim copy of a base
-    /// table column.
-    pub prov: Option<(Arc<str>, usize)>,
 }
 
 /// A row environment: the columns visible at the current pipeline point.
@@ -230,12 +223,10 @@ mod tests {
             ColRef {
                 name: "a".into(),
                 atom: a,
-                prov: Some(("t".into(), 0)),
             },
             ColRef {
                 name: "s".into(),
                 atom: s,
-                prov: None,
             },
         ])
     }

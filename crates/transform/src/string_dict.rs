@@ -16,12 +16,15 @@
 //! disqualifies it), it is not a key, and its distinct count is modest
 //! ("string dictionaries can actually degrade performance when used for
 //! primary keys or attributes with many distinct values"). The analysis
-//! finds attribute uses through the provenance annotations (§3.3) that
-//! pipelining attaches to every verbatim column copy, so predicates keep
-//! qualifying even after records cross hash tables.
+//! finds attribute uses through column provenance it derives from the
+//! program itself ([`Provenance`]): a base record's field holds the column
+//! it is named after, and a field every store fills from one column holds
+//! that column, so predicates keep qualifying after records cross hash
+//! tables.
 //!
-//! The pass retypes each chosen column's base-table field from `String`
-//! to `Int`, and that type is the whole contract with the loaders: every
+//! The pass retypes each chosen column's base-table field, and every
+//! record field copied from it, from `String` to `Int`, and that type is
+//! the whole contract with the loaders: every
 //! executor reads an `Int` field over a `String` column as dictionary
 //! codes. Dictionaries are always built sorted, so one dictionary serves
 //! both the normal and the ordered operations.
@@ -32,6 +35,7 @@ use std::sync::Arc;
 use dblab_catalog::Schema;
 use dblab_ir::expr::{Atom, Block, DictOp, Expr, PrimOp, Sym};
 use dblab_ir::rewrite::{run_rule, Rewriter, Rule};
+use dblab_ir::types::StructId;
 use dblab_ir::{IrBuilder, Program, Type};
 
 /// Attributes with more distinct values than this keep their strings.
@@ -49,6 +53,7 @@ struct Usage {
 
 struct StringDict<'s> {
     schema: &'s Schema,
+    prov: Provenance,
     usage: HashMap<ColId, Usage>,
     /// Eligible columns.
     chosen: BTreeSet<ColId>,
@@ -64,12 +69,13 @@ struct StringDict<'s> {
 pub fn apply(p: &Program, schema: &Schema) -> Program {
     let mut rule = StringDict {
         schema,
+        prov: Provenance::derive(p, schema),
         usage: HashMap::new(),
         chosen: BTreeSet::new(),
         consts: HashMap::new(),
         retype_maps: HashSet::new(),
     };
-    analyze(&p.body, p, &mut rule);
+    analyze(&p.body, &mut rule);
     rule.choose();
     if rule.chosen.is_empty() {
         return p.clone();
@@ -77,47 +83,138 @@ pub fn apply(p: &Program, schema: &Schema) -> Program {
     run_rule(p, &mut rule, p.level)
 }
 
-/// Which dictionary-eligible column (if any) does this atom carry?
-fn col_of(p: &Program, a: &Atom) -> Option<ColId> {
-    match a {
-        Atom::Sym(s) => p.annots.column(*s),
-        _ => None,
+/// What one record field is known to hold, joined over every value
+/// stored into it.
+#[derive(Clone, PartialEq)]
+enum Holds {
+    /// Nothing stored yet (or only copies of fields not yet resolved).
+    Unknown,
+    Column(ColId),
+    /// Values of more than one origin.
+    Mixed,
+}
+
+impl Holds {
+    fn join(self, other: Holds) -> Holds {
+        match (self, other) {
+            (Holds::Unknown, x) | (x, Holds::Unknown) => x,
+            (Holds::Column(a), Holds::Column(b)) if a == b => Holds::Column(a),
+            _ => Holds::Mixed,
+        }
     }
 }
 
-fn analyze(b: &Block, p: &Program, rule: &mut StringDict<'_>) {
+/// Column provenance, derived from the program: which base-table column
+/// each record field and each `FieldGet` symbol is a verbatim copy of.
+///
+/// * a `LoadTable` record's field holds the column it is named after;
+/// * any other record's field holds a column when every `StructNew`
+///   argument and `FieldSet` value stored into it holds that column;
+/// * a `FieldGet` holds what the field it reads holds.
+///
+/// One walk gathers the reads and stores; a fixpoint over the stores
+/// resolves fields that copy fields of other records (a join record
+/// copies the base record it was built from).
+struct Provenance {
+    fields: HashMap<(StructId, usize), ColId>,
+    syms: HashMap<Sym, ColId>,
+}
+
+impl Provenance {
+    fn derive(p: &Program, schema: &Schema) -> Provenance {
+        let mut reads = HashMap::new();
+        let mut stores: HashMap<(StructId, usize), Vec<&Atom>> = HashMap::new();
+        let mut holds = HashMap::new();
+        p.body.for_each_stmt(&mut |st| match &st.expr {
+            Expr::LoadTable { table, sid, .. } => {
+                let def = schema.table(table);
+                for (i, f) in p.structs.get(*sid).fields.iter().enumerate() {
+                    let col = (def.name.clone(), def.col_index(&f.name));
+                    holds.insert((*sid, i), Holds::Column(col));
+                }
+            }
+            Expr::StructNew { sid, args, .. } => {
+                for (i, a) in args.iter().enumerate() {
+                    stores.entry((*sid, i)).or_default().push(a);
+                }
+            }
+            Expr::FieldSet {
+                sid, field, value, ..
+            } => stores.entry((*sid, *field)).or_default().push(value),
+            Expr::FieldGet { sid, field, .. } => {
+                reads.insert(st.sym, (*sid, *field));
+            }
+            _ => {}
+        });
+        loop {
+            let mut changed = false;
+            for (field, stored) in &stores {
+                let of = |a: &Atom| match a.as_sym().and_then(|s| reads.get(&s)) {
+                    Some(src) => holds.get(src).cloned().unwrap_or(Holds::Unknown),
+                    None => Holds::Mixed,
+                };
+                let start = holds.get(field).cloned().unwrap_or(Holds::Unknown);
+                let now = stored.iter().fold(start, |h, a| h.join(of(a)));
+                if holds.get(field) != Some(&now) {
+                    holds.insert(*field, now);
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        let fields: HashMap<(StructId, usize), ColId> = (holds.into_iter())
+            .filter_map(|(f, h)| match h {
+                Holds::Column(c) => Some((f, c)),
+                _ => None,
+            })
+            .collect();
+        let syms = (reads.iter())
+            .filter_map(|(s, f)| Some((*s, fields.get(f)?.clone())))
+            .collect();
+        Provenance { fields, syms }
+    }
+
+    /// Which column (if any) does this atom carry?
+    fn of(&self, a: &Atom) -> Option<ColId> {
+        self.syms.get(&a.as_sym()?).cloned()
+    }
+}
+
+fn analyze(b: &Block, rule: &mut StringDict<'_>) {
     for st in &b.stmts {
         // Classify string-op contexts.
         match &st.expr {
             Expr::Prim(op, args) => match op {
                 PrimOp::StrEq | PrimOp::StrNe => {
-                    classify_eq(p, rule, &args[0], &args[1]);
+                    classify_eq(rule, &args[0], &args[1]);
                 }
                 PrimOp::StrStartsWith => {
-                    if let (Some(c), Atom::Str(k)) = (col_of(p, &args[0]), &args[1]) {
+                    if let (Some(c), Atom::Str(k)) = (rule.prov.of(&args[0]), &args[1]) {
                         rule.usage
                             .entry(c)
                             .or_default()
                             .prefix_consts
                             .insert(k.clone());
                     } else {
-                        disqualify_all(p, rule, args);
+                        disqualify_all(rule, args);
                     }
                 }
                 PrimOp::StrCmp => {
-                    let (ca, cb) = (col_of(p, &args[0]), col_of(p, &args[1]));
+                    let (ca, cb) = (rule.prov.of(&args[0]), rule.prov.of(&args[1]));
                     match (ca, cb) {
                         (Some(x), Some(y)) if x == y => {
                             rule.usage.entry(x).or_default().cmp_use = true;
                         }
-                        _ => disqualify_all(p, rule, args),
+                        _ => disqualify_all(rule, args),
                     }
                 }
                 PrimOp::StrEndsWith
                 | PrimOp::StrContains
                 | PrimOp::StrLike
                 | PrimOp::StrSubstr
-                | PrimOp::HashStr => disqualify_all(p, rule, args),
+                | PrimOp::HashStr => disqualify_all(rule, args),
                 _ => {}
             },
             // Benign contexts for string-typed values: being stored,
@@ -138,7 +235,7 @@ fn analyze(b: &Block, p: &Program, rule: &mut StringDict<'_>) {
             // out of scope: disqualify.
             other => {
                 other.for_each_atom(|a| {
-                    if let Some(c) = col_of(p, a) {
+                    if let Some(c) = rule.prov.of(a) {
                         if is_string_col(&c, rule.schema) {
                             rule.usage.entry(c).or_default().disqualified = true;
                         }
@@ -147,23 +244,23 @@ fn analyze(b: &Block, p: &Program, rule: &mut StringDict<'_>) {
             }
         }
         for blk in st.expr.blocks() {
-            analyze(blk, p, rule);
+            analyze(blk, rule);
         }
     }
 }
 
-fn classify_eq(p: &Program, rule: &mut StringDict<'_>, a: &Atom, b: &Atom) {
-    match (col_of(p, a), b, col_of(p, b), a) {
+fn classify_eq(rule: &mut StringDict<'_>, a: &Atom, b: &Atom) {
+    match (rule.prov.of(a), b, rule.prov.of(b), a) {
         (Some(c), Atom::Str(k), _, _) | (_, _, Some(c), Atom::Str(k)) => {
             rule.usage.entry(c).or_default().eq_consts.insert(k.clone());
         }
-        _ => disqualify_all(p, rule, &[a.clone(), b.clone()]),
+        _ => disqualify_all(rule, &[a.clone(), b.clone()]),
     }
 }
 
-fn disqualify_all(p: &Program, rule: &mut StringDict<'_>, atoms: &[Atom]) {
+fn disqualify_all(rule: &mut StringDict<'_>, atoms: &[Atom]) {
     for a in atoms {
-        if let Some(c) = col_of(p, a) {
+        if let Some(c) = rule.prov.of(a) {
             rule.usage.entry(c).or_default().disqualified = true;
         }
     }
@@ -204,8 +301,8 @@ impl StringDict<'_> {
         }
     }
 
-    fn dict_of(&self, p: &Program, a: &Atom) -> Option<ColId> {
-        let c = col_of(p, a)?;
+    fn dict_of(&self, a: &Atom) -> Option<ColId> {
+        let c = self.prov.of(a)?;
         self.chosen.contains(&c).then_some(c)
     }
 
@@ -226,75 +323,36 @@ impl Rule for StringDict<'_> {
     fn prepare(&mut self, p: &Program, b: &mut IrBuilder) {
         // Hash tables keyed by a dictionary-encoded value switch to
         // integer keys.
-        fn scan_keys(blk: &Block, p: &Program, chosen: &BTreeSet<ColId>, out: &mut HashSet<Sym>) {
+        fn scan_keys(blk: &Block, rule: &StringDict<'_>, out: &mut HashSet<Sym>) {
             for st in &blk.stmts {
-                let key = match &st.expr {
-                    Expr::HashMapGetOrInit { map, key, .. }
-                    | Expr::MultiMapAdd { map, key, .. }
-                    | Expr::MultiMapForeachAt { map, key, .. } => Some((map.as_sym(), key)),
-                    _ => None,
-                };
-                if let Some((Some(ms), key)) = key {
-                    if let Some(c) = col_of(p, key) {
-                        if chosen.contains(&c) {
-                            out.insert(ms);
-                        }
+                if let Expr::HashMapGetOrInit { map, key, .. }
+                | Expr::MultiMapAdd { map, key, .. }
+                | Expr::MultiMapForeachAt { map, key, .. } = &st.expr
+                {
+                    if let (Some(ms), Some(_)) = (map.as_sym(), rule.dict_of(key)) {
+                        out.insert(ms);
                     }
                 }
                 for sub in st.expr.blocks() {
-                    scan_keys(sub, p, chosen, out);
+                    scan_keys(sub, rule, out);
                 }
             }
         }
         let mut retype = HashSet::new();
-        scan_keys(&p.body, p, &self.chosen, &mut retype);
+        scan_keys(&p.body, self, &mut retype);
         self.retype_maps = retype;
 
-        // Retype every record field that verbatim-holds a chosen column.
-        // Base-table structs are found via LoadTable; intermediate structs
-        // via the provenance of their constructor arguments.
-        let mut retype: Vec<(dblab_ir::StructId, usize)> = Vec::new();
-        fn walk(
-            blk: &Block,
-            p: &Program,
-            chosen: &BTreeSet<ColId>,
-            out: &mut Vec<(dblab_ir::StructId, usize)>,
-        ) {
-            for st in &blk.stmts {
-                match &st.expr {
-                    Expr::LoadTable { sid, table } => {
-                        for c in chosen.iter().filter(|(t, _)| t == table) {
-                            out.push((*sid, c.1));
-                        }
-                    }
-                    Expr::StructNew { sid, args } => {
-                        for (i, a) in args.iter().enumerate() {
-                            if let Atom::Sym(s) = a {
-                                if let Some(c) = p.annots.column(*s) {
-                                    if chosen.contains(&c) {
-                                        out.push((*sid, i));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-                for sub in st.expr.blocks() {
-                    walk(sub, p, chosen, out);
-                }
-            }
-        }
-        walk(&p.body, p, &self.chosen, &mut retype);
-        for (sid, field) in retype {
-            let def = b.structs.get_mut(sid);
-            if def.fields[field].ty == Type::String {
-                def.fields[field].ty = Type::Int;
+        // Retype every record field that verbatim-holds a chosen column:
+        // the base-table fields and every record field copied from them.
+        for ((sid, field), c) in &self.prov.fields {
+            let def = b.structs.get_mut(*sid);
+            if self.chosen.contains(c) && def.fields[*field].ty == Type::String {
+                def.fields[*field].ty = Type::Int;
             }
         }
     }
 
-    fn apply(&mut self, rw: &mut Rewriter<'_>, _sym: Sym, _ty: &Type, e: &Expr) -> Option<Atom> {
+    fn apply(&mut self, rw: &mut Rewriter<'_>, sym: Sym, _ty: &Type, e: &Expr) -> Option<Atom> {
         match e {
             // Hoist every query constant's dictionary lookup to the start
             // of the query phase (loop-invariant by construction; emitting
@@ -322,18 +380,36 @@ impl Rule for StringDict<'_> {
                 }
                 Some(Atom::Unit)
             }
-            Expr::HashMapNew { key, value } if self.retype_maps.contains(&_sym) => {
+            // A map keyed by codes keeps its size and specialization facts.
+            Expr::HashMapNew {
+                key,
+                value,
+                expected,
+                dense,
+                has_minmax,
+            } if self.retype_maps.contains(&sym) => {
                 debug_assert_eq!(*key, Type::String);
-                Some(rw.b.hashmap_new(Type::Int, value.clone()))
+                let map = Expr::HashMapNew {
+                    key: Type::Int,
+                    value: value.clone(),
+                    expected: *expected,
+                    dense: *dense,
+                    has_minmax: *has_minmax,
+                };
+                Some(rw.b.emit(Type::hash_map(Type::Int, value.clone()), map))
             }
-            Expr::MultiMapNew { key, value } if self.retype_maps.contains(&_sym) => {
+            Expr::MultiMapNew {
+                key,
+                value,
+                expected,
+            } if self.retype_maps.contains(&sym) => {
                 debug_assert_eq!(*key, Type::String);
-                Some(rw.b.multimap_new(Type::Int, value.clone()))
+                Some(rw.b.multimap_new(Type::Int, value.clone(), *expected))
             }
             Expr::Prim(op @ (PrimOp::StrEq | PrimOp::StrNe), args) => {
-                let (col, cst) = match (self.dict_of(rw.old, &args[0]), &args[1]) {
+                let (col, cst) = match (self.dict_of(&args[0]), &args[1]) {
                     (Some(c), Atom::Str(k)) => (c, k.clone()),
-                    _ => match (self.dict_of(rw.old, &args[1]), &args[0]) {
+                    _ => match (self.dict_of(&args[1]), &args[0]) {
                         (Some(c), Atom::Str(k)) => (c, k.clone()),
                         _ => return None,
                     },
@@ -350,7 +426,7 @@ impl Rule for StringDict<'_> {
                 })
             }
             Expr::Prim(PrimOp::StrStartsWith, args) => {
-                let col = self.dict_of(rw.old, &args[0])?;
+                let col = self.dict_of(&args[0])?;
                 let Atom::Str(k) = &args[1] else { return None };
                 let start = self.const_code(&mut rw.b, &col, k, DictOp::RangeStart);
                 let end = self.const_code(&mut rw.b, &col, k, DictOp::RangeEnd);
@@ -360,8 +436,8 @@ impl Rule for StringDict<'_> {
                 Some(rw.b.and(ge, le))
             }
             Expr::Prim(PrimOp::StrCmp, args) => {
-                let ca = self.dict_of(rw.old, &args[0])?;
-                let cb = self.dict_of(rw.old, &args[1])?;
+                let ca = self.dict_of(&args[0])?;
+                let cb = self.dict_of(&args[1])?;
                 if ca != cb {
                     return None;
                 }
@@ -372,7 +448,7 @@ impl Rule for StringDict<'_> {
                 let mut new_args = Vec::with_capacity(args.len());
                 let mut changed = false;
                 for a in args {
-                    if let Some(col) = self.dict_of(rw.old, a) {
+                    if let Some(col) = self.dict_of(a) {
                         let x = rw.atom(a);
                         new_args.push(rw.b.dict(dict_name(&col), DictOp::Decode, x));
                         changed = true;
@@ -398,7 +474,7 @@ impl Rule for StringDict<'_> {
 mod tests {
     use super::*;
     use dblab_catalog::{ColType, TableDef};
-    use dblab_ir::expr::Annot;
+    use dblab_ir::expr::Layout;
     use dblab_ir::{FieldDef, Level, StructDef};
 
     fn schema() -> Schema {
@@ -410,9 +486,9 @@ mod tests {
         Schema::new(vec![t])
     }
 
-    fn program(op: PrimOp, konst: &str) -> Program {
-        let mut b = IrBuilder::new();
-        let sid = b.structs.register(StructDef {
+    /// The record type of table `t`, its two columns as fields.
+    fn table_record(b: &mut IrBuilder) -> dblab_ir::StructId {
+        b.structs.register(StructDef {
             name: "t".into(),
             fields: vec![
                 FieldDef {
@@ -424,22 +500,18 @@ mod tests {
                     ty: Type::String,
                 },
             ],
-        });
-        let arr = b.load_table("t", sid);
+        })
+    }
+
+    fn program(op: PrimOp, konst: &str) -> Program {
+        let mut b = IrBuilder::new();
+        let sid = table_record(&mut b);
+        let arr = b.load_table("t", sid, Layout::Columnar);
         b.prim(PrimOp::TimerStart, vec![]);
         let len = b.array_len(arr.clone());
         b.for_range(Atom::Int(0), len, |bb, i| {
             let rec = bb.array_get(arr.clone(), i);
             let s = bb.field_get(rec, sid, 1);
-            if let Atom::Sym(sy) = s {
-                bb.annotate(
-                    sy,
-                    Annot::Column {
-                        table: "t".into(),
-                        field: 1,
-                    },
-                );
-            }
             let p = bb.prim(op, vec![s.clone(), Atom::Str(konst.into())]);
             bb.if_then(p, |bb| bb.printf("%s\n", vec![s]));
         });
@@ -489,5 +561,60 @@ mod tests {
         let p = program(PrimOp::StrEq, "hello");
         let q = apply(&p, &s);
         assert!(text(&q).contains("strEq"));
+    }
+
+    /// A string column that reaches `StrEq` only through a join record's
+    /// field: the build side copies `t_s` into a `Rec`, the probe side
+    /// compares the copy. Provenance follows the copy, so the column gets
+    /// a dictionary and both the base field and the copy become codes.
+    #[test]
+    fn a_column_compared_through_a_join_record_is_chosen() {
+        let mut b = IrBuilder::new();
+        let sid = table_record(&mut b);
+        let rec = b.structs.register(StructDef {
+            name: "Rec".into(),
+            fields: vec![
+                FieldDef {
+                    name: "k".into(),
+                    ty: Type::Int,
+                },
+                FieldDef {
+                    name: "s".into(),
+                    ty: Type::String,
+                },
+            ],
+        });
+        let arr = b.load_table("t", sid, Layout::Columnar);
+        b.prim(PrimOp::TimerStart, vec![]);
+        let mm = b.multimap_new(Type::Int, Type::Record(rec), 100);
+        let len = b.array_len(arr.clone());
+        b.for_range(Atom::Int(0), len.clone(), |bb, i| {
+            let row = bb.array_get(arr.clone(), i);
+            let k = bb.field_get(row.clone(), sid, 0);
+            let s = bb.field_get(row, sid, 1);
+            let r = bb.struct_new_pooled(rec, vec![k.clone(), s], 100);
+            bb.multimap_add(mm.clone(), k, r);
+        });
+        b.for_range(Atom::Int(0), len, |bb, i| {
+            let row = bb.array_get(arr.clone(), i);
+            let k = bb.field_get(row, sid, 0);
+            bb.multimap_foreach_at(mm.clone(), k, |bb, r| {
+                let s = bb.field_get(r, rec, 1);
+                let p = bb.prim(PrimOp::StrEq, vec![s, Atom::Str("hello".into())]);
+                bb.if_then(p, |bb| bb.printf("match\n", vec![]));
+            });
+        });
+        let p = b.finish(Atom::Unit, Level::MapList);
+
+        let q = apply(&p, &schema());
+        let t = text(&q);
+        assert!(t.contains("lookup"), "{t}");
+        assert!(!t.contains("strEq"), "{t}");
+        assert_eq!(q.structs.get(sid).fields[1].ty, Type::Int);
+        assert_eq!(
+            q.structs.get(rec).fields[1].ty,
+            Type::Int,
+            "the copy is retyped"
+        );
     }
 }

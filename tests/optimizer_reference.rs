@@ -18,7 +18,7 @@
 use std::collections::{HashMap, HashSet};
 
 use dblab::ir::effects::effects_of;
-use dblab::ir::expr::{Annot, Atom, BinOp, Block, Expr, Program, Stmt, Sym};
+use dblab::ir::expr::{Atom, BinOp, Block, Expr, Program, Stmt, Sym};
 use dblab::ir::hash::program_hash;
 use dblab::ir::opt::{compact, dce, inline_aliases, optimize};
 use dblab::ir::{Level, StructRegistry, Type};
@@ -178,22 +178,11 @@ fn optimize_reference(mut p: Program, max_iters: usize) -> Program {
 // Comparison
 // -------------------------------------------------------------------
 
-fn sorted_annots(p: &Program) -> Vec<(Sym, Vec<Annot>)> {
-    let mut v: Vec<(Sym, Vec<Annot>)> = p.annots.iter().map(|(s, a)| (*s, a.clone())).collect();
-    v.sort_by_key(|(s, _)| *s);
-    v
-}
-
 fn assert_same(label: &str, got: &Program, want: &Program) {
     // Plain `assert!`: a failing `assert_eq!` would print two whole bodies.
     assert!(got.body == want.body, "{label}: bodies differ");
     assert_eq!(got.sym_types, want.sym_types, "{label}: sym_types");
     assert_eq!(got.level, want.level, "{label}: level");
-    assert_eq!(
-        sorted_annots(got),
-        sorted_annots(want),
-        "{label}: annotations"
-    );
 }
 
 /// Run both DCEs on `input` and require equal programs; returns the
@@ -489,7 +478,6 @@ fn random_program(seed: u64) -> Program {
         body,
         sym_types: g.sym_types,
         level: Level::CScala,
-        annots: Default::default(),
     }
 }
 

@@ -327,8 +327,8 @@ fn single_node_mutations_change_the_hash() {
 
 /// The hash is stable across two process-independent constructions of
 /// the same query plan: nothing address- or iteration-order-dependent
-/// leaks into the fingerprint (annotations live in a HashMap, whose raw
-/// iteration order differs between the two compiles).
+/// leaks into the fingerprint (the passes' own HashMaps iterate in a
+/// different order in each of the two compiles).
 #[test]
 fn hash_is_stable_across_independent_constructions() {
     use dblab::ir::hash::program_hash;

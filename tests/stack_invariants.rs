@@ -4,7 +4,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dblab::ir::expr::{Annot, Atom, Block, DictOp, Expr, Layout, Sym};
+use dblab::ir::expr::{Atom, Block, DictOp, Expr, Layout, Sym, DEFAULT_POOL};
 use dblab::ir::level::{validate, validate_window, Level};
 use dblab::ir::{BinOp, PrimOp, Program, StructId, Type, UnOp};
 use dblab::tpch;
@@ -289,7 +289,7 @@ fn no_level5_record_field_is_only_copied_into_dead_fields() {
     let cq = dblab::transform::compile(&tpch::queries::query(7), &schema, &StackConfig::level5());
     let mut read = Vec::new();
     cq.program.body.for_each_stmt(&mut |st| {
-        if let Expr::LoadTable { table, sid } = &st.expr {
+        if let Expr::LoadTable { table, sid, .. } = &st.expr {
             if &**table == "lineitem" {
                 let fields = &cq.program.structs.get(*sid).fields;
                 read.push(
@@ -345,7 +345,7 @@ fn dead_fields(p: &Program, schema: &dblab::catalog::Schema) -> Vec<(StructId, u
                     u.getter.insert(st.sym, (*sid, *field));
                     escape(obj, u);
                 }
-                Expr::StructNew { sid, args } => {
+                Expr::StructNew { sid, args, .. } => {
                     for (j, a) in args.iter().enumerate() {
                         if let Atom::Sym(s) = a {
                             u.copies.push(((*sid, j), *s));
@@ -363,7 +363,7 @@ fn dead_fields(p: &Program, schema: &dblab::catalog::Schema) -> Vec<(StructId, u
                         u.copies.push(((*sid, *field), *s));
                     }
                 }
-                Expr::LoadTable { sid, table } => u.tables.push((*sid, table.to_string())),
+                Expr::LoadTable { sid, table, .. } => u.tables.push((*sid, table.to_string())),
                 Expr::LoadIndexUnique { table, field }
                 | Expr::LoadIndexStarts { table, field }
                 | Expr::LoadIndexItems { table, field } => {
@@ -466,16 +466,22 @@ variants! {PrimOp, prim_variant, PRIM_OP, [
     HashStr, TimerStart, TimerStop, PrintRusage,
 ]}
 variants! {DictOp, dict_variant, DICT_OP, [Lookup, RangeStart, RangeEnd, Decode]}
-variants! {Annot, annot_variant, ANNOT, [SizeHint, DenseKey, HasMinMax, Column, TableLayout]}
 variants! {Layout, layout_variant, LAYOUT, [Boxed, Columnar]}
 
+/// The decisions allocation nodes carry, each of which some pass reads:
+/// a dense `HashMapNew` with a single and with a composite key, one
+/// whose aggregates include a min or max, a bounded `ListNew` and a
+/// `StructNew` with an estimated (non-default) pool.
+const FIELDS: &[&str] = &["dense", "dense composite", "has_minmax", "bound", "pool"];
+
 /// The IR keeps only vocabulary the stack emits: every variant of the
-/// node, operator, annotation and layout enums occurs in some stage
-/// program of the `ir_digest` corpus (the 22 queries and the three QMonad
-/// queries at every Table 3 configuration, one thread and two), the
-/// parameterized templates, or one of two small plans (a negated column,
-/// the average of an `Int` column). `Expr::Atom` is the exception the
-/// other way: the builder folds every alias, so no program holds one.
+/// node, operator and layout enums (a layout on some `LoadTable`), and
+/// every value of [`FIELDS`], occurs in some stage program of the
+/// `ir_digest` corpus (the 22 queries and the three QMonad queries at
+/// every Table 3 configuration, one thread and two), the parameterized
+/// templates, or one of two small plans (a negated column, the average
+/// of an `Int` column). `Expr::Atom` is the exception the other way: the
+/// builder folds every alias, so no program holds one.
 #[test]
 fn every_ir_variant_is_emitted_by_some_compile() {
     use dblab::frontend::expr::col;
@@ -522,17 +528,26 @@ fn every_ir_variant_is_emitted_by_some_compile() {
                             Expr::Un(op, _) => ("UnOp", un_variant(op)),
                             Expr::Prim(op, _) => ("PrimOp", prim_variant(op)),
                             Expr::Dict { op, .. } => ("DictOp", dict_variant(op)),
+                            Expr::LoadTable { layout, .. } => ("Layout", layout_variant(layout)),
                             _ => ("Expr", expr_variant(&st.expr)),
                         });
-                    });
-                    for (_, annots) in p.annots.iter() {
-                        for a in annots {
-                            seen.insert(("Annot", annot_variant(a)));
-                            if let Annot::TableLayout(l) = a {
-                                seen.insert(("Layout", layout_variant(l)));
+                        let field = match &st.expr {
+                            Expr::HashMapNew { dense: Some(d), .. } if d.composite => {
+                                Some("dense composite")
                             }
+                            Expr::HashMapNew { dense: Some(_), .. } => Some("dense"),
+                            Expr::ListNew { bound: Some(_), .. } => Some("bound"),
+                            Expr::StructNew { pool, .. } if *pool != DEFAULT_POOL => Some("pool"),
+                            _ => None,
+                        };
+                        seen.extend(field.map(|f| ("field", f)));
+                        if let Expr::HashMapNew {
+                            has_minmax: true, ..
+                        } = st.expr
+                        {
+                            seen.insert(("field", "has_minmax"));
                         }
-                    }
+                    });
                 }
             }
         }
@@ -543,8 +558,8 @@ fn every_ir_variant_is_emitted_by_some_compile() {
         ("UnOp", UN_OP),
         ("PrimOp", PRIM_OP),
         ("DictOp", DICT_OP),
-        ("Annot", ANNOT),
         ("Layout", LAYOUT),
+        ("field", FIELDS),
     ];
     let missing: Vec<String> = (every.iter())
         .flat_map(|(ty, vs)| vs.iter().map(move |v| (*ty, *v)))
@@ -559,7 +574,7 @@ fn every_ir_variant_is_emitted_by_some_compile() {
 }
 
 /// A map a level-5 lowering may hash, in the order pipelining emits it:
-/// `sized` is the plan whose expected rows annotate the map, `truth` the
+/// `sized` is the plan whose expected rows size the map, `truth` the
 /// plan whose oracle row count is the number of entries it holds.
 struct MapSite<'p> {
     join: bool,
@@ -838,17 +853,19 @@ fn hashed_map_estimates_hold_a_q_error_bound() {
         let lowered = lower_program(&prog, schema, &StackConfig::level5());
         let mut maps = [Vec::new(), Vec::new()];
         lowered.body.for_each_stmt(&mut |st| match st.expr {
-            Expr::MultiMapNew { .. } => maps[1].push(st.sym),
-            Expr::HashMapNew { .. } => maps[0].push(st.sym),
+            Expr::MultiMapNew { expected, .. } => maps[1].push((expected, false)),
+            Expr::HashMapNew {
+                expected, dense, ..
+            } => maps[0].push((expected, dense.is_some())),
             _ => {}
         });
         for join in [false, true] {
             let of_kind: Vec<&MapSite> = sites.iter().filter(|s| s.join == join).collect();
             assert_eq!(of_kind.len(), maps[join as usize].len(), "Q{n}: map sites");
-            for (site, &sym) in of_kind.into_iter().zip(&maps[join as usize]) {
+            for (site, &(expected, dense)) in of_kind.into_iter().zip(&maps[join as usize]) {
                 let est = expected_rows(site.sized, schema);
-                assert_eq!(lowered.annots.size_hint(sym), Some(est), "Q{n}: SizeHint");
-                if lowered.annots.dense_key(sym).is_some() {
+                assert_eq!(expected, est, "Q{n}: expected size");
+                if dense {
                     continue;
                 }
                 let truth = dblab::engine::execute_program(
