@@ -17,6 +17,7 @@ use dblab_catalog::{ColType, Schema};
 use dblab_ir::expr::{Atom, BinOp, Block, DictOp, Expr, Layout, PrimOp, Stmt, Sym, UnOp};
 use dblab_ir::types::StructId;
 use dblab_ir::{Program, Type};
+use dblab_runtime::snapshot::{KEY_RANGE_PER_ROW, KEY_RANGE_SLACK};
 
 use crate::tables::TableInfo;
 
@@ -313,6 +314,32 @@ impl<'p> Emitter<'p> {
         self.top.push('\n');
     }
 
+    /// C that sets `max` to the largest key of `table`'s key array for
+    /// column `field`, refusing what `Snapshot::index_keys` refuses for
+    /// the in-process tiers, by the same limits: a negative key, or one
+    /// beyond `KEY_RANGE_SLACK + KEY_RANGE_PER_ROW` × rows, exits non-zero
+    /// naming the column and the row instead of indexing with it.
+    fn key_max(&self, table: &str, field: usize) -> String {
+        let t = ident(table);
+        let def = self.schema.table(table);
+        let place = c_string(&format!(
+            "{}.tbl column `{}`",
+            def.name, def.columns[field].name
+        ));
+        let (slack, per_row) = (KEY_RANGE_SLACK, KEY_RANGE_PER_ROW);
+        format!(
+            "    int32_t max = 0;
+    int64_t limit = (int64_t){slack} + (int64_t){per_row} * n;
+    for (int64_t i = 0; i < n; i++) {{
+        int32_t k = g_{t}_key_{field}[i];
+        if (k < 0) {{ fprintf(stderr, \"%s: negative index key %d in row %lld\\n\", {place}, k, (long long)(i + 1)); exit(1); }}
+        if (k > limit) {{ fprintf(stderr, \"%s: index key %d in row %lld is out of proportion to %lld rows\\n\", {place}, k, (long long)(i + 1), (long long)n); exit(1); }}
+        if (k > max) max = k;
+    }}
+"
+        )
+    }
+
     /// Index builders (Figure 7 pre-computation): unique row-position
     /// arrays and CSR partitions, built from the standalone key arrays.
     fn emit_index_builders(&mut self, b: &Block) {
@@ -331,8 +358,7 @@ impl<'p> Emitter<'p> {
                         let mut s = String::new();
                         let _ = writeln!(s, "static {arr} {name}(void) {{");
                         let _ = writeln!(s, "    int64_t n = g_{t}_len;");
-                        let _ = writeln!(s, "    int32_t max = 0;");
-                        let _ = writeln!(s, "    for (int64_t i = 0; i < n; i++) if (g_{t}_key_{field}[i] > max) max = g_{t}_key_{field}[i];");
+                        s.push_str(&self.key_max(table, *field));
                         let _ = writeln!(s, "    {arr} out; out.len = (int64_t)max + 2;");
                         let _ = writeln!(
                             s,
@@ -364,8 +390,7 @@ impl<'p> Emitter<'p> {
                         let _ = writeln!(s, "    if (g_csr_{t}_{field}_built) return;");
                         let _ = writeln!(s, "    g_csr_{t}_{field}_built = 1;");
                         let _ = writeln!(s, "    int64_t n = g_{t}_len;");
-                        let _ = writeln!(s, "    int32_t max = 0;");
-                        let _ = writeln!(s, "    for (int64_t i = 0; i < n; i++) if (g_{t}_key_{field}[i] > max) max = g_{t}_key_{field}[i];");
+                        s.push_str(&self.key_max(table, *field));
                         let _ = writeln!(s, "    int64_t sn = (int64_t)max + 2;");
                         let _ = writeln!(
                             s,

@@ -80,10 +80,10 @@ impl Fingerprint {
 
 /// Largest key an index may span beyond [`KEY_RANGE_PER_ROW`] × rows: lets
 /// small tables carry sparse keys without letting one stray key size an
-/// allocation.
-const KEY_RANGE_SLACK: usize = 1 << 16;
+/// allocation. The C index builders apply the same limits.
+pub const KEY_RANGE_SLACK: usize = 1 << 16;
 /// TPC-H's sparsest indexed key (`o_orderkey`) spans 4× its row count.
-const KEY_RANGE_PER_ROW: usize = 64;
+pub const KEY_RANGE_PER_ROW: usize = 64;
 
 /// One table of a [`Snapshot`] and its lazily built side structures.
 /// Dereferences to the [`Table`] itself.

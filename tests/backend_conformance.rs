@@ -13,7 +13,7 @@ use dblab::codegen::{backends, same_normalized, Compiler};
 use dblab::engine;
 use dblab::frontend::expr::{col, lit_c, lit_i};
 use dblab::frontend::qplan::{AggFunc, QPlan, QueryProgram};
-use dblab::runtime::{Database, Table, Value};
+use dblab::runtime::{ColData, Database, Table, Value};
 use dblab::tpch;
 use dblab::transform::StackConfig;
 
@@ -212,4 +212,54 @@ fn threads_one_is_exactly_the_serial_stack() {
             );
         }
     }
+}
+
+/// A key column no index can be built over is outside input the gcc
+/// binary refuses, as `Snapshot::index_keys` does for the in-process
+/// tiers (`server_resident`'s `an_unindexable_key_column_answers_internal_then_recovers`):
+/// Q3 probes `customer` through its unique `c_custkey` index, and with
+/// row 5's key negated the binary exits non-zero naming the table, the
+/// column and the row instead of writing before the index array. Once
+/// the file is repaired the same binary answers like the oracle.
+#[test]
+fn gcc_refuses_an_unindexable_key_column_then_recovers() {
+    let gcc = dblab::codegen::backend("gcc").expect("registered");
+    if !gcc.available() {
+        eprintln!("SKIP backend `gcc` (requires {})", gcc.requirement());
+        return;
+    }
+    let (db, data) = setup("badkey");
+    let q3 = tpch::queries::query(3);
+    let art = Compiler::new(&db.schema)
+        .backend(gcc)
+        .out_dir(&std::env::temp_dir().join("dblab_conf_gen"))
+        .compile_named(&q3, "bc_badkey_q3")
+        .expect("build");
+    assert!(
+        art.source.contains("build_uidx_customer_0"),
+        "Q3 indexes c_custkey"
+    );
+
+    let customer = db.table("customer");
+    let mut broken = customer.clone();
+    let ColData::Int(keys) = &mut broken.cols[0] else {
+        panic!("c_custkey is an int column")
+    };
+    keys[4] = -keys[4];
+    let path = data.join("customer.tbl");
+    broken.write_tbl(&path).expect("break customer.tbl");
+    let msg = art
+        .run(&data)
+        .expect_err("no index over a negative key")
+        .to_string();
+    assert!(msg.contains("customer.tbl column `c_custkey`"), "{msg}");
+    assert!(
+        msg.contains("negative index key") && msg.contains("row 5"),
+        "{msg}"
+    );
+
+    customer.write_tbl(&path).expect("repair customer.tbl");
+    let expect = engine::execute_program(&q3, &db).to_text();
+    let out = art.run(&data).expect("run after the repair");
+    assert!(same_normalized(&expect, &out.stdout), "rows diverge");
 }
