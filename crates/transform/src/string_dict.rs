@@ -17,7 +17,7 @@
 //! ("string dictionaries can actually degrade performance when used for
 //! primary keys or attributes with many distinct values"). The analysis
 //! finds attribute uses through column provenance it derives from the
-//! program itself ([`Provenance`]): a base record's field holds the column
+//! program itself (`Provenance`): a base record's field holds the column
 //! it is named after, and a field every store fills from one column holds
 //! that column, so predicates keep qualifying after records cross hash
 //! tables.

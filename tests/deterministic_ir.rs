@@ -10,8 +10,7 @@ use dblab::ir::hash::program_hash;
 use dblab::transform::{memo, StackConfig};
 
 /// Q16, Q17 and Q19 once gave two or three hashes over four cold
-/// compiles: every rewrite re-added an annotation a loaded table already
-/// carried, and the string-dictionary pass attached its annotations in
+/// compiles, when facts a rewrite carried beside the IR landed in
 /// hash-map order.
 #[test]
 fn two_cold_compiles_of_every_level5_query_hash_equal() {

@@ -814,7 +814,7 @@ fn primary_key_joins_probe_a_unique_index() {
 /// map of the 22 level-5 queries, the Volcano oracle runs the build side,
 /// or counts the groups. The map sites are matched to the lowered
 /// program's `MultiMapNew`/`HashMapNew`s in emission order, and each
-/// `SizeHint` must equal `pipeline::expected_rows` of its plan. Dense
+/// `expected` size must equal `pipeline::expected_rows` of its plan. Dense
 /// group-bys (arrays indexed by key) are not hashed, so not checked.
 ///
 /// An over-estimate only leaves slots empty; an under-estimate lengthens
