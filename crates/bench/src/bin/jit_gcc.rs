@@ -10,8 +10,10 @@
 //! runs every query once on the jit and once on gcc, so the two backends
 //! see the same machine state. The first round's output of every query
 //! is compared with the Volcano oracle's. Prints each query's best
-//! in-query time per backend, their ratio, and the geomeans; exits
-//! non-zero if any backend's result disagrees with the oracle.
+//! in-query time per backend, their ratio, gcc's median whole-run wall
+//! time (spawn, `.tbl` loading and the query: what a caller of the binary
+//! waits for), and the geomeans; exits non-zero if any backend's result
+//! disagrees with the oracle.
 
 use dblab_bench::{data_dir, gen_dir, Args};
 use dblab_codegen::{backend, same_normalized, Compiler};
@@ -40,9 +42,12 @@ fn main() {
         .collect();
     let mut wrong = Vec::new();
     let mut best = vec![[f64::INFINITY; 2]; built.len()];
+    let mut gcc_walls = vec![Vec::new(); built.len()];
     for round in 0..args.runs.max(1) {
-        for (((arts, best), oracle), q) in
-            built.iter().zip(&mut best).zip(&oracles).zip(&args.queries)
+        for ((((arts, best), walls), oracle), q) in (built.iter().zip(&mut best))
+            .zip(&mut gcc_walls)
+            .zip(&oracles)
+            .zip(&args.queries)
         {
             for ((art, ms), b) in arts.iter().zip(best.iter_mut()).zip(["jit", "gcc"]) {
                 let out = art.exe.run(&data).expect("run");
@@ -50,22 +55,42 @@ fn main() {
                     wrong.push(format!("Q{q} on {b}"));
                 }
                 *ms = ms.min(out.query_ms);
+                if b == "gcc" {
+                    walls.push(out.wall.as_secs_f64() * 1e3);
+                }
             }
         }
     }
+    let walls: Vec<f64> = (gcc_walls.iter_mut())
+        .map(|w| {
+            w.sort_by(f64::total_cmp);
+            w[w.len() / 2]
+        })
+        .collect();
     println!(
-        "# in-query ms, SF {}, threads {}, best of {}",
+        "# in-query ms, SF {}, threads {}, best of {}; gcc wall: median whole run",
         args.sf, cfg.threads, args.runs
     );
-    println!("{:<6}{:>10}{:>10}{:>8}", "query", "jit", "gcc", "jit/gcc");
-    let mut logs = [0.0; 2];
-    for (&q, [jit, gcc]) in args.queries.iter().zip(&best) {
-        println!("Q{q:<5}{jit:>10.3}{gcc:>10.3}{:>8.2}", jit / gcc);
+    println!(
+        "{:<6}{:>10}{:>10}{:>8}{:>10}",
+        "query", "jit", "gcc", "jit/gcc", "gcc wall"
+    );
+    let mut logs = [0.0; 3];
+    for ((&q, [jit, gcc]), wall) in args.queries.iter().zip(&best).zip(&walls) {
+        println!(
+            "Q{q:<5}{jit:>10.3}{gcc:>10.3}{:>8.2}{wall:>10.3}",
+            jit / gcc
+        );
         logs[0] += jit.ln();
         logs[1] += gcc.ln();
+        logs[2] += wall.ln();
     }
-    let [jit, gcc] = logs.map(|l| (l / best.len() as f64).exp());
-    println!("{:<6}{jit:>10.3}{gcc:>10.3}{:>8.2}", "geo", jit / gcc);
+    let [jit, gcc, wall] = logs.map(|l| (l / best.len() as f64).exp());
+    println!(
+        "{:<6}{jit:>10.3}{gcc:>10.3}{:>8.2}{wall:>10.3}",
+        "geo",
+        jit / gcc
+    );
     if !wrong.is_empty() {
         eprintln!("results disagree with the oracle: {}", wrong.join(", "));
         std::process::exit(1);

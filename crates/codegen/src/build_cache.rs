@@ -3,10 +3,13 @@
 //!
 //! `Backend::emit` is a pure `Program -> String` function (a trait
 //! contract since the backend seam landed), so the emitted source text is
-//! a complete key for the toolchain invocation that follows: identical
-//! source through the same backend yields an identical binary. This
-//! module memoizes `Backend::build` on `(backend name, source hash)` and
-//! hands back the previously built artifact on a hit — the gcc
+//! a complete key for the toolchain invocation that follows — together
+//! with the runtime header every generated C file includes
+//! ([`crate::runtime::DBLAB_RUNTIME_H`], the `.tbl` loader's helpers among
+//! it): identical source and header through the same backend yield an
+//! identical binary. This module memoizes `Backend::build` on `(backend
+//! name, header hash, source hash)` and hands back the previously built
+//! artifact on a hit — the gcc
 //! fork+exec is the dominant cost of Figure 9, and benches rebuild
 //! byte-identical programs constantly (repetitions, overlapping
 //! configurations that lower to the same C.Scala program).
@@ -21,13 +24,15 @@
 //!
 //! ## The on-disk index
 //!
-//! The key — `(backend name, FNV-1a of emitted source)` — contains no
-//! pointers, no timestamps and no process state, so it is just as valid
-//! in the *next* process as in this one. [`enable_persistence`] attaches
-//! a hand-rolled index file (`build_cache.index`, one `v1` line per
-//! artifact, tab-separated — see [`INDEX_FILE`]) next to the gen dir:
-//! entries whose artifact still exists on disk are restored into the
-//! in-memory table at attach time, and every subsequent toolchain build
+//! The key — `(backend name, FNV-1a of the runtime header, FNV-1a of
+//! emitted source)` — contains no pointers, no timestamps and no process
+//! state, so it is just as valid in the *next* process as in this one.
+//! [`enable_persistence`] attaches a hand-rolled index file
+//! (`build_cache.index`, one `v2` line per artifact, tab-separated — see
+//! [`INDEX_FILE`]) next to the gen dir: entries built against this
+//! header whose artifact still exists on disk are restored into the
+//! in-memory table at attach time (a binary built against an older
+//! loader never is), and every subsequent toolchain build
 //! appends its line. A warm start after a restart therefore skips
 //! gcc exactly like a warm compile within one process; hits served
 //! from restored entries are additionally counted in [`disk_stats`] so
@@ -58,16 +63,20 @@ struct CachedBuild {
 /// entry per line:
 ///
 /// ```text
-/// v1<TAB>backend<TAB>source-hash-hex<TAB>artifact-path
+/// v2<TAB>backend<TAB>header-hash-hex<TAB>source-hash-hex<TAB>artifact-path
 /// ```
 ///
 /// `artifact-path` is relative to the index's directory when the artifact
 /// lives under it (the normal case), absolute otherwise. Unknown versions
-/// or backends and entries whose artifact vanished are skipped on load —
-/// the index is a cache, never a source of truth.
+/// (`v1` lines carry no header hash) or backends, entries built against
+/// another runtime header and entries whose artifact vanished are skipped
+/// on load — the index is a cache, never a source of truth.
 pub const INDEX_FILE: &str = "build_cache.index";
 
-static CACHE: OnceLock<Mutex<HashMap<(&'static str, u64), CachedBuild>>> = OnceLock::new();
+/// `(backend name, header hash, source hash)`.
+type Key = (&'static str, u64, u64);
+
+static CACHE: OnceLock<Mutex<HashMap<Key, CachedBuild>>> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 /// Hits served by entries restored from the on-disk index.
@@ -83,8 +92,15 @@ static WRITE_FAILURES: AtomicU64 = AtomicU64::new(0);
 /// [`DiskCacheStats::write_failures`] counter moves.
 static WARNED_WRITE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
-fn cache() -> &'static Mutex<HashMap<(&'static str, u64), CachedBuild>> {
+fn cache() -> &'static Mutex<HashMap<Key, CachedBuild>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// FNV-1a of the runtime header this build of the crate writes next to
+/// every generated program.
+fn header_hash() -> u64 {
+    static HASH: OnceLock<u64> = OnceLock::new();
+    *HASH.get_or_init(|| str_hash(crate::runtime::DBLAB_RUNTIME_H))
 }
 
 /// Cumulative process-wide counters (monotone; callers assert on deltas).
@@ -189,17 +205,25 @@ pub fn enable_persistence(dir: &Path) -> io::Result<usize> {
         let text = std::fs::read_to_string(&index)?;
         // Parse first (first line per key wins, matching the in-memory
         // insert below), then restore, then compact.
-        let mut entries: Vec<((&'static str, u64), PathBuf)> = Vec::new();
+        let mut entries: Vec<(Key, PathBuf)> = Vec::new();
         for line in text.lines() {
             let mut f = line.split('\t');
-            let (Some("v1"), Some(bname), Some(hex), Some(path)) =
-                (f.next(), f.next(), f.next(), f.next())
+            let (Some("v2"), Some(bname), Some(header), Some(hex), Some(path)) =
+                (f.next(), f.next(), f.next(), f.next(), f.next())
             else {
                 continue; // unknown version / torn line: skip, never fail
             };
-            let Ok(hash) = u64::from_str_radix(hex, 16) else {
+            let (Ok(header), Ok(hash)) = (
+                u64::from_str_radix(header, 16),
+                u64::from_str_radix(hex, 16),
+            ) else {
                 continue;
             };
+            // Built against another loader: the same source no longer
+            // makes that binary.
+            if header != header_hash() {
+                continue;
+            }
             // Resolve through the registry so the key's backend name is
             // the canonical `&'static str`; an index entry for a backend
             // this build doesn't know is skipped.
@@ -214,7 +238,7 @@ pub fn enable_persistence(dir: &Path) -> io::Result<usize> {
                     dir.join(p)
                 }
             };
-            let key = (backend.name(), hash);
+            let key = (backend.name(), header, hash);
             if binary.exists() && !entries.iter().any(|(k, _)| *k == key) {
                 entries.push((key, binary));
             }
@@ -236,10 +260,7 @@ pub fn enable_persistence(dir: &Path) -> io::Result<usize> {
         // and everything still works, it just stays append-only.
         let compacted: String = entries
             .iter()
-            .map(|((bname, hash), binary)| {
-                let rel = binary.strip_prefix(dir).unwrap_or(binary);
-                format!("v1\t{bname}\t{hash:016x}\t{}\n", rel.display())
-            })
+            .map(|(key, binary)| index_line(*key, binary.strip_prefix(dir).unwrap_or(binary)))
             .collect();
         let _ = std::fs::write(&index, compacted);
     }
@@ -265,7 +286,15 @@ pub fn persistence_enabled() -> bool {
 /// is no longer silent either: each failure bumps
 /// [`DiskCacheStats::write_failures`], and the first one per process warns
 /// on stderr so an operator learns the cache stopped surviving restarts.
-fn persist_entry(backend: &'static str, hash: u64, binary: &Path) {
+/// One index line for `key`'s artifact at `path`.
+fn index_line((backend, header, hash): Key, path: &Path) -> String {
+    format!(
+        "v2\t{backend}\t{header:016x}\t{hash:016x}\t{}\n",
+        path.display()
+    )
+}
+
+fn persist_entry(key: Key, binary: &Path) {
     let guard = PERSIST.lock().unwrap();
     let Some(index) = guard.as_ref() else {
         return;
@@ -274,7 +303,7 @@ fn persist_entry(backend: &'static str, hash: u64, binary: &Path) {
         .parent()
         .and_then(|d| binary.strip_prefix(d).ok())
         .unwrap_or(binary);
-    let line = format!("v1\t{backend}\t{hash:016x}\t{}\n", rel.display());
+    let line = index_line(key, rel);
     let wrote = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -302,7 +331,7 @@ pub fn build_with_cache(
     if !backend.cacheable() {
         return backend.build(input).map(|exe| (exe, false));
     }
-    let key = (backend.name(), str_hash(input.source));
+    let key = (backend.name(), header_hash(), str_hash(input.source));
     // Bind the lookup before touching the mutex again: an if-let scrutinee
     // keeps its MutexGuard alive for the whole block, so re-locking inside
     // would self-deadlock on the stale-entry path.
@@ -337,7 +366,7 @@ pub fn build_with_cache(
                 from_disk: false,
             },
         );
-        persist_entry(key.0, key.1, binary);
+        persist_entry(key, binary);
     }
     Ok((exe, false))
 }
@@ -357,20 +386,21 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let art = dir.join("idx_unit_artifact");
         std::fs::write(&art, b"binary bytes").unwrap();
+        let h = format!("{:016x}", header_hash());
         std::fs::write(
             dir.join(INDEX_FILE),
             [
                 // Valid, relative path.
-                "v1\tgcc\t00000000deadbeef\tidx_unit_artifact".to_string(),
+                format!("v2\tgcc\t{h}\t00000000deadbeef\tidx_unit_artifact"),
                 // Valid but the artifact is gone.
-                "v1\tgcc\t00000000deadbee0\tidx_unit_gone".to_string(),
+                format!("v2\tgcc\t{h}\t00000000deadbee0\tidx_unit_gone"),
                 // Unknown version, unknown backend, bad hex, torn line.
-                "v2\tgcc\t00000000deadbee1\tidx_unit_artifact".to_string(),
-                "v1\tcranelift\t00000000deadbee2\tidx_unit_artifact".to_string(),
-                "v1\tgcc\tnot-hex\tidx_unit_artifact".to_string(),
-                "v1\tgcc".to_string(),
+                "v1\tgcc\t00000000deadbee1\tidx_unit_artifact".to_string(),
+                format!("v2\tcranelift\t{h}\t00000000deadbee2\tidx_unit_artifact"),
+                format!("v2\tgcc\t{h}\tnot-hex\tidx_unit_artifact"),
+                "v2\tgcc".to_string(),
                 // Valid, absolute path.
-                format!("v1\tgcc\t00000000deadbee3\t{}", art.display()),
+                format!("v2\tgcc\t{h}\t00000000deadbee3\t{}", art.display()),
             ]
             .join("\n"),
         )
@@ -385,6 +415,34 @@ mod tests {
         // The index file itself is left alone by detaching.
         assert!(dir.join(INDEX_FILE).exists());
     }
+
+    /// A binary built against another runtime header is another loader:
+    /// its entry is not revived, although its artifact exists and its
+    /// source hash is one this process would build; the same entry under
+    /// this header is.
+    #[test]
+    fn entries_built_against_another_header_are_not_revived() {
+        let _serial = PERSIST_TEST_LOCK.lock().unwrap();
+        let dir = std::env::temp_dir().join("dblab_bc_header_unit");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("hdr_artifact"), b"binary bytes").unwrap();
+        let source = "/* entries_built_against_another_header_are_not_revived */";
+        let entry =
+            |header: u64| index_line(("gcc", header, str_hash(source)), Path::new("hdr_artifact"));
+        std::fs::write(dir.join(INDEX_FILE), entry(header_hash() ^ 1)).unwrap();
+        assert_eq!(enable_persistence(&dir).expect("load index"), 0);
+        assert_eq!(
+            std::fs::read_to_string(dir.join(INDEX_FILE)).unwrap(),
+            "",
+            "compaction drops the stale entry"
+        );
+        std::fs::write(dir.join(INDEX_FILE), entry(header_hash())).unwrap();
+        assert_eq!(enable_persistence(&dir).expect("load index"), 1);
+        disable_persistence();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn failed_index_appends_are_counted_not_swallowed() {
         let _serial = PERSIST_TEST_LOCK.lock().unwrap();
@@ -401,7 +459,7 @@ mod tests {
         let art = dir.join("wfail_artifact");
         std::fs::write(&art, b"bytes").unwrap();
         let before = disk_stats();
-        persist_entry("gcc", 0xfeed, &art);
+        persist_entry(("gcc", header_hash(), 0xfeed), &art);
         assert_eq!(
             disk_stats().since(&before).write_failures,
             1,
@@ -409,7 +467,7 @@ mod tests {
         );
         // The compile path itself must stay unaffected: counting is the
         // whole fix, not new failure modes.
-        persist_entry("gcc", 0xfeee, &art);
+        persist_entry(("gcc", header_hash(), 0xfeee), &art);
         assert_eq!(disk_stats().since(&before).write_failures, 2);
         disable_persistence();
         let _ = std::fs::remove_dir_all(&dir);

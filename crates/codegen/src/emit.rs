@@ -2,7 +2,10 @@
 //!
 //! Emits one self-contained C translation unit per query: record typedefs,
 //! generated `.tbl` loaders (honouring each `LoadTable`'s layout and the
-//! columns and dictionary codes its record type reads), index/partition
+//! columns and dictionary codes its record type reads; each row is
+//! tokenized up to the last column read and skipped from there with
+//! `memchr`, its numbers parsed once by the runtime header's checked
+//! parsers, its dictionaries encoded in one pass), index/partition
 //! builders (Figure 7's pre-computation), per-key-type hash/equality
 //! functions for the generic containers, sort comparators, and a `main`
 //! that loads, runs and prints — "a stand-alone
@@ -252,51 +255,96 @@ impl<'p> Emitter<'p> {
                 "    char** raw_{c} = (char**)malloc((size_t)n * sizeof(char*));"
             );
         }
-        // Parse loop: tokenize in place.
-        let _ = writeln!(s, "    char* p = buf;");
+        // Parse loop: tokenize in place up to the last column anything
+        // reads, then jump to the next line. `eol` is the row's `\n`; a
+        // scan for `|` that passes it found a short row, and the buffer's
+        // trailing `\n|` sentinel keeps every scan inside the buffer.
+        let read = |ci: usize| info.field_of[ci].is_some() || info.index_keys.contains(&ci);
+        let last = (0..def.columns.len()).rev().find(|&ci| read(ci));
+        let place = |ci: usize| {
+            c_string(&format!(
+                "{}.tbl column `{}`",
+                def.name, def.columns[ci].name
+            ))
+        };
+        let _ = writeln!(s, "    char* p = buf; char* end = buf + size + 1;");
         let _ = writeln!(s, "    for (int64_t row = 0; row < n; row++) {{");
+        let _ = writeln!(s, "        while (*p == '\\n') p++;");
+        let _ = writeln!(
+            s,
+            "        char* eol = (char*)memchr(p, '\\n', (size_t)(end - p));"
+        );
         if !matches!(info.layout, Layout::Columnar) {
             let rec = ident(&rec_def.name);
             let _ = writeln!(s, "        {rec}* r = ({rec}*)malloc(sizeof({rec}));");
             let _ = writeln!(s, "        g_{t}_rows[row] = r;");
         }
-        for (ci, col) in def.columns.iter().enumerate() {
+        for (ci, col) in def
+            .columns
+            .iter()
+            .enumerate()
+            .take(last.map_or(0, |l| l + 1))
+        {
+            // A field that ends its line leaves the next column missing;
+            // the table's final column may end there instead of at a `|`,
+            // as the in-process reader allows.
+            let close = match ci + 1 < def.columns.len() {
+                true => format!("if (p > eol) dblab_short_row({}, row);", place(ci + 1)),
+                false => "if (p > eol) p = eol;".to_string(),
+            };
+            if !read(ci) {
+                let _ = writeln!(s, "        while (*p != '|') p++; {close} p++;");
+                continue;
+            }
             let _ = writeln!(
                 s,
-                "        char* f{ci} = p; while (*p != '|') p++; *p = '\\0'; p++;"
+                "        char* f{ci} = p; while (*p != '|') p++; {close} *p = '\\0'; p++;"
             );
-            // Standalone key array (for index builders).
-            if info.index_keys.contains(&ci) {
-                let _ = writeln!(s, "        g_{t}_key_{ci}[row] = (int32_t)atoi(f{ci});");
-            }
             if info.dicts.contains(&ci) {
                 let _ = writeln!(s, "        raw_{ci}[row] = f{ci};");
                 continue;
             }
-            let Some(fp) = info.field_of[ci] else {
+            let place = place(ci);
+            let (ct, parse) = match col.ty {
+                ColType::Int => ("int32_t", format!("dblab_parse_int(f{ci}, {place}, row)")),
+                ColType::Long => ("int64_t", format!("dblab_parse_long(f{ci}, {place}, row)")),
+                ColType::Double => ("double", format!("dblab_parse_double(f{ci}, {place}, row)")),
+                ColType::Date => ("int32_t", format!("dblab_parse_date(f{ci})")),
+                ColType::Char => ("int32_t", format!("(int32_t)(unsigned char)f{ci}[0]")),
+                ColType::Bool => (
+                    "int32_t",
+                    format!("(strcmp(f{ci}, \"1\") == 0 || strcmp(f{ci}, \"true\") == 0)"),
+                ),
+                ColType::String => ("const char*", format!("f{ci}")),
+            };
+            let target = info.field_of[ci].map(|fp| {
+                let fname = ident(&rec_def.fields[fp].name);
+                match info.layout {
+                    Layout::Columnar => format!("g_{t}_{fname}[row]"),
+                    _ => format!("r->{fname}"),
+                }
+            });
+            if !info.index_keys.contains(&ci) {
+                let target = target.expect("a read column without a key has a field");
+                let _ = writeln!(s, "        {target} = {parse};");
                 continue;
+            }
+            // A key column is parsed once, for its key array and its field.
+            let key = match col.ty {
+                ColType::Long => format!("dblab_key_of_long(v{ci})"),
+                _ => format!("v{ci}"),
             };
-            let fname = ident(&rec_def.fields[fp].name);
-            let target = match info.layout {
-                Layout::Columnar => format!("g_{t}_{fname}[row]"),
-                _ => format!("r->{fname}"),
-            };
-            let parse = match col.ty {
-                ColType::Int | ColType::Bool => format!("(int32_t)atoi(f{ci})"),
-                ColType::Long => format!("(int64_t)atoll(f{ci})"),
-                ColType::Double => format!("strtod(f{ci}, NULL)"),
-                ColType::Date => format!("dblab_parse_date(f{ci})"),
-                ColType::Char => format!("(int32_t)(unsigned char)f{ci}[0]"),
-                ColType::String => format!("f{ci}"),
-            };
-            let _ = writeln!(s, "        {target} = {parse};");
+            let _ = writeln!(s, "        {ct} v{ci} = {parse};");
+            let _ = writeln!(s, "        g_{t}_key_{ci}[row] = {key};");
+            if let Some(target) = target {
+                let _ = writeln!(s, "        {target} = v{ci};");
+            }
         }
-        let _ = writeln!(s, "        while (*p == '\\n' || *p == '\\r') p++;");
+        let _ = writeln!(s, "        p = eol + 1;");
         let _ = writeln!(s, "    }}");
-        // Build dictionaries and re-encode their columns.
+        // Dictionary-encode the raw string columns into their fields.
         for &c in &info.dicts {
             let dict = format!("g_dict_{t}__{c}");
-            let _ = writeln!(s, "    {dict} = dblab_dict_build(raw_{c}, n);");
             let fp = info.field_of[c].expect("a dictionary column has a field");
             let fname = ident(&rec_def.fields[fp].name);
             assert!(
@@ -305,7 +353,7 @@ impl<'p> Emitter<'p> {
             );
             let _ = writeln!(
                 s,
-                "    for (int64_t i = 0; i < n; i++) g_{t}_{fname}[i] = dblab_dict_lookup(&{dict}, raw_{c}[i]);"
+                "    {dict} = dblab_dict_encode(raw_{c}, n, g_{t}_{fname});"
             );
             let _ = writeln!(s, "    free(raw_{c});");
         }

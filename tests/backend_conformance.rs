@@ -263,3 +263,101 @@ fn gcc_refuses_an_unindexable_key_column_then_recovers() {
     let out = art.run(&data).expect("run after the repair");
     assert!(same_normalized(&expect, &out.stdout), "rows diverge");
 }
+
+/// `text` with field `col` of 1-based row `row` replaced by `value`.
+fn with_field(text: &str, row: usize, col: usize, value: &str) -> String {
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    let mut fields: Vec<&str> = lines[row - 1].split('|').collect();
+    fields[col] = value;
+    lines[row - 1] = fields.join("|");
+    lines.join("\n") + "\n"
+}
+
+/// A number field that is not a number of its column's type is outside
+/// input the gcc binary refuses, as the in-process reader does
+/// (`table::tests::malformed_rows_are_typed_errors_naming_the_place`):
+/// Q3 reads `c_custkey` (an index key and an `Int`) and `l_extendedprice`
+/// (a `Double`), and with either broken the binary exits non-zero naming
+/// the table, the column, the text and the row instead of reading the
+/// text's leading digits. Once the file is repaired the same binary
+/// answers like the oracle.
+#[test]
+fn gcc_refuses_a_malformed_number_then_recovers() {
+    let gcc = dblab::codegen::backend("gcc").expect("registered");
+    if !gcc.available() {
+        eprintln!("SKIP backend `gcc` (requires {})", gcc.requirement());
+        return;
+    }
+    let (db, data) = setup("badnum");
+    let q3 = tpch::queries::query(3);
+    let art = Compiler::new(&db.schema)
+        .backend(gcc)
+        .out_dir(&std::env::temp_dir().join("dblab_conf_gen"))
+        .compile_named(&q3, "bc_badnum_q3")
+        .expect("build");
+    let expect = engine::execute_program(&q3, &db).to_text();
+    for (table, col, row, text, ty) in [
+        ("customer", 0, 5, "x5", "Int"),
+        ("lineitem", 5, 3, "inf", "Double"),
+        ("lineitem", 5, 7, "12.5.0", "Double"),
+    ] {
+        let path = data.join(format!("{table}.tbl"));
+        let good = std::fs::read_to_string(&path).expect("read .tbl");
+        std::fs::write(&path, with_field(&good, row, col, text)).expect("break .tbl");
+        let msg = art
+            .run(&data)
+            .expect_err("a malformed number is refused")
+            .to_string();
+        let name = &db.table(table).def.columns[col].name;
+        assert!(
+            msg.contains(&format!("{table}.tbl column `{name}`")),
+            "{msg}"
+        );
+        assert!(
+            msg.contains(&format!("`{text}` is not a valid {ty} in row {row}")),
+            "{msg}"
+        );
+        std::fs::write(&path, good).expect("repair .tbl");
+        let out = art.run(&data).expect("run after the repair");
+        assert!(same_normalized(&expect, &out.stdout), "rows diverge");
+    }
+}
+
+/// A `.tbl` whose last row has no `\n` keeps that row on every backend,
+/// as the in-process reader does: `nation.tbl` without its final byte
+/// still lists all 25 nations, the last one's `n_comment` (the table's
+/// final column) included.
+#[test]
+fn a_last_row_without_its_newline_is_kept() {
+    let (db, data) = setup("nonewline");
+    let path = data.join("nation.tbl");
+    let mut text = std::fs::read(&path).expect("read nation.tbl");
+    assert_eq!(text.pop(), Some(b'\n'));
+    std::fs::write(&path, text).expect("strip the final newline");
+    let prog = QueryProgram::new(QPlan::scan("nation").project(vec![
+        ("k", col("n_nationkey")),
+        ("name", col("n_name")),
+        ("comment", col("n_comment")),
+    ]));
+    let counted = QueryProgram::new(QPlan::scan("nation").agg(vec![], vec![("n", AggFunc::Count)]));
+    let out = std::env::temp_dir().join("dblab_conf_gen");
+    let mut failures = Vec::new();
+    for (i, p) in [&prog, &counted].into_iter().enumerate() {
+        let oracle = engine::execute_program(p, &db).to_text();
+        assert_eq!(oracle.lines().count(), if i == 0 { 25 } else { 1 });
+        for b in backends().into_iter().filter(|b| b.available()) {
+            let name = format!("bc_nonl{i}_{}", b.name());
+            let run = Compiler::new(&db.schema)
+                .backend(dblab::codegen::backend(b.name()).expect("registered"))
+                .out_dir(&out)
+                .compile_named(p, &name)
+                .and_then(|art| art.run(&data));
+            match run {
+                Ok(r) if same_normalized(&oracle, &r.stdout) => {}
+                Ok(r) => failures.push(format!("{name}: got\n{}want\n{oracle}", r.stdout)),
+                Err(e) => failures.push(format!("{name}: {e}")),
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
+}

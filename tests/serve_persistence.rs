@@ -81,7 +81,7 @@ fn disk_index_revives_artifacts_across_a_simulated_restart() {
         std::fs::read_to_string(dir.join(build_cache::INDEX_FILE))
             .expect("index written")
             .lines()
-            .any(|l| l.starts_with("v1\tgcc\t")),
+            .any(|l| l.starts_with("v2\tgcc\t")),
         "the build appended its index entry"
     );
 
@@ -156,7 +156,7 @@ fn query_engine_warm_start_skips_the_toolchain() {
         let artifact = dir.join(
             index
                 .lines()
-                .find_map(|l| l.split('\t').nth(3))
+                .find_map(|l| l.split('\t').nth(4))
                 .expect("artifact path recorded"),
         );
         cold_bytes = std::fs::read(&artifact).expect("artifact bytes");
@@ -185,7 +185,7 @@ fn query_engine_warm_start_skips_the_toolchain() {
     let artifact = dir.join(
         index
             .lines()
-            .find_map(|l| l.split('\t').nth(3))
+            .find_map(|l| l.split('\t').nth(4))
             .expect("artifact path recorded"),
     );
     assert_eq!(
