@@ -91,10 +91,8 @@ pub fn qmonad_queries() -> [(&'static str, QMonad); 3] {
 }
 
 /// `--sf`, `--runs`, `--queries 1,6,14`, `--threads 4`, `--json out.json`
-/// flags shared by the binaries, plus the `schedules` sweep's
-/// `--orderings K`, `--seed N` and `--backend NAME`, and the
-/// `--persist-cache` switch that attaches the on-disk build-cache index
-/// (`fig9`).
+/// flags shared by the binaries, plus `fig9`'s `--backend NAME` and its
+/// `--persist-cache` switch that attaches the on-disk build-cache index.
 pub struct Args {
     pub sf: f64,
     pub runs: usize,
@@ -113,11 +111,6 @@ pub struct Args {
     pub build_jobs: usize,
     /// Where to write the machine-readable results blob, if anywhere.
     pub json: Option<PathBuf>,
-    /// How many schedules the `schedules` binary sweeps (baseline + K-1
-    /// sampled permutations).
-    pub orderings: usize,
-    /// Seed for the deterministic schedule sample (`schedules`).
-    pub seed: u64,
     /// Backend for query-time measurements (`gcc`/`jit`/`interp`).
     pub backend: String,
     /// Attach the on-disk build-cache index next to the gen dir
@@ -137,8 +130,6 @@ impl Args {
             .map(|n| n.get().min(8))
             .unwrap_or(1);
         let mut json = None;
-        let mut orderings = 16;
-        let mut seed = 0xdb1a_b5ee_d001;
         let mut backend = String::from("interp");
         let mut persist_cache = false;
         let argv: Vec<String> = std::env::args().collect();
@@ -176,14 +167,6 @@ impl Args {
                     json = Some(PathBuf::from(&argv[i + 1]));
                     i += 2;
                 }
-                "--orderings" => {
-                    orderings = argv[i + 1].parse().expect("--orderings <int>");
-                    i += 2;
-                }
-                "--seed" => {
-                    seed = argv[i + 1].parse().expect("--seed <u64>");
-                    i += 2;
-                }
                 "--backend" => {
                     backend = argv[i + 1].clone();
                     i += 2;
@@ -203,8 +186,6 @@ impl Args {
             threads: threads.max(1),
             build_jobs: build_jobs.max(1),
             json,
-            orderings: orderings.max(1),
-            seed,
             backend,
             persist_cache,
         }

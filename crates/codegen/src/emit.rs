@@ -309,7 +309,7 @@ impl<'p> Emitter<'p> {
                 ColType::Int => ("int32_t", format!("dblab_parse_int(f{ci}, {place}, row)")),
                 ColType::Long => ("int64_t", format!("dblab_parse_long(f{ci}, {place}, row)")),
                 ColType::Double => ("double", format!("dblab_parse_double(f{ci}, {place}, row)")),
-                ColType::Date => ("int32_t", format!("dblab_parse_date(f{ci})")),
+                ColType::Date => ("int32_t", format!("dblab_parse_date(f{ci}, {place}, row)")),
                 ColType::Char => ("int32_t", format!("(int32_t)(unsigned char)f{ci}[0]")),
                 ColType::Bool => (
                     "int32_t",

@@ -9,9 +9,9 @@
 //! dictionaries, memory pools, the query timer, the RSS probe for
 //! Figure 8, and the `.tbl` loaders' helpers.
 //!
-//! The loaders' number parsers accept exactly what the in-process reader
-//! (`dblab_runtime::table::parse_field`) accepts and exit naming the
-//! table, column and row otherwise. `dblab_parse_double` reads
+//! The loaders' number and date parsers accept exactly what the
+//! in-process reader (`dblab_runtime::table::parse_field`) accepts and
+//! exit naming the table, column and row otherwise. `dblab_parse_double` reads
 //! `[-]digits[.digits]` with at most 15 significant digits as one
 //! division `m / 10^frac` of two exactly representable doubles, which is
 //! correctly rounded and so bit-identical to `str::parse::<f64>`
@@ -505,12 +505,48 @@ static int32_t dblab_key_of_long(int64_t v) {
     return v < INT32_MIN ? INT32_MIN : v > INT32_MAX ? INT32_MAX : (int32_t)v;
 }
 
-static int32_t dblab_parse_date(const char *s) {
-    /* yyyy-mm-dd */
-    int32_t y = (s[0]-'0')*1000 + (s[1]-'0')*100 + (s[2]-'0')*10 + (s[3]-'0');
-    int32_t m = (s[5]-'0')*10 + (s[6]-'0');
-    int32_t d = (s[8]-'0')*10 + (s[9]-'0');
-    return y * 10000 + m * 100 + d;
+/* One part of a date: what Rust's str::parse::<i32> accepts without a
+   '-' ([+]digits), saturated at 10000 because no part exceeds 9999. */
+static int dblab_scan_date_part(const char **s, int32_t *out) {
+    const char *p = *s + (**s == '+');
+    const char *digits = p;
+    int32_t v = 0;
+    while ((unsigned)(*p - '0') < 10) {
+        v = v < 10000 ? v * 10 + (*p - '0') : 10000;
+        p++;
+    }
+    *s = p;
+    *out = v;
+    return p > digits;
+}
+
+#define DBLAB_DIGIT(c) ((unsigned)((c) - '0') < 10)
+
+/* What dblab_runtime::table::parse_field accepts for a Date: exactly
+   three '-'-separated integers, year 0-9999, month 1-12, day 1-31, as
+   y * 10000 + m * 100 + d. dddd-dd-dd is read at fixed offsets. */
+static int dblab_scan_date(const char *s, int32_t *out) {
+    int32_t y, m, d;
+    if (DBLAB_DIGIT(s[0]) && DBLAB_DIGIT(s[1]) && DBLAB_DIGIT(s[2]) && DBLAB_DIGIT(s[3]) &&
+        s[4] == '-' && DBLAB_DIGIT(s[5]) && DBLAB_DIGIT(s[6]) &&
+        s[7] == '-' && DBLAB_DIGIT(s[8]) && DBLAB_DIGIT(s[9]) && s[10] == '\0') {
+        y = (s[0]-'0')*1000 + (s[1]-'0')*100 + (s[2]-'0')*10 + (s[3]-'0');
+        m = (s[5]-'0')*10 + (s[6]-'0');
+        d = (s[8]-'0')*10 + (s[9]-'0');
+    } else if (!dblab_scan_date_part(&s, &y) || *s++ != '-' ||
+               !dblab_scan_date_part(&s, &m) || *s++ != '-' ||
+               !dblab_scan_date_part(&s, &d) || *s != '\0') {
+        return 0;
+    }
+    if (y > 9999 || m < 1 || m > 12 || d < 1 || d > 31) return 0;
+    *out = y * 10000 + m * 100 + d;
+    return 1;
+}
+
+static __attribute__((noinline)) int32_t dblab_parse_date(const char *s, const char *place, int64_t row) {
+    int32_t v;
+    if (!dblab_scan_date(s, &v)) dblab_bad_field(place, row, s, "Date");
+    return v;
 }
 
 #endif /* DBLAB_RUNTIME_H */
@@ -551,10 +587,14 @@ mod tests {
     use std::io::Write as _;
     use std::process::{Command, Stdio};
 
+    use dblab_catalog::ColType;
+    use dblab_runtime::table::parse_field;
+    use dblab_runtime::Value;
+
     use crate::backend::{Backend as _, CBackend};
 
-    /// Feeds `d`/`i`/`l` lines to the header's scanners, one answer a line:
-    /// the value (a double's bits in hex) or `refused`.
+    /// Feeds `d`/`i`/`l`/`t` (date) lines to the header's scanners, one
+    /// answer a line: the value (a double's bits in hex) or `refused`.
     const DRIVER: &str = r#"
 #include "dblab_runtime.h"
 int main(void) {
@@ -564,11 +604,15 @@ int main(void) {
         const char *text = line + 2;
         double d;
         int64_t v;
+        int32_t date;
         if (line[0] == 'd' && dblab_scan_double(text, &d)) {
             uint64_t bits;
             memcpy(&bits, &d, 8);
             printf("%016llx\n", (unsigned long long)bits);
-        } else if (line[0] != 'd' && dblab_scan_integer(text, line[0] == 'i' ? INT32_MAX : INT64_MAX, &v)) {
+        } else if (line[0] == 't' && dblab_scan_date(text, &date)) {
+            printf("%d\n", date);
+        } else if ((line[0] == 'i' || line[0] == 'l') &&
+                   dblab_scan_integer(text, line[0] == 'i' ? INT32_MAX : INT64_MAX, &v)) {
             printf("%lld\n", (long long)v);
         } else {
             puts("refused");
@@ -685,10 +729,64 @@ int main(void) {
         out
     }
 
-    /// The loader's number scanners accept exactly what `str::parse`
-    /// accepts and return the same value — for doubles the same bits,
-    /// finite values only — on a corpus covering both paths of
-    /// `dblab_scan_double` (the exact division and `strtod`).
+    /// Dates at the edges of the rule (three `-`-separated integers, year
+    /// 0–9999, month 1–12, day 1–31) and seeded ones, well- and ill-formed.
+    fn date_corpus() -> Vec<String> {
+        let mut out: Vec<String> = [
+            "1995-03-05",
+            "0000-01-01",
+            "9999-12-31",
+            "10000-01-01",
+            "999999-01-01",
+            "99999999999-01-01",
+            "1995-3",
+            "1995-3-5",
+            "+1995-+03-+05",
+            "-1995-03-05",
+            "1995--03-05",
+            "1995-03-05-07",
+            "1995-03-05-",
+            "1995-00-05",
+            "1995-13-05",
+            "1995-03-00",
+            "1995-03-32",
+            "1995-03-05 ",
+            "1995-03-0x",
+            "0001995-0003-0005",
+            "",
+            "-",
+            "--",
+        ]
+        .map(String::from)
+        .to_vec();
+        let mut seed = 0xd1b5_4a32_d192_ed03_u64;
+        let mut next = |bound: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % bound
+        };
+        for _ in 0..1000 {
+            let part = |next: &mut dyn FnMut(u64) -> u64, bound: u64, width: usize| {
+                let v = next(bound);
+                match next(4) {
+                    0 => v.to_string(),
+                    _ => format!("{v:0width$}"),
+                }
+            };
+            let y = part(&mut next, 12_000, 4);
+            let m = part(&mut next, 14, 2);
+            let d = part(&mut next, 33, 2);
+            out.push(format!("{y}-{m}-{d}"));
+        }
+        out
+    }
+
+    /// The loader's scanners accept exactly what the in-process reader
+    /// accepts and return the same value: numbers as `str::parse` reads
+    /// them — for doubles the same bits, finite values only — on a corpus
+    /// covering both paths of `dblab_scan_double` (the exact division and
+    /// `strtod`), and dates as `parse_field` reads them.
     #[test]
     fn loader_numbers_are_bit_identical_to_str_parse() {
         if !CBackend.available() {
@@ -698,11 +796,15 @@ int main(void) {
         let dir = std::env::temp_dir().join("dblab_runtime_parse_test");
         let exe = crate::cc::compile_c(DRIVER, &dir, "parse_driver").expect("gcc");
         let corpus = corpus();
+        let dates = date_corpus();
         let mut input = String::new();
         for kind in ["d", "i", "l"] {
             for text in &corpus {
                 input.push_str(&format!("{kind} {text}\n"));
             }
+        }
+        for text in &dates {
+            input.push_str(&format!("t {text}\n"));
         }
         let mut child = Command::new(&exe.binary)
             .stdin(Stdio::piped())
@@ -736,5 +838,15 @@ int main(void) {
             }
         }
         assert!(fast > 2000, "the corpus exercises the exact-division path");
+        let mut accepted = 0;
+        for text in &dates {
+            let want = match parse_field(text, ColType::Date) {
+                Some(Value::Int(v)) => v.to_string(),
+                _ => refused(),
+            };
+            accepted += (want != "refused") as usize;
+            assert_eq!(answers.next(), Some(want.as_str()), "date `{text}`");
+        }
+        assert!(accepted > 100 && accepted < dates.len(), "{accepted}");
     }
 }

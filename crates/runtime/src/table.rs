@@ -227,10 +227,16 @@ pub fn parse_field(raw: &str, ty: ColType) -> Option<Value> {
         ColType::Double => Value::Double(raw.parse().ok().filter(|v: &f64| v.is_finite())?),
         ColType::String => Value::str(raw),
         ColType::Char => Value::Int(raw.as_bytes().first().copied().unwrap_or(b' ') as i32),
+        // Exactly three `-`-separated integers, year 0–9999, month 1–12,
+        // day 1–31 (the generated C's `dblab_parse_date` has the same rule).
         ColType::Date => {
             let mut it = raw.split('-').map(|s| s.parse::<i32>().ok());
             let (y, m, d) = (it.next()??, it.next()??, it.next()??);
-            Value::Int(y * 10000 + m * 100 + d)
+            let valid = it.next().is_none()
+                && (0..=9999).contains(&y)
+                && (1..=12).contains(&m)
+                && (1..=31).contains(&d);
+            Value::Int(valid.then(|| y * 10000 + m * 100 + d)?)
         }
     })
 }
@@ -362,6 +368,13 @@ mod tests {
             ("1|2.50|hello|1998-09-02|R|\n2|-1.00|world", 2, "d"),
             ("x|2.50|hello|1998-09-02|R|\n", 1, "a"),
             ("1|2.50|hello|1998-09|R|\n", 1, "d"),
+            ("1|2.50|hello|999999-01-01|R|\n", 1, "d"),
+            ("1|2.50|hello|1995-03-05-07|R|\n", 1, "d"),
+            ("1|2.50|hello|1995-13-05|R|\n", 1, "d"),
+            ("1|2.50|hello|1995-00-05|R|\n", 1, "d"),
+            ("1|2.50|hello|1995-03-32|R|\n", 1, "d"),
+            ("1|2.50|hello|1995-03-00|R|\n", 1, "d"),
+            ("1|2.50|hello|10000-03-05|R|\n", 1, "d"),
             (
                 "1|2.50|hello|1998-09-02|R|\n2|NaN|x|1998-09-02|R|\n",
                 2,

@@ -118,8 +118,7 @@ pub fn stats() -> CacheStats {
 /// An independent hit/miss tally for one sweep of compiles.
 ///
 /// The global [`stats`] counters are process-wide: two sweeps compiling
-/// concurrently (the schedule-permutation harness fans orderings across
-/// threads) would each see the *sum* of both sweeps' traffic and report
+/// concurrently would each see the *sum* of both sweeps' traffic and report
 /// dishonest per-sweep hit rates. A `StatsScope` fixes that: install it on
 /// a thread with [`StatsScope::enter`] and every lookup made while the
 /// guard lives is tallied into this scope *as well as* the global

@@ -98,9 +98,9 @@ pub trait Pass: Send + Sync {
     /// [`crate::schedule`]). An edge here is a *semantic* claim: this
     /// pass's output depends on whether the named pass has already run, so
     /// the two do not commute. Any pair of passes left unordered by the
-    /// resulting DAG is declared commuting — the schedule soundness check
-    /// ([`crate::schedule::Scheduler::verify_commutation`]) holds every
-    /// such pair to `program_hash`-equality under adjacent swap.
+    /// resulting DAG is declared commuting, and every valid order
+    /// ([`crate::schedule::Scheduler::orders`]) is held to the baseline's
+    /// `program_hash` on the 22 TPC-H queries.
     fn after(&self) -> &'static [&'static str] {
         &[]
     }

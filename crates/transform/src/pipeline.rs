@@ -498,6 +498,22 @@ impl<'a> Lowering<'a> {
         })
     }
 
+    /// The key type of a map keyed by values of `types`: the one type, or
+    /// with `composite` a `Key` record of fields `k0, k1, …`.
+    fn map_key(&mut self, types: Vec<Type>, composite: bool) -> (Type, Option<StructId>) {
+        if !composite {
+            return (types[0].clone(), None);
+        }
+        let fields = (types.into_iter().enumerate())
+            .map(|(i, ty)| FieldDef {
+                name: format!("k{i}").into(),
+                ty,
+            })
+            .collect();
+        let sid = self.fresh_struct("Key", fields);
+        (Type::Record(sid), Some(sid))
+    }
+
     /// Rebuild a row environment by reading every field of a record.
     fn env_from_record(&mut self, rec: &Atom, sid: StructId) -> RowEnv {
         let def = self.b.structs.get(sid).clone();
@@ -693,22 +709,8 @@ impl<'a> Lowering<'a> {
             .iter()
             .map(|k| ir_type(k.ty(&build_cols)))
             .collect();
-        let (key_ty, key_sid) = if key_types.len() == 1 {
-            (key_types[0].clone(), None)
-        } else {
-            let sid = self.fresh_struct(
-                "Key",
-                key_types
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| FieldDef {
-                        name: format!("k{i}").into(),
-                        ty: t.clone(),
-                    })
-                    .collect(),
-            );
-            (Type::Record(sid), Some(sid))
-        };
+        let composite = key_types.len() > 1;
+        let (key_ty, key_sid) = self.map_key(key_types, composite);
 
         // Register the build-row record type up front.
         let rec_fields: Vec<FieldDef> = build_cols
@@ -822,11 +824,10 @@ impl<'a> Lowering<'a> {
         consumer: &mut dyn FnMut(&mut Self, &RowEnv),
     ) {
         let (tbl, sid) = self.loads[&ix.table].clone();
-        let (a0, a1) = self.index_loads[&(ix.table.clone(), ix.key_col, ix.unique)].clone();
+        let index = self.index_loads[&(ix.table.clone(), ix.key_col, ix.unique)].clone();
         let table = ix.table.clone();
         let alias = ix.alias.clone();
         let filters: Vec<ScalarExpr> = ix.filters.iter().map(|f| (*f).clone()).collect();
-        let unique = ix.unique;
 
         self.produce(probe, &mut |lw, penv| {
             let pk = lower_expr(&mut lw.b, penv, &lw.params, &probe_keys[0]);
@@ -855,44 +856,16 @@ impl<'a> Lowering<'a> {
 
             match kind {
                 JoinKind::Inner => {
-                    if unique {
-                        let ri = lw.b.array_get(a0.clone(), pk);
-                        let ok = lw.b.ge(ri.clone(), Atom::Int(0));
-                        lw.if_then(ok, |lw| emit_match(lw, ri, consumer));
-                    } else {
-                        let s = lw.b.array_get(a0.clone(), pk.clone());
-                        let k1 = lw.b.add(pk, Atom::Int(1));
-                        let e = lw.b.array_get(a0.clone(), k1);
-                        let items = a1.clone().expect("csr items");
-                        lw.for_range(s, e, |lw, i| {
-                            let ri = lw.b.array_get(items.clone(), i);
-                            emit_match(lw, ri, consumer);
-                        });
-                    }
+                    lw.index_rows(&index, pk, |lw, ri| emit_match(lw, ri, consumer));
                 }
                 JoinKind::LeftSemi | JoinKind::LeftAnti | JoinKind::LeftOuter => {
                     // The probe side is the preserved side here: count
                     // matches into a flag.
                     let found = lw.b.decl_var(Atom::Bool(false));
-                    {
-                        let mut set_flag = |lw: &mut Self, _env: &RowEnv| {
-                            lw.b.assign(found, Atom::Bool(true));
-                        };
-                        if unique {
-                            let ri = lw.b.array_get(a0.clone(), pk);
-                            let ok = lw.b.ge(ri.clone(), Atom::Int(0));
-                            lw.if_then(ok, |lw| emit_match(lw, ri, &mut set_flag));
-                        } else {
-                            let s = lw.b.array_get(a0.clone(), pk.clone());
-                            let k1 = lw.b.add(pk, Atom::Int(1));
-                            let e = lw.b.array_get(a0.clone(), k1);
-                            let items = a1.clone().expect("csr items");
-                            lw.for_range(s, e, |lw, i| {
-                                let ri = lw.b.array_get(items.clone(), i);
-                                emit_match(lw, ri, &mut set_flag);
-                            });
-                        }
-                    }
+                    let mut set_flag = |lw: &mut Self, _env: &RowEnv| {
+                        lw.b.assign(found, Atom::Bool(true));
+                    };
+                    lw.index_rows(&index, pk, |lw, ri| emit_match(lw, ri, &mut set_flag));
                     let f = lw.b.read_var(found);
                     match kind {
                         JoinKind::LeftSemi => lw.if_then(f, |lw| consumer(lw, penv)),
@@ -907,6 +880,34 @@ impl<'a> Lowering<'a> {
                 }
             }
         });
+    }
+
+    /// Run `f` on the row index of every row of an indexed table whose
+    /// key is `key`: the unique index's one row, unless its entry is
+    /// negative (no row), or the CSR index's run `items[starts[key] ..
+    /// starts[key + 1]]`.
+    fn index_rows(
+        &mut self,
+        (ix, items): &(Atom, Option<Atom>),
+        key: Atom,
+        f: impl FnOnce(&mut Self, Atom),
+    ) {
+        match items {
+            None => {
+                let ri = self.b.array_get(ix.clone(), key);
+                let ok = self.b.ge(ri.clone(), Atom::Int(0));
+                self.if_then(ok, |lw| f(lw, ri));
+            }
+            Some(items) => {
+                let s = self.b.array_get(ix.clone(), key.clone());
+                let k1 = self.b.add(key, Atom::Int(1));
+                let e = self.b.array_get(ix.clone(), k1);
+                self.for_range(s, e, |lw, i| {
+                    let ri = lw.b.array_get(items.clone(), i);
+                    f(lw, ri);
+                });
+            }
+        }
     }
 
     fn with_residual(
@@ -1012,22 +1013,8 @@ impl<'a> Lowering<'a> {
             .iter()
             .map(|(_, e)| ir_type(e.ty(&child_cols)))
             .collect();
-        let (key_ty, key_sid) = if key_types.len() == 1 || char_key {
-            (key_types[0].clone(), None)
-        } else {
-            let sid = self.fresh_struct(
-                "Key",
-                key_types
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| FieldDef {
-                        name: format!("k{i}").into(),
-                        ty: t.clone(),
-                    })
-                    .collect(),
-            );
-            (Type::Record(sid), Some(sid))
-        };
+        let composite = key_types.len() > 1 && !char_key;
+        let (key_ty, key_sid) = self.map_key(key_types, composite);
 
         let dense = if char_key {
             let n = group_by.len() as u32;
@@ -1361,22 +1348,10 @@ impl<'a> Lowering<'a> {
             ty: Type::Long,
         });
         let cnt_sid = self.fresh_struct("Agg", fields);
-        let (key_ty, key_sid) = if group_by.len() == 1 {
-            (ir_type(group_by[0].1.ty(&child_cols)), None)
-        } else {
-            let sid = self.fresh_struct(
-                "Key",
-                group_by
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (_, e))| FieldDef {
-                        name: format!("k{i}").into(),
-                        ty: ir_type(e.ty(&child_cols)),
-                    })
-                    .collect(),
-            );
-            (Type::Record(sid), Some(sid))
-        };
+        let key_types = (group_by.iter())
+            .map(|(_, e)| ir_type(e.ty(&child_cols)))
+            .collect();
+        let (key_ty, key_sid) = self.map_key(key_types, group_by.len() > 1);
         let cnts = self.b.hashmap_new(
             key_ty,
             Type::Record(cnt_sid),

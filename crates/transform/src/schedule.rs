@@ -1,4 +1,4 @@
-//! The pass-commutation DAG and schedule permutation.
+//! The pass-commutation DAG and its schedules.
 //!
 //! Pass *membership* is data ([`Pass::applies`]). This module makes pass
 //! *order* data too: the linear registry becomes a declared dependency
@@ -8,9 +8,9 @@
 //! Two kinds of edges order the DAG:
 //!
 //! * **Level edges** are derived mechanically from each pass's declared
-//!   [`Level`] contract: lowerings are ordered by their source level
-//!   (transformation cohesion gives at most one lowering per level, so
-//!   this is a total order on the lowerings), and a non-floating pass
+//!   [`Level`](dblab_ir::Level) contract: lowerings are ordered by their
+//!   source level (transformation cohesion gives at most one lowering per
+//!   level, so this is a total order on the lowerings), and a non-floating pass
 //!   must sit inside the window where the program *is* at its source
 //!   level — after the lowering producing that level, before the lowering
 //!   consuming it.
@@ -18,66 +18,39 @@
 //!   claims two passes do not commute. They are the only hand-written
 //!   ordering information left in the stack.
 //!
-//! Everything the DAG leaves unordered is thereby **declared commuting**:
-//! swapping an unordered adjacent pair must produce `program_hash`-equal
-//! IR. That claim is checkable — [`Scheduler::verify_commutation`] runs
-//! both orders of every unordered pair over a program corpus and reports
-//! any pair whose outputs diverge, so a forgotten `after` edge is
-//! surfaced by machinery rather than waiting for a miscompiled query.
-//! (The check runs each pair after its DAG-*ancestor* prefix — one
-//! well-defined context per pair; non-commutation that only appears
-//! after some *unrelated* pass has rewritten the program is outside its
-//! reach and is instead hunted by the schedule-differential suite, which
-//! sweeps whole sampled schedules.) The schedule-differential test suite
-//! and the `schedules` bench sweep sampled topological orders
-//! ([`Scheduler::sample_orders`], seeded and deterministic) through the
-//! full driver, where every per-stage contract check still applies.
+//! Everything the DAG leaves unordered is thereby **declared commuting**,
+//! and the claim is checked whole: every valid order
+//! ([`Scheduler::orders`], all of them — the registry's DAGs admit at
+//! most eight) must compile each TPC-H query to the baseline's
+//! `program_hash` (`tests/stack_invariants.rs`). An order that diverges
+//! is reported with the pass pairs it inverts, so a forgotten `after`
+//! edge is named by machinery rather than by a miscompiled query.
 
 use std::collections::HashMap;
 
-use dblab_catalog::Schema;
-use dblab_frontend::qplan::QueryProgram;
-use dblab_ir::hash::program_hash;
-use dblab_ir::{Level, Program};
-
 use crate::config::StackConfig;
-use crate::pass::{self, advance_ceiling, Frontend, Pass, PassCtx, PassKind, PlanLowering};
-
-/// Why an edge exists in the DAG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeKind {
-    /// Derived from the passes' level contracts (source/target/floats).
-    Level,
-    /// Declared via [`Pass::after`] / [`Pass::before`].
-    Declared,
-}
-
-/// One ordering constraint: the pass at `from` runs before the one at
-/// `to` (indices into [`Scheduler::names`]).
-#[derive(Debug, Clone, Copy)]
-pub struct DagEdge {
-    pub from: usize,
-    pub to: usize,
-    pub kind: EdgeKind,
-}
+use crate::pass::{self, Pass, PassKind};
 
 /// The dependency DAG over the passes a configuration selects, plus the
-/// machinery to enumerate, sample and validate schedules over it.
+/// machinery to enumerate and validate schedules over it.
 pub struct Scheduler {
     /// Selected passes, in registry (baseline) order.
     passes: Vec<Box<dyn Pass>>,
     names: Vec<&'static str>,
     cfg: StackConfig,
-    edges: Vec<DagEdge>,
-    /// `reach[u][v]`: there is a directed path `u -> v`.
-    reach: Vec<Vec<bool>>,
+    /// `(from, to)`: the pass at `from` runs before the one at `to`
+    /// (indices into `names`).
+    edges: Vec<(usize, usize)>,
 }
 
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let edges: Vec<(&str, &str)> = (self.edges.iter())
+            .map(|&(a, b)| (self.names[a], self.names[b]))
+            .collect();
         f.debug_struct("Scheduler")
             .field("names", &self.names)
-            .field("edges", &self.edge_names())
+            .field("edges", &edges)
             .finish_non_exhaustive()
     }
 }
@@ -110,10 +83,10 @@ impl Scheduler {
             return Err("duplicate pass names in the registry".into());
         }
 
-        let mut edges: Vec<DagEdge> = Vec::new();
-        let add = |from: usize, to: usize, kind: EdgeKind, edges: &mut Vec<DagEdge>| {
-            if !edges.iter().any(|e| e.from == from && e.to == to) {
-                edges.push(DagEdge { from, to, kind });
+        let mut edges: Vec<(usize, usize)> = Vec::new();
+        let add = |from: usize, to: usize, edges: &mut Vec<(usize, usize)>| {
+            if !edges.contains(&(from, to)) {
+                edges.push((from, to));
             }
         };
 
@@ -124,7 +97,7 @@ impl Scheduler {
         for &a in &lowerings {
             for &b in &lowerings {
                 if passes[a].source() < passes[b].source() {
-                    add(a, b, EdgeKind::Level, &mut edges);
+                    add(a, b, &mut edges);
                 }
             }
         }
@@ -139,80 +112,65 @@ impl Scheduler {
             let x = p.source();
             for &l in &lowerings {
                 if passes[l].target() <= x {
-                    add(l, i, EdgeKind::Level, &mut edges);
+                    add(l, i, &mut edges);
                 }
                 if passes[l].source() >= x {
-                    add(i, l, EdgeKind::Level, &mut edges);
+                    add(i, l, &mut edges);
                 }
             }
         }
 
         // Declared edges.
         for i in 0..passes.len() {
-            for &n in passes[i].after() {
-                match index.get(n) {
-                    Some(&j) => add(j, i, EdgeKind::Declared, &mut edges),
-                    None if known.contains(&n) => {} // disabled by cfg: vacuous
-                    None => {
-                        return Err(format!(
-                            "pass {} declares `after` an unknown pass `{n}`",
-                            names[i]
-                        ))
-                    }
-                }
-            }
-            for &n in passes[i].before() {
-                match index.get(n) {
-                    Some(&j) => add(i, j, EdgeKind::Declared, &mut edges),
-                    None if known.contains(&n) => {}
-                    None => {
-                        return Err(format!(
-                            "pass {} declares `before` an unknown pass `{n}`",
-                            names[i]
-                        ))
+            for (declared, after) in [(passes[i].after(), true), (passes[i].before(), false)] {
+                for &n in declared {
+                    match index.get(n) {
+                        Some(&j) if after => add(j, i, &mut edges),
+                        Some(&j) => add(i, j, &mut edges),
+                        None if known.contains(&n) => {} // disabled by cfg: vacuous
+                        None => {
+                            return Err(format!(
+                                "pass {} declares `{}` an unknown pass `{n}`",
+                                names[i],
+                                if after { "after" } else { "before" }
+                            ))
+                        }
                     }
                 }
             }
         }
-        if let Some(e) = edges.iter().find(|e| e.from == e.to) {
-            return Err(format!("pass {} declares an edge to itself", names[e.from]));
+        if let Some(&(a, _)) = edges.iter().find(|(a, b)| a == b) {
+            return Err(format!("pass {} declares an edge to itself", names[a]));
         }
 
-        let mut succ = vec![Vec::new(); passes.len()];
-        for e in &edges {
-            succ[e.from].push(e.to);
-        }
-
-        // Transitive closure (DFS from every node) + cycle detection.
+        // Cycle detection: a pass that reaches itself lies on a cycle,
+        // and so does every pass it reaches that reaches it back.
         let n = passes.len();
-        let mut reach: Vec<Vec<bool>> = Vec::with_capacity(n);
-        for s in 0..n {
-            let mut row = vec![false; n];
-            let mut stack = vec![s];
-            while let Some(u) = stack.pop() {
-                for &v in &succ[u] {
-                    if !row[v] {
-                        row[v] = true;
-                        stack.push(v);
+        let reach: Vec<Vec<bool>> = (0..n)
+            .map(|s| {
+                let mut row = vec![false; n];
+                let mut stack = vec![s];
+                while let Some(u) = stack.pop() {
+                    for &(_, v) in edges.iter().filter(|(a, _)| *a == u) {
+                        if !row[v] {
+                            row[v] = true;
+                            stack.push(v);
+                        }
                     }
                 }
-            }
-            reach.push(row);
-        }
-        for (s, row) in reach.iter().enumerate() {
-            if row[s] {
-                let cycle: Vec<&str> = row
-                    .iter()
-                    .enumerate()
-                    .filter(|&(v, r)| *r && reach[v][s])
-                    .map(|(v, _)| names[v])
-                    .collect();
-                return Err(format!(
-                    "pass dependency cycle through {{{}}} — the declared edges \
-                     contradict each other or the level structure",
-                    cycle.join(", ")
-                ));
-            }
+                row
+            })
+            .collect();
+        if let Some(s) = (0..n).find(|&s| reach[s][s]) {
+            let cycle: Vec<&str> = (0..n)
+                .filter(|&v| reach[s][v] && reach[v][s])
+                .map(|v| names[v])
+                .collect();
+            return Err(format!(
+                "pass dependency cycle through {{{}}} — the declared edges \
+                 contradict each other or the level structure",
+                cycle.join(", ")
+            ));
         }
 
         let sched = Scheduler {
@@ -220,10 +178,8 @@ impl Scheduler {
             names,
             cfg: cfg.clone(),
             edges,
-            reach,
         };
-        let baseline = sched.baseline();
-        sched.validate_order(&baseline).map_err(|e| {
+        sched.validate_order(&sched.baseline()).map_err(|e| {
             format!("the baseline (registry) order is itself not a valid schedule: {e}")
         })?;
         Ok(sched)
@@ -244,14 +200,6 @@ impl Scheduler {
         self.names.clone()
     }
 
-    /// Every edge, as `(from, to, kind)` name pairs.
-    pub fn edge_names(&self) -> Vec<(&'static str, &'static str, EdgeKind)> {
-        self.edges
-            .iter()
-            .map(|e| (self.names[e.from], self.names[e.to], e.kind))
-            .collect()
-    }
-
     pub(crate) fn pass_by_name(&self, name: &str) -> Option<&dyn Pass> {
         self.names
             .iter()
@@ -259,98 +207,40 @@ impl Scheduler {
             .map(|i| self.passes[i].as_ref())
     }
 
-    /// All pairs the DAG leaves unordered — the declared-commuting pairs
-    /// the soundness check holds to hash-equality. Pairs are reported in
-    /// baseline order.
-    pub fn commuting_pairs(&self) -> Vec<(&'static str, &'static str)> {
-        let n = self.names.len();
-        let mut out = Vec::new();
-        for a in 0..n {
-            for b in a + 1..n {
-                if !self.reach[a][b] && !self.reach[b][a] {
-                    out.push((self.names[a], self.names[b]));
+    /// Every valid schedule (topological order of the DAG), the baseline
+    /// first: a depth-first walk that places, at each step, each pass
+    /// whose predecessors are all placed, trying them in baseline order.
+    /// The registry's DAGs admit between one and eight.
+    pub fn orders(&self) -> Vec<Vec<&'static str>> {
+        fn walk(
+            s: &Scheduler,
+            waiting: &mut [usize],
+            order: &mut Vec<usize>,
+            out: &mut Vec<Vec<&'static str>>,
+        ) {
+            if order.len() == s.names.len() {
+                out.push(order.iter().map(|&i| s.names[i]).collect());
+                return;
+            }
+            for v in 0..s.names.len() {
+                if waiting[v] != 0 || order.contains(&v) {
+                    continue;
                 }
-            }
-        }
-        out
-    }
-
-    /// Exact number of valid schedules (topological orders), or `None`
-    /// when the selection is too large for the bitmask DP (> 24 passes).
-    pub fn order_count(&self) -> Option<u128> {
-        let n = self.names.len();
-        if n > 24 {
-            return None;
-        }
-        // Predecessor masks: a node is available once all predecessors are
-        // placed.
-        let mut pred_mask = vec![0u32; n];
-        for e in &self.edges {
-            pred_mask[e.to] |= 1 << e.from;
-        }
-        fn count(mask: u32, n: usize, pred: &[u32], memo: &mut HashMap<u32, u128>) -> u128 {
-            if mask == (1u32 << n) - 1 {
-                return 1;
-            }
-            if let Some(&c) = memo.get(&mask) {
-                return c;
-            }
-            let mut total = 0u128;
-            for v in 0..n {
-                if mask & (1 << v) == 0 && pred[v] & mask == pred[v] {
-                    total += count(mask | (1 << v), n, pred, memo);
-                }
-            }
-            memo.insert(mask, total);
-            total
-        }
-        Some(count(0, n, &pred_mask, &mut HashMap::new()))
-    }
-
-    /// Sample up to `k` **distinct** valid schedules, deterministically
-    /// from `seed` (random Kahn's algorithm + dedup, with a bounded
-    /// trial budget). Returns fewer than `k` when the DAG has fewer
-    /// distinct topological orders — or, on pathologically skewed DAGs,
-    /// when an order's sampling probability is so small the budget
-    /// misses it (random Kahn's is not uniform; for the registry-sized
-    /// DAGs this crate builds, the budget saturates comfortably).
-    ///
-    /// Panics (loudly, instead of silently corrupting its bitmasks) on
-    /// selections larger than 64 passes — far above the registry, but
-    /// [`Scheduler::from_passes`] accepts arbitrary lists.
-    pub fn sample_orders(&self, seed: u64, k: usize) -> Vec<Vec<&'static str>> {
-        let n = self.names.len();
-        assert!(
-            n <= 64,
-            "schedule sampling supports at most 64 passes (selection has {n})"
-        );
-        let mut pred_mask = vec![0u64; n];
-        for e in &self.edges {
-            pred_mask[e.to] |= 1 << e.from;
-        }
-        let mut rng = SplitMix(seed);
-        let mut seen: Vec<Vec<usize>> = Vec::new();
-        let mut out = Vec::new();
-        let budget = k.saturating_mul(64) + 256;
-        for _ in 0..budget {
-            if out.len() == k {
-                break;
-            }
-            let mut placed = 0u64;
-            let mut order = Vec::with_capacity(n);
-            for _ in 0..n {
-                let avail: Vec<usize> = (0..n)
-                    .filter(|&v| placed & (1 << v) == 0 && pred_mask[v] & placed == pred_mask[v])
-                    .collect();
-                let v = avail[rng.below(avail.len())];
-                placed |= 1 << v;
+                let succ = s.edges.iter().filter(|(a, _)| *a == v);
+                succ.clone().for_each(|&(_, b)| waiting[b] -= 1);
                 order.push(v);
-            }
-            if !seen.contains(&order) {
-                seen.push(order.clone());
-                out.push(order.iter().map(|&i| self.names[i]).collect());
+                walk(s, waiting, order, out);
+                order.pop();
+                succ.for_each(|&(_, b)| waiting[b] += 1);
             }
         }
+        // `waiting[v]`: predecessors of `v` not yet placed.
+        let mut waiting = vec![0; self.names.len()];
+        for &(_, b) in &self.edges {
+            waiting[b] += 1;
+        }
+        let mut out = Vec::new();
+        walk(self, &mut waiting, &mut Vec::new(), &mut out);
         out
     }
 
@@ -378,18 +268,11 @@ impl Scheduler {
             }
             position[i] = pos;
         }
-        for e in &self.edges {
-            if position[e.from] > position[e.to] {
-                return Err(format!(
-                    "schedule violates {} edge {} -> {}",
-                    match e.kind {
-                        EdgeKind::Level => "level",
-                        EdgeKind::Declared => "declared",
-                    },
-                    self.names[e.from],
-                    self.names[e.to]
-                ));
-            }
+        if let Some(&(a, b)) = self.edges.iter().find(|&&(a, b)| position[a] > position[b]) {
+            return Err(format!(
+                "schedule violates edge {} -> {}",
+                self.names[a], self.names[b]
+            ));
         }
         // The level simulation is the ground truth; level edges should
         // make a failure here unreachable.
@@ -398,144 +281,6 @@ impl Scheduler {
             .map(|n| self.pass_by_name(n).expect("validated above"))
             .collect();
         pass::check_levels(&ordered)
-    }
-
-    /// A valid schedule in which `a` runs immediately before `b`:
-    /// ancestors of either first (baseline order), then `a`, then `b`,
-    /// then everything else (baseline order). Errors when the DAG orders
-    /// the pair — adjacency in both directions only exists for unordered
-    /// pairs.
-    pub fn adjacent_order(&self, a: &str, b: &str) -> Result<Vec<&'static str>, String> {
-        let ia = self
-            .names
-            .iter()
-            .position(|n| *n == a)
-            .ok_or_else(|| format!("unknown pass `{a}`"))?;
-        let ib = self
-            .names
-            .iter()
-            .position(|n| *n == b)
-            .ok_or_else(|| format!("unknown pass `{b}`"))?;
-        if self.reach[ia][ib] || self.reach[ib][ia] {
-            return Err(format!(
-                "the DAG orders `{a}` and `{b}` — they cannot be swapped"
-            ));
-        }
-        let n = self.names.len();
-        let mut order = Vec::with_capacity(n);
-        for v in 0..n {
-            if self.reach[v][ia] || self.reach[v][ib] {
-                order.push(self.names[v]);
-            }
-        }
-        order.push(self.names[ia]);
-        order.push(self.names[ib]);
-        for v in 0..n {
-            if v != ia && v != ib && !(self.reach[v][ia] || self.reach[v][ib]) {
-                order.push(self.names[v]);
-            }
-        }
-        debug_assert!(self.validate_order(&order).is_ok());
-        Ok(order)
-    }
-
-    /// Run the common DAG-ancestor prefix of passes `ia` and `ib` on an
-    /// already-lowered program, then `a; b` and `b; a`, and compare the
-    /// resulting IR by [`program_hash`]. `None` means the pair commutes on
-    /// this program; `Some(description)` is a counterexample (the pair
-    /// needs a declared edge).
-    fn counterexample_from(
-        &self,
-        ia: usize,
-        ib: usize,
-        lowered: &Program,
-        schema: &Schema,
-    ) -> Result<Option<String>, String> {
-        let (a, b) = (self.names[ia], self.names[ib]);
-        let ctx = PassCtx {
-            schema,
-            cfg: &self.cfg,
-        };
-        let mut p = lowered.clone();
-        let mut size = p.body.size();
-        // Shared prefix: every ancestor of either pass, baseline order.
-        let mut ceiling = Level::MapList;
-        for v in 0..self.names.len() {
-            if self.reach[v][ia] || self.reach[v][ib] {
-                let ps = self.passes[v].as_ref();
-                ceiling = advance_ceiling(ceiling, ps);
-                let (q, snap) = pass::apply_one(ps, &p, size, &ctx, ceiling, true)
-                    .map_err(|e| format!("prefix pass {} failed: {e}", ps.name()))?;
-                (p, size) = (q, snap.size);
-            }
-        }
-        let run_pair = |first: usize, second: usize| -> Result<u64, String> {
-            let (mut q, mut qsize) = (p.clone(), size);
-            let mut c = ceiling;
-            for &v in &[first, second] {
-                let ps = self.passes[v].as_ref();
-                c = advance_ceiling(c, ps);
-                let (r, snap) = pass::apply_one(ps, &q, qsize, &ctx, c, true)
-                    .map_err(|e| format!("pass {} failed: {e}", ps.name()))?;
-                (q, qsize) = (r, snap.size);
-            }
-            Ok(program_hash(&q))
-        };
-        let hab = run_pair(ia, ib)?;
-        let hba = run_pair(ib, ia)?;
-        if hab == hba {
-            Ok(None)
-        } else {
-            Ok(Some(format!(
-                "passes `{a}` and `{b}` are unordered in the DAG but do not \
-                 commute: hash {hab:016x} ({a};{b}) vs {hba:016x} ({b};{a}) — \
-                 declare an `after`/`before` edge"
-            )))
-        }
-    }
-
-    /// The DAG soundness check: every unordered pair must commute (to
-    /// `program_hash` equality under adjacent swap) on every program in
-    /// the corpus. Returns one description per violated (pair, program).
-    ///
-    /// Each pair is tested in one context — directly after its DAG
-    /// ancestors. Non-commutation contingent on an unrelated pass having
-    /// run first is not visible here; the schedule-differential suite
-    /// covers that axis by sweeping whole sampled schedules.
-    pub fn verify_commutation(
-        &self,
-        corpus: &[(String, QueryProgram)],
-        schema: &Schema,
-    ) -> Vec<String> {
-        let pairs: Vec<(usize, usize)> = {
-            let n = self.names.len();
-            (0..n)
-                .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
-                .filter(|&(a, b)| !self.reach[a][b] && !self.reach[b][a])
-                .collect()
-        };
-        let mut out = Vec::new();
-        for (tag, prog) in corpus {
-            // One front-end lowering per program; the pair sweeps below
-            // share it.
-            let ctx = PassCtx {
-                schema,
-                cfg: &self.cfg,
-            };
-            let fe = PlanLowering(prog);
-            let (_, _, lowered) = crate::stack::lower_frontend(&fe as &dyn Frontend, &ctx);
-            for &(ia, ib) in &pairs {
-                match self.counterexample_from(ia, ib, &lowered, schema) {
-                    Ok(None) => {}
-                    Ok(Some(msg)) => out.push(format!("[{tag}] {msg}")),
-                    Err(e) => out.push(format!(
-                        "[{tag}] {}/{}: {e}",
-                        self.names[ia], self.names[ib]
-                    )),
-                }
-            }
-        }
-        out
     }
 }
 
@@ -640,18 +385,18 @@ pub struct ScheduleChoice {
 
 impl Scheduler {
     /// The candidate schedules cost scoring ranks: the baseline first,
-    /// then up to `candidates - 1` sampled distinct orders (seeded, so
-    /// one serving process keeps scoring the same pool and the [`cost`]
-    /// model converges instead of chasing fresh orders forever).
+    /// then up to `candidates - 1` of the other valid orders, taken from
+    /// [`Scheduler::orders`] rotated by `seed` (so one serving process
+    /// keeps scoring the same pool and the [`cost`] model converges
+    /// instead of chasing fresh orders forever).
     pub fn candidate_orders(&self, seed: u64, candidates: usize) -> Vec<Vec<&'static str>> {
-        let baseline = self.baseline();
-        let mut out = vec![baseline.clone()];
-        for o in self.sample_orders(seed, candidates.max(1)) {
-            if o != baseline && out.len() < candidates.max(1) {
-                out.push(o);
-            }
+        let mut orders = self.orders();
+        let others = &mut orders[1..];
+        if !others.is_empty() {
+            others.rotate_left((seed % others.len() as u64) as usize);
         }
-        out
+        orders.truncate(candidates.max(1));
+        orders
     }
 
     /// Pick a schedule by recorded warm-compile latency: measure every
@@ -689,28 +434,11 @@ impl Scheduler {
     }
 }
 
-/// Tiny deterministic generator for schedule sampling (splitmix64 —
-/// self-contained so the scheduler depends on nothing outside this
-/// crate).
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        ((self.next() as u128 * n as u128) >> 64) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::PassCtx;
+    use dblab_ir::Level;
 
     fn level5() -> StackConfig {
         StackConfig::level5()
@@ -741,8 +469,7 @@ mod tests {
     }
 
     /// Five passes with one declared edge (`b` after `a`): 5! / 2 = 60
-    /// valid orders. The registry's level-5 DAG has 8, too few for the
-    /// sampler's 25-order tests.
+    /// valid orders.
     fn synthetic() -> Scheduler {
         let passes: Vec<Box<dyn Pass>> = vec![
             Box::new(Synthetic("a", &[])),
@@ -759,56 +486,61 @@ mod tests {
         let s = Scheduler::from_registry(&level5()).expect("valid DAG");
         assert_eq!(s.names().len(), 6);
         s.validate_order(&s.baseline()).expect("baseline valid");
-        // The three lowerings are totally ordered by level edges.
-        let e = s.edge_names();
-        assert!(e.iter().any(|(a, b, k)| *a == "hash-table-specialization"
-            && *b == "list-specialization"
-            && *k == EdgeKind::Level));
-        assert!(e.iter().any(|(a, b, k)| *a == "list-specialization"
-            && *b == "memory-hoisting"
-            && *k == EdgeKind::Level));
+        // The three lowerings are totally ordered by level edges: every
+        // valid order runs them in level order.
+        let lowerings = [
+            "hash-table-specialization",
+            "list-specialization",
+            "memory-hoisting",
+        ];
+        for o in s.orders() {
+            let at: Vec<usize> = (lowerings.iter())
+                .map(|l| o.iter().position(|n| n == l).unwrap())
+                .collect();
+            assert!(at.windows(2).all(|w| w[0] < w[1]), "{o:?}");
+        }
     }
 
     #[test]
-    fn sampled_orders_are_distinct_valid_and_deterministic() {
+    fn orders_are_every_topological_order_baseline_first() {
         let s = synthetic();
-        let orders = s.sample_orders(0xdb1ab, 25);
-        assert_eq!(orders.len(), 25, "synthetic DAG admits at least 25 orders");
-        for o in &orders {
-            s.validate_order(o).expect("sampled order valid");
+        let orders = s.orders();
+        assert_eq!(orders.len(), 60, "5! / 2");
+        assert_eq!(orders[0], s.baseline());
+        for (i, o) in orders.iter().enumerate() {
+            s.validate_order(o).expect("enumerated order valid");
+            assert!(!orders[..i].contains(o), "{o:?} repeats");
         }
-        for i in 0..orders.len() {
-            for j in i + 1..orders.len() {
-                assert_ne!(orders[i], orders[j], "orders are distinct");
+        let s = Scheduler::from_registry(&level5()).expect("valid DAG");
+        assert_eq!(s.orders().len(), 8);
+        assert_eq!(s.orders()[0], s.baseline());
+    }
+
+    #[test]
+    fn candidates_are_the_baseline_then_other_orders_rotated_by_the_seed() {
+        let s = synthetic();
+        let orders = s.orders();
+        let picks = |seed: u64, k: usize| -> Vec<usize> {
+            (s.candidate_orders(seed, k).iter())
+                .map(|o| orders.iter().position(|x| x == o).unwrap())
+                .collect()
+        };
+        assert_eq!(picks(2, 4), [0, 3, 4, 5]);
+        // The seed wraps around the 59 non-baseline orders.
+        assert_eq!(picks(2 + 59, 4), [0, 3, 4, 5]);
+        assert_eq!(picks(58, 3), [0, 59, 1]);
+        assert_eq!(s.candidate_orders(7, 0), [s.baseline()]);
+        assert_eq!(s.candidate_orders(7, 100).len(), 60);
+        // The registry's level-5 DAG fills a four-candidate pool with four
+        // distinct valid orders whatever the seed.
+        let s = Scheduler::from_registry(&level5()).expect("valid DAG");
+        for seed in 0..8 {
+            let pool = s.candidate_orders(seed, 4);
+            assert_eq!(pool.len(), 4);
+            for (i, o) in pool.iter().enumerate() {
+                s.validate_order(o).expect("candidate valid");
+                assert!(!pool[..i].contains(o), "seed {seed}: {o:?} repeats");
             }
-        }
-        assert_eq!(orders, s.sample_orders(0xdb1ab, 25), "seeded: reproducible");
-        assert_ne!(
-            orders,
-            s.sample_orders(0xdb1ab + 1, 25),
-            "different seed, different sample"
-        );
-    }
-
-    #[test]
-    fn order_count_is_consistent_with_sampling() {
-        let s = synthetic();
-        let count = s.order_count().expect("5 passes: countable");
-        assert_eq!(count, 60);
-        // Sampling cannot exceed the exact count: ask for more than exist
-        // and get exactly the count back.
-        let all = s.sample_orders(1, count as usize + 50);
-        assert_eq!(
-            all.len(),
-            count as usize,
-            "sampling saturates at the exact count"
-        );
-        for o in &all {
-            let (a, b) = (
-                o.iter().position(|n| *n == "a"),
-                o.iter().position(|n| *n == "b"),
-            );
-            assert!(a < b, "declared edge a -> b holds in {o:?}");
         }
     }
 
@@ -967,25 +699,5 @@ mod tests {
         let choice = s.cost_scored_order(42, 4);
         assert_eq!(choice.order, pool[0]);
         assert!(!choice.non_baseline);
-    }
-
-    #[test]
-    fn adjacent_order_places_the_pair_back_to_back() {
-        let s = Scheduler::from_registry(&level5()).expect("valid DAG");
-        let (a, b) = *s
-            .commuting_pairs()
-            .first()
-            .expect("level-5 DAG leaves some pairs unordered");
-        let o = s.adjacent_order(a, b).expect("constructible");
-        let ia = o.iter().position(|n| *n == a).unwrap();
-        let ib = o.iter().position(|n| *n == b).unwrap();
-        assert_eq!(ib, ia + 1, "pair adjacent in {o:?}");
-        s.validate_order(&o).expect("valid");
-        let o2 = s.adjacent_order(b, a).expect("swap constructible");
-        s.validate_order(&o2).expect("valid swapped");
-        // Ordered pairs cannot be swapped at all.
-        assert!(s
-            .adjacent_order("list-specialization", "hash-table-specialization")
-            .is_err());
     }
 }

@@ -170,45 +170,27 @@ pub fn compile_ordered(
     cfg: &StackConfig,
     order: &[&str],
 ) -> Result<CompiledQuery, String> {
-    compile_ordered_with_snapshots(prog, schema, cfg, order, false).map(|(cq, _)| cq)
-}
-
-/// [`compile_ordered`], optionally retaining the full IR program after
-/// every stage (the schedule-differential suite walks these).
-pub fn compile_ordered_with_snapshots(
-    prog: &QueryProgram,
-    schema: &Schema,
-    cfg: &StackConfig,
-    order: &[&str],
-    keep_programs: bool,
-) -> Result<(CompiledQuery, Vec<(String, Program)>), String> {
     let sched = crate::schedule::Scheduler::from_registry(cfg)?;
-    compile_scheduled(&sched, prog, schema, order, keep_programs)
+    compile_scheduled(&sched, prog, schema, order)
 }
 
-/// The sweep-friendly entry point: compile through an already-built
-/// [`crate::schedule::Scheduler`] (its configuration decides the
-/// selection), so a K-ordering × N-query sweep builds the DAG once, not
-/// K × N times.
+/// [`compile_ordered`] through an already-built
+/// [`crate::schedule::Scheduler`] (its configuration and its passes
+/// decide the selection), so a sweep over every order builds the DAG
+/// once per configuration.
 pub fn compile_scheduled(
     sched: &crate::schedule::Scheduler,
     prog: &QueryProgram,
     schema: &Schema,
     order: &[&str],
-    keep_programs: bool,
-) -> Result<(CompiledQuery, Vec<(String, Program)>), String> {
+) -> Result<CompiledQuery, String> {
     sched.validate_order(order)?;
     let ordered: Vec<&dyn Pass> = order
         .iter()
         .map(|n| sched.pass_by_name(n).expect("validated"))
         .collect();
-    Ok(run_pipeline(
-        &PlanLowering(prog),
-        schema,
-        sched.config(),
-        &ordered,
-        keep_programs,
-    ))
+    let fe = PlanLowering(prog);
+    Ok(run_pipeline(&fe, schema, sched.config(), &ordered, false).0)
 }
 
 /// A compile whose schedule was picked by recorded cost (see
@@ -239,7 +221,7 @@ pub fn compile_cost_scored(
     candidates: usize,
 ) -> Result<CostScored, String> {
     let choice = sched.cost_scored_order(seed, candidates);
-    let (cq, _) = compile_scheduled(sched, prog, schema, &choice.order, false)?;
+    let cq = compile_scheduled(sched, prog, schema, &choice.order)?;
     crate::schedule::cost::record(
         sched.config().name,
         &choice.order,
@@ -251,19 +233,6 @@ pub fn compile_cost_scored(
         non_baseline: choice.non_baseline,
         explored: choice.explored,
     })
-}
-
-/// Front-end lowering into the top IR level, optimized to fixpoint — the
-/// one definition of this step, shared by the driver and the scheduler's
-/// commutation checker (so they can never diverge on it). Returns the
-/// raw (pre-optimization) statement count and the time spent in the
-/// fixpoint alongside the program for the stage snapshot.
-pub(crate) fn lower_frontend(fe: &dyn Frontend, ctx: &PassCtx) -> (usize, Duration, Program) {
-    let raw = fe.lower(ctx);
-    let raw_size = raw.body.size();
-    let t = Instant::now();
-    let p = optimize(raw);
-    (raw_size, t.elapsed(), p)
 }
 
 /// Shared driver body: front-end, then the given passes in the given
@@ -288,8 +257,11 @@ fn run_pipeline(
     let validate = cfg!(debug_assertions);
 
     let start = Instant::now();
-    let t0 = Instant::now();
-    let (raw_size, fixpoint, mut p) = lower_frontend(fe, &ctx);
+    let raw = fe.lower(&ctx);
+    let raw_size = raw.body.size();
+    let t = Instant::now();
+    let mut p = optimize(raw);
+    let fixpoint = t.elapsed();
     debug_assert_eq!(p.level, fe.target());
     if validate {
         let violations = validate_window(&p, fe.target(), p.level);
@@ -308,7 +280,7 @@ fn run_pipeline(
         level: p.level,
         size_before: raw_size,
         size: p.body.size(),
-        time: t0.elapsed(),
+        time: start.elapsed(),
         fixpoint,
     };
     let key = (!keep).then(|| memo::key(&p, passes, cfg, schema));
@@ -466,16 +438,16 @@ mod tests {
         let q = join_count_query();
         let baseline = compile(&q, &schema, &cfg);
         let sched = crate::schedule::Scheduler::from_registry(&cfg).expect("dag");
-        // A genuinely permuted schedule: the first sampled order that
+        // A genuinely permuted schedule: the first valid order that
         // differs from the baseline.
         let order = sched
-            .sample_orders(7, 8)
+            .orders()
             .into_iter()
             .find(|o| *o != sched.baseline())
             .expect("level-5 DAG admits non-baseline orders");
         let cq = compile_ordered(&q, &schema, &cfg, &order).expect("valid schedule");
         // Stage trace follows the requested order; final IR agrees with
-        // the baseline (all sampled orders are commuting permutations).
+        // the baseline (all valid orders are commuting permutations).
         let stage_names: Vec<&str> = cq.stages[1..].iter().map(|s| s.name.as_str()).collect();
         assert_eq!(stage_names, order);
         assert_eq!(
@@ -536,6 +508,60 @@ mod tests {
             .baseline();
         bad.reverse();
         assert!(compile_ordered(&q, &schema, &cfg, &bad).is_err());
+    }
+
+    /// `order` with `pass` moved to just before `before`.
+    fn moved_before(order: &[&'static str], pass: &str, before: &str) -> Vec<&'static str> {
+        let mut order = order.to_vec();
+        let p = order.remove(order.iter().position(|n| *n == pass).unwrap());
+        let at = order.iter().position(|n| *n == before).unwrap();
+        order.insert(at, p);
+        order
+    }
+
+    /// field-removal before string-dictionaries: level-wise legal (the
+    /// pass floats), but it violates the *declared* edge — swapped,
+    /// string-dictionaries indexes struct layouts field-removal already
+    /// pruned. The driver refuses to run it rather than crash or
+    /// miscompile.
+    #[test]
+    fn dag_violating_schedules_are_rejected_not_executed() {
+        let cfg = StackConfig::level5();
+        let sched = crate::schedule::Scheduler::from_registry(&cfg).expect("dag");
+        let order = moved_before(&sched.baseline(), "field-removal", "string-dictionaries");
+        let q = dblab_tpch::queries::query(1);
+        let err = compile_ordered(&q, &schema(), &cfg, &order).unwrap_err();
+        assert!(
+            err.contains("edge string-dictionaries -> field-removal"),
+            "declared-edge violation must be named: {err}"
+        );
+    }
+
+    /// `parallelize-scans`' declared edges are real dependencies, not
+    /// decoration: an ordering that runs it before one of its
+    /// prerequisites is rejected by the driver, naming the violated edge.
+    #[test]
+    fn parallelize_scans_declared_edges_are_enforced() {
+        let cfg = StackConfig {
+            threads: 4,
+            ..StackConfig::level5()
+        };
+        let sched = crate::schedule::Scheduler::from_registry(&cfg).expect("dag");
+        let q = dblab_tpch::queries::query(1);
+        // Before branch-optimization — both float at C.Scala, so the swap
+        // is level-wise legal and only the declared edge forbids it
+        // (swapped, the `&`-chains the privatization analysis walks are
+        // still `&&` trees) — and before field-removal (swapped, the
+        // analysis would key on record layouts field-removal is about to
+        // change).
+        for before in ["branch-optimization", "field-removal"] {
+            let order = moved_before(&sched.baseline(), "parallelize-scans", before);
+            let err = compile_ordered(&q, &schema(), &cfg, &order).unwrap_err();
+            assert!(
+                err.contains(&format!("edge {before} -> parallelize-scans")),
+                "declared-edge violation must be named: {err}"
+            );
+        }
     }
 
     #[test]

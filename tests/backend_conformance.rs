@@ -273,14 +273,14 @@ fn with_field(text: &str, row: usize, col: usize, value: &str) -> String {
     lines.join("\n") + "\n"
 }
 
-/// A number field that is not a number of its column's type is outside
-/// input the gcc binary refuses, as the in-process reader does
+/// A number or date field that is not a value of its column's type is
+/// outside input the gcc binary refuses, as the in-process reader does
 /// (`table::tests::malformed_rows_are_typed_errors_naming_the_place`):
-/// Q3 reads `c_custkey` (an index key and an `Int`) and `l_extendedprice`
-/// (a `Double`), and with either broken the binary exits non-zero naming
-/// the table, the column, the text and the row instead of reading the
-/// text's leading digits. Once the file is repaired the same binary
-/// answers like the oracle.
+/// Q3 reads `c_custkey` (an index key and an `Int`), `l_extendedprice`
+/// (a `Double`) and `o_orderdate` (a `Date`), and with any of them broken
+/// the binary exits non-zero naming the table, the column, the text and
+/// the row instead of reading the text's leading digits or fixed offsets.
+/// Once the file is repaired the same binary answers like the oracle.
 #[test]
 fn gcc_refuses_a_malformed_number_then_recovers() {
     let gcc = dblab::codegen::backend("gcc").expect("registered");
@@ -300,6 +300,7 @@ fn gcc_refuses_a_malformed_number_then_recovers() {
         ("customer", 0, 5, "x5", "Int"),
         ("lineitem", 5, 3, "inf", "Double"),
         ("lineitem", 5, 7, "12.5.0", "Double"),
+        ("orders", 4, 5, "1995-3", "Date"),
     ] {
         let path = data.join(format!("{table}.tbl"));
         let good = std::fs::read_to_string(&path).expect("read .tbl");

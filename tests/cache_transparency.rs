@@ -156,7 +156,7 @@ fn equal_lowerings_share_an_entry_and_program_changing_inputs_miss() {
     let baseline = dblab::transform::compile(&prog, &schema, &level5);
     let sched = Scheduler::from_registry(&level5).expect("dag");
     let order = sched
-        .sample_orders(3, 8)
+        .orders()
         .into_iter()
         .find(|o| *o != sched.baseline())
         .expect("level-5 DAG admits non-baseline orders");

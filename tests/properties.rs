@@ -11,11 +11,7 @@
 //! * the structural IR hasher (the compile-cache key) is printer-faithful:
 //!   printer-equal programs hash equal, any single-node mutation changes
 //!   the hash, and two process-independent constructions of the same
-//!   query plan agree;
-//! * the pass-commutation DAG is sound: every pair of passes it leaves
-//!   unordered yields `program_hash`-equal IR when swapped adjacently on
-//!   all 22 TPC-H queries, and a deliberately mis-declared pair is
-//!   caught by the soundness check.
+//!   query plan agree.
 
 use dblab::catalog::{ColType, Schema, TableDef};
 use dblab::frontend::expr::{Lit, ScalarExpr};
@@ -343,155 +339,6 @@ fn hash_is_stable_across_independent_constructions() {
         dblab::transform::compile(&prog, &schema, &dblab::transform::StackConfig::level5()).program
     };
     assert_eq!(program_hash(&build()), program_hash(&build()));
-}
-
-// -------------------------------------------------------------------
-// Pass-commutation DAG soundness
-// -------------------------------------------------------------------
-
-fn tpch_schema_with_stats() -> Schema {
-    let mut s = dblab::tpch::tpch_schema();
-    for t in &mut s.tables {
-        t.stats.row_count = 100;
-        t.stats.int_max = vec![100; t.columns.len()];
-        t.stats.distinct = vec![10; t.columns.len()];
-    }
-    s
-}
-
-/// Every pair of passes the DAG declares commuting (leaves unordered)
-/// yields `program_hash`-equal IR when swapped adjacently — over all 22
-/// TPC-H queries, at the full stack and the partial stacks the benches
-/// publish numbers for.
-#[test]
-fn declared_commuting_pairs_hash_equal_when_swapped() {
-    use dblab::transform::{schedule::Scheduler, StackConfig};
-    let schema = tpch_schema_with_stats();
-    let corpus: Vec<(String, dblab::frontend::qplan::QueryProgram)> = (1..=22)
-        .map(|n| (format!("Q{n}"), dblab::tpch::queries::query(n)))
-        .collect();
-    // The threaded five-level stack adds `parallelize-scans` to the DAG;
-    // its commutation claims are verified like everyone else's.
-    let mut level5_threaded = StackConfig::level5();
-    level5_threaded.threads = 4;
-    // Each DAG's exact number of unordered pairs: a new edge or pass
-    // moves it, and the soundness check below covers every pair.
-    for (cfg, pairs) in [
-        (StackConfig::level5(), 4),
-        (StackConfig::level4(), 2),
-        (StackConfig::compliant(), 4),
-        (level5_threaded, 4),
-    ] {
-        let sched = Scheduler::from_registry(&cfg).expect("DAG builds");
-        assert_eq!(
-            sched.commuting_pairs().len(),
-            pairs,
-            "{}: unordered pairs {:?}",
-            cfg.name,
-            sched.commuting_pairs()
-        );
-        let violations = sched.verify_commutation(&corpus, &schema);
-        assert!(
-            violations.is_empty(),
-            "{}: {} commutation violations:\n{}",
-            cfg.name,
-            violations.len(),
-            violations.join("\n")
-        );
-    }
-}
-
-/// A deliberately mis-declared pair — two passes that visibly do not
-/// commute, left unordered in the DAG — is caught by the soundness
-/// check; declaring the missing edge silences it.
-#[test]
-fn mis_declared_commutation_is_caught_by_the_soundness_check() {
-    use dblab::ir::expr::{Atom, Expr, Stmt, Sym};
-    use dblab::ir::types::Type;
-    use dblab::ir::{BinOp, Level, Program};
-    use dblab::transform::{schedule::Scheduler, Pass, PassCtx, PassKind, StackConfig};
-
-    /// Appends `printf(v op rhs)` for a fresh variable `v = lhs`: printed,
-    /// so the post-pass DCE keeps it, and with a variable operand, so the
-    /// `Bin` is what the builder would emit (`lhs op rhs` would fold).
-    fn append_stmt(p: &Program, op: BinOp, lhs: i64, rhs: i64) -> Program {
-        let mut q = p.clone();
-        let mut push = |ty: Type, expr: Expr| {
-            let sym = Sym(q.sym_types.len() as u32);
-            q.sym_types.push(ty.clone());
-            q.body.stmts.push(Stmt { sym, ty, expr });
-            sym
-        };
-        let init = Atom::Int(lhs);
-        let var = push(Type::Int, Expr::DeclVar { init });
-        let x = push(Type::Int, Expr::ReadVar(var));
-        let y = push(Type::Int, Expr::Bin(op, Atom::Sym(x), Atom::Int(rhs)));
-        let (fmt, args) = ("%d\n".into(), vec![Atom::Sym(y)]);
-        push(Type::Unit, Expr::Printf { fmt, args });
-        q
-    }
-
-    macro_rules! rogue_pass {
-        ($name:ident, $label:literal, $op:expr, $after:expr) => {
-            struct $name;
-            impl Pass for $name {
-                fn name(&self) -> &'static str {
-                    $label
-                }
-                fn kind(&self) -> PassKind {
-                    PassKind::Optimization
-                }
-                fn source(&self) -> Level {
-                    Level::MapList
-                }
-                fn target(&self) -> Level {
-                    Level::MapList
-                }
-                fn after(&self) -> &'static [&'static str] {
-                    $after
-                }
-                fn run(&self, p: &Program, _ctx: &PassCtx) -> Program {
-                    append_stmt(p, $op, 1, 2)
-                }
-            }
-        };
-    }
-    rogue_pass!(AppendAdd, "append-add", BinOp::Add, &[]);
-    rogue_pass!(AppendMul, "append-mul", BinOp::Mul, &[]);
-    // The honest variant: the same rewrite, with its dependency declared.
-    rogue_pass!(AppendMulOrdered, "append-mul", BinOp::Mul, &["append-add"]);
-
-    let schema = tpch_schema_with_stats();
-    let cfg = StackConfig::level2();
-    let corpus = vec![(
-        "nation-count".to_string(),
-        dblab::frontend::qplan::QueryProgram::new(
-            dblab::frontend::qplan::QPlan::scan("nation")
-                .agg(vec![], vec![("n", dblab::frontend::qplan::AggFunc::Count)]),
-        ),
-    )];
-
-    // Mis-declared: both passes appended their statements in swap-dependent
-    // order, yet the DAG leaves them unordered.
-    let sched = Scheduler::from_passes(vec![Box::new(AppendAdd), Box::new(AppendMul)], &cfg)
-        .expect("DAG builds — nothing *declares* the conflict");
-    assert!(sched
-        .commuting_pairs()
-        .contains(&("append-add", "append-mul")));
-    let violations = sched.verify_commutation(&corpus, &schema);
-    assert_eq!(violations.len(), 1, "soundness check flags the pair");
-    assert!(
-        violations[0].contains("append-add") && violations[0].contains("do not commute"),
-        "{}",
-        violations[0]
-    );
-
-    // Declaring the edge removes the pair from the commuting set and the
-    // soundness check passes.
-    let sched = Scheduler::from_passes(vec![Box::new(AppendAdd), Box::new(AppendMulOrdered)], &cfg)
-        .expect("DAG builds");
-    assert!(sched.commuting_pairs().is_empty());
-    assert!(sched.verify_commutation(&corpus, &schema).is_empty());
 }
 
 // -------------------------------------------------------------------

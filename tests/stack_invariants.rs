@@ -4,12 +4,16 @@
 
 use std::collections::{HashMap, HashSet};
 
+use dblab::catalog::Schema;
+use dblab::frontend::qplan::{AggFunc, QPlan, QueryProgram};
 use dblab::ir::expr::{Atom, Block, DictOp, Expr, Layout, Sym, DEFAULT_POOL};
+use dblab::ir::hash::program_hash;
 use dblab::ir::level::{validate, validate_window, Level};
 use dblab::ir::{BinOp, PrimOp, Program, StructId, Type, UnOp};
 use dblab::tpch;
 use dblab::transform::config::dblab_stack;
-use dblab::transform::stack::compile_with_snapshots;
+use dblab::transform::schedule::Scheduler;
+use dblab::transform::stack::{compile_scheduled, compile_with_snapshots};
 use dblab::transform::{pass, StackConfig};
 
 fn schema_with_stats() -> dblab::catalog::Schema {
@@ -44,8 +48,6 @@ fn declared_stack_satisfies_both_principles() {
 /// and costs compile time.
 #[test]
 fn every_registry_pass_rewrites_some_program() {
-    use dblab::ir::hash::program_hash;
-    use std::collections::HashSet;
     let schema = schema_with_stats();
     let mut threaded = StackConfig::level5();
     threaded.threads = 2;
@@ -80,6 +82,181 @@ fn every_registry_pass_rewrites_some_program() {
         identity.is_empty(),
         "registry passes that rewrote no query: {identity:?}"
     );
+}
+
+/// Compile every query through every valid order of `sched`'s DAG. One
+/// line per (query, order) whose stage trace does not follow the order or
+/// whose program differs from the baseline order's, naming the pass pairs
+/// the order runs the other way round from the baseline.
+fn order_divergences(
+    sched: &Scheduler,
+    queries: &[(String, QueryProgram)],
+    schema: &Schema,
+) -> Vec<String> {
+    let cfg = sched.config().name;
+    let baseline = sched.baseline();
+    let hashes: Vec<u64> = (queries.iter())
+        .map(|(_, prog)| {
+            let cq = compile_scheduled(sched, prog, schema, &baseline).expect("baseline is valid");
+            program_hash(&cq.program)
+        })
+        .collect();
+    let mut out = Vec::new();
+    for order in sched.orders() {
+        let at = |name: &str| order.iter().position(|n| *n == name).unwrap();
+        let mut inverted = Vec::new();
+        for (i, a) in baseline.iter().enumerate() {
+            for b in &baseline[i + 1..] {
+                if at(a) > at(b) {
+                    inverted.push(format!("`{b}` before `{a}`"));
+                }
+            }
+        }
+        for ((tag, prog), &want) in queries.iter().zip(&hashes) {
+            let cq = compile_scheduled(sched, prog, schema, &order)
+                .unwrap_or_else(|e| panic!("{cfg} {tag}: valid order {order:?} refused: {e}"));
+            let trace: Vec<&str> = cq.stages[1..].iter().map(|s| s.name.as_str()).collect();
+            if trace != order {
+                out.push(format!("{cfg} {tag}: ran {trace:?} for {order:?}"));
+            } else if program_hash(&cq.program) != want {
+                out.push(format!(
+                    "{cfg} {tag}: order {order:?} compiles another program than the baseline; \
+                     it inverts {}",
+                    inverted.join(", ")
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// Everything the pass-commutation DAG leaves unordered is declared
+/// commuting, and the claim is checked whole: every valid order of every
+/// Table 3 configuration and LegoBase, at one thread and two, compiles
+/// each of the 22 queries to the baseline's `program_hash`, through a
+/// stage trace that follows the order. The programs are the same, so
+/// whatever holds the baseline to the oracle holds every order. The
+/// number of valid orders per configuration is pinned: a new pass or
+/// edge moves it.
+#[test]
+fn every_valid_pass_order_compiles_to_the_baseline_program() {
+    let schema = schema_with_stats();
+    let queries: Vec<(String, QueryProgram)> = (1..=22)
+        .map(|n| (format!("Q{n}"), tpch::queries::query(n)))
+        .collect();
+    let configs = [
+        (StackConfig::level2(), 1),
+        (StackConfig::level3(), 1),
+        (StackConfig::level4(), 3),
+        (StackConfig::level5(), 8),
+        (StackConfig::compliant(), 8),
+        (StackConfig::legobase(), 3),
+    ];
+    let mut failures = Vec::new();
+    for threads in [1, 2] {
+        for (cfg, orders) in &configs {
+            let cfg = StackConfig {
+                threads,
+                ..cfg.clone()
+            };
+            let sched = Scheduler::from_registry(&cfg).expect("DAG builds");
+            assert_eq!(
+                sched.orders().len(),
+                *orders,
+                "{} at {threads} thread(s): {:?}",
+                cfg.name,
+                sched.orders()
+            );
+            failures.extend(order_divergences(&sched, &queries, &schema));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// A deliberately mis-declared pair — two passes that visibly do not
+/// commute, left unordered in the DAG — fails the order check, which
+/// names the pair; declaring the missing edge leaves one order, and the
+/// check passes.
+#[test]
+fn an_undeclared_non_commuting_pass_order_is_caught() {
+    use dblab::ir::expr::Stmt;
+    use dblab::transform::{Pass, PassCtx, PassKind};
+
+    /// Appends `printf(v op rhs)` for a fresh variable `v = lhs`: printed,
+    /// so the post-pass DCE keeps it, and with a variable operand, so the
+    /// `Bin` is what the builder would emit (`lhs op rhs` would fold).
+    fn append_stmt(p: &Program, op: BinOp, lhs: i64, rhs: i64) -> Program {
+        let mut q = p.clone();
+        let mut push = |ty: Type, expr: Expr| {
+            let sym = Sym(q.sym_types.len() as u32);
+            q.sym_types.push(ty.clone());
+            q.body.stmts.push(Stmt { sym, ty, expr });
+            sym
+        };
+        let init = Atom::Int(lhs);
+        let var = push(Type::Int, Expr::DeclVar { init });
+        let x = push(Type::Int, Expr::ReadVar(var));
+        let y = push(Type::Int, Expr::Bin(op, Atom::Sym(x), Atom::Int(rhs)));
+        let (fmt, args) = ("%d\n".into(), vec![Atom::Sym(y)]);
+        push(Type::Unit, Expr::Printf { fmt, args });
+        q
+    }
+
+    macro_rules! rogue_pass {
+        ($name:ident, $label:literal, $op:expr, $after:expr) => {
+            struct $name;
+            impl Pass for $name {
+                fn name(&self) -> &'static str {
+                    $label
+                }
+                fn kind(&self) -> PassKind {
+                    PassKind::Optimization
+                }
+                fn source(&self) -> Level {
+                    Level::MapList
+                }
+                fn target(&self) -> Level {
+                    Level::MapList
+                }
+                fn after(&self) -> &'static [&'static str] {
+                    $after
+                }
+                fn run(&self, p: &Program, _ctx: &PassCtx) -> Program {
+                    append_stmt(p, $op, 1, 2)
+                }
+            }
+        };
+    }
+    rogue_pass!(AppendAdd, "append-add", BinOp::Add, &[]);
+    rogue_pass!(AppendMul, "append-mul", BinOp::Mul, &[]);
+    // The honest variant: the same rewrite, with its dependency declared.
+    rogue_pass!(AppendMulOrdered, "append-mul", BinOp::Mul, &["append-add"]);
+
+    let schema = schema_with_stats();
+    let cfg = StackConfig::level2();
+    let queries = vec![(
+        "nation-count".to_string(),
+        QueryProgram::new(QPlan::scan("nation").agg(vec![], vec![("n", AggFunc::Count)])),
+    )];
+
+    // Mis-declared: both passes append their statements, so the order
+    // decides the program, yet the DAG leaves them unordered.
+    let sched = Scheduler::from_passes(vec![Box::new(AppendAdd), Box::new(AppendMul)], &cfg)
+        .expect("DAG builds — nothing *declares* the conflict");
+    assert_eq!(sched.orders().len(), 2);
+    let failures = order_divergences(&sched, &queries, &schema);
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert!(
+        failures[0].contains("inverts `append-mul` before `append-add`"),
+        "{}",
+        failures[0]
+    );
+
+    // Declaring the edge leaves the baseline as the only order.
+    let sched = Scheduler::from_passes(vec![Box::new(AppendAdd), Box::new(AppendMulOrdered)], &cfg)
+        .expect("DAG builds");
+    assert_eq!(sched.orders(), [sched.baseline()]);
+    assert!(order_divergences(&sched, &queries, &schema).is_empty());
 }
 
 #[test]
