@@ -1,8 +1,10 @@
 //! Regenerates the paper's **Figure 8**: peak memory consumption of the
 //! generated C programs (full five-level stack), one bar per TPC-H query.
 //! Measured with `getrusage(RUSAGE_SELF).ru_maxrss` inside the generated
-//! binary (the paper used Valgrind plus a custom profiler; RSS captures
-//! the same loading-plus-execution footprint).
+//! binary (the paper used Valgrind plus a custom profiler). The binary
+//! reads its columns from the data image, so its RSS is the columns its
+//! query reads plus execution; parsing the `.tbl` text happens once, in
+//! the process that writes the image, and is not in this number.
 
 use dblab_bench::{data_dir, gen_dir, Args};
 use dblab_codegen::Compiler;

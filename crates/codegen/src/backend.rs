@@ -21,8 +21,8 @@
 
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
-use std::sync::OnceLock;
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::{mpsc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -31,7 +31,7 @@ use dblab_frontend::qmonad::QMonad;
 use dblab_frontend::qplan::QueryProgram;
 use dblab_ir::expr::Expr;
 use dblab_ir::{Program, Type};
-use dblab_runtime::{snapshot, Snapshot, Value};
+use dblab_runtime::{image, snapshot, Snapshot, Value};
 use dblab_transform::stack::CompiledQuery;
 use dblab_transform::StackConfig;
 
@@ -49,15 +49,18 @@ pub struct RunOutput {
     /// (`PEAK_RSS_KB`, from `getrusage`). 0 for the in-process backends:
     /// the serving process's lifetime high-water mark is not the query's.
     pub peak_rss_kb: u64,
-    /// Whole-process wall time (loading included).
+    /// Whole-run wall time: resolving the data (the snapshot, or a gcc
+    /// binary's data image) and, for a binary, its process.
     pub wall: Duration,
 }
 
 /// A built query, ready to run against a `.tbl` data directory. The
-/// native backends hand the directory to the query process, which parses
-/// it; the in-process backends resolve it through the resident snapshot
-/// store ([`dblab_runtime::snapshot::resident`]) — parsed once per
-/// directory, re-validated by file fingerprint on every run.
+/// native backend resolves the directory's data image
+/// ([`dblab_runtime::image::resolve`]) — written once per data version —
+/// and hands the image to the query process; the in-process backends
+/// resolve it through the resident snapshot store
+/// ([`dblab_runtime::snapshot::resident`]) — parsed once per directory.
+/// Both re-validate by file fingerprint on every run.
 ///
 /// `Send + Sync` is part of the contract: the bench harness builds
 /// executables on worker threads and runs them wherever timing is least
@@ -150,46 +153,52 @@ pub fn format_param(v: &Value) -> String {
     }
 }
 
-/// Spawn a generated binary on `data_dir` with `params` as `argv[2..]`
-/// (canonical text form — see [`format_param`]) and parse the
+/// Spawn a generated binary with `dir` as `argv[1]` and `params` as
+/// `argv[2..]` (canonical text form — see [`format_param`]) and parse the
 /// instrumentation lines (`QUERY_TIME_MS`, `PEAK_RSS_KB`) from stderr.
 ///
 /// Output is piped and drained by two reader threads, so a full pipe never
-/// wedges the wait. Without a deadline the caller blocks in `wait`; with
-/// one it polls `try_wait` every millisecond and, once the budget is
-/// spent, kills the child and reports [`io::ErrorKind::TimedOut`]. On
-/// every exit the child is reaped and both readers are joined — a failed
-/// or timed-out query leaks neither a process nor a thread.
+/// wedges the wait. Without a deadline the caller blocks in `wait`. With
+/// one it blocks until stdout's end of file or the budget, whichever comes
+/// first: the end of file is the child exiting, which is then reaped
+/// within what is left of the budget. Once the budget is spent the child
+/// is killed and [`io::ErrorKind::TimedOut`] reported. On every exit the
+/// child is reaped and both readers are joined — a failed or timed-out
+/// query leaks neither a process nor a thread.
 pub fn run_binary(
     binary: &Path,
-    data_dir: &Path,
+    dir: &Path,
     params: &[Value],
     deadline: Option<Duration>,
 ) -> io::Result<RunOutput> {
-    fn drain(mut pipe: impl Read + Send + 'static) -> JoinHandle<Vec<u8>> {
-        std::thread::spawn(move || {
+    fn drain(mut pipe: impl Read + Send + 'static) -> (JoinHandle<()>, mpsc::Receiver<Vec<u8>>) {
+        let (tx, rx) = mpsc::channel();
+        let reader = std::thread::spawn(move || {
             let mut buf = Vec::new();
             let _ = pipe.read_to_end(&mut buf);
-            buf
-        })
+            let _ = tx.send(buf);
+        });
+        (reader, rx)
     }
     let t0 = Instant::now();
     let mut child = Command::new(binary)
-        .arg(data_dir)
+        .arg(dir)
         .args(params.iter().map(format_param))
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()?;
-    let out = drain(child.stdout.take().expect("piped stdout"));
-    let err = drain(child.stderr.take().expect("piped stderr"));
+    let (out_reader, out) = drain(child.stdout.take().expect("piped stdout"));
+    let (err_reader, err) = drain(child.stderr.take().expect("piped stderr"));
+    let mut stdout = None;
     // `Ok(None)`: the budget ran out while the child was still running.
     let waited = match deadline {
         None => child.wait().map(Some),
-        Some(budget) => loop {
-            match child.try_wait() {
-                Ok(None) if t0.elapsed() < budget => std::thread::sleep(Duration::from_millis(1)),
-                other => break other,
+        Some(budget) => match out.recv_timeout(budget.saturating_sub(t0.elapsed())) {
+            Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
+            eof => {
+                stdout = eof.ok();
+                reap(&mut child, t0 + budget)
             }
         },
     };
@@ -198,8 +207,9 @@ pub fn run_binary(
         let _ = child.wait();
     }
     let wall = t0.elapsed();
-    let stdout = out.join().unwrap_or_default();
-    let stderr = String::from_utf8_lossy(&err.join().unwrap_or_default()).into_owned();
+    let stdout = stdout.or_else(|| out.recv().ok()).unwrap_or_default();
+    let stderr = String::from_utf8_lossy(&err.recv().unwrap_or_default()).into_owned();
+    let _ = (out_reader.join(), err_reader.join());
     let Some(status) = waited? else {
         return Err(timeout_error(deadline.unwrap_or_default()));
     };
@@ -221,6 +231,23 @@ pub fn run_binary(
         }
     }
     Ok(run)
+}
+
+/// Reap a child that closed its stdout — it is exiting, and is gone
+/// microseconds later — by `end`; `Ok(None)` if it still runs then.
+fn reap(child: &mut Child, end: Instant) -> io::Result<Option<ExitStatus>> {
+    let mut pause = Duration::from_micros(20);
+    loop {
+        if let Some(status) = child.try_wait()? {
+            return Ok(Some(status));
+        }
+        let left = end.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Ok(None);
+        }
+        std::thread::sleep(pause.min(left));
+        pause = (pause * 2).min(Duration::from_millis(1));
+    }
 }
 
 /// Split one result text into `|`-separated rows and sort them into a
@@ -330,20 +357,42 @@ mod normalize_tests {
 pub struct CBackend;
 
 /// A toolchain-built binary on disk (fresh from gcc, or revived by the
-/// build cache with a zero `build_time`).
+/// build cache with a zero `build_time`) and the parts of the data image
+/// its program reads.
 pub(crate) struct NativeExecutable {
-    pub(crate) binary: PathBuf,
-    pub(crate) build_time: Duration,
+    binary: PathBuf,
+    build_time: Duration,
+    image: image::Request,
+}
+
+impl NativeExecutable {
+    pub(crate) fn new(binary: PathBuf, build_time: Duration, input: &BuildInput) -> Self {
+        let image = crate::tables::image_request(input.program, input.schema);
+        NativeExecutable {
+            binary,
+            build_time,
+            image,
+        }
+    }
 }
 
 impl Executable for NativeExecutable {
+    /// Resolves `data_dir`'s image beside the binary (`<gen dir>/image`),
+    /// writing what its program reads on the first run per data version,
+    /// then runs the binary over it. The deadline covers the binary, not
+    /// the image, as the in-process backends' covers evaluation, not the
+    /// snapshot.
     fn run_bound(
         &self,
         data_dir: &Path,
         params: &[Value],
         deadline: Option<Duration>,
     ) -> io::Result<RunOutput> {
-        run_binary(&self.binary, data_dir, params, deadline)
+        let t0 = Instant::now();
+        let image = image::resolve(&self.image, data_dir, &self.binary.with_file_name("image"))?;
+        let mut run = run_binary(&self.binary, &image, params, deadline)?;
+        run.wall = t0.elapsed();
+        Ok(run)
     }
     fn build_time(&self) -> Duration {
         self.build_time
@@ -362,10 +411,8 @@ impl Backend for CBackend {
     }
     fn build(&self, input: BuildInput<'_>) -> io::Result<Box<dyn Executable>> {
         let compiled = crate::cc::compile_c(input.source, input.dir, input.name)?;
-        Ok(Box::new(NativeExecutable {
-            binary: compiled.binary,
-            build_time: compiled.cc_time,
-        }))
+        let exe = NativeExecutable::new(compiled.binary, compiled.cc_time, &input);
+        Ok(Box::new(exe))
     }
     fn available(&self) -> bool {
         static PRESENT: OnceLock<bool> = OnceLock::new();

@@ -5,7 +5,7 @@
 //! contract since the backend seam landed), so the emitted source text is
 //! a complete key for the toolchain invocation that follows — together
 //! with the runtime header every generated C file includes
-//! ([`crate::runtime::DBLAB_RUNTIME_H`], the `.tbl` loader's helpers among
+//! ([`crate::runtime::DBLAB_RUNTIME_H`], the data image's readers among
 //! it): identical source and header through the same backend yield an
 //! identical binary. This module memoizes `Backend::build` on `(backend
 //! name, header hash, source hash)` and hands back the previously built
@@ -32,7 +32,7 @@
 //! [`INDEX_FILE`]) next to the gen dir: entries built against this
 //! header whose artifact still exists on disk are restored into the
 //! in-memory table at attach time (a binary built against an older
-//! loader never is), and every subsequent toolchain build
+//! header never is), and every subsequent toolchain build
 //! appends its line. A warm start after a restart therefore skips
 //! gcc exactly like a warm compile within one process; hits served
 //! from restored entries are additionally counted in [`disk_stats`] so
@@ -346,13 +346,8 @@ pub fn build_with_cache(
             }
             // No toolchain time was spent *this* compile: `build_time` is
             // zero, which is what warm-compile measurements should see.
-            return Ok((
-                Box::new(NativeExecutable {
-                    binary: entry.binary,
-                    build_time: Duration::ZERO,
-                }),
-                true,
-            ));
+            let exe = NativeExecutable::new(entry.binary, Duration::ZERO, &input);
+            return Ok((Box::new(exe), true));
         }
         cache().lock().unwrap().remove(&key);
     }

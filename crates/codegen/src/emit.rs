@@ -1,37 +1,32 @@
 //! The C.Scala → C unparser ("stringification", paper §4.1).
 //!
 //! Emits one self-contained C translation unit per query: record typedefs,
-//! generated `.tbl` loaders (honouring each `LoadTable`'s layout and the
-//! columns and dictionary codes its record type reads; each row is
-//! tokenized up to the last column read and skipped from there with
-//! `memchr`, its numbers parsed once by the runtime header's checked
-//! parsers, its dictionaries encoded in one pass), index/partition
-//! builders (Figure 7's pre-computation), per-key-type hash/equality
-//! functions for the generic containers, sort comparators, and a `main`
-//! that loads, runs and prints — "a stand-alone
-//! executable for the given query, which includes data loading and data
-//! processing" (§6).
+//! one `load_<table>` per `LoadTable` that reads the data image's files of
+//! the columns and dictionary codes its record type reads (honouring its
+//! layout; [`dblab_runtime::image`] names the files and their element
+//! types), index reads (Figure 7's pre-computation, done by the image
+//! writer), per-key-type hash/equality functions for the generic
+//! containers, sort comparators, and a `main` that loads, runs and prints
+//! — "a stand-alone executable for the given query, which includes data
+//! loading and data processing" (§6). `argv[1]` is the image directory.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use dblab_catalog::{ColType, Schema};
+use dblab_catalog::Schema;
 use dblab_ir::expr::{Atom, BinOp, Block, DictOp, Expr, Layout, PrimOp, Stmt, Sym, UnOp};
 use dblab_ir::types::StructId;
 use dblab_ir::{Program, Type};
-use dblab_runtime::snapshot::{KEY_RANGE_PER_ROW, KEY_RANGE_SLACK};
+use dblab_runtime::image::{self, Elem, Part};
 
 use crate::tables::TableInfo;
 
 /// Generate the complete C source for a program.
 pub fn emit(p: &Program, schema: &Schema) -> String {
     let mut e = Emitter::new(p, schema);
-    (e.tables, e.table_by_name) = crate::tables::collect_tables(p, schema);
+    e.tables = crate::tables::collect_tables(p, schema);
     e.emit_structs();
-    e.emit_table_globals();
-    e.emit_loaders();
-    e.emit_index_builders(&p.body);
+    e.emit_tables();
     let mut body = String::new();
     e.block(&p.body, 1, &mut body);
     let mut out = String::new();
@@ -53,7 +48,7 @@ pub fn emit(p: &Program, schema: &Schema) -> String {
     out.push('\n');
     out.push_str(&e.top);
     out.push_str("\nint main(int argc, char** argv) {\n");
-    out.push_str("    dblab_data_dir = argc > 1 ? argv[1] : \".\";\n");
+    out.push_str("    dblab_image_dir = argc > 1 ? argv[1] : \".\";\n");
     if e.uses_param {
         out.push_str("    dblab_argc = argc; dblab_argv = argv;\n");
     }
@@ -67,17 +62,14 @@ struct Emitter<'p> {
     schema: &'p Schema,
     typedefs: String,
     top: String,
-    /// table sym -> info; also name -> sym for the index builders.
+    /// table sym -> info.
     tables: HashMap<Sym, TableInfo>,
-    table_by_name: HashMap<Arc<str>, Sym>,
     /// Columnar row handles: sym -> (table sym, row-index C expr).
     handles: HashMap<Sym, (Sym, String)>,
     /// elem C type -> wrapper typedef name.
     arr_types: HashMap<String, String>,
     /// sids with generated key hash/eq functions.
     key_fns: HashSet<StructId>,
-    /// CSR builders already emitted: (table, col).
-    csr_built: HashSet<(Arc<str>, usize)>,
     fn_ctr: usize,
     /// Program contains a ParallelFor: pull in the pthread prelude.
     uses_par: bool,
@@ -93,11 +85,9 @@ impl<'p> Emitter<'p> {
             typedefs: String::new(),
             top: String::new(),
             tables: HashMap::new(),
-            table_by_name: HashMap::new(),
             handles: HashMap::new(),
             arr_types: HashMap::new(),
             key_fns: HashSet::new(),
-            csr_built: HashSet::new(),
             fn_ctr: 0,
             uses_par: false,
             uses_param: false,
@@ -167,312 +157,99 @@ impl<'p> Emitter<'p> {
         name
     }
 
-    fn emit_table_globals(&mut self) {
-        let mut infos: Vec<TableInfo> = self.tables.values().cloned().collect();
-        infos.sort_by(|a, b| a.name.cmp(&b.name));
-        for info in &infos {
-            let t = ident(&info.name);
-            let _ = writeln!(self.top, "static int64_t g_{t}_len;");
-            match info.layout {
-                Layout::Columnar => {
-                    let def = self.p.structs.get(info.sid).clone();
-                    for f in &def.fields {
-                        let ct = self.c_type(&f.ty);
-                        let _ = writeln!(self.top, "static {ct}* g_{t}_{};", ident(&f.name));
-                    }
-                }
-                _ => {
-                    let rec = ident(&self.p.structs.get(info.sid).name);
-                    let _ = writeln!(self.top, "static {rec}** g_{t}_rows;");
-                }
-            }
-            for &c in &info.index_keys {
-                let _ = writeln!(self.top, "static int32_t* g_{t}_key_{c};");
-            }
-            for &c in &info.dicts {
-                let _ = writeln!(
-                    self.top,
-                    "static dblab_dict g_dict_{}__{c};",
-                    ident(&info.name)
-                );
-            }
-        }
-    }
-
-    /// Generated `.tbl` loader for each table.
-    fn emit_loaders(&mut self) {
+    /// Per loaded table, its globals and one `load_<table>` that reads the
+    /// image files of the columns its record type reads (a
+    /// dictionary-encoded field's codes, with the dictionary's values),
+    /// each whole, into the column arrays or — row layout — into records
+    /// built from them.
+    fn emit_tables(&mut self) {
         let mut infos: Vec<TableInfo> = self.tables.values().cloned().collect();
         infos.sort_by(|a, b| a.name.cmp(&b.name));
         for info in infos {
-            self.emit_loader(&info);
-        }
-    }
-
-    fn emit_loader(&mut self, info: &TableInfo) {
-        let t = ident(&info.name);
-        let def = self.schema.table(&info.name);
-        let rec_def = self.p.structs.get(info.sid).clone();
-        let mut s = String::new();
-        let _ = writeln!(s, "static void load_{t}(void) {{");
-        let _ = writeln!(
-            s,
-            "    int64_t size; char* buf = dblab_read_file(\"{}\", &size);",
-            info.name
-        );
-        let _ = writeln!(s, "    int64_t n = dblab_count_lines(buf, size);");
-        let _ = writeln!(s, "    g_{t}_len = n;");
-        // Allocation.
-        match info.layout {
-            Layout::Columnar => {
-                for (fi, f) in rec_def.fields.iter().enumerate() {
-                    let ct = self.c_type(&f.ty);
+            let t = ident(&info.name);
+            let def = self.schema.table(&info.name);
+            let rec_def = self.p.structs.get(info.sid).clone();
+            let rec = ident(&rec_def.name);
+            let columnar = matches!(info.layout, Layout::Columnar);
+            let mut globals = format!("static int64_t g_{t}_len;\n");
+            if !columnar {
+                let _ = writeln!(globals, "static {rec}** g_{t}_rows;");
+            }
+            let mut s = String::new();
+            let rows = c_string(&image::rows_file(&info.name));
+            let _ = writeln!(s, "static void load_{t}(void) {{");
+            let _ = writeln!(s, "    int64_t n = dblab_image_rows({rows});");
+            let _ = writeln!(s, "    g_{t}_len = n;");
+            for (fi, f) in rec_def.fields.iter().enumerate() {
+                let c = def.col_index(&f.name);
+                let ct = self.c_type(&f.ty);
+                let (part, elem) = match info.parts.contains(&Part::Dict(c)) {
+                    true => (Part::Dict(c), Elem::I32),
+                    false => (Part::Column(c), Elem::of(def.columns[c].ty)),
+                };
+                assert_eq!(
+                    ct,
+                    elem.c_type(),
+                    "{}.{} is not stored the way the program's record type reads it",
+                    def.name,
+                    f.name
+                );
+                let files: Vec<String> = part.files(def).iter().map(|f| c_string(f)).collect();
+                let read = match elem {
+                    Elem::Str => format!("dblab_image_strings({}, {}, n)", files[0], files[1]),
+                    _ => format!("({ct}*)dblab_image_array({}, n, sizeof({ct}))", files[0]),
+                };
+                let target = match columnar {
+                    true => format!("g_{t}_{}", ident(&f.name)),
+                    false => format!("{ct}* c{fi}"),
+                };
+                if columnar {
+                    let _ = writeln!(globals, "static {ct}* {target};");
+                }
+                let _ = writeln!(s, "    {target} = {read};");
+                if let Part::Dict(_) = part {
+                    assert!(columnar, "dictionaries require the columnar layout");
+                    let (values, bytes) = (&files[1], &files[2]);
+                    let _ = writeln!(globals, "static dblab_dict g_dict_{t}__{c};");
                     let _ = writeln!(
                         s,
-                        "    g_{t}_{} = ({ct}*)malloc((size_t)n * sizeof({ct}));",
-                        ident(&f.name)
+                        "    g_dict_{t}__{c} = dblab_image_dict({values}, {bytes});"
                     );
-                    let _ = fi;
                 }
             }
-            _ => {
-                let rec = ident(&rec_def.name);
+            if !columnar {
                 let _ = writeln!(
                     s,
                     "    g_{t}_rows = ({rec}**)malloc((size_t)n * sizeof({rec}*));"
                 );
+                let _ = writeln!(s, "    for (int64_t i = 0; i < n; i++) {{");
+                let _ = writeln!(s, "        {rec}* r = ({rec}*)malloc(sizeof({rec}));");
+                for (fi, f) in rec_def.fields.iter().enumerate() {
+                    let _ = writeln!(s, "        r->{} = c{fi}[i];", ident(&f.name));
+                }
+                let _ = writeln!(s, "        g_{t}_rows[i] = r;");
+                let _ = writeln!(s, "    }}");
+                for fi in 0..rec_def.fields.len() {
+                    let _ = writeln!(s, "    free((void*)c{fi});");
+                }
             }
+            let _ = writeln!(s, "}}");
+            self.top.push_str(&globals);
+            self.top.push_str(&s);
+            self.top.push('\n');
         }
-        for &c in &info.index_keys {
-            let _ = writeln!(
-                s,
-                "    g_{t}_key_{c} = (int32_t*)malloc((size_t)n * sizeof(int32_t));"
-            );
-        }
-        // Temporary raw-string columns for dictionary-encoded fields.
-        for &c in &info.dicts {
-            let _ = writeln!(
-                s,
-                "    char** raw_{c} = (char**)malloc((size_t)n * sizeof(char*));"
-            );
-        }
-        // Parse loop: tokenize in place up to the last column anything
-        // reads, then jump to the next line. `eol` is the row's `\n`; a
-        // scan for `|` that passes it found a short row, and the buffer's
-        // trailing `\n|` sentinel keeps every scan inside the buffer.
-        let read = |ci: usize| info.field_of[ci].is_some() || info.index_keys.contains(&ci);
-        let last = (0..def.columns.len()).rev().find(|&ci| read(ci));
-        let place = |ci: usize| {
-            c_string(&format!(
-                "{}.tbl column `{}`",
-                def.name, def.columns[ci].name
-            ))
-        };
-        let _ = writeln!(s, "    char* p = buf; char* end = buf + size + 1;");
-        let _ = writeln!(s, "    for (int64_t row = 0; row < n; row++) {{");
-        let _ = writeln!(s, "        while (*p == '\\n') p++;");
-        let _ = writeln!(
-            s,
-            "        char* eol = (char*)memchr(p, '\\n', (size_t)(end - p));"
+    }
+
+    /// A `LoadIndex*` statement: `file` of the image, an `int32_t` array.
+    fn image_ints(&mut self, st: &Stmt, depth: usize, out: &mut String, file: &str) {
+        let arr = self.c_type(&st.ty);
+        let x = st.sym.0;
+        self.line(depth, out, &format!("{arr} x{x};"));
+        let read = format!(
+            "x{x}.data = dblab_image_ints({}, &x{x}.len);",
+            c_string(file)
         );
-        if !matches!(info.layout, Layout::Columnar) {
-            let rec = ident(&rec_def.name);
-            let _ = writeln!(s, "        {rec}* r = ({rec}*)malloc(sizeof({rec}));");
-            let _ = writeln!(s, "        g_{t}_rows[row] = r;");
-        }
-        for (ci, col) in def
-            .columns
-            .iter()
-            .enumerate()
-            .take(last.map_or(0, |l| l + 1))
-        {
-            // A field that ends its line leaves the next column missing;
-            // the table's final column may end there instead of at a `|`,
-            // as the in-process reader allows.
-            let close = match ci + 1 < def.columns.len() {
-                true => format!("if (p > eol) dblab_short_row({}, row);", place(ci + 1)),
-                false => "if (p > eol) p = eol;".to_string(),
-            };
-            if !read(ci) {
-                let _ = writeln!(s, "        while (*p != '|') p++; {close} p++;");
-                continue;
-            }
-            let _ = writeln!(
-                s,
-                "        char* f{ci} = p; while (*p != '|') p++; {close} *p = '\\0'; p++;"
-            );
-            if info.dicts.contains(&ci) {
-                let _ = writeln!(s, "        raw_{ci}[row] = f{ci};");
-                continue;
-            }
-            let place = place(ci);
-            let (ct, parse) = match col.ty {
-                ColType::Int => ("int32_t", format!("dblab_parse_int(f{ci}, {place}, row)")),
-                ColType::Long => ("int64_t", format!("dblab_parse_long(f{ci}, {place}, row)")),
-                ColType::Double => ("double", format!("dblab_parse_double(f{ci}, {place}, row)")),
-                ColType::Date => ("int32_t", format!("dblab_parse_date(f{ci}, {place}, row)")),
-                ColType::Char => ("int32_t", format!("(int32_t)(unsigned char)f{ci}[0]")),
-                ColType::Bool => (
-                    "int32_t",
-                    format!("(strcmp(f{ci}, \"1\") == 0 || strcmp(f{ci}, \"true\") == 0)"),
-                ),
-                ColType::String => ("const char*", format!("f{ci}")),
-            };
-            let target = info.field_of[ci].map(|fp| {
-                let fname = ident(&rec_def.fields[fp].name);
-                match info.layout {
-                    Layout::Columnar => format!("g_{t}_{fname}[row]"),
-                    _ => format!("r->{fname}"),
-                }
-            });
-            if !info.index_keys.contains(&ci) {
-                let target = target.expect("a read column without a key has a field");
-                let _ = writeln!(s, "        {target} = {parse};");
-                continue;
-            }
-            // A key column is parsed once, for its key array and its field.
-            let key = match col.ty {
-                ColType::Long => format!("dblab_key_of_long(v{ci})"),
-                _ => format!("v{ci}"),
-            };
-            let _ = writeln!(s, "        {ct} v{ci} = {parse};");
-            let _ = writeln!(s, "        g_{t}_key_{ci}[row] = {key};");
-            if let Some(target) = target {
-                let _ = writeln!(s, "        {target} = v{ci};");
-            }
-        }
-        let _ = writeln!(s, "        p = eol + 1;");
-        let _ = writeln!(s, "    }}");
-        // Dictionary-encode the raw string columns into their fields.
-        for &c in &info.dicts {
-            let dict = format!("g_dict_{t}__{c}");
-            let fp = info.field_of[c].expect("a dictionary column has a field");
-            let fname = ident(&rec_def.fields[fp].name);
-            assert!(
-                matches!(info.layout, Layout::Columnar),
-                "dictionaries require the columnar loader"
-            );
-            let _ = writeln!(
-                s,
-                "    {dict} = dblab_dict_encode(raw_{c}, n, g_{t}_{fname});"
-            );
-            let _ = writeln!(s, "    free(raw_{c});");
-        }
-        let _ = writeln!(s, "}}");
-        self.top.push_str(&s);
-        self.top.push('\n');
-    }
-
-    /// C that sets `max` to the largest key of `table`'s key array for
-    /// column `field`, refusing what `Snapshot::index_keys` refuses for
-    /// the in-process tiers, by the same limits: a negative key, or one
-    /// beyond `KEY_RANGE_SLACK + KEY_RANGE_PER_ROW` × rows, exits non-zero
-    /// naming the column and the row instead of indexing with it.
-    fn key_max(&self, table: &str, field: usize) -> String {
-        let t = ident(table);
-        let def = self.schema.table(table);
-        let place = c_string(&format!(
-            "{}.tbl column `{}`",
-            def.name, def.columns[field].name
-        ));
-        let (slack, per_row) = (KEY_RANGE_SLACK, KEY_RANGE_PER_ROW);
-        format!(
-            "    int32_t max = 0;
-    int64_t limit = (int64_t){slack} + (int64_t){per_row} * n;
-    for (int64_t i = 0; i < n; i++) {{
-        int32_t k = g_{t}_key_{field}[i];
-        if (k < 0) {{ fprintf(stderr, \"%s: negative index key %d in row %lld\\n\", {place}, k, (long long)(i + 1)); exit(1); }}
-        if (k > limit) {{ fprintf(stderr, \"%s: index key %d in row %lld is out of proportion to %lld rows\\n\", {place}, k, (long long)(i + 1), (long long)n); exit(1); }}
-        if (k > max) max = k;
-    }}
-"
-        )
-    }
-
-    /// Index builders (Figure 7 pre-computation): unique row-position
-    /// arrays and CSR partitions, built from the standalone key arrays.
-    fn emit_index_builders(&mut self, b: &Block) {
-        let mut emitted: HashSet<String> = HashSet::new();
-        self.walk_for_indexes(b, &mut emitted);
-    }
-
-    fn walk_for_indexes(&mut self, b: &Block, emitted: &mut HashSet<String>) {
-        for st in &b.stmts {
-            match &st.expr {
-                Expr::LoadIndexUnique { table, field } => {
-                    let name = format!("build_uidx_{}_{field}", ident(table));
-                    if emitted.insert(name.clone()) {
-                        let t = ident(table);
-                        let arr = self.arr_type("int32_t");
-                        let mut s = String::new();
-                        let _ = writeln!(s, "static {arr} {name}(void) {{");
-                        let _ = writeln!(s, "    int64_t n = g_{t}_len;");
-                        s.push_str(&self.key_max(table, *field));
-                        let _ = writeln!(s, "    {arr} out; out.len = (int64_t)max + 2;");
-                        let _ = writeln!(
-                            s,
-                            "    out.data = (int32_t*)malloc((size_t)out.len * sizeof(int32_t));"
-                        );
-                        let _ = writeln!(
-                            s,
-                            "    for (int64_t i = 0; i < out.len; i++) out.data[i] = -1;"
-                        );
-                        let _ = writeln!(s, "    for (int64_t i = 0; i < n; i++) out.data[g_{t}_key_{field}[i]] = (int32_t)i;");
-                        let _ = writeln!(s, "    return out;");
-                        let _ = writeln!(s, "}}");
-                        self.top.push_str(&s);
-                    }
-                }
-                Expr::LoadIndexStarts { table, field } | Expr::LoadIndexItems { table, field } => {
-                    let key = (table.clone(), *field);
-                    if !self.csr_built.contains(&key) {
-                        self.csr_built.insert(key);
-                        let t = ident(table);
-                        let arr = self.arr_type("int32_t");
-                        let mut s = String::new();
-                        let _ = writeln!(
-                            s,
-                            "static {arr} g_csr_{t}_{field}_starts, g_csr_{t}_{field}_items;"
-                        );
-                        let _ = writeln!(s, "static int g_csr_{t}_{field}_built = 0;");
-                        let _ = writeln!(s, "static void build_csr_{t}_{field}(void) {{");
-                        let _ = writeln!(s, "    if (g_csr_{t}_{field}_built) return;");
-                        let _ = writeln!(s, "    g_csr_{t}_{field}_built = 1;");
-                        let _ = writeln!(s, "    int64_t n = g_{t}_len;");
-                        s.push_str(&self.key_max(table, *field));
-                        let _ = writeln!(s, "    int64_t sn = (int64_t)max + 2;");
-                        let _ = writeln!(
-                            s,
-                            "    int32_t* counts = (int32_t*)calloc((size_t)sn, sizeof(int32_t));"
-                        );
-                        let _ = writeln!(
-                            s,
-                            "    for (int64_t i = 0; i < n; i++) counts[g_{t}_key_{field}[i]]++;"
-                        );
-                        let _ = writeln!(s, "    int32_t* starts = (int32_t*)malloc((size_t)(sn) * sizeof(int32_t));");
-                        let _ = writeln!(s, "    int32_t acc = 0;");
-                        let _ = writeln!(s, "    for (int64_t k = 0; k < sn; k++) {{ starts[k] = acc; acc += counts[k]; }}");
-                        let _ = writeln!(
-                            s,
-                            "    int32_t* items = (int32_t*)malloc((size_t)n * sizeof(int32_t));"
-                        );
-                        let _ = writeln!(
-                            s,
-                            "    int32_t* cur = (int32_t*)calloc((size_t)sn, sizeof(int32_t));"
-                        );
-                        let _ = writeln!(s, "    for (int64_t i = 0; i < n; i++) {{ int32_t k = g_{t}_key_{field}[i]; items[starts[k] + cur[k]] = (int32_t)i; cur[k]++; }}");
-                        let _ = writeln!(s, "    free(counts); free(cur);");
-                        let _ = writeln!(s, "    g_csr_{t}_{field}_starts.data = starts; g_csr_{t}_{field}_starts.len = sn;");
-                        let _ = writeln!(s, "    g_csr_{t}_{field}_items.data = items; g_csr_{t}_{field}_items.len = n;");
-                        let _ = writeln!(s, "}}");
-                        self.top.push_str(&s);
-                    }
-                }
-                _ => {}
-            }
-            for blk in st.expr.blocks() {
-                self.walk_for_indexes(blk, emitted);
-            }
-        }
+        self.line(depth, out, &read);
     }
 
     // ------------------------------------------------------------------
@@ -1030,18 +807,16 @@ impl<'p> Emitter<'p> {
                 self.line(depth, out, &format!("load_{}();", ident(table)));
             }
             Expr::LoadIndexUnique { table, field } => {
-                let rhs = format!("build_uidx_{}_{field}()", ident(table));
-                self.def(st, depth, out, &rhs);
+                let files = Part::Unique(*field).files(self.schema.table(table));
+                self.image_ints(st, depth, out, &files[0]);
             }
             Expr::LoadIndexStarts { table, field } => {
-                let t = ident(table);
-                self.line(depth, out, &format!("build_csr_{t}_{field}();"));
-                self.def(st, depth, out, &format!("g_csr_{t}_{field}_starts"));
+                let files = Part::Csr(*field).files(self.schema.table(table));
+                self.image_ints(st, depth, out, &files[0]);
             }
             Expr::LoadIndexItems { table, field } => {
-                let t = ident(table);
-                self.line(depth, out, &format!("build_csr_{t}_{field}();"));
-                self.def(st, depth, out, &format!("g_csr_{t}_{field}_items"));
+                let files = Part::Csr(*field).files(self.schema.table(table));
+                self.image_ints(st, depth, out, &files[1]);
             }
             Expr::Printf { fmt, args } => {
                 let mut call = format!("printf({}", c_string(fmt));

@@ -1,9 +1,11 @@
 //! Base-table analysis for the C emitter.
 //!
 //! Before emitting a translation unit the unparser needs to know which
-//! relations the program loads, each relation's layout, which columns its
-//! record type reads and which columns need standalone key arrays for the
-//! index builders (Figure 7 pre-computation).
+//! relations the program loads, each relation's layout, and which parts of
+//! the data image it reads: the columns its record type reads, their
+//! dictionaries, and the indexes (Figure 7 pre-computation) its
+//! `LoadIndex*` statements name. The same list tells the executable which
+//! parts [`dblab_runtime::image::resolve`] must make present.
 //!
 //! The record type decides what a `LoadTable` reads, as in the jit and
 //! the interpreter: each field names the column it reads, and an `Int`
@@ -16,31 +18,34 @@ use dblab_catalog::Schema;
 use dblab_ir::expr::{Block, Expr, Layout, Sym};
 use dblab_ir::types::StructId;
 use dblab_ir::{Program, Type};
+use dblab_runtime::image::{Part, Request};
 
 #[derive(Clone)]
 pub(crate) struct TableInfo {
     pub name: Arc<str>,
     pub sid: StructId,
     pub layout: Layout,
-    /// Per column of the table: the record field that reads it, if any.
-    pub field_of: Vec<Option<usize>>,
-    /// Dictionary-encoded columns, ascending (emitted C is the build
-    /// cache's key, so the emitter walks them the same way every time).
-    pub dicts: Vec<usize>,
-    /// Original column indices needing standalone key arrays for indexes.
-    pub index_keys: Vec<usize>,
+    /// What the program reads of the table's image, ascending (emitted C
+    /// is the build cache's key, so the emitter walks them the same way
+    /// every time).
+    pub parts: Vec<Part>,
 }
 
-/// Scan a program for `LoadTable` / `LoadIndex*` nodes; returns
-/// `sym -> info` plus `name -> sym` (for the index builders).
-pub(crate) fn collect_tables(
-    p: &Program,
-    schema: &Schema,
-) -> (HashMap<Sym, TableInfo>, HashMap<Arc<str>, Sym>) {
+/// The image parts a program reads, per table it loads.
+pub(crate) fn image_request(p: &Program, schema: &Schema) -> Request {
+    let mut infos: Vec<TableInfo> = collect_tables(p, schema).into_values().collect();
+    infos.sort_by(|a, b| a.name.cmp(&b.name));
+    Request::new(
+        schema,
+        infos.into_iter().map(|t| (t.name, t.parts)).collect(),
+    )
+}
+
+/// Scan a program for `LoadTable` / `LoadIndex*` nodes: `sym -> info`.
+pub(crate) fn collect_tables(p: &Program, schema: &Schema) -> HashMap<Sym, TableInfo> {
     let mut tables = HashMap::new();
-    let mut by_name = HashMap::new();
-    walk(p, schema, &p.body, &mut tables, &mut by_name);
-    (tables, by_name)
+    walk(p, schema, &p.body, &mut tables, &mut HashMap::new());
+    tables
 }
 
 fn walk(
@@ -54,23 +59,21 @@ fn walk(
         match &st.expr {
             Expr::LoadTable { table, sid, layout } => {
                 let def = schema.table(table);
-                let mut field_of = vec![None; def.columns.len()];
-                let mut dicts = Vec::new();
-                for (fi, f) in p.structs.get(*sid).fields.iter().enumerate() {
-                    let c = def.col_index(&f.name);
-                    field_of[c] = Some(fi);
-                    if def.columns[c].ty.is_string() && f.ty == Type::Int {
-                        dicts.push(c);
-                    }
-                }
-                dicts.sort_unstable();
+                let mut parts: Vec<Part> = (p.structs.get(*sid).fields.iter())
+                    .map(|f| {
+                        let c = def.col_index(&f.name);
+                        match def.columns[c].ty.is_string() && f.ty == Type::Int {
+                            true => Part::Dict(c),
+                            false => Part::Column(c),
+                        }
+                    })
+                    .collect();
+                parts.sort_unstable();
                 let info = TableInfo {
                     name: table.clone(),
                     sid: *sid,
                     layout: *layout,
-                    field_of,
-                    dicts,
-                    index_keys: Vec::new(),
+                    parts,
                 };
                 by_name.insert(table.clone(), st.sym);
                 tables.insert(st.sym, info);
@@ -78,10 +81,14 @@ fn walk(
             Expr::LoadIndexUnique { table, field }
             | Expr::LoadIndexStarts { table, field }
             | Expr::LoadIndexItems { table, field } => {
+                let part = match st.expr {
+                    Expr::LoadIndexUnique { .. } => Part::Unique(*field),
+                    _ => Part::Csr(*field),
+                };
                 let sym = by_name[table];
                 let info = tables.get_mut(&sym).expect("table loaded first");
-                if !info.index_keys.contains(field) {
-                    info.index_keys.push(*field);
+                if let Err(at) = info.parts.binary_search(&part) {
+                    info.parts.insert(at, part);
                 }
             }
             _ => {}

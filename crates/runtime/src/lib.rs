@@ -2,13 +2,14 @@
 //!
 //! Everything a running query touches: dynamic [`value::Value`]s, columnar
 //! [`table::Table`]s with `.tbl` IO (format-compatible with TPC-H `dbgen`
-//! output), order-preserving string dictionaries (paper §5.3), and the
+//! output), order-preserving string dictionaries (paper §5.3), the
 //! resident [`snapshot`] the in-process executors read a data directory
-//! through.
+//! through, and the data [`image`] the gcc-built binaries read it from.
 //!
 //! The Volcano reference engine, the IR interpreter and the TPC-H data
 //! generator are all built on this crate.
 
+pub mod image;
 pub mod json;
 pub mod like;
 pub mod snapshot;

@@ -62,14 +62,14 @@ pub struct Csr {
 
 /// `fstat` of a `.tbl` file at the moment it was parsed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Fingerprint {
+pub(crate) struct Fingerprint {
     ino: u64,
     len: u64,
     mtime: (i64, i64),
 }
 
 impl Fingerprint {
-    fn of(m: &std::fs::Metadata) -> Fingerprint {
+    pub(crate) fn of(m: &std::fs::Metadata) -> Fingerprint {
         Fingerprint {
             ino: m.ino(),
             len: m.len(),
@@ -80,7 +80,7 @@ impl Fingerprint {
 
 /// Largest key an index may span beyond [`KEY_RANGE_PER_ROW`] × rows: lets
 /// small tables carry sparse keys without letting one stray key size an
-/// allocation. The C index builders apply the same limits.
+/// allocation. [`index_keys`] applies it for every index of every executor.
 pub const KEY_RANGE_SLACK: usize = 1 << 16;
 /// TPC-H's sparsest indexed key (`o_orderkey`) spans 4× its row count.
 pub const KEY_RANGE_PER_ROW: usize = 64;
@@ -189,10 +189,7 @@ impl TableSnapshot {
         self.unique[col]
             .get_or_init(|| {
                 let (keys, slots) = self.index_keys(col)?;
-                let mut idx = vec![-1i64; slots];
-                for (row, &k) in keys.iter().enumerate() {
-                    idx[k] = row as i64;
-                }
+                let idx = unique_index(&keys, slots);
                 self.grew(idx.len() * 8);
                 Ok(idx.into())
             })
@@ -205,20 +202,7 @@ impl TableSnapshot {
         self.csr[col]
             .get_or_init(|| {
                 let (keys, slots) = self.index_keys(col)?;
-                let mut starts = vec![0i64; slots];
-                for &k in &keys {
-                    starts[k] += 1;
-                }
-                let mut acc = 0;
-                for s in &mut starts {
-                    acc += std::mem::replace(s, acc);
-                }
-                let mut next = starts.clone();
-                let mut items = vec![0i64; keys.len()];
-                for (row, &k) in keys.iter().enumerate() {
-                    items[next[k] as usize] = row as i64;
-                    next[k] += 1;
-                }
+                let (starts, items) = csr_index(&keys, slots);
                 self.grew((starts.len() + items.len()) * 8);
                 Ok(Csr {
                     starts: starts.into(),
@@ -229,46 +213,78 @@ impl TableSnapshot {
             .map_err(|e| invalid(e))
     }
 
-    /// The keys of integer column `col` as array positions, and how many
-    /// slots (`max_key + 2`) an index over them needs. The values are
-    /// outside input: a negative key, or a key range out of all proportion
-    /// to the row count, is refused here rather than indexed with.
     fn index_keys(&self, col: usize) -> Result<(Vec<usize>, usize), String> {
-        let place = || {
-            format!(
-                "{}.tbl column `{}`",
-                self.table.def.name, self.table.def.columns[col].name
-            )
-        };
-        let keys: Box<dyn Iterator<Item = i64> + '_> = match &self.table.cols[col] {
-            ColData::Int(v) => Box::new(v.iter().map(|&x| x as i64)),
-            ColData::Long(v) => Box::new(v.iter().copied()),
+        match &self.table.cols[col] {
+            ColData::Int(v) => index_keys(&self.table.def, col, v.iter().map(|&x| x as i64)),
+            ColData::Long(v) => index_keys(&self.table.def, col, v.iter().copied()),
             other => panic!("index key over non-int column {other:?}"),
-        };
-        let rows = self.table.len();
-        let limit = KEY_RANGE_SLACK + KEY_RANGE_PER_ROW * rows;
-        let mut max = 0;
-        let mut out = Vec::with_capacity(rows);
-        for (row, k) in keys.enumerate() {
-            let k = usize::try_from(k)
-                .map_err(|_| format!("{}: negative index key {k} in row {}", place(), row + 1))?;
-            if k > limit {
-                return Err(format!(
-                    "{}: index key {k} in row {} is out of proportion to {rows} rows",
-                    place(),
-                    row + 1
-                ));
-            }
-            max = max.max(k);
-            out.push(k);
         }
-        Ok((out, max + 2))
     }
 
     /// A side structure of `bytes` heap bytes was just built.
     fn grew(&self, bytes: usize) {
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
     }
+}
+
+/// The keys of integer column `col` of `def` as array positions, and how
+/// many slots (`max_key + 2`) an index over them needs: the one key rule
+/// of every index, the resident snapshot's and the data image's. The
+/// values are outside input: a negative key, or a key range out of all
+/// proportion to the row count, is refused here rather than indexed with.
+pub(crate) fn index_keys(
+    def: &TableDef,
+    col: usize,
+    keys: impl ExactSizeIterator<Item = i64>,
+) -> Result<(Vec<usize>, usize), String> {
+    let place = || format!("{}.tbl column `{}`", def.name, def.columns[col].name);
+    let rows = keys.len();
+    let limit = KEY_RANGE_SLACK + KEY_RANGE_PER_ROW * rows;
+    let mut max = 0;
+    let mut out = Vec::with_capacity(rows);
+    for (row, k) in keys.enumerate() {
+        let k = usize::try_from(k)
+            .map_err(|_| format!("{}: negative index key {k} in row {}", place(), row + 1))?;
+        if k > limit {
+            return Err(format!(
+                "{}: index key {k} in row {} is out of proportion to {rows} rows",
+                place(),
+                row + 1
+            ));
+        }
+        max = max.max(k);
+        out.push(k);
+    }
+    Ok((out, max + 2))
+}
+
+/// Unique index over checked `keys` (Fig. 7d): key → row position, `-1`
+/// where no row has the key.
+pub(crate) fn unique_index(keys: &[usize], slots: usize) -> Vec<i64> {
+    let mut idx = vec![-1i64; slots];
+    for (row, &k) in keys.iter().enumerate() {
+        idx[k] = row as i64;
+    }
+    idx
+}
+
+/// CSR partition over checked `keys` (Fig. 7c): `(starts, items)`.
+pub(crate) fn csr_index(keys: &[usize], slots: usize) -> (Vec<i64>, Vec<i64>) {
+    let mut starts = vec![0i64; slots];
+    for &k in keys {
+        starts[k] += 1;
+    }
+    let mut acc = 0;
+    for s in &mut starts {
+        acc += std::mem::replace(s, acc);
+    }
+    let mut next = starts.clone();
+    let mut items = vec![0i64; keys.len()];
+    for (row, &k) in keys.iter().enumerate() {
+        items[next[k] as usize] = row as i64;
+        next[k] += 1;
+    }
+    (starts, items)
 }
 
 /// Fat pointer + `Arc` header + the text itself.
@@ -369,7 +385,7 @@ struct Entry {
 /// never evicted: a serving process reads one directory.
 static STORE: Mutex<Vec<Arc<Entry>>> = Mutex::new(Vec::new());
 
-fn signature(schema: &Schema) -> String {
+pub(crate) fn signature(schema: &Schema) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
     for t in &schema.tables {

@@ -2,8 +2,9 @@
 //!
 //! The on-disk format is the TPC-H `dbgen` text format: one row per line,
 //! `|`-separated fields, dates as `yyyy-mm-dd`. Our generator writes it and
-//! both the Rust loaders and the generated C loaders read it, so the system
-//! can also be pointed at official `dbgen` output.
+//! one row loop here reads it — for [`Table::read_tbl`] and for the data
+//! image a gcc binary reads ([`crate::image`]) — so the system can also be
+//! pointed at official `dbgen` output.
 
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
@@ -116,16 +117,7 @@ impl Table {
     /// a truncated one — and the new file has a new inode, which is what
     /// moves its [`crate::snapshot`] fingerprint.
     pub fn write_tbl(&self, path: &Path) -> io::Result<()> {
-        // Unique per writer: two threads rewriting the same table must not
-        // share a temp file either.
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(
-            ".tmp.{}.{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let tmp = std::path::PathBuf::from(tmp);
+        let tmp = temp_path(path);
         self.write_rows(&tmp)
             .and_then(|()| std::fs::rename(&tmp, path))
             .inspect_err(|_| {
@@ -160,19 +152,97 @@ impl Table {
     /// `fstat` the very handle whose bytes were parsed.
     pub(crate) fn read_tbl_file(def: &TableDef, file: std::fs::File) -> io::Result<Table> {
         let mut table = Table::empty(def);
-        let mut reader = io::BufReader::new(file);
-        let mut line = String::new();
-        let mut lineno = 0;
-        while reader.read_line(&mut line)? != 0 {
-            lineno += 1;
-            let trimmed = line.trim_end_matches('\n');
-            if !trimmed.is_empty() {
-                push_tbl_line(&mut table, trimmed, lineno)?;
-            }
-            line.clear();
-        }
+        let read = vec![true; def.columns.len()];
+        visit_rows(def, file, &read, |col, field| {
+            table.cols[col].push(match field {
+                Field::Text(s) => Value::str(s),
+                Field::Value(v) => v,
+            });
+            Ok(())
+        })?;
         Ok(table)
     }
+}
+
+/// `path` with a suffix unique to its writer, to write beside it and
+/// rename into place: two threads or processes writing the same file must
+/// not share a temporary either.
+pub(crate) fn temp_path(path: &Path) -> std::path::PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".tmp.{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    tmp.into()
+}
+
+/// One field of a `.tbl` row as [`visit_rows`] hands it over: a string
+/// column's text as it stands, any other column's [`parse_field`] value.
+pub(crate) enum Field<'a> {
+    Text(&'a str),
+    Value(Value),
+}
+
+/// The one `.tbl` row loop. Calls `visit(col, field)` for every column
+/// `read` selects, in column order, on every non-empty line, and returns
+/// the number of rows; `visit`'s first error ends the loop. A short row
+/// or an unparsable field is an [`io::ErrorKind::InvalidData`] error
+/// naming table, line and column. A short row is refused whether or not
+/// the missing column is read; a column that is not read is not parsed.
+pub(crate) fn visit_rows(
+    def: &TableDef,
+    file: std::fs::File,
+    read: &[bool],
+    mut visit: impl FnMut(usize, Field<'_>) -> io::Result<()>,
+) -> io::Result<usize> {
+    let mut reader = io::BufReader::new(file);
+    let mut line = String::new();
+    let (mut lineno, mut rows) = (0, 0);
+    while reader.read_line(&mut line)? != 0 {
+        lineno += 1;
+        let trimmed = line.trim_end_matches('\n');
+        if !trimmed.is_empty() {
+            visit_line(def, trimmed, lineno, read, &mut visit)?;
+            rows += 1;
+        }
+        line.clear();
+    }
+    Ok(rows)
+}
+
+fn visit_line(
+    def: &TableDef,
+    line: &str,
+    lineno: usize,
+    read: &[bool],
+    visit: &mut impl FnMut(usize, Field<'_>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut fields = line.split('|');
+    for (i, col) in def.columns.iter().enumerate() {
+        let bad = |what: String| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{}.tbl line {lineno}, column `{}`: {what}",
+                    def.name, col.name
+                ),
+            )
+        };
+        let raw = fields.next().ok_or_else(|| bad("field missing".into()))?;
+        if !read[i] {
+            continue;
+        }
+        if col.ty == ColType::String {
+            visit(i, Field::Text(raw))?;
+            continue;
+        }
+        let v = parse_field(raw, col.ty)
+            .ok_or_else(|| bad(format!("`{raw}` is not a valid {:?}", col.ty)))?;
+        visit(i, Field::Value(v))?;
+    }
+    Ok(())
 }
 
 fn format_field(out: &mut String, col: &ColData, ty: ColType, row: usize) {
@@ -196,26 +266,6 @@ fn format_field(out: &mut String, col: &ColData, ty: ColType, row: usize) {
     }
 }
 
-fn push_tbl_line(table: &mut Table, line: &str, lineno: usize) -> io::Result<()> {
-    let mut fields = line.split('|');
-    for (col, data) in table.def.columns.iter().zip(&mut table.cols) {
-        let bad = |what: String| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{}.tbl line {lineno}, column `{}`: {what}",
-                    table.def.name, col.name
-                ),
-            )
-        };
-        let raw = fields.next().ok_or_else(|| bad("field missing".into()))?;
-        let v = parse_field(raw, col.ty)
-            .ok_or_else(|| bad(format!("`{raw}` is not a valid {:?}", col.ty)))?;
-        data.push(v);
-    }
-    Ok(())
-}
-
 /// Parse a single `.tbl` field of the given type; `None` when the text is
 /// not a value of that type. Doubles must be finite: no executor orders
 /// a `NaN`, so one must never get past loading.
@@ -228,7 +278,7 @@ pub fn parse_field(raw: &str, ty: ColType) -> Option<Value> {
         ColType::String => Value::str(raw),
         ColType::Char => Value::Int(raw.as_bytes().first().copied().unwrap_or(b' ') as i32),
         // Exactly three `-`-separated integers, year 0–9999, month 1–12,
-        // day 1–31 (the generated C's `dblab_parse_date` has the same rule).
+        // day 1–31.
         ColType::Date => {
             let mut it = raw.split('-').map(|s| s.parse::<i32>().ok());
             let (y, m, d) = (it.next()??, it.next()??, it.next()??);
@@ -242,7 +292,7 @@ pub fn parse_field(raw: &str, ty: ColType) -> Option<Value> {
 }
 
 /// An in-memory database: all tables of a schema, plus the directory the
-/// `.tbl` files live in (the generated C loads from the same directory).
+/// `.tbl` files live in.
 #[derive(Debug, Clone)]
 pub struct Database {
     pub schema: Schema,

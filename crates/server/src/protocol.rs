@@ -141,10 +141,18 @@ pub fn write_frame(w: &mut impl Write, opcode: u8, seq: u32, payload: &[u8]) -> 
 /// cannot resync and should drop the connection.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     let mut len4 = [0u8; 4];
-    match r.read(&mut len4[..1])? {
-        0 => return Ok(None),
-        _ => r.read_exact(&mut len4[1..])?,
+    // Retried as `read_exact` retries: a socket read with a timeout
+    // returns `EINTR` whenever the process is signalled or frozen, and
+    // that is no transport error.
+    loop {
+        match r.read(&mut len4[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
+    r.read_exact(&mut len4[1..])?;
     let len = u32::from_be_bytes(len4) as usize;
     if !(HEADER..=MAX_FRAME).contains(&len) {
         return Err(io::Error::new(
@@ -339,6 +347,22 @@ mod tests {
         );
         let f2 = read_frame(&mut r).unwrap().unwrap();
         assert_eq!((f2.opcode, f2.seq), (OP_EXECUTE, 8));
+        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
+        // Every read interrupted once first, as a frozen or signalled
+        // reader's socket read with a timeout is: the same frames.
+        struct Eintr<'a>(&'a [u8], bool);
+        impl Read for Eintr<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1 = !self.1;
+                match self.1 {
+                    true => Err(io::ErrorKind::Interrupted.into()),
+                    false => self.0.read(buf),
+                }
+            }
+        }
+        let mut r = Eintr(&buf, false);
+        assert_eq!(read_frame(&mut r).unwrap(), Some(f1));
+        assert_eq!(read_frame(&mut r).unwrap(), Some(f2));
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
     }
 

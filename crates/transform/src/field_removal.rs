@@ -1,8 +1,9 @@
 //! Unused-struct-field removal (Appendix C).
 //!
 //! Fields the query never needs are removed from their record definitions;
-//! writes to them disappear, and — for base tables — the generated loader
-//! "avoids loading into memory the values for the unnecessary fields".
+//! writes to them disappear, and — for base tables — every executor's load,
+//! the gcc binary's read of its data image included, "avoids loading into
+//! memory the values for the unnecessary fields".
 //! Because field *indices* shift, this is a dedicated renumbering pass
 //! rather than a rewrite rule.
 //!

@@ -13,6 +13,7 @@ use dblab::codegen::{backends, same_normalized, Compiler};
 use dblab::engine;
 use dblab::frontend::expr::{col, lit_c, lit_i};
 use dblab::frontend::qplan::{AggFunc, QPlan, QueryProgram};
+use dblab::runtime::image::Part;
 use dblab::runtime::{ColData, Database, Table, Value};
 use dblab::tpch;
 use dblab::transform::StackConfig;
@@ -215,12 +216,12 @@ fn threads_one_is_exactly_the_serial_stack() {
 }
 
 /// A key column no index can be built over is outside input the gcc
-/// binary refuses, as `Snapshot::index_keys` does for the in-process
-/// tiers (`server_resident`'s `an_unindexable_key_column_answers_internal_then_recovers`):
-/// Q3 probes `customer` through its unique `c_custkey` index, and with
-/// row 5's key negated the binary exits non-zero naming the table, the
-/// column and the row instead of writing before the index array. Once
-/// the file is repaired the same binary answers like the oracle.
+/// executable refuses by the key rule the in-process tiers' snapshot
+/// applies (`server_resident`'s `an_unindexable_key_column_answers_internal_then_recovers`):
+/// Q3 probes `customer` through its unique `c_custkey` index, which its C
+/// reads from the data image, and with row 5's key negated the image is
+/// not written and the run fails naming the table, the column and the
+/// row. Once the file is repaired the same binary answers like the oracle.
 #[test]
 fn gcc_refuses_an_unindexable_key_column_then_recovers() {
     let gcc = dblab::codegen::backend("gcc").expect("registered");
@@ -235,9 +236,11 @@ fn gcc_refuses_an_unindexable_key_column_then_recovers() {
         .out_dir(&std::env::temp_dir().join("dblab_conf_gen"))
         .compile_named(&q3, "bc_badkey_q3")
         .expect("build");
+    let unique = &Part::Unique(0).files(db.schema.table("customer"))[0];
     assert!(
-        art.source.contains("build_uidx_customer_0"),
-        "Q3 indexes c_custkey"
+        art.source
+            .contains(&format!("dblab_image_ints(\"{unique}\"")),
+        "Q3 reads the c_custkey index from the image"
     );
 
     let customer = db.table("customer");
@@ -274,12 +277,12 @@ fn with_field(text: &str, row: usize, col: usize, value: &str) -> String {
 }
 
 /// A number or date field that is not a value of its column's type is
-/// outside input the gcc binary refuses, as the in-process reader does
+/// outside input the gcc executable refuses through the in-process
+/// reader's own row loop, which writes its data image
 /// (`table::tests::malformed_rows_are_typed_errors_naming_the_place`):
 /// Q3 reads `c_custkey` (an index key and an `Int`), `l_extendedprice`
 /// (a `Double`) and `o_orderdate` (a `Date`), and with any of them broken
-/// the binary exits non-zero naming the table, the column, the text and
-/// the row instead of reading the text's leading digits or fixed offsets.
+/// the run fails naming the table, the line, the column and the text.
 /// Once the file is repaired the same binary answers like the oracle.
 #[test]
 fn gcc_refuses_a_malformed_number_then_recovers() {
@@ -311,11 +314,11 @@ fn gcc_refuses_a_malformed_number_then_recovers() {
             .to_string();
         let name = &db.table(table).def.columns[col].name;
         assert!(
-            msg.contains(&format!("{table}.tbl column `{name}`")),
+            msg.contains(&format!("{table}.tbl line {row}, column `{name}`")),
             "{msg}"
         );
         assert!(
-            msg.contains(&format!("`{text}` is not a valid {ty} in row {row}")),
+            msg.contains(&format!("`{text}` is not a valid {ty}")),
             "{msg}"
         );
         std::fs::write(&path, good).expect("repair .tbl");
@@ -325,7 +328,8 @@ fn gcc_refuses_a_malformed_number_then_recovers() {
 }
 
 /// A `.tbl` whose last row has no `\n` keeps that row on every backend,
-/// as the in-process reader does: `nation.tbl` without its final byte
+/// all of which read it through the in-process reader's row loop (the
+/// gcc executable through its data image): `nation.tbl` without its final byte
 /// still lists all 25 nations, the last one's `n_comment` (the table's
 /// final column) included.
 #[test]
@@ -361,4 +365,106 @@ fn a_last_row_without_its_newline_is_kept() {
         }
     }
     assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// An empty `Char` field is a space on every backend, as
+/// `table::parse_field` reads it: `lineitem.tbl` with row 7's
+/// `l_returnflag` emptied groups that row under code 32 everywhere.
+#[test]
+fn an_empty_char_field_is_a_space_on_every_backend() {
+    let (db, data) = setup("emptychar");
+    let path = data.join("lineitem.tbl");
+    let good = std::fs::read_to_string(&path).expect("read lineitem.tbl");
+    let flag = db.schema.table("lineitem").col_index("l_returnflag");
+    std::fs::write(&path, with_field(&good, 7, flag, "")).expect("empty one flag");
+    let db = Database::read_all(&db.schema, &data).expect("reread");
+    let prog = QueryProgram::new(
+        QPlan::scan("lineitem")
+            .agg(
+                vec![("f", col("l_returnflag"))],
+                vec![
+                    ("n", AggFunc::Count),
+                    ("q", AggFunc::Sum(col("l_quantity"))),
+                ],
+            )
+            .project(vec![
+                ("code", lit_i(0).add(col("f"))),
+                ("n", col("n")),
+                ("q", col("q")),
+            ]),
+    );
+    let oracle = engine::execute_program(&prog, &db).to_text();
+    assert!(oracle.lines().any(|l| l.starts_with("32|1|")), "{oracle}");
+    let out = std::env::temp_dir().join("dblab_conf_gen");
+    let mut failures = Vec::new();
+    for b in backends().into_iter().filter(|b| b.available()) {
+        let name = format!("bc_emptychar_{}", b.name());
+        let run = Compiler::new(&db.schema)
+            .backend(dblab::codegen::backend(b.name()).expect("registered"))
+            .out_dir(&out)
+            .compile_named(&prog, &name)
+            .and_then(|art| art.run(&data));
+        match run {
+            Ok(r) if same_normalized(&oracle, &r.stdout) => {}
+            Ok(r) => failures.push(format!("{name}: got\n{}want\n{oracle}", r.stdout)),
+            Err(e) => failures.push(format!("{name}: {e}")),
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// Four threads first-running one gcc executable over a directory no
+/// image exists for yet (the serving engine's clients and its tier-up
+/// worker race like this): each gets the oracle's rows, and the one
+/// image they share is whole, with no temporary file left behind. Three
+/// workers make a source no other test builds, so the binary, and the
+/// image beside it, live in this test's own directory.
+#[test]
+fn four_threads_first_running_one_binary_share_one_whole_image() {
+    let gcc = dblab::codegen::backend("gcc").expect("registered");
+    if !gcc.available() {
+        eprintln!("SKIP backend `gcc` (requires {})", gcc.requirement());
+        return;
+    }
+    let (db, data) = setup("imagerace");
+    let gen = std::env::temp_dir().join("dblab_conf_gen_imagerace");
+    let _ = std::fs::remove_dir_all(&gen);
+    let q3 = tpch::queries::query(3);
+    let mut cfg = StackConfig::level5();
+    cfg.threads = 3;
+    let art = Compiler::new(&db.schema)
+        .config(&cfg)
+        .backend(gcc)
+        .out_dir(&gen)
+        .compile_named(&q3, "bc_imagerace_q3")
+        .expect("build");
+    assert!(!art.build_cached, "built in this test's directory");
+    let expect = engine::execute_program(&q3, &db).to_text();
+    let barrier = std::sync::Barrier::new(4);
+    let runs: Vec<_> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    art.run(&data)
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    for run in runs {
+        let run = run.expect("run");
+        assert!(same_normalized(&expect, &run.stdout), "rows diverge");
+    }
+    let images: Vec<PathBuf> = std::fs::read_dir(gen.join("image"))
+        .expect("the image root")
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(images.len(), 1, "{images:?}");
+    let files: Vec<String> = std::fs::read_dir(&images[0])
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(files.iter().all(|f| !f.contains(".tmp.")), "{files:?}");
+    assert!(files.iter().any(|f| f == "customer.rows"), "{files:?}");
 }
