@@ -9,20 +9,15 @@
 //! * after the cold sweep, the whole suite is recompiled at the same
 //!   configuration — the compile cache serves each query's passes with
 //!   one hit and the source-level build cache skips gcc entirely;
-//! * with `--threads N` (N > 1) an **execution phase** follows: each
-//!   query is built twice — serial and with the morsel-driven
-//!   `parallelize-scans` pass on — and timed over `--iterations`
-//!   repetitions (median + min), every run checked against the Volcano
-//!   oracle; per-query speedups land in the blob's `exec` section;
 //! * cold/warm wall-clock and both caches' hit rates land in the JSON
 //!   blob (`--json out.json`, or a `JSON:` stdout line; `schema_version`
-//!   2 added the `exec`/`iterations` fields).
+//!   3).
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use dblab_bench::{data_dir, emit_json, gen_dir, json, time_query, Args, Timings};
-use dblab_codegen::{available_backends, build_cache, same_normalized, Compiler};
+use dblab_bench::{emit_json, gen_dir, json, Args};
+use dblab_codegen::{available_backends, build_cache, Compiler};
 use dblab_transform::{memo, StackConfig};
 
 /// One query's compile measurements (one sweep).
@@ -138,75 +133,11 @@ fn means(rows: &[Row], backend_names: &[&'static str]) -> (f64, Vec<f64>) {
     (gen, builds)
 }
 
-/// One query's execution-phase measurements: serial vs `--threads N`.
-struct ExecRow {
-    query: usize,
-    serial: Timings,
-    par: Timings,
-    agree: bool,
-}
-
-/// Backend for the execution phase: an explicit `--backend` wins; the
-/// `interp`/`auto` default picks gcc when present (a timing comparison on
-/// the interpreter would measure the interpreter, not the generated
-/// loops).
-fn exec_backend(args: &Args) -> &str {
-    match args.backend.as_str() {
-        "auto" | "interp" => {
-            if dblab_codegen::backend("gcc").is_some_and(|b| b.available()) {
-                "gcc"
-            } else {
-                "interp"
-            }
-        }
-        other => other,
-    }
-}
-
-/// Build each query at `threads = 1` and `threads = N`, run both
-/// `--iterations` times, and check every output against the Volcano
-/// oracle.
-fn exec_phase(
-    args: &Args,
-    db: &dblab_runtime::Database,
-    data: &std::path::Path,
-    out: &std::path::Path,
-    bname: &str,
-) -> Vec<ExecRow> {
-    let schema = db.schema.clone();
-    let serial_cfg = StackConfig::level5();
-    let mut par_cfg = StackConfig::level5();
-    par_cfg.threads = args.threads;
-    let mut rows = Vec::new();
-    for &q in &args.queries {
-        let prog = dblab_tpch::queries::query(q);
-        let oracle = dblab_engine::execute_program(&prog, db).to_text();
-        let measure = |cfg: &StackConfig, tag: &str| {
-            let art = Compiler::new(&schema)
-                .config(cfg)
-                .backend(dblab_codegen::backend(bname).expect("registered"))
-                .out_dir(out)
-                .compile_named(&prog, &format!("f9x_q{q}_{tag}"))
-                .expect("exec-phase build");
-            let (t, last) = time_query(art.exe.as_ref(), data, args.iterations).expect("run");
-            (t, same_normalized(&oracle, &last.stdout))
-        };
-        let (serial, s_ok) = measure(&serial_cfg, "t1");
-        let (par, p_ok) = measure(&par_cfg, &format!("t{}", args.threads));
-        rows.push(ExecRow {
-            query: q,
-            serial,
-            par,
-            agree: s_ok && p_ok,
-        });
-    }
-    rows
-}
-
 fn main() {
     let args = Args::parse();
-    let (db, data) = data_dir(args.sf);
-    let schema = db.schema.clone();
+    // Compiling needs the statistics only; no query runs, so no data is
+    // written.
+    let schema = dblab_tpch::generate(args.sf, &std::env::temp_dir()).schema;
     let out = gen_dir();
     let cfg = StackConfig::level5();
     let backend_names: Vec<&'static str> = available_backends().iter().map(|b| b.name()).collect();
@@ -371,33 +302,6 @@ fn main() {
         }
     }
 
-    // Execution phase: what does `--threads N` buy at run time?
-    let exec = if args.threads > 1 {
-        let bname = exec_backend(&args);
-        println!(
-            "\n# execution — serial vs {} threads ({bname}, median of {} iteration(s), SF {})",
-            args.threads, args.iterations, args.sf
-        );
-        let rows = exec_phase(&args, &db, &data, &out, bname);
-        println!(
-            "{:<7}{:>14}{:>14}{:>10}{:>8}",
-            "query", "serial (ms)", "par (ms)", "speedup", "agree"
-        );
-        for r in &rows {
-            println!(
-                "Q{:<6}{:>14.2}{:>14.2}{:>9.2}x{:>8}",
-                r.query,
-                r.serial.median_ms,
-                r.par.median_ms,
-                r.serial.median_ms / r.par.median_ms.max(1e-9),
-                if r.agree { "yes" } else { "NO" }
-            );
-        }
-        Some((bname, rows))
-    } else {
-        None
-    };
-
     // Machine-readable blob: per-query cold/warm + cache hit rates.
     let per_query = json::array(cold.iter().zip(&warm).map(|(c, w)| {
         let mut o = json::Obj::new()
@@ -419,40 +323,12 @@ fn main() {
     }));
     let mut blob = json::Obj::new()
         .str("bench", "fig9")
-        .int("schema_version", 2)
+        .int("schema_version", 3)
         .num("sf", args.sf)
-        .int("threads", args.threads as u64)
         .int("build_jobs", args.build_jobs as u64)
-        .int("iterations", args.iterations as u64)
         .str("config", cfg.name)
         .num("cold_wall_s", cold_wall.as_secs_f64())
         .num("warm_wall_s", warm_wall.as_secs_f64());
-    if let Some((bname, rows)) = &exec {
-        blob = blob.raw(
-            "exec",
-            &json::Obj::new()
-                .str("backend", bname)
-                .bool("all_agree", rows.iter().all(|r| r.agree))
-                .raw(
-                    "queries",
-                    &json::array(rows.iter().map(|r| {
-                        json::Obj::new()
-                            .int("query", r.query as u64)
-                            .num("serial_median_ms", r.serial.median_ms)
-                            .num("serial_min_ms", r.serial.min_ms)
-                            .num("par_median_ms", r.par.median_ms)
-                            .num("par_min_ms", r.par.min_ms)
-                            .num(
-                                "speedup_median",
-                                r.serial.median_ms / r.par.median_ms.max(1e-9),
-                            )
-                            .bool("agree", r.agree)
-                            .build()
-                    })),
-                )
-                .build(),
-        );
-    }
     if let Some((loaded, wall, bc_restart, disk_restart)) = &restart {
         blob = blob.raw(
             "disk_cache",
@@ -495,11 +371,4 @@ fn main() {
         .raw("queries", &per_query)
         .build();
     emit_json(&args, &blob);
-
-    if let Some((_, rows)) = &exec {
-        if rows.iter().any(|r| !r.agree) {
-            eprintln!("RESULT DIVERGENCE: a threaded execution disagreed with the oracle");
-            std::process::exit(1);
-        }
-    }
 }

@@ -3,11 +3,10 @@
 //!
 //! Compiles the 22 TPC-H queries and the three QMonad queries of
 //! `examples/qmonad_analytics.rs` at every Table 3 configuration (LegoBase
-//! baseline, levels 2–5, TPC-H compliant) × threads 1, 2 and 4, and prints
-//! one line per program:
+//! baseline, levels 2–5, TPC-H compliant) and prints one line per program:
 //!
 //! ```text
-//! <config>\t<threads>\t<query>\t<program_hash>\t<FNV-1a of the emitted C>
+//! <config>\t<query>\t<program_hash>\t<FNV-1a of the emitted C>
 //! ```
 //!
 //! `--sf` picks the scale factor whose statistics the compiler sees (no
@@ -26,27 +25,21 @@ fn main() {
     let args = Args::parse();
     let schema = dblab_tpch::generate(args.sf, &std::env::temp_dir()).schema;
     let monads = qmonad_queries();
-    for base in table3_configs() {
-        for threads in [1, 2, 4] {
-            let cfg = dblab_transform::StackConfig {
-                threads,
-                ..base.clone()
-            };
-            let print = |query: &str, cq: CompiledQuery| {
-                let c = dblab_codegen::emit(&cq.program, &schema);
-                println!(
-                    "{}\t{threads}\t{query}\t{:016x}\t{:016x}",
-                    cfg.name,
-                    program_hash(&cq.program),
-                    str_hash(&c)
-                );
-            };
-            for (name, prog) in dblab_tpch::queries::all() {
-                print(&name, compile(&prog, &schema, &cfg));
-            }
-            for (name, q) in &monads {
-                print(name, compile_qmonad(q, &schema, &cfg));
-            }
+    for cfg in table3_configs() {
+        let print = |query: &str, cq: CompiledQuery| {
+            let c = dblab_codegen::emit(&cq.program, &schema);
+            println!(
+                "{}\t{query}\t{:016x}\t{:016x}",
+                cfg.name,
+                program_hash(&cq.program),
+                str_hash(&c)
+            );
+        };
+        for (name, prog) in dblab_tpch::queries::all() {
+            print(&name, compile(&prog, &schema, &cfg));
+        }
+        for (name, q) in &monads {
+            print(name, compile_qmonad(q, &schema, &cfg));
         }
     }
 }

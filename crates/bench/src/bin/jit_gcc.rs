@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p dblab-bench --bin jit_gcc -- \
-//!     [--sf 0.01] [--runs 7] [--queries 5,7,9] [--threads 1]
+//!     [--sf 0.01] [--runs 7] [--queries 5,7,9]
 //! ```
 //!
 //! Both backends build every query first; then each of `--runs` rounds
@@ -27,17 +27,13 @@ use dblab_transform::StackConfig;
 fn main() {
     let args = Args::parse();
     let (db, data) = data_dir(args.sf);
-    let mut cfg = StackConfig::level5();
-    cfg.threads = args.threads;
+    let cfg = StackConfig::level5();
     let built: Vec<_> = (args.queries.iter())
         .map(|&q| {
             ["jit", "gcc"].map(|b| {
                 (Compiler::new(&db.schema).config(&cfg).out_dir(&gen_dir()))
                     .backend(backend(b).expect("registered backend"))
-                    .compile_named(
-                        &dblab_tpch::queries::query(q),
-                        &format!("jg_q{q}_t{}", cfg.threads),
-                    )
+                    .compile_named(&dblab_tpch::queries::query(q), &format!("jg_q{q}"))
                     .unwrap_or_else(|e| panic!("Q{q} on {b}: {e}"))
             })
         })
@@ -77,9 +73,9 @@ fn main() {
         })
         .collect();
     println!(
-        "# in-query ms, SF {}, threads {}, best of {}; gcc wall: median whole run \
+        "# in-query ms, SF {}, best of {}; gcc wall: median whole run \
          after the first; gcc 1st: the first run, writing its image parts",
-        args.sf, cfg.threads, args.runs
+        args.sf, args.runs
     );
     println!(
         "{:<6}{:>10}{:>10}{:>8}{:>10}{:>10}",

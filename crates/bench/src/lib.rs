@@ -90,29 +90,19 @@ pub fn qmonad_queries() -> [(&'static str, QMonad); 3] {
     ]
 }
 
-/// `--sf`, `--runs`, `--queries 1,6,14`, `--threads 4`, `--json out.json`
-/// flags shared by the binaries, plus `fig9`'s `--backend NAME` and its
-/// `--persist-cache` switch that attaches the on-disk build-cache index.
+/// `--sf`, `--runs`, `--queries 1,6,14`, `--json out.json` flags shared
+/// by the binaries, plus `fig9`'s `--persist-cache` switch that attaches
+/// the on-disk build-cache index.
 pub struct Args {
     pub sf: f64,
     pub runs: usize,
-    /// Timed repetitions per measured query execution (`--iterations`,
-    /// default 3). Benches that use it report the median and the min.
-    pub iterations: usize,
     pub queries: Vec<usize>,
-    /// Intra-query execution threads (`--threads`, default 1 = today's
-    /// serial plans). Flows into [`StackConfig::threads`], where the
-    /// `parallelize-scans` pass turns morsel-friendly scans into
-    /// `ParallelFor` loops.
-    pub threads: usize,
     /// Worker threads for the per-query *build* fan-out (each
     /// `CompiledQuery` is independent and `Backend::build` is `&self`).
     /// `--build-jobs`, default `min(cores, 8)`.
     pub build_jobs: usize,
     /// Where to write the machine-readable results blob, if anywhere.
     pub json: Option<PathBuf>,
-    /// Backend for query-time measurements (`gcc`/`jit`/`interp`).
-    pub backend: String,
     /// Attach the on-disk build-cache index next to the gen dir
     /// ([`dblab_codegen::build_cache::enable_persistence`]) so artifacts
     /// survive process restarts; benches report disk-hit rates.
@@ -123,14 +113,11 @@ impl Args {
     pub fn parse() -> Args {
         let mut sf = DEFAULT_SF;
         let mut runs = 3;
-        let mut iterations = 3;
         let mut queries: Vec<usize> = (1..=22).collect();
-        let mut threads = 1;
         let mut build_jobs = std::thread::available_parallelism()
             .map(|n| n.get().min(8))
             .unwrap_or(1);
         let mut json = None;
-        let mut backend = String::from("interp");
         let mut persist_cache = false;
         let argv: Vec<String> = std::env::args().collect();
         let mut i = 1;
@@ -151,24 +138,12 @@ impl Args {
                         .collect();
                     i += 2;
                 }
-                "--threads" => {
-                    threads = argv[i + 1].parse().expect("--threads <int>");
-                    i += 2;
-                }
                 "--build-jobs" => {
                     build_jobs = argv[i + 1].parse().expect("--build-jobs <int>");
                     i += 2;
                 }
-                "--iterations" => {
-                    iterations = argv[i + 1].parse().expect("--iterations <int>");
-                    i += 2;
-                }
                 "--json" => {
                     json = Some(PathBuf::from(&argv[i + 1]));
-                    i += 2;
-                }
-                "--backend" => {
-                    backend = argv[i + 1].clone();
                     i += 2;
                 }
                 "--persist-cache" => {
@@ -181,12 +156,9 @@ impl Args {
         Args {
             sf,
             runs,
-            iterations: iterations.max(1),
             queries,
-            threads: threads.max(1),
             build_jobs: build_jobs.max(1),
             json,
-            backend,
             persist_cache,
         }
     }
@@ -231,32 +203,12 @@ pub fn best_of(
     Ok(best.expect("at least one run"))
 }
 
-/// Median + min over a set of timed repetitions (`--iterations`). The
-/// median is robust to a one-off hiccup; the min is the paper-style
-/// steady-state number.
+/// Median + min over a set of timed repetitions. The median is robust to
+/// a one-off hiccup; the min is the paper-style steady-state number.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Timings {
     pub median_ms: f64,
     pub min_ms: f64,
-}
-
-/// Run one built query `iterations` times and fold the in-query timer
-/// into [`Timings`]; also returns the last run's stdout (all repetitions
-/// of a deterministic query print the same rows, so one copy suffices
-/// for oracle checks).
-pub fn time_query(
-    exe: &dyn dblab_codegen::Executable,
-    data: &Path,
-    iterations: usize,
-) -> std::io::Result<(Timings, dblab_codegen::RunOutput)> {
-    let mut samples = Vec::with_capacity(iterations.max(1));
-    let mut last = None;
-    for _ in 0..iterations.max(1) {
-        let out = exe.run(data)?;
-        samples.push(out.query_ms);
-        last = Some(out);
-    }
-    Ok((timings(&mut samples), last.expect("at least one run")))
 }
 
 /// Fold raw millisecond samples into [`Timings`] (sorts in place; the

@@ -253,10 +253,9 @@ fn reap(child: &mut Child, end: Instant) -> io::Result<Option<ExitStatus>> {
 /// Split one result text into `|`-separated rows and sort them into a
 /// canonical order: field-wise, numerics by value, everything else
 /// lexicographic. Both sides of a comparison go through the same
-/// normalization, so *row order* never decides conformance — morsel
-/// partition merges relink hash chains in a thread-dependent order, and
-/// an unordered aggregate legitimately prints its groups differently at
-/// `threads = 1` and `threads = 4`.
+/// normalization, so *row order* never decides conformance: an unordered
+/// aggregate legitimately prints its groups in a different order on each
+/// executor.
 fn normalized_rows(s: &str) -> Vec<Vec<&str>> {
     let mut rows: Vec<Vec<&str>> = s.lines().map(|l| l.split('|').collect()).collect();
     rows.sort_by(|x, y| {

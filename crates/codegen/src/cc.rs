@@ -29,14 +29,13 @@ pub fn compile_c(source: &str, dir: &Path, name: &str) -> std::io::Result<Compil
     std::fs::write(&c_path, source)?;
     let binary = dir.join(name);
     let t0 = Instant::now();
-    let mut cmd = Command::new("gcc");
-    cmd.arg("-O3").arg("-w");
-    // Only morsel-parallel programs link pthreads; serial invocations keep
-    // the exact command line they had before parallelism existed.
-    if source.contains("dblab_par_") {
-        cmd.arg("-pthread");
-    }
-    let out = cmd.arg("-o").arg(&binary).arg(&c_path).output()?;
+    let out = Command::new("gcc")
+        .arg("-O3")
+        .arg("-w")
+        .arg("-o")
+        .arg(&binary)
+        .arg(&c_path)
+        .output()?;
     let cc_time = t0.elapsed();
     if !out.status.success() {
         return Err(std::io::Error::other(format!(

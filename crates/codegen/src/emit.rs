@@ -31,15 +31,9 @@ pub fn emit(p: &Program, schema: &Schema) -> String {
     e.block(&p.body, 1, &mut body);
     let mut out = String::new();
     out.push_str("#include \"dblab_runtime.h\"\n");
-    // The parallel helpers ride inside the generated source (not the shared
-    // header) so serial programs stay byte-identical to pre-morsel output —
-    // which is what keeps their build-cache entries valid.
-    if e.uses_par {
-        out.push_str(crate::runtime::DBLAB_RUNTIME_PAR_H);
-    }
-    // Like the parallel prelude, the parameter helpers ride inside the
-    // generated source only when used, so parameter-free programs stay
-    // byte-identical and keep their build-cache entries.
+    // The parameter helpers ride inside the generated source only when
+    // used, so parameter-free programs stay byte-identical and keep their
+    // build-cache entries.
     if e.uses_param {
         out.push_str(crate::runtime::DBLAB_RUNTIME_PARAM_H);
     }
@@ -71,8 +65,6 @@ struct Emitter<'p> {
     /// sids with generated key hash/eq functions.
     key_fns: HashSet<StructId>,
     fn_ctr: usize,
-    /// Program contains a ParallelFor: pull in the pthread prelude.
-    uses_par: bool,
     /// Program contains a LoadParam: pull in the argv-parameter prelude.
     uses_param: bool,
 }
@@ -89,7 +81,6 @@ impl<'p> Emitter<'p> {
             arr_types: HashMap::new(),
             key_fns: HashSet::new(),
             fn_ctr: 0,
-            uses_par: false,
             uses_param: false,
         }
     }
@@ -834,143 +825,6 @@ impl<'p> Emitter<'p> {
                 }
                 call.push_str(");");
                 self.line(depth, out, &call);
-            }
-            Expr::ParallelFor {
-                lo,
-                hi,
-                var,
-                threads,
-                accs,
-                body,
-                merge,
-            } => {
-                self.uses_par = true;
-                self.fn_ctr += 1;
-                let id = self.fn_ctr;
-                let nt = *threads;
-                // Everything the worker reads from the enclosing scope is
-                // copied by value into a context struct. Table globals and
-                // columnar row handles have no C value and are reached
-                // directly; Unit-typed syms have nothing to copy.
-                let mut captured: Vec<Sym> = Vec::new();
-                for acc in accs {
-                    captured.extend(acc.init.free_syms());
-                }
-                captured.extend(body.free_syms());
-                captured.sort();
-                captured.dedup();
-                captured.retain(|s| {
-                    *s != *var
-                        && !accs.iter().any(|a| a.sym == *s)
-                        && !self.tables.contains_key(s)
-                        && !self.handles.contains_key(s)
-                        && *self.p.type_of(*s) != Type::Unit
-                });
-                let ctx = format!("dblab_par_ctx_{id}");
-                let mut fields = String::from("    int64_t lo, hi, next;\n");
-                for s in &captured {
-                    let ct = self.c_type(&self.p.type_of(*s).clone());
-                    let _ = writeln!(fields, "    {ct} x{};", s.0);
-                }
-                for acc in accs {
-                    let ct = self.c_type(&acc.ty);
-                    let _ = writeln!(fields, "    {ct} a{}[{nt}];", acc.sym.0);
-                }
-                let _ = writeln!(self.typedefs, "typedef struct {{\n{fields}}} {ctx};");
-                let _ = writeln!(
-                    self.typedefs,
-                    "typedef struct {{ {ctx}* ctx; int64_t w; }} dblab_par_arg_{id};"
-                );
-                // Worker: claim morsels off the shared counter until the
-                // range is exhausted, accumulating into worker-local state.
-                let mut f = String::new();
-                let _ = writeln!(f, "static void* dblab_par_worker_{id}(void* vp) {{");
-                let _ = writeln!(f, "    dblab_par_arg_{id}* arg = (dblab_par_arg_{id}*)vp;");
-                let _ = writeln!(f, "    {ctx}* c = arg->ctx;");
-                for s in &captured {
-                    let ct = self.c_type(&self.p.type_of(*s).clone());
-                    let _ = writeln!(f, "    {ct} x{n} = c->x{n};", n = s.0);
-                }
-                for acc in accs {
-                    let mut ib = String::new();
-                    self.block(&acc.init, 1, &mut ib);
-                    f.push_str(&ib);
-                    let ct = self.c_type(&acc.ty);
-                    let iv = self.atom(&acc.init.result);
-                    let _ = writeln!(f, "    {ct} x{} = {iv};", acc.sym.0);
-                }
-                let _ = writeln!(f, "    for (;;) {{");
-                let _ = writeln!(
-                    f,
-                    "        int64_t mo_s = __atomic_fetch_add(&c->next, \
-                     DBLAB_MORSEL, __ATOMIC_RELAXED);"
-                );
-                let _ = writeln!(f, "        if (mo_s >= c->hi) break;");
-                let _ = writeln!(
-                    f,
-                    "        int64_t mo_e = mo_s + DBLAB_MORSEL; \
-                     if (mo_e > c->hi) mo_e = c->hi;"
-                );
-                let _ = writeln!(
-                    f,
-                    "        for (int64_t x{v} = mo_s; x{v} < mo_e; x{v}++) {{",
-                    v = var.0
-                );
-                let mut bd = String::new();
-                self.block(body, 3, &mut bd);
-                f.push_str(&bd);
-                let _ = writeln!(f, "        }}");
-                let _ = writeln!(f, "    }}");
-                for acc in accs {
-                    let _ = writeln!(f, "    c->a{n}[arg->w] = x{n};", n = acc.sym.0);
-                }
-                let _ = writeln!(f, "    return 0;");
-                let _ = writeln!(f, "}}");
-                self.top.push_str(&f);
-                // Call site: fill the context, spawn, join, then fold each
-                // worker's accumulators through the merge block.
-                let (l, h) = (self.atom(lo), self.atom(hi));
-                self.line(depth, out, "{");
-                let d = depth + 1;
-                self.line(d, out, &format!("{ctx} pc;"));
-                self.line(
-                    d,
-                    out,
-                    &format!("pc.lo = (int64_t)({l}); pc.hi = (int64_t)({h}); pc.next = pc.lo;"),
-                );
-                for s in &captured {
-                    self.line(d, out, &format!("pc.x{n} = x{n};", n = s.0));
-                }
-                self.line(
-                    d,
-                    out,
-                    &format!("pthread_t pt[{nt}]; dblab_par_arg_{id} pa[{nt}];"),
-                );
-                self.line(
-                    d,
-                    out,
-                    &format!(
-                        "for (int64_t w = 0; w < {nt}; w++) {{ pa[w].ctx = &pc; pa[w].w = w; \
-                         pthread_create(&pt[w], NULL, dblab_par_worker_{id}, &pa[w]); }}"
-                    ),
-                );
-                self.line(
-                    d,
-                    out,
-                    &format!("for (int64_t w = 0; w < {nt}; w++) pthread_join(pt[w], NULL);"),
-                );
-                self.line(d, out, &format!("for (int64_t w = 0; w < {nt}; w++) {{"));
-                for acc in accs {
-                    let ct = self.c_type(&acc.ty);
-                    self.line(
-                        d + 1,
-                        out,
-                        &format!("{ct} x{n} = pc.a{n}[w];", n = acc.sym.0),
-                    );
-                }
-                self.block(merge, d + 1, out);
-                self.line(d, out, "}");
-                self.line(depth, out, "}");
             }
             Expr::LoadParam { idx } => {
                 self.uses_param = true;

@@ -51,14 +51,13 @@
 //!    Otherwise its closures run per survivor. A walk over the slots of an
 //!    arena array that skips the null ones — a dense table's or a bucket
 //!    array's emission loop — runs in chunks too, with one kernel keeping
-//!    the non-null slots ([`Jc::non_null`]). Both serve a `ForRange` and
-//!    a `ParallelFor` alike ([`Jc::range`]);
-//!    [`JitProgram::chunked_loops`] reports them.
+//!    the non-null slots ([`Jc::non_null`]). [`Jc::range`] tries both on
+//!    every `ForRange`; [`JitProgram::chunked_loops`] reports them.
 //!
 //! Semantics are pinned to `dblab-interp` (wrapping i64 arithmetic, null
-//! `Eq`/`Ne`, dictionary encoding, hash-map iteration order, serial
-//! `ParallelFor` as one logical worker); `tests/backend_conformance.rs`
-//! runs the 22-query differential suite over this backend like any other.
+//! `Eq`/`Ne`, dictionary encoding, hash-map iteration order);
+//! `tests/backend_conformance.rs` runs the 22-query differential suite
+//! over this backend like any other.
 
 use std::io;
 use std::sync::Arc;
@@ -230,12 +229,8 @@ fn count_uses(p: &Program) -> Uses {
             if let Expr::ReadVar(v) | Expr::Assign { var: v, .. } = &st.expr {
                 used(*v, def, u);
             }
-            match &st.expr {
-                Expr::DeclVar { .. } => u.var[slot(st.sym)] = true,
-                Expr::ParallelFor { accs, .. } => {
-                    accs.iter().for_each(|acc| u.var[slot(acc.sym)] = acc.var)
-                }
-                _ => {}
+            if let Expr::DeclVar { .. } = st.expr {
+                u.var[slot(st.sym)] = true;
             }
             let looping = !matches!(st.expr, Expr::If { .. } | Expr::HashMapGetOrInit { .. });
             let inner = depth + looping as u32;
@@ -362,8 +357,8 @@ struct Jc<'p> {
     /// producer nested into the one statement under compilation.
     nested: Option<usize>,
     /// The statement under compilation reads mutable state through an
-    /// operand — that nested producer, or a variable named directly (a
-    /// `ParallelFor` accumulator in its merge) — so it is volatile itself.
+    /// operand — that nested producer, or a variable named directly — so
+    /// it is volatile itself.
     volatile: bool,
     /// Slots holding a loaded base table, and a loaded index.
     tables: Vec<usize>,
@@ -1201,31 +1196,6 @@ impl<'p> Jc<'p> {
                     rt.printf(&segs, &words);
                 }))
             }
-            // The morsel form as one logical worker, like the interpreter:
-            // init each accumulator, run the range as a `ForRange` would,
-            // merge once — parallel semantics at worker count one.
-            Expr::ParallelFor {
-                lo,
-                hi,
-                var,
-                accs,
-                body,
-                merge,
-                ..
-            } => {
-                let (lo, hi) = (self.want(lo, Cls::Int)?, self.want(hi, Cls::Int)?);
-                let accs = (accs.iter())
-                    .map(|acc| Ok((slot(acc.sym), self.seq(&acc.init, cls(&acc.ty))?)))
-                    .collect::<io::Result<Vec<(usize, Seq)>>>()?;
-                let (range, merge) = (self.range(*var, lo, hi, body)?, self.seq(merge, Cls::Unit)?);
-                effect(op_box(move |rt| {
-                    for (acc, init) in &accs {
-                        rt.frame[*acc] = init.run_val(rt);
-                    }
-                    range(rt);
-                    merge.run_unit(rt);
-                }))
-            }
             // The binding, converted to a word once per run (`run_bound`).
             Expr::LoadParam { idx } => {
                 let idx = *idx;
@@ -1333,9 +1303,9 @@ fn invariant(pre: &[Stmt], var: Sym, a: &Atom) -> bool {
 }
 
 impl<'p> Jc<'p> {
-    /// `for (var <- lo until hi) { body }` — a `ForRange`'s or a
-    /// `ParallelFor`'s range — as a chunked scan, a null-skipping walk, or
-    /// the closure loop, which checks the deadline at every back-edge.
+    /// `for (var <- lo until hi) { body }` as a chunked scan, a
+    /// null-skipping walk, or the closure loop, which checks the deadline
+    /// at every back-edge.
     fn range(&mut self, var: Sym, lo: G, hi: G, body: &'p Block) -> io::Result<Op> {
         let scan = match self.chunked(var, body, lo.clone(), hi.clone())? {
             None => self.non_null(var, body, lo.clone(), hi.clone())?,
@@ -2841,18 +2811,15 @@ mod tests {
     }
 
     /// Statement `spec` (`"6?"`: the template of query 6 with its default
-    /// bindings) lowered through the level-5 stack at `threads`.
-    fn level5(spec: &str, db: &Database, threads: usize) -> (Program, Vec<Value>) {
+    /// bindings) lowered through the level-5 stack.
+    fn level5(spec: &str, db: &Database) -> (Program, Vec<Value>) {
         use dblab_frontend::expr::Lit;
         let n = spec.trim_end_matches('?').parse().expect("query number");
         let q = match spec.ends_with('?') {
             true => dblab_tpch::queries::template(n).expect("template"),
             false => dblab_tpch::queries::query(n),
         };
-        let cfg = dblab_transform::StackConfig {
-            threads,
-            ..dblab_transform::StackConfig::level5()
-        };
+        let cfg = dblab_transform::StackConfig::level5();
         let params = (q.params.iter())
             .map(|d| match d.default {
                 Lit::Int(v) => Value::Int(v),
@@ -2879,58 +2846,34 @@ mod tests {
         each.collect()
     }
 
-    /// The level-5 programs of the five `steady_jit` statements, at one
-    /// thread and at two: which loops run as chunked scans or null-skipping
-    /// walks — the same list at both, so a `ParallelFor` keeps the chunking
-    /// of the `ForRange` it replaced — and each prints what the
-    /// interpreter prints.
+    /// The level-5 programs of the five `steady_jit` statements: which
+    /// loops run as chunked scans or null-skipping walks, and each prints
+    /// what the interpreter prints.
     #[test]
     fn the_steady_jit_statements_scan_in_chunks() {
         let db = tpch_db();
         let snap = Snapshot::from(db.clone());
-        for threads in [1, 2] {
-            let mut got = String::new();
-            for spec in ["1?", "6?", "14?", "3", "12"] {
-                let (p, params) = level5(spec, &db, threads);
-                let jp = compile(&p).expect("compile");
-                let got_rows = jp.run_bound(&snap, &params, None).expect("no deadline").0;
-                assert_eq!(
-                    got_rows,
-                    dblab_interp::run_bound(&p, &snap, &params, None).expect("run"),
-                    "tpch:{spec} at {threads} threads"
-                );
-                for l in loops_of(&jp) {
-                    got += &format!("tpch:{spec} {l} ");
-                }
-            }
-            // `slots`: the emission walks over Q1's dense table and over
-            // Q3's and Q12's bucket arrays. Q1's then-block is 6 value
-            // kernels and 9 RMW kernels; Q6's a product and its fold.
-            let want = "tpch:1? lineitem 1+0/15 tpch:1? slots 1+0 tpch:6? lineitem 5+0/2 \
-                        tpch:14? lineitem 2+0 tpch:3 orders 1+0 tpch:3 lineitem 1+0 \
-                        tpch:3 slots 1+0 tpch:12 lineitem 5+0 tpch:12 slots 1+0 ";
-            assert_eq!(got, want, "{threads} threads");
-        }
-    }
-
-    /// `parallelize-scans` turns scans into `ParallelFor`s at two threads
-    /// and more; every loop that ran in chunks at one thread still does.
-    #[test]
-    fn every_query_chunks_the_same_loops_at_every_thread_count() {
-        let db = tpch_db();
-        let mut differ = Vec::new();
-        for n in 1..=22 {
-            let spec = n.to_string();
-            let at = |threads| loops_of(&compile(&level5(&spec, &db, threads).0).expect("compile"));
-            let serial = at(1);
-            for threads in [2, 4] {
-                let got = at(threads);
-                if got != serial {
-                    differ.push(format!("Q{n} at {threads} threads: {got:?} vs {serial:?}"));
-                }
+        let mut got = String::new();
+        for spec in ["1?", "6?", "14?", "3", "12"] {
+            let (p, params) = level5(spec, &db);
+            let jp = compile(&p).expect("compile");
+            let got_rows = jp.run_bound(&snap, &params, None).expect("no deadline").0;
+            assert_eq!(
+                got_rows,
+                dblab_interp::run_bound(&p, &snap, &params, None).expect("run"),
+                "tpch:{spec}"
+            );
+            for l in loops_of(&jp) {
+                got += &format!("tpch:{spec} {l} ");
             }
         }
-        assert!(differ.is_empty(), "{differ:#?}");
+        // `slots`: the emission walks over Q1's dense table and over Q3's
+        // and Q12's bucket arrays. Q1's then-block is 6 value kernels and 9
+        // RMW kernels; Q6's a product and its fold.
+        let want = "tpch:1? lineitem 1+0/15 tpch:1? slots 1+0 tpch:6? lineitem 5+0/2 \
+                    tpch:14? lineitem 2+0 tpch:3 orders 1+0 tpch:3 lineitem 1+0 \
+                    tpch:3 slots 1+0 tpch:12 lineitem 5+0 tpch:12 slots 1+0 ";
+        assert_eq!(got, want);
     }
 
     /// Field `f` of a `t` row ([`with_table`]).
@@ -3206,77 +3149,6 @@ mod tests {
         let soon = Instant::now() + Duration::from_millis(20);
         assert_eq!(
             chunked(&program(true), &db, Some(soon)),
-            (vec![(1, 0)], None)
-        );
-    }
-
-    /// The same scan as the morsel form `parallelize-scans` gives a
-    /// counting loop (Shape A): one accumulator counting the rows kept,
-    /// added into a variable by the merge. Its range runs in chunks like
-    /// the `ForRange`'s and prints what the interpreter prints; a deadline
-    /// before entry or mid-range interrupts it, and the output is dropped.
-    #[test]
-    fn a_deadline_expiring_in_a_chunked_parallel_for_discards_partial_output() {
-        let program = |inner: i64| {
-            let (mut b, sid, table) = with_table();
-            let total = b.decl_var(Atom::Int(0));
-            let n = b.array_len(table.clone());
-            let (var, acc) = (b.bind(Type::Int), b.bind(Type::Int));
-            let init = b.block(|_| Atom::Int(0));
-            let body = b.block_unit(|b| {
-                let row = b.array_get(table, Atom::Sym(var));
-                let k = b.field_get(row, sid, 0);
-                let c = b.ne(k, Atom::Int(1));
-                b.if_then(c, |b| {
-                    b.printf("%d\n", vec![Atom::Sym(var)]);
-                    let kept = b.read_var(acc);
-                    let kept = b.add(kept, Atom::Int(1));
-                    b.assign(acc, kept);
-                    let spin = b.decl_var(Atom::Int(0));
-                    b.for_range(Atom::Int(0), Atom::Int(inner), |b, j| {
-                        let t = b.read_var(spin);
-                        let t = b.add(t, j);
-                        b.assign(spin, t);
-                    });
-                });
-            });
-            let merge = b.block_unit(|b| {
-                let (t, kept) = (b.read_var(total), b.read_var(acc));
-                let t = b.add(t, kept);
-                b.assign(total, t);
-            });
-            b.emit_unit(Expr::ParallelFor {
-                lo: Atom::Int(0),
-                hi: n,
-                var,
-                threads: 2,
-                accs: vec![dblab_ir::expr::ParAcc {
-                    sym: acc,
-                    ty: Type::Int,
-                    var: true,
-                    init,
-                }],
-                body,
-                merge,
-            });
-            let t = b.read_var(total);
-            b.printf("kept %d\n", vec![t]);
-            b.finish(Atom::Unit, Level::ScaLite)
-        };
-        let db = rows_db(2049);
-        let p = program(0);
-        let rows = dblab_interp::run(&p, &db);
-        assert!(rows.ends_with("\nkept 1366\n"), "the merge ran: {rows}");
-        assert_eq!(chunked(&p, &db, None), (vec![(1, 0)], Some(rows)));
-        let past = Instant::now() - Duration::from_millis(1);
-        assert_eq!(chunked(&p, &db, Some(past)), (vec![(1, 0)], None));
-        assert_eq!(
-            dblab_interp::run_bound(&p, &db, &[], Some(past)),
-            Err(Interrupted)
-        );
-        let soon = Instant::now() + Duration::from_millis(20);
-        assert_eq!(
-            chunked(&program(100_000), &db, Some(soon)),
             (vec![(1, 0)], None)
         );
     }

@@ -381,17 +381,6 @@ static int32_t *dblab_image_ints(const char *name, int64_t *len) {
 #endif /* DBLAB_RUNTIME_H */
 "#;
 
-/// Parallel prelude, appended *into* the generated source (never into
-/// `dblab_runtime.h`) when the program contains a `ParallelFor`. Keeping
-/// the shared header untouched means serial programs stay byte-identical
-/// to pre-morsel output, so their build-cache entries remain valid. The
-/// `dblab_par_` worker names double as the marker `cc` keys `-pthread` on.
-pub const DBLAB_RUNTIME_PAR_H: &str = r#"
-/* ---------------- morsel-driven parallelism ---------------- */
-#include <pthread.h>
-#define DBLAB_MORSEL 16384
-"#;
-
 /// Query-parameter prelude, appended into the generated source only when
 /// the program contains a `LoadParam` — parameter-free programs stay
 /// byte-identical to earlier output, keeping their build-cache entries

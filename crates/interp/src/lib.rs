@@ -217,20 +217,6 @@ impl Interp<'_> {
         self.atom(&b.result)
     }
 
-    /// `for (var <- lo until hi) { body }`: the one counted loop of both
-    /// `ForRange` and `ParallelFor`.
-    fn range(&mut self, lo: &Atom, hi: &Atom, var: Sym, body: &Block) -> V {
-        let (l, h) = (self.atom(lo).i(), self.atom(hi).i());
-        for i in l..h {
-            if self.expired() {
-                break;
-            }
-            self.set(var, V::I(i));
-            self.block(body);
-        }
-        V::Unit
-    }
-
     fn expr(&mut self, e: &Expr, ty: &Type) -> V {
         match e {
             Expr::Atom(a) => self.atom(a),
@@ -273,7 +259,17 @@ impl Interp<'_> {
                     self.block(else_b)
                 }
             }
-            Expr::ForRange { lo, hi, var, body } => self.range(lo, hi, *var, body),
+            Expr::ForRange { lo, hi, var, body } => {
+                let (l, h) = (self.atom(lo).i(), self.atom(hi).i());
+                for i in l..h {
+                    if self.expired() {
+                        break;
+                    }
+                    self.set(*var, V::I(i));
+                    self.block(body);
+                }
+                V::Unit
+            }
             Expr::While { cond, body } => {
                 loop {
                     if self.expired() || !self.block(cond).b() {
@@ -489,27 +485,6 @@ impl Interp<'_> {
                 let vals: Vec<V> = args.iter().map(|a| self.atom(a)).collect();
                 let line = format_printf(fmt, &vals);
                 self.output.push_str(&line);
-                V::Unit
-            }
-            // The morsel form with a single logical worker: init each
-            // accumulator, run the whole range as a `ForRange`, merge once.
-            // That is exactly the parallel semantics at worker count one,
-            // so the differential suites can compare any backend against it.
-            Expr::ParallelFor {
-                lo,
-                hi,
-                var,
-                accs,
-                body,
-                merge,
-                ..
-            } => {
-                for acc in accs {
-                    let v = self.block(&acc.init);
-                    self.set(acc.sym, v);
-                }
-                self.range(lo, hi, *var, body);
-                self.block(merge);
                 V::Unit
             }
             Expr::LoadParam { idx } => self

@@ -96,10 +96,6 @@ pub fn own_effects(e: &Expr) -> Effects {
         | Expr::LoadIndexStarts { .. }
         | Expr::LoadIndexItems { .. } => Effects::IO | Effects::ALLOC,
         Expr::Printf { .. } => Effects::IO,
-        // Like ForRange: the node itself only drives control flow; its
-        // observable effects are whatever its blocks do (the merge writes
-        // shared state, so a live ParallelFor is never removable).
-        Expr::ParallelFor { .. } => Effects::PURE,
         // Parameters are bound once per execution and immutable for its
         // duration, so reading one is pure (CSE-able, droppable if dead).
         Expr::LoadParam { .. } => Effects::PURE,

@@ -403,30 +403,6 @@ pub enum Expr {
         args: Vec<Atom>,
     },
 
-    // ---- intra-query parallelism ------------------------------------------
-    /// Morsel-driven parallel loop: `threads` workers split `lo until hi`
-    /// into morsels; each worker runs `body` against its own copies of the
-    /// accumulators in `accs`, and after all workers join, `merge` runs once
-    /// per worker to fold the worker-local state back into the shared
-    /// symbols. Introduced by the `parallelize-scans` pass (never by the
-    /// front-end); executed serially by the interpreter.
-    ParallelFor {
-        lo: Atom,
-        hi: Atom,
-        /// Loop variable, scoped to `body`.
-        var: Sym,
-        /// Worker count baked in by the pass (from `StackConfig::threads`),
-        /// so backends need no side-channel configuration at emit time.
-        threads: usize,
-        /// Worker-local accumulators; `body` and `merge` refer to them
-        /// through their `sym`s.
-        accs: Vec<ParAcc>,
-        body: Block,
-        /// Runs once per worker after the join, with each acc's `sym` bound
-        /// to that worker's final value; folds into the shared state.
-        merge: Block,
-    },
-
     // ---- prepared-query parameters ----------------------------------------
     /// Read the `idx`-th query parameter, bound per execution (argv for
     /// native binaries, a value slice for the interpreter). The parameter's
@@ -438,22 +414,6 @@ pub enum Expr {
     LoadParam {
         idx: usize,
     },
-}
-
-/// One worker-local accumulator of an [`Expr::ParallelFor`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ParAcc {
-    /// The symbol `body` and `merge` use for the worker-local value. Bound
-    /// by the `ParallelFor` node, like a loop variable.
-    pub sym: Sym,
-    /// Declared type of the local.
-    pub ty: Type,
-    /// `true` when the local is a mutable scalar (DeclVar semantics: the
-    /// body assigns through [`Expr::Assign`]); `false` for an immutable
-    /// binding (e.g. a privatized bucket array or pool).
-    pub var: bool,
-    /// Worker-local initialisation; the block's result is the initial value.
-    pub init: Block,
 }
 
 /// The operand match behind [`Expr::for_each_atom`] and
@@ -475,7 +435,7 @@ macro_rules! visit_operands {
             }
             Expr::Dict { arg, .. } => $f(arg),
             Expr::If { cond, .. } => $f(cond),
-            Expr::ForRange { lo, hi, .. } | Expr::ParallelFor { lo, hi, .. } => {
+            Expr::ForRange { lo, hi, .. } => {
                 $f(lo);
                 $f(hi);
             }
@@ -544,14 +504,6 @@ impl Expr {
             Expr::HashMapGetOrInit { init, .. } => vec![init],
             Expr::HashMapForeach { body, .. } => vec![body],
             Expr::MultiMapForeachAt { body, .. } => vec![body],
-            Expr::ParallelFor {
-                accs, body, merge, ..
-            } => {
-                let mut bs: Vec<&Block> = accs.iter().map(|a| &a.init).collect();
-                bs.push(body);
-                bs.push(merge);
-                bs
-            }
             _ => vec![],
         }
     }
@@ -567,14 +519,6 @@ impl Expr {
             | Expr::MultiMapForeachAt { body, .. } => vec![body],
             Expr::SortArray { cmp, .. } => vec![cmp],
             Expr::HashMapGetOrInit { init, .. } => vec![init],
-            Expr::ParallelFor {
-                accs, body, merge, ..
-            } => {
-                let mut bs: Vec<&mut Block> = accs.iter_mut().map(|a| &mut a.init).collect();
-                bs.push(body);
-                bs.push(merge);
-                bs
-            }
             _ => vec![],
         }
     }
@@ -588,11 +532,6 @@ impl Expr {
             | Expr::MultiMapForeachAt { var, .. } => vec![*var],
             Expr::HashMapForeach { kvar, vvar, .. } => vec![*kvar, *vvar],
             Expr::SortArray { a, b, .. } => vec![*a, *b],
-            Expr::ParallelFor { var, accs, .. } => {
-                let mut bs = vec![*var];
-                bs.extend(accs.iter().map(|a| a.sym));
-                bs
-            }
             _ => vec![],
         }
     }
@@ -668,29 +607,6 @@ impl Block {
         let mut counts = std::collections::HashMap::new();
         self.for_each_used_sym_impl(&mut |s| *counts.entry(s).or_insert(0) += 1);
         counts
-    }
-
-    /// Symbols this block uses but does not bind: statement symbols and
-    /// control-flow binders (loop variables, accumulators, comparator
-    /// operands) count as bound, everything else referenced anywhere in the
-    /// block — including nested blocks — is free. Sorted and deduplicated,
-    /// so the order is deterministic (the backends derive worker-function
-    /// capture lists from it).
-    pub fn free_syms(&self) -> Vec<Sym> {
-        let mut bound_set = std::collections::HashSet::new();
-        self.for_each_stmt(&mut |st| {
-            bound_set.insert(st.sym);
-            bound_set.extend(st.expr.bound_syms());
-        });
-        let mut free = Vec::new();
-        self.for_each_used_sym_impl(&mut |s| {
-            if !bound_set.contains(&s) {
-                free.push(s);
-            }
-        });
-        free.sort();
-        free.dedup();
-        free
     }
 
     /// Total number of statements, including statements in nested blocks.

@@ -249,7 +249,6 @@ fn discriminant_name(e: &Expr) -> &'static str {
         Expr::LoadIndexStarts { .. } => "LoadIndexStarts",
         Expr::LoadIndexItems { .. } => "LoadIndexItems",
         Expr::Printf { .. } => "Printf",
-        Expr::ParallelFor { .. } => "ParallelFor",
         Expr::LoadParam { .. } => "LoadParam",
     }
 }

@@ -146,9 +146,8 @@ pub fn inline_aliases(p: &Program) -> Program {
 
 /// Renumber `p`'s symbols densely, in the order a rebuild through a
 /// fresh builder allocates them: a statement after its sub-blocks and
-/// binders, binders before the blocks that see them, a `ParallelFor`'s
-/// accumulators each after its `init` block and before the loop
-/// variable, `body` and `merge`. `sym_types` follows the new numbers. A
+/// binders, binders before the blocks that see them. `sym_types` follows
+/// the new numbers. A
 /// program with no holes comes back untouched.
 pub fn compact(mut p: Program) -> Program {
     let mut r = Renumber {
@@ -231,21 +230,6 @@ impl Renumber {
                     self.def(a);
                     self.def(b);
                     self.block(cmp);
-                }
-                Expr::ParallelFor {
-                    accs,
-                    var,
-                    body,
-                    merge,
-                    ..
-                } => {
-                    for acc in accs {
-                        self.block(&mut acc.init);
-                        self.def(&mut acc.sym);
-                    }
-                    self.def(var);
-                    self.block(body);
-                    self.block(merge);
                 }
                 _ => {}
             }
@@ -356,7 +340,7 @@ mod tests {
         assert_same(&inline_aliases(&q), &q);
     }
 
-    use crate::expr::{Layout, ParAcc};
+    use crate::expr::Layout;
     use crate::types::{FieldDef, StructDef, StructId};
 
     fn record(b: &mut IrBuilder) -> StructId {
@@ -380,51 +364,15 @@ mod tests {
         b.list_new(Type::Int, Some(3));
         let total = b.decl_var(Atom::Int(0));
 
-        // A `ParallelFor` with two accumulators.
-        let init0 = b.block(|bb| {
-            bb.array_new(Type::Int, Atom::Int(1));
-            Atom::Int(0)
-        });
-        let acc0 = b.bind(Type::Int);
-        let init1 = b.block(|bb| bb.array_new(rec.clone(), Atom::Int(4)));
-        let acc1 = b.bind(Type::array(rec.clone()));
-        let var = b.bind(Type::Int);
-        let body = b.block_unit(|bb| {
-            bb.mul(Atom::Sym(var), Atom::Int(7));
-            let cur = bb.read_var(acc0);
-            let next = bb.add(cur, Atom::Sym(var));
-            bb.assign(acc0, next);
-            let r = bb.struct_new_pooled(sid, vec![Atom::Sym(var)], 4);
-            bb.array_set(Atom::Sym(acc1), Atom::Sym(var), r);
-        });
-        let merge = b.block_unit(|bb| {
-            bb.array_len(Atom::Sym(acc1));
+        // A loop that folds into a variable and stores pooled records.
+        let arr = b.array_new(rec.clone(), Atom::Int(4));
+        b.for_range(Atom::Int(0), Atom::Int(4), |bb, i| {
+            bb.mul(i.clone(), Atom::Int(7));
             let cur = bb.read_var(total);
-            let next = bb.add(cur, Atom::Sym(acc0));
+            let next = bb.add(cur, i.clone());
             bb.assign(total, next);
-        });
-        let accs = vec![
-            ParAcc {
-                sym: acc0,
-                ty: Type::Int,
-                var: true,
-                init: init0,
-            },
-            ParAcc {
-                sym: acc1,
-                ty: Type::array(rec.clone()),
-                var: false,
-                init: init1,
-            },
-        ];
-        b.emit_unit(Expr::ParallelFor {
-            lo: Atom::Int(0),
-            hi: Atom::Int(4),
-            var,
-            threads: 2,
-            accs,
-            body,
-            merge,
+            let r = bb.struct_new_pooled(sid, vec![i.clone()], 4);
+            bb.array_set(arr.clone(), i, r);
         });
 
         b.sort_array(t.clone(), Atom::Int(4), |bb, x, y| {

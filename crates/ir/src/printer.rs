@@ -322,35 +322,6 @@ fn print_stmt(st: &Stmt, depth: usize, out: &mut String) {
                 let _ = writeln!(out, "printf({fmt:?}, {})", args.join(", "));
             }
         }
-        Expr::ParallelFor {
-            lo,
-            hi,
-            var,
-            threads,
-            accs,
-            body,
-            merge,
-        } => {
-            let _ = writeln!(
-                out,
-                "parallel[{threads}] for ({} <- {} until {}) {{",
-                var,
-                atom(lo),
-                atom(hi)
-            );
-            for acc in accs {
-                indent(depth + 1, out);
-                let kw = if acc.var { "var" } else { "val" };
-                let _ = write!(out, "local {kw} {}: {} = ", acc.sym, acc.ty);
-                block_arg(&acc.init, depth + 1, out);
-                out.push('\n');
-            }
-            print_block_inner(body, depth + 1, out);
-            indent(depth, out);
-            out.push_str("} merge ");
-            block_arg(merge, depth, out);
-            out.push('\n');
-        }
         Expr::LoadParam { idx } => {
             let _ = writeln!(out, "param({idx})");
         }

@@ -8,7 +8,7 @@
 //! every pass (the LMS/SC transformer design the paper builds on).
 
 use crate::builder::IrBuilder;
-use crate::expr::{Atom, Block, Expr, ParAcc, Program, Stmt, Sym};
+use crate::expr::{Atom, Block, Expr, Program, Stmt, Sym};
 use crate::level::Level;
 use crate::types::Type;
 
@@ -339,42 +339,6 @@ impl<'p> Rewriter<'p> {
                 self.b.emit_unit(Expr::Printf {
                     fmt: fmt.clone(),
                     args,
-                });
-                Atom::Unit
-            }
-            Expr::ParallelFor {
-                lo,
-                hi,
-                var,
-                threads,
-                accs,
-                body,
-                merge,
-            } => {
-                let (lo, hi) = (self.atom(lo), self.atom(hi));
-                let naccs: Vec<ParAcc> = accs
-                    .iter()
-                    .map(|acc| {
-                        let init = self.block(rule, &acc.init);
-                        ParAcc {
-                            sym: self.bind_fresh(acc.sym, acc.ty.clone()),
-                            ty: acc.ty.clone(),
-                            var: acc.var,
-                            init,
-                        }
-                    })
-                    .collect();
-                let nvar = self.bind_fresh(*var, Type::Int);
-                let body = self.block(rule, body);
-                let merge = self.block(rule, merge);
-                self.b.emit_unit(Expr::ParallelFor {
-                    lo,
-                    hi,
-                    var: nvar,
-                    threads: *threads,
-                    accs: naccs,
-                    body,
-                    merge,
                 });
                 Atom::Unit
             }

@@ -38,12 +38,6 @@ pub struct StackConfig {
     // ---- fine-grained (App. E) ---------------------------------------------
     /// `&&` → `&` branch optimization.
     pub branchless: bool,
-
-    // ---- execution ---------------------------------------------------------
-    /// Worker threads for morsel-driven intra-query parallelism. `1` means
-    /// fully serial: the parallelize-scans pass does not run and the
-    /// pipeline is identical to a build that predates the knob.
-    pub threads: usize,
 }
 
 impl StackConfig {
@@ -63,7 +57,6 @@ impl StackConfig {
             index_inference: false,
             list_spec: false,
             branchless: false,
-            threads: 1,
         }
     }
 
@@ -146,7 +139,6 @@ impl StackConfig {
             index_inference,
             list_spec,
             branchless,
-            threads,
         } = *self;
         [
             mem_pools,
@@ -161,8 +153,6 @@ impl StackConfig {
         ]
         .iter()
         .fold(0u64, |acc, &b| (acc << 1) | b as u64)
-            // Every serial build (`threads <= 1`) runs the same pipeline.
-            | if threads > 1 { (threads as u64) << 32 } else { 0 }
     }
 
     /// All Table 3 configurations in presentation order.
@@ -324,10 +314,6 @@ mod tests {
             },
             StackConfig {
                 branchless: true,
-                ..base.clone()
-            },
-            StackConfig {
-                threads: 2,
                 ..base.clone()
             },
         ];

@@ -44,7 +44,6 @@ pub mod layout;
 pub mod list_spec;
 pub mod mem_hoist;
 pub mod memo;
-pub mod parallelize;
 pub mod pass;
 pub mod pipeline;
 pub mod scalar;

@@ -339,51 +339,6 @@ impl Pass for BranchOptimization {
     }
 }
 
-/// Morsel-driven scan parallelization (see [`crate::parallelize`]).
-/// Selected only when the configuration asks for more than one worker, so
-/// serial pipelines are untouched.
-struct ParallelizeScans;
-
-impl Pass for ParallelizeScans {
-    fn name(&self) -> &'static str {
-        "parallelize-scans"
-    }
-    fn kind(&self) -> PassKind {
-        PassKind::Optimization
-    }
-    fn source(&self) -> Level {
-        Level::CScala
-    }
-    fn target(&self) -> Level {
-        Level::CScala
-    }
-    fn applies(&self, cfg: &StackConfig) -> bool {
-        cfg.threads > 1
-    }
-    fn floats(&self) -> bool {
-        true
-    }
-    /// The scan shapes this pass recognizes are the *outputs* of the whole
-    /// optimization stack: privatization keys on the specialized bucket
-    /// arrays, hoisted pools, pruned records and flattened `&`-chains, so
-    /// every enabled rewrite must have finished before it looks. Each edge
-    /// is real — run this pass first and the patterns simply do not exist
-    /// yet (the loop stays serial and the output program differs).
-    fn after(&self) -> &'static [&'static str] {
-        &[
-            "string-dictionaries",
-            "hash-table-specialization",
-            "list-specialization",
-            "field-removal",
-            "memory-hoisting",
-            "branch-optimization",
-        ]
-    }
-    fn run(&self, p: &Program, ctx: &PassCtx) -> Program {
-        crate::parallelize::apply(p, ctx.cfg.threads)
-    }
-}
-
 /// The full pass registry, in stack order (top of the DSL stack first).
 /// Which of these actually run for a given build is decided exclusively by
 /// each pass's [`Pass::applies`] against the [`StackConfig`].
@@ -395,7 +350,6 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
         Box::new(FieldRemoval),
         Box::new(MemoryHoisting),
         Box::new(BranchOptimization),
-        Box::new(ParallelizeScans),
     ]
 }
 

@@ -537,33 +537,6 @@ mod tests {
         );
     }
 
-    /// `parallelize-scans`' declared edges are real dependencies, not
-    /// decoration: an ordering that runs it before one of its
-    /// prerequisites is rejected by the driver, naming the violated edge.
-    #[test]
-    fn parallelize_scans_declared_edges_are_enforced() {
-        let cfg = StackConfig {
-            threads: 4,
-            ..StackConfig::level5()
-        };
-        let sched = crate::schedule::Scheduler::from_registry(&cfg).expect("dag");
-        let q = dblab_tpch::queries::query(1);
-        // Before branch-optimization — both float at C.Scala, so the swap
-        // is level-wise legal and only the declared edge forbids it
-        // (swapped, the `&`-chains the privatization analysis walks are
-        // still `&&` trees) — and before field-removal (swapped, the
-        // analysis would key on record layouts field-removal is about to
-        // change).
-        for before in ["branch-optimization", "field-removal"] {
-            let order = moved_before(&sched.baseline(), "parallelize-scans", before);
-            let err = compile_ordered(&q, &schema(), &cfg, &order).unwrap_err();
-            assert!(
-                err.contains(&format!("edge {before} -> parallelize-scans")),
-                "declared-edge violation must be named: {err}"
-            );
-        }
-    }
-
     #[test]
     fn qmonad_frontend_flows_through_the_same_registry() {
         use dblab_frontend::qmonad::QMonad;

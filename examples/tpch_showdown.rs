@@ -17,14 +17,11 @@
 //! ```text
 //! cargo run --release --example tpch_showdown            # Q1 Q3 Q6 Q14 at SF 0.02
 //! cargo run --release --example tpch_showdown -- 0.05 1 6 19
-//! cargo run --release --example tpch_showdown -- --threads 4 1 6
 //! ```
 //!
-//! `--threads N` adds a morsel-parallel five-level row (gcc,
-//! `parallelize-scans` on); `--iterations N` sets the
-//! timed repetitions per cell (default 3; the table shows the median,
-//! the JSON carries median + min); `--build-jobs N` sizes the build
-//! fan-out.
+//! `--iterations N` sets the timed repetitions per cell (default 3; the
+//! table shows the median, the JSON carries median + min);
+//! `--build-jobs N` sizes the build fan-out.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -56,7 +53,6 @@ fn main() {
     // much of the build phase a previous process paid for).
     let persist_cache = argv.iter().any(|a| a == "--persist-cache");
     argv.retain(|a| a != "--persist-cache");
-    let exec_threads = take_flag(&mut argv, "--threads", 1).max(1);
     let iterations = take_flag(&mut argv, "--iterations", 3).max(1);
     let default_jobs = std::thread::available_parallelism()
         .map(|n| n.get().min(8))
@@ -98,16 +94,6 @@ fn main() {
     for b in ["jit", "interp"] {
         rows.push((format!("DBLAB/LB 5 x {b}"), StackConfig::level5(), b));
     }
-    // `--threads N`: one more five-level row with the morsel pass on.
-    if exec_threads > 1 {
-        if have_gcc {
-            let mut cfg = StackConfig::level5();
-            cfg.threads = exec_threads;
-            rows.push((format!("DBLAB/LB 5 x gcc T{exec_threads}"), cfg, "gcc"));
-        } else {
-            eprintln!("(skipping the --threads row: gcc not present)");
-        }
-    }
 
     // Build phase: every (row, query) artifact, fanned out across the
     // thread pool. Jobs land in a fixed slot each, so the later timing
@@ -133,13 +119,7 @@ fn main() {
                 let (label, cfg, bname) = &rows[ri];
                 let q = queries[qi];
                 let prog = dblab::tpch::queries::query(q);
-                // `_t{n}` keeps the threaded five-level row's artifacts
-                // distinct from the serial row with the same config name.
-                let name = format!(
-                    "sd_q{q}_{}_{bname}_t{}",
-                    cfg.name.replace([' ', '/'], "_"),
-                    cfg.threads
-                );
+                let name = format!("sd_q{q}_{}_{bname}", cfg.name.replace([' ', '/'], "_"));
                 match Compiler::new(&schema)
                     .config(cfg)
                     .backend(backend(bname).expect("registered"))
@@ -227,11 +207,10 @@ fn main() {
          text is checked against the oracle)"
     );
 
-    let timings_json = json::array(rows.iter().enumerate().map(|(ri, (label, cfg, bname))| {
+    let timings_json = json::array(rows.iter().enumerate().map(|(ri, (label, _, bname))| {
         json::Obj::new()
             .str("config", label)
             .str("backend", bname)
-            .int("threads", cfg.threads as u64)
             .raw(
                 "queries",
                 &json::array(queries.iter().enumerate().map(|(qi, &q)| {
@@ -246,9 +225,8 @@ fn main() {
     }));
     let blob = json::Obj::new()
         .str("bench", "tpch_showdown")
-        .int("schema_version", 2)
+        .int("schema_version", 3)
         .num("sf", sf)
-        .int("threads", exec_threads as u64)
         .int("build_jobs", threads as u64)
         .int("iterations", iterations as u64)
         .num("build_wall_s", build_wall.as_secs_f64())

@@ -47,7 +47,7 @@ fn conformance_suite(cfg: &StackConfig, tag: &str) -> Vec<String> {
         }
         for (i, (prog, oracle)) in programs.iter().zip(&oracles).enumerate() {
             let n = i + 1;
-            let name = format!("bc_q{n}_l{}_t{}_{}", cfg.levels, cfg.threads, b.name());
+            let name = format!("bc_q{n}_l{}_{}", cfg.levels, b.name());
             let verdict = Compiler::new(&schema)
                 .config(cfg)
                 .backend(dblab::codegen::backend(b.name()).expect("registered"))
@@ -77,26 +77,6 @@ fn every_backend_matches_the_oracle_on_the_full_stack() {
 #[test]
 fn every_backend_matches_the_oracle_on_the_generic_stack() {
     let failures = conformance_suite(&StackConfig::level2(), "l2");
-    assert!(failures.is_empty(), "{failures:#?}");
-}
-
-/// The morsel-parallel plans (`threads = 2`): every backend — the
-/// interpreter executes `ParallelFor` as one logical worker, the native
-/// backends spawn real threads — must still conform on all 22 queries.
-#[test]
-fn every_backend_matches_the_oracle_with_two_threads() {
-    let mut cfg = StackConfig::level5();
-    cfg.threads = 2;
-    let failures = conformance_suite(&cfg, "l5t2");
-    assert!(failures.is_empty(), "{failures:#?}");
-}
-
-/// Same axis at `threads = 4`: more partitions, more merge interleavings.
-#[test]
-fn every_backend_matches_the_oracle_with_four_threads() {
-    let mut cfg = StackConfig::level5();
-    cfg.threads = 4;
-    let failures = conformance_suite(&cfg, "l5t4");
     assert!(failures.is_empty(), "{failures:#?}");
 }
 
@@ -134,7 +114,7 @@ fn char_table(tag: &str) -> (Database, PathBuf) {
 /// A `Char` is its byte, 0–255, on every backend: `a > 'Z'` keeps 0xC3
 /// and `~`, and grouping by two `Char`s — one dense key `a·256 + b` —
 /// finds the nine groups, printed as integers (a lone 0xC3 byte is not
-/// text). Serial and with two workers.
+/// text).
 #[test]
 fn char_bytes_above_0x7f_compare_and_group_on_every_backend() {
     let (db, data) = char_table("bytes");
@@ -161,58 +141,22 @@ fn char_bytes_above_0x7f_compare_and_group_on_every_backend() {
     assert!(oracles[1].contains("195|126|333|"), "{}", oracles[1]);
     let out = std::env::temp_dir().join("dblab_conf_gen");
     let mut failures = Vec::new();
-    for threads in [1, 2] {
-        let mut cfg = StackConfig::level5();
-        cfg.threads = threads;
-        for b in backends().into_iter().filter(|b| b.available()) {
-            for (i, (prog, oracle)) in [&count, &grouped].iter().zip(&oracles).enumerate() {
-                let name = format!("bc_chars{i}_t{threads}_{}", b.name());
-                let run = Compiler::new(&db.schema)
-                    .config(&cfg)
-                    .backend(dblab::codegen::backend(b.name()).expect("registered"))
-                    .out_dir(&out)
-                    .compile_named(prog, &name)
-                    .and_then(|art| art.run(&data));
-                match run {
-                    Ok(r) if same_normalized(oracle, &r.stdout) => {}
-                    Ok(r) => failures.push(format!("{name}: got\n{}want\n{oracle}", r.stdout)),
-                    Err(e) => failures.push(format!("{name}: {e}")),
-                }
+    for b in backends().into_iter().filter(|b| b.available()) {
+        for (i, (prog, oracle)) in [&count, &grouped].iter().zip(&oracles).enumerate() {
+            let name = format!("bc_chars{i}_{}", b.name());
+            let run = Compiler::new(&db.schema)
+                .backend(dblab::codegen::backend(b.name()).expect("registered"))
+                .out_dir(&out)
+                .compile_named(prog, &name)
+                .and_then(|art| art.run(&data));
+            match run {
+                Ok(r) if same_normalized(oracle, &r.stdout) => {}
+                Ok(r) => failures.push(format!("{name}: got\n{}want\n{oracle}", r.stdout)),
+                Err(e) => failures.push(format!("{name}: {e}")),
             }
         }
     }
     assert!(failures.is_empty(), "{failures:#?}");
-}
-
-/// `threads = 1` must be invisible end to end: the `parallelize-scans`
-/// pass never enters the schedule, the config fingerprint (the
-/// compile-cache key component) is unchanged, and the emitted source is
-/// exactly the serial text — no parallel runtime anywhere.
-#[test]
-fn threads_one_is_exactly_the_serial_stack() {
-    let serial = StackConfig::level5();
-    let mut explicit = StackConfig::level5();
-    explicit.threads = 1;
-    assert_eq!(serial.fingerprint(), explicit.fingerprint());
-
-    let db = tpch::generate(0.002, &std::env::temp_dir().join("dblab_conf_t1"));
-    let schema = db.schema.clone();
-    for n in 1..=22 {
-        let prog = tpch::queries::query(n);
-        let cq = dblab::transform::compile(&prog, &schema, &explicit);
-        assert!(
-            cq.stages.iter().all(|st| st.name != "parallelize-scans"),
-            "Q{n}: parallelize-scans ran at threads = 1"
-        );
-        for b in backends() {
-            let src = b.emit(&cq.program, &schema);
-            assert!(
-                !src.contains("dblab_par_"),
-                "Q{n} [{}]: serial emission references the parallel runtime",
-                b.name()
-            );
-        }
-    }
 }
 
 /// A key column no index can be built over is outside input the gcc
@@ -416,8 +360,8 @@ fn an_empty_char_field_is_a_space_on_every_backend() {
 /// Four threads first-running one gcc executable over a directory no
 /// image exists for yet (the serving engine's clients and its tier-up
 /// worker race like this): each gets the oracle's rows, and the one
-/// image they share is whole, with no temporary file left behind. Three
-/// workers make a source no other test builds, so the binary, and the
+/// image they share is whole, with no temporary file left behind. Q3 cut
+/// to nine rows is a source no other test builds, so the binary, and the
 /// image beside it, live in this test's own directory.
 #[test]
 fn four_threads_first_running_one_binary_share_one_whole_image() {
@@ -429,11 +373,9 @@ fn four_threads_first_running_one_binary_share_one_whole_image() {
     let (db, data) = setup("imagerace");
     let gen = std::env::temp_dir().join("dblab_conf_gen_imagerace");
     let _ = std::fs::remove_dir_all(&gen);
-    let q3 = tpch::queries::query(3);
-    let mut cfg = StackConfig::level5();
-    cfg.threads = 3;
+    let mut q3 = tpch::queries::query(3);
+    q3.main = q3.main.limit(9);
     let art = Compiler::new(&db.schema)
-        .config(&cfg)
         .backend(gcc)
         .out_dir(&gen)
         .compile_named(&q3, "bc_imagerace_q3")

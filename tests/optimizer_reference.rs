@@ -144,15 +144,6 @@ fn map_blocks<F: FnMut(&Block) -> Block>(e: &Expr, mut f: F) -> Expr {
         }
         Expr::SortArray { cmp, .. } => *cmp = f(cmp),
         Expr::HashMapGetOrInit { init, .. } => *init = f(init),
-        Expr::ParallelFor {
-            accs, body, merge, ..
-        } => {
-            for acc in accs {
-                acc.init = f(&acc.init);
-            }
-            *body = f(body);
-            *merge = f(merge);
-        }
         _ => {}
     }
     e
@@ -243,20 +234,14 @@ fn schema_with_stats() -> dblab::catalog::Schema {
 /// Replay every stage's rewrite and hand `f` the program the following
 /// fixpoint starts from: the front-end's lowering, then each selected
 /// pass over the previous stage's snapshot, for the 22 queries under
-/// every Table 3 configuration and LegoBase's, each at one thread and two.
+/// every Table 3 configuration and LegoBase's.
 fn replay_fixpoint_inputs(mut f: impl FnMut(&str, Program)) {
     let schema = schema_with_stats();
     let registry = pass::registry();
-    let configs = StackConfig::table3()
+    for cfg in StackConfig::table3()
         .into_iter()
         .chain([StackConfig::legobase()])
-        .flat_map(|cfg| {
-            [1, 2].map(|threads| StackConfig {
-                threads,
-                ..cfg.clone()
-            })
-        });
-    for cfg in configs {
+    {
         let ctx = PassCtx {
             schema: &schema,
             cfg: &cfg,
@@ -264,7 +249,7 @@ fn replay_fixpoint_inputs(mut f: impl FnMut(&str, Program)) {
         let selected = pass::check_pipeline(&registry, &cfg).expect("valid stack");
         for n in 1..=22 {
             let prog = tpch::queries::query(n);
-            let label = format!("Q{n}@{}/t{}", cfg.name, cfg.threads);
+            let label = format!("Q{n}@{}", cfg.name);
             f(
                 &format!("{label} front-end"),
                 PlanLowering(&prog).lower(&ctx),
@@ -284,7 +269,7 @@ fn replay_fixpoint_inputs(mut f: impl FnMut(&str, Program)) {
 fn dce_matches_the_reference_on_every_stage_input_of_the_22_queries() {
     let mut checked = 0;
     replay_fixpoint_inputs(|label, raw| checked += check_fixpoint(label, raw));
-    assert!(checked > 3000, "only {checked} DCE inputs compared");
+    assert!(checked > 1900, "only {checked} DCE inputs compared");
 }
 
 #[test]
@@ -294,7 +279,7 @@ fn optimize_matches_the_rebuild_per_round_fixpoint_on_every_stage_input_of_the_2
         checked += 1;
         check_optimize(label, raw);
     });
-    assert!(checked > 1400, "only {checked} fixpoint inputs compared");
+    assert!(checked > 640, "only {checked} fixpoint inputs compared");
 }
 
 /// The front-end and every pass emit through `IrBuilder`, so what they
@@ -311,7 +296,7 @@ fn every_fixpoint_input_is_its_own_rebuild_up_to_numbering() {
             differ.push(label.to_string());
         }
     });
-    assert!(checked > 1400, "only {checked} fixpoint inputs compared");
+    assert!(checked > 640, "only {checked} fixpoint inputs compared");
     assert!(differ.is_empty(), "rewrites a rebuild changes: {differ:?}");
 }
 

@@ -368,17 +368,12 @@ fn declared_commuting_pairs_hash_equal_when_swapped() {
     use dblab::transform::{schedule::Scheduler, StackConfig};
     let schema = tpch_schema_with_stats();
     let corpus: Vec<_> = (1..=22).map(dblab::tpch::queries::query).collect();
-    // The threaded five-level stack adds `parallelize-scans` to the DAG;
-    // its commutation claims are verified like everyone else's.
-    let mut level5_threaded = StackConfig::level5();
-    level5_threaded.threads = 4;
     // Each DAG's exact number of unordered pairs: a new edge or pass
     // moves it, and the soundness check below covers every pair.
     for (cfg, pairs) in [
         (StackConfig::level5(), 4),
         (StackConfig::level4(), 2),
         (StackConfig::compliant(), 4),
-        (level5_threaded, 4),
     ] {
         let sched = Scheduler::from_registry(&cfg).expect("DAG builds");
         let orders = sched.orders();

@@ -127,32 +127,3 @@ fn compliant_stack_schedules_agree_on_the_showdown_queries() {
         .collect();
     assert!(failures.is_empty(), "{failures:#?}");
 }
-
-/// `threads > 1` adds `parallelize-scans` to the DAG with no change to
-/// any call site — the scheduler picks it up from the registry, its
-/// declared edges constrain every ordering, and each schedule still
-/// agrees with the oracle (the interpreter executes `ParallelFor` as one
-/// logical worker).
-#[test]
-fn threaded_schedules_pick_up_parallelize_scans_and_agree() {
-    let (db, _) = setup();
-    let snap = dblab::runtime::Snapshot::from(db.clone());
-    let mut cfg = StackConfig::level5();
-    cfg.threads = 4;
-    let sched = Scheduler::from_registry(&cfg).expect("threaded DAG builds");
-    assert!(
-        sched.baseline().contains(&"parallelize-scans"),
-        "threads = 4 must select the pass: {:?}",
-        sched.baseline()
-    );
-    // Every ordering keeps the pass after all of its declared
-    // prerequisites (`orderings` validates each against the DAG).
-    let orders = orderings(&sched);
-    // Q1 (hash-table build), Q6 (scalar reductions), Q17 (multimap
-    // chain concatenation): one query per privatization shape.
-    let failures: Vec<String> = [1, 6, 17]
-        .into_iter()
-        .flat_map(|n| divergences(n, &sched, &orders, &db, &snap))
-        .collect();
-    assert!(failures.is_empty(), "{failures:#?}");
-}

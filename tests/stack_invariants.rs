@@ -42,27 +42,24 @@ fn declared_stack_satisfies_both_principles() {
 }
 
 /// A registered pass has to earn its place: over the 22 TPC-H queries
-/// at level 5, one thread and two, every pass in the registry changes the
+/// at level 5, every pass in the registry changes the
 /// program (its stage's output hash differs from its input's) for at least
 /// one query. A pass that rewrites nothing only widens the schedule space
 /// and costs compile time.
 #[test]
 fn every_registry_pass_rewrites_some_program() {
     let schema = schema_with_stats();
-    let mut threaded = StackConfig::level5();
-    threaded.threads = 2;
     let mut selected = HashSet::new();
     let mut rewrote = HashSet::new();
-    for cfg in [StackConfig::level5(), threaded] {
-        for n in 1..=22 {
-            let prog = tpch::queries::query(n);
-            let (_, stages) = compile_with_snapshots(&prog, &schema, &cfg, true);
-            for w in stages.windows(2) {
-                let (name, after) = (&w[1].0, &w[1].1);
-                selected.insert(name.clone());
-                if program_hash(&w[0].1) != program_hash(after) {
-                    rewrote.insert(name.clone());
-                }
+    let cfg = StackConfig::level5();
+    for n in 1..=22 {
+        let prog = tpch::queries::query(n);
+        let (_, stages) = compile_with_snapshots(&prog, &schema, &cfg, true);
+        for w in stages.windows(2) {
+            let (name, after) = (&w[1].0, &w[1].1);
+            selected.insert(name.clone());
+            if program_hash(&w[0].1) != program_hash(after) {
+                rewrote.insert(name.clone());
             }
         }
     }
@@ -132,7 +129,7 @@ fn order_divergences(
 
 /// Everything the pass-commutation DAG leaves unordered is declared
 /// commuting, and the claim is checked whole: every valid order of every
-/// Table 3 configuration and LegoBase, at one thread and two, compiles
+/// Table 3 configuration and LegoBase compiles
 /// each of the 22 queries to the baseline's `program_hash`, through a
 /// stage trace that follows the order. The programs are the same, so
 /// whatever holds the baseline to the oracle holds every order. The
@@ -153,22 +150,16 @@ fn every_valid_pass_order_compiles_to_the_baseline_program() {
         (StackConfig::legobase(), 3),
     ];
     let mut failures = Vec::new();
-    for threads in [1, 2] {
-        for (cfg, orders) in &configs {
-            let cfg = StackConfig {
-                threads,
-                ..cfg.clone()
-            };
-            let sched = Scheduler::from_registry(&cfg).expect("DAG builds");
-            assert_eq!(
-                sched.orders().len(),
-                *orders,
-                "{} at {threads} thread(s): {:?}",
-                cfg.name,
-                sched.orders()
-            );
-            failures.extend(order_divergences(&sched, &queries, &schema));
-        }
+    for (cfg, orders) in &configs {
+        let sched = Scheduler::from_registry(cfg).expect("DAG builds");
+        assert_eq!(
+            sched.orders().len(),
+            *orders,
+            "{}: {:?}",
+            cfg.name,
+            sched.orders()
+        );
+        failures.extend(order_divergences(&sched, &queries, &schema));
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
@@ -443,18 +434,12 @@ fn generated_c_is_self_contained_and_stable() {
 fn no_level5_record_field_is_only_copied_into_dead_fields() {
     let schema = schema_with_stats();
     let mut failures = Vec::new();
-    for threads in [1, 2] {
-        let mut cfg = StackConfig::level5();
-        cfg.threads = threads;
-        for n in 1..=22 {
-            let cq = dblab::transform::compile(&tpch::queries::query(n), &schema, &cfg);
-            for (sid, field) in dead_fields(&cq.program, &schema) {
-                let def = cq.program.structs.get(sid);
-                failures.push(format!(
-                    "Q{n} threads {threads}: {}.{}",
-                    def.name, def.fields[field].name
-                ));
-            }
+    for n in 1..=22 {
+        let cq =
+            dblab::transform::compile(&tpch::queries::query(n), &schema, &StackConfig::level5());
+        for (sid, field) in dead_fields(&cq.program, &schema) {
+            let def = cq.program.structs.get(sid);
+            failures.push(format!("Q{n}: {}.{}", def.name, def.fields[field].name));
         }
     }
     assert!(
@@ -631,8 +616,7 @@ variants! {Expr, expr_variant, EXPR, [
     StructNew, FieldGet, FieldSet, ArrayNew, ArrayGet, ArraySet, ArrayLen, SortArray,
     ListNew, ListAppend, ListSize, ListForeach, HashMapNew, HashMapGetOrInit,
     HashMapForeach, MultiMapNew, MultiMapAdd, MultiMapForeachAt, PoolNew, PoolAlloc,
-    LoadTable, LoadIndexUnique, LoadIndexStarts, LoadIndexItems, Printf, ParallelFor,
-    LoadParam,
+    LoadTable, LoadIndexUnique, LoadIndexStarts, LoadIndexItems, Printf, LoadParam,
 ]}
 variants! {BinOp, bin_variant, BIN_OP, [
     Add, Sub, Mul, Div, Eq, Ne, Lt, Le, Gt, Ge, And, Or, BitAnd, BitOr, Max,
@@ -655,7 +639,7 @@ const FIELDS: &[&str] = &["dense", "dense composite", "has_minmax", "bound", "po
 /// node, operator and layout enums (a layout on some `LoadTable`), and
 /// every value of [`FIELDS`], occurs in some stage program of the
 /// `ir_digest` corpus (the 22 queries and the three QMonad queries at
-/// every Table 3 configuration, one thread and two), the parameterized
+/// every Table 3 configuration), the parameterized
 /// templates, or one of two small plans (a negated column, the average
 /// of an `Int` column). `Expr::Atom` is the exception the other way: the
 /// builder folds every alias, so no program holds one.
@@ -690,42 +674,36 @@ fn every_ir_variant_is_emitted_by_some_compile() {
     );
 
     let mut seen = HashSet::new();
-    for base in dblab_bench::table3_configs() {
-        for threads in [1, 2] {
-            let cfg = StackConfig {
-                threads,
-                ..base.clone()
-            };
-            for fe in &frontends {
-                for (_, p) in compile_frontend(fe.as_ref(), &schema, &cfg, true).1 {
-                    p.body.for_each_stmt(&mut |st| {
-                        seen.insert(("Expr", expr_variant(&st.expr)));
-                        seen.insert(match &st.expr {
-                            Expr::Bin(op, ..) => ("BinOp", bin_variant(op)),
-                            Expr::Un(op, _) => ("UnOp", un_variant(op)),
-                            Expr::Prim(op, _) => ("PrimOp", prim_variant(op)),
-                            Expr::Dict { op, .. } => ("DictOp", dict_variant(op)),
-                            Expr::LoadTable { layout, .. } => ("Layout", layout_variant(layout)),
-                            _ => ("Expr", expr_variant(&st.expr)),
-                        });
-                        let field = match &st.expr {
-                            Expr::HashMapNew { dense: Some(d), .. } if d.composite => {
-                                Some("dense composite")
-                            }
-                            Expr::HashMapNew { dense: Some(_), .. } => Some("dense"),
-                            Expr::ListNew { bound: Some(_), .. } => Some("bound"),
-                            Expr::StructNew { pool, .. } if *pool != DEFAULT_POOL => Some("pool"),
-                            _ => None,
-                        };
-                        seen.extend(field.map(|f| ("field", f)));
-                        if let Expr::HashMapNew {
-                            has_minmax: true, ..
-                        } = st.expr
-                        {
-                            seen.insert(("field", "has_minmax"));
-                        }
+    for cfg in dblab_bench::table3_configs() {
+        for fe in &frontends {
+            for (_, p) in compile_frontend(fe.as_ref(), &schema, &cfg, true).1 {
+                p.body.for_each_stmt(&mut |st| {
+                    seen.insert(("Expr", expr_variant(&st.expr)));
+                    seen.insert(match &st.expr {
+                        Expr::Bin(op, ..) => ("BinOp", bin_variant(op)),
+                        Expr::Un(op, _) => ("UnOp", un_variant(op)),
+                        Expr::Prim(op, _) => ("PrimOp", prim_variant(op)),
+                        Expr::Dict { op, .. } => ("DictOp", dict_variant(op)),
+                        Expr::LoadTable { layout, .. } => ("Layout", layout_variant(layout)),
+                        _ => ("Expr", expr_variant(&st.expr)),
                     });
-                }
+                    let field = match &st.expr {
+                        Expr::HashMapNew { dense: Some(d), .. } if d.composite => {
+                            Some("dense composite")
+                        }
+                        Expr::HashMapNew { dense: Some(_), .. } => Some("dense"),
+                        Expr::ListNew { bound: Some(_), .. } => Some("bound"),
+                        Expr::StructNew { pool, .. } if *pool != DEFAULT_POOL => Some("pool"),
+                        _ => None,
+                    };
+                    seen.extend(field.map(|f| ("field", f)));
+                    if let Expr::HashMapNew {
+                        has_minmax: true, ..
+                    } = st.expr
+                    {
+                        seen.insert(("field", "has_minmax"));
+                    }
+                });
             }
         }
     }

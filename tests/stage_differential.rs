@@ -4,8 +4,7 @@
 //! `compile_with_snapshots` retains the complete IR program after *every*
 //! stage, and each snapshot — not just the final program — is executed by
 //! both in-process executors, `dblab-interp` and the jit, and checked
-//! against the Volcano oracle. The morsel-parallel stack (`threads = 2`)
-//! is walked the same way on the jit alone.
+//! against the Volcano oracle.
 //!
 //! This is what localizes a miscompile to a single pass: if the
 //! stage-`k` snapshot agrees with the oracle and the stage-`k+1` snapshot
@@ -77,16 +76,11 @@ fn walk(cfg: &StackConfig, queries: &[usize], executors: &[Executor]) {
             }
         }
     }
-    assert!(
-        failures.is_empty(),
-        "{} @ {} threads: {failures:#?}",
-        cfg.name,
-        cfg.threads
-    );
+    assert!(failures.is_empty(), "{}: {failures:#?}", cfg.name);
     let names: Vec<_> = executors.iter().map(|(name, _)| *name).collect();
     eprintln!(
-        "{} @ {} threads: {snapshots} snapshots agree with the oracle on {names:?}",
-        cfg.name, cfg.threads
+        "{}: {snapshots} snapshots agree with the oracle on {names:?}",
+        cfg.name
     );
 }
 
@@ -104,18 +98,6 @@ fn every_stage_snapshot_matches_the_oracle_for_all_queries() {
 #[test]
 fn every_stage_snapshot_matches_the_oracle_on_the_jit() {
     walk(&StackConfig::level5(), &all_queries(), JIT);
-}
-
-/// The morsel-parallel stack: `parallelize-scans` adds a stage, and every
-/// `ParallelFor` it leaves runs as one logical worker. The jit alone, to
-/// keep the debug suite's time flat; the interpreter shares its loop.
-#[test]
-fn every_stage_snapshot_at_two_threads_matches_the_oracle_on_the_jit() {
-    let cfg = StackConfig {
-        threads: 2,
-        ..StackConfig::level5()
-    };
-    walk(&cfg, &all_queries(), JIT);
 }
 
 /// The same stage-by-stage walk on the partial (compliant) stack — the
